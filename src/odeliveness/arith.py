@@ -23,6 +23,7 @@ from fractions import Fraction
 from random import Random
 from typing import Optional
 
+from .codegen import build, formula_src, poly_src
 from .normal import (
     NormAtom,
     atoms_of,
@@ -156,31 +157,6 @@ def eval_formula_exact(f: Formula, point: dict) -> bool:
         return eval_formula_exact(f.left, point) or eval_formula_exact(f.right, point)
     if isinstance(f, Implies):
         return (not eval_formula_exact(f.left, point)) or eval_formula_exact(f.right, point)
-    raise TypeError(f"cannot evaluate {f!r}")
-
-
-def _eval_float(f: Formula, point: dict) -> bool:
-    """Float screen for sampling; candidates are confirmed exactly afterwards."""
-    if isinstance(f, BoolLit):
-        return f.value
-    if isinstance(f, Cmp):
-        try:
-            d = (f.lhs - f.rhs).eval_float(point)
-        except OverflowError:
-            return True  # suspicious; let the exact check decide
-        if f.op == "=":
-            return abs(d) <= 1e-9  # permissive: exact confirmation decides
-        if f.op == "!=":
-            return abs(d) > 1e-12
-        return {">=": d >= 0, ">": d > 0, "<=": d <= 0, "<": d < 0}[f.op]
-    if isinstance(f, Not):
-        return not _eval_float(f.arg, point)
-    if isinstance(f, And):
-        return _eval_float(f.left, point) and _eval_float(f.right, point)
-    if isinstance(f, Or):
-        return _eval_float(f.left, point) or _eval_float(f.right, point)
-    if isinstance(f, Implies):
-        return (not _eval_float(f.left, point)) or _eval_float(f.right, point)
     raise TypeError(f"cannot evaluate {f!r}")
 
 
@@ -581,50 +557,22 @@ def _sample_grid(n: int, count: int, seed: int):
         yield tuple(ks)
 
 
-def _screen_poly_src(p: Polynomial, names) -> str:
-    if p.is_zero():
-        return "0.0"
-    parts = []
-    for m, c in p.sorted_terms():
-        factors = [repr(float(c))]
-        for v, e in m:
-            idx = names.index(v)
-            factors.append(f"_a[{idx}]" if e == 1 else f"_a[{idx}]**{e}")
-        parts.append("*".join(factors))
-    return "(" + " + ".join(parts) + ")"
-
-
-def _screen_formula_src(f: Formula, names) -> str:
-    if isinstance(f, BoolLit):
-        return "True" if f.value else "False"
-    if isinstance(f, Cmp):
-        d = _screen_poly_src(f.lhs - f.rhs, names)
-        if f.op == "=":
-            return f"(abs({d}) <= 1e-9)"
-        if f.op == "!=":
-            return f"(abs({d}) > 1e-12)"
-        return f"({d} {f.op} 0.0)"
-    if isinstance(f, Not):
-        return f"(not {_screen_formula_src(f.arg, names)})"
-    if isinstance(f, And):
-        return f"({_screen_formula_src(f.left, names)} and {_screen_formula_src(f.right, names)})"
-    if isinstance(f, Or):
-        return f"({_screen_formula_src(f.left, names)} or {_screen_formula_src(f.right, names)})"
-    if isinstance(f, Implies):
-        return f"((not {_screen_formula_src(f.left, names)}) or {_screen_formula_src(f.right, names)})"
-    raise TypeError(f"cannot compile {f!r}")
-
-
 def _compile_screen(ob: ArithObligation, names):
     """Float predicate 'hypothesis holds and conclusion fails', compiled once."""
+
+    def atom(f: Cmp) -> str:
+        d = poly_src((f.lhs - f.rhs).sorted_terms(), lambda v: f"_a[{names.index(v)}]")
+        if f.op == "=":
+            return f"(abs({d}) <= 1e-9)"  # permissive: exact confirmation decides
+        if f.op == "!=":
+            return f"(abs({d}) > 1e-12)"
+        return f"(({d}) {f.op} 0.0)"
+
     src = (
         "def _screen(_a):\n"
-        f"    return {_screen_formula_src(ob.hypothesis, names)} "
-        f"and not {_screen_formula_src(ob.conclusion, names)}\n"
+        f"    return {formula_src(ob.hypothesis, atom)} and not {formula_src(ob.conclusion, atom)}\n"
     )
-    scope: dict = {}
-    exec(src, scope)  # generated exclusively from our own AST
-    return scope["_screen"]
+    return build(src, "_screen")
 
 
 def falsify(

@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import arith, sim
-from .errors import OdelivError, RuleRefused
+from .errors import InvalidArgument, OdelivError, RuleRefused
 from .kernel import PROVED, REFUTED, render_trace
 from .rules import CheckConfig, Checker, apply_rule
 from .symbolic import higher_lie
@@ -85,7 +85,10 @@ def cmd_simulate(args) -> int:
     init = {}
     for part in args.init.split(","):
         k, _, v = part.partition("=")
-        init[k.strip()] = float(Fraction(v.strip()))
+        try:
+            init[k.strip()] = float(Fraction(v.strip()))
+        except (ValueError, ZeroDivisionError):
+            raise InvalidArgument(f"--init: cannot read {part.strip()!r} as name=number")
     traj = sim.integrate(problem.system, init, args.horizon, goal=problem.goal, stop_on_event=False)
     for t, kind in traj.events:
         print(f"event {kind} at t={t!r}")

@@ -89,3 +89,7 @@ class UnsamplableInitSet(OdelivError):
 
 class InsufficientSamples(OdelivError):
     pass
+
+
+class InvalidArgument(OdelivError):
+    """A command-line or API argument is malformed or out of range."""

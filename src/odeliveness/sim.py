@@ -4,7 +4,12 @@ Trajectories are integrated with classic fourth-order Runge-Kutta under
 step-halving error control; goal entry, domain exit and suspected blow-up
 are located by bisection.  Equalities are evaluated at floats with a 1e-9
 absolute tolerance, strict comparisons with none; every event records the
-time found by bisection.
+time found by bisection.  A goal entry and a domain exit located at the same
+point reach the goal when that point lies in both sets, that is, when the
+goal was entered and the domain left through non-strict atoms.
+
+Each system and goal is compiled to Python once (`Plan`), and trajectories
+are bit-identical however often a plan is reused.
 
 Blow-up is detected, not proved: the max-norm threshold (default 1e9)
 combined with step-size collapse yields a BlowUpSuspected event.
@@ -17,18 +22,20 @@ observes the expected trajectory behavior.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from random import Random
+from types import SimpleNamespace
 from typing import Callable, Optional
 
-from .errors import InsufficientSamples, RuleRefused, UnsamplableInitSet
+from .codegen import build, formula_src, poly_src
+from .errors import InsufficientSamples, InvalidArgument, RuleRefused, UnsamplableInitSet
 from .normal import atoms_of
 from .symbolic import OdeSystem, Polynomial, lie_derivative
 from .syntax import (
     TRUE,
     And,
-    BoolLit,
     Cmp,
     Formula,
     Implies,
@@ -72,6 +79,10 @@ class Trajectory:
     samples: list
     events: list  # [(time, kind)]
     stats: dict = field(default_factory=dict)
+    # kind -> whether the first event of that kind lies on a closed boundary:
+    # the goal already holds at a GoalEntered point, the domain still holds
+    # at a DomainExited point
+    closed: dict = field(default_factory=dict)
 
     def final(self) -> State:
         return self.samples[-1]
@@ -84,116 +95,188 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# Compiled right-hand sides and float formula evaluation
+# Compiled trajectory work
+#
+# A `Plan` compiles a system, its domain and a goal to Python once: the RK4
+# step with its four stages inlined over the state tuple, float predicates
+# for the goal and the domain, and an evaluator for each atom's difference
+# polynomial.  Every float operation is fixed by the source, so trajectories
+# do not depend on how often a plan is reused:
+#
+#   stage points  y + (0.5*h)*k1,  y + (0.5*h)*k2,  y + h*k3
+#   result        y + (h/6.0)*(((k1 + 2*k2) + 2*k3) + k4)
+#
+# with right-hand sides summed in `Polynomial.sorted_terms` order and atom
+# polynomials in `Polynomial.eval_float` order.  An OverflowError in a
+# stage's right-hand side makes every component of that stage infinite.
+
+_STRICT = frozenset(("<", ">", "!="))
 
 
-def _py_expr(p: Polynomial, names) -> str:
-    if p.is_zero():
-        return "0.0"
-    parts = []
-    for m, c in p.sorted_terms():
-        factors = [repr(float(c))]
-        for v, e in m:
-            factors.append(f"y[{names.index(v)}]" if e == 1 else f"y[{names.index(v)}]**{e}")
-        parts.append("*".join(factors))
-    return " + ".join(parts)
-
-
-def compile_rhs(system: OdeSystem) -> tuple:
-    """Returns (state names, params tuple, f(y, par) -> tuple of derivatives)."""
-    names = list(system.state_names())
-    pnames = tuple(sorted(system.params))
-    full = names + list(pnames)
-    exprs = [_py_expr(f, full) for f in system.rhs]
-    if system.clock is not None:
-        exprs.append("1.0")
-    src = "def _rhs(y):\n    return (" + ", ".join(exprs) + ("," if len(exprs) == 1 else "") + ")\n"
-    scope: dict = {}
-    exec(src, scope)  # generated exclusively from our own AST
-    return tuple(names), pnames, scope["_rhs"]
-
-
-def eval_state(f: Formula, vals: dict, eq_tol: float = 1e-9) -> bool:
-    """Float truth with absolute tolerance on equalities, none on strict atoms."""
-    if isinstance(f, BoolLit):
-        return f.value
+def _atom_cmps(f: Formula) -> list:
+    """Comparison atoms of the formula, left to right."""
     if isinstance(f, Cmp):
-        d = (f.lhs - f.rhs).eval_float(vals)
-        if f.op == "=":
-            return abs(d) <= eq_tol
-        if f.op == "!=":
-            return abs(d) > eq_tol
-        return {"<": d < 0, "<=": d <= 0, ">": d > 0, ">=": d >= 0}[f.op]
+        return [f]
     if isinstance(f, Not):
-        return not eval_state(f.arg, vals, eq_tol)
-    if isinstance(f, And):
-        return eval_state(f.left, vals, eq_tol) and eval_state(f.right, vals, eq_tol)
-    if isinstance(f, Or):
-        return eval_state(f.left, vals, eq_tol) or eval_state(f.right, vals, eq_tol)
-    if isinstance(f, Implies):
-        return (not eval_state(f.left, vals, eq_tol)) or eval_state(f.right, vals, eq_tol)
-    raise TypeError(f"cannot evaluate {f!r} numerically")
+        return _atom_cmps(f.arg)
+    if isinstance(f, (And, Or, Implies)):
+        return _atom_cmps(f.left) + _atom_cmps(f.right)
+    return []
 
 
-def eval_state_boundary(f: Formula, vals: dict, margin: float = 1e-9) -> bool:
+def _diff_src(f: Cmp, ref) -> str:
+    return poly_src((f.lhs - f.rhs).terms.items(), ref)
+
+
+def _state_atom(op: str, d: str) -> str:
+    """Truth at a state: equalities within `_eq`, strict atoms exact."""
+    if op == "=":
+        return f"(abs({d}) <= _eq)"
+    if op == "!=":
+        return f"(abs({d}) > _eq)"
+    return f"(({d}) {op} 0.0)"
+
+
+def _boundary_atom(op: str, d: str) -> str:
     """Truth at a located event point: strict atoms need a positive margin,
     non-strict atoms hold on their boundary (closed sets contain limits,
     open ones do not)."""
-    if isinstance(f, BoolLit):
-        return f.value
-    if isinstance(f, Cmp):
-        d = (f.lhs - f.rhs).eval_float(vals)
-        if f.op == "=":
-            return abs(d) <= margin
-        if f.op == "!=":
-            return abs(d) > margin
-        if f.op == "<":
-            return d < -margin
-        if f.op == ">":
-            return d > margin
-        if f.op == "<=":
-            return d <= margin
-        return d >= -margin
-    if isinstance(f, Not):
-        return not eval_state_boundary(f.arg, vals, margin)
-    if isinstance(f, And):
-        return eval_state_boundary(f.left, vals, margin) and eval_state_boundary(f.right, vals, margin)
-    if isinstance(f, Or):
-        return eval_state_boundary(f.left, vals, margin) or eval_state_boundary(f.right, vals, margin)
-    if isinstance(f, Implies):
-        return (not eval_state_boundary(f.left, vals, margin)) or eval_state_boundary(f.right, vals, margin)
-    raise TypeError(f"cannot evaluate {f!r} numerically")
+    return {
+        "=": f"(abs({d}) <= _margin)",
+        "!=": f"(abs({d}) > _margin)",
+        "<": f"({d} < -_margin)",
+        ">": f"({d} > _margin)",
+        "<=": f"({d} <= _margin)",
+        ">=": f"({d} >= -_margin)",
+    }[op]
 
 
-def _atom_polys(f: Formula) -> list:
-    """Difference polynomials of every comparison atom in the formula."""
-    if isinstance(f, Cmp):
-        return [f.lhs - f.rhs]
-    if isinstance(f, Not):
-        return _atom_polys(f.arg)
-    if isinstance(f, (And, Or, Implies)):
-        return _atom_polys(f.left) + _atom_polys(f.right)
-    return []
+def _limit_atom(op: str, d_lo: str, d_hi: str) -> str:
+    """Truth at the point a bisection bracket [lo, hi] closes in on: an atom
+    whose polynomial changes sign across the bracket is on its boundary,
+    where non-strict atoms hold and strict ones fail; any other atom is read
+    at hi."""
+    crossed = f"({d_lo} * {d_hi} <= 0.0)"
+    if op in _STRICT:
+        return f"(not {crossed} and {_state_atom(op, d_hi)})"
+    return f"({crossed} or {_state_atom(op, d_hi)})"
+
+
+def _unpack(prefix: str, n: int, src: str) -> str:
+    return "".join(f"{prefix}{i}, " for i in range(n)) + f"= {src}"
+
+
+def _max_src(parts: list) -> str:
+    return f"max({', '.join(parts)})" if len(parts) > 1 else parts[0]
+
+
+def _predicate(f: Formula, names, eq_tol: float) -> Callable:
+    """Truth of `f` at a float tuple over `names`, as a compiled function."""
+    body = formula_src(f, lambda c: _state_atom(c.op, _diff_src(c, lambda v: f"a{names.index(v)}")))
+    src = f"def _pred(y):\n    {_unpack('a', len(names), 'y')}\n    return {body}\n"
+    return build(src, "_pred", {"_eq": eq_tol})
+
+
+class Plan:
+    """The compiled per-trajectory work of one system and goal.  Build it
+    once and pass it to every `integrate` call on that system and goal;
+    `bind` fixes one trajectory's parameter values and tolerances."""
+
+    def __init__(self, system: OdeSystem, goal: Optional[Formula] = None):
+        self.system = system
+        self.goal = goal
+        self.names = system.state_names()
+        self.pnames = tuple(sorted(system.params))
+        domain = system.domain if system.domain is not None else TRUE
+        self.domain_atoms = len(_atom_cmps(domain))
+        scope = {"_inf": math.inf, "isfinite": math.isfinite, "_ns": SimpleNamespace}
+        self._bind = build(self._source(domain), "_bind", scope)
+
+    def _source(self, domain: Formula) -> str:
+        names, n = self.names, len(self.names)
+        params = {p: f"p{j}" for j, p in enumerate(self.pnames)}
+
+        def ref(prefix):
+            return lambda v: params.get(v) or f"{prefix}{names.index(v)}"
+
+        def fn(name, args, *body):
+            return [f"    def {name}({args}):"] + [f"        {line}" for line in body]
+
+        out = ["def _bind(_par, _eq, _margin):"]
+        if params:
+            out.append("    " + _unpack("p", len(params), "_par"))
+
+        # step(y, h): one RK4 step
+        rhs = [self.system.rhs_of(v).sorted_terms() for v in names]
+        body = [_unpack("a", n, "y")]
+        stages = (("k1", "a", "", ""), ("k2", "b", "k1", "hh"), ("k3", "c", "k2", "hh"), ("k4", "d", "k3", "h"))
+        for k, point, prev, scale in stages:
+            if prev == "k1":
+                body.append("hh = 0.5 * h")
+            if prev:
+                body += [f"{point}{i} = a{i} + {scale} * {prev}_{i}" for i in range(n)]
+            body.append("try:")
+            body += [f"    {k}_{i} = {poly_src(terms, ref(point))}" for i, terms in enumerate(rhs)]
+            body += ["except OverflowError:", "    " + "".join(f"{k}_{i} = " for i in range(n)) + "_inf"]
+        body.append("h6 = h / 6.0")
+        result = "".join(f"a{i} + h6 * (((k1_{i} + 2*k2_{i}) + 2*k3_{i}) + k4_{i}), " for i in range(n))
+        body.append(f"return ({result})")
+        out += fn("step", "y, h", *body)
+
+        # finite(y), norm(y) (the max norm), error(f, g) (the largest
+        # relative difference of two steps)
+        out += fn("finite", "y", _unpack("a", n, "y"), "return " + " and ".join(f"isfinite(a{i})" for i in range(n)))
+        out += fn("norm", "y", _unpack("a", n, "y"), "return " + _max_src([f"abs(a{i})" for i in range(n)]))
+        error = _max_src([f"abs(a{i} - b{i}) / (1.0 + abs(b{i}))" for i in range(n)])
+        out += fn("error", "f, g", _unpack("a", n, "f"), _unpack("b", n, "g"), "return " + error)
+
+        # atoms(y): every atom's difference polynomial, domain then goal
+        formulas = (("domain", domain), ("goal", self.goal))
+        cmps = [c for _, f in formulas if f is not None for c in _atom_cmps(f)]
+        diffs = [_diff_src(c, ref("a")) for c in cmps]
+        out += fn("atoms", "y", _unpack("a", n, "y"), "return (" + "".join(f"{d}, " for d in diffs) + ")")
+
+        # name(y), name_boundary(y), name_limit(lo, hi) for domain and goal;
+        # formula_src visits comparisons in `_atom_cmps` order, so the k-th
+        # one rendered is atom offset + k
+        offset = 0
+        for name, f in formulas:
+            if f is None:
+                out.append(f"    {name} = {name}_boundary = {name}_limit = None")
+                continue
+
+            def render(atom, f=f, offset=offset):
+                k = itertools.count(offset)
+                return formula_src(f, lambda c: atom(c.op, next(k)))
+
+            out += fn(name, "y", _unpack("a", n, "y"), "return " + render(lambda op, k: _state_atom(op, diffs[k])))
+            out += fn(
+                f"{name}_boundary", "y", "A = atoms(y)", "return " + render(lambda op, k: _boundary_atom(op, f"A[{k}]"))
+            )
+            out += fn(
+                f"{name}_limit",
+                "lo, hi",
+                "L, H = atoms(lo), atoms(hi)",
+                "return " + render(lambda op, k: _limit_atom(op, f"L[{k}]", f"H[{k}]")),
+            )
+            offset += len(_atom_cmps(f))
+
+        # values(y): the state and parameters by name
+        keys = "".join(f"{v!r}: {ref('a')(v)}, " for v in names + self.pnames)
+        out += fn("values", "y", _unpack("a", n, "y"), "return {" + keys + "}")
+        fields = ["step", "finite", "norm", "error", "atoms", "values"]
+        fields += [f"{g}{s}" for g, _ in formulas for s in ("", "_boundary", "_limit")]
+        out.append("    return _ns(" + ", ".join(f"{f}={f}" for f in fields) + ")")
+        return "\n".join(out) + "\n"
+
+    def bind(self, par: tuple, eq_tol: float, margin: float) -> SimpleNamespace:
+        """The compiled functions with parameters `par` (in `pnames` order),
+        equality tolerance `eq_tol` and event-point margin `margin`."""
+        return self._bind(par, eq_tol, margin)
 
 
 # ---------------------------------------------------------------------------
 # Integration
-
-
-def _rk4_step(f, y, h):
-    k1 = f(y)
-    k2 = f(tuple(a + 0.5 * h * b for a, b in zip(y, k1)))
-    k3 = f(tuple(a + 0.5 * h * b for a, b in zip(y, k2)))
-    k4 = f(tuple(a + h * b for a, b in zip(y, k3)))
-    return tuple(a + h / 6.0 * (b1 + 2 * b2 + 2 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
-
-
-def _finite(y) -> bool:
-    return all(math.isfinite(a) for a in y)
-
-
-def _maxnorm(y) -> float:
-    return max(abs(a) for a in y) if y else 0.0
 
 
 def integrate(
@@ -204,149 +287,144 @@ def integrate(
     goal: Optional[Formula] = None,
     stop_on_event: bool = True,
     grid: Optional[float] = None,
+    plan: Optional[Plan] = None,
 ) -> Trajectory:
     """Integrate from `init` (covering variables and parameters) to `horizon`.
 
     Detects goal entry, domain exit and suspected blow-up; with `grid` set,
     integration switches to fixed steps landing exactly on multiples of
-    `grid` (used by the Lie-derivative consistency check).
+    `grid` (used by the Lie-derivative consistency check).  `plan`, a
+    `Plan(system, goal)`, saves compiling it again for every call.
     """
     cfg = cfg or IntegratorConfig()
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    names, pnames, f = compile_rhs(system)
-    for n in names + pnames:
+    if not 0 < horizon < math.inf:
+        raise InvalidArgument(f"horizon must be positive and finite, got {horizon!r}")
+    if plan is None:
+        plan = Plan(system, goal)
+    elif plan.system is not system or plan.goal is not goal:
+        raise ValueError("plan was built for another system or goal")
+    for n in plan.names + plan.pnames:
         if n not in init:
             raise UnsamplableInitSet(f"initial state missing '{n}'")
-    par = tuple(float(init[p]) for p in pnames)
-    domain = system.domain if system.domain is not None else TRUE
+    c = plan.bind(tuple(float(init[p]) for p in plan.pnames), cfg.eq_tol, cfg.event_tol)
+    step, finite, norm, atoms = c.step, c.finite, c.norm, c.atoms
 
-    def mk_vals(y):
-        vals = dict(zip(names, y))
-        vals.update(zip(pnames, par))
-        return vals
-
-    def fwrapped(y):
-        try:
-            return f(tuple(y) + par) if pnames else f(y)
-        except OverflowError:
-            return tuple(math.inf for _ in y)
-
-    y = tuple(float(init[n]) for n in names)
+    y = tuple(float(init[n]) for n in plan.names)
     t = 0.0
-    samples = [State(mk_vals(y), t)]
+    samples = [State(c.values(y), t)]
     events: list = []
+    closed: dict = {}
     stats = {"steps": 0, "rejected": 0, "min_h": math.inf}
-    domain_atoms = _atom_polys(domain)
-    goal_atoms = _atom_polys(goal) if goal is not None else []
 
-    goal_now = eval_state(goal, mk_vals(y), cfg.eq_tol) if goal is not None else False
-    domain_now = eval_state(domain, mk_vals(y), cfg.eq_tol)
+    goal_now = c.goal(y) if goal is not None else False
+    domain_now = c.domain(y)
     if goal is not None and goal_now and domain_now:
         events.append((0.0, GOAL_ENTERED))
+        closed[GOAL_ENTERED] = True
         if stop_on_event:
-            return Trajectory(samples, events, stats)
+            return Trajectory(samples, events, stats, closed)
     if not domain_now:
         events.append((0.0, DOMAIN_EXITED))
+        closed[DOMAIN_EXITED] = False
         if stop_on_event:
-            return Trajectory(samples, events, stats)
+            return Trajectory(samples, events, stats, closed)
 
     def locate(pred, y_lo, t_lo, t_hi):
-        """Earliest time in (t_lo, t_hi] where pred flips to true, by bisection."""
+        """Earliest time in (t_lo, t_hi] where pred flips to true, by
+        bisection: (time, state at the bracket's start, state at time)."""
         lo, hi = t_lo, t_hi
         y_cur = y_lo
         while hi - lo > cfg.event_tol:
             mid = 0.5 * (lo + hi)
-            y_mid = _rk4_step(fwrapped, y_cur, mid - lo)
-            if not _finite(y_mid) or pred(y_mid):
+            y_mid = step(y_cur, mid - lo)
+            if not finite(y_mid) or pred(y_mid):
                 hi = mid
             else:
                 lo, y_cur = mid, y_mid
-        y_hit = _rk4_step(fwrapped, y_cur, hi - lo)
-        return hi, y_hit
+        return hi, y_cur, step(y_cur, hi - lo)
+
+    candidates: dict = {}  # the step's events: kind -> (time, closed)
+
+    def offer(kind, tau, is_closed):
+        if kind not in candidates or tau < candidates[kind][0]:
+            candidates[kind] = (tau, is_closed)
 
     h = grid if grid is not None else cfg.h0
+    d_old = None  # atom values at y
     while t < horizon and stats["steps"] < cfg.max_steps:
         h = min(h, horizon - t)
         if grid is not None:
             # land exactly on grid multiples, no adaptation
             k = round(t / grid)
             h = grid * (k + 1) - t if grid * (k + 1) - t > 1e-15 else grid
-            y_new = _rk4_step(fwrapped, y, h)
+            y_new = step(y, h)
         else:
             while True:
-                full = _rk4_step(fwrapped, y, h)
-                half = _rk4_step(fwrapped, _rk4_step(fwrapped, y, h / 2), h / 2)
-                if not _finite(full) or not _finite(half):
+                full = step(y, h)
+                half = step(step(y, h / 2), h / 2)
+                if not finite(full) or not finite(half):
                     err = math.inf
                 else:
-                    err = max(abs(a - b) / (1.0 + abs(b)) for a, b in zip(full, half))
+                    err = c.error(full, half)
                 if err <= cfg.tol or h <= cfg.hmin:
-                    y_new = half if _finite(half) else full
+                    y_new = half if finite(half) else full
                     break
                 h /= 2
                 stats["rejected"] += 1
         stats["steps"] += 1
         stats["min_h"] = min(stats["min_h"], h)
         t_new = t + h
-        vals_new = mk_vals(y_new)
 
-        blown = (not _finite(y_new)) or _maxnorm(y_new) > cfg.blowup
-        if blown:
-            tau, y_hit = locate(lambda yy: _maxnorm(yy) > cfg.blowup, y, t, t_new)
-            samples.append(State(mk_vals(y_hit), tau))
+        if not finite(y_new) or norm(y_new) > cfg.blowup:
+            tau, _, y_hit = locate(lambda yy: norm(yy) > cfg.blowup, y, t, t_new)
+            samples.append(State(c.values(y_hit), tau))
             events.append((tau, BLOWUP_SUSPECTED))
-            return Trajectory(samples, events, stats)
+            return Trajectory(samples, events, stats, closed)
 
-        vals_old = mk_vals(y)
-        candidates: dict = {}
-
-        def offer(kind, tau):
-            if kind not in candidates or tau < candidates[kind]:
-                candidates[kind] = tau
-
+        candidates.clear()
         if goal is not None:
-            goal_new = eval_state(goal, vals_new, cfg.eq_tol)
+            goal_new = c.goal(y_new)
             if goal_new and not goal_now:
-                tau, _ = locate(lambda yy: eval_state(goal, mk_vals(yy), cfg.eq_tol), y, t, t_new)
-                offer(GOAL_ENTERED, tau)
+                tau, y_lo, y_hit = locate(c.goal, y, t, t_new)
+                offer(GOAL_ENTERED, tau, c.goal_limit(y_lo, y_hit))
             goal_now = goal_new
-        domain_new = eval_state(domain, vals_new, cfg.eq_tol)
+        domain_new = c.domain(y_new)
         if not domain_new and domain_now:
-            tau, _ = locate(lambda yy: not eval_state(domain, mk_vals(yy), cfg.eq_tol), y, t, t_new)
-            offer(DOMAIN_EXITED, tau)
+            tau, y_lo, y_hit = locate(lambda yy: not c.domain(yy), y, t, t_new)
+            offer(DOMAIN_EXITED, tau, c.domain_limit(y_lo, y_hit))
         domain_now = domain_new
 
         # atom boundary crossings inside the step: measure-zero domain
         # violations and equality-goal contacts that endpoint checks miss
-        for poly, owner in [(q, "domain") for q in domain_atoms] + [(q, "goal") for q in goal_atoms]:
-            d0, d1 = poly.eval_float(vals_old), poly.eval_float(vals_new)
+        if d_old is None:
+            d_old = atoms(y)
+        d_new = atoms(y_new)
+        for i, (d0, d1) in enumerate(zip(d_old, d_new)):
             if not (math.isfinite(d0) and math.isfinite(d1)) or d0 * d1 >= 0:
                 continue
-            sign0 = d0 > 0
-            tau, y_hit = locate(
-                lambda yy, _p=poly, _s=sign0: (_p.eval_float(mk_vals(yy)) > 0) != _s, y, t, t_new
-            )
-            hit_vals = mk_vals(y_hit)
-            if owner == "domain" and not eval_state_boundary(domain, hit_vals, cfg.event_tol):
-                offer(DOMAIN_EXITED, tau)
-            if owner == "goal" and not goal_now and eval_state_boundary(goal, hit_vals, cfg.event_tol):
-                offer(GOAL_ENTERED, tau)
+            tau, y_lo, y_hit = locate(lambda yy, _i=i, _s=d0 > 0: (atoms(yy)[_i] > 0) != _s, y, t, t_new)
+            if i < plan.domain_atoms:
+                if not c.domain_boundary(y_hit):
+                    offer(DOMAIN_EXITED, tau, c.domain_limit(y_lo, y_hit))
+            elif not goal_now and c.goal_boundary(y_hit):
+                offer(GOAL_ENTERED, tau, c.goal_limit(y_lo, y_hit))
+        d_old = d_new
 
-        step_events = sorted(candidates.items(), key=lambda e: (e[1], e[0] != DOMAIN_EXITED))
-        step_events = [(tau, kind) for kind, tau in step_events]
-        events.extend(step_events)
-        samples.append(State(vals_new, t_new))
+        step_events = sorted(candidates.items(), key=lambda e: (e[1][0], e[0] != DOMAIN_EXITED))
+        for kind, (tau, is_closed) in step_events:
+            events.append((tau, kind))
+            closed.setdefault(kind, is_closed)
+        samples.append(State(c.values(y_new), t_new))
         y, t = y_new, t_new
         if stop_on_event and step_events:
-            return Trajectory(samples, events, stats)
+            return Trajectory(samples, events, stats, closed)
         if grid is None and not stats["rejected"]:
             h = min(h * 2, cfg.h0 * 4, horizon)
         elif grid is None:
             h = min(h * 2, cfg.h0 * 4)
 
     events.append((t, HORIZON_REACHED))
-    return Trajectory(samples, events, stats)
+    return Trajectory(samples, events, stats, closed)
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +500,7 @@ def sample_initial_states(problem: ProblemFile, count: int, seed: int) -> list:
                 raise UnsamplableInitSet(f"no finite bounds for '{n}' in the assume block")
             raise UnsamplableInitSet("assume block is empty; nothing to sample")
 
+    inside = _predicate(formula_of_atoms(leftovers), names, 1e-9) if leftovers else None
     out = []
     tries = 0
     while len(out) < count and tries < count * 200:
@@ -434,11 +513,7 @@ def sample_initial_states(problem: ProblemFile, count: int, seed: int) -> list:
         for n in free:
             iv = box[n]
             pt[n] = float(iv.lo) + (float(iv.hi) - float(iv.lo)) * rng.random()
-        ok = all(
-            eval_state(a.to_formula(), pt, 1e-9)
-            for a in leftovers
-        )
-        if ok:
+        if inside is None or inside(tuple(pt[n] for n in names)):
             out.append(pt)
     if len(out) < count:
         raise UnsamplableInitSet("rejection sampling failed to populate the initial set")
@@ -480,6 +555,15 @@ def classify(traj: Trajectory, tie_tol: float = 1e-6) -> tuple:
     t_blow = traj.event_time(BLOWUP_SUSPECTED)
     if t_goal is not None and (t_exit is None or t_goal < t_exit - tie_tol):
         return WITNESS, t_goal
+    # A tie is one point, in the goal and in the domain when both events
+    # happened on closed boundaries (see `Trajectory.closed`).
+    if (
+        t_goal is not None
+        and abs(t_goal - t_exit) <= tie_tol
+        and traj.closed.get(GOAL_ENTERED)
+        and traj.closed.get(DOMAIN_EXITED)
+    ):
+        return WITNESS, t_goal
     if t_exit is not None and (t_goal is None or t_exit <= t_goal + tie_tol):
         return REFUTED, t_exit
     if t_blow is not None:
@@ -498,10 +582,11 @@ def falsify_liveness(
         raise UnsamplableInitSet("problem has no goal block")
     cfg = cfg or IntegratorConfig()
     inits = sample_initial_states(problem, samples, seed)
+    plan = Plan(problem.system, problem.goal)
     results = []
     counts: dict = {}
     for i, init in enumerate(inits):
-        traj = integrate(problem.system, init, horizon, cfg, goal=problem.goal, stop_on_event=True)
+        traj = integrate(problem.system, init, horizon, cfg, goal=problem.goal, stop_on_event=True, plan=plan)
         cls, t_event = classify(traj)
         counts[cls] = counts.get(cls, 0) + 1
         results.append(SampleResult(i, cls, t_event, traj.final(), traj))

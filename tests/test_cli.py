@@ -168,6 +168,22 @@ def test_simulate_writes_manifest(tmp_path, capsys):
     assert f"wrote {tmp_path}/trajectory.csv" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", problem_path("example1.ode"), "--init", "u=1,v=0", "--horizon", "0"],
+        ["falsify", problem_path("example1.ode"), "--horizon", "-1"],
+        ["simulate", problem_path("example1.ode"), "--init", "u=abc"],
+    ],
+    ids=["simulate-horizon-0", "falsify-horizon-negative", "simulate-init-not-a-number"],
+)
+def test_bad_arguments_are_input_errors(capsys, argv):
+    # exit 1 means "refuted": a bad argument must never look like one
+    code, out = run(capsys, *argv)
+    assert code == 3
+    assert out.startswith("input error: ")
+
+
 def test_emit_smt_writes_unknown_obligations(tmp_path, capsys):
     # valid premise that is neither symbolically derivable nor boxable:
     # the prover stays Unknown, so the obligation is exported for a solver

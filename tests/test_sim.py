@@ -210,3 +210,56 @@ def test_lie_consistency_tolerance_at_steps(alpha_l, h, bound):
     traj = sim.integrate(alpha_l.system, {"u": 1.0, "v": 0.0}, 1.0, grid=h, stop_on_event=False)
     out = sim.lie_consistency_check(p, alpha_l.system, traj, h)
     assert out["max_error"] <= bound
+
+
+# -- goal entry and domain exit at the same point ------------------------------------
+
+ANNULUS = """
+ode { u' = -v - u*(1/4 - u^2 - v^2); v' = u - v*(1/4 - u^2 - v^2) }
+assume { u^2 + v^2 = 1 }
+"""
+
+
+@pytest.mark.parametrize(
+    "domain,goal,expected",
+    [
+        # r^2 grows from 1 and meets the goal r^2 >= 2 on the closed
+        # annulus' outer circle: one point, in the goal and in the domain
+        ("1 <= u^2 + v^2 <= 2", "u^2 + v^2 >= 2", sim.WITNESS),
+        # r^2 > 2 holds only after the trajectory has left r^2 <= 2
+        ("1 <= u^2 + v^2 <= 2", "u^2 + v^2 > 2", sim.REFUTED),
+        # the half-open annulus does not contain its outer circle
+        ("1 <= u^2 + v^2 < 2", "u^2 + v^2 >= 2", sim.REFUTED),
+    ],
+)
+def test_goal_entry_and_domain_exit_at_one_point(domain, goal, expected):
+    pf = parse_problem(ANNULUS + f"domain {{ {domain} }}  goal {{ {goal} }}")
+    report = sim.falsify_liveness(pf, samples=2, seed=0, horizon=10.0)
+    assert report.n(expected) == 2
+    for r in report.results:
+        traj = r.trajectory
+        assert traj.event_time(sim.GOAL_ENTERED) == traj.event_time(sim.DOMAIN_EXITED) == r.t_event
+        assert traj.closed == {
+            sim.GOAL_ENTERED: goal.endswith(">= 2"),
+            sim.DOMAIN_EXITED: domain.endswith("<= 2"),
+        }
+
+
+@pytest.mark.parametrize(
+    "closed,expected",
+    [
+        ({sim.GOAL_ENTERED: True, sim.DOMAIN_EXITED: True}, sim.WITNESS),
+        ({sim.GOAL_ENTERED: True, sim.DOMAIN_EXITED: False}, sim.REFUTED),
+        ({sim.GOAL_ENTERED: False, sim.DOMAIN_EXITED: True}, sim.REFUTED),
+        ({}, sim.REFUTED),
+    ],
+)
+def test_classify_breaks_ties_by_closedness(closed, expected):
+    traj = sim.Trajectory([], [(0.5, sim.DOMAIN_EXITED), (0.5 + 1e-9, sim.GOAL_ENTERED)], {}, closed)
+    assert sim.classify(traj)[0] == expected
+
+
+def test_plan_is_tied_to_its_system_and_goal(alpha_l):
+    plan = sim.Plan(alpha_l.system, alpha_l.goal)
+    with pytest.raises(ValueError):
+        sim.integrate(alpha_l.system, {"u": 1.0, "v": 0.0}, 1.0, goal=None, plan=plan)
