@@ -1,10 +1,16 @@
-"""Byte-for-byte transcripts of `falsify`, `catalog` and `simulate`.
+"""Byte-for-byte transcripts of `check`, `falsify`, `catalog` and `simulate`,
+and the prover's outcome on every obligation of two fixed corpora.
 
-Each golden file holds a command's stdout (with the `--out` directory shown as
-`OUT`), an `exit N` line, then every file written to `--out`: `summary.txt`
-in full and each trajectory CSV as its SHA-256.  The falsifier promises
-identical output for identical inputs and seeds, so a change to any sample
-of any trajectory, to an event time or to a class shows here.
+Each golden transcript holds a command's stdout (with the `--out` directory
+shown as `OUT`), an `exit N` line, then every file written to `--out`:
+`summary.txt` in full and each trajectory CSV as its SHA-256.  The falsifier
+promises identical output for identical inputs and seeds, so a change to any
+sample of any trajectory, to an event time or to a class shows here.
+
+`prover/*.txt` hold one line per obligation: the status, method, cell count,
+search depth and counterexample of `prove_implication` at a fixed cell
+budget.  A change to the exact arithmetic backend that alters any verdict,
+any cell count or any counterexample shows here.
 
 Regenerate (only after a deliberate change of behaviour) with
 
@@ -16,10 +22,15 @@ import hashlib
 import io
 import pathlib
 import tempfile
+from random import Random
 
 import pytest
 
+from odeliveness import arith
 from odeliveness.cli import main
+from odeliveness.syntax import parse_formula
+
+from test_acceptance import random_box_obligation
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -31,6 +42,9 @@ SIMULATE_INIT = {"example1.ode": "u=1,v=0", "example2.ode": "u=1,v=0", "ce1.ode"
 def cases() -> list:
     """(golden path relative to GOLDEN, argv) for every locked transcript."""
     out = []
+    for name in PROBLEMS:
+        for seed in (0, 1):
+            out.append((f"check/{name[:-4]}.s{seed}.txt", ["check", f"problems/{name}", "--seed", str(seed)]))
     for name in PROBLEMS:
         for seed in (0, 1):
             for samples in (2, 16):
@@ -46,7 +60,7 @@ def transcript(argv) -> str:
     argv = [str(ROOT / a) if a.startswith("problems/") else a for a in argv]
     with tempfile.TemporaryDirectory() as tmp:
         out = pathlib.Path(tmp) / "out"
-        if argv[0] != "catalog":
+        if argv[0] in ("falsify", "simulate"):
             argv = argv + ["--out", str(out)]
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
@@ -65,9 +79,65 @@ def test_transcript_byte_identical(rel, argv):
     assert transcript(argv) == (GOLDEN / rel).read_text()
 
 
+# Cells alone decide every budget-exhausted verdict: the seconds budget is
+# far above any run.
+PROVER_BUDGET = arith.Budget(max_cells=3000, max_seconds=3600.0)
+
+# The four families of true obligations that interval B&B cannot close at
+# this budget, two parameter draws each; the case split (disjunction) runs
+# the budget once per disjunct.
+HARD = (
+    ("square", "-1 <= x & x <= 3 & -3 <= y & y <= 2", "4*x^2 - 4*x*y + y^2 >= 0"),
+    ("square", "-3 <= x & x <= 1 & -2 <= y & y <= 2", "x^2 - 4*x*y + 4*y^2 >= 0"),
+    ("square_plus_c", "-1 <= x & x <= 2 & -1 <= y & y <= 3", "4*x^2 - 8*x*y + 4*y^2 >= -1/2048"),
+    ("square_plus_c", "-1 <= x & x <= 3 & -1 <= y & y <= 2", "9*x^2 - 6*x*y + y^2 >= -1/256"),
+    (
+        "disjunction",
+        "(-2 <= x & x <= 0 & -1 <= y & y <= 0) | (0 <= x & x <= 2 & 0 <= y & y <= 2)",
+        "4*x^2 - 8*x*y + 4*y^2 >= 0",
+    ),
+    (
+        "disjunction",
+        "(-3 <= x & x <= 0 & -1 <= y & y <= 0) | (0 <= x & x <= 1 & 0 <= y & y <= 1)",
+        "9*x^2 - 12*x*y + 4*y^2 >= 0",
+    ),
+    ("annulus4", "x^2 + y^2 >= 1/3 & x^2 + y^2 <= 7/3", "x^4 - 4*x^2*y^2 + 4*y^4 >= 0"),
+    ("annulus4", "x^2 + y^2 >= 1/4 & x^2 + y^2 <= 5/4", "x^4 - 6*x^2*y^2 + 9*y^4 >= 0"),
+)
+
+
+def prover_corpora() -> dict:
+    """Golden file name -> [(label, obligation)]."""
+    rng = Random(11)  # the criterion-6 corpus of the acceptance suite
+    criterion6 = [(str(i), random_box_obligation(rng)) for i in range(500)]
+    hard = [
+        (f"{i} {family}", arith.ArithObligation(("x", "y"), parse_formula(hyp), parse_formula(concl)))
+        for i, (family, hyp, concl) in enumerate(HARD)
+    ]
+    return {"criterion6.txt": criterion6, "hard.txt": hard}
+
+
+def outcome_line(label: str, ob) -> str:
+    v = arith.prove_implication(ob, budget=PROVER_BUDGET)
+    cx = "-" if v.counterexample is None else ",".join(f"{k}={x}" for k, x in sorted(v.counterexample.items()))
+    t = v.trace
+    return f"{label} {v.status} {t.get('method')} cells={t.get('cells')} depth={t.get('max_depth', '-')} cx={cx}\n"
+
+
+@pytest.mark.parametrize("name", sorted(prover_corpora()))
+def test_prover_outcomes_unchanged(name):
+    got = "".join(outcome_line(label, ob) for label, ob in prover_corpora()[name])
+    assert got == (GOLDEN / "prover" / name).read_text()
+
+
 if __name__ == "__main__":
     for rel, argv in cases():
         path = GOLDEN / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(transcript(argv))
+        print(f"wrote {path.relative_to(ROOT)}")
+    for name, obligations in prover_corpora().items():
+        path = GOLDEN / "prover" / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("".join(outcome_line(label, ob) for label, ob in obligations))
         print(f"wrote {path.relative_to(ROOT)}")
