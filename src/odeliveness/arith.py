@@ -5,9 +5,11 @@ formulas.  `prove_implication` first tries cheap symbolic certificates
 (inconsistent hypothesis, reduction modulo hypothesis equalities, positive
 combinations of hypothesis atoms, exact division by a hypothesis atom with a
 sign-definite quotient) and then falls back to interval branch-and-bound over
-a rational box.  All interval arithmetic is exact over `Fraction`, so the
-prover needs no rounding tolerance: Valid is never returned for an obligation
-that is falsifiable over its box.
+a rational box.  Each cell is first screened with outward-rounded float
+intervals, which can only ever agree with exact arithmetic; every cell the
+screen leaves undecided is evaluated exactly over `Fraction`, so the prover
+needs no rounding tolerance: Valid is never returned for an obligation that
+is falsifiable over its box.
 
 `falsify` samples exact rational points and can only ever answer Falsified or
 Unknown; counterexamples re-verify by rational evaluation.
@@ -18,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import math
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
@@ -26,7 +29,9 @@ from typing import Optional
 from .codegen import build, formula_src, poly_src
 from .normal import (
     NormAtom,
+    _canonical_sign,
     atoms_of,
+    atoms_of_conjuncts,
     contradictory,
     equality_polys,
     nnf,
@@ -53,7 +58,7 @@ from .syntax import (
 # Intervals
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interval:
     lo: Fraction
     hi: Fraction
@@ -72,15 +77,6 @@ class Interval:
         return (self.lo + self.hi) / 2
 
 
-def _iv_add(a: Interval, b: Interval) -> Interval:
-    return Interval(a.lo + b.lo, a.hi + b.hi)
-
-
-def _iv_mul(a: Interval, b: Interval) -> Interval:
-    prods = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
-    return Interval(min(prods), max(prods))
-
-
 def _iv_pow(a: Interval, e: int) -> Interval:
     if e == 0:
         return Interval(Fraction(1), Fraction(1))
@@ -97,67 +93,272 @@ Box = dict  # dict[str, Interval]
 
 
 def interval_of_poly(p: Polynomial, box: Box) -> Interval:
-    """Exact interval enclosure of p over the box, monomial by monomial."""
-    total = Interval(Fraction(0), Fraction(0))
+    """Exact interval enclosure of p over the box, monomial by monomial: each
+    term is [c, c] times the `_iv_pow` of its factors in turn, and the terms
+    are summed in `p.terms` order."""
+    lo = hi = Fraction(0)
     for m, c in p.terms.items():
-        term = Interval(Fraction(c), Fraction(c))
+        tlo = thi = c
+        for i, (v, e) in enumerate(m):
+            b = _iv_pow(box[v], e) if e != 1 else box[v]
+            if i == 0:  # the point [c, c] times b: two products, ordered by the sign of c
+                tlo, thi = (c * b.lo, c * b.hi) if c > 0 else (c * b.hi, c * b.lo)
+            else:
+                prods = (tlo * b.lo, tlo * b.hi, thi * b.lo, thi * b.hi)
+                tlo, thi = min(prods), max(prods)
+        lo += tlo
+        hi += thi
+    return Interval(lo, hi)
+
+
+def _decide(op: str, lo, hi) -> int:
+    """Three-valued truth of `d op 0` from bounds lo <= d <= hi: +1 certainly
+    true, -1 certainly false, 0 unknown.  Widening [lo, hi] never turns an
+    answer of +1 or -1 into the opposite one, only into 0."""
+    if op == ">=":
+        return 1 if lo >= 0 else (-1 if hi < 0 else 0)
+    if op == ">":
+        return 1 if lo > 0 else (-1 if hi <= 0 else 0)
+    if op == "<=":
+        return 1 if hi <= 0 else (-1 if lo > 0 else 0)
+    if op == "<":
+        return 1 if hi < 0 else (-1 if lo >= 0 else 0)
+    if op == "=":
+        if lo == hi == 0:
+            return 1
+        return -1 if (lo > 0 or hi < 0) else 0
+    if op == "!=":
+        if lo > 0 or hi < 0:
+            return 1
+        return -1 if lo == hi == 0 else 0
+    raise TypeError(f"unknown comparison {op!r}")
+
+
+# ---------------------------------------------------------------------------
+# Float screen: outward-rounded float intervals that enclose the exact ones.
+#
+# A Fraction becomes a float pair [lo, hi] around it, and every add, mul and
+# pow step is rounded outward with `math.nextafter`: a lower bound that may
+# lie above the exact value moves one ulp down, an upper bound one ulp up
+# (each IEEE operation is correctly rounded, so it is off by less than one
+# ulp).  Only steps known to be exact stay unrounded: a sum whose TwoSum
+# error term is zero (or has the harmless sign), and a product by the unit
+# coefficients +1 and -1.  Each float interval therefore contains the exact
+# interval that `interval_of_poly` computes at the same step, and by
+# inclusion-monotonicity a conclusive `_decide` answer (+1 or -1) on the
+# float enclosure equals the exact answer.  Magnitudes above 2**1000 raise
+# OverflowError, which the screen reports as inconclusive (0), so no
+# infinity or NaN enters an operation and TwoSum never overflows.
+
+_INF = math.inf
+_BIG = 2.0**1000
+_nextafter = math.nextafter
+
+
+def _enclose(q: Fraction) -> tuple[float, float]:
+    """Floats lo <= q <= hi, equal when a float holds q exactly."""
+    n, d = q.numerator, q.denominator
+    f = n / d  # correctly rounded; OverflowError when out of range
+    if not -_BIG <= f <= _BIG:
+        raise OverflowError("rational out of float screen range")
+    if d & (d - 1) == 0:
+        # n / 2**k is a float when the odd part of n has at most 53 bits and
+        # its last bit is not below the smallest subnormal, 2**-1074
+        tz = (n & -n).bit_length() - 1 if n else 0
+        if (abs(n) >> tz).bit_length() <= 53 and tz - d.bit_length() >= -1075:
+            return f, f
+    return _nextafter(f, -_INF), _nextafter(f, _INF)
+
+
+def _fmul(alo: float, ahi: float, blo: float, bhi: float) -> tuple[float, float]:
+    prods = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
+    lo, hi = _nextafter(min(prods), -_INF), _nextafter(max(prods), _INF)
+    if not -_BIG <= lo <= hi <= _BIG:
+        raise OverflowError("float interval product out of range")
+    return lo, hi
+
+
+def _pow_down(x: float, e: int) -> float:
+    """A float <= x**e, for x >= 0."""
+    p = x
+    for _ in range(e - 1):
+        p = _nextafter(p * x, -_INF)
+    return p
+
+
+def _pow_up(x: float, e: int) -> float:
+    """A float >= x**e, for x >= 0."""
+    p = x
+    for _ in range(e - 1):
+        p = _nextafter(p * x, _INF)
+    return p
+
+
+def _fpow(lo: float, hi: float, e: int) -> tuple[float, float]:
+    """Outward-rounded `_iv_pow` for e >= 2, case by case."""
+    if e % 2 == 1:
+        plo = _pow_down(lo, e) if lo >= 0 else -_pow_up(-lo, e)
+        phi = _pow_up(hi, e) if hi >= 0 else -_pow_down(-hi, e)
+    elif lo <= 0 <= hi:
+        plo, phi = 0.0, _pow_up(max(-lo, hi), e)
+    elif hi < 0:
+        plo, phi = _pow_down(-hi, e), _pow_up(-lo, e)
+    else:
+        plo, phi = _pow_down(lo, e), _pow_up(hi, e)
+    if not -_BIG <= plo <= phi <= _BIG:
+        raise OverflowError("float interval power out of range")
+    return plo, phi
+
+
+def _add_down(a: float, b: float) -> float:
+    """A float <= a + b: the rounded sum, one ulp lower when TwoSum shows
+    that rounding went up."""
+    s = a + b
+    z = s - a
+    if (a - (s - z)) + (b - z) < 0:
+        return _nextafter(s, -_INF)
+    return s
+
+
+def _add_up(a: float, b: float) -> float:
+    """A float >= a + b."""
+    s = a + b
+    z = s - a
+    if (a - (s - z)) + (b - z) > 0:
+        return _nextafter(s, _INF)
+    return s
+
+
+def _float_terms(p: Polynomial) -> Optional[tuple]:
+    """(coefficient lo, coefficient hi, monomial) per term, in `p.terms`
+    order; None when a coefficient is out of float range."""
+    try:
+        return tuple((*_enclose(c), m) for m, c in p.terms.items())
+    except OverflowError:
+        return None
+
+
+def _float_enclosure(fterms: tuple, fbox: dict) -> tuple[float, float]:
+    """Float bounds around `interval_of_poly` over the box whose float
+    bounds are `fbox` (name -> (lo, hi)), built monomial by monomial in the
+    same order.  Raises OverflowError when a bound leaves the float range."""
+    lo = hi = 0.0
+    for tlo, thi, m in fterms:
         for v, e in m:
-            term = _iv_mul(term, _iv_pow(box[v], e))
-        total = _iv_add(total, term)
-    return total
+            blo, bhi = fbox[v]
+            if e != 1:
+                blo, bhi = _fpow(blo, bhi, e)
+            if tlo == thi == 1.0:
+                tlo, thi = blo, bhi
+            elif tlo == thi == -1.0:
+                tlo, thi = -bhi, -blo
+            else:
+                tlo, thi = _fmul(tlo, thi, blo, bhi)
+        lo, hi = _add_down(lo, tlo), _add_up(hi, thi)
+    if not -_BIG <= lo <= hi <= _BIG:
+        raise OverflowError("float interval sum out of range")
+    return lo, hi
 
 
-# three-valued formula evaluation: +1 certainly true, -1 certainly false, 0 unknown
-def eval_formula3(f: Formula, box: Box) -> int:
+def _float_box(box: Box) -> Optional[dict]:
+    """Float bounds around each interval of a box; None when one is out of
+    float range."""
+    try:
+        return {v: (_enclose(iv.lo)[0], _enclose(iv.hi)[1]) for v, iv in box.items()}
+    except OverflowError:
+        return None
+
+
+# ---------------------------------------------------------------------------
+# Formulas compiled once: nested tuples whose atoms carry their difference
+# polynomial lhs - rhs and its float coefficients.
+
+_LIT, _ATOM, _NOT, _AND, _OR = range(5)
+
+
+def _compile(f: Formula) -> tuple:
     if isinstance(f, BoolLit):
-        return 1 if f.value else -1
+        return (_LIT, 1 if f.value else -1)
     if isinstance(f, Cmp):
-        iv = interval_of_poly(f.lhs - f.rhs, box)
-        if f.op == ">=":
-            return 1 if iv.lo >= 0 else (-1 if iv.hi < 0 else 0)
-        if f.op == ">":
-            return 1 if iv.lo > 0 else (-1 if iv.hi <= 0 else 0)
-        if f.op == "<=":
-            return 1 if iv.hi <= 0 else (-1 if iv.lo > 0 else 0)
-        if f.op == "<":
-            return 1 if iv.hi < 0 else (-1 if iv.lo >= 0 else 0)
-        if f.op == "=":
-            if iv.lo == iv.hi == 0:
-                return 1
-            return -1 if (iv.lo > 0 or iv.hi < 0) else 0
-        if f.op == "!=":
-            if iv.lo > 0 or iv.hi < 0:
-                return 1
-            return -1 if iv.lo == iv.hi == 0 else 0
+        d = f.lhs - f.rhs
+        return (_ATOM, f.op, d, _float_terms(d))
     if isinstance(f, Not):
-        return -eval_formula3(f.arg, box)
+        return (_NOT, _compile(f.arg))
     if isinstance(f, And):
-        a, b = eval_formula3(f.left, box), eval_formula3(f.right, box)
-        return -1 if -1 in (a, b) else min(a, b)
+        return (_AND, _compile(f.left), _compile(f.right))
     if isinstance(f, Or):
-        a, b = eval_formula3(f.left, box), eval_formula3(f.right, box)
-        return 1 if 1 in (a, b) else max(a, b)
+        return (_OR, _compile(f.left), _compile(f.right))
     if isinstance(f, Implies):
-        return eval_formula3(Or(Not(f.left), f.right), box)
-    raise TypeError(f"cannot interval-evaluate {f!r}")
+        return (_OR, (_NOT, _compile(f.left)), _compile(f.right))
+    raise TypeError(f"cannot evaluate {f!r}")
+
+
+def _eval3(node: tuple, box: Box, fbox: Optional[dict]) -> int:
+    """Three-valued truth over the box.  With `fbox`, the float bounds of the
+    same box, the float screen decides each atom it can and exact interval
+    arithmetic decides the rest, so the answer never depends on `fbox`."""
+    kind = node[0]
+    if kind == _ATOM:
+        _, op, d, fterms = node
+        if fbox is not None and fterms is not None:
+            try:
+                answer = _decide(op, *_float_enclosure(fterms, fbox))
+            except OverflowError:
+                answer = 0
+            if answer:
+                return answer
+        iv = interval_of_poly(d, box)
+        return _decide(op, iv.lo, iv.hi)
+    if kind == _AND:
+        a = _eval3(node[1], box, fbox)
+        if a == -1:
+            return -1
+        b = _eval3(node[2], box, fbox)
+        return -1 if b == -1 else min(a, b)
+    if kind == _OR:
+        a = _eval3(node[1], box, fbox)
+        if a == 1:
+            return 1
+        b = _eval3(node[2], box, fbox)
+        return 1 if b == 1 else max(a, b)
+    if kind == _NOT:
+        return -_eval3(node[1], box, fbox)
+    return node[1]
+
+
+_HOLDS = {
+    "=": lambda d: d == 0,
+    "!=": lambda d: d != 0,
+    ">=": lambda d: d >= 0,
+    ">": lambda d: d > 0,
+    "<=": lambda d: d <= 0,
+    "<": lambda d: d < 0,
+}
+
+
+def _holds(node: tuple, point: dict) -> bool:
+    """Exact rational truth at a point."""
+    kind = node[0]
+    if kind == _ATOM:
+        return _HOLDS[node[1]](node[2].eval_rational(point))
+    if kind == _AND:
+        return _holds(node[1], point) and _holds(node[2], point)
+    if kind == _OR:
+        return _holds(node[1], point) or _holds(node[2], point)
+    if kind == _NOT:
+        return not _holds(node[1], point)
+    return node[1] == 1
+
+
+def eval_formula3(f: Formula, box: Box) -> int:
+    """Three-valued truth over a box by exact interval arithmetic: +1
+    certainly true, -1 certainly false, 0 unknown."""
+    return _eval3(_compile(f), box, None)
 
 
 def eval_formula_exact(f: Formula, point: dict) -> bool:
     """Exact rational truth of a quantifier-free formula at a point."""
-    if isinstance(f, BoolLit):
-        return f.value
-    if isinstance(f, Cmp):
-        d = (f.lhs - f.rhs).eval_rational(point)
-        return {"=": d == 0, "!=": d != 0, ">=": d >= 0, ">": d > 0, "<=": d <= 0, "<": d < 0}[f.op]
-    if isinstance(f, Not):
-        return not eval_formula_exact(f.arg, point)
-    if isinstance(f, And):
-        return eval_formula_exact(f.left, point) and eval_formula_exact(f.right, point)
-    if isinstance(f, Or):
-        return eval_formula_exact(f.left, point) or eval_formula_exact(f.right, point)
-    if isinstance(f, Implies):
-        return (not eval_formula_exact(f.left, point)) or eval_formula_exact(f.right, point)
-    raise TypeError(f"cannot evaluate {f!r}")
+    return _holds(_compile(f), point)
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +380,12 @@ class ArithObligation:
         free = formula_variables(self.hypothesis) | formula_variables(self.conclusion)
         if not free <= set(self.universals):
             raise ValueError(f"free variables {sorted(free - set(self.universals))} not quantified")
+
+    @classmethod
+    def closure(cls, hypothesis: Formula, conclusion: Formula) -> "ArithObligation":
+        """hypothesis -> conclusion, quantified over its free variables in name order."""
+        names = formula_variables(hypothesis) | formula_variables(conclusion)
+        return cls(tuple(sorted(names)), hypothesis, conclusion)
 
     def describe(self) -> str:
         return f"{print_formula(self.hypothesis)} -> {print_formula(self.conclusion)}"
@@ -253,14 +460,16 @@ def _sum_of_even_powers(p: Polynomial) -> Optional[tuple[Fraction, dict]]:
     return bound, body
 
 
-def extract_box(hypothesis: Formula, universals) -> tuple[Optional[Box], list]:
+def extract_box(hypothesis: Formula, universals, atoms: Optional[list] = None) -> tuple[Optional[Box], list]:
     """Per-variable bounds entailed by hypothesis conjuncts.
 
     Returns (box, unbounded_names); box is None when some universal has no
     finite bound.  An empty dict for `unbounded` with box=None signals an
-    inconsistent set of bounds (the hypothesis is unsatisfiable).
+    inconsistent set of bounds (the hypothesis is unsatisfiable).  `atoms`,
+    when given, are the hypothesis's `partial_atoms`, already computed.
     """
-    atoms, _ = partial_atoms(hypothesis)
+    if atoms is None:
+        atoms, _ = partial_atoms(hypothesis)
     lows: dict = {}
     highs: dict = {}
 
@@ -373,20 +582,25 @@ def _derive_atom(goal: NormAtom, atoms: list, box: Optional[Box]) -> bool:
             if not s.is_zero():
                 candidates.append((s, facts[i][1] or facts[j][1]))
 
-    from .normal import _canonical_sign
-
+    e_const = e.coefficient(())
+    e_body = len(e.terms) - (() in e.terms)  # number of non-constant terms
     for fpoly, fstrict in candidates:
         if fpoly.is_zero():
             continue
-        if primitive(fpoly) == ep:
+        # primitive() keeps the monomials, so only equal monomial sets can match
+        if fpoly.terms.keys() == ep.terms.keys() and primitive(fpoly) == ep:
             if not strict or fstrict:
                 return True
             # e >= 0 known; strictness from a disequality on the same polynomial
             if _canonical_sign(ep) in neq_polys or primitive(_canonical_sign(ep)) in neq_polys:
                 return True
-        r = e - fpoly
-        rc = r.constant_value()
-        if rc is not None and rc >= 0:
+        # e - fpoly is a constant exactly when their non-constant parts agree
+        if len(fpoly.terms) - (() in fpoly.terms) != e_body:
+            continue
+        if any(m and e.terms.get(m) != c for m, c in fpoly.terms.items()):
+            continue
+        rc = e_const - fpoly.coefficient(())
+        if rc >= 0:
             if not strict or fstrict or rc > 0:
                 return True
 
@@ -415,12 +629,11 @@ def _derive_atom(goal: NormAtom, atoms: list, box: Optional[Box]) -> bool:
     return False
 
 
-def _symbolic_valid(ob: ArithObligation, box: Optional[Box]) -> Optional[str]:
+def _symbolic_valid(hyp_atoms: list, conclusion: Formula, box: Optional[Box]) -> Optional[str]:
     """Try symbolic certificates; returns a reason string when valid."""
-    hyp_atoms, _ = partial_atoms(ob.hypothesis)
     if contradictory(hyp_atoms):
         return "inconsistent-hypothesis"
-    concl_atoms = atoms_of(ob.conclusion)
+    concl_atoms = atoms_of(conclusion)
     if concl_atoms is None:
         return None
     if all(_derive_atom(a, hyp_atoms, box) for a in concl_atoms):
@@ -450,26 +663,24 @@ def prove_implication(
         if not eval_formula_exact(ob.hypothesis, {}) or eval_formula_exact(ob.conclusion, {}):
             return ArithVerdict(VALID, trace={"method": "closed-evaluation", "cells": 0})
         return ArithVerdict(FALSIFIED, counterexample={}, trace={"method": "closed-evaluation", "cells": 0})
-    auto_box, unbounded = extract_box(ob.hypothesis, ob.universals)
+    # the hypothesis is normalised once, for the box, the pre-checks and the split
+    parts = conjuncts(nnf(ob.hypothesis))
+    hyp_atoms, _ = atoms_of_conjuncts(parts)
+    auto_box, unbounded = extract_box(ob.hypothesis, ob.universals, hyp_atoms)
     if auto_box is None and not unbounded and box is None:
         return ArithVerdict(VALID, trace={"method": "empty-box", "cells": 0})
     work_box = intersect_boxes(box, auto_box)
     if work_box == EMPTY_BOX:
         return ArithVerdict(VALID, trace={"method": "empty-box", "cells": 0})
 
-    reason = _symbolic_valid(ob, work_box if isinstance(work_box, dict) and work_box else None)
+    reason = _symbolic_valid(hyp_atoms, ob.conclusion, work_box if isinstance(work_box, dict) and work_box else None)
     if reason is not None:
         return ArithVerdict(VALID, trace={"method": reason, "cells": 0})
 
     # case split on a top-level disjunction in the hypothesis
-    hyp_nnf = nnf(ob.hypothesis)
-    split = None
-    for g in conjuncts(hyp_nnf):
-        if isinstance(g, Or):
-            split = g
-            break
+    split = next((g for g in parts if isinstance(g, Or)), None)
     if split is not None:
-        rest = conj([g for g in conjuncts(hyp_nnf) if g is not split])
+        rest = conj([g for g in parts if g is not split])
         stats = {"method": "case-split", "cells": 0}
         worst = VALID
         for d in disjuncts(split):
@@ -491,9 +702,8 @@ def prove_implication(
         return ArithVerdict(VALID, trace={"method": "empty-box", "cells": 0})
 
     names = tuple(sorted(ob.universals))
+    hyp, concl = _compile(ob.hypothesis), _compile(ob.conclusion)
     start = time.monotonic()
-    from collections import deque
-
     queue = deque([(tuple(work_box[v] for v in names), 0)])
     cells = 0
     max_depth = 0
@@ -507,12 +717,13 @@ def prove_implication(
                 trace={"method": "budget-exhausted", "cells": cells, "max_depth": max_depth},
             )
         cbox = dict(zip(names, cell))
-        if eval_formula3(ob.hypothesis, cbox) == -1:
+        fbox = _float_box(cbox)
+        if _eval3(hyp, cbox, fbox) == -1:
             continue
-        if eval_formula3(ob.conclusion, cbox) == 1:
+        if _eval3(concl, cbox, fbox) == 1:
             continue
         mid = {v: iv.midpoint() for v, iv in cbox.items()}
-        if eval_formula_exact(ob.hypothesis, mid) and not eval_formula_exact(ob.conclusion, mid):
+        if _holds(hyp, mid) and not _holds(concl, mid):
             return ArithVerdict(
                 FALSIFIED,
                 counterexample=mid,

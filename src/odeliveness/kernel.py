@@ -234,14 +234,6 @@ def _dia_parts(seq: Sequent):
     return s.system, s.system.domain if s.system.domain is not None else TRUE, s.post
 
 
-def _universals(*formulas) -> tuple:
-    names = set()
-    for f in formulas:
-        if f is not None:
-            names |= set(formula_variables(f))
-    return tuple(sorted(names))
-
-
 def step_monotone_dia(target: Sequent, stronger: Formula, child: "ProofNode", *, refuting=True) -> ProofNode:
     """M dia: from Gamma |- <x'=f & Q> R and Q, R |- P conclude the target."""
     system, domain, post = _dia_parts(target)
@@ -252,7 +244,7 @@ def step_monotone_dia(target: Sequent, stronger: Formula, child: "ProofNode", *,
     ob = ArithOb(
         "monotonicity premise",
         PREMISE,
-        ArithObligation(_universals(hyp, post), hyp, post),
+        ArithObligation.closure(hyp, post),
         refuting=refuting,
     )
     return ProofNode(Step("M◇′"), target, (child,), (ob,))
@@ -270,7 +262,7 @@ def step_monotone_box(target: Sequent, stronger: Formula, child: "ProofNode") ->
     ob = ArithOb(
         "monotonicity premise",
         PREMISE,
-        ArithObligation(_universals(hyp, post), hyp, post),
+        ArithObligation.closure(hyp, post),
     )
     return ProofNode(Step("M□′"), target, (child,), (ob,))
 
@@ -339,7 +331,7 @@ def step_topo_closed_open(target: Sequent, stronger_domain: Formula, child: "Pro
     initial = ArithOb(
         "initial state outside the goal",
         GATE,
-        ArithObligation(_universals(hyp, post), hyp, negate(post)),
+        ArithObligation.closure(hyp, negate(post)),
     )
     ob_domain = conj([stronger_domain, negate(post)])
     inv = InvarianceOb(

@@ -111,9 +111,14 @@ def partial_atoms(f: Formula) -> tuple[list[NormAtom], bool]:
     hypotheses only weakens what may be derived, so consumers stay sound.
     The flag reports whether the conjunction was covered completely.
     """
+    return atoms_of_conjuncts(conjuncts(nnf(f)))
+
+
+def atoms_of_conjuncts(parts: list[Formula]) -> tuple[list[NormAtom], bool]:
+    """`partial_atoms` over conjuncts already taken from a formula in NNF."""
     out: list[NormAtom] = []
     complete = True
-    for g in conjuncts(nnf(f)):
+    for g in parts:
         if isinstance(g, BoolLit):
             if not g.value:
                 out.append(NormAtom(">", Polynomial.const(0)))  # unsatisfiable atom

@@ -276,19 +276,11 @@ def _box_parts(seq: Sequent):
     return sys, (sys.domain if sys.domain is not None else TRUE), s.post
 
 
-def _universals(*formulas) -> tuple:
-    names = set()
-    for f in formulas:
-        if f is not None:
-            names |= set(formula_variables(f))
-    return tuple(sorted(names))
-
-
 def _arith_ob(label, role, hyp, concl, *, box_=None, refuting=False, outside=False) -> ArithOb:
     return ArithOb(
         label,
         role,
-        arith.ArithObligation(_universals(hyp, concl), hyp, concl),
+        arith.ArithObligation.closure(hyp, concl),
         box=box_,
         refuting=refuting,
         outside_falsify=outside,
@@ -377,10 +369,7 @@ def _auto_invariance(seq: Sequent, checker: Checker, box_) -> ProofNode:
     if dw_ob.verdict() == PROVED:
         return _node("DW", seq, (), (dw_ob,))
     if isinstance(post, Cmp):
-        node = _di_node(seq, checker, box_)
-        if node.verdict() == PROVED:
-            return node
-        return node
+        return _di_node(seq, checker, box_)
     if isinstance(post, And):
         children = [
             _auto_invariance(Sequent(seq.context, box(system, part)), checker, box_)
@@ -556,11 +545,7 @@ def upper_bound_on(p: Polynomial, region: Formula, checker: Checker) -> Optional
         return best
     for k in range(0, 17):
         c = Fraction(2) ** k
-        ob = arith.ArithObligation(
-            _universals(region, Cmp("<=", p, Polynomial.const(c))),
-            region,
-            Cmp("<=", p, Polynomial.const(c)),
-        )
+        ob = arith.ArithObligation.closure(region, Cmp("<=", p, Polynomial.const(c)))
         if checker.prove(ob, budget=arith.Budget(max_cells=10_000, max_seconds=1.0)).is_valid:
             return c
     return None
@@ -570,11 +555,7 @@ def lie_lower_bound(le: Polynomial, region: Formula, checker: Checker) -> Option
     """Some positive rational c with region |- le >= c (for display bounds)."""
     for k in range(0, 9):
         c = Fraction(1, 2**k)
-        ob = arith.ArithObligation(
-            _universals(region, Cmp(">=", le, Polynomial.const(c))),
-            region,
-            Cmp(">=", le, Polynomial.const(c)),
-        )
+        ob = arith.ArithObligation.closure(region, Cmp(">=", le, Polynomial.const(c)))
         if checker.prove(ob, budget=arith.Budget(max_cells=10_000, max_seconds=1.0)).is_valid:
             return c
     return None

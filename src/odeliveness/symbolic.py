@@ -13,6 +13,7 @@ and hashing deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
@@ -72,6 +73,15 @@ class Polynomial:
         self.terms = clean
         self._hash: Optional[int] = None
 
+    @classmethod
+    def _trusted(cls, terms: dict) -> "Polynomial":
+        """Wrap a dict that is already clean (every coefficient a nonzero
+        `Fraction`) without copying or re-checking it."""
+        p = object.__new__(cls)
+        p.terms = terms
+        p._hash = None
+        return p
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -124,23 +134,39 @@ class Polynomial:
         other = _coerce(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s == 0:
-                out.pop(m, None)
+            s = out.get(m)
+            if s is None:
+                out[m] = c
             else:
-                out[m] = s
-        return Polynomial(out)
+                s += c
+                if s:
+                    out[m] = s
+                else:
+                    del out[m]
+        return Polynomial._trusted(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial({m: -c for m, c in self.terms.items()})
+        return Polynomial._trusted({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
-        return self + (-_coerce(other))
+        other = _coerce(other)
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            s = out.get(m)
+            if s is None:
+                out[m] = -c
+            else:
+                s -= c
+                if s:
+                    out[m] = s
+                else:
+                    del out[m]
+        return Polynomial._trusted(out)
 
     def __rsub__(self, other) -> "Polynomial":
-        return _coerce(other) + (-self)
+        return _coerce(other) - self
 
     def __mul__(self, other) -> "Polynomial":
         other = _coerce(other)
@@ -153,12 +179,16 @@ class Polynomial:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = _mono_mul(m1, m2)
-                s = out.get(m, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(m, None)
+                s = out.get(m)
+                if s is None:
+                    out[m] = c1 * c2
                 else:
-                    out[m] = s
-        return Polynomial(out)
+                    s += c1 * c2
+                    if s:
+                        out[m] = s
+                    else:
+                        del out[m]
+        return Polynomial._trusted(out)
 
     __rmul__ = __mul__
 
@@ -181,7 +211,7 @@ class Polynomial:
         c = Fraction(c)
         if c == 0:
             return Polynomial()
-        return Polynomial({m: c * v for m, v in self.terms.items()})
+        return Polynomial._trusted({m: c * v for m, v in self.terms.items()})
 
     # -- calculus ----------------------------------------------------------
 
@@ -197,9 +227,9 @@ class Polynomial:
                 del exps[name]
             else:
                 exps[name] = e - 1
-            dm = tuple(sorted(exps.items()))
-            out[dm] = out.get(dm, Fraction(0)) + c * e
-        return Polynomial(out)
+            # m -> dm is one-to-one on the monomials that contain `name`
+            out[tuple(sorted(exps.items()))] = c * e
+        return Polynomial._trusted(out)
 
     # -- evaluation --------------------------------------------------------
 
@@ -210,7 +240,10 @@ class Polynomial:
             for v, e in m:
                 if v not in point:
                     raise MissingBinding(f"no value for '{v}'")
-                term *= Fraction(point[v]) ** e
+                x = point[v]
+                if type(x) is not Fraction:
+                    x = Fraction(x)
+                term *= x if e == 1 else x**e
             total += term
         return total
 
@@ -245,12 +278,7 @@ class Polynomial:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            universe = tuple(sorted(self.variables()))
-            items = tuple(
-                (m, c)
-                for m, c in sorted(self.terms.items(), key=lambda t: grlex_key(t[0], universe))
-            )
-            self._hash = hash(items)
+            self._hash = hash(frozenset(self.terms.items()))
         return self._hash
 
     def __repr__(self) -> str:
@@ -275,14 +303,14 @@ def primitive(p: Polynomial) -> Polynomial:
     """
     if p.is_zero():
         return p
-    import math
-
     denom_lcm = 1
     for c in p.terms.values():
         denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
     num_gcd = 0
     for c in p.terms.values():
         num_gcd = math.gcd(num_gcd, abs(c.numerator * (denom_lcm // c.denominator)))
+    if denom_lcm == num_gcd:
+        return p  # already primitive
     return p.scale(Fraction(denom_lcm, num_gcd))
 
 
@@ -297,24 +325,43 @@ def poly_divmod(p: Polynomial, d: Polynomial) -> tuple[Polynomial, Polynomial]:
     universe = tuple(sorted(p.variables() | d.variables()))
     dm, dc = d.leading(universe)
     dexp = dict(dm)
-    q = Polynomial()
-    r = Polynomial(p.terms)
-    while not r.is_zero():
-        candidates = []
-        for m in r.terms:
-            exps = dict(m)
-            if all(exps.get(v, 0) >= e for v, e in dexp.items()):
-                candidates.append(m)
-        if not candidates:
+    q: dict[Monomial, Fraction] = {}
+    r = dict(p.terms)  # updated in place: the same terms, in the same order, as q + qterm and r - qterm*d
+    keys: dict = {}  # monomial -> grlex key, None when dm does not divide it
+    while r:
+        m = best = None
+        for t in r:
+            if t not in keys:
+                exps = dict(t)
+                divides = all(exps.get(v, 0) >= e for v, e in dexp.items())
+                keys[t] = grlex_key(t, universe) if divides else None
+            key = keys[t]
+            if key is not None and (best is None or key > best):
+                m, best = t, key
+        if m is None:
             break
-        m = max(candidates, key=lambda m: grlex_key(m, universe))
+        if _degree_cap is not None and _mono_degree(m) > _degree_cap:
+            raise DegreeCapExceeded(f"product degree {_mono_degree(m)} exceeds cap {_degree_cap}")
         exps = dict(m)
         qm = tuple(sorted((v, e) for v, e in ((v, exps.get(v, 0) - dexp.get(v, 0)) for v in exps) if e > 0))
-        qc = r.terms[m] / dc
-        qterm = Polynomial({qm: qc})
-        q = q + qterm
-        r = r - qterm * d
-    return q, r
+        qc = r[m] / dc
+        _accumulate(q, qm, qc)
+        for m2, c2 in d.terms.items():
+            _accumulate(r, _mono_mul(qm, m2), -qc * c2)
+    return Polynomial._trusted(q), Polynomial._trusted(r)
+
+
+def _accumulate(terms: dict, m: Monomial, c: Fraction) -> None:
+    """terms[m] += c, dropping the monomial when the sum is zero."""
+    s = terms.get(m)
+    if s is None:
+        terms[m] = c
+    else:
+        s += c
+        if s:
+            terms[m] = s
+        else:
+            del terms[m]
 
 
 def reduce_mod_equalities(p: Polynomial, eqs: list[Polynomial]) -> Polynomial:

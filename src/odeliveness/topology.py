@@ -115,9 +115,3 @@ def check_compact(
     if not bounded.holds:
         return TopoVerdict(COMPACT, UNKNOWN)
     return TopoVerdict(COMPACT, HOLDS, witness=bounded.witness)
-
-
-def box_from_bound(vars, bound: Fraction) -> dict:
-    """Per-variable box entailed by sum of squares <= bound."""
-    r = arith._root_upper(bound, 2)
-    return {v: arith.Interval(-r, r) for v in vars}
