@@ -178,54 +178,40 @@ def _fmul(alo: float, ahi: float, blo: float, bhi: float) -> tuple[float, float]
     return lo, hi
 
 
-def _pow_down(x: float, e: int) -> float:
-    """A float <= x**e, for x >= 0."""
+def _pow_toward(x: float, e: int, toward: float) -> float:
+    """x**e for x >= 0, each product rounded toward -inf (a lower bound) or
+    +inf (an upper bound)."""
     p = x
     for _ in range(e - 1):
-        p = _nextafter(p * x, -_INF)
-    return p
-
-
-def _pow_up(x: float, e: int) -> float:
-    """A float >= x**e, for x >= 0."""
-    p = x
-    for _ in range(e - 1):
-        p = _nextafter(p * x, _INF)
+        p = _nextafter(p * x, toward)
     return p
 
 
 def _fpow(lo: float, hi: float, e: int) -> tuple[float, float]:
     """Outward-rounded `_iv_pow` for e >= 2, case by case."""
     if e % 2 == 1:
-        plo = _pow_down(lo, e) if lo >= 0 else -_pow_up(-lo, e)
-        phi = _pow_up(hi, e) if hi >= 0 else -_pow_down(-hi, e)
+        plo = _pow_toward(lo, e, -_INF) if lo >= 0 else -_pow_toward(-lo, e, _INF)
+        phi = _pow_toward(hi, e, _INF) if hi >= 0 else -_pow_toward(-hi, e, -_INF)
     elif lo <= 0 <= hi:
-        plo, phi = 0.0, _pow_up(max(-lo, hi), e)
+        plo, phi = 0.0, _pow_toward(max(-lo, hi), e, _INF)
     elif hi < 0:
-        plo, phi = _pow_down(-hi, e), _pow_up(-lo, e)
+        plo, phi = _pow_toward(-hi, e, -_INF), _pow_toward(-lo, e, _INF)
     else:
-        plo, phi = _pow_down(lo, e), _pow_up(hi, e)
+        plo, phi = _pow_toward(lo, e, -_INF), _pow_toward(hi, e, _INF)
     if not -_BIG <= plo <= phi <= _BIG:
         raise OverflowError("float interval power out of range")
     return plo, phi
 
 
-def _add_down(a: float, b: float) -> float:
-    """A float <= a + b: the rounded sum, one ulp lower when TwoSum shows
-    that rounding went up."""
+def _add_toward(a: float, b: float, toward: float) -> float:
+    """a + b rounded toward -inf (a lower bound) or +inf (an upper bound):
+    the rounded sum, moved one ulp when its TwoSum error term shows that
+    rounding went the other way."""
     s = a + b
     z = s - a
-    if (a - (s - z)) + (b - z) < 0:
-        return _nextafter(s, -_INF)
-    return s
-
-
-def _add_up(a: float, b: float) -> float:
-    """A float >= a + b."""
-    s = a + b
-    z = s - a
-    if (a - (s - z)) + (b - z) > 0:
-        return _nextafter(s, _INF)
+    err = (a - (s - z)) + (b - z)  # exactly a + b - s
+    if (err < 0) if toward < 0 else (err > 0):
+        return _nextafter(s, toward)
     return s
 
 
@@ -254,7 +240,7 @@ def _float_enclosure(fterms: tuple, fbox: dict) -> tuple[float, float]:
                 tlo, thi = -bhi, -blo
             else:
                 tlo, thi = _fmul(tlo, thi, blo, bhi)
-        lo, hi = _add_down(lo, tlo), _add_up(hi, thi)
+        lo, hi = _add_toward(lo, tlo, -_INF), _add_toward(hi, thi, _INF)
     if not -_BIG <= lo <= hi <= _BIG:
         raise OverflowError("float interval sum out of range")
     return lo, hi

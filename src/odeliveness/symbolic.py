@@ -8,7 +8,7 @@ no floating point enters this module.
 
 Monomials are ordered graded lexicographically (total degree first, then the
 exponent vector over the name-sorted variable universe), which makes printing
-and hashing deterministic.
+deterministic.
 """
 
 from __future__ import annotations
@@ -50,6 +50,19 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     for v, e in b:
         exps[v] = exps.get(v, 0) + e
     return tuple(sorted(exps.items()))
+
+
+def _accumulate(terms: dict, m: Monomial, c: Fraction) -> None:
+    """terms[m] += c, dropping the monomial when the sum is zero."""
+    s = terms.get(m)
+    if s is None:
+        terms[m] = c
+    else:
+        s += c
+        if s:
+            terms[m] = s
+        else:
+            del terms[m]
 
 
 def grlex_key(m: Monomial, universe: tuple[str, ...]) -> tuple:
@@ -131,18 +144,9 @@ class Polynomial:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "Polynomial":
-        other = _coerce(other)
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            if s is None:
-                out[m] = c
-            else:
-                s += c
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
+        for m, c in _coerce(other).terms.items():
+            _accumulate(out, m, c)
         return Polynomial._trusted(out)
 
     __radd__ = __add__
@@ -151,18 +155,9 @@ class Polynomial:
         return Polynomial._trusted({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
-        other = _coerce(other)
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            if s is None:
-                out[m] = -c
-            else:
-                s -= c
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
+        for m, c in _coerce(other).terms.items():
+            _accumulate(out, m, -c)
         return Polynomial._trusted(out)
 
     def __rsub__(self, other) -> "Polynomial":
@@ -178,16 +173,7 @@ class Polynomial:
         out: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                s = out.get(m)
-                if s is None:
-                    out[m] = c1 * c2
-                else:
-                    s += c1 * c2
-                    if s:
-                        out[m] = s
-                    else:
-                        del out[m]
+                _accumulate(out, _mono_mul(m1, m2), c1 * c2)
         return Polynomial._trusted(out)
 
     __rmul__ = __mul__
@@ -325,8 +311,9 @@ def poly_divmod(p: Polynomial, d: Polynomial) -> tuple[Polynomial, Polynomial]:
     universe = tuple(sorted(p.variables() | d.variables()))
     dm, dc = d.leading(universe)
     dexp = dict(dm)
+    # q and r change in place, term for term as q + qterm and r - qterm*d would
     q: dict[Monomial, Fraction] = {}
-    r = dict(p.terms)  # updated in place: the same terms, in the same order, as q + qterm and r - qterm*d
+    r = dict(p.terms)
     keys: dict = {}  # monomial -> grlex key, None when dm does not divide it
     while r:
         m = best = None
@@ -349,19 +336,6 @@ def poly_divmod(p: Polynomial, d: Polynomial) -> tuple[Polynomial, Polynomial]:
         for m2, c2 in d.terms.items():
             _accumulate(r, _mono_mul(qm, m2), -qc * c2)
     return Polynomial._trusted(q), Polynomial._trusted(r)
-
-
-def _accumulate(terms: dict, m: Monomial, c: Fraction) -> None:
-    """terms[m] += c, dropping the monomial when the sum is zero."""
-    s = terms.get(m)
-    if s is None:
-        terms[m] = c
-    else:
-        s += c
-        if s:
-            terms[m] = s
-        else:
-            del terms[m]
 
 
 def reduce_mod_equalities(p: Polynomial, eqs: list[Polynomial]) -> Polynomial:
