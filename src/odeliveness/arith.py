@@ -5,11 +5,10 @@ formulas.  `prove_implication` first tries cheap symbolic certificates
 (inconsistent hypothesis, reduction modulo hypothesis equalities, positive
 combinations of hypothesis atoms, exact division by a hypothesis atom with a
 sign-definite quotient) and then falls back to interval branch-and-bound over
-a rational box.  Each cell is first screened with outward-rounded float
-intervals, which can only ever agree with exact arithmetic; every cell the
-screen leaves undecided is evaluated exactly over `Fraction`, so the prover
-needs no rounding tolerance: Valid is never returned for an obligation that
-is falsifiable over its box.
+a rational box.  Every cell is evaluated exactly, in integers scaled by a
+positive constant per atom and cell, so the prover needs no rounding
+tolerance: Valid is never returned for an obligation that is falsifiable
+over its box.
 
 `falsify` samples exact rational points and can only ever answer Falsified or
 Unknown; counterexamples re-verify by rational evaluation.
@@ -27,6 +26,7 @@ from random import Random
 from typing import Optional
 
 from .codegen import build, formula_src, poly_src
+from .errors import MissingBinding
 from .normal import (
     NormAtom,
     _canonical_sign,
@@ -67,54 +67,30 @@ class Interval:
         if self.lo > self.hi:
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
 
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def contains(self, x: Fraction) -> bool:
-        return self.lo <= x <= self.hi
-
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
 
-def _iv_pow(a: Interval, e: int) -> Interval:
-    if e == 0:
-        return Interval(Fraction(1), Fraction(1))
+def _iv_pow(lo, hi, e: int) -> tuple:
+    """Bounds of x**e for lo <= x <= hi, e >= 2, case by case."""
     if e % 2 == 1:
-        return Interval(a.lo**e, a.hi**e)
-    if a.lo <= 0 <= a.hi:
-        return Interval(Fraction(0), max(a.lo**e, a.hi**e))
-    if a.hi < 0:
-        return Interval(a.hi**e, a.lo**e)
-    return Interval(a.lo**e, a.hi**e)
+        return lo**e, hi**e
+    if lo <= 0 <= hi:
+        return 0, max(lo**e, hi**e)
+    if hi < 0:
+        return hi**e, lo**e
+    return lo**e, hi**e
 
 
 Box = dict  # dict[str, Interval]
 
 
-def interval_of_poly(p: Polynomial, box: Box) -> Interval:
-    """Exact interval enclosure of p over the box, monomial by monomial: each
-    term is [c, c] times the `_iv_pow` of its factors in turn, and the terms
-    are summed in `p.terms` order."""
-    lo = hi = Fraction(0)
-    for m, c in p.terms.items():
-        tlo = thi = c
-        for i, (v, e) in enumerate(m):
-            b = _iv_pow(box[v], e) if e != 1 else box[v]
-            if i == 0:  # the point [c, c] times b: two products, ordered by the sign of c
-                tlo, thi = (c * b.lo, c * b.hi) if c > 0 else (c * b.hi, c * b.lo)
-            else:
-                prods = (tlo * b.lo, tlo * b.hi, thi * b.lo, thi * b.hi)
-                tlo, thi = min(prods), max(prods)
-        lo += tlo
-        hi += thi
-    return Interval(lo, hi)
-
-
 def _decide(op: str, lo, hi) -> int:
     """Three-valued truth of `d op 0` from bounds lo <= d <= hi: +1 certainly
     true, -1 certainly false, 0 unknown.  Widening [lo, hi] never turns an
-    answer of +1 or -1 into the opposite one, only into 0."""
+    answer of +1 or -1 into the opposite one, only into 0; scaling both
+    bounds by one positive constant never changes it; on a point (lo == hi)
+    it is never 0."""
     if op == ">=":
         return 1 if lo >= 0 else (-1 if hi < 0 else 0)
     if op == ">":
@@ -135,129 +111,90 @@ def _decide(op: str, lo, hi) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Float screen: outward-rounded float intervals that enclose the exact ones.
+# Exact evaluation in scaled integers.
 #
-# A Fraction becomes a float pair [lo, hi] around it, and every add, mul and
-# pow step is rounded outward with `math.nextafter`: a lower bound that may
-# lie above the exact value moves one ulp down, an upper bound one ulp up
-# (each IEEE operation is correctly rounded, so it is off by less than one
-# ulp).  Only steps known to be exact stay unrounded: a sum whose TwoSum
-# error term is zero (or has the harmless sign), and a product by the unit
-# coefficients +1 and -1.  Each float interval therefore contains the exact
-# interval that `interval_of_poly` computes at the same step, and by
-# inclusion-monotonicity a conclusive `_decide` answer (+1 or -1) on the
-# float enclosure equals the exact answer.  Magnitudes above 2**1000 raise
-# OverflowError, which the screen reports as inconclusive (0), so no
-# infinity or NaN enters an operation and TwoSum never overflows.
-
-_INF = math.inf
-_BIG = 2.0**1000
-_nextafter = math.nextafter
+# A polynomial d is compiled once: scaled by the lcm s of its coefficient
+# denominators, each term becomes an integer coefficient, its factors, and
+# the gaps M_v - e_v, where M_v is the highest degree of v in d.  A cell
+# gives each variable v integer bounds L_v <= H_v over one positive
+# denominator D_v (`_scaled`).  `_enclosure` runs the steps of the interval
+# enclosure on the numerators and multiplies each term by prod D_v^(M_v - e_v),
+# so every bound it returns is the exact rational bound times
+# K = s * prod D_v^M_v > 0, and every comparison with zero is exact.  A point
+# is a cell with L_v = H_v.
 
 
-def _enclose(q: Fraction) -> tuple[float, float]:
-    """Floats lo <= q <= hi, equal when a float holds q exactly."""
-    n, d = q.numerator, q.denominator
-    f = n / d  # correctly rounded; OverflowError when out of range
-    if not -_BIG <= f <= _BIG:
-        raise OverflowError("rational out of float screen range")
-    if d & (d - 1) == 0:
-        # n / 2**k is a float when the odd part of n has at most 53 bits and
-        # its last bit is not below the smallest subnormal, 2**-1074
-        tz = (n & -n).bit_length() - 1 if n else 0
-        if (abs(n) >> tz).bit_length() <= 53 and tz - d.bit_length() >= -1075:
-            return f, f
-    return _nextafter(f, -_INF), _nextafter(f, _INF)
-
-
-def _fmul(alo: float, ahi: float, blo: float, bhi: float) -> tuple[float, float]:
-    prods = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
-    lo, hi = _nextafter(min(prods), -_INF), _nextafter(max(prods), _INF)
-    if not -_BIG <= lo <= hi <= _BIG:
-        raise OverflowError("float interval product out of range")
-    return lo, hi
-
-
-def _pow_toward(x: float, e: int, toward: float) -> float:
-    """x**e for x >= 0, each product rounded toward -inf (a lower bound) or
-    +inf (an upper bound)."""
-    p = x
-    for _ in range(e - 1):
-        p = _nextafter(p * x, toward)
-    return p
-
-
-def _fpow(lo: float, hi: float, e: int) -> tuple[float, float]:
-    """Outward-rounded `_iv_pow` for e >= 2, case by case."""
-    if e % 2 == 1:
-        plo = _pow_toward(lo, e, -_INF) if lo >= 0 else -_pow_toward(-lo, e, _INF)
-        phi = _pow_toward(hi, e, _INF) if hi >= 0 else -_pow_toward(-hi, e, -_INF)
-    elif lo <= 0 <= hi:
-        plo, phi = 0.0, _pow_toward(max(-lo, hi), e, _INF)
-    elif hi < 0:
-        plo, phi = _pow_toward(-hi, e, -_INF), _pow_toward(-lo, e, _INF)
-    else:
-        plo, phi = _pow_toward(lo, e, -_INF), _pow_toward(hi, e, _INF)
-    if not -_BIG <= plo <= phi <= _BIG:
-        raise OverflowError("float interval power out of range")
-    return plo, phi
-
-
-def _add_toward(a: float, b: float, toward: float) -> float:
-    """a + b rounded toward -inf (a lower bound) or +inf (an upper bound):
-    the rounded sum, moved one ulp when its TwoSum error term shows that
-    rounding went the other way."""
-    s = a + b
-    z = s - a
-    err = (a - (s - z)) + (b - z)  # exactly a + b - s
-    if (err < 0) if toward < 0 else (err > 0):
-        return _nextafter(s, toward)
-    return s
-
-
-def _float_terms(p: Polynomial) -> Optional[tuple]:
-    """(coefficient lo, coefficient hi, monomial) per term, in `p.terms`
-    order; None when a coefficient is out of float range."""
-    try:
-        return tuple((*_enclose(c), m) for m, c in p.terms.items())
-    except OverflowError:
-        return None
-
-
-def _float_enclosure(fterms: tuple, fbox: dict) -> tuple[float, float]:
-    """Float bounds around `interval_of_poly` over the box whose float
-    bounds are `fbox` (name -> (lo, hi)), built monomial by monomial in the
-    same order.  Raises OverflowError when a bound leaves the float range."""
-    lo = hi = 0.0
-    for tlo, thi, m in fterms:
+def _scaled_poly(p: Polynomial) -> tuple:
+    """(terms, s, degrees): terms as (integer coefficient, factors, gaps)
+    in `p.terms` order, the scale s, and M_v per variable."""
+    s = math.lcm(*(c.denominator for c in p.terms.values()))
+    degrees: dict = {}
+    for m in p.terms:
         for v, e in m:
-            blo, bhi = fbox[v]
+            if e > degrees.get(v, 0):
+                degrees[v] = e
+    terms = []
+    for m, c in p.terms.items():
+        exps = dict(m)
+        gaps = tuple((v, k - exps.get(v, 0)) for v, k in degrees.items() if k > exps.get(v, 0))
+        terms.append((c.numerator * (s // c.denominator), m, gaps))
+    return tuple(terms), s, degrees
+
+
+def _scaled(bounds) -> dict:
+    """The cell of (v, lo, hi) rational bounds: v -> (L, H, D) with D > 0,
+    lo = L/D and hi = H/D."""
+    cell = {}
+    for v, lo, hi in bounds:
+        ld, hd = lo.denominator, hi.denominator
+        d = ld if ld == hd else math.lcm(ld, hd)
+        cell[v] = (lo.numerator * (d // ld), hi.numerator * (d // hd), d)
+    return cell
+
+
+def _midpoint(cell: dict) -> dict:
+    """The point cell at the centre of `cell`: numerators L + H over 2D."""
+    return {v: (lo + hi, lo + hi, 2 * d) for v, (lo, hi, d) in cell.items()}
+
+
+def _enclosure(terms: tuple, cell: dict) -> tuple:
+    """Scaled bounds of a compiled polynomial over a cell, monomial by
+    monomial: each term is [c, c] times the `_iv_pow` of its factors in
+    turn, times its D_v powers, and the terms are summed."""
+    lo = hi = 0
+    for c, m, gaps in terms:
+        tlo = thi = c
+        for v, e in m:
+            blo, bhi, _ = cell[v]
             if e != 1:
-                blo, bhi = _fpow(blo, bhi, e)
-            if tlo == thi == 1.0:
-                tlo, thi = blo, bhi
-            elif tlo == thi == -1.0:
-                tlo, thi = -bhi, -blo
+                blo, bhi = _iv_pow(blo, bhi, e)
+            if tlo == thi:  # a point (always [c, c] first) times b: two products, ordered by its sign
+                tlo, thi = (tlo * blo, tlo * bhi) if tlo > 0 else (tlo * bhi, tlo * blo)
             else:
-                tlo, thi = _fmul(tlo, thi, blo, bhi)
-        lo, hi = _add_toward(lo, tlo, -_INF), _add_toward(hi, thi, _INF)
-    if not -_BIG <= lo <= hi <= _BIG:
-        raise OverflowError("float interval sum out of range")
+                prods = (tlo * blo, tlo * bhi, thi * blo, thi * bhi)
+                tlo, thi = min(prods), max(prods)
+        for v, k in gaps:
+            g = cell[v][2] ** k
+            tlo *= g
+            thi *= g
+        lo += tlo
+        hi += thi
     return lo, hi
 
 
-def _float_box(box: Box) -> Optional[dict]:
-    """Float bounds around each interval of a box; None when one is out of
-    float range."""
-    try:
-        return {v: (_enclose(iv.lo)[0], _enclose(iv.hi)[1]) for v, iv in box.items()}
-    except OverflowError:
-        return None
+def interval_of_poly(p: Polynomial, box: Box) -> Interval:
+    """Exact interval enclosure of p over the box, monomial by monomial."""
+    terms, s, degrees = _scaled_poly(p)
+    cell = _scaled((v, box[v].lo, box[v].hi) for v in degrees)
+    lo, hi = _enclosure(terms, cell)
+    for v, k in degrees.items():
+        s *= cell[v][2] ** k
+    return Interval(Fraction(lo, s), Fraction(hi, s))
 
 
 # ---------------------------------------------------------------------------
-# Formulas compiled once: nested tuples whose atoms carry their difference
-# polynomial lhs - rhs and its float coefficients.
+# Formulas compiled once: nested tuples whose atoms carry the scaled terms of
+# their difference polynomial lhs - rhs.
 
 _LIT, _ATOM, _NOT, _AND, _OR = range(5)
 
@@ -266,8 +203,7 @@ def _compile(f: Formula) -> tuple:
     if isinstance(f, BoolLit):
         return (_LIT, 1 if f.value else -1)
     if isinstance(f, Cmp):
-        d = f.lhs - f.rhs
-        return (_ATOM, f.op, d, _float_terms(d))
+        return (_ATOM, f.op, _scaled_poly(f.lhs - f.rhs)[0])
     if isinstance(f, Not):
         return (_NOT, _compile(f.arg))
     if isinstance(f, And):
@@ -279,72 +215,42 @@ def _compile(f: Formula) -> tuple:
     raise TypeError(f"cannot evaluate {f!r}")
 
 
-def _eval3(node: tuple, box: Box, fbox: Optional[dict]) -> int:
-    """Three-valued truth over the box.  With `fbox`, the float bounds of the
-    same box, the float screen decides each atom it can and exact interval
-    arithmetic decides the rest, so the answer never depends on `fbox`."""
+def _eval3(node: tuple, cell: dict) -> int:
+    """Three-valued truth over a scaled cell; on a point cell, +1 or -1."""
     kind = node[0]
     if kind == _ATOM:
-        _, op, d, fterms = node
-        if fbox is not None and fterms is not None:
-            try:
-                answer = _decide(op, *_float_enclosure(fterms, fbox))
-            except OverflowError:
-                answer = 0
-            if answer:
-                return answer
-        iv = interval_of_poly(d, box)
-        return _decide(op, iv.lo, iv.hi)
+        return _decide(node[1], *_enclosure(node[2], cell))
     if kind == _AND:
-        a = _eval3(node[1], box, fbox)
+        a = _eval3(node[1], cell)
         if a == -1:
             return -1
-        b = _eval3(node[2], box, fbox)
+        b = _eval3(node[2], cell)
         return -1 if b == -1 else min(a, b)
     if kind == _OR:
-        a = _eval3(node[1], box, fbox)
+        a = _eval3(node[1], cell)
         if a == 1:
             return 1
-        b = _eval3(node[2], box, fbox)
+        b = _eval3(node[2], cell)
         return 1 if b == 1 else max(a, b)
     if kind == _NOT:
-        return -_eval3(node[1], box, fbox)
+        return -_eval3(node[1], cell)
     return node[1]
-
-
-_HOLDS = {
-    "=": lambda d: d == 0,
-    "!=": lambda d: d != 0,
-    ">=": lambda d: d >= 0,
-    ">": lambda d: d > 0,
-    "<=": lambda d: d <= 0,
-    "<": lambda d: d < 0,
-}
-
-
-def _holds(node: tuple, point: dict) -> bool:
-    """Exact rational truth at a point."""
-    kind = node[0]
-    if kind == _ATOM:
-        return _HOLDS[node[1]](node[2].eval_rational(point))
-    if kind == _AND:
-        return _holds(node[1], point) and _holds(node[2], point)
-    if kind == _OR:
-        return _holds(node[1], point) or _holds(node[2], point)
-    if kind == _NOT:
-        return not _holds(node[1], point)
-    return node[1] == 1
 
 
 def eval_formula3(f: Formula, box: Box) -> int:
     """Three-valued truth over a box by exact interval arithmetic: +1
     certainly true, -1 certainly false, 0 unknown."""
-    return _eval3(_compile(f), box, None)
+    return _eval3(_compile(f), _scaled((v, iv.lo, iv.hi) for v, iv in box.items()))
 
 
 def eval_formula_exact(f: Formula, point: dict) -> bool:
     """Exact rational truth of a quantifier-free formula at a point."""
-    return _holds(_compile(f), point)
+    node = _compile(f)
+    values = [(v, Fraction(x)) for v, x in point.items()]
+    try:
+        return _eval3(node, _scaled((v, x, x) for v, x in values)) == 1
+    except KeyError as e:  # only cell lookups raise it: an atom's variable has no value
+        raise MissingBinding(f"no value for '{e.args[0]}'") from None
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +438,23 @@ def _trivially_nonneg(p: Polynomial) -> bool:
     return all(c > 0 and all(e % 2 == 0 for _, e in m) for m, c in p.terms.items())
 
 
+def _constant_at(p: Polynomial, v: str, x: Fraction) -> bool:
+    """Is p with v replaced by x a constant polynomial?"""
+    rest: dict = {}
+    for m, c in p.terms.items():
+        k = 0
+        others = []
+        for w, e in m:
+            if w == v:
+                k = e
+            else:
+                others.append((w, e))
+        if others:
+            key = tuple(others)
+            rest[key] = rest.get(key, 0) + c * x**k
+    return not any(rest.values())
+
+
 def _derive_atom(goal: NormAtom, atoms: list, box: Optional[Box]) -> bool:
     """Does the atom conjunction entail `goal` (op in >=, >, =)?"""
     eqs = equality_polys(atoms)
@@ -562,8 +485,13 @@ def _derive_atom(goal: NormAtom, atoms: list, box: Optional[Box]) -> bool:
 
     ep = primitive(e)
     candidates = [(f, s) for f, s in facts]
+    # a candidate matches only if it holds every non-constant monomial of e
+    e_body_monos = [m for m in e.terms if m]
     for i in range(len(facts)):
+        missing = [m for m in e_body_monos if m not in facts[i][0].terms]
         for j in range(i + 1, len(facts)):
+            if any(m not in facts[j][0].terms for m in missing):
+                continue
             s = facts[i][0] + facts[j][0]
             if not s.is_zero():
                 candidates.append((s, facts[i][1] or facts[j][1]))
@@ -594,6 +522,9 @@ def _derive_atom(goal: NormAtom, atoms: list, box: Optional[Box]) -> bool:
     for fpoly, fstrict in facts:
         if fpoly.is_constant() or fpoly.degree() > e.degree():
             continue
+        lin = _linear_parts(fpoly)
+        if lin is not None and not _constant_at(e, lin[0], -lin[2] / lin[1]):
+            continue  # dividing by a*v + b leaves e at v = -b/a, not a constant
         q, r = poly_divmod(e, fpoly)
         rc = r.constant_value()
         if rc is None or rc < 0 or q.is_zero():
@@ -689,8 +620,9 @@ def prove_implication(
 
     names = tuple(sorted(ob.universals))
     hyp, concl = _compile(ob.hypothesis), _compile(ob.conclusion)
+    root = _scaled((v, work_box[v].lo, work_box[v].hi) for v in names)
     start = time.monotonic()
-    queue = deque([(tuple(work_box[v] for v in names), 0)])
+    queue = deque([(tuple(root.values()), 0)])
     cells = 0
     max_depth = 0
     while queue:
@@ -702,29 +634,29 @@ def prove_implication(
                 UNKNOWN,
                 trace={"method": "budget-exhausted", "cells": cells, "max_depth": max_depth},
             )
-        cbox = dict(zip(names, cell))
-        fbox = _float_box(cbox)
-        if _eval3(hyp, cbox, fbox) == -1:
+        scaled = dict(zip(names, cell))
+        if _eval3(hyp, scaled) == -1:
             continue
-        if _eval3(concl, cbox, fbox) == 1:
+        if _eval3(concl, scaled) == 1:
             continue
-        mid = {v: iv.midpoint() for v, iv in cbox.items()}
-        if _holds(hyp, mid) and not _holds(concl, mid):
+        mid = _midpoint(scaled)
+        if _eval3(hyp, mid) == 1 and _eval3(concl, mid) == -1:
             return ArithVerdict(
                 FALSIFIED,
-                counterexample=mid,
+                counterexample={v: Fraction(n, d) for v, (n, _, d) in mid.items()},
                 trace={"method": "branch-and-bound", "cells": cells, "max_depth": max_depth},
             )
-        widths = [iv.width() for iv in cell]
-        wmax = max(widths)
-        if wmax == 0:
+        # split the first widest interval, comparing widths (H - L) / D exactly
+        k = 0
+        for i, (lo, hi, d) in enumerate(cell):
+            if (hi - lo) * cell[k][2] > (cell[k][1] - cell[k][0]) * d:
+                k = i
+        lo, hi, d = cell[k]
+        if lo == hi:
             # point cell neither discarded nor falsified: conclusion holds here
             continue
-        k = widths.index(wmax)
-        iv = cell[k]
-        m = iv.midpoint()
-        queue.append((cell[:k] + (Interval(iv.lo, m),) + cell[k + 1 :], depth + 1))
-        queue.append((cell[:k] + (Interval(m, iv.hi),) + cell[k + 1 :], depth + 1))
+        queue.append((cell[:k] + ((2 * lo, lo + hi, 2 * d),) + cell[k + 1 :], depth + 1))
+        queue.append((cell[:k] + ((lo + hi, 2 * hi, 2 * d),) + cell[k + 1 :], depth + 1))
     return ArithVerdict(VALID, trace={"method": "branch-and-bound", "cells": cells, "max_depth": max_depth})
 
 

@@ -87,8 +87,10 @@ def cmd_simulate(args) -> int:
         k, _, v = part.partition("=")
         try:
             init[k.strip()] = float(Fraction(v.strip()))
-        except (ValueError, ZeroDivisionError):
+        except (ValueError, ZeroDivisionError):  # also 'inf' and 'nan', which Fraction rejects
             raise InvalidArgument(f"--init: cannot read {part.strip()!r} as name=number")
+        except OverflowError:
+            raise InvalidArgument(f"--init: {part.strip()!r} is out of float range")
     traj = sim.integrate(problem.system, init, args.horizon, goal=problem.goal, stop_on_event=False)
     for t, kind in traj.events:
         print(f"event {kind} at t={t!r}")
@@ -210,6 +212,10 @@ def main(argv=None) -> int:
         return args.fn(args)
     except OdelivError as e:
         print(f"input error: {e}")
+        return 3
+    except RecursionError:
+        # parsing and every pass over a formula recurse once per nesting level
+        print("input error: formula nested too deeply")
         return 3
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Callable
 
+from .errors import NestingTooDeep
 from .syntax import And, BoolLit, Cmp, Formula, Implies, Not, Or
 
 
@@ -51,5 +52,9 @@ def formula_src(f: Formula, atom: Callable[[Cmp], str]) -> str:
 def build(src: str, name: str, scope: dict = None):
     """The function `name` defined by `src`, executed in a copy of `scope`."""
     namespace = dict(scope or {})
-    exec(src, namespace)  # generated exclusively from our own AST
+    try:
+        exec(src, namespace)  # generated exclusively from our own AST
+    except (SyntaxError, RecursionError):
+        # well-formed source fails only past the compiler's nesting limits
+        raise NestingTooDeep("formula nested too deeply to compile") from None
     return namespace[name]

@@ -91,5 +91,9 @@ class InsufficientSamples(OdelivError):
     pass
 
 
+class NestingTooDeep(OdelivError):
+    """A formula is nested too deeply to be compiled to Python."""
+
+
 class InvalidArgument(OdelivError):
     """A command-line or API argument is malformed or out of range."""

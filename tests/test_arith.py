@@ -2,7 +2,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from odeliveness import arith
@@ -17,7 +17,8 @@ from odeliveness.arith import (
     prove_implication,
     smt_filename,
 )
-from odeliveness.symbolic import Polynomial
+from odeliveness.normal import NormAtom, _canonical_sign, equality_polys
+from odeliveness.symbolic import Polynomial, poly_divmod, primitive, reduce_mod_equalities
 from odeliveness.syntax import parse_formula, parse_poly
 
 
@@ -176,6 +177,145 @@ def test_interval_encloses_point_values(p, a, b, c, d, pick):
         pt[n] = i.lo + (i.hi - i.lo) * Fraction(rng.randrange(0, 101), 100)
     val = p.eval_rational(pt)
     assert iv.lo <= val <= iv.hi
+
+
+# -- pre-check rejects ------------------------------------------------------------
+
+
+def ref_derive_atom(goal, atoms, box):
+    """`_derive_atom` before it skipped divisions and pair sums that cannot succeed."""
+    eqs = equality_polys(atoms)
+    e = reduce_mod_equalities(goal.poly, eqs)
+    strict = goal.op == ">"
+    if goal.op == "=":
+        return e.is_zero()
+    c = e.constant_value()
+    if c is not None:
+        return c > 0 if strict else c >= 0
+    if not strict and arith._trivially_nonneg(e):
+        return True
+    facts = []
+    neq_polys = set()
+    for a in atoms:
+        if a.op in (">=", ">"):
+            facts.append((a.poly, a.op == ">"))
+        elif a.op == "=":
+            facts.append((a.poly, False))
+            facts.append((-a.poly, False))
+        else:
+            neq_polys.add(primitive(a.poly))
+    ep = primitive(e)
+    candidates = [(f, s) for f, s in facts]
+    for i in range(len(facts)):
+        for j in range(i + 1, len(facts)):
+            s = facts[i][0] + facts[j][0]
+            if not s.is_zero():
+                candidates.append((s, facts[i][1] or facts[j][1]))
+    e_const = e.coefficient(())
+    e_body = len(e.terms) - (() in e.terms)
+    for fpoly, fstrict in candidates:
+        if fpoly.is_zero():
+            continue
+        if fpoly.terms.keys() == ep.terms.keys() and primitive(fpoly) == ep:
+            if not strict or fstrict:
+                return True
+            if _canonical_sign(ep) in neq_polys or primitive(_canonical_sign(ep)) in neq_polys:
+                return True
+        if len(fpoly.terms) - (() in fpoly.terms) != e_body:
+            continue
+        if any(m and e.terms.get(m) != c for m, c in fpoly.terms.items()):
+            continue
+        rc = e_const - fpoly.coefficient(())
+        if rc >= 0:
+            if not strict or fstrict or rc > 0:
+                return True
+    for fpoly, fstrict in facts:
+        if fpoly.is_constant() or fpoly.degree() > e.degree():
+            continue
+        q, r = poly_divmod(e, fpoly)
+        rc = r.constant_value()
+        if rc is None or rc < 0 or q.is_zero():
+            continue
+        qc = q.constant_value()
+        if qc is not None:
+            q_nonneg, q_pos = qc >= 0, qc > 0
+        elif box is not None and all(v in box for v in q.variables()):
+            iv = interval_of_poly(q, box)
+            q_nonneg, q_pos = iv.lo >= 0, iv.lo > 0
+        else:
+            continue
+        if not q_nonneg:
+            continue
+        if not strict:
+            return True
+        if rc > 0 or (fstrict and q_pos):
+            return True
+    return False
+
+
+coef = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3]))
+linear = st.builds(
+    lambda v, a, b: Polynomial({((v, 1),): a, (): b}),
+    st.sampled_from(["x", "y"]),
+    coef.filter(bool),
+    coef,
+)
+fact_poly = st.one_of(linear, poly_st)
+square_plus = st.builds(
+    lambda v, a, b: Polynomial({((v, 2),): a, (): b}),
+    st.sampled_from(["x", "y"]),
+    coef.filter(lambda c: c > 0),
+    coef.filter(lambda c: c >= 0),
+)
+
+
+@st.composite
+def precheck_cases(draw):
+    ops = st.sampled_from([">=", ">", "=", "!="])
+    atoms = [NormAtom(draw(ops), draw(linear))]  # a box bound, the usual divisor
+    atoms += [NormAtom(draw(ops), draw(fact_poly)) for _ in range(draw(st.integers(0, 3)))]
+    polys = [a.poly for a in atoms]
+    shape = draw(st.integers(0, 3))
+    if shape == 0:  # unrelated to the facts
+        body = draw(poly_st)
+    elif shape == 1:  # a pair sum, of two different facts when there are two
+        i, j = (draw(st.permutations(range(len(polys)))) * 2)[:2]
+        body = polys[i] + polys[j]
+    elif shape == 2:  # a multiple of one fact, by a factor of known sign on some boxes
+        body = draw(st.sampled_from(polys)) * draw(st.one_of(poly_st, coef.map(Polynomial.const), square_plus))
+    else:  # one fact scaled
+        body = draw(st.sampled_from(polys)).scale(draw(coef))
+    goal = NormAtom(draw(st.sampled_from([">=", ">", "="])), body + Polynomial.const(draw(coef)))
+    box = None
+    if draw(st.booleans()):
+        box = {}
+        for v in ("x", "y"):
+            a, b = draw(coef), draw(coef)
+            box[v] = Interval(min(a, b), max(a, b))
+    return goal, atoms, box
+
+
+@settings(max_examples=600, deadline=None)
+@given(precheck_cases())
+# e = (x - 1) * (y^2 + 1) + 1/2: the remainder of dividing by x - 1 is e at x = 1
+@example(
+    (
+        NormAtom(">", parse_poly("(x - 1) * (y^2 + 1) + 1/2")),
+        [NormAtom(">=", parse_poly("x - 1"))],
+        {"x": Interval(Fraction(0), Fraction(2)), "y": Interval(Fraction(-1), Fraction(1))},
+    )
+)
+# e = (x - 1) + (y + 2) + 1/2: only the pair sum of the two facts matches
+@example(
+    (
+        NormAtom(">=", parse_poly("x + y + 3/2")),
+        [NormAtom(">=", parse_poly("x - 1")), NormAtom(">", parse_poly("y + 2"))],
+        None,
+    )
+)
+def test_derive_atom_matches_reference(case):
+    goal, atoms, box = case
+    assert arith._derive_atom(goal, atoms, box) == ref_derive_atom(goal, atoms, box)
 
 
 # -- soundness cross-check (prover vs falsifier) ------------------------------

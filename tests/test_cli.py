@@ -174,14 +174,58 @@ def test_simulate_writes_manifest(tmp_path, capsys):
         ["simulate", problem_path("example1.ode"), "--init", "u=1,v=0", "--horizon", "0"],
         ["falsify", problem_path("example1.ode"), "--horizon", "-1"],
         ["simulate", problem_path("example1.ode"), "--init", "u=abc"],
+        ["simulate", problem_path("example1.ode"), "--init", "u=1e400,v=0"],
+        ["simulate", problem_path("example1.ode"), "--init", "u=-1e400,v=0"],
+        ["simulate", problem_path("example1.ode"), "--init", "u=inf,v=0"],
+        ["simulate", problem_path("example1.ode"), "--init", "u=nan,v=0"],
     ],
-    ids=["simulate-horizon-0", "falsify-horizon-negative", "simulate-init-not-a-number"],
+    ids=[
+        "simulate-horizon-0",
+        "falsify-horizon-negative",
+        "simulate-init-not-a-number",
+        "simulate-init-above-float-range",
+        "simulate-init-below-float-range",
+        "simulate-init-inf",
+        "simulate-init-nan",
+    ],
 )
 def test_bad_arguments_are_input_errors(capsys, argv):
     # exit 1 means "refuted": a bad argument must never look like one
     code, out = run(capsys, *argv)
     assert code == 3
     assert out.startswith("input error: ")
+
+
+DEEP = 3000
+
+
+@pytest.mark.parametrize("command", ["check", "falsify"])
+@pytest.mark.parametrize(
+    "assume, goal",
+    [
+        ("(" * DEEP + "x = 1" + ")" * DEEP, "x <= 2"),
+        ("!" * DEEP + "(x = 1)", "x <= 2"),
+        (" & ".join(["x = 1"] * 1000), "x <= 2"),
+    ],
+    ids=["parentheses", "negations", "conjunction-chain"],
+)
+def test_deeply_nested_formula_is_input_error(tmp_path, capsys, command, assume, goal):
+    # exit 1 means "refuted": running out of recursion must never look like one
+    f = tmp_path / "deep.ode"
+    f.write_text(f"ode {{ x' = -x }}\nassume {{ {assume} }}\ngoal {{ {goal} }}\n"
+                 "proof { rule dV_geq { p = 2 - x; eps = 1 } }\n")
+    code, out = run(capsys, command, f, "--samples", 2)
+    assert code == 3
+    assert out.splitlines()[-1] == "input error: formula nested too deeply"
+
+
+def test_goal_past_the_compilers_nesting_limit_is_input_error(tmp_path, capsys):
+    # 300 negations parse, but the falsifier's generated goal test does not compile
+    f = tmp_path / "deep.ode"
+    f.write_text("ode { x' = -x }\nassume { x = 1 }\ngoal { " + "!" * 300 + "(x <= 2) }\n")
+    code, out = run(capsys, "falsify", f, "--samples", 2)
+    assert code == 3
+    assert out == "input error: formula nested too deeply to compile\n"
 
 
 def test_emit_smt_writes_unknown_obligations(tmp_path, capsys):
