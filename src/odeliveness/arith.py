@@ -147,7 +147,7 @@ def _scaled(bounds) -> dict:
     cell = {}
     for v, lo, hi in bounds:
         ld, hd = lo.denominator, hi.denominator
-        d = ld if ld == hd else math.lcm(ld, hd)
+        d = math.lcm(ld, hd)
         cell[v] = (lo.numerator * (d // ld), hi.numerator * (d // hd), d)
     return cell
 

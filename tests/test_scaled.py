@@ -296,7 +296,11 @@ bnb_values = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3,
 @example(
     parse_formula("x >= y"),
     parse_formula("x^2 - 3*x*y + y^2 >= 0"),
-    {"x": Interval(Fraction(-1, 3), Fraction(2)), "y": Interval(Fraction(-1, 10), Fraction(1)), "z": Interval(Fraction(0), Fraction(0))},
+    {
+        "x": Interval(Fraction(-1, 3), Fraction(2)),
+        "y": Interval(Fraction(-1, 10), Fraction(1)),
+        "z": Interval(Fraction(0), Fraction(0)),
+    },
 )
 def test_branch_and_bound_visits_the_reference_cells(hyp, concl, box):
     """Cells are split in integers; the counts, depths and counterexamples
