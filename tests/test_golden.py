@@ -1,6 +1,10 @@
 """Byte-for-byte transcripts of `check`, `falsify`, `catalog` and `simulate`,
 and the prover's outcome on every obligation of two fixed corpora.
 
+`rules/` holds one certificate per derived rule (`<rule>.ode`) next to its
+`check` transcript at seed 0 (`<rule>.txt`), refusals included, so every
+rule builder's chain, obligation order and labels are locked.
+
 Each golden transcript holds a command's stdout (with the `--out` directory
 shown as `OUT`), an `exit N` line, then every file written to `--out`:
 `summary.txt` in full and each trajectory CSV as its SHA-256.  The falsifier
@@ -28,6 +32,7 @@ import pytest
 
 from odeliveness import arith
 from odeliveness.cli import main
+from odeliveness.rules import RULE_BUILDERS
 from odeliveness.syntax import parse_formula
 
 from test_acceptance import random_box_obligation
@@ -35,6 +40,7 @@ from test_acceptance import random_box_obligation
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 PROBLEMS = sorted(p.name for p in (ROOT / "problems").glob("*.ode"))
+RULE_CERTIFICATES = sorted(p.name for p in (GOLDEN / "rules").glob("*.ode"))
 
 SIMULATE_INIT = {"example1.ode": "u=1,v=0", "example2.ode": "u=1,v=0", "ce1.ode": "x=0,t=0"}
 
@@ -51,13 +57,15 @@ def cases() -> list:
                 argv = ["falsify", f"problems/{name}", "--seed", str(seed), "--samples", str(samples)]
                 out.append((f"falsify/{name[:-4]}.s{seed}.n{samples}.txt", argv))
     out.append(("catalog.n4.txt", ["catalog", "--samples", "4"]))
+    for name in RULE_CERTIFICATES:
+        out.append((f"rules/{name[:-4]}.txt", ["check", f"tests/golden/rules/{name}", "--seed", "0"]))
     for name, init in SIMULATE_INIT.items():
         out.append((f"simulate/{name[:-4]}.txt", ["simulate", f"problems/{name}", "--init", init]))
     return out
 
 
 def transcript(argv) -> str:
-    argv = [str(ROOT / a) if a.startswith("problems/") else a for a in argv]
+    argv = [str(ROOT / a) if a.endswith(".ode") else a for a in argv]
     with tempfile.TemporaryDirectory() as tmp:
         out = pathlib.Path(tmp) / "out"
         if argv[0] in ("falsify", "simulate"):
@@ -77,6 +85,10 @@ def transcript(argv) -> str:
 @pytest.mark.parametrize("rel,argv", cases(), ids=[rel for rel, _ in cases()])
 def test_transcript_byte_identical(rel, argv):
     assert transcript(argv) == (GOLDEN / rel).read_text()
+
+
+def test_every_rule_has_a_golden():
+    assert sorted(name[:-4] for name in RULE_CERTIFICATES) == sorted(RULE_BUILDERS)
 
 
 # Cells alone decide every budget-exhausted verdict: the seconds budget is
