@@ -4,7 +4,10 @@ Each rule builder turns a parsed certificate into a kernel refinement chain
 whose obligations are exactly the rule's premises and side conditions.  The
 acceptance-critical rules expand into explicit existence / goal-refinement
 steps so the printed chain mirrors the derivations; the remaining rules are
-derived-rule macro nodes over an existence leaf.
+derived-rule macro nodes over an existence leaf.  Every builder assembles
+its chain from the same parts of a `_Rule` context: the topological gate,
+the stay-in-a-set invariance premise, the premise hypothesis with the
+constant context, the initial value witness and the existence leaves.
 
 Box-modality premises are discharged by `prove_invariance`, which applies
 certificate hints in order:
@@ -38,6 +41,7 @@ from .errors import (
     MissingCertificateField,
     RuleRefused,
     ShapeMismatch,
+    TopoUnknown,
 )
 from .kernel import (
     CLOCK_NAME,
@@ -54,6 +58,7 @@ from .kernel import (
     Step,
     TopoOb,
     box,
+    context_filter,
     derived_node,
     dia,
     print_sequent,
@@ -69,7 +74,6 @@ from .kernel import (
 )
 from .normal import atoms_of, equality_polys, negate, nnf, norm_atom
 from .symbolic import (
-    OdeSystem,
     Polynomial,
     higher_lie,
     lie_derivative,
@@ -83,9 +87,12 @@ from .syntax import (
     CertStep,
     Cmp,
     Formula,
+    Implies,
     Modal,
+    Not,
     Or,
     ProblemFile,
+    Quant,
     conj,
     conjuncts,
     disjuncts,
@@ -93,6 +100,8 @@ from .syntax import (
     print_formula,
     print_poly,
 )
+
+ZERO = Polynomial.const(0)
 
 # ---------------------------------------------------------------------------
 # Invariance hints
@@ -133,29 +142,20 @@ def hints_from_cert(steps) -> tuple:
     out = []
     for s in steps:
         if s.name == "DI":
-            f = s.get("f")
+            f = _binding(s, "f", "formula")
             if f is not None and not isinstance(f, Cmp):
                 raise HintMismatch("DI takes an atomic comparison binding 'f'")
             out.append(DIStep(f))
         elif s.name == "DC":
-            f = s.get("f")
-            if f is None:
-                raise MissingCertificateField("DC needs a cut formula binding 'f'")
-            out.append(DCStep(f, hints_from_cert(s.get("hints", ()))))
+            out.append(DCStep(_binding(s, "f", "formula", required=True), _binding(s, "hints", "hints", ())))
         elif s.name == "DW":
             out.append(DWStep())
         elif s.name == "DX":
             out.append(DXStep())
         elif s.name == "BC":
-            p = s.get("p")
-            if p is None:
-                raise MissingCertificateField("BC needs a polynomial binding 'p'")
-            out.append(BCStep(_as_poly(p)))
+            out.append(BCStep(_binding(s, "p", "polynomial", required=True)))
         elif s.name == "DomainWeaken":
-            f = s.get("f")
-            if f is None:
-                raise MissingCertificateField("DomainWeaken needs a formula binding 'f'")
-            out.append(DomainWeakenStep(f))
+            out.append(DomainWeakenStep(_binding(s, "f", "formula", required=True)))
         else:
             raise HintMismatch(f"'{s.name}' is not an invariance hint")
     return tuple(out)
@@ -168,9 +168,11 @@ def hints_from_cert(steps) -> tuple:
 @dataclass
 class CheckConfig:
     budget: arith.Budget = field(default_factory=arith.Budget)
-    topo_budget: arith.Budget = field(default_factory=lambda: arith.Budget(max_cells=20_000, max_seconds=2.0))
-    falsify_samples: int = 2000
     seed: int = 0
+
+
+# exact samples drawn around a box-bounded premise proved Valid over its box
+FALSIFY_SAMPLES = 2000
 
 
 def _freeze_box(b: Optional[dict]):
@@ -214,9 +216,9 @@ class Checker:
             elif prop == topology.OPEN:
                 v = topology.check_open(formula, vars)
             elif prop == topology.BOUNDED:
-                v = topology.check_bounded(formula, vars, budget=self.config.topo_budget)
+                v = topology.check_bounded(formula, vars)
             else:
-                v = topology.check_compact(formula, vars, budget=self.config.topo_budget)
+                v = topology.check_compact(formula, vars)
             self._topo_cache[key] = v
         return self._topo_cache[key]
 
@@ -229,7 +231,7 @@ class Checker:
                 if ob.result.is_valid and ob.box and ob.outside_falsify:
                     probe = arith.falsify(
                         ob.obligation,
-                        samples=self.config.falsify_samples,
+                        samples=FALSIFY_SAMPLES,
                         seed=self.config.seed,
                         box=_enlarge_box(ob.box),
                     )
@@ -450,72 +452,57 @@ def _bc_node(seq: Sequent, p: Polynomial, checker: Checker, box_) -> ProofNode:
 
 
 # ---------------------------------------------------------------------------
-# Certificate field access
+# Certificate bindings
 
 
-def _as_poly(v) -> Polynomial:
-    if isinstance(v, Polynomial):
-        return v
-    if isinstance(v, Fraction):
-        return Polynomial.const(v)
-    raise MissingCertificateField(f"expected a polynomial, got {v!r}")
+def _as_formula(v) -> Optional[Formula]:
+    return v if isinstance(v, (Cmp, And, Or, BoolLit, Implies, Not, Quant)) else None
 
 
-def _need(cert: CertStep, key: str):
-    v = cert.get(key)
+def _as_box(v) -> Optional[dict]:
+    f = _as_formula(v)
+    return None if f is None else arith.extract_box(f, tuple(sorted(formula_variables(f))))[0]
+
+
+# binding kind -> (what a value of the kind is, reader returning None for a misfit)
+_KINDS = {
+    "polynomial": (
+        "a polynomial",
+        lambda v: v if isinstance(v, Polynomial) else Polynomial.const(v) if isinstance(v, Fraction) else None,
+    ),
+    "rational": ("a rational literal", lambda v: v if isinstance(v, Fraction) else None),
+    "integer": (
+        "a positive integer",
+        lambda v: int(v) if isinstance(v, Fraction) and v.denominator == 1 and v >= 1 else None,
+    ),
+    "formula": ("a formula", _as_formula),
+    "hints": ("a hint [...] block", lambda v: hints_from_cert(v) if isinstance(v, tuple) else None),
+    "box": ("a formula bounding every variable it mentions", _as_box),
+}
+
+
+def _binding(step: CertStep, key: str, kind, default=None, required=False):
+    """Binding `key` of `step` read as `kind`, a key of `_KINDS` or a tuple
+    of the bare identifiers allowed; `default` when the binding is absent."""
+    v = step.get(key)
     if v is None:
-        raise MissingCertificateField(f"rule {cert.name} needs binding '{key}'")
-    return v
-
-
-def _get_formula(cert: CertStep, key: str, required=False) -> Optional[Formula]:
-    v = _need(cert, key) if required else cert.get(key)
-    if v is None:
-        return None
-    from .syntax import Implies, Not, Quant
-
-    if isinstance(v, (Cmp, And, Or, BoolLit, Implies, Not, Quant)):
-        return v
-    raise MissingCertificateField(f"binding '{key}' of {cert.name} must be a formula")
-
-
-def _get_rational(cert: CertStep, key: str, required=False) -> Optional[Fraction]:
-    v = _need(cert, key) if required else cert.get(key)
-    if v is None:
-        return None
-    if isinstance(v, Fraction):
-        return v
-    raise MissingCertificateField(f"binding '{key}' of {cert.name} must be a rational literal")
-
-
-def _get_hints(cert: CertStep, key: str) -> tuple:
-    v = cert.get(key)
-    if v is None:
-        return ()
-    if not isinstance(v, tuple):
-        raise MissingCertificateField(f"binding '{key}' of {cert.name} must be a hint [...] block")
-    return hints_from_cert(v)
-
-
-def _get_box(cert: CertStep, key: str = "box") -> Optional[dict]:
-    f = cert.get(key)
-    if f is None:
-        return None
-    b, unbounded = arith.extract_box(f, tuple(sorted(formula_variables(f))))
-    if b is None:
-        raise MissingCertificateField(f"'box' binding must bound every variable it mentions ({unbounded})")
-    return b
+        if required:
+            raise MissingCertificateField(f"rule {step.name} needs binding '{key}'")
+        return default
+    if isinstance(kind, tuple):
+        if isinstance(v, str) and v in kind:
+            return v
+        what = "one of " + ", ".join(kind)
+    else:
+        what, read = _KINDS[kind]
+        out = read(v)
+        if out is not None:
+            return out
+    raise MissingCertificateField(f"binding '{key}' of {step.name} must be {what}")
 
 
 # ---------------------------------------------------------------------------
 # Shared derivations
-
-
-def _gamma_const(problem: ProblemFile):
-    from .kernel import context_filter
-
-    const, _ = context_filter(problem.assumptions, problem.system)
-    return const
 
 
 def initial_value(p: Polynomial, assumptions) -> Optional[Fraction]:
@@ -529,52 +516,47 @@ def initial_value(p: Polynomial, assumptions) -> Optional[Fraction]:
     return r.constant_value()
 
 
-def upper_bound_on(p: Polynomial, region: Formula, checker: Checker) -> Optional[Fraction]:
-    """Some rational c with region |- p <= c, from atoms or a doubling search."""
-    atoms = atoms_of(region)
-    best = None
-    if atoms:
-        for a in atoms:
-            if a.op not in (">=", "="):
-                continue
-            diff = a.poly + p  # a.poly = c - p  iff  a.poly + p constant
-            c = diff.constant_value()
-            if c is not None and (best is None or c < best):
-                best = c
-    if best is not None:
-        return best
-    for k in range(0, 17):
-        c = Fraction(2) ** k
-        ob = arith.ArithObligation.closure(region, Cmp("<=", p, Polynomial.const(c)))
-        if checker.prove(ob, budget=arith.Budget(max_cells=10_000, max_seconds=1.0)).is_valid:
+# each candidate bound of a search gets its own cell budget
+BOUND_SEARCH_BUDGET = arith.Budget(max_cells=10_000, max_seconds=1.0)
+
+
+def _first_proved(region: Formula, p: Polynomial, op: str, candidates, checker: Checker) -> Optional[Fraction]:
+    """The first candidate c with region |- p `op` c proved."""
+    for c in candidates:
+        ob = arith.ArithObligation.closure(region, Cmp(op, p, Polynomial.const(c)))
+        if checker.prove(ob, budget=BOUND_SEARCH_BUDGET).is_valid:
             return c
     return None
+
+
+def upper_bound_on(p: Polynomial, region: Formula, checker: Checker) -> Optional[Fraction]:
+    """Some rational c with region |- p <= c, from atoms or a doubling search."""
+    # an atom c - p >= 0 (or = 0) of the region bounds p by c
+    consts = [(a.poly + p).constant_value() for a in atoms_of(region) or () if a.op in (">=", "=")]
+    best = min((c for c in consts if c is not None), default=None)
+    if best is not None:
+        return best
+    return _first_proved(region, p, "<=", (Fraction(2) ** k for k in range(17)), checker)
 
 
 def lie_lower_bound(le: Polynomial, region: Formula, checker: Checker) -> Optional[Fraction]:
     """Some positive rational c with region |- le >= c (for display bounds)."""
-    for k in range(0, 9):
-        c = Fraction(1, 2**k)
-        ob = arith.ArithObligation.closure(region, Cmp(">=", le, Polynomial.const(c)))
-        if checker.prove(ob, budget=arith.Budget(max_cells=10_000, max_seconds=1.0)).is_valid:
-            return c
-    return None
+    return _first_proved(region, le, ">=", (Fraction(1, 2**k) for k in range(9)), checker)
 
 
-def _eps_obligation(cert: CertStep, problem: ProblemFile):
-    """Returns (eps_poly, eps_value_or_None, side obligation)."""
-    v = cert.get("eps")
-    if v is None:
-        raise MissingCertificateField(f"rule {cert.name} needs binding 'eps'")
-    if isinstance(v, Fraction):
-        poly = Polynomial.const(v)
-        ob = _arith_ob("eps positive", GATE, TRUE, Cmp(">", poly, Polynomial.const(0)))
-        return poly, v, ob
-    if isinstance(v, Polynomial) and len(v.variables()) == 1 and v.variables() <= problem.system.params:
-        hyp = conj(list(_gamma_const(problem)))
-        ob = _arith_ob("eps positive", GATE, hyp, Cmp(">", v, Polynomial.const(0)))
-        return v, None, ob
-    raise MissingCertificateField("'eps' must be a rational or a declared constant parameter")
+def _time_bound(p0, eps, p1=Fraction(0)) -> Optional[Fraction]:
+    """(p1 - p0) / eps: how long a variant rising at rate eps from p0 takes to reach p1."""
+    if p0 is None or p1 is None or eps is None or eps <= 0:
+        return None
+    return (p1 - p0) / eps
+
+
+def _is_atom(f: Formula, p: Polynomial, op: str) -> bool:
+    """f is the comparison p `op` 0 up to a positive factor."""
+    if not isinstance(f, Cmp):
+        return False
+    a, want = norm_atom(f), norm_atom(Cmp(op, p, ZERO))
+    return a.op == want.op and primitive(a.poly) == primitive(want.poly)
 
 
 def _match_variant_goal(target: Formula, p: Polynomial, op: str) -> None:
@@ -584,72 +566,122 @@ def _match_variant_goal(target: Formula, p: Polynomial, op: str) -> None:
             f"goal {print_formula(target)} is not an atomic comparison; "
             "use 'post'/'via' bindings to refine it first"
         )
-    a = norm_atom(target)
-    want = norm_atom(Cmp(op, p, Polynomial.const(0)))
-    if a.op != want.op or primitive(a.poly) != primitive(want.poly):
+    if not _is_atom(target, p, op):
         raise ShapeMismatch(
             f"goal {print_formula(target)} does not match variant condition {print_poly(p)} {op} 0"
         )
 
 
-def _gex_leaf(context, system: OdeSystem, bound: Optional[Fraction], lip: LipschitzOb) -> ProofNode:
-    clocked = system.with_domain(TRUE).with_clock(CLOCK_NAME)
-    bound_poly = Polynomial.const(bound) if bound is not None else None
-    node = step_exist_global(context, clocked, bound_poly)
-    # share the rule-level Lipschitz gate so the condition is reported once
-    return ProofNode(node.step, node.conclusion, node.children, (lip,))
+def _const(c: Optional[Fraction]) -> Optional[Polynomial]:
+    return None if c is None else Polynomial.const(c)
 
 
-def _bex_leaf(context, system: OdeSystem, escape: Formula, bound: Optional[Fraction]) -> ProofNode:
-    clocked = system.with_domain(TRUE).with_clock(CLOCK_NAME)
-    bound_poly = Polynomial.const(bound) if bound is not None else None
-    return step_exist_bounded(context, clocked, escape, bound_poly)
+class _Rule:
+    """One rule application: the problem's parts every builder uses, and the
+    obligations and leaves they share."""
+
+    def __init__(self, problem: ProblemFile, cert: CertStep, checker: Checker):
+        if problem.goal is None:
+            raise ShapeMismatch("problem has no goal block")
+        self.problem, self.cert, self.checker = problem, cert, checker
+        self.name = cert.name
+        self.gamma = problem.assumptions
+        self.goal = problem.goal
+        self.domain = problem.system.domain
+        self.has_domain = self.domain is not None and self.domain != TRUE
+        self.sys0 = problem.system.with_domain(TRUE)
+        # constant assumptions are soundly kept across rule applications
+        self.const_ctx = context_filter(problem.assumptions, problem.system)[0]
+
+    def get(self, key: str, kind, default=None, required=False):
+        return _binding(self.cert, key, kind, default, required)
+
+    def need_domain(self) -> None:
+        if not self.has_domain:
+            raise ShapeMismatch(f"rule {self.name} needs a domain block")
+
+    def conclusion(self, system, post: Optional[Formula] = None) -> Sequent:
+        return Sequent(self.gamma, dia(system, self.goal if post is None else post))
+
+    def hyp(self, *parts) -> Formula:
+        """A premise hypothesis: the parts and the constant context."""
+        return conj(list(parts) + list(self.const_ctx))
+
+    def p0(self, p: Polynomial) -> Optional[Fraction]:
+        """The certificate's initial variant value, else the one the assumptions force."""
+        p0 = self.get("p0", "rational")
+        return initial_value(p, self.gamma) if p0 is None else p0
+
+    def eps(self):
+        """(eps polynomial, its rational value or None, the 'eps positive' gate)."""
+        e = self.get("eps", "polynomial", required=True)
+        value = e.constant_value()
+        if value is not None:
+            return e, value, _arith_ob("eps positive", GATE, TRUE, Cmp(">", e, ZERO))
+        if len(e.variables()) == 1 and e.variables() <= self.sys0.params:
+            return e, None, _arith_ob("eps positive", GATE, self.hyp(), Cmp(">", e, ZERO))
+        raise MissingCertificateField("'eps' must be a rational or a declared constant parameter")
+
+    def initially(self, label: str, f: Formula, role: str = GATE) -> ArithOb:
+        return _arith_ob(label, role, conj(list(self.gamma)), f)
+
+    def premise(self, label: str, hyp: Formula, concl: Formula, box_=None) -> ArithOb:
+        return _arith_ob(label, PREMISE, hyp, concl, box_=box_, refuting=True, outside=box_ is not None)
+
+    def topo(self, prop: str, f: Formula) -> TopoOb:
+        return TopoOb(f"{prop}({print_formula(f)})", GATE, f, prop, self.sys0.vars)
+
+    def lipschitz(self) -> LipschitzOb:
+        return LipschitzOb("GlobalLipschitz", GATE, self.sys0)
+
+    def stay(self, label: str, during: Formula, inside: Formula, hints_key: str = "hints") -> InvarianceOb:
+        """Premise Γ ⊢ [sys0 & during] inside: while `during` holds, the flow stays `inside`."""
+        seq = Sequent(self.gamma, box(self.sys0.with_domain(during), inside))
+        return InvarianceOb(label, PREMISE, seq, hints=self.get(hints_key, "hints", ()))
+
+    def gex(self, bound: Optional[Fraction], lip: LipschitzOb) -> ProofNode:
+        node = step_exist_global(self.const_ctx, self.sys0.with_clock(CLOCK_NAME), _const(bound))
+        # share the rule-level Lipschitz gate so the condition is reported once
+        return ProofNode(node.step, node.conclusion, node.children, (lip,))
+
+    def bex(self, escape: Formula, bound: Optional[Fraction] = None, context=None) -> ProofNode:
+        context = self.const_ctx if context is None else context
+        return step_exist_bounded(context, self.sys0.with_clock(CLOCK_NAME), escape, _const(bound))
 
 
 # ---------------------------------------------------------------------------
 # Wrapper pipeline (post / via / domain)
 
 
-def _peel_wrappers(problem: ProblemFile, cert: CertStep):
+def _peel_wrappers(r: _Rule):
     """Returns (core_goal, wrapper_specs); wrappers listed outermost first."""
-    if problem.goal is None:
-        raise ShapeMismatch("problem has no goal block")
-    current = problem.goal
-    specs = []
-    post = _get_formula(cert, "post")
+    current, specs = r.goal, []
+    post = r.get("post", "formula")
     if post is not None:
         specs.append(("mono", current, post, ()))
         current = post
-    via = _get_formula(cert, "via")
+    via = r.get("via", "formula")
     if via is not None:
-        specs.append(("via", current, via, _get_hints(cert, "via_hints")))
+        specs.append(("via", current, via, r.get("via_hints", "hints", ())))
         current = via
     return current, specs
 
 
-def _apply_wrappers(problem, cert, node, specs, domain_hints=()):
+_DOMAIN_STEPS = {"COR": step_topo_closed_open, "DR": step_refine_domain, "SAR": step_topo_semialg}
+
+
+def _apply_wrappers(r: _Rule, node: ProofNode, specs=(), domain_hints=()) -> ProofNode:
     """Wrap the core node with via / post steps and the domain refinement."""
-    sys0 = problem.system.with_domain(TRUE)
-    gamma = problem.assumptions
     for kind, outer, inner, hints in reversed(specs):
-        target = Sequent(gamma, dia(sys0, outer))
+        target = Sequent(r.gamma, dia(r.sys0, outer))
         if kind == "via":
             node = step_goal_refine(target, inner, node, hints=hints)
         else:
             node = step_monotone_dia(target, inner, node)
-    domain = problem.system.domain
-    if domain is not None and domain != TRUE:
-        selector = cert.get("domain_via", "COR")
-        hints = _get_hints(cert, "domain_hints") or domain_hints
-        target = Sequent(gamma, dia(problem.system, problem.goal))
-        if selector == "COR":
-            node = step_topo_closed_open(target, TRUE, node, hints=hints)
-        elif selector == "DR":
-            node = step_refine_domain(target, TRUE, node, hints=hints)
-        elif selector == "SAR":
-            node = step_topo_semialg(target, TRUE, node, hints=hints)
-        else:
-            raise MissingCertificateField("domain_via must be one of COR, DR, SAR")
+    if r.has_domain:
+        step = _DOMAIN_STEPS[r.get("domain_via", tuple(_DOMAIN_STEPS), "COR")]
+        hints = r.get("domain_hints", "hints", ()) or domain_hints
+        node = step(r.conclusion(r.problem.system), TRUE, node, hints=hints)
     return node
 
 
@@ -657,573 +689,244 @@ def _apply_wrappers(problem, cert, node, specs, domain_hints=()):
 # Rule builders
 
 
-def _rule_dv(problem, cert, checker, *, op: str, dom: bool, star: bool = False, order: int = 1):
+def _rule_dv(r: _Rule, *, op: str, dom: bool = False, star: bool = False, order: int = 1):
     """Differential variants: dV_geq, dV_gt, dV_geq_star, dV_k and the
     domain-constrained dV_geq_dom / dV_gt_dom."""
-    p = _as_poly(_need(cert, "p"))
-    eps_poly, eps_val, eps_ob = _eps_obligation(cert, problem)
-    user_box = _get_box(cert)
-    gamma = problem.assumptions
-    sys0 = problem.system.with_domain(TRUE)
-    domain = problem.system.domain
+    p = r.get("p", "polynomial", required=True)
+    eps_poly, eps_val, eps_ob = r.eps()
+    user_box = r.get("box", "box")
+    core_goal, specs = _peel_wrappers(r)
+    if dom and specs:
+        raise ShapeMismatch("post/via refinements are not supported with domain rules")
+    _match_variant_goal(core_goal, p, op)
 
-    core_goal, specs = _peel_wrappers(problem, cert)
-    if dom:
-        if specs:
-            raise ShapeMismatch("post/via refinements are not supported with domain rules")
-        _match_variant_goal(problem.goal, p, op)
-    else:
-        _match_variant_goal(core_goal, p, op)
-
-    goal_atom = Cmp(op, p, Polynomial.const(0))
+    goal_atom = Cmp(op, p, ZERO)
     not_goal = negate(goal_atom)
-    if order > 1:
-        variant_lie = higher_lie(p, sys0, order)
-    else:
-        variant_lie = lie_derivative(p, sys0)
-
-    # constant assumptions are soundly kept across rule applications
-    const_ctx = _gamma_const(problem)
-    premise_hyp = conj([not_goal] + ([domain] if dom else []) + list(const_ctx))
-    premise = _arith_ob(
-        "variant slope premise",
-        PREMISE,
-        premise_hyp,
-        Cmp(">=", variant_lie, eps_poly),
-        box_=user_box,
-        refuting=True,
-        outside=user_box is not None,
-    )
-    lip = LipschitzOb("GlobalLipschitz", GATE, sys0)
-
-    p0 = _get_rational(cert, "p0")
-    if p0 is None:
-        p0 = initial_value(p, gamma)
+    hyp = r.hyp(not_goal, r.domain) if dom else r.hyp(not_goal)
+    premise = r.premise("variant slope premise", hyp, Cmp(">=", higher_lie(p, r.sys0, order), eps_poly), user_box)
+    lip = r.lipschitz()
+    p0 = r.p0(p)
     obligations = [eps_ob, premise]
-    bound = None
-    if p0 is not None and eps_val is not None and eps_val > 0 and order == 1:
-        bound = -p0 / eps_val
-        check0 = _arith_ob(
-            "initial variant value",
-            WITNESS,
-            conj(list(gamma)),
-            Cmp(">=", p, Polynomial.const(p0)),
-        )
-        obligations.append(check0)
+    bound = _time_bound(p0, eps_val) if order == 1 else None
+    if bound is not None:
+        obligations.append(r.initially("initial variant value", Cmp(">=", p, Polynomial.const(p0)), WITNESS))
 
-    name = cert.name
-    note = ""
-    duration = cert.get("duration", "GEx")
-    if star:
-        duration = cert.get("duration", "assume")
+    duration = r.get("duration", ("GEx", "BEx", "assume"), "assume" if star else "GEx")
     if duration == "GEx":
         obligations.insert(0, lip)
-    if order > 1:
-        chain = []
-        for i in range(order - 1, 0, -1):
-            chain.append(f"L^{i} p >= _g{i} + eps*t^{order - i}/{order - i}!")
-        note = "dC chain: " + "; ".join(chain) if chain else ""
+    chain = [f"L^{i} p >= _g{i} + eps*t^{order - i}/{order - i}!" for i in range(order - 1, 0, -1)]
+    note = "dC chain: " + "; ".join(chain) if chain else ""
 
     if duration == "assume":
-        p0_poly = Polynomial.const(p0) if p0 is not None else Polynomial.var("_p0")
-        clocked = sys0.with_clock(CLOCK_NAME)
-        hypo = dia(clocked, Cmp(">", p0_poly + eps_poly * Polynomial.var(CLOCK_NAME), Polynomial.const(0)))
-        child = step_assumption(const_ctx, hypo)
+        p0_poly = Polynomial.var("_p0") if p0 is None else Polynomial.const(p0)
+        reach = Cmp(">", p0_poly + eps_poly * Polynomial.var(CLOCK_NAME), ZERO)
+        child = step_assumption(r.const_ctx, dia(r.sys0.with_clock(CLOCK_NAME), reach))
     elif duration == "BEx":
-        escape = _get_formula(cert, "duration_B", required=True)
-        stay_hints = _get_hints(cert, "duration_hints")
-        stay = InvarianceOb(
-            "stay in the bounded set before the goal",
-            PREMISE,
-            Sequent(gamma, box(sys0.with_domain(not_goal), escape)),
-            hints=stay_hints,
-        )
-        obligations.append(stay)
-        p1 = _get_rational(cert, "p1")
+        escape = r.get("duration_B", "formula", required=True)
+        obligations.append(r.stay("stay in the bounded set before the goal", not_goal, escape, "duration_hints"))
+        p1 = r.get("p1", "rational")
         if p1 is None:
-            p1 = upper_bound_on(p, escape, checker)
-        bex_bound = None
-        if p1 is not None and p0 is not None and eps_val is not None and eps_val > 0:
-            bex_bound = (p1 - p0) / eps_val
+            p1 = upper_bound_on(p, escape, r.checker)
+        bex_bound = _time_bound(p0, eps_val, p1)
+        if bex_bound is not None:
             obligations.append(
                 _arith_ob("variant bounded on escape set", WITNESS, escape, Cmp("<=", p, Polynomial.const(p1)))
             )
-        child = _bex_leaf(const_ctx, sys0, escape, bex_bound)
-    else:  # GEx
-        child = _gex_leaf(const_ctx, sys0, bound, lip)
+        child = r.bex(escape, bex_bound)
+    else:
+        child = r.gex(bound, lip)
 
-    conclusion_domain = problem.system if dom else sys0
-    conclusion = Sequent(gamma, dia(conclusion_domain, goal_atom if dom else core_goal))
-    if dom:
-        xs = sys0.vars
-        want = topology.CLOSED if op == ">=" else topology.OPEN
-        topo_gate = TopoOb(f"{want}({print_formula(domain)})", GATE, domain, want, xs)
-        initial_gate = _arith_ob(
-            f"InitialState {print_formula(not_goal)}",
-            GATE,
-            conj(list(gamma)),
-            not_goal,
-        )
-        stay = InvarianceOb(
-            "stay in the domain before the goal",
-            PREMISE,
-            Sequent(gamma, box(sys0.with_domain(not_goal), domain)),
-            hints=_get_hints(cert, "hints"),
-        )
-        obligations = [topo_gate, initial_gate] + obligations + [stay]
-        node = derived_node(name, conclusion, (child,), obligations, note=note)
-        return node
-
-    node = derived_node(name, conclusion, (child,), obligations, note=note)
-    return _apply_wrappers(problem, cert, node, specs)
+    if not dom:
+        node = derived_node(r.name, r.conclusion(r.sys0, core_goal), (child,), obligations, note=note)
+        return _apply_wrappers(r, node, specs)
+    gates = [
+        r.topo(topology.CLOSED if op == ">=" else topology.OPEN, r.domain),
+        r.initially(f"InitialState {print_formula(not_goal)}", not_goal),
+    ]
+    stay = r.stay("stay in the domain before the goal", not_goal, r.domain)
+    conclusion = r.conclusion(r.problem.system, goal_atom)
+    return derived_node(r.name, conclusion, (child,), gates + obligations + [stay], note=note)
 
 
-def _rule_dv_eq(problem, cert, checker, *, mono: bool, dom: bool):
+def _rule_dv_eq(r: _Rule, *, mono: bool, dom: bool):
     """Equational differential variants dV_eq / dV_eqM and domain variants."""
-    p = _as_poly(_need(cert, "p"))
-    eps_poly, eps_val, eps_ob = _eps_obligation(cert, problem)
-    user_box = _get_box(cert)
-    gamma = problem.assumptions
-    sys0 = problem.system.with_domain(TRUE)
-    domain = problem.system.domain
-    if dom and (domain is None or domain == TRUE):
-        raise ShapeMismatch(f"rule {cert.name} needs a domain block")
-    if not dom and domain != TRUE:
-        raise ShapeMismatch(f"rule {cert.name} applies to unconstrained problems; use {cert.name}_dom")
-
-    goal_eq = Cmp("=", p, Polynomial.const(0))
+    p = r.get("p", "polynomial", required=True)
+    eps_poly, eps_val, eps_ob = r.eps()
+    user_box = r.get("box", "box")
+    if dom:
+        r.need_domain()
+    elif r.has_domain:
+        raise ShapeMismatch(f"rule {r.name} applies to unconstrained problems; use {r.name}_dom")
+    goal_eq = Cmp("=", p, ZERO)
     if not mono:
-        _match_variant_goal(problem.goal, p, "=")
+        _match_variant_goal(r.goal, p, "=")
 
-    p_lt = Cmp("<", p, Polynomial.const(0))
-    p_le = Cmp("<=", p, Polynomial.const(0))
-    p_ne = Cmp("!=", p, Polynomial.const(0))
-    lie = lie_derivative(p, sys0)
-
-    const_ctx = _gamma_const(problem)
-    premise_hyp = conj([p_lt] + ([domain] if dom else []) + list(const_ctx))
-    premise = _arith_ob(
-        "variant slope premise",
-        PREMISE,
-        premise_hyp,
-        Cmp(">=", lie, eps_poly),
-        box_=user_box,
-        refuting=True,
-        outside=user_box is not None,
-    )
-    lip = LipschitzOb("GlobalLipschitz", GATE, sys0)
-    initial = _arith_ob("InitialState p <= 0", GATE, conj(list(gamma)), p_le)
-
+    p_lt, p_le = Cmp("<", p, ZERO), Cmp("<=", p, ZERO)
+    dom_part = [r.domain] if dom else []
+    slope = Cmp(">=", lie_derivative(p, r.sys0), eps_poly)
+    premise = r.premise("variant slope premise", r.hyp(p_lt, *dom_part), slope, user_box)
+    lip = r.lipschitz()
     # internal replay: before reaching p = 0 the variant stays negative
-    stay_neg_domain = conj(([domain] if dom else []) + [p_ne])
     stay_neg = InvarianceOb(
         "variant negative before the goal",
         INTERNAL,
-        Sequent(gamma + (p_le,), box(sys0.with_domain(stay_neg_domain), p_lt)),
+        Sequent(r.gamma + (p_le,), box(r.sys0.with_domain(conj(dom_part + [Cmp("!=", p, ZERO)])), p_lt)),
         hints=(DXStep(), BCStep(p)),
     )
-
-    p0 = _get_rational(cert, "p0")
-    if p0 is None:
-        p0 = initial_value(p, gamma)
-    bound = -p0 / eps_val if (p0 is not None and eps_val is not None and eps_val > 0) else None
-    child = _gex_leaf(_gamma_const(problem), sys0, bound, lip)
-
-    obligations = [lip, eps_ob, initial, premise, stay_neg]
+    child = r.gex(_time_bound(r.p0(p), eps_val), lip)
+    obligations = [lip, eps_ob, r.initially("InitialState p <= 0", p_le), premise, stay_neg]
     if dom:
-        xs = sys0.vars
-        topo_gate = TopoOb(f"Closed({print_formula(domain)})", GATE, domain, topology.CLOSED, xs)
-        initial_domain = _arith_ob("InitialState domain", GATE, conj(list(gamma)), domain)
-        stay_domain = InvarianceOb(
-            "stay in the domain while the variant is negative",
-            PREMISE,
-            Sequent(gamma, box(sys0.with_domain(p_lt), domain)),
-            hints=_get_hints(cert, "hints"),
+        obligations = (
+            [r.topo(topology.CLOSED, r.domain), r.initially("InitialState domain", r.domain)]
+            + obligations
+            + [r.stay("stay in the domain while the variant is negative", p_lt, r.domain)]
         )
-        obligations = [topo_gate, initial_domain] + obligations + [stay_domain]
-
-    system = problem.system if dom else sys0
-    eq_node = derived_node(
-        "dV_eq_dom" if dom else "dV_eq",
-        Sequent(gamma, dia(system, goal_eq)),
-        (child,),
-        obligations,
-    )
+    system = r.problem.system if dom else r.sys0
+    eq_node = derived_node("dV_eq_dom" if dom else "dV_eq", r.conclusion(system, goal_eq), (child,), obligations)
     if not mono:
         return eq_node
-    mono_ob = _arith_ob(
-        "goal from the zero set",
-        PREMISE,
-        conj(([domain] if dom else []) + [goal_eq]),
-        problem.goal,
-        refuting=True,
-    )
-    name = "dV_eqM_dom" if dom else "dV_eqM"
-    return derived_node(name, Sequent(gamma, dia(system, problem.goal)), (eq_node,), (mono_ob,))
+    mono_ob = r.premise("goal from the zero set", conj(dom_part + [goal_eq]), r.goal)
+    return derived_node(r.name, r.conclusion(system), (eq_node,), (mono_ob,))
 
 
-def _staging_chain(problem, cert, checker, *, name, premise_obs, gate_obs, S, p, eps_val, eps_poly):
-    """Shared chain for SP_b / SP_c: BEx, duration refinement, dGt, staging."""
-    gamma = problem.assumptions
-    sys0 = problem.system.with_domain(TRUE)
-    goal = problem.goal
-    staging_hints = _get_hints(cert, "hints")
+def _rule_sp(r: _Rule, *, dom: bool):
+    """SP: staging set with a variant that is nonpositive on the stage; SP&
+    (dom) keeps the stage inside the domain and is built on SAR."""
+    p = r.get("p", "polynomial", required=True)
+    S = r.get("S", "formula", required=True)
+    eps_poly, eps_val, eps_ob = r.eps()
+    if dom:
+        r.need_domain()
+    dom_part = [r.domain] if dom else []
+    rising = [Cmp("<=", p, ZERO), Cmp(">=", lie_derivative(p, r.sys0), eps_poly)]
+    premise = r.premise("staging premise", r.hyp(S), conj(dom_part + rising))
+    lip = r.lipschitz()
+    staging = r.stay("staging invariance", negate(And(r.goal, r.domain) if dom else r.goal), S)
+    child = r.gex(_time_bound(r.p0(p), eps_val), lip)
+    system = r.problem.system if dom else r.sys0
+    node = derived_node(r.name, r.conclusion(system), (child,), (lip, eps_ob, staging, premise))
+    return node if dom else _apply_wrappers(r, node, domain_hints=r.get("hints", "hints", ()))
 
-    p0 = _get_rational(cert, "p0")
-    if p0 is None:
-        p0 = initial_value(p, gamma)
-    p1 = _get_rational(cert, "p1")
+
+def _rule_sp_bounded(r: _Rule, *, compact: bool):
+    """SP_b (bounded staging set) and SP_c (compact staging set, eps
+    optional): bounded existence, duration refinement, dGt and staging."""
+    p = r.get("p", "polynomial", required=True)
+    S = r.get("S", "formula", required=True)
+    lie = lie_derivative(p, r.sys0)
+    if compact:
+        gate = r.topo(topology.COMPACT, S)
+        premise_obs = [r.premise("variant strictly increasing on the stage", r.hyp(S), Cmp(">", lie, ZERO))]
+        eps_val = r.get("eps", "rational")
+        if eps_val is None:
+            eps_val = lie_lower_bound(lie, S, r.checker)
+        eps_poly = Polynomial.var("_eps") if eps_val is None else Polynomial.const(eps_val)
+        if eps_val is not None:
+            premise_obs.append(_arith_ob("variant slope witness", WITNESS, S, Cmp(">=", lie, eps_poly)))
+    else:
+        gate = r.topo(topology.BOUNDED, S)
+        eps_poly, eps_val, eps_ob = r.eps()
+        premise_obs = [eps_ob, r.premise("variant slope on the stage", r.hyp(S), Cmp(">=", lie, eps_poly))]
+
+    staging_hints = r.get("hints", "hints", ())
+    p0 = r.p0(p)
+    p1 = r.get("p1", "rational")
     if p1 is None:
-        p1 = upper_bound_on(p, S, checker)
-
-    witness_obs = []
-    not_S = negate(S)
-    clocked = sys0.with_clock(CLOCK_NAME)
-    t0 = Cmp("=", Polynomial.var(CLOCK_NAME), Polynomial.const(0))
-    ctx_clock = gamma + (t0,)
-
-    concrete = p0 is not None and p1 is not None and eps_val is not None and eps_val > 0
-    if concrete:
-        bound = (p1 - p0) / eps_val
-        bex = _bex_leaf(ctx_clock, sys0, S, bound)
-        cut = Cmp(
-            ">=",
-            p,
-            Polynomial.const(p0) + eps_poly * Polynomial.var(CLOCK_NAME),
-        )
-        dur_hints = (DCStep(cut, (DIStep(),)), DWStep())
-        k1 = step_goal_refine(
-            Sequent(ctx_clock, dia(clocked, not_S)),
-            bex.conclusion.succedent.post,
-            bex,
-            hints=dur_hints,
-            label="escape within the time bound",
-        )
+        p1 = upper_bound_on(p, S, r.checker)
+    # with all witnesses the duration is refined by a clock cut; else the
+    # bounded-existence leaf keeps a symbolic time bound
+    bound = _time_bound(p0, eps_val, p1)
+    ctx_clock = r.gamma + (Cmp("=", Polynomial.var(CLOCK_NAME), ZERO),)
+    bex = r.bex(S, bound, ctx_clock)
+    witness_obs, duration_hints = [], ()
+    if bound is not None:
+        cut = Cmp(">=", p, Polynomial.const(p0) + eps_poly * Polynomial.var(CLOCK_NAME))
+        duration_hints = (DCStep(cut, (DIStep(),)), DWStep())
         witness_obs.append(
             _arith_ob("variant bounded on staging set", WITNESS, S, Cmp("<=", p, Polynomial.const(p1)))
         )
-        inner = k1
-    else:
-        # witnesses unavailable: keep the bounded-existence leaf symbolic
-        bex = _bex_leaf(ctx_clock, sys0, S, None)
-        k1 = step_goal_refine(
-            Sequent(ctx_clock, dia(clocked, not_S)),
-            bex.conclusion.succedent.post,
-            bex,
-            hints=(),
-            label="escape within the time bound",
-        )
-        inner = k1
-
-    dgt = step_ghost_clock(Sequent(gamma, dia(sys0, not_S)), inner)
-    k2 = step_goal_refine(
-        Sequent(gamma, dia(sys0, goal)),
-        not_S,
-        dgt,
-        hints=staging_hints,
-        label="staging invariance",
+    not_S = negate(S)
+    k1 = step_goal_refine(
+        Sequent(ctx_clock, dia(r.sys0.with_clock(CLOCK_NAME), not_S)),
+        bex.conclusion.succedent.post,
+        bex,
+        hints=duration_hints,
+        label="escape within the time bound",
     )
-    node = derived_node(
-        name,
-        Sequent(gamma, dia(sys0, goal)),
-        (k2,),
-        tuple(gate_obs) + tuple(premise_obs) + tuple(witness_obs),
-    )
-    return _apply_wrappers(problem, cert, node, [], domain_hints=staging_hints)
+    dgt = step_ghost_clock(Sequent(r.gamma, dia(r.sys0, not_S)), k1)
+    k2 = step_goal_refine(r.conclusion(r.sys0), not_S, dgt, hints=staging_hints, label="staging invariance")
+    node = derived_node(r.name, r.conclusion(r.sys0), (k2,), [gate] + premise_obs + witness_obs)
+    return _apply_wrappers(r, node, domain_hints=staging_hints)
 
 
-def _rule_sp(problem, cert, checker):
-    """SP: staging set with a variant that is nonpositive on the stage."""
-    p = _as_poly(_need(cert, "p"))
-    S = _get_formula(cert, "S", required=True)
-    eps_poly, eps_val, eps_ob = _eps_obligation(cert, problem)
-    gamma = problem.assumptions
-    sys0 = problem.system.with_domain(TRUE)
-    goal = problem.goal
-    lie = lie_derivative(p, sys0)
-    const_ctx = _gamma_const(problem)
-    premise = _arith_ob(
-        "staging premise",
-        PREMISE,
-        conj([S] + list(const_ctx)),
-        And(Cmp("<=", p, Polynomial.const(0)), Cmp(">=", lie, eps_poly)),
-        refuting=True,
-    )
-    lip = LipschitzOb("GlobalLipschitz", GATE, sys0)
-    staging = InvarianceOb(
-        "staging invariance",
-        PREMISE,
-        Sequent(gamma, box(sys0.with_domain(negate(goal)), S)),
-        hints=_get_hints(cert, "hints"),
-    )
-    p0 = _get_rational(cert, "p0")
-    if p0 is None:
-        p0 = initial_value(p, gamma)
-    bound = -p0 / eps_val if (p0 is not None and eps_val is not None and eps_val > 0) else None
-    child = _gex_leaf(_gamma_const(problem), sys0, bound, lip)
-    node = derived_node(
-        "SP",
-        Sequent(gamma, dia(sys0, goal)),
-        (child,),
-        (lip, eps_ob, staging, premise),
-    )
-    return _apply_wrappers(problem, cert, node, [], domain_hints=_get_hints(cert, "hints"))
-
-
-def _rule_sp_bounded(problem, cert, checker, *, compact: bool):
-    """SP_b (bounded staging set) and SP_c (compact staging set, no eps)."""
-    p = _as_poly(_need(cert, "p"))
-    S = _get_formula(cert, "S", required=True)
-    gamma = problem.assumptions
-    sys0 = problem.system.with_domain(TRUE)
-    xs = sys0.vars
-    lie = lie_derivative(p, sys0)
-    const_ctx = _gamma_const(problem)
-    stage_hyp = conj([S] + list(const_ctx))
-    # the staging invariance premise is carried by the goal-refinement step
-    gate_obs = []
-    premise_obs = []
-    if compact:
-        gate_obs.append(TopoOb(f"Compact({print_formula(S)})", GATE, S, topology.COMPACT, xs))
-        premise = _arith_ob(
-            "variant strictly increasing on the stage",
-            PREMISE,
-            stage_hyp,
-            Cmp(">", lie, Polynomial.const(0)),
-            refuting=True,
-        )
-        premise_obs.append(premise)
-        eps_val = _get_rational(cert, "eps")
-        if eps_val is None:
-            eps_val = lie_lower_bound(lie, S, checker)
-        eps_poly = Polynomial.const(eps_val) if eps_val is not None else Polynomial.var("_eps")
-        if eps_val is not None:
-            premise_obs.append(
-                _arith_ob(
-                    "variant slope witness", WITNESS, S, Cmp(">=", lie, Polynomial.const(eps_val))
-                )
-            )
-    else:
-        gate_obs.append(TopoOb(f"Bounded({print_formula(S)})", GATE, S, topology.BOUNDED, xs))
-        eps_poly, eps_val, eps_ob = _eps_obligation(cert, problem)
-        premise = _arith_ob(
-            "variant slope on the stage",
-            PREMISE,
-            stage_hyp,
-            Cmp(">=", lie, eps_poly),
-            refuting=True,
-        )
-        premise_obs.extend([eps_ob, premise])
-    return _staging_chain(
-        problem,
-        cert,
-        checker,
-        name="SP_c" if compact else "SP_b",
-        premise_obs=premise_obs,
-        gate_obs=gate_obs,
-        S=S,
-        p=p,
-        eps_val=eps_val,
-        eps_poly=eps_poly,
-    )
-
-
-def _rule_slyap(problem, cert, checker, *, dom: bool):
+def _rule_slyap(r: _Rule, *, dom: bool):
     """Set Lyapunov functions, compact K and open goal (SLyap / SLyap_dom)."""
-    p = _as_poly(_need(cert, "p"))
-    K = _get_formula(cert, "K", required=True)
-    op = ">" if (dom or cert.has("strict")) else ">="
-    gamma = problem.assumptions
-    sys0 = problem.system.with_domain(TRUE)
-    xs = sys0.vars
-    goal = problem.goal
-    domain = problem.system.domain
-    if dom:
-        want = norm_atom(Cmp(">", p, Polynomial.const(0)))
-        have = norm_atom(domain) if isinstance(domain, Cmp) else None
-        if have is None or have.op != want.op or primitive(have.poly) != primitive(want.poly):
-            raise ShapeMismatch("SLyap_dom needs the domain to be exactly p > 0")
-    lie = lie_derivative(p, sys0)
-    compact_k = TopoOb(f"Compact({print_formula(K)})", GATE, K, topology.COMPACT, xs)
-    open_p = TopoOb(f"Open({print_formula(goal)})", GATE, goal, topology.OPEN, xs)
-    initial = _arith_ob(
-        f"InitialState p {op} 0", GATE, conj(list(gamma)), Cmp(op, p, Polynomial.const(0))
+    p = r.get("p", "polynomial", required=True)
+    K = r.get("K", "formula", required=True)
+    op = ">" if (dom or r.cert.has("strict")) else ">="
+    if dom and not _is_atom(r.domain, p, ">"):
+        raise ShapeMismatch("SLyap_dom needs the domain to be exactly p > 0")
+    lie = lie_derivative(p, r.sys0)
+    not_goal = negate(r.goal)
+    obligations = (
+        r.topo(topology.COMPACT, K),
+        r.topo(topology.OPEN, r.goal),
+        r.initially(f"InitialState p {op} 0", Cmp(op, p, ZERO)),
+        r.premise("sublevel set inside K", r.hyp(Cmp(">=", p, ZERO)), K, r.get("box", "box")),
+        r.premise("Lie derivative positive off the goal", r.hyp(not_goal, K), Cmp(">", lie, ZERO)),
     )
-    const_ctx = _gamma_const(problem)
-    inclusion = _arith_ob(
-        "sublevel set inside K",
-        PREMISE,
-        conj([Cmp(">=", p, Polynomial.const(0))] + list(const_ctx)),
-        K,
-        box_=_get_box(cert),
-        refuting=True,
-        outside=cert.has("box"),
-    )
-    slope = _arith_ob(
-        "Lie derivative positive off the goal",
-        PREMISE,
-        conj([negate(goal), K] + list(const_ctx)),
-        Cmp(">", lie, Polynomial.const(0)),
-        refuting=True,
-    )
-    escape = conj([K, negate(goal)])
-    child = _bex_leaf(_gamma_const(problem), sys0, escape, None)
-    name = "SLyap_dom" if dom else "SLyap"
-    system = problem.system if dom else sys0
-    node = derived_node(
-        name,
-        Sequent(gamma, dia(system, goal)),
-        (child,),
-        (compact_k, open_p, initial, inclusion, slope),
-    )
-    if dom:
-        return node
-    return _apply_wrappers(problem, cert, node, [])
+    child = r.bex(conj([K, not_goal]))
+    node = derived_node(r.name, r.conclusion(r.problem.system if dom else r.sys0), (child,), obligations)
+    return node if dom else _apply_wrappers(r, node)
 
 
-def _rule_sp_dom(problem, cert, checker):
-    """SP&: staging set under a domain constraint, built on SAR."""
-    p = _as_poly(_need(cert, "p"))
-    S = _get_formula(cert, "S", required=True)
-    eps_poly, eps_val, eps_ob = _eps_obligation(cert, problem)
-    gamma = problem.assumptions
-    sys0 = problem.system.with_domain(TRUE)
-    domain = problem.system.domain
-    goal = problem.goal
-    if domain is None or domain == TRUE:
-        raise ShapeMismatch("SP_dom needs a domain block; use SP otherwise")
-    lie = lie_derivative(p, sys0)
-    lip = LipschitzOb("GlobalLipschitz", GATE, sys0)
-    staging = InvarianceOb(
-        "staging invariance",
-        PREMISE,
-        Sequent(gamma, box(sys0.with_domain(negate(And(goal, domain))), S)),
-        hints=_get_hints(cert, "hints"),
-    )
-    premise = _arith_ob(
-        "staging premise",
-        PREMISE,
-        conj([S] + list(_gamma_const(problem))),
-        conj([domain, Cmp("<=", p, Polynomial.const(0)), Cmp(">=", lie, eps_poly)]),
-        refuting=True,
-    )
-    p0 = initial_value(p, gamma) if not cert.has("p0") else _get_rational(cert, "p0")
-    bound = -p0 / eps_val if (p0 is not None and eps_val is not None and eps_val > 0) else None
-    child = _gex_leaf(_gamma_const(problem), sys0, bound, lip)
-    return derived_node(
-        "SP_dom",
-        Sequent(gamma, dia(problem.system, goal)),
-        (child,),
-        (lip, eps_ob, staging, premise),
-    )
+def _rule_compact_dom(r: _Rule, *, staged: bool):
+    """SP_c^k& (staged: compact staging set S, k-th Lie derivative) and E_c&
+    (the stage is the domain off the goal, k = 1) under a domain, with the
+    corrected box premise: the flow stays put until it meets goal-and-domain."""
+    p = r.get("p", "polynomial", required=True)
+    S = r.get("S", "formula", required=True) if staged else conj([r.domain, negate(r.goal)])
+    k = r.get("k", "integer", 1) if staged else 1
+    r.need_domain()
+    positive = Cmp(">", higher_lie(p, r.sys0, k), ZERO)
+    before = negate(And(r.goal, r.domain))
+    if staged:
+        stay = r.stay("staging invariance", before, S)
+        premise = r.premise("stage inside the domain with increasing variant", r.hyp(S), conj([r.domain, positive]))
+    else:
+        stay = r.stay("stay in the domain before goal-and-domain", before, r.domain)
+        premise = r.premise("Lie derivative positive off the goal", r.hyp(S), positive)
+    obligations = (r.topo(topology.COMPACT, S), stay, premise)
+    return derived_node(r.name, r.conclusion(r.problem.system), (r.bex(S),), obligations, note=f"k = {k}")
 
 
-def _rule_sp_ck_dom(problem, cert, checker):
-    """SP_c^k&: compact staging set, higher Lie derivative, domain constraint."""
-    p = _as_poly(_need(cert, "p"))
-    S = _get_formula(cert, "S", required=True)
-    k = cert.get("k", Fraction(1))
-    if not isinstance(k, Fraction) or k.denominator != 1 or k < 1:
-        raise MissingCertificateField("'k' must be a positive integer")
-    k = int(k)
-    gamma = problem.assumptions
-    sys0 = problem.system.with_domain(TRUE)
-    domain = problem.system.domain
-    goal = problem.goal
-    if domain is None or domain == TRUE:
-        raise ShapeMismatch("SP_ck_dom needs a domain block")
-    xs = sys0.vars
-    lie_k = higher_lie(p, sys0, k)
-    compact_s = TopoOb(f"Compact({print_formula(S)})", GATE, S, topology.COMPACT, xs)
-    staging = InvarianceOb(
-        "staging invariance",
-        PREMISE,
-        Sequent(gamma, box(sys0.with_domain(negate(And(goal, domain))), S)),
-        hints=_get_hints(cert, "hints"),
-    )
-    premise = _arith_ob(
-        "stage inside the domain with increasing variant",
-        PREMISE,
-        conj([S] + list(_gamma_const(problem))),
-        conj([domain, Cmp(">", lie_k, Polynomial.const(0))]),
-        refuting=True,
-    )
-    child = _bex_leaf(_gamma_const(problem), sys0, S, None)
-    return derived_node(
-        "SP_ck_dom",
-        Sequent(gamma, dia(problem.system, goal)),
-        (child,),
-        (compact_s, staging, premise),
-        note=f"k = {k}",
-    )
+def _rule_dv_k(r: _Rule):
+    return _rule_dv(r, op=">" if r.cert.has("strict") else ">=", order=r.get("k", "integer", 1))
 
 
-def _rule_e_c_dom(problem, cert, checker):
-    """E_c&: compact eventuality with the corrected box premise."""
-    p = _as_poly(_need(cert, "p"))
-    gamma = problem.assumptions
-    sys0 = problem.system.with_domain(TRUE)
-    domain = problem.system.domain
-    goal = problem.goal
-    if domain is None or domain == TRUE:
-        raise ShapeMismatch("E_c_dom needs a domain block")
-    xs = sys0.vars
-    region = conj([domain, negate(goal)])
-    lie = lie_derivative(p, sys0)
-    compact_gate = TopoOb(f"Compact({print_formula(region)})", GATE, region, topology.COMPACT, xs)
-    stay = InvarianceOb(
-        "stay in the domain before goal-and-domain",
-        PREMISE,
-        Sequent(gamma, box(sys0.with_domain(negate(And(goal, domain))), domain)),
-        hints=_get_hints(cert, "hints"),
-    )
-    premise = _arith_ob(
-        "Lie derivative positive off the goal",
-        PREMISE,
-        conj([region] + list(_gamma_const(problem))),
-        Cmp(">", lie, Polynomial.const(0)),
-        refuting=True,
-    )
-    child = _bex_leaf(_gamma_const(problem), sys0, region, None)
-    return derived_node(
-        "E_c_dom",
-        Sequent(gamma, dia(problem.system, goal)),
-        (child,),
-        (compact_gate, stay, premise),
-        note="k = 1",
-    )
-
-
-def _int_binding(cert, key, default=None) -> Optional[int]:
-    v = cert.get(key, default)
-    if v is None:
-        return None
-    if isinstance(v, Fraction) and v.denominator == 1 and v >= 1:
-        return int(v)
-    raise MissingCertificateField(f"'{key}' must be a positive integer")
+def _builder(build, **flags):
+    return lambda problem, cert, checker: build(_Rule(problem, cert, checker), **flags)
 
 
 RULE_BUILDERS: dict = {
-    "dV_geq": lambda pr, c, ch: _rule_dv(pr, c, ch, op=">=", dom=False),
-    "dV_gt": lambda pr, c, ch: _rule_dv(pr, c, ch, op=">", dom=False),
-    "dV_geq_star": lambda pr, c, ch: _rule_dv(pr, c, ch, op=">=", dom=False, star=True),
-    "dV_k": lambda pr, c, ch: _rule_dv(
-        pr, c, ch, op=">" if c.has("strict") else ">=", dom=False, order=_int_binding(c, "k", Fraction(1))
-    ),
-    "dV_geq_dom": lambda pr, c, ch: _rule_dv(pr, c, ch, op=">=", dom=True),
-    "dV_gt_dom": lambda pr, c, ch: _rule_dv(pr, c, ch, op=">", dom=True),
-    "dV_eq": lambda pr, c, ch: _rule_dv_eq(pr, c, ch, mono=False, dom=False),
-    "dV_eqM": lambda pr, c, ch: _rule_dv_eq(pr, c, ch, mono=True, dom=False),
-    "dV_eq_dom": lambda pr, c, ch: _rule_dv_eq(pr, c, ch, mono=False, dom=True),
-    "dV_eqM_dom": lambda pr, c, ch: _rule_dv_eq(pr, c, ch, mono=True, dom=True),
-    "SP": _rule_sp,
-    "SP_b": lambda pr, c, ch: _rule_sp_bounded(pr, c, ch, compact=False),
-    "SP_c": lambda pr, c, ch: _rule_sp_bounded(pr, c, ch, compact=True),
-    "SLyap": lambda pr, c, ch: _rule_slyap(pr, c, ch, dom=False),
-    "SLyap_dom": lambda pr, c, ch: _rule_slyap(pr, c, ch, dom=True),
-    "SP_dom": _rule_sp_dom,
-    "SP_ck_dom": _rule_sp_ck_dom,
-    "E_c_dom": _rule_e_c_dom,
+    "dV_geq": _builder(_rule_dv, op=">="),
+    "dV_gt": _builder(_rule_dv, op=">"),
+    "dV_geq_star": _builder(_rule_dv, op=">=", star=True),
+    "dV_k": _builder(_rule_dv_k),
+    "dV_geq_dom": _builder(_rule_dv, op=">=", dom=True),
+    "dV_gt_dom": _builder(_rule_dv, op=">", dom=True),
+    "dV_eq": _builder(_rule_dv_eq, mono=False, dom=False),
+    "dV_eqM": _builder(_rule_dv_eq, mono=True, dom=False),
+    "dV_eq_dom": _builder(_rule_dv_eq, mono=False, dom=True),
+    "dV_eqM_dom": _builder(_rule_dv_eq, mono=True, dom=True),
+    "SP": _builder(_rule_sp, dom=False),
+    "SP_b": _builder(_rule_sp_bounded, compact=False),
+    "SP_c": _builder(_rule_sp_bounded, compact=True),
+    "SLyap": _builder(_rule_slyap, dom=False),
+    "SLyap_dom": _builder(_rule_slyap, dom=True),
+    "SP_dom": _builder(_rule_sp, dom=True),
+    "SP_ck_dom": _builder(_rule_compact_dom, staged=True),
+    "E_c_dom": _builder(_rule_compact_dom, staged=False),
 }
 
 
@@ -1231,15 +934,12 @@ def apply_rule(problem: ProblemFile, cert: CertStep, checker: Optional[Checker] 
     """Build and check the refinement chain for a certificate step.
 
     Raises RuleRefused when a gate side condition fails; the partially
-
     checked proof is attached to the exception as `.proof`.
     """
     checker = checker or Checker()
     builder = RULE_BUILDERS.get(cert.name)
     if builder is None:
         raise MissingCertificateField(f"unknown rule '{cert.name}'")
-    from .errors import TopoUnknown
-
     try:
         root = builder(problem, cert, checker)
     except TopoUnknown as e:

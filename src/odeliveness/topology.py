@@ -66,22 +66,26 @@ def check_open(f: Formula, vars) -> TopoVerdict:
     return TopoVerdict(OPEN, UNKNOWN)
 
 
-def check_bounded(
-    f: Formula,
-    vars,
-    budget: Optional[arith.Budget] = None,
-    max_log2: int = 32,
-) -> TopoVerdict:
-    """Doubling search for B with f -> sum of squares <= B proved Valid."""
+# Each candidate bound 2^k, k = 0..MAX_LOG2, gets its own cell budget.
+BOUNDED_BUDGET = arith.Budget(max_cells=20_000, max_seconds=2.0)
+MAX_LOG2 = 32
+
+
+def check_bounded(f: Formula, vars) -> TopoVerdict:
+    """Doubling search for B with f -> sum of squares <= B proved Valid.
+
+    The search stops early only when f's atoms leave a variable of `vars`
+    without a bound; an unbounded symbol outside `vars` may still drop out
+    of a symbolic proof at a larger B.
+    """
     vars = tuple(vars)
     if not vars:
         return TopoVerdict(BOUNDED, UNKNOWN)
-    budget = budget or arith.Budget(max_cells=20_000, max_seconds=2.0)
     sumsq = Polynomial()
     for v in vars:
         sumsq = sumsq + Polynomial.var(v) * Polynomial.var(v)
     universe = tuple(sorted(set(vars) | set(map(str, arith.formula_variables(f)))))
-    for k in range(0, max_log2 + 1):
+    for k in range(0, MAX_LOG2 + 1):
         bound = Fraction(2) ** k
         ob = arith.ArithObligation(
             universals=universe,
@@ -92,26 +96,22 @@ def check_bounded(
         pre = arith.falsify(ob, samples=64, seed=k)
         if pre.status == arith.FALSIFIED:
             continue
-        verdict = arith.prove_implication(ob, budget=budget)
+        verdict = arith.prove_implication(ob, budget=BOUNDED_BUDGET)
         if verdict.is_valid:
             return TopoVerdict(BOUNDED, HOLDS, witness=bound)
         if verdict.status == arith.FALSIFIED:
             continue
-        if verdict.trace.get("method") == "unbounded-domain":
+        if verdict.trace.get("method") == "unbounded-domain" and arith.extract_box(f, vars)[1]:
             return TopoVerdict(BOUNDED, UNKNOWN)
     return TopoVerdict(BOUNDED, UNKNOWN)
 
 
-def check_compact(
-    f: Formula,
-    vars,
-    budget: Optional[arith.Budget] = None,
-) -> TopoVerdict:
+def check_compact(f: Formula, vars) -> TopoVerdict:
     """Closed and bounded; witness carried over from the bounded check."""
     closed = check_closed(f, vars)
     if not closed.holds:
         return TopoVerdict(COMPACT, UNKNOWN)
-    bounded = check_bounded(f, vars, budget=budget)
+    bounded = check_bounded(f, vars)
     if not bounded.holds:
         return TopoVerdict(COMPACT, UNKNOWN)
     return TopoVerdict(COMPACT, HOLDS, witness=bounded.witness)

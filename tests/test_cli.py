@@ -196,6 +196,44 @@ def test_bad_arguments_are_input_errors(capsys, argv):
     assert out.startswith("input error: ")
 
 
+BINDING_PROBLEM = "ode { x' = 1 }\nassume { x = -1 }\ngoal { x >= 0 }\nproof { rule %s }\n"
+VIA = "dV_geq { p = x; eps = 1; via = x >= 0; via_hints = hint [ %s ] }"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        BINDING_PROBLEM % "dV_geq { p = x; eps = 1; box = 3 }",
+        BINDING_PROBLEM % "dV_geq { p = x; eps = 1; box = x }",
+        BINDING_PROBLEM % (VIA % "rule DC { f = 3 }"),
+        BINDING_PROBLEM % (VIA % "rule DomainWeaken { f = 3 }"),
+        BINDING_PROBLEM % (VIA % "rule DC { f = x >= -2; hints = x >= 1 }"),
+        BINDING_PROBLEM % (VIA % "rule DC { f = x >= -2; hints = 3 }"),
+        BINDING_PROBLEM % "dV_geq_star { p = x; eps = 1; duration = COR }",
+        "ode { x' = 1 }\nassume { x = -1 }\nproof { rule SP { p = x; eps = 1; S = x <= 0 } }\n",
+        "ode { x' = 1 }\nassume { x = -1 }\nproof { rule SLyap { p = x; K = x <= 0 } }\n",
+    ],
+    ids=[
+        "box-rational",
+        "box-polynomial",
+        "dc-cut-rational",
+        "domain-weaken-rational",
+        "dc-hints-formula",
+        "dc-hints-rational",
+        "duration-not-a-duration",
+        "sp-without-goal",
+        "slyap-without-goal",
+    ],
+)
+def test_malformed_certificate_is_input_error(tmp_path, capsys, text):
+    # exit 1 means "refuted": an ill-formed certificate must never look like one
+    f = tmp_path / "bad-certificate.ode"
+    f.write_text(text)
+    code, out = run(capsys, "check", f)
+    assert code == 3
+    assert out.splitlines()[-1].startswith("input error: ")
+
+
 DEEP = 3000
 
 

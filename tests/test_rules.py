@@ -615,6 +615,12 @@ def test_upper_bound_from_atoms():
     assert upper_bound_on(parse_poly("u^2 + v^2"), S, Checker()) == 2
 
 
+def test_upper_bound_search_continues_past_unbounded_domain():
+    # w is unbounded: c = 1 and c = 2 answer unbounded-domain, c = 4 is proved
+    region = parse_formula("u^2 + v^2 <= 2 & w >= 0")
+    assert upper_bound_on(parse_poly("2*u^2 + 2*v^2"), region, Checker()) == 4
+
+
 def test_symbolic_eps_parameter():
     """eps as a declared constant parameter, justified by a constant assumption."""
     text = """

@@ -39,7 +39,26 @@ def test_bounded_annulus_with_witness_two():
 
 
 def test_bounded_true_unknown():
-    assert not topology.check_bounded(TRUE, ("x",), max_log2=6).holds
+    assert not topology.check_bounded(TRUE, ("x",)).holds
+
+
+def test_bounded_ignores_unbounded_symbols_outside_vars():
+    # w is unbounded, but the sum of squares of (u, v) is still bounded
+    v = topology.check_bounded(parse_formula("u^2 + v^2 <= 2 & w >= 0"), UV)
+    assert v.holds and v.witness == 2
+
+
+def test_bounded_stops_when_a_state_variable_is_unbounded(monkeypatch):
+    bounds = []
+    prove = arith.prove_implication
+    monkeypatch.setattr(
+        arith, "prove_implication", lambda ob, **k: bounds.append(ob.conclusion.rhs.constant_value()) or prove(ob, **k)
+    )
+    for region in ("t <= 3", "true"):  # ce4's regions over (x, t)
+        bounds.clear()
+        assert not topology.check_bounded(parse_formula(region), ("x", "t")).holds
+        # the sampling pre-pass rules out B < 2^8; the first proof attempt stops
+        assert bounds == [256]
 
 
 def test_bounded_singleton_witness_one():
