@@ -405,28 +405,6 @@ def extract_box(hypothesis: Formula, universals, atoms: Optional[list] = None) -
     return box, []
 
 
-EMPTY_BOX = "empty"  # sentinel: the intersected bounds are inconsistent
-
-
-def intersect_boxes(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    if a == EMPTY_BOX or b == EMPTY_BOX:
-        return EMPTY_BOX
-    out = {}
-    for v in set(a) | set(b):
-        if v in a and v in b:
-            lo, hi = max(a[v].lo, b[v].lo), min(a[v].hi, b[v].hi)
-            if lo > hi:
-                return EMPTY_BOX
-            out[v] = Interval(lo, hi)
-        else:
-            out[v] = a.get(v, b.get(v))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Symbolic certificates (pre-checks before branch and bound)
 
@@ -562,17 +540,12 @@ def _symbolic_valid(hyp_atoms: list, conclusion: Formula, box: Optional[Box]) ->
 # Branch and bound
 
 
-def prove_implication(
-    ob: ArithObligation,
-    box: Optional[Box] = None,
-    budget: Optional[Budget] = None,
-) -> ArithVerdict:
+def prove_implication(ob: ArithObligation, budget: Optional[Budget] = None) -> ArithVerdict:
     """Valid / Falsified(counterexample) / Unknown over a rational box.
 
-    When `box` is not supplied it is extracted from hypothesis atoms of the
-    shapes l <= v, v <= u, or C - sum of even powers >= 0; if some universal
-    stays unbounded the verdict is Unknown.  A supplied box restricts the
-    claim to that box; the caller owns the interpretation.
+    The box is extracted from hypothesis atoms of the shapes l <= v, v <= u,
+    or C - sum of even powers >= 0; if some universal stays unbounded the
+    verdict is Unknown.
     """
     budget = budget or Budget()
     if not ob.universals:
@@ -583,14 +556,11 @@ def prove_implication(
     # the hypothesis is normalised once, for the box, the pre-checks and the split
     parts = conjuncts(nnf(ob.hypothesis))
     hyp_atoms, _ = atoms_of_conjuncts(parts)
-    auto_box, unbounded = extract_box(ob.hypothesis, ob.universals, hyp_atoms)
-    if auto_box is None and not unbounded and box is None:
-        return ArithVerdict(VALID, trace={"method": "empty-box", "cells": 0})
-    work_box = intersect_boxes(box, auto_box)
-    if work_box == EMPTY_BOX:
+    work_box, unbounded = extract_box(ob.hypothesis, ob.universals, hyp_atoms)
+    if work_box is None and not unbounded:
         return ArithVerdict(VALID, trace={"method": "empty-box", "cells": 0})
 
-    reason = _symbolic_valid(hyp_atoms, ob.conclusion, work_box if isinstance(work_box, dict) and work_box else None)
+    reason = _symbolic_valid(hyp_atoms, ob.conclusion, work_box or None)
     if reason is not None:
         return ArithVerdict(VALID, trace={"method": reason, "cells": 0})
 
@@ -602,7 +572,7 @@ def prove_implication(
         worst = VALID
         for d in disjuncts(split):
             sub = ArithObligation(ob.universals, conj([rest, d]), ob.conclusion)
-            v = prove_implication(sub, box=box, budget=budget)
+            v = prove_implication(sub, budget=budget)
             stats["cells"] += v.trace.get("cells", 0)
             if v.status == FALSIFIED:
                 return ArithVerdict(FALSIFIED, counterexample=v.counterexample, trace=stats)
@@ -612,9 +582,8 @@ def prove_implication(
             return ArithVerdict(VALID, trace=stats)
         return ArithVerdict(UNKNOWN, trace=stats)
 
-    if work_box is None or any(v not in work_box for v in ob.universals):
-        missing = [v for v in ob.universals if work_box is None or v not in work_box]
-        return ArithVerdict(UNKNOWN, trace={"method": "unbounded-domain", "unbounded": missing, "cells": 0})
+    if work_box is None:
+        return ArithVerdict(UNKNOWN, trace={"method": "unbounded-domain", "unbounded": unbounded, "cells": 0})
     if work_box == {}:
         return ArithVerdict(VALID, trace={"method": "empty-box", "cells": 0})
 
@@ -704,24 +673,16 @@ def _compile_screen(ob: ArithObligation, names):
     return build(src, "_screen")
 
 
-def falsify(
-    ob: ArithObligation,
-    samples: int = 2000,
-    seed: int = 0,
-    box: Optional[Box] = None,
-) -> ArithVerdict:
+def falsify(ob: ArithObligation, samples: int = 2000, seed: int = 0) -> ArithVerdict:
     """Random plus boundary-biased sampling; never returns Valid.
 
     Candidates are screened with a compiled float predicate and every hit is
     confirmed by exact rational evaluation, so counterexamples are exact.
     """
-    auto_box, _ = extract_box(ob.hypothesis, ob.universals)
-    work_box = intersect_boxes(box, auto_box)
-    if work_box == EMPTY_BOX:
-        return ArithVerdict(UNKNOWN, trace={"method": "sampling", "samples": 0})
+    work_box, _ = extract_box(ob.hypothesis, ob.universals)
     names = tuple(sorted(ob.universals))
     default = Interval(Fraction(-10), Fraction(10))
-    ivs = [work_box.get(v, default) if work_box else default for v in names]
+    ivs = [work_box[v] if work_box else default for v in names]
     los = [iv.lo for iv in ivs]
     spans = [iv.hi - iv.lo for iv in ivs]
     flos = [float(lo) for lo in los]

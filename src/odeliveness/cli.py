@@ -30,10 +30,7 @@ def _load(path: str):
 
 
 def _config(args) -> CheckConfig:
-    return CheckConfig(
-        budget=arith.Budget(max_cells=args.budget_cells, max_seconds=args.budget_secs),
-        seed=args.seed,
-    )
+    return CheckConfig(budget=arith.Budget(max_cells=args.budget_cells, max_seconds=args.budget_secs))
 
 
 def cmd_check(args) -> int:

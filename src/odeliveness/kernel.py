@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import topology
-from .arith import ArithObligation, ArithVerdict, Box, FALSIFIED
+from .arith import ArithObligation, ArithVerdict, FALSIFIED
 from .errors import (
     ClockNotFresh,
     NoClock,
@@ -101,8 +101,6 @@ class ArithOb:
     label: str
     role: str
     obligation: ArithObligation
-    box: Optional[Box] = None
-    outside_falsify: bool = False  # sample beyond the user box for counterexamples
     refuting: bool = False  # Falsified here refutes the certificate
     result: Optional[ArithVerdict] = None
 
@@ -439,7 +437,7 @@ class StepKindInfo:
     name: str
     kind: str  # "axiom" | "rule" | "leaf" | "derived"
     changes_domain: bool
-    box_domain_shape: str  # shape of any generated box-obligation domain
+    invariance_domain_shape: str  # shape of any generated box-obligation domain
     topo_gated: bool = False
     initial_gate: bool = False
 
@@ -493,8 +491,6 @@ def _status_line(index: int, ob) -> str:
             extra = f" counterexample [{cx}]"
         elif method:
             extra = f" via {method}"
-        if ob.box:
-            extra += " (over caller box)"
     if isinstance(ob, TopoOb) and ob.result is not None and ob.result.witness is not None:
         extra = f" witness B={ob.result.witness}"
     return f"  ob-{index} [{ob.role}] {ob.label}: {v}{extra} -- {ob.describe()}"

@@ -23,10 +23,12 @@ certificate hints in order:
                   domain and p = 0 implies Lie derivative of p negative
     DomainWeaken  replace the domain by a propositionally weaker one
 
-Unbounded arithmetic premises accept an optional per-variable `box` binding
-from the certificate; the premise is then proved over that box and sampled
-beyond it for counterexamples.  Without a box such premises stay Unknown,
-never Proved.
+An arithmetic premise whose hypothesis leaves a variable unbounded stays
+Unknown, never Proved.  The variant rules accept a `box` formula to bound
+it; the box is conjoined into the region the rule argues inside (the
+domain of a `_dom` rule, else true) and so gets the domain's parts: the
+topological gate, the initial state, the premise hypothesis, and the stay
+premise, proved with the certificate's `hints`.
 """
 
 from __future__ import annotations
@@ -96,7 +98,6 @@ from .syntax import (
     conj,
     conjuncts,
     disjuncts,
-    formula_variables,
     print_formula,
     print_poly,
 )
@@ -168,27 +169,6 @@ def hints_from_cert(steps) -> tuple:
 @dataclass
 class CheckConfig:
     budget: arith.Budget = field(default_factory=arith.Budget)
-    seed: int = 0
-
-
-# exact samples drawn around a box-bounded premise proved Valid over its box
-FALSIFY_SAMPLES = 2000
-
-
-def _freeze_box(b: Optional[dict]):
-    if b is None:
-        return None
-    return tuple(sorted((v, iv.lo, iv.hi) for v, iv in b.items()))
-
-
-def _enlarge_box(b: dict, factor: int = 4) -> dict:
-    out = {}
-    for v, iv in b.items():
-        c = iv.midpoint()
-        half = (iv.hi - iv.lo) / 2 * factor
-        half = max(half, Fraction(1))
-        out[v] = arith.Interval(c - half, c + half)
-    return out
 
 
 class Checker:
@@ -202,11 +182,10 @@ class Checker:
 
     # -- primitive queries --------------------------------------------------
 
-    def prove(self, ob: arith.ArithObligation, box_=None, budget=None) -> arith.ArithVerdict:
-        key = (ob, _freeze_box(box_))
-        if key not in self._arith_cache:
-            self._arith_cache[key] = arith.prove_implication(ob, box=box_, budget=budget or self.config.budget)
-        return self._arith_cache[key]
+    def prove(self, ob: arith.ArithObligation, budget=None) -> arith.ArithVerdict:
+        if ob not in self._arith_cache:
+            self._arith_cache[ob] = arith.prove_implication(ob, budget=budget or self.config.budget)
+        return self._arith_cache[ob]
 
     def topo(self, prop: str, formula: Formula, vars) -> topology.TopoVerdict:
         key = (prop, formula, tuple(vars))
@@ -227,16 +206,7 @@ class Checker:
     def discharge(self, ob) -> None:
         if isinstance(ob, ArithOb):
             if ob.result is None:
-                ob.result = self.prove(ob.obligation, ob.box)
-                if ob.result.is_valid and ob.box and ob.outside_falsify:
-                    probe = arith.falsify(
-                        ob.obligation,
-                        samples=FALSIFY_SAMPLES,
-                        seed=self.config.seed,
-                        box=_enlarge_box(ob.box),
-                    )
-                    if probe.status == arith.FALSIFIED:
-                        ob.result = probe
+                ob.result = self.prove(ob.obligation)
                 self.arith_log.append(ob)
         elif isinstance(ob, TopoOb):
             if ob.result is None:
@@ -270,7 +240,7 @@ class Checker:
 # Invariance sub-prover
 
 
-def _box_parts(seq: Sequent):
+def _modal_parts(seq: Sequent):
     s = seq.succedent
     if not isinstance(s, Modal) or not s.box:
         raise ShapeMismatch(f"invariance target must be a box sequent, got {print_sequent(seq)}")
@@ -278,15 +248,8 @@ def _box_parts(seq: Sequent):
     return sys, (sys.domain if sys.domain is not None else TRUE), s.post
 
 
-def _arith_ob(label, role, hyp, concl, *, box_=None, refuting=False, outside=False) -> ArithOb:
-    return ArithOb(
-        label,
-        role,
-        arith.ArithObligation.closure(hyp, concl),
-        box=box_,
-        refuting=refuting,
-        outside_falsify=outside,
-    )
+def _arith_ob(label, role, hyp, concl, *, refuting=False) -> ArithOb:
+    return ArithOb(label, role, arith.ArithObligation.closure(hyp, concl), refuting=refuting)
 
 
 def _taut_implies(a: Formula, b: Formula) -> bool:
@@ -309,22 +272,22 @@ def _node(name, seq, children=(), obligations=(), note="") -> ProofNode:
     return ProofNode(Step(name, note), seq, tuple(children), tuple(obligations))
 
 
-def prove_invariance(seq: Sequent, hints, checker: Checker, box_=None) -> ProofNode:
+def prove_invariance(seq: Sequent, hints, checker: Checker) -> ProofNode:
     """Prove a box-modality sequent by applying hints in order.
 
     With no hints: try DW; for an atomic postcondition fall back to DI; for a
     conjunction, split.  Failed attempts leave an Unknown node carrying the
     failed obligation, never a false positive.
     """
-    system, domain, post = _box_parts(seq)
+    system, domain, post = _modal_parts(seq)
     if not hints:
-        return _auto_invariance(seq, checker, box_)
+        return _auto_invariance(seq, checker)
     head, rest = hints[0], hints[1:]
 
     if isinstance(head, DWStep):
         if rest:
             raise HintMismatch("DW must be the final hint")
-        return _dw_node(seq, checker, box_)
+        return _dw_node(seq, checker)
 
     if isinstance(head, DIStep):
         if rest:
@@ -332,25 +295,25 @@ def prove_invariance(seq: Sequent, hints, checker: Checker, box_=None) -> ProofN
         target = head.formula if head.formula is not None else post
         if nnf(target) != nnf(post):
             raise HintMismatch("DI hint formula differs from the postcondition")
-        return _di_node(seq, checker, box_)
+        return _di_node(seq, checker)
 
     if isinstance(head, DCStep):
         cut_seq = Sequent(seq.context, box(system, head.cut))
-        cut_proof = prove_invariance(cut_seq, head.hints, checker, box_)
+        cut_proof = prove_invariance(cut_seq, head.hints, checker)
         stronger = system.with_domain(conj([domain, head.cut]))
         rest_seq = Sequent(seq.context, box(stronger, post))
-        rest_proof = prove_invariance(rest_seq, rest, checker, box_)
+        rest_proof = prove_invariance(rest_seq, rest, checker)
         return _node("DC", seq, (cut_proof, rest_proof), note=print_formula(head.cut))
 
     if isinstance(head, DXStep):
         extended = Sequent(seq.context + tuple(conjuncts(nnf(domain))), seq.succedent)
-        child = prove_invariance(extended, rest, checker, box_)
+        child = prove_invariance(extended, rest, checker)
         return _node("DX", seq, (child,))
 
     if isinstance(head, BCStep):
         if rest:
             raise HintMismatch("BC must be the final hint")
-        return _bc_node(seq, head.poly, checker, box_)
+        return _bc_node(seq, head.poly, checker)
 
     if isinstance(head, DomainWeakenStep):
         if not _taut_implies(domain, head.formula):
@@ -358,39 +321,36 @@ def prove_invariance(seq: Sequent, hints, checker: Checker, box_=None) -> ProofN
                 f"DomainWeaken: cannot certify {print_formula(domain)} -> {print_formula(head.formula)}"
             )
         weaker = Sequent(seq.context, box(system.with_domain(head.formula), post))
-        child = prove_invariance(weaker, rest, checker, box_)
+        child = prove_invariance(weaker, rest, checker)
         return _node("DomainWeaken", seq, (child,), note=print_formula(head.formula))
 
     raise HintMismatch(f"unrecognized hint {head!r}")
 
 
-def _auto_invariance(seq: Sequent, checker: Checker, box_) -> ProofNode:
-    system, domain, post = _box_parts(seq)
-    dw_ob = _arith_ob("weakening premise", INTERNAL, domain, post, box_=box_)
+def _auto_invariance(seq: Sequent, checker: Checker) -> ProofNode:
+    system, domain, post = _modal_parts(seq)
+    dw_ob = _arith_ob("weakening premise", INTERNAL, domain, post)
     checker.discharge(dw_ob)
     if dw_ob.verdict() == PROVED:
         return _node("DW", seq, (), (dw_ob,))
     if isinstance(post, Cmp):
-        return _di_node(seq, checker, box_)
+        return _di_node(seq, checker)
     if isinstance(post, And):
-        children = [
-            _auto_invariance(Sequent(seq.context, box(system, part)), checker, box_)
-            for part in conjuncts(post)
-        ]
+        children = [_auto_invariance(Sequent(seq.context, box(system, part)), checker) for part in conjuncts(post)]
         return _node("∧-split", seq, tuple(children))
     return _node("DW", seq, (), (dw_ob,))
 
 
-def _dw_node(seq: Sequent, checker: Checker, box_) -> ProofNode:
-    _, domain, post = _box_parts(seq)
+def _dw_node(seq: Sequent, checker: Checker) -> ProofNode:
+    _, domain, post = _modal_parts(seq)
     if _taut_implies(domain, post):
         return _node("DW", seq, note="domain implies postcondition syntactically")
-    ob = _arith_ob("weakening premise", INTERNAL, domain, post, box_=box_)
+    ob = _arith_ob("weakening premise", INTERNAL, domain, post)
     checker.discharge(ob)
     return _node("DW", seq, (), (ob,))
 
 
-def _di_node(seq: Sequent, checker: Checker, box_) -> ProofNode:
+def _di_node(seq: Sequent, checker: Checker) -> ProofNode:
     """Differential invariant for an atomic comparison postcondition.
 
     Plain premise: domain implies the Lie derivative inequality.  For closed
@@ -398,7 +358,7 @@ def _di_node(seq: Sequent, checker: Checker, box_) -> ProofNode:
     variant is tried: on domain and e = 0 the Lie derivative is strictly
     positive, which pushes the flow back inside.
     """
-    system, domain, post = _box_parts(seq)
+    system, domain, post = _modal_parts(seq)
     if not isinstance(post, Cmp):
         raise HintMismatch("DI applies to atomic comparison postconditions only")
     a = norm_atom(post)
@@ -406,31 +366,27 @@ def _di_node(seq: Sequent, checker: Checker, box_) -> ProofNode:
         raise HintMismatch("DI does not apply to disequalities")
     e = a.poly
     le = lie_derivative(e, system)
-    initial = _arith_ob("invariant true initially", INTERNAL, conj(seq.context), a.to_formula(), box_=box_)
+    initial = _arith_ob("invariant true initially", INTERNAL, conj(seq.context), a.to_formula())
     checker.discharge(initial)
     if a.op == "=":
-        plain = _arith_ob("Lie derivative vanishes", INTERNAL, domain, Cmp("=", le, Polynomial.const(0)), box_=box_)
+        plain = _arith_ob("Lie derivative vanishes", INTERNAL, domain, Cmp("=", le, Polynomial.const(0)))
         checker.discharge(plain)
         return _node("DI", seq, (), (initial, plain))
-    plain = _arith_ob(
-        "Lie derivative sign condition", INTERNAL, domain, Cmp(">=", le, Polynomial.const(0)), box_=box_
-    )
+    plain = _arith_ob("Lie derivative sign condition", INTERNAL, domain, Cmp(">=", le, Polynomial.const(0)))
     checker.discharge(plain)
     if plain.verdict() == PROVED:
         return _node("DI", seq, (), (initial, plain))
     boundary_hyp = conj([domain, Cmp("=", e, Polynomial.const(0))])
-    boundary = _arith_ob(
-        "strict inflow on the boundary", INTERNAL, boundary_hyp, Cmp(">", le, Polynomial.const(0)), box_=box_
-    )
+    boundary = _arith_ob("strict inflow on the boundary", INTERNAL, boundary_hyp, Cmp(">", le, Polynomial.const(0)))
     checker.discharge(boundary)
     if boundary.verdict() == PROVED:
         return _node("DI", seq, (), (initial, boundary), note="strict boundary variant")
     return _node("DI", seq, (), (initial, plain))
 
 
-def _bc_node(seq: Sequent, p: Polynomial, checker: Checker, box_) -> ProofNode:
+def _bc_node(seq: Sequent, p: Polynomial, checker: Checker) -> ProofNode:
     """Strict barrier: proves p < 0 invariant via a boundary sign condition."""
-    system, domain, post = _box_parts(seq)
+    system, domain, post = _modal_parts(seq)
     if not isinstance(post, Cmp):
         raise HintMismatch("BC applies to atomic strict comparisons")
     a = norm_atom(post)
@@ -439,12 +395,10 @@ def _bc_node(seq: Sequent, p: Polynomial, checker: Checker, box_) -> ProofNode:
             f"BC polynomial {print_poly(p)} does not match postcondition {print_formula(post)}"
         )
     le = lie_derivative(p, system)
-    initial = _arith_ob(
-        "barrier negative initially", INTERNAL, conj(seq.context), Cmp("<", p, Polynomial.const(0)), box_=box_
-    )
+    initial = _arith_ob("barrier negative initially", INTERNAL, conj(seq.context), Cmp("<", p, Polynomial.const(0)))
     boundary_hyp = conj([domain, Cmp("=", p, Polynomial.const(0))])
     boundary = _arith_ob(
-        "barrier decreases on the boundary", INTERNAL, boundary_hyp, Cmp("<", le, Polynomial.const(0)), box_=box_
+        "barrier decreases on the boundary", INTERNAL, boundary_hyp, Cmp("<", le, Polynomial.const(0))
     )
     checker.discharge(initial)
     checker.discharge(boundary)
@@ -457,11 +411,6 @@ def _bc_node(seq: Sequent, p: Polynomial, checker: Checker, box_) -> ProofNode:
 
 def _as_formula(v) -> Optional[Formula]:
     return v if isinstance(v, (Cmp, And, Or, BoolLit, Implies, Not, Quant)) else None
-
-
-def _as_box(v) -> Optional[dict]:
-    f = _as_formula(v)
-    return None if f is None else arith.extract_box(f, tuple(sorted(formula_variables(f))))[0]
 
 
 # binding kind -> (what a value of the kind is, reader returning None for a misfit)
@@ -477,7 +426,6 @@ _KINDS = {
     ),
     "formula": ("a formula", _as_formula),
     "hints": ("a hint [...] block", lambda v: hints_from_cert(v) if isinstance(v, tuple) else None),
-    "box": ("a formula bounding every variable it mentions", _as_box),
 }
 
 
@@ -600,6 +548,15 @@ class _Rule:
         if not self.has_domain:
             raise ShapeMismatch(f"rule {self.name} needs a domain block")
 
+    def region(self, dom: bool) -> tuple:
+        """(R, its name): the set a variant rule argues inside, the domain of a
+        `_dom` rule conjoined with the certificate's `box`; TRUE for neither."""
+        if dom:
+            self.need_domain()
+        parts = {"domain": self.domain if dom else None, "box": self.get("box", "formula")}
+        parts = {name: f for name, f in parts.items() if f is not None}
+        return conj(list(parts.values())), " and ".join(parts)
+
     def conclusion(self, system, post: Optional[Formula] = None) -> Sequent:
         return Sequent(self.gamma, dia(system, self.goal if post is None else post))
 
@@ -625,8 +582,8 @@ class _Rule:
     def initially(self, label: str, f: Formula, role: str = GATE) -> ArithOb:
         return _arith_ob(label, role, conj(list(self.gamma)), f)
 
-    def premise(self, label: str, hyp: Formula, concl: Formula, box_=None) -> ArithOb:
-        return _arith_ob(label, PREMISE, hyp, concl, box_=box_, refuting=True, outside=box_ is not None)
+    def premise(self, label: str, hyp: Formula, concl: Formula) -> ArithOb:
+        return _arith_ob(label, PREMISE, hyp, concl, refuting=True)
 
     def topo(self, prop: str, f: Formula) -> TopoOb:
         return TopoOb(f"{prop}({print_formula(f)})", GATE, f, prop, self.sys0.vars)
@@ -694,7 +651,7 @@ def _rule_dv(r: _Rule, *, op: str, dom: bool = False, star: bool = False, order:
     domain-constrained dV_geq_dom / dV_gt_dom."""
     p = r.get("p", "polynomial", required=True)
     eps_poly, eps_val, eps_ob = r.eps()
-    user_box = r.get("box", "box")
+    region, where = r.region(dom)
     core_goal, specs = _peel_wrappers(r)
     if dom and specs:
         raise ShapeMismatch("post/via refinements are not supported with domain rules")
@@ -702,8 +659,8 @@ def _rule_dv(r: _Rule, *, op: str, dom: bool = False, star: bool = False, order:
 
     goal_atom = Cmp(op, p, ZERO)
     not_goal = negate(goal_atom)
-    hyp = r.hyp(not_goal, r.domain) if dom else r.hyp(not_goal)
-    premise = r.premise("variant slope premise", hyp, Cmp(">=", higher_lie(p, r.sys0, order), eps_poly), user_box)
+    slope = Cmp(">=", higher_lie(p, r.sys0, order), eps_poly)
+    premise = r.premise("variant slope premise", r.hyp(not_goal, region), slope)
     lip = r.lipschitz()
     p0 = r.p0(p)
     obligations = [eps_ob, premise]
@@ -736,56 +693,53 @@ def _rule_dv(r: _Rule, *, op: str, dom: bool = False, star: bool = False, order:
     else:
         child = r.gex(bound, lip)
 
+    if region != TRUE:
+        gates = [
+            r.topo(topology.CLOSED if op == ">=" else topology.OPEN, region),
+            r.initially(f"InitialState {print_formula(not_goal)}", not_goal),
+        ]
+        obligations = gates + obligations + [r.stay(f"stay in the {where} before the goal", not_goal, region)]
     if not dom:
         node = derived_node(r.name, r.conclusion(r.sys0, core_goal), (child,), obligations, note=note)
         return _apply_wrappers(r, node, specs)
-    gates = [
-        r.topo(topology.CLOSED if op == ">=" else topology.OPEN, r.domain),
-        r.initially(f"InitialState {print_formula(not_goal)}", not_goal),
-    ]
-    stay = r.stay("stay in the domain before the goal", not_goal, r.domain)
-    conclusion = r.conclusion(r.problem.system, goal_atom)
-    return derived_node(r.name, conclusion, (child,), gates + obligations + [stay], note=note)
+    return derived_node(r.name, r.conclusion(r.problem.system, goal_atom), (child,), obligations, note=note)
 
 
 def _rule_dv_eq(r: _Rule, *, mono: bool, dom: bool):
     """Equational differential variants dV_eq / dV_eqM and domain variants."""
     p = r.get("p", "polynomial", required=True)
     eps_poly, eps_val, eps_ob = r.eps()
-    user_box = r.get("box", "box")
-    if dom:
-        r.need_domain()
-    elif r.has_domain:
+    region, where = r.region(dom)
+    if not dom and r.has_domain:
         raise ShapeMismatch(f"rule {r.name} applies to unconstrained problems; use {r.name}_dom")
     goal_eq = Cmp("=", p, ZERO)
     if not mono:
         _match_variant_goal(r.goal, p, "=")
 
     p_lt, p_le = Cmp("<", p, ZERO), Cmp("<=", p, ZERO)
-    dom_part = [r.domain] if dom else []
     slope = Cmp(">=", lie_derivative(p, r.sys0), eps_poly)
-    premise = r.premise("variant slope premise", r.hyp(p_lt, *dom_part), slope, user_box)
+    premise = r.premise("variant slope premise", r.hyp(p_lt, region), slope)
     lip = r.lipschitz()
     # internal replay: before reaching p = 0 the variant stays negative
     stay_neg = InvarianceOb(
         "variant negative before the goal",
         INTERNAL,
-        Sequent(r.gamma + (p_le,), box(r.sys0.with_domain(conj(dom_part + [Cmp("!=", p, ZERO)])), p_lt)),
+        Sequent(r.gamma + (p_le,), box(r.sys0.with_domain(conj([region, Cmp("!=", p, ZERO)])), p_lt)),
         hints=(DXStep(), BCStep(p)),
     )
     child = r.gex(_time_bound(r.p0(p), eps_val), lip)
     obligations = [lip, eps_ob, r.initially("InitialState p <= 0", p_le), premise, stay_neg]
-    if dom:
+    if region != TRUE:
         obligations = (
-            [r.topo(topology.CLOSED, r.domain), r.initially("InitialState domain", r.domain)]
+            [r.topo(topology.CLOSED, region), r.initially(f"InitialState {where}", region)]
             + obligations
-            + [r.stay("stay in the domain while the variant is negative", p_lt, r.domain)]
+            + [r.stay(f"stay in the {where} while the variant is negative", p_lt, region)]
         )
     system = r.problem.system if dom else r.sys0
     eq_node = derived_node("dV_eq_dom" if dom else "dV_eq", r.conclusion(system, goal_eq), (child,), obligations)
     if not mono:
         return eq_node
-    mono_ob = r.premise("goal from the zero set", conj(dom_part + [goal_eq]), r.goal)
+    mono_ob = r.premise("goal from the zero set", conj([r.domain if dom else TRUE, goal_eq]), r.goal)
     return derived_node(r.name, r.conclusion(system), (eq_node,), (mono_ob,))
 
 
@@ -872,7 +826,7 @@ def _rule_slyap(r: _Rule, *, dom: bool):
         r.topo(topology.COMPACT, K),
         r.topo(topology.OPEN, r.goal),
         r.initially(f"InitialState p {op} 0", Cmp(op, p, ZERO)),
-        r.premise("sublevel set inside K", r.hyp(Cmp(">=", p, ZERO)), K, r.get("box", "box")),
+        r.premise("sublevel set inside K", r.hyp(Cmp(">=", p, ZERO)), K),
         r.premise("Lie derivative positive off the goal", r.hyp(not_goal, K), Cmp(">", lie, ZERO)),
     )
     child = r.bex(conj([K, not_goal]))

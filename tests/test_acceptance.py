@@ -15,7 +15,7 @@ from odeliveness import arith, sim, topology
 from odeliveness.cli import main as cli_main
 from odeliveness.errors import RuleRefused
 from odeliveness.kernel import PROVED, render_trace
-from odeliveness.rules import Checker, apply_rule
+from odeliveness.rules import RULE_BUILDERS, Checker, apply_rule
 from odeliveness.symbolic import OdeSystem, Polynomial
 from odeliveness.syntax import Cmp, parse_formula, parse_poly, parse_problem
 
@@ -36,18 +36,18 @@ def run_cli(capsys, *argv):
 
 
 def test_criterion_1_example1_end_to_end(capsys):
-    """Linear-spiral certificate verifies; premise Valid over the box in <= 1 s;
-    trace names match the refinement chain."""
+    """Linear-spiral certificate verifies; its slope premise, argued inside
+    the certificate's box, is Valid in <= 1 s; trace names match the
+    refinement chain."""
     t0 = time.monotonic()
     code, out = run_cli(capsys, "check", problem_path("example1.ode"))
     elapsed = time.monotonic() - t0
     names = [line.split()[1] for line in out.splitlines() if line[:1].isdigit()]
-    ob = arith.ArithObligation(
-        ("u", "v"), parse_formula("1/4 < u^2 + v^2"), parse_formula("2*u^2 + 2*v^2 >= 1/2")
-    )
-    box = {"u": arith.Interval(Fraction(-4), Fraction(4)), "v": arith.Interval(Fraction(-4), Fraction(4))}
+    pf = parse_problem(problem_path("example1.ode").read_text())
+    node = RULE_BUILDERS["dV_geq"](pf, pf.certificate[0], Checker())
+    ob = next(ob for ob in node.all_obligations() if ob.label == "variant slope premise").obligation
     t1 = time.monotonic()
-    premise = arith.prove_implication(ob, box=box)
+    premise = arith.prove_implication(ob)
     premise_time = time.monotonic() - t1
     ok = (
         code == 0
@@ -266,7 +266,7 @@ def test_criterion_9_kernel_structural_soundness():
     gated = all(
         (k.topo_gated and k.initial_gate)
         for k in STEP_KINDS
-        if k.changes_domain and "!P" in k.box_domain_shape
+        if k.changes_domain and "!P" in k.invariance_domain_shape
     )
     plain_dr = next(k for k in STEP_KINDS if k.name == "DR⟨·⟩")
     entry = next(e for e in sim.catalog() if e.id == "CE-2")
@@ -275,7 +275,7 @@ def test_criterion_9_kernel_structural_soundness():
     cls, t_event = sim.classify(traj)
     ok = (
         gated
-        and plain_dr.box_domain_shape == "R"
+        and plain_dr.invariance_domain_shape == "R"
         and cls == sim.REFUTED
         and t_event is not None
         and abs(t_event - 1.0) < 1e-6

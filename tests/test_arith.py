@@ -26,9 +26,6 @@ def ob(universals, hyp, concl):
     return ArithObligation(tuple(universals), parse_formula(hyp), parse_formula(concl))
 
 
-BOX4 = {"u": Interval(Fraction(-4), Fraction(4)), "v": Interval(Fraction(-4), Fraction(4))}
-
-
 # -- prove_implication -------------------------------------------------------
 
 
@@ -43,13 +40,15 @@ def test_annulus_slope_bound_valid():
     assert v.is_valid
 
 
-def test_linear_slope_bound_valid_with_caller_box():
+def test_linear_slope_bound_valid_with_box_atoms():
     v = prove_implication(
         ob(("u", "v"), "1/4 < u^2 + v^2 & u^2 + v^2 <= 4", "2*u^2 + 2*v^2 >= 1/2")
     )
     assert v.is_valid
-    # caller-supplied box for the unbounded-premise version
-    v2 = prove_implication(ob(("u", "v"), "1/4 < u^2 + v^2", "2*u^2 + 2*v^2 >= 1/2"), box=BOX4)
+    # the unbounded-premise version, bounded by box atoms in the hypothesis
+    v2 = prove_implication(
+        ob(("u", "v"), "1/4 < u^2 + v^2 & -4 <= u & u <= 4 & -4 <= v & v <= 4", "2*u^2 + 2*v^2 >= 1/2")
+    )
     assert v2.is_valid
 
 

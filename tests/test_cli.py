@@ -88,7 +88,9 @@ def test_refuted_certificate_exit1(tmp_path, capsys):
         assume { u^2 + v^2 = 1 }
         goal { u^2 + v^2 <= 1/4 }
         proof { rule dV_geq { p = 1/4 - (u^2 + v^2); eps = 3;
-                box = -4 <= u & u <= 4 & -4 <= v & v <= 4 } }
+                box = -4 <= u & u <= 4 & -4 <= v & v <= 4;
+                hints = hint [ rule DC { f = u^2 + v^2 <= 1; hints = hint [ rule DI { } ] }
+                               rule DW { } ] } }
         """
     )
     code, out = run(capsys, "check", f)
@@ -212,6 +214,8 @@ VIA = "dV_geq { p = x; eps = 1; via = x >= 0; via_hints = hint [ %s ] }"
         BINDING_PROBLEM % "dV_geq_star { p = x; eps = 1; duration = COR }",
         "ode { x' = 1 }\nassume { x = -1 }\nproof { rule SP { p = x; eps = 1; S = x <= 0 } }\n",
         "ode { x' = 1 }\nassume { x = -1 }\nproof { rule SLyap { p = x; K = x <= 0 } }\n",
+        BINDING_PROBLEM % "dV_geq_dom { p = x; eps = 1 }",
+        BINDING_PROBLEM.replace("x >= 0", "x > 0") % "dV_gt_dom { p = x; eps = 1 }",
     ],
     ids=[
         "box-rational",
@@ -223,6 +227,8 @@ VIA = "dV_geq { p = x; eps = 1; via = x >= 0; via_hints = hint [ %s ] }"
         "duration-not-a-duration",
         "sp-without-goal",
         "slyap-without-goal",
+        "dv-geq-dom-without-domain",
+        "dv-gt-dom-without-domain",
     ],
 )
 def test_malformed_certificate_is_input_error(tmp_path, capsys, text):
@@ -232,6 +238,39 @@ def test_malformed_certificate_is_input_error(tmp_path, capsys, text):
     code, out = run(capsys, "check", f)
     assert code == 3
     assert out.splitlines()[-1].startswith("input error: ")
+
+
+# x(t) = -2000 - 1000*e^(t/1000) falls forever, so no certificate may prove
+# that it reaches x >= 0 (or x > 0, or x = 0).  Each box makes the slope
+# premise true, but the flow leaves it: the box must not be taken on trust.
+UNJUSTIFIED_BOX = "ode { x' = (1/1000)*x + 2 }\n%sassume { x = -3000 }\ngoal { x %s 0 }\nproof { rule %s }\n"
+CLOSED_BOX = "box = -1 <= x & x <= 0"
+OPEN_BOX = "box = -1 < x & x < 0"
+
+
+# rule -> (domain block, goal comparison, box)
+UNJUSTIFIED_CASES = {
+    "dV_geq": ("", ">=", CLOSED_BOX),
+    "dV_gt": ("", ">", OPEN_BOX),
+    "dV_geq_star": ("", ">=", CLOSED_BOX),
+    "dV_k": ("", ">=", CLOSED_BOX),
+    "dV_eq": ("", "=", CLOSED_BOX),
+    "dV_eqM": ("", ">=", CLOSED_BOX),
+    "dV_geq_dom": ("domain { x <= 1 }\n", ">=", CLOSED_BOX),
+    "dV_gt_dom": ("domain { x < 1 }\n", ">", OPEN_BOX),
+    "dV_eq_dom": ("domain { x <= 1 }\n", "=", CLOSED_BOX),
+    "dV_eqM_dom": ("domain { x <= 1 }\n", ">=", CLOSED_BOX),
+}
+
+
+@pytest.mark.parametrize("rule", UNJUSTIFIED_CASES)
+def test_unjustified_box_is_never_proved(tmp_path, capsys, rule):
+    domain, goal, box = UNJUSTIFIED_CASES[rule]
+    f = tmp_path / "unjustified-box.ode"
+    f.write_text(UNJUSTIFIED_BOX % (domain, goal, f"{rule} {{ p = x; eps = 1; {box} }}"))
+    code, out = run(capsys, "check", f)
+    assert code == 2
+    assert "verdict: Proved" not in out
 
 
 DEEP = 3000

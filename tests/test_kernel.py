@@ -275,7 +275,7 @@ def test_step_kind_registry_covers_every_trace_name():
 
 def test_no_domain_refinement_carries_goal_negation_without_topo_gate():
     for k in STEP_KINDS:
-        if k.changes_domain and "!P" in k.box_domain_shape:
+        if k.changes_domain and "!P" in k.invariance_domain_shape:
             assert k.topo_gated and k.initial_gate, k.name
 
 

@@ -57,6 +57,8 @@ proof {
     eps = 1/2;
     p0 = -3/4;
     box = -4 <= u & u <= 4 & -4 <= v & v <= 4;
+    hints = hint [ rule DC { f = u^2 + v^2 <= 1; hints = hint [ rule DI { } ] }
+                   rule DW { } ];
     post = u^2 + v^2 = 1/4;
     via = u^2 + v^2 <= 1/4;
     via_hints = hint [ rule BC { p = 1/4 - (u^2 + v^2) } ]
@@ -149,8 +151,7 @@ def test_eps_scaling_invariance():
     ode { u' = -v - u; v' = u - v }
     assume { u^2 + v^2 = 1 }
     goal { u^2 + v^2 <= 1/4 }
-    proof { rule dV_geq { p = PPP; eps = EEE;
-             box = -4 <= u & u <= 4 & -4 <= v & v <= 4 } }
+    proof { rule dV_geq { p = PPP; eps = EEE } }
     """
     base = template.replace("PPP", "1/4 - (u^2 + v^2)").replace("EEE", "1/2")
     scaled = template.replace("PPP", "3/4 - 3*u^2 - 3*v^2").replace("EEE", "3/2")
@@ -236,8 +237,7 @@ def test_dv_geq_star_defaults_to_assumption():
     ode { u' = -v - u; v' = u - v }
     assume { u^2 + v^2 = 1 }
     goal { u^2 + v^2 <= 1/4 }
-    proof { rule dV_geq_star { p = 1/4 - (u^2 + v^2); eps = 1/2;
-            box = -4 <= u & u <= 4 & -4 <= v & v <= 4 } }
+    proof { rule dV_geq_star { p = 1/4 - (u^2 + v^2); eps = 1/2 } }
     """
     pf = parse_problem(text)
     node = apply_rule(pf, pf.certificate[0], Checker())
@@ -251,8 +251,7 @@ def test_dv_geq_star_with_gex_needs_lipschitz():
     ode { u' = -v - u; v' = u - v }
     assume { u^2 + v^2 = 1 }
     goal { u^2 + v^2 <= 1/4 }
-    proof { rule dV_geq_star { p = 1/4 - (u^2 + v^2); eps = 1/2; duration = GEx;
-            box = -4 <= u & u <= 4 & -4 <= v & v <= 4 } }
+    proof { rule dV_geq_star { p = 1/4 - (u^2 + v^2); eps = 1/2; duration = GEx } }
     """
     pf = parse_problem(text)
     node = apply_rule(pf, pf.certificate[0], Checker())
@@ -288,8 +287,7 @@ def test_dv_eq_obligations_and_proof():
     ode { u' = -v - u; v' = u - v }
     assume { u^2 + v^2 = 1 }
     goal { u^2 + v^2 = 1/4 }
-    proof { rule dV_eq { p = 1/4 - (u^2 + v^2); eps = 1/2;
-            box = -4 <= u & u <= 4 & -4 <= v & v <= 4 } }
+    proof { rule dV_eq { p = 1/4 - (u^2 + v^2); eps = 1/2 } }
     """
     pf, node = check(text)
     assert node.verdict() == PROVED
@@ -304,8 +302,7 @@ def test_dv_eqm_adds_monotone_premise():
     ode { u' = -v - u; v' = u - v }
     assume { u^2 + v^2 = 1 }
     goal { u^2 <= 1/4 & v^2 <= 1/4 & (u^2 >= 1/16 | v^2 >= 1/16) }
-    proof { rule dV_eqM { p = 1/4 - (u^2 + v^2); eps = 1/2;
-            box = -4 <= u & u <= 4 & -4 <= v & v <= 4 } }
+    proof { rule dV_eqM { p = 1/4 - (u^2 + v^2); eps = 1/2 } }
     """
     pf, node = check(text)
     assert node.verdict() == PROVED
@@ -321,7 +318,6 @@ def test_sp_proves(alpha_l):
     goal { u^2 + v^2 <= 1/4 }
     proof { rule SP { p = 1/4 - (u^2 + v^2); eps = 1/2;
             S = 1/4 <= u^2 + v^2 & u^2 + v^2 <= 1;
-            box = -4 <= u & u <= 4 & -4 <= v & v <= 4;
             hints = hint [ rule DC { f = u^2 + v^2 <= 1; hints = hint [ rule DI { } ] }
                            rule DW { } ] } }
     """
@@ -451,7 +447,6 @@ def test_sp_dom_proves():
     goal { u^2 + v^2 <= 1/4 }
     proof { rule SP_dom { p = 1/4 - (u^2 + v^2); eps = 1/2;
             S = 1/4 <= u^2 + v^2 & u^2 + v^2 <= 1;
-            box = -4 <= u & u <= 4 & -4 <= v & v <= 4;
             hints = hint [ rule DC { f = u^2 + v^2 <= 1; hints = hint [ rule DI { } ] }
                            rule DW { } ] } }
     """
@@ -655,8 +650,7 @@ def test_dv_gt_strict_variant():
     ode { u' = -v - u; v' = u - v }
     assume { u^2 + v^2 = 1 }
     goal { u^2 + v^2 < 1/4 }
-    proof { rule dV_gt { p = 1/4 - (u^2 + v^2); eps = 1/2;
-            box = -4 <= u & u <= 4 & -4 <= v & v <= 4 } }
+    proof { rule dV_gt { p = 1/4 - (u^2 + v^2); eps = 1/2 } }
     """
     _, node = check(text)
     assert node.verdict() == PROVED
@@ -674,8 +668,7 @@ def test_nonpositive_eps_is_refused():
     ode { u' = -v - u; v' = u - v }
     assume { u^2 + v^2 = 1 }
     goal { u^2 + v^2 <= 1/4 }
-    proof { rule dV_geq { p = 1/4 - (u^2 + v^2); eps = 0;
-            box = -4 <= u & u <= 4 & -4 <= v & v <= 4 } }
+    proof { rule dV_geq { p = 1/4 - (u^2 + v^2); eps = 0 } }
     """
     pf = parse_problem(text)
     with pytest.raises(RuleRefused, match="eps positive"):
@@ -771,7 +764,7 @@ def test_shared_obligations_discharged_once():
     seen = [ob.obligation for ob in checker.arith_log]
     assert len(seen) == len(checker.arith_log)
     # the cache collapses repeated structural queries
-    again = checker.prove(checker.arith_log[0].obligation, checker.arith_log[0].box)
+    again = checker.prove(checker.arith_log[0].obligation)
     assert again is checker.arith_log[0].result
 
 

@@ -30,13 +30,12 @@ from odeliveness.arith import (
     eval_formula3,
     eval_formula_exact,
     extract_box,
-    intersect_boxes,
     interval_of_poly,
     prove_implication,
 )
 from odeliveness.errors import MissingBinding
 from odeliveness.symbolic import Polynomial
-from odeliveness.syntax import And, BoolLit, Cmp, Implies, Not, Or, parse_formula
+from odeliveness.syntax import And, BoolLit, Cmp, Implies, Not, Or, conj, parse_formula
 
 NAMES = ("x", "y", "z")
 
@@ -304,12 +303,19 @@ bnb_values = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3,
 )
 def test_branch_and_bound_visits_the_reference_cells(hyp, concl, box):
     """Cells are split in integers; the counts, depths and counterexamples
-    are those of the `Interval` loop, over bounds with unequal denominators."""
+    are those of the `Interval` loop, over bounds with unequal denominators.
+    The box enters the hypothesis as bound atoms."""
+    bounds = [
+        Cmp(op, Polynomial.var(v), Polynomial.const(c))
+        for v, iv in box.items()
+        for op, c in ((">=", iv.lo), ("<=", iv.hi))
+    ]
+    hyp = conj(bounds + [hyp])
     ob = ArithObligation(NAMES, hyp, concl)
-    v = prove_implication(ob, box=box, budget=Budget(max_cells=60, max_seconds=3600.0))
+    v = prove_implication(ob, budget=Budget(max_cells=60, max_seconds=3600.0))
     if v.trace["method"] not in ("branch-and-bound", "budget-exhausted"):
         return  # decided before branch-and-bound, or split into cases
-    work_box = intersect_boxes(box, extract_box(hyp, NAMES)[0])
+    work_box = extract_box(hyp, NAMES)[0]
     status, cells, depth, counterexample = ref_branch_and_bound(NAMES, work_box, hyp, concl, 60)
     assert (v.status, v.trace["cells"], v.trace["max_depth"]) == (status, cells, depth)
     assert v.counterexample == counterexample
