@@ -564,15 +564,18 @@ def prove_implication(ob: ArithObligation, budget: Optional[Budget] = None) -> A
     if reason is not None:
         return ArithVerdict(VALID, trace={"method": reason, "cells": 0})
 
-    # case split on a top-level disjunction in the hypothesis
+    # case split on a top-level disjunction in the hypothesis; the disjuncts
+    # share the cell budget, and once it is spent the split is Unknown
     split = next((g for g in parts if isinstance(g, Or)), None)
     if split is not None:
         rest = conj([g for g in parts if g is not split])
         stats = {"method": "case-split", "cells": 0}
         worst = VALID
         for d in disjuncts(split):
+            if stats["cells"] > budget.max_cells:
+                return ArithVerdict(UNKNOWN, trace=stats)
             sub = ArithObligation(ob.universals, conj([rest, d]), ob.conclusion)
-            v = prove_implication(sub, budget=budget)
+            v = prove_implication(sub, budget=Budget(budget.max_cells - stats["cells"], budget.max_seconds))
             stats["cells"] += v.trace.get("cells", 0)
             if v.status == FALSIFIED:
                 return ArithVerdict(FALSIFIED, counterexample=v.counterexample, trace=stats)

@@ -96,8 +96,8 @@ def test_every_rule_has_a_golden():
 PROVER_BUDGET = arith.Budget(max_cells=3000, max_seconds=3600.0)
 
 # The four families of true obligations that interval B&B cannot close at
-# this budget, two parameter draws each; the case split (disjunction) runs
-# the budget once per disjunct.
+# this budget, two parameter draws each; the case split (disjunction) shares
+# one budget across its disjuncts.
 HARD = (
     ("square", "-1 <= x & x <= 3 & -3 <= y & y <= 2", "4*x^2 - 4*x*y + y^2 >= 0"),
     ("square", "-3 <= x & x <= 1 & -2 <= y & y <= 2", "x^2 - 4*x*y + 4*y^2 >= 0"),
