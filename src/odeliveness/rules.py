@@ -464,19 +464,6 @@ def initial_value(p: Polynomial, assumptions) -> Optional[Fraction]:
     return r.constant_value()
 
 
-# each candidate bound of a search gets its own cell budget
-BOUND_SEARCH_BUDGET = arith.Budget(max_cells=10_000, max_seconds=1.0)
-
-
-def _first_proved(region: Formula, p: Polynomial, op: str, candidates, checker: Checker) -> Optional[Fraction]:
-    """The first candidate c with region |- p `op` c proved."""
-    for c in candidates:
-        ob = arith.ArithObligation.closure(region, Cmp(op, p, Polynomial.const(c)))
-        if checker.prove(ob, budget=BOUND_SEARCH_BUDGET).is_valid:
-            return c
-    return None
-
-
 def upper_bound_on(p: Polynomial, region: Formula, checker: Checker) -> Optional[Fraction]:
     """Some rational c with region |- p <= c, from atoms or a doubling search."""
     # an atom c - p >= 0 (or = 0) of the region bounds p by c
@@ -484,12 +471,12 @@ def upper_bound_on(p: Polynomial, region: Formula, checker: Checker) -> Optional
     best = min((c for c in consts if c is not None), default=None)
     if best is not None:
         return best
-    return _first_proved(region, p, "<=", (Fraction(2) ** k for k in range(17)), checker)
+    return topology.first_proved(region, p, "<=", (Fraction(2) ** k for k in range(17)), checker.prove)
 
 
 def lie_lower_bound(le: Polynomial, region: Formula, checker: Checker) -> Optional[Fraction]:
     """Some positive rational c with region |- le >= c (for display bounds)."""
-    return _first_proved(region, le, ">=", (Fraction(1, 2**k) for k in range(9)), checker)
+    return topology.first_proved(region, le, ">=", (Fraction(1, 2**k) for k in range(9)), checker.prove)
 
 
 def _time_bound(p0, eps, p1=Fraction(0)) -> Optional[Fraction]:

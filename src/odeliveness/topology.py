@@ -2,9 +2,12 @@
 
 Closed/open are decided by a sound syntactic criterion on the negation
 normal form (non-strict atoms and positive connectives characterize closed
-sets, strict atoms open ones).  Boundedness searches for a proved bound on
-the sum of squared variables via the arithmetic backend.  Every check
-returns Holds or Unknown; Unknown means the gating rule must refuse.
+sets, strict atoms open ones).  Boundedness is decided by `first_proved`,
+the one bound search of the package: it tries candidate bounds in order,
+each with the same cell budget, and draws no samples.  `check_bounded`
+runs it over doubling bounds on the sum of squared variables; the rules
+run it for their variant witnesses.  Every check returns Holds or Unknown;
+Unknown means the gating rule must refuse.
 
 Parameters are treated as fixed symbols: the criteria are evaluated with
 respect to the given state variables only, and a formula whose bound would
@@ -66,44 +69,28 @@ def check_open(f: Formula, vars) -> TopoVerdict:
     return TopoVerdict(OPEN, UNKNOWN)
 
 
-# Each candidate bound 2^k, k = 0..MAX_LOG2, gets its own cell budget.
-BOUNDED_BUDGET = arith.Budget(max_cells=20_000, max_seconds=2.0)
-MAX_LOG2 = 32
+# The one bound search: each candidate bound gets its own cell budget.
+BOUND_SEARCH_BUDGET = arith.Budget(max_cells=20_000, max_seconds=2.0)
+
+
+def first_proved(region: Formula, p: Polynomial, op: str, candidates, prove) -> Optional[Fraction]:
+    """The first candidate c with region |- p `op` c proved Valid by
+    `prove(obligation, budget=...)`."""
+    for c in candidates:
+        ob = arith.ArithObligation.closure(region, Cmp(op, p, Polynomial.const(c)))
+        if prove(ob, budget=BOUND_SEARCH_BUDGET).is_valid:
+            return c
+    return None
 
 
 def check_bounded(f: Formula, vars) -> TopoVerdict:
-    """Doubling search for B with f -> sum of squares <= B proved Valid.
-
-    The search stops early only when f's atoms leave a variable of `vars`
-    without a bound; an unbounded symbol outside `vars` may still drop out
-    of a symbolic proof at a larger B.
-    """
-    vars = tuple(vars)
+    """Doubling search for B = 2^k, k = 0..32, with f -> sum of squares of
+    `vars` <= B proved Valid; the witness is the first such B."""
     if not vars:
         return TopoVerdict(BOUNDED, UNKNOWN)
-    sumsq = Polynomial()
-    for v in vars:
-        sumsq = sumsq + Polynomial.var(v) * Polynomial.var(v)
-    universe = tuple(sorted(set(vars) | set(map(str, arith.formula_variables(f)))))
-    for k in range(0, MAX_LOG2 + 1):
-        bound = Fraction(2) ** k
-        ob = arith.ArithObligation(
-            universals=universe,
-            hypothesis=f,
-            conclusion=Cmp("<=", sumsq, Polynomial.const(bound)),
-        )
-        # cheap pre-pass: an exact sample beyond the bound rules this B out
-        pre = arith.falsify(ob, samples=64, seed=k)
-        if pre.status == arith.FALSIFIED:
-            continue
-        verdict = arith.prove_implication(ob, budget=BOUNDED_BUDGET)
-        if verdict.is_valid:
-            return TopoVerdict(BOUNDED, HOLDS, witness=bound)
-        if verdict.status == arith.FALSIFIED:
-            continue
-        if verdict.trace.get("method") == "unbounded-domain" and arith.extract_box(f, vars)[1]:
-            return TopoVerdict(BOUNDED, UNKNOWN)
-    return TopoVerdict(BOUNDED, UNKNOWN)
+    sumsq = sum((Polynomial.var(v) * Polynomial.var(v) for v in vars), Polynomial())
+    bound = first_proved(f, sumsq, "<=", (Fraction(2) ** k for k in range(33)), arith.prove_implication)
+    return TopoVerdict(BOUNDED, UNKNOWN if bound is None else HOLDS, witness=bound)
 
 
 def check_compact(f: Formula, vars) -> TopoVerdict:

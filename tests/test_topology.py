@@ -1,6 +1,8 @@
 from fractions import Fraction
 from random import Random
 
+import pytest
+
 from odeliveness import arith, topology
 from odeliveness.normal import atoms_of, nnf
 from odeliveness.syntax import TRUE, Cmp, parse_formula
@@ -48,17 +50,30 @@ def test_bounded_ignores_unbounded_symbols_outside_vars():
     assert v.holds and v.witness == 2
 
 
-def test_bounded_stops_when_a_state_variable_is_unbounded(monkeypatch):
-    bounds = []
-    prove = arith.prove_implication
-    monkeypatch.setattr(
-        arith, "prove_implication", lambda ob, **k: bounds.append(ob.conclusion.rhs.constant_value()) or prove(ob, **k)
-    )
+def test_bounded_draws_no_samples(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("check_bounded drew a sample")
+
+    monkeypatch.setattr(arith, "falsify", no_sampling)
     for region in ("t <= 3", "true"):  # ce4's regions over (x, t)
-        bounds.clear()
-        assert not topology.check_bounded(parse_formula(region), ("x", "t")).holds
-        # the sampling pre-pass rules out B < 2^8; the first proof attempt stops
-        assert bounds == [256]
+        v = topology.check_bounded(parse_formula(region), ("x", "t"))
+        assert not v.holds and v.witness is None
+
+
+@pytest.mark.parametrize(
+    "region,vars,witness",
+    [
+        # the sum of the two atoms is 2 - u^2 - v^2 >= 0
+        ("2 - u^2 - w >= 0 & w - v^2 >= 0", UV, 2),
+        # the sum of the two atoms is 5 - y^2 >= 0
+        ("x - y^2 >= 0 & x <= 5", ("y",), 8),
+    ],
+)
+def test_bounded_by_a_combination_of_atoms(region, vars, witness):
+    # no single atom bounds a variable of `vars`, so no box encloses the
+    # region, yet a positive combination of the atoms proves the bound
+    v = topology.check_bounded(parse_formula(region), vars)
+    assert v.holds and v.witness == witness
 
 
 def test_bounded_singleton_witness_one():
