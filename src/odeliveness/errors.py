@@ -67,6 +67,14 @@ class MissingCertificateField(OdelivError):
     pass
 
 
+class UnreadBinding(MissingCertificateField):
+    """A certificate binds keys its rule never reads, a misspelt one say."""
+
+    def __init__(self, rule, keys):
+        self.keys = tuple(keys)
+        super().__init__(f"rule {rule} reads no binding named " + " or ".join(map(repr, self.keys)))
+
+
 class HintMismatch(OdelivError):
     """An invariance hint does not apply to the obligation at hand."""
 

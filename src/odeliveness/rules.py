@@ -44,6 +44,7 @@ from .errors import (
     RuleRefused,
     ShapeMismatch,
     TopoUnknown,
+    UnreadBinding,
 )
 from .kernel import (
     CLOCK_NAME,
@@ -527,9 +528,15 @@ class _Rule:
         self.sys0 = problem.system.with_domain(TRUE)
         # constant assumptions are soundly kept across rule applications
         self.const_ctx = context_filter(problem.assumptions, problem.system)[0]
+        self.read = set()  # the certificate keys the builder asked for
 
     def get(self, key: str, kind, default=None, required=False):
+        self.read.add(key)
         return _binding(self.cert, key, kind, default, required)
+
+    def has(self, key: str) -> bool:
+        self.read.add(key)
+        return self.cert.has(key)
 
     def need_domain(self) -> None:
         if not self.has_domain:
@@ -804,7 +811,7 @@ def _rule_slyap(r: _Rule, *, dom: bool):
     """Set Lyapunov functions, compact K and open goal (SLyap / SLyap_dom)."""
     p = r.get("p", "polynomial", required=True)
     K = r.get("K", "formula", required=True)
-    op = ">" if (dom or r.cert.has("strict")) else ">="
+    op = ">" if (dom or r.has("strict")) else ">="
     if dom and not _is_atom(r.domain, p, ">"):
         raise ShapeMismatch("SLyap_dom needs the domain to be exactly p > 0")
     lie = lie_derivative(p, r.sys0)
@@ -842,11 +849,21 @@ def _rule_compact_dom(r: _Rule, *, staged: bool):
 
 
 def _rule_dv_k(r: _Rule):
-    return _rule_dv(r, op=">" if r.cert.has("strict") else ">=", order=r.get("k", "integer", 1))
+    return _rule_dv(r, op=">" if r.has("strict") else ">=", order=r.get("k", "integer", 1))
 
 
 def _builder(build, **flags):
-    return lambda problem, cert, checker: build(_Rule(problem, cert, checker), **flags)
+    """The builder of one rule; it refuses a certificate key it never read."""
+
+    def run(problem, cert, checker):
+        r = _Rule(problem, cert, checker)
+        node = build(r, **flags)
+        unread = [k for k, _ in cert.bindings if k not in r.read]
+        if unread:
+            raise UnreadBinding(r.name, unread)
+        return node
+
+    return run
 
 
 RULE_BUILDERS: dict = {

@@ -216,6 +216,7 @@ VIA = "dV_geq { p = x; eps = 1; via = x >= 0; via_hints = hint [ %s ] }"
         "ode { x' = 1 }\nassume { x = -1 }\nproof { rule SLyap { p = x; K = x <= 0 } }\n",
         BINDING_PROBLEM % "dV_geq_dom { p = x; eps = 1 }",
         BINDING_PROBLEM.replace("x >= 0", "x > 0") % "dV_gt_dom { p = x; eps = 1 }",
+        BINDING_PROBLEM % "dV_geq { p = x; eps = 1; bx = x <= 0; hnts = x >= 0 }",
     ],
     ids=[
         "box-rational",
@@ -229,6 +230,7 @@ VIA = "dV_geq { p = x; eps = 1; via = x >= 0; via_hints = hint [ %s ] }"
         "slyap-without-goal",
         "dv-geq-dom-without-domain",
         "dv-gt-dom-without-domain",
+        "keys-the-rule-never-reads",
     ],
 )
 def test_malformed_certificate_is_input_error(tmp_path, capsys, text):
@@ -238,6 +240,14 @@ def test_malformed_certificate_is_input_error(tmp_path, capsys, text):
     code, out = run(capsys, "check", f)
     assert code == 3
     assert out.splitlines()[-1].startswith("input error: ")
+
+
+def test_unread_certificate_keys_are_named(tmp_path, capsys):
+    f = tmp_path / "misspelt.ode"
+    f.write_text(BINDING_PROBLEM % "dV_geq { p = x; eps = 1; bx = x <= 0; hnts = x >= 0 }")
+    code, out = run(capsys, "check", f)
+    assert code == 3
+    assert out.splitlines()[-1] == "input error: rule dV_geq reads no binding named 'bx' or 'hnts'"
 
 
 # x(t) = -2000 - 1000*e^(t/1000) falls forever, so no certificate may prove
