@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import arith, sim
 from .errors import InvalidArgument, OdelivError, RuleRefused
 from .kernel import PROVED, REFUTED, render_trace
-from .rules import CheckConfig, Checker, apply_rule
+from .rules import Checker, apply_rule
 from .symbolic import higher_lie
 from .syntax import parse_poly, parse_problem, print_poly
 
@@ -29,8 +29,8 @@ def _load(path: str):
     return parse_problem(text)
 
 
-def _config(args) -> CheckConfig:
-    return CheckConfig(budget=arith.Budget(max_cells=args.budget_cells, max_seconds=args.budget_secs))
+def _checker(args) -> Checker:
+    return Checker(budget=arith.Budget(max_cells=args.budget_cells, max_seconds=args.budget_secs))
 
 
 def cmd_check(args) -> int:
@@ -41,7 +41,7 @@ def cmd_check(args) -> int:
     if len(problem.certificate) != 1:
         print("input error: expected exactly one top-level rule step")
         return 3
-    checker = Checker(_config(args))
+    checker = _checker(args)
     step = problem.certificate[0]
     print(f"rule {step.name}")
     try:
@@ -117,7 +117,7 @@ def cmd_emit_smt(args) -> int:
     if not problem.certificate:
         print("input error: no proof block")
         return 3
-    checker = Checker(_config(args))
+    checker = _checker(args)
     try:
         root = apply_rule(problem, problem.certificate[0], checker)
     except RuleRefused as e:

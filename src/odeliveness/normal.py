@@ -130,10 +130,6 @@ def atoms_of_conjuncts(parts: list[Formula]) -> tuple[list[NormAtom], bool]:
     return out, complete
 
 
-def atom_key(a: NormAtom):
-    return (a.op, primitive(a.poly))
-
-
 def contradictory(atoms: list[NormAtom]) -> bool:
     """Sound syntactic inconsistency check over a conjunction of atoms."""
     eqs = set()

@@ -33,7 +33,7 @@ premise, proved with the certificate's `hints`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -167,16 +167,11 @@ def hints_from_cert(steps) -> tuple:
 # Checker: obligation discharge with caching
 
 
-@dataclass
-class CheckConfig:
-    budget: arith.Budget = field(default_factory=arith.Budget)
-
-
 class Checker:
     """Discharges obligations; caches by structural key; logs arithmetic."""
 
-    def __init__(self, config: Optional[CheckConfig] = None):
-        self.config = config or CheckConfig()
+    def __init__(self, budget: Optional[arith.Budget] = None):
+        self.budget = budget or arith.Budget()
         self._arith_cache: dict = {}
         self._topo_cache: dict = {}
         self.arith_log: list = []  # ArithOb in discharge order
@@ -185,7 +180,7 @@ class Checker:
 
     def prove(self, ob: arith.ArithObligation, budget=None) -> arith.ArithVerdict:
         if ob not in self._arith_cache:
-            self._arith_cache[ob] = arith.prove_implication(ob, budget=budget or self.config.budget)
+            self._arith_cache[ob] = arith.prove_implication(ob, budget=budget or self.budget)
         return self._arith_cache[ob]
 
     def topo(self, prop: str, formula: Formula, vars) -> topology.TopoVerdict:

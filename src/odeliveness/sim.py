@@ -11,7 +11,7 @@ goal was entered and the domain left through non-strict atoms.
 Each system and goal is compiled to Python once (`Plan`), and trajectories
 are bit-identical however often a plan is reused.
 
-Blow-up is detected, not proved: the max-norm threshold (default 1e9)
+Blow-up is detected, not proved: the max-norm threshold `BLOWUP_NORM` (1e9)
 combined with step-size collapse yields a BlowUpSuspected event.
 
 The built-in catalog reproduces four soundness counterexamples against the
@@ -57,15 +57,18 @@ BLOWUP = "BLOWUP"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
-    tol: float = 1e-9
-    h0: float = 1e-2
-    hmin: float = 1e-12
-    blowup: float = 1e9
-    event_tol: float = 1e-9
-    eq_tol: float = 1e-9
-    max_steps: int = 2_000_000
+# Integrator constants: step-doubling error tolerance, initial and smallest
+# step, blow-up norm, bisection width of event times, float tolerance of
+# equalities, step cap, and the gap within which a goal entry and a domain
+# exit count as one event
+TOL = 1e-9
+H0 = 1e-2
+HMIN = 1e-12
+BLOWUP_NORM = 1e9
+EVENT_TOL = 1e-9
+EQ_TOL = 1e-9
+MAX_STEPS = 2_000_000
+TIE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -283,7 +286,6 @@ def integrate(
     system: OdeSystem,
     init: dict,
     horizon: float,
-    cfg: Optional[IntegratorConfig] = None,
     goal: Optional[Formula] = None,
     stop_on_event: bool = True,
     grid: Optional[float] = None,
@@ -296,7 +298,6 @@ def integrate(
     `grid` (used by the Lie-derivative consistency check).  `plan`, a
     `Plan(system, goal)`, saves compiling it again for every call.
     """
-    cfg = cfg or IntegratorConfig()
     if not 0 < horizon < math.inf:
         raise InvalidArgument(f"horizon must be positive and finite, got {horizon!r}")
     if plan is None:
@@ -306,7 +307,7 @@ def integrate(
     for n in plan.names + plan.pnames:
         if n not in init:
             raise UnsamplableInitSet(f"initial state missing '{n}'")
-    c = plan.bind(tuple(float(init[p]) for p in plan.pnames), cfg.eq_tol, cfg.event_tol)
+    c = plan.bind(tuple(float(init[p]) for p in plan.pnames), EQ_TOL, EVENT_TOL)
     step, finite, norm, atoms = c.step, c.finite, c.norm, c.atoms
 
     y = tuple(float(init[n]) for n in plan.names)
@@ -334,7 +335,7 @@ def integrate(
         bisection: (time, state at the bracket's start, state at time)."""
         lo, hi = t_lo, t_hi
         y_cur = y_lo
-        while hi - lo > cfg.event_tol:
+        while hi - lo > EVENT_TOL:
             mid = 0.5 * (lo + hi)
             y_mid = step(y_cur, mid - lo)
             if not finite(y_mid) or pred(y_mid):
@@ -349,9 +350,9 @@ def integrate(
         if kind not in candidates or tau < candidates[kind][0]:
             candidates[kind] = (tau, is_closed)
 
-    h = grid if grid is not None else cfg.h0
+    h = grid if grid is not None else H0
     d_old = None  # atom values at y
-    while t < horizon and stats["steps"] < cfg.max_steps:
+    while t < horizon and stats["steps"] < MAX_STEPS:
         h = min(h, horizon - t)
         if grid is not None:
             # land exactly on grid multiples, no adaptation
@@ -366,7 +367,7 @@ def integrate(
                     err = math.inf
                 else:
                     err = c.error(full, half)
-                if err <= cfg.tol or h <= cfg.hmin:
+                if err <= TOL or h <= HMIN:
                     y_new = half if finite(half) else full
                     break
                 h /= 2
@@ -375,8 +376,8 @@ def integrate(
         stats["min_h"] = min(stats["min_h"], h)
         t_new = t + h
 
-        if not finite(y_new) or norm(y_new) > cfg.blowup:
-            tau, _, y_hit = locate(lambda yy: norm(yy) > cfg.blowup, y, t, t_new)
+        if not finite(y_new) or norm(y_new) > BLOWUP_NORM:
+            tau, _, y_hit = locate(lambda yy: norm(yy) > BLOWUP_NORM, y, t, t_new)
             samples.append(State(c.values(y_hit), tau))
             events.append((tau, BLOWUP_SUSPECTED))
             return Trajectory(samples, events, stats, closed)
@@ -419,9 +420,9 @@ def integrate(
         if stop_on_event and step_events:
             return Trajectory(samples, events, stats, closed)
         if grid is None and not stats["rejected"]:
-            h = min(h * 2, cfg.h0 * 4, horizon)
+            h = min(h * 2, H0 * 4, horizon)
         elif grid is None:
-            h = min(h * 2, cfg.h0 * 4)
+            h = min(h * 2, H0 * 4)
 
     events.append((t, HORIZON_REACHED))
     return Trajectory(samples, events, stats, closed)
@@ -500,7 +501,7 @@ def sample_initial_states(problem: ProblemFile, count: int, seed: int) -> list:
                 raise UnsamplableInitSet(f"no finite bounds for '{n}' in the assume block")
             raise UnsamplableInitSet("assume block is empty; nothing to sample")
 
-    inside = _predicate(formula_of_atoms(leftovers), names, 1e-9) if leftovers else None
+    inside = _predicate(formula_of_atoms(leftovers), names, EQ_TOL) if leftovers else None
     out = []
     tries = 0
     while len(out) < count and tries < count * 200:
@@ -548,23 +549,23 @@ class FalsifyReport:
         return f"samples={len(self.results)} " + " ".join(parts)
 
 
-def classify(traj: Trajectory, tie_tol: float = 1e-6) -> tuple:
+def classify(traj: Trajectory) -> tuple:
     """Classification per the reach-while-staying semantics."""
     t_goal = traj.event_time(GOAL_ENTERED)
     t_exit = traj.event_time(DOMAIN_EXITED)
     t_blow = traj.event_time(BLOWUP_SUSPECTED)
-    if t_goal is not None and (t_exit is None or t_goal < t_exit - tie_tol):
+    if t_goal is not None and (t_exit is None or t_goal < t_exit - TIE_TOL):
         return WITNESS, t_goal
     # A tie is one point, in the goal and in the domain when both events
     # happened on closed boundaries (see `Trajectory.closed`).
     if (
         t_goal is not None
-        and abs(t_goal - t_exit) <= tie_tol
+        and abs(t_goal - t_exit) <= TIE_TOL
         and traj.closed.get(GOAL_ENTERED)
         and traj.closed.get(DOMAIN_EXITED)
     ):
         return WITNESS, t_goal
-    if t_exit is not None and (t_goal is None or t_exit <= t_goal + tie_tol):
+    if t_exit is not None and (t_goal is None or t_exit <= t_goal + TIE_TOL):
         return REFUTED, t_exit
     if t_blow is not None:
         return BLOWUP, t_blow
@@ -576,17 +577,15 @@ def falsify_liveness(
     samples: int = 64,
     seed: int = 0,
     horizon: float = 10.0,
-    cfg: Optional[IntegratorConfig] = None,
 ) -> FalsifyReport:
     if problem.goal is None:
         raise UnsamplableInitSet("problem has no goal block")
-    cfg = cfg or IntegratorConfig()
     inits = sample_initial_states(problem, samples, seed)
     plan = Plan(problem.system, problem.goal)
     results = []
     counts: dict = {}
     for i, init in enumerate(inits):
-        traj = integrate(problem.system, init, horizon, cfg, goal=problem.goal, stop_on_event=True, plan=plan)
+        traj = integrate(problem.system, init, horizon, goal=problem.goal, stop_on_event=True, plan=plan)
         cls, t_event = classify(traj)
         counts[cls] = counts.get(cls, 0) + 1
         results.append(SampleResult(i, cls, t_event, traj.final(), traj))

@@ -103,16 +103,6 @@ def conj(parts) -> Formula:
     return out
 
 
-def disj(parts) -> Formula:
-    parts = [p for p in parts if p != FALSE]
-    if not parts:
-        return FALSE
-    out = parts[0]
-    for p in parts[1:]:
-        out = Or(out, p)
-    return out
-
-
 def conjuncts(f: Formula) -> list:
     if isinstance(f, And):
         return conjuncts(f.left) + conjuncts(f.right)

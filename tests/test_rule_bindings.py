@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from odeliveness import arith
 from odeliveness.errors import OdelivError, UnreadBinding
 from odeliveness.kernel import ProofNode
-from odeliveness.rules import RULE_BUILDERS, CheckConfig, Checker, apply_rule
+from odeliveness.rules import RULE_BUILDERS, Checker, apply_rule
 from odeliveness.syntax import CertStep, parse_formula, parse_poly, parse_problem
 
 PROBLEMS = (
@@ -86,7 +86,7 @@ def _base(rule: str) -> tuple:
 )
 def test_any_bindings_give_a_proof_or_an_input_error(rule, problem, drawn):
     cert = CertStep(rule, tuple(drawn) + _base(rule))
-    checker = Checker(CheckConfig(budget=arith.Budget(max_cells=200, max_seconds=1.0)))
+    checker = Checker(budget=arith.Budget(max_cells=200, max_seconds=1.0))
     try:
         node = apply_rule(problem, cert, checker)
     except OdelivError:

@@ -4,9 +4,8 @@ from random import Random
 import pytest
 
 from odeliveness import arith, topology
-from odeliveness.normal import atoms_of, nnf
-from odeliveness.syntax import TRUE, Cmp, parse_formula
-from odeliveness.symbolic import Polynomial
+from odeliveness.normal import atoms_of
+from odeliveness.syntax import TRUE, parse_formula
 
 UV = ("u", "v")
 
