@@ -1,6 +1,9 @@
 """Byte-for-byte transcripts of `check`, `falsify`, `catalog` and `simulate`,
 and the prover's outcome on every obligation of two fixed corpora.
 
+`check` draws no samples, so `check/<name>.s0.txt` is the one golden of a
+problem file, and `check --seed 1` must reproduce it.
+
 `rules/` holds one certificate per derived rule (`<rule>.ode`) next to its
 `check` transcript at seed 0 (`<rule>.txt`), refusals included, so every
 rule builder's chain, obligation order and labels are locked.
@@ -46,11 +49,11 @@ SIMULATE_INIT = {"example1.ode": "u=1,v=0", "example2.ode": "u=1,v=0", "ce1.ode"
 
 
 def cases() -> list:
-    """(golden path relative to GOLDEN, argv) for every locked transcript."""
+    """(test id, golden path relative to GOLDEN, argv) for every locked
+    transcript; a golden is written by the case whose id is its path."""
     out = []
     for name in PROBLEMS:
-        for seed in (0, 1):
-            out.append((f"check/{name[:-4]}.s{seed}.txt", ["check", f"problems/{name}", "--seed", str(seed)]))
+        out.append((f"check/{name[:-4]}.s0.txt", ["check", f"problems/{name}", "--seed", "0"]))
     for name in PROBLEMS:
         for seed in (0, 1):
             for samples in (2, 16):
@@ -61,7 +64,12 @@ def cases() -> list:
         out.append((f"rules/{name[:-4]}.txt", ["check", f"tests/golden/rules/{name}", "--seed", "0"]))
     for name, init in SIMULATE_INIT.items():
         out.append((f"simulate/{name[:-4]}.txt", ["simulate", f"problems/{name}", "--init", init]))
-    return out
+    # `check` draws no samples, so at seed 1 it must print the seed-0 golden
+    seed1 = [
+        (f"check/{name[:-4]}.s1.txt", f"check/{name[:-4]}.s0.txt", ["check", f"problems/{name}", "--seed", "1"])
+        for name in PROBLEMS
+    ]
+    return [(rel, rel, argv) for rel, argv in out] + seed1
 
 
 def transcript(argv) -> str:
@@ -82,7 +90,7 @@ def transcript(argv) -> str:
     return text
 
 
-@pytest.mark.parametrize("rel,argv", cases(), ids=[rel for rel, _ in cases()])
+@pytest.mark.parametrize("rel,argv", [case[1:] for case in cases()], ids=[case[0] for case in cases()])
 def test_transcript_byte_identical(rel, argv):
     assert transcript(argv) == (GOLDEN / rel).read_text()
 
@@ -143,7 +151,9 @@ def test_prover_outcomes_unchanged(name):
 
 
 if __name__ == "__main__":
-    for rel, argv in cases():
+    for case_id, rel, argv in cases():
+        if case_id != rel:
+            continue
         path = GOLDEN / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(transcript(argv))
