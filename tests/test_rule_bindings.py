@@ -64,9 +64,8 @@ BASE = (("p", POLY), ("eps", RATIONAL), ("S", FORMULA), ("K", FORMULA))
 
 @functools.cache
 def _base(rule: str) -> tuple:
-    """BASE less the keys `rule` never reads, which it would refuse: a
-    drawn certificate then reaches its obligations unless what was drawn
-    is refused."""
+    """BASE without the keys `rule` never reads, so that a certificate is
+    refused as unread only for the keys that were drawn."""
     unread = set()
     for problem in PROBLEMS:
         try:
