@@ -17,7 +17,9 @@ Unknown; counterexamples re-verify by rational evaluation.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
+import sys
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -637,32 +639,39 @@ def prove_implication(ob: ArithObligation, budget: Optional[Budget] = None) -> A
 
 
 def _sample_grid(n: int, count: int, seed: int):
-    """Grid indices in [0, 256] per variable: corners, center, then random
-    points with boundary bias.  Exact values are materialized on demand."""
+    """Grid indices in [0, 256] per variable: corners and center, then every
+    other lattice point once in lexicographic order when the 257^n lattice
+    has at most `count` points, else random points with boundary bias."""
+    first = [tuple(0 if (mask >> i) & 1 else 256 for i in range(n)) for mask in range(min(2**n, 32) if n else 0)]
+    first.append((128,) * n)
+    if 257**n <= count:
+        yield from first
+        yield from itertools.filterfalse(set(first).__contains__, itertools.product(range(257), repeat=n))
+        return
+    yield from first[:count]
     rng = Random(seed)
-    emitted = 0
-    corners_cap = min(2**n, 32) if n else 0
-    for mask in range(corners_cap):
-        if emitted >= count:
-            return
-        emitted += 1
-        yield tuple(0 if (mask >> i) & 1 else 256 for i in range(n))
-    if emitted < count:
-        emitted += 1
-        yield (128,) * n
-    while emitted < count:
+    for _ in range(count - len(first)):
         ks = [rng.randrange(0, 257) for _ in range(n)]
         if rng.random() < 0.25 and n:
             ks[rng.randrange(n)] = 0 if rng.random() < 0.5 else 256
-        emitted += 1
         yield tuple(ks)
 
 
-def _compile_screen(ob: ArithObligation, names):
-    """Float predicate 'hypothesis holds and conclusion fails', compiled once."""
+# The screens' identifiers for up to 32 variables, interned for good: a
+# screen is compiled per obligation, and names that died with it would be
+# interned again by the next one, which makes the interpreter's table of
+# interned strings grow and reallocate (a 0.4 MB block) every few hundred
+# calls.
+_SCREEN_NAMES = tuple(sys.intern(f"_{c}{i}") for c in "ax" for i in range(32)) + ("_screen", "_k")
+
+
+def _compile_screen(ob: ArithObligation, names, axes):
+    """Float predicate 'hypothesis holds and conclusion fails' at the grid
+    indices of a lattice point, compiled once; `axes[i]` lists the float
+    coordinates of `names[i]`."""
 
     def atom(f: Cmp) -> str:
-        d = poly_src((f.lhs - f.rhs).sorted_terms(), lambda v: f"_a[{names.index(v)}]")
+        d = poly_src((f.lhs - f.rhs).sorted_terms(), lambda v: f"_a{names.index(v)}")
         if f.op == "=":
             return f"(abs({d}) <= 1e-9)"  # permissive: exact confirmation decides
         if f.op == "!=":
@@ -670,14 +679,17 @@ def _compile_screen(ob: ArithObligation, names):
         return f"(({d}) {f.op} 0.0)"
 
     src = (
-        "def _screen(_a):\n"
-        f"    return {formula_src(ob.hypothesis, atom)} and not {formula_src(ob.conclusion, atom)}\n"
+        "def _screen(_k):\n"
+        + "".join(f"    _a{i} = _x{i}[_k[{i}]]\n" for i in range(len(names)))
+        + f"    return {formula_src(ob.hypothesis, atom)} and not {formula_src(ob.conclusion, atom)}\n"
     )
-    return build(src, "_screen")
+    return build(src, "_screen", {f"_x{i}": axis for i, axis in enumerate(axes)})
 
 
 def falsify(ob: ArithObligation, samples: int = 2000, seed: int = 0) -> ArithVerdict:
-    """Random plus boundary-biased sampling; never returns Valid.
+    """Samples a 257-point lattice per variable over the hypothesis box: the
+    whole lattice when it has at most `samples` points, else `samples`
+    seeded boundary-biased draws; never returns Valid.
 
     Candidates are screened with a compiled float predicate and every hit is
     confirmed by exact rational evaluation, so counterexamples are exact.
@@ -688,15 +700,13 @@ def falsify(ob: ArithObligation, samples: int = 2000, seed: int = 0) -> ArithVer
     ivs = [work_box[v] if work_box else default for v in names]
     los = [iv.lo for iv in ivs]
     spans = [iv.hi - iv.lo for iv in ivs]
-    flos = [float(lo) for lo in los]
-    fspans = [float(s) for s in spans]
-    screen = _compile_screen(ob, names)
+    axes = [[float(lo) + float(span) * (k / 256.0) for k in range(257)] for lo, span in zip(los, spans)]
+    screen = _compile_screen(ob, names, axes)
     tried = 0
     for ks in _sample_grid(len(names), samples, seed):
         tried += 1
-        fpt = tuple(flos[i] + fspans[i] * (k / 256.0) for i, k in enumerate(ks))
         try:
-            hit = screen(fpt)
+            hit = screen(ks)
         except OverflowError:
             hit = True
         if hit:

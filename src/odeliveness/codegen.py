@@ -50,11 +50,14 @@ def formula_src(f: Formula, atom: Callable[[Cmp], str]) -> str:
 
 
 def build(src: str, name: str, scope: dict = None):
-    """The function `name` defined by `src`, executed in a copy of `scope`."""
+    """The function `name` defined by `src`, executed in a copy of `scope`.
+    The function is taken out of its globals, so it and its globals are
+    freed with the last reference rather than by the cycle collector; `src`
+    must not refer to `name` itself."""
     namespace = dict(scope or {})
     try:
         exec(src, namespace)  # generated exclusively from our own AST
     except (SyntaxError, RecursionError):
         # well-formed source fails only past the compiler's nesting limits
         raise NestingTooDeep("formula nested too deeply to compile") from None
-    return namespace[name]
+    return namespace.pop(name)

@@ -179,9 +179,10 @@ class Checker:
     # -- primitive queries --------------------------------------------------
 
     def prove(self, ob: arith.ArithObligation, budget=None) -> arith.ArithVerdict:
-        if ob not in self._arith_cache:
-            self._arith_cache[ob] = arith.prove_implication(ob, budget=budget or self.budget)
-        return self._arith_cache[ob]
+        key = (ob, budget or self.budget)  # an Unknown holds only for its budget
+        if key not in self._arith_cache:
+            self._arith_cache[key] = arith.prove_implication(ob, budget=key[1])
+        return self._arith_cache[key]
 
     def topo(self, prop: str, formula: Formula, vars) -> topology.TopoVerdict:
         key = (prop, formula, tuple(vars))

@@ -9,7 +9,8 @@ point reach the goal when that point lies in both sets, that is, when the
 goal was entered and the domain left through non-strict atoms.
 
 Each system and goal is compiled to Python once (`Plan`), and trajectories
-are bit-identical however often a plan is reused.
+are bit-identical however often a plan is reused, so `falsify_liveness`
+integrates each distinct initial state once.
 
 Blow-up is detected, not proved: the max-norm threshold `BLOWUP_NORM` (1e9)
 combined with step-size collapse yields a BlowUpSuspected event.
@@ -360,9 +361,12 @@ def integrate(
             h = grid * (k + 1) - t if grid * (k + 1) - t > 1e-15 else grid
             y_new = step(y, h)
         else:
+            # step doubling; halving h is exact, so a rejected trial's first
+            # half step is the next trial's full step
+            full = step(y, h)
             while True:
-                full = step(y, h)
-                half = step(step(y, h / 2), h / 2)
+                mid = step(y, h / 2)
+                half = step(mid, h / 2)
                 if not finite(full) or not finite(half):
                     err = math.inf
                 else:
@@ -371,6 +375,7 @@ def integrate(
                     y_new = half if finite(half) else full
                     break
                 h /= 2
+                full = mid
                 stats["rejected"] += 1
         stats["steps"] += 1
         stats["min_h"] = min(stats["min_h"], h)
@@ -582,10 +587,18 @@ def falsify_liveness(
         raise UnsamplableInitSet("problem has no goal block")
     inits = sample_initial_states(problem, samples, seed)
     plan = Plan(problem.system, problem.goal)
+    # `integrate` is deterministic, so samples whose floats have the same
+    # bits (0.0 and -0.0 differ) share one trajectory
+    trajectories: dict = {}
     results = []
     counts: dict = {}
     for i, init in enumerate(inits):
-        traj = integrate(problem.system, init, horizon, goal=problem.goal, stop_on_event=True, plan=plan)
+        key = tuple(float(init[n]).hex() for n in plan.names + plan.pnames)
+        if key not in trajectories:
+            trajectories[key] = integrate(
+                problem.system, init, horizon, goal=problem.goal, stop_on_event=True, plan=plan
+            )
+        traj = trajectories[key]
         cls, t_event = classify(traj)
         counts[cls] = counts.get(cls, 0) + 1
         results.append(SampleResult(i, cls, t_event, traj.final(), traj))

@@ -131,6 +131,27 @@ def test_falsify_epsilon_two_at_unit_circle():
     assert v.status == arith.FALSIFIED
 
 
+def test_small_lattice_is_swept_once():
+    grid = list(arith._sample_grid(2, 257**2, seed=0))
+    assert grid[:5] == [(256, 256), (0, 256), (256, 0), (0, 0), (128, 128)]
+    assert len(grid) == len(set(grid)) == 257**2
+    # one point short of the lattice: seeded draws, which repeat points
+    assert len(set(arith._sample_grid(2, 257**2 - 1, seed=0))) < 257**2 - 1
+    assert list(arith._sample_grid(0, 5, seed=0)) == [()]
+
+
+def test_sweep_finds_a_lone_lattice_counterexample():
+    o = ob(("x", "y"), "0 <= x & x <= 256 & 0 <= y & y <= 256", "(x - 37)^2 + (y - 201)^2 > 0")
+    v = falsify(o, samples=100_000, seed=0)
+    assert v.status == arith.FALSIFIED
+    assert v.counterexample == {"x": 37, "y": 201}
+    # corners and centre first, then the lexicographic order without the
+    # corners (0, 0) and (0, 256) it has already passed
+    assert v.trace["samples"] == 5 + (37 * 257 + 201 + 1) - 2
+    u = falsify(ob(("x",), "x >= 2", "x^2 >= 4"), samples=500, seed=0)
+    assert (u.status, u.trace["samples"]) == (arith.UNKNOWN, 257)
+
+
 # -- box extraction -----------------------------------------------------------
 
 

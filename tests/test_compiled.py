@@ -7,14 +7,17 @@ every truth value and produce bit-identical floats (atom values may differ
 only in the sign of a zero).
 """
 
+import gc
 import math
 import struct
+import weakref
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from odeliveness import sim
+from odeliveness.codegen import build
 from odeliveness.symbolic import OdeSystem, Polynomial
 from odeliveness.syntax import And, BoolLit, Cmp, Formula, Implies, Not, Or
 
@@ -242,3 +245,18 @@ def test_compiled_atoms_at_exact_tolerance_edges():
             assert c.goal_boundary((v,)) == eval_state_boundary(f, vals), (op, v)
             for w in edges:
                 assert c.goal_limit((w,), (v,)) == eval_limit(f, {"x": w}, vals), (op, w, v)
+
+
+def test_built_function_is_freed_without_the_cycle_collector():
+    # a generated function and the globals that hold its data form no cycle,
+    # so per-call compilations (a plan, a sampler screen) do not pile up
+    # until the next collection
+    f = build("def _f(i):\n    return _data[i]\n", "_f", {"_data": [1.0, 2.0]})
+    assert f(1) == 2.0
+    ref = weakref.ref(f)
+    gc.disable()
+    try:
+        del f
+        assert ref() is None
+    finally:
+        gc.enable()

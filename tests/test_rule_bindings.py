@@ -13,14 +13,24 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from odeliveness import arith
-from odeliveness.errors import OdelivError, UnreadBinding
+from odeliveness.errors import OdelivError, ShapeMismatch, UnreadBinding
 from odeliveness.kernel import ProofNode
 from odeliveness.rules import RULE_BUILDERS, Checker, apply_rule
 from odeliveness.syntax import CertStep, parse_formula, parse_poly, parse_problem
 
-PROBLEMS = (
-    parse_problem("ode { x' = 1 } assume { x = -1 } goal { x >= 0 }"),
-    parse_problem("ode { x' = 1 } domain { x <= 5 } assume { x = -1 } goal { x >= 0 }"),
+# every goal shape a variant rule matches (x >= 0, x > 0, x = 0 for p = x),
+# each with and without a domain, and the domain p > 0 that SLyap_dom needs
+PROBLEMS = tuple(
+    parse_problem(f"ode {{ x' = 1 }} {domain} assume {{ x = -1 }} goal {{ {goal} }}")
+    for goal, domain in (
+        ("x >= 0", ""),
+        ("x >= 0", "domain { x <= 5 }"),
+        ("x > 0", ""),
+        ("x > 0", "domain { x < 5 }"),
+        ("x = 0", ""),
+        ("x = 0", "domain { x < 5 }"),
+        ("x >= 2", "domain { x > 0 }"),
+    )
 )
 
 POLY = parse_poly("x")
@@ -75,6 +85,21 @@ def _base(rule: str) -> tuple:
         except OdelivError:
             pass
     return tuple((k, v) for k, v in BASE if k not in unread)
+
+
+@pytest.mark.parametrize("rule", sorted(RULE_BUILDERS))
+def test_base_bindings_pass_the_shape_check(rule):
+    # so that the drawn bindings reach the obligations of every rule
+    passed = []
+    for problem in PROBLEMS:
+        try:
+            RULE_BUILDERS[rule](problem, CertStep(rule, _base(rule)), Checker())
+        except ShapeMismatch:
+            continue
+        except OdelivError:
+            pass
+        passed.append(problem)
+    assert passed
 
 
 @pytest.mark.parametrize("rule", sorted(RULE_BUILDERS))

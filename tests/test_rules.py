@@ -768,6 +768,21 @@ def test_shared_obligations_discharged_once():
     assert again is checker.arith_log[0].result
 
 
+def test_cached_verdict_holds_only_for_its_budget():
+    # hard-corpus obligation 0: true, but B&B runs out of cells on it
+    ob = arith.ArithObligation(
+        ("x", "y"), parse_formula("-1 <= x & x <= 3 & -3 <= y & y <= 2"), parse_formula("4*x^2 - 4*x*y + y^2 >= 0")
+    )
+    budget = arith.Budget(max_cells=300, max_seconds=3600.0)
+    checker = Checker(budget=budget)
+    small = checker.prove(ob, budget=arith.Budget(max_cells=10, max_seconds=1.0))
+    assert small.trace["cells"] == 11
+    again = checker.prove(ob)
+    assert (again.status, again.trace) == (arith.UNKNOWN, Checker(budget=budget).prove(ob).trace)
+    assert again.trace["cells"] == 301
+    assert checker.prove(ob, budget=arith.Budget(max_cells=10, max_seconds=1.0)) is small
+
+
 def test_dv_k_double_integrator_file():
     from conftest import problem_path
 

@@ -42,6 +42,32 @@ def test_blowup_detected_at_pi_over_two():
     assert t_blow is not None and abs(t_blow - math.pi / 2) < 1e-3
 
 
+def test_rejected_trial_reuses_its_half_step(alpha_l, monkeypatch):
+    # with no event to locate, an accepted step costs its full step and two
+    # half steps, and each rejected trial only two half steps
+    calls = []
+    bind = sim.Plan.bind
+
+    def counting_bind(self, *args):
+        c = bind(self, *args)
+        step = c.step
+        c.step = lambda y, h: calls.append(h) or step(y, h)
+        return c
+
+    monkeypatch.setattr(sim.Plan, "bind", counting_bind)
+    traj = sim.integrate(alpha_l.system, {"u": 1.0, "v": 0.0}, 1.0, stop_on_event=False)
+    assert traj.events == [(1.0, sim.HORIZON_REACHED)]
+    assert traj.stats["rejected"] > 0
+    assert len(calls) == 3 * traj.stats["steps"] + 2 * traj.stats["rejected"]
+
+
+def test_blowup_step_statistics():
+    # the step-doubling controller's counts on CE-1's trajectory
+    pf = parse_problem("ode { x' = 1 + x^2; t' = 1 }  assume { x = 0, t = 0 }  goal { t >= 2 }")
+    traj = sim.integrate(pf.system, {"x": 0.0, "t": 0.0}, 10.0, goal=pf.goal)
+    assert traj.stats == {"steps": 992, "rejected": 1007, "min_h": 0.01 / 2**29}
+
+
 def test_integration_deterministic(alpha_n):
     a = sim.integrate(alpha_n.system, {"u": 1.0, "v": 0.0}, 1.0, goal=alpha_n.goal)
     b = sim.integrate(alpha_n.system, {"u": 1.0, "v": 0.0}, 1.0, goal=alpha_n.goal)
@@ -138,6 +164,57 @@ def test_report_csv_export(tmp_path):
     csv = next(p for p in written if p.name.endswith(".csv"))
     header = csv.read_text().splitlines()[0]
     assert header == "t,u,v,event"
+
+
+# -- one trajectory per distinct initial state -------------------------------------
+
+
+def _count_integrate(monkeypatch) -> list:
+    calls = []
+    original = sim.integrate
+
+    def spy(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "integrate", spy)
+    return calls
+
+
+def test_pinned_initial_state_is_integrated_once(monkeypatch, tmp_path):
+    from conftest import problem_path
+
+    pf = parse_problem(problem_path("ce1.ode").read_text())
+    calls = _count_integrate(monkeypatch)
+    report = sim.falsify_liveness(pf, samples=5, seed=0)
+    assert len(calls) == 1
+    assert [r.index for r in report.results] == [0, 1, 2, 3, 4]
+    assert {(r.classification, r.t_event) for r in report.results} == {(sim.BLOWUP, report.results[0].t_event)}
+    assert report.summary() == "samples=5 WITNESS=0 REFUTED-SAMPLE=0 BLOWUP=5 INCONCLUSIVE=0"
+    written = sim.write_report(report, pf, tmp_path)
+    assert sorted(p.name for p in written) == [f"sample-{i:03d}.csv" for i in range(5)] + ["summary.txt"]
+    assert len({p.read_text() for p in written if p.suffix == ".csv"}) == 1
+
+
+def test_distinct_initial_states_are_each_integrated(monkeypatch):
+    from conftest import problem_path
+
+    pf = parse_problem(problem_path("example1.ode").read_text())
+    calls = _count_integrate(monkeypatch)
+    report = sim.falsify_liveness(pf, samples=5, seed=0)
+    assert len(calls) == 5
+    assert report.n(sim.WITNESS) == 5
+
+
+def test_signed_zeros_are_distinct_initial_states(monkeypatch):
+    pf = parse_problem("ode { x' = 1 }  assume { x = 0 }  goal { x >= 1 }")
+    inits = [{"x": 0.0}, {"x": -0.0}, {"x": 0.0}, {"x": -0.0}]
+    monkeypatch.setattr(sim, "sample_initial_states", lambda problem, count, seed: inits)
+    calls = _count_integrate(monkeypatch)
+    report = sim.falsify_liveness(pf, samples=4, seed=0)
+    assert [math.copysign(1.0, init["x"]) for init in calls] == [1.0, -1.0]
+    assert [r.index for r in report.results] == [0, 1, 2, 3]
+    assert report.n(sim.WITNESS) == 4
 
 
 # -- catalog -----------------------------------------------------------------------
