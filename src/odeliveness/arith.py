@@ -1,14 +1,20 @@
 """Sound-incomplete real-arithmetic backend.
 
 Obligations are universally quantified implications between quantifier-free
-formulas.  `prove_implication` first tries cheap symbolic certificates
-(inconsistent hypothesis, reduction modulo hypothesis equalities, positive
-combinations of hypothesis atoms, exact division by a hypothesis atom with a
-sign-definite quotient) and then falls back to interval branch-and-bound over
-a rational box.  Every cell is evaluated exactly, in integers scaled by a
-positive constant per atom and cell, so the prover needs no rounding
-tolerance: Valid is never returned for an obligation that is falsifiable
-over its box.
+formulas.  `prove_implication` normalises each obligation once and then works
+in this order: (1) the box its hypothesis atoms bound; (2) the root-midpoint
+refutation: when the box is bounded and the hypothesis has no top-level
+disjunction, the centre of the box is tried as an exact counterexample,
+which is what branch-and-bound's first cell would find; (3) cheap symbolic
+certificates (inconsistent hypothesis, reduction modulo hypothesis
+equalities, positive combinations of hypothesis atoms, exact division by a
+hypothesis atom with a sign-definite quotient); (4) a case split on a
+top-level disjunction; (5) interval branch-and-bound over the box.  Every
+cell is evaluated exactly, in integers scaled by a positive constant per
+atom and cell, so the prover needs no rounding tolerance: Valid is never
+returned for an obligation that is falsifiable over its box.  The symbolic
+certificates are sound, so they never prove an obligation that (2) refutes,
+and putting (2) first changes no verdict.
 
 `falsify` samples exact rational points and can only ever answer Falsified or
 Unknown; counterexamples re-verify by rational evaluation.
@@ -24,6 +30,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from random import Random
 from typing import Optional
 
@@ -32,11 +39,11 @@ from .errors import MissingBinding
 from .normal import (
     NormAtom,
     _canonical_sign,
-    atoms_of,
     atoms_of_conjuncts,
     contradictory,
     equality_polys,
     nnf,
+    norm_atom,
     partial_atoms,
 )
 from .symbolic import Polynomial, poly_divmod, primitive, reduce_mod_equalities
@@ -196,16 +203,34 @@ def interval_of_poly(p: Polynomial, box: Box) -> Interval:
 
 # ---------------------------------------------------------------------------
 # Formulas compiled once: nested tuples whose atoms carry the scaled terms of
-# their difference polynomial lhs - rhs.
+# their normalised difference polynomial (`normal.norm_atom`).
 
 _LIT, _ATOM, _NOT, _AND, _OR = range(5)
+
+
+def _atom_node(a: NormAtom) -> tuple:
+    """A normalised atom `poly op 0`, compiled.  Normalising negates the
+    difference of `<=` and `<` atoms and may negate that of `=` and `!=`
+    atoms; the enclosure of -p is exactly (-hi, -lo), so every three-valued
+    answer is that of the atom as written."""
+    return (_ATOM, a.op, _scaled_poly(a.poly)[0])
+
+
+def _conj_node(nodes: list) -> tuple:
+    """The conjunction of compiled nodes, `true` when there are none."""
+    if not nodes:
+        return (_LIT, 1)
+    node = nodes[0]
+    for n in nodes[1:]:
+        node = (_AND, node, n)
+    return node
 
 
 def _compile(f: Formula) -> tuple:
     if isinstance(f, BoolLit):
         return (_LIT, 1 if f.value else -1)
     if isinstance(f, Cmp):
-        return (_ATOM, f.op, _scaled_poly(f.lhs - f.rhs)[0])
+        return _atom_node(norm_atom(f))
     if isinstance(f, Not):
         return (_NOT, _compile(f.arg))
     if isinstance(f, And):
@@ -323,17 +348,51 @@ def _root_upper(x: Fraction, k: int) -> Fraction:
     return Fraction(n, 64)
 
 
-def _linear_parts(p: Polynomial) -> Optional[tuple[str, Fraction, Fraction]]:
-    """Decompose a*v + b; None if p is not linear in a single variable."""
-    names = p.variables()
-    if len(names) != 1:
+def _root(p: Polynomial) -> Optional[tuple[str, bool, Fraction]]:
+    """(v, a > 0, -b/a) when p = a*v + b is linear in the single variable
+    v, else None: `p >= 0` bounds v from below at -b/a when a > 0, from
+    above when a < 0."""
+    b = p.terms.get((), 0)
+    if len(p.terms) - (() in p.terms) != 1:
+        return None  # not exactly one non-constant term
+    m, a = next((m, a) for m, a in p.terms.items() if m)
+    if len(m) != 1 or m[0][1] != 1:
         return None
-    (v,) = names
-    if p.degree() != 1:
-        return None
-    a = p.coefficient(((v, 1),))
-    b = p.coefficient(())
-    return v, a, b
+    return m[0][0], a > 0, -b / a
+
+
+class _Hypothesis:
+    """The normalised atoms of a hypothesis's top-level conjuncts, with what
+    the box, the entailed-atom filter and the pre-checks read of them, each
+    computed once per obligation: the root (`_root`) of every atom and,
+    when the pre-checks first ask, the equalities, the facts `poly >= 0`
+    (an equality gives both signs) and the primitive polynomials of the
+    disequalities.  A fact is (poly, is_strict, zero), where zero is
+    (v, -b/a) for a fact linear in one variable v, else None."""
+
+    def __init__(self, atoms: list):
+        self.atoms = atoms
+        self.roots = [_root(a.poly) for a in atoms]
+
+    @cached_property
+    def eqs(self) -> list:
+        return equality_polys(self.atoms)
+
+    @cached_property
+    def facts(self) -> list:
+        facts = []
+        for a, root in zip(self.atoms, self.roots):
+            zero = root and (root[0], root[2])
+            if a.op in (">=", ">"):
+                facts.append((a.poly, a.op == ">", zero))
+            elif a.op == "=":
+                facts.append((a.poly, False, zero))
+                facts.append((-a.poly, False, zero))
+        return facts
+
+    @cached_property
+    def neqs(self) -> set:
+        return {primitive(a.poly) for a in self.atoms if a.op == "!="}
 
 
 def _sum_of_even_powers(p: Polynomial) -> Optional[tuple[Fraction, dict]]:
@@ -354,16 +413,18 @@ def _sum_of_even_powers(p: Polynomial) -> Optional[tuple[Fraction, dict]]:
     return bound, body
 
 
-def extract_box(hypothesis: Formula, universals, atoms: Optional[list] = None) -> tuple[Optional[Box], list]:
+def extract_box(
+    hypothesis: Formula, universals, hyp: Optional[_Hypothesis] = None
+) -> tuple[Optional[Box], list]:
     """Per-variable bounds entailed by hypothesis conjuncts.
 
     Returns (box, unbounded_names); box is None when some universal has no
     finite bound.  An empty dict for `unbounded` with box=None signals an
-    inconsistent set of bounds (the hypothesis is unsatisfiable).  `atoms`,
-    when given, are the hypothesis's `partial_atoms`, already computed.
+    inconsistent set of bounds (the hypothesis is unsatisfiable).  `hyp`,
+    when given, is the hypothesis's normal form, already computed.
     """
-    if atoms is None:
-        atoms, _ = partial_atoms(hypothesis)
+    if hyp is None:
+        hyp = _Hypothesis(partial_atoms(hypothesis)[0])
     lows: dict = {}
     highs: dict = {}
 
@@ -373,17 +434,17 @@ def extract_box(hypothesis: Formula, universals, atoms: Optional[list] = None) -
     def note_high(v, x):
         highs[v] = min(highs.get(v, x), x)
 
-    for a in atoms:
-        polys = [a.poly] if a.op in (">=", ">") else ([a.poly, -a.poly] if a.op == "=" else [])
-        for e in polys:
-            lin = _linear_parts(e)
-            if lin is not None:
-                v, coef, off = lin
-                if coef > 0:
-                    note_low(v, -off / coef)
-                else:
-                    note_high(v, -off / coef)
-                continue
+    for a, root in zip(hyp.atoms, hyp.roots):
+        if a.op == "!=":
+            continue
+        if root is not None:
+            v, lower, x = root
+            if a.op == "=" or lower:
+                note_low(v, x)
+            if a.op == "=" or not lower:
+                note_high(v, x)
+            continue
+        for e in [a.poly] if a.op != "=" else [a.poly, -a.poly]:
             sq = _sum_of_even_powers(e)
             if sq is not None:
                 bound, body = sq
@@ -405,6 +466,20 @@ def extract_box(hypothesis: Formula, universals, atoms: Optional[list] = None) -
     if unbounded:
         return None, unbounded
     return box, []
+
+
+def _entailed(a: NormAtom, root, box: Box) -> bool:
+    """Does every point of the box satisfy the atom, by its root alone?
+    True for `a*v + b >= 0` when the box's bound on v lies on the right side
+    of -b/a, and for `a*v + b = 0` when the box is that one point in v.
+    Strict atoms, nonlinear atoms and disequalities are never entailed."""
+    if root is None or a.op not in (">=", "="):
+        return False
+    v, lower, x = root
+    iv = box[v]
+    if a.op == "=":
+        return iv.lo == iv.hi == x
+    return iv.lo >= x if lower else iv.hi <= x
 
 
 # ---------------------------------------------------------------------------
@@ -435,10 +510,10 @@ def _constant_at(p: Polynomial, v: str, x: Fraction) -> bool:
     return not any(rest.values())
 
 
-def _derive_atom(goal: NormAtom, atoms: list, box: Optional[Box]) -> bool:
-    """Does the atom conjunction entail `goal` (op in >=, >, =)?"""
-    eqs = equality_polys(atoms)
-    e = reduce_mod_equalities(goal.poly, eqs)
+def _derive_atom(goal: NormAtom, hyp: _Hypothesis, box: Optional[Box]) -> bool:
+    """Does the conjunction of the hypothesis atoms entail `goal` (op in >=,
+    >, =)?"""
+    e = reduce_mod_equalities(goal.poly, hyp.eqs)
     strict = goal.op == ">"
 
     if goal.op == "=":
@@ -451,20 +526,9 @@ def _derive_atom(goal: NormAtom, atoms: list, box: Optional[Box]) -> bool:
     if not strict and _trivially_nonneg(e):
         return True
 
-    # usable nonnegative facts: inequalities, plus both signs of equalities
-    facts: list[tuple[Polynomial, bool]] = []  # (poly >= 0, is_strict)
-    neq_polys = set()
-    for a in atoms:
-        if a.op in (">=", ">"):
-            facts.append((a.poly, a.op == ">"))
-        elif a.op == "=":
-            facts.append((a.poly, False))
-            facts.append((-a.poly, False))
-        else:
-            neq_polys.add(primitive(a.poly))
-
+    facts = hyp.facts
     ep = primitive(e)
-    candidates = [(f, s) for f, s in facts]
+    candidates = [(f, s) for f, s, _ in facts]
     # a candidate matches only if it holds every non-constant monomial of e
     e_body_monos = [m for m in e.terms if m]
     for i in range(len(facts)):
@@ -486,7 +550,7 @@ def _derive_atom(goal: NormAtom, atoms: list, box: Optional[Box]) -> bool:
             if not strict or fstrict:
                 return True
             # e >= 0 known; strictness from a disequality on the same polynomial
-            if _canonical_sign(ep) in neq_polys or primitive(_canonical_sign(ep)) in neq_polys:
+            if _canonical_sign(ep) in hyp.neqs or primitive(_canonical_sign(ep)) in hyp.neqs:
                 return True
         # e - fpoly is a constant exactly when their non-constant parts agree
         if len(fpoly.terms) - (() in fpoly.terms) != e_body:
@@ -499,11 +563,10 @@ def _derive_atom(goal: NormAtom, atoms: list, box: Optional[Box]) -> bool:
                 return True
 
     # division: e = a*q + r with a >= 0 from hypothesis, q sign-definite on box
-    for fpoly, fstrict in facts:
+    for fpoly, fstrict, zero in facts:
         if fpoly.is_constant() or fpoly.degree() > e.degree():
             continue
-        lin = _linear_parts(fpoly)
-        if lin is not None and not _constant_at(e, lin[0], -lin[2] / lin[1]):
+        if zero is not None and not _constant_at(e, *zero):
             continue  # dividing by a*v + b leaves e at v = -b/a, not a constant
         q, r = poly_divmod(e, fpoly)
         rc = r.constant_value()
@@ -526,14 +589,15 @@ def _derive_atom(goal: NormAtom, atoms: list, box: Optional[Box]) -> bool:
     return False
 
 
-def _symbolic_valid(hyp_atoms: list, conclusion: Formula, box: Optional[Box]) -> Optional[str]:
-    """Try symbolic certificates; returns a reason string when valid."""
-    if contradictory(hyp_atoms):
+def _symbolic_valid(hyp: _Hypothesis, concl_atoms: Optional[list], box: Optional[Box]) -> Optional[str]:
+    """Try symbolic certificates; returns a reason string when valid.
+    `concl_atoms` are the conclusion's atoms, None unless it is a pure
+    conjunction of them."""
+    if contradictory(hyp.atoms):
         return "inconsistent-hypothesis"
-    concl_atoms = atoms_of(conclusion)
     if concl_atoms is None:
         return None
-    if all(_derive_atom(a, hyp_atoms, box) for a in concl_atoms):
+    if all(_derive_atom(a, hyp, box) for a in concl_atoms):
         return "positive-combination"
     return None
 
@@ -542,12 +606,22 @@ def _symbolic_valid(hyp_atoms: list, conclusion: Formula, box: Optional[Box]) ->
 # Branch and bound
 
 
+def _falsified(mid: dict, cells: int, max_depth: int) -> ArithVerdict:
+    """Falsified at a midpoint cell that branch-and-bound's cell `cells` built."""
+    return ArithVerdict(
+        FALSIFIED,
+        counterexample={v: Fraction(n, d) for v, (n, _, d) in mid.items()},
+        trace={"method": "branch-and-bound", "cells": cells, "max_depth": max_depth},
+    )
+
+
 def prove_implication(ob: ArithObligation, budget: Optional[Budget] = None) -> ArithVerdict:
     """Valid / Falsified(counterexample) / Unknown over a rational box.
 
     The box is extracted from hypothesis atoms of the shapes l <= v, v <= u,
     or C - sum of even powers >= 0; if some universal stays unbounded the
-    verdict is Unknown.
+    verdict is Unknown.  The steps run in the order of the module docstring:
+    box, root-midpoint refutation, pre-checks, case split, branch-and-bound.
     """
     budget = budget or Budget()
     if not ob.universals:
@@ -555,20 +629,45 @@ def prove_implication(ob: ArithObligation, budget: Optional[Budget] = None) -> A
         if not eval_formula_exact(ob.hypothesis, {}) or eval_formula_exact(ob.conclusion, {}):
             return ArithVerdict(VALID, trace={"method": "closed-evaluation", "cells": 0})
         return ArithVerdict(FALSIFIED, counterexample={}, trace={"method": "closed-evaluation", "cells": 0})
-    # the hypothesis is normalised once, for the box, the pre-checks and the split
+    # one normal form per obligation: the top-level conjuncts of both sides,
+    # their normalised atoms and the hypothesis atoms' roots, read by the
+    # box, the refutation, the pre-checks, the split and branch-and-bound
     parts = conjuncts(nnf(ob.hypothesis))
-    hyp_atoms, _ = atoms_of_conjuncts(parts)
-    work_box, unbounded = extract_box(ob.hypothesis, ob.universals, hyp_atoms)
+    hyp = _Hypothesis(atoms_of_conjuncts(parts)[0])
+    work_box, unbounded = extract_box(ob.hypothesis, ob.universals, hyp)
     if work_box is None and not unbounded:
         return ArithVerdict(VALID, trace={"method": "empty-box", "cells": 0})
+    concl_parts = conjuncts(nnf(ob.conclusion))
+    concl_atoms, concl_complete = atoms_of_conjuncts(concl_parts)
 
-    reason = _symbolic_valid(hyp_atoms, ob.conclusion, work_box or None)
+    split = next((g for g in parts if isinstance(g, Or)), None)
+    if split is None and work_box is not None:
+        # Without a top-level disjunction every conjunct is an atom.  Atoms
+        # the box entails hold on every cell, and +1 is the unit of the
+        # conjunction, so dropping them changes no cell's answer.
+        names = tuple(sorted(ob.universals))
+        hyp_node = _conj_node([_atom_node(a) for a, r in zip(hyp.atoms, hyp.roots) if not _entailed(a, r, work_box)])
+        concl_node = _conj_node(
+            [_atom_node(a) for a in concl_atoms]
+            + [_compile(g) for g in concl_parts if not isinstance(g, (Cmp, BoolLit))]
+        )
+        root_cell = tuple(_scaled((v, work_box[v].lo, work_box[v].hi) for v in names).values())
+        # Refute first: when the root midpoint is an exact counterexample,
+        # branch-and-bound's first cell can neither discard nor accept the
+        # root, so it returns this midpoint; the sound pre-checks cannot
+        # prove the obligation either.  With no cell to spend, the first
+        # cell is budget-exhausted instead, so the probe waits for it.
+        if budget.max_cells >= 1:
+            mid = _midpoint(dict(zip(names, root_cell)))
+            if _eval3(hyp_node, mid) == 1 and _eval3(concl_node, mid) == -1:
+                return _falsified(mid, 1, 0)
+
+    reason = _symbolic_valid(hyp, concl_atoms if concl_complete else None, work_box)
     if reason is not None:
         return ArithVerdict(VALID, trace={"method": reason, "cells": 0})
 
     # case split on a top-level disjunction in the hypothesis; the disjuncts
     # share the cell budget, and once it is spent the split is Unknown
-    split = next((g for g in parts if isinstance(g, Or)), None)
     if split is not None:
         rest = conj([g for g in parts if g is not split])
         stats = {"method": "case-split", "cells": 0}
@@ -589,14 +688,15 @@ def prove_implication(ob: ArithObligation, budget: Optional[Budget] = None) -> A
 
     if work_box is None:
         return ArithVerdict(UNKNOWN, trace={"method": "unbounded-domain", "unbounded": unbounded, "cells": 0})
-    if work_box == {}:
-        return ArithVerdict(VALID, trace={"method": "empty-box", "cells": 0})
+    return _branch_and_bound(names, hyp_node, concl_node, root_cell, budget)
 
-    names = tuple(sorted(ob.universals))
-    hyp, concl = _compile(ob.hypothesis), _compile(ob.conclusion)
-    root = _scaled((v, work_box[v].lo, work_box[v].hi) for v in names)
+
+def _branch_and_bound(names: tuple, hyp: tuple, concl: tuple, root: tuple, budget: Budget) -> ArithVerdict:
+    """Breadth-first interval branch-and-bound from the root cell, over the
+    compiled hypothesis and conclusion; cells are tuples of (L, H, D) in
+    `names` order."""
     start = time.monotonic()
-    queue = deque([(tuple(root.values()), 0)])
+    queue = deque([(root, 0)])
     cells = 0
     max_depth = 0
     while queue:
@@ -615,11 +715,7 @@ def prove_implication(ob: ArithObligation, budget: Optional[Budget] = None) -> A
             continue
         mid = _midpoint(scaled)
         if _eval3(hyp, mid) == 1 and _eval3(concl, mid) == -1:
-            return ArithVerdict(
-                FALSIFIED,
-                counterexample={v: Fraction(n, d) for v, (n, _, d) in mid.items()},
-                trace={"method": "branch-and-bound", "cells": cells, "max_depth": max_depth},
-            )
+            return _falsified(mid, cells, max_depth)
         # split the first widest interval, comparing widths (H - L) / D exactly
         k = 0
         for i, (lo, hi, d) in enumerate(cell):

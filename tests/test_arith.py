@@ -335,7 +335,7 @@ def precheck_cases(draw):
 )
 def test_derive_atom_matches_reference(case):
     goal, atoms, box = case
-    assert arith._derive_atom(goal, atoms, box) == ref_derive_atom(goal, atoms, box)
+    assert arith._derive_atom(goal, arith._Hypothesis(atoms), box) == ref_derive_atom(goal, atoms, box)
 
 
 # -- soundness cross-check (prover vs falsifier) ------------------------------
