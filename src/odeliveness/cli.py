@@ -9,6 +9,7 @@ identical seeds and budgets produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import pathlib
 import sys
 from fractions import Fraction
@@ -159,7 +160,11 @@ def cmd_catalog(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later one: building it takes about 2 ms, which a caller that runs `main`
+    many times in one process would otherwise pay on every call."""
     ap = argparse.ArgumentParser(prog="odeliv", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -2,6 +2,7 @@ import pathlib
 
 import pytest
 
+from odeliveness import cli
 from odeliveness.cli import main
 from conftest import problem_path
 
@@ -78,6 +79,35 @@ def test_check_trace_byte_identical(capsys):
     _, out1 = run(capsys, "check", problem_path("example1.ode"))
     _, out2 = run(capsys, "check", problem_path("example1.ode"))
     assert out1 == out2
+
+
+def test_one_parser_serves_a_sequence_of_calls(capsys):
+    """`main` builds its parser on the first call and reuses it: check,
+    falsify and a malformed flag in one process print and exit as each does
+    as the first call of a process."""
+    calls = [
+        ["check", problem_path("example1.ode")],
+        ["falsify", problem_path("example1.ode"), "--samples", "2"],
+        ["check", "--budget-cells", "many", problem_path("example1.ode")],
+    ]
+
+    def call(argv):
+        try:
+            code = main([str(a) for a in argv])
+        except SystemExit as e:  # argparse rejects the malformed flag
+            code = e.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    first = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        first.append(call(argv))
+    cli.build_parser.cache_clear()
+    assert [call(argv) for argv in calls] == first
+    assert cli.build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in first] == [0, 0, 2]
+    assert "invalid int value: 'many'" in first[2][2]
 
 
 def test_refuted_certificate_exit1(tmp_path, capsys):
