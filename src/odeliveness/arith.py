@@ -337,15 +337,19 @@ class Budget:
 
 
 def _root_upper(x: Fraction, k: int) -> Fraction:
-    """Smallest n/64 with (n/64)^k >= x, for x >= 0 (outward rational root)."""
+    """Smallest n/64 with (n/64)^k >= x, for x >= 0 (outward rational root),
+    found in integers: the least n >= 1 with n^k * den >= num * 64^k."""
     if x <= 0:
         return Fraction(0)
-    n = max(1, math.ceil(64 * float(x) ** (1.0 / k)))
-    while Fraction(n, 64) ** k < x:
-        n += 1
-    while n > 1 and Fraction(n - 1, 64) ** k >= x:
-        n -= 1
-    return Fraction(n, 64)
+    t = -(-x.numerator * 64**k // x.denominator)  # n^k >= t, as n^k is an integer
+    lo, hi = 1, 1 << -(-t.bit_length() // k)  # hi^k >= 2^bits > t
+    while lo < hi:  # bisect for the least n in [lo, hi] with n^k >= t
+        mid = (lo + hi) // 2
+        if mid**k >= t:
+            hi = mid
+        else:
+            lo = mid + 1
+    return Fraction(lo, 64)
 
 
 def _root(p: Polynomial) -> Optional[tuple[str, bool, Fraction]]:

@@ -13,10 +13,21 @@ some other evaluation order only has to pass the terms in that order.
 
 from __future__ import annotations
 
+from decimal import Context, Decimal
+from fractions import Fraction
 from typing import Callable
 
-from .errors import NestingTooDeep
+from .errors import InvalidArgument, NestingTooDeep
 from .syntax import And, BoolLit, Cmp, Formula, Implies, Not, Or
+
+
+def to_float(c: Fraction) -> float:
+    """c as a float; a number past the float range is an input error."""
+    try:
+        return float(c)
+    except OverflowError:
+        approx = Context(prec=6).divide(Decimal(c.numerator), Decimal(c.denominator)).normalize()
+        raise InvalidArgument(f"number {approx} is outside the float range") from None
 
 
 def poly_src(terms, ref: Callable[[str], str]) -> str:
@@ -24,7 +35,7 @@ def poly_src(terms, ref: Callable[[str], str]) -> str:
     the given order); `ref(name)` is the source of a variable."""
     parts = []
     for m, c in terms:
-        factors = [repr(float(c))]
+        factors = [repr(to_float(c))]
         for v, e in m:
             factors.append(ref(v) if e == 1 else f"{ref(v)}**{e}")
         parts.append("*".join(factors))

@@ -104,4 +104,4 @@ class NestingTooDeep(OdelivError):
 
 
 class InvalidArgument(OdelivError):
-    """A command-line or API argument is malformed or out of range."""
+    """A command-line or API argument, or a number in a problem, is malformed or out of range."""

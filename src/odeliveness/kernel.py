@@ -15,8 +15,7 @@ obligations that are not certificate premises (for example a failed hint
 inside an invariance attempt) yield Unknown, because they disprove the hint,
 not the conclusion.
 
-Obligation discharge is delegated to a checker object (see `rules.Checker`),
-and re-checking a stored node re-runs every obligation.
+Obligation discharge is delegated to a checker object (see `rules.Checker`).
 """
 
 from __future__ import annotations
@@ -39,6 +38,7 @@ from .syntax import (
     Cmp,
     Formula,
     Modal,
+    Or,
     conj,
     formula_variables,
     print_formula,
@@ -59,7 +59,6 @@ _ORDER = {PROVED: 0, CONDITIONAL: 1, UNKNOWN: 2, REFUTED: 3}
 # obligation roles
 GATE = "gate"  # side conditions whose failure means the rule refuses to fire
 PREMISE = "premise"  # the derived rule's stated premises
-SIDE = "side"  # bookkeeping conditions (eps > 0 and the like)
 INTERNAL = "internal"  # obligations of the internal refinement replay
 WITNESS = "witness"  # optional numeric witnesses (initial values, bounds)
 
@@ -177,9 +176,6 @@ class AssumeOb:
         return print_formula(self.formula)
 
 
-Obligation = object  # union of the above
-
-
 @dataclass(frozen=True)
 class Step:
     name: str
@@ -232,7 +228,7 @@ def _dia_parts(seq: Sequent):
     return s.system, s.system.domain if s.system.domain is not None else TRUE, s.post
 
 
-def step_monotone_dia(target: Sequent, stronger: Formula, child: "ProofNode", *, refuting=True) -> ProofNode:
+def step_monotone_dia(target: Sequent, stronger: Formula, child: "ProofNode") -> ProofNode:
     """M dia: from Gamma |- <x'=f & Q> R and Q, R |- P conclude the target."""
     system, domain, post = _dia_parts(target)
     want = Sequent(target.context, dia(system, stronger))
@@ -243,26 +239,9 @@ def step_monotone_dia(target: Sequent, stronger: Formula, child: "ProofNode", *,
         "monotonicity premise",
         PREMISE,
         ArithObligation.closure(hyp, post),
-        refuting=refuting,
+        refuting=True,
     )
     return ProofNode(Step("M◇′"), target, (child,), (ob,))
-
-
-def step_monotone_box(target: Sequent, stronger: Formula, child: "ProofNode") -> ProofNode:
-    s = target.succedent
-    if not isinstance(s, Modal) or not s.box:
-        raise ShapeMismatch("expected a box succedent")
-    system, domain, post = s.system, s.system.domain, s.post
-    want = Sequent(target.context, box(system, stronger))
-    if child.conclusion != want:
-        raise ShapeMismatch("monotonicity child proves the wrong sequent")
-    hyp = conj([domain, stronger])
-    ob = ArithOb(
-        "monotonicity premise",
-        PREMISE,
-        ArithObligation.closure(hyp, post),
-    )
-    return ProofNode(Step("M□′"), target, (child,), (ob,))
 
 
 def step_goal_refine(target: Sequent, via: Formula, child: "ProofNode", hints=(), label="goal refinement") -> ProofNode:
@@ -373,108 +352,52 @@ def step_ghost_clock(target: Sequent, child: "ProofNode") -> ProofNode:
     return ProofNode(Step("dGt"), target, (child,))
 
 
+def _existence_time(kind: str, system: OdeSystem, bound: Optional[Polynomial], escape=None) -> Formula:
+    """clock > bound (> _p without a bound) for an existence leaf, after the
+    checks GEx and BEx share."""
+    if system.clock is None:
+        raise NoClock(f"{kind} existence needs the ghost clock")
+    if system.domain not in (None, TRUE):
+        raise ShapeMismatch(f"{kind} existence applies to unconstrained systems")
+    if escape is not None:
+        extra = formula_variables(escape) - set(system.vars)
+        if extra:
+            raise ShapeMismatch(f"bounded-escape formula mentions {sorted(extra)}; only ODE variables allowed")
+    if bound is None:
+        bound = Polynomial.var("_p")
+    elif bound.variables() & set(system.state_names()):
+        raise NonConstantBound(f"time bound {bound!r} mentions ODE state")
+    return Cmp(">", Polynomial.var(system.clock), bound)
+
+
 def step_exist_global(context, system: OdeSystem, bound: Optional[Polynomial]) -> ProofNode:
     """GEx leaf: a globally Lipschitz system exists past any constant time."""
-    if system.clock is None:
-        raise NoClock("global existence needs the ghost clock")
-    if system.domain not in (None, TRUE):
-        raise ShapeMismatch("global existence applies to unconstrained systems")
-    if bound is not None:
-        state = set(system.state_names())
-        if bound.variables() & state:
-            raise NonConstantBound(f"time bound {bound!r} mentions ODE state")
-        bound_formula = Cmp(">", Polynomial.var(system.clock), bound)
-    else:
-        bound_formula = Cmp(">", Polynomial.var(system.clock), Polynomial.var("_p"))
+    post = _existence_time("global", system, bound)
     lip = LipschitzOb("global existence", GATE, system)
-    return ProofNode(Step("GEx"), Sequent(tuple(context), dia(system, bound_formula)), (), (lip,))
+    return ProofNode(Step("GEx"), Sequent(tuple(context), dia(system, post)), (), (lip,))
 
 
 def step_exist_bounded(context, system: OdeSystem, escape: Formula, bound: Optional[Polynomial]) -> ProofNode:
     """BEx leaf: solutions leave any bounded set or survive past a constant time."""
-    if system.clock is None:
-        raise NoClock("bounded existence needs the ghost clock")
-    if system.domain not in (None, TRUE):
-        raise ShapeMismatch("bounded existence applies to unconstrained systems")
-    extra = formula_variables(escape) - set(system.vars)
-    if extra:
-        raise ShapeMismatch(f"bounded-escape formula mentions {sorted(extra)}; only ODE variables allowed")
-    if bound is not None:
-        state = set(system.state_names())
-        if bound.variables() & state:
-            raise NonConstantBound(f"time bound {bound!r} mentions ODE state")
-        t_part = Cmp(">", Polynomial.var(system.clock), bound)
-    else:
-        t_part = Cmp(">", Polynomial.var(system.clock), Polynomial.var("_p"))
-    from .syntax import Or
-
+    t_part = _existence_time("bounded", system, bound, escape)
     post = Or(negate(escape), t_part)
     topo = TopoOb("bounded escape set", GATE, escape, topology.BOUNDED, system.vars)
     return ProofNode(Step("BEx"), Sequent(tuple(context), dia(system, post)), (), (topo,))
 
 
-def step_assumption(context, formula: Formula, label="duration assumption") -> ProofNode:
+def step_assumption(context, formula: Formula) -> ProofNode:
     """Leaf recording an unproved hypothesis; yields ConditionallyProved."""
     return ProofNode(
         Step("assumption"),
         Sequent(tuple(context), formula),
         (),
-        (AssumeOb(label, formula),),
+        (AssumeOb("duration assumption", formula),),
     )
 
 
 def derived_node(name: str, conclusion: Sequent, children=(), obligations=(), note="") -> ProofNode:
     """A derived-rule application; obligations are the rule's stated premises."""
     return ProofNode(Step(name, note), conclusion, tuple(children), tuple(obligations))
-
-
-# ---------------------------------------------------------------------------
-# Step-kind registry (for structural soundness audits)
-
-
-@dataclass(frozen=True)
-class StepKindInfo:
-    name: str
-    kind: str  # "axiom" | "rule" | "leaf" | "derived"
-    changes_domain: bool
-    invariance_domain_shape: str  # shape of any generated box-obligation domain
-    topo_gated: bool = False
-    initial_gate: bool = False
-
-
-STEP_KINDS = (
-    StepKindInfo("M◇′", "rule", False, "none"),
-    StepKindInfo("M□′", "rule", False, "none"),
-    StepKindInfo("K⟨&⟩", "axiom", False, "Q & !P (postcondition !G, domain unchanged)"),
-    StepKindInfo("DR⟨·⟩", "axiom", True, "R"),
-    StepKindInfo("COR", "axiom", True, "R & !P", topo_gated=True, initial_gate=True),
-    StepKindInfo("SAR", "axiom", True, "R & !(P & Q)"),
-    StepKindInfo("dGt", "rule", False, "none"),
-    StepKindInfo("GEx", "leaf", False, "none"),
-    StepKindInfo("BEx", "leaf", False, "none"),
-    StepKindInfo("assumption", "leaf", False, "none"),
-    StepKindInfo("DI", "derived", False, "none"),
-    StepKindInfo("DC", "derived", False, "none"),
-    StepKindInfo("DW", "derived", False, "none"),
-    StepKindInfo("DX", "derived", False, "none"),
-    StepKindInfo("BC", "derived", False, "none"),
-    StepKindInfo("DomainWeaken", "derived", False, "weakened domain R with |- Q -> R"),
-    StepKindInfo("∧-split", "derived", False, "none"),
-    StepKindInfo("dV_geq", "derived", False, "none"),
-    StepKindInfo("dV_gt", "derived", False, "none"),
-    StepKindInfo("dV_geq_star", "derived", False, "none"),
-    StepKindInfo("dV_eq", "derived", False, "none"),
-    StepKindInfo("dV_eqM", "derived", False, "none"),
-    StepKindInfo("dV_k", "derived", False, "none"),
-    StepKindInfo("SP", "derived", False, "none"),
-    StepKindInfo("SP_b", "derived", False, "none"),
-    StepKindInfo("SP_c", "derived", False, "none"),
-    StepKindInfo("SLyap", "derived", False, "none"),
-    StepKindInfo("SP_dom", "derived", False, "none"),
-    StepKindInfo("SP_ck_dom", "derived", False, "none"),
-    StepKindInfo("E_c_dom", "derived", False, "none"),
-    StepKindInfo("SLyap_dom", "derived", False, "none"),
-)
 
 
 # ---------------------------------------------------------------------------

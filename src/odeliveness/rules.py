@@ -168,13 +168,12 @@ def hints_from_cert(steps) -> tuple:
 
 
 class Checker:
-    """Discharges obligations; caches by structural key; logs arithmetic."""
+    """Discharges obligations; caches by structural key."""
 
     def __init__(self, budget: Optional[arith.Budget] = None):
         self.budget = budget or arith.Budget()
         self._arith_cache: dict = {}
         self._topo_cache: dict = {}
-        self.arith_log: list = []  # ArithOb in discharge order
 
     # -- primitive queries --------------------------------------------------
 
@@ -204,7 +203,6 @@ class Checker:
         if isinstance(ob, ArithOb):
             if ob.result is None:
                 ob.result = self.prove(ob.obligation)
-                self.arith_log.append(ob)
         elif isinstance(ob, TopoOb):
             if ob.result is None:
                 ob.result = self.topo(ob.prop, ob.formula, ob.vars)
@@ -216,18 +214,8 @@ class Checker:
                 ob.proof = prove_invariance(ob.sequent, ob.hints, self)
         # AssumeOb needs no discharge
 
-    def run(self, root: ProofNode, recheck: bool = False) -> None:
-        """Discharge every obligation; with recheck, re-run them all."""
-        if recheck:
-            for node in root.walk():
-                for ob in node.obligations:
-                    if isinstance(ob, (ArithOb, TopoOb, LipschitzOb)):
-                        ob.result = None
-                    elif isinstance(ob, InvarianceOb):
-                        ob.proof = None
-            self._arith_cache.clear()
-            self._topo_cache.clear()
-            self.arith_log.clear()
+    def run(self, root: ProofNode) -> None:
+        """Discharge every obligation of the tree."""
         for node in root.walk():
             for ob in node.obligations:
                 self.discharge(ob)
@@ -615,6 +603,7 @@ def _peel_wrappers(r: _Rule):
 
 
 _DOMAIN_STEPS = {"COR": step_topo_closed_open, "DR": step_refine_domain, "SAR": step_topo_semialg}
+_DURATIONS = ("GEx", "BEx", "assume")
 
 
 def _apply_wrappers(r: _Rule, node: ProofNode, specs=(), domain_hints=()) -> ProofNode:
@@ -658,7 +647,7 @@ def _rule_dv(r: _Rule, *, op: str, dom: bool = False, star: bool = False, order:
     if bound is not None:
         obligations.append(r.initially("initial variant value", Cmp(">=", p, Polynomial.const(p0)), WITNESS))
 
-    duration = r.get("duration", ("GEx", "BEx", "assume"), "assume" if star else "GEx")
+    duration = r.get("duration", _DURATIONS, "assume" if star else "GEx")
     if duration == "GEx":
         obligations.insert(0, lip)
     chain = [f"L^{i} p >= _g{i} + eps*t^{order - i}/{order - i}!" for i in range(order - 1, 0, -1)]

@@ -30,7 +30,7 @@ from random import Random
 from types import SimpleNamespace
 from typing import Callable, Optional
 
-from .codegen import build, formula_src, poly_src
+from .codegen import build, formula_src, poly_src, to_float
 from .errors import InsufficientSamples, InvalidArgument, RuleRefused, UnsamplableInitSet
 from .normal import atoms_of
 from .symbolic import OdeSystem, Polynomial, lie_derivative
@@ -453,7 +453,7 @@ def _circle_param(atom_poly: Polynomial) -> Optional[tuple]:
     coords.sort()
     (x, cx), (yv, cy) = coords
     C = -const
-    return x, math.sqrt(float(C / cx)), yv, math.sqrt(float(C / cy))
+    return x, math.sqrt(to_float(C / cx)), yv, math.sqrt(to_float(C / cy))
 
 
 def sample_initial_states(problem: ProblemFile, count: int, seed: int) -> list:
@@ -480,7 +480,7 @@ def sample_initial_states(problem: ProblemFile, count: int, seed: int) -> list:
                 v = names_in[0]
                 coef = a.poly.coefficient(((v, 1),))
                 off = a.poly.coefficient(())
-                pinned[v] = float(-off / coef)
+                pinned[v] = to_float(-off / coef)
                 continue
             circ = _circle_param(a.poly)
             if circ is not None:
@@ -518,7 +518,7 @@ def sample_initial_states(problem: ProblemFile, count: int, seed: int) -> list:
             pt[yv] = ry * math.sin(th)
         for n in free:
             iv = box[n]
-            pt[n] = float(iv.lo) + (float(iv.hi) - float(iv.lo)) * rng.random()
+            pt[n] = to_float(iv.lo) + (to_float(iv.hi) - to_float(iv.lo)) * rng.random()
         if inside is None or inside(tuple(pt[n] for n in names)):
             out.append(pt)
     if len(out) < count:

@@ -28,13 +28,7 @@ from .errors import (
 Monomial = tuple  # tuple[tuple[str, int], ...], sorted by name, exponents > 0
 
 # Degree guard on mul/pow, to fail fast on runaway certificates.
-DEFAULT_DEGREE_CAP = 64
-_degree_cap: Optional[int] = DEFAULT_DEGREE_CAP
-
-
-def set_degree_cap(cap: Optional[int]) -> None:
-    global _degree_cap
-    _degree_cap = cap
+DEGREE_CAP = 64
 
 
 def _mono_degree(m: Monomial) -> int:
@@ -165,11 +159,9 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         other = _coerce(other)
-        if _degree_cap is not None and not self.is_zero() and not other.is_zero():
-            if self.degree() + other.degree() > _degree_cap:
-                raise DegreeCapExceeded(
-                    f"product degree {self.degree() + other.degree()} exceeds cap {_degree_cap}"
-                )
+        if not self.is_zero() and not other.is_zero():
+            if self.degree() + other.degree() > DEGREE_CAP:
+                raise DegreeCapExceeded(f"product degree {self.degree() + other.degree()} exceeds cap {DEGREE_CAP}")
         out: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -181,8 +173,8 @@ class Polynomial:
     def __pow__(self, k: int) -> "Polynomial":
         if not isinstance(k, int) or k < 0:
             raise PowNegativeExponent(f"exponent must be a nonnegative integer, got {k!r}")
-        if _degree_cap is not None and k > 0 and self.degree() * k > _degree_cap:
-            raise DegreeCapExceeded(f"power degree {self.degree() * k} exceeds cap {_degree_cap}")
+        if k > 0 and self.degree() * k > DEGREE_CAP:
+            raise DegreeCapExceeded(f"power degree {self.degree() * k} exceeds cap {DEGREE_CAP}")
         result = Polynomial.const(1)
         base = self
         while k:
@@ -327,8 +319,8 @@ def poly_divmod(p: Polynomial, d: Polynomial) -> tuple[Polynomial, Polynomial]:
                 m, best = t, key
         if m is None:
             break
-        if _degree_cap is not None and _mono_degree(m) > _degree_cap:
-            raise DegreeCapExceeded(f"product degree {_mono_degree(m)} exceeds cap {_degree_cap}")
+        if _mono_degree(m) > DEGREE_CAP:
+            raise DegreeCapExceeded(f"product degree {_mono_degree(m)} exceeds cap {DEGREE_CAP}")
         exps = dict(m)
         qm = tuple(sorted((v, e) for v, e in ((v, exps.get(v, 0) - dexp.get(v, 0)) for v in exps) if e > 0))
         qc = r[m] / dc

@@ -13,13 +13,14 @@ import pytest
 
 from odeliveness import arith, sim, topology
 from odeliveness.cli import main as cli_main
-from odeliveness.errors import RuleRefused
+from odeliveness.errors import OdelivError, RuleRefused
 from odeliveness.kernel import PROVED, render_trace
 from odeliveness.rules import RULE_BUILDERS, Checker, apply_rule
 from odeliveness.symbolic import OdeSystem, Polynomial
 from odeliveness.syntax import Cmp, parse_formula, parse_poly, parse_problem
 
-from conftest import problem_path
+from conftest import PROBLEMS, ROOT, problem_path
+from test_kernel import missing_gates, refines_domain_under_goal_negation, step_audit_findings
 
 
 def report(n, ok, detail=""):
@@ -259,25 +260,40 @@ def test_criterion_8_topological_gate(capsys):
 
 
 def test_criterion_9_kernel_structural_soundness():
-    """No step kind realizes the unsound domain-refinement shape; the punctured
-    line documents the semantic failure it would permit."""
-    from odeliveness.kernel import STEP_KINDS
-
-    gated = all(
-        (k.topo_gated and k.initial_gate)
-        for k in STEP_KINDS
-        if k.changes_domain and "!P" in k.invariance_domain_shape
-    )
-    plain_dr = next(k for k in STEP_KINDS if k.name == "DR⟨·⟩")
+    """Built on a generic sequent, every kernel step constructor is audited:
+    only COR refines the domain with the goal negation in a box premise's
+    domain, and it carries the topology and initial-state gates; DR keeps
+    the plain domain.  Every node of every rule golden's and problem file's
+    chain with that shape carries a topology gate.  The punctured line
+    documents the semantic failure an ungated refinement would permit."""
+    findings = step_audit_findings()
+    chain_nodes, shaped = 0, 0
+    for path in sorted((ROOT / "tests" / "golden" / "rules").glob("*.ode")) + sorted(PROBLEMS.glob("*.ode")):
+        pf = parse_problem(path.read_text())
+        if not pf.certificate:
+            continue
+        try:
+            root = RULE_BUILDERS[pf.certificate[0].name](pf, pf.certificate[0], Checker())
+        except OdelivError:
+            continue  # refused before a chain exists
+        for node in root.walk():
+            chain_nodes += 1
+            if refines_domain_under_goal_negation(node):
+                shaped += 1
+                if "topology" in missing_gates(node):
+                    findings.append(f"{path.name}: {node.step.name} lacks its topology gate")
     entry = next(e for e in sim.catalog() if e.id == "CE-2")
     pf = entry.problem()
     traj = sim.integrate(pf.system, {"x": 0.0}, 3.0, goal=pf.goal, stop_on_event=True)
     cls, t_event = sim.classify(traj)
     ok = (
-        gated
-        and plain_dr.invariance_domain_shape == "R"
+        not findings
+        and shaped > 0
         and cls == sim.REFUTED
         and t_event is not None
         and abs(t_event - 1.0) < 1e-6
     )
-    report(9, ok, f"gates audited over {len(STEP_KINDS)} step kinds; CE-2 {cls} at t={t_event}")
+    audit = "; ".join(findings) or (
+        f"every step constructor audited; {shaped} of {chain_nodes} chain nodes refine under not-P, all topology-gated"
+    )
+    report(9, ok, f"{audit}; CE-2 {cls} at t={t_event}")

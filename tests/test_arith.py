@@ -169,6 +169,20 @@ def test_extract_box_from_equality():
     assert b["u"].hi >= 1
 
 
+@given(
+    st.builds(Fraction, st.integers(1, 10**80), st.integers(1, 10**40)) | st.sampled_from([Fraction(4), Fraction(1, 64)]),
+    st.sampled_from([2, 4, 6, 3]),
+)
+@example(Fraction(10**60) + Fraction(1, 3), 2)
+@example(Fraction(10**400), 2)
+@example(Fraction(10**400), 4)
+def test_root_upper_is_the_least_outward_root(x, k):
+    r = arith._root_upper(x, k)
+    n = r * 64  # the definition: the least integer n >= 1 with (n/64)^k >= x
+    assert n.denominator == 1 and n >= 1
+    assert r**k >= x and (n == 1 or Fraction(n - 1, 64) ** k < x)
+
+
 def test_extract_box_reports_unbounded():
     b, unbounded = extract_box(parse_formula("u >= 0"), ("u",))
     assert b is None and unbounded == ["u"]

@@ -1,4 +1,5 @@
 import pathlib
+import time
 
 import pytest
 
@@ -226,6 +227,39 @@ def test_bad_arguments_are_input_errors(capsys, argv):
     code, out = run(capsys, *argv)
     assert code == 3
     assert out.startswith("input error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["falsify", "--samples", 2], "ode { x' = 1 }\nassume { x = 10^400 }\ngoal { x >= 1 }\n"),
+        (["falsify", "--samples", 2], "ode { x' = 1 }\nassume { x >= 0 & x <= 10^400 }\ngoal { x >= 1 }\n"),
+        (["simulate", "--init", "x=0"], "ode { x' = 10^400 }\nassume { x = 0 }\ngoal { x >= 1 }\n"),
+        (["simulate", "--init", "x=0"], "ode { x' = 1 }\nassume { x = 0 }\ngoal { x >= -10^400 }\n"),
+    ],
+    ids=["falsify-pinned-state", "falsify-box-bound", "simulate-right-hand-side", "simulate-goal"],
+)
+def test_number_outside_float_range_is_input_error(tmp_path, capsys, argv, text):
+    # exit 1 means "refuted": a number the float evaluators cannot hold must never look like one
+    f = tmp_path / "huge.ode"
+    f.write_text(text)
+    code, out = run(capsys, argv[0], f, *argv[1:])
+    assert code == 3
+    assert out == "input error: number 1E+400 is outside the float range\n"
+
+
+@pytest.mark.parametrize("bound", ["10^60", "10^400"])
+def test_huge_sum_of_squares_box_is_checked_quickly(tmp_path, capsys, bound):
+    # the box's outward root x <= n/64 is computed in integers, not from a float
+    f = tmp_path / "huge-box.ode"
+    f.write_text(
+        "ode { x' = 1 }\nassume { x = 0 }\ngoal { x >= 1 }\n"
+        f"proof {{ rule dV_geq {{ p = x - 1; eps = 1; box = x^2 <= {bound}; hints = hint [ rule DW {{ }} ] }} }}\n"
+    )
+    t0 = time.monotonic()
+    code, out = run(capsys, "check", f)
+    assert code in (0, 2) and time.monotonic() - t0 < 5.0
+    assert out.splitlines()[-1].startswith("verdict: ")
 
 
 BINDING_PROBLEM = "ode { x' = 1 }\nassume { x = -1 }\ngoal { x >= 0 }\nproof { rule %s }\n"

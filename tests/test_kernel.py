@@ -14,7 +14,6 @@ from odeliveness.kernel import (
     CONDITIONAL,
     PROVED,
     REFUTED,
-    STEP_KINDS,
     UNKNOWN,
     ArithOb,
     AssumeOb,
@@ -22,6 +21,7 @@ from odeliveness.kernel import (
     ProofNode,
     Sequent,
     Step,
+    TopoOb,
     box,
     context_filter,
     dia,
@@ -32,7 +32,6 @@ from odeliveness.kernel import (
     step_exist_global,
     step_ghost_clock,
     step_goal_refine,
-    step_monotone_box,
     step_monotone_dia,
     step_refine_domain,
     step_topo_closed_open,
@@ -40,7 +39,7 @@ from odeliveness.kernel import (
 )
 from odeliveness.normal import negate
 from odeliveness.symbolic import Polynomial
-from odeliveness.syntax import TRUE, Cmp, conj, parse_formula, parse_poly, parse_problem
+from odeliveness.syntax import TRUE, Cmp, Modal, conj, conjuncts, parse_formula, parse_poly, parse_problem
 
 
 def leaf(seq):
@@ -267,16 +266,127 @@ def test_context_filter_edges(alpha_l):
 # -- structural soundness audit (no constructor realizes the unsound shape) -------
 
 
-def test_step_kind_registry_covers_every_trace_name():
-    names = {k.name for k in STEP_KINDS}
-    for required in ("DR⟨·⟩", "COR", "SAR", "K⟨&⟩", "GEx", "BEx", "dGt", "M◇′", "M□′"):
-        assert required in names
+AUDIT_PROBLEM = parse_problem("ode { u' = -v - u; v' = u - v }  assume { u = 0 }")
+# (goal P, domain Q): a closed pair and an open pair, so COR builds on each
+AUDIT_PAIRS = (("u >= 1", "u^2 + v^2 <= 4"), ("u > 1", "u^2 + v^2 < 4"))
+AUDIT_REFINED = parse_formula("v <= 1")  # the stronger domain R of the refinement steps
+
+
+def build_every_step(goal: str, domain: str) -> dict:
+    """Every kernel `step_*` constructor applied to Γ ⊢ <x' = f & Q> P, keyed
+    by its name.  Each child is a stub leaf of the shape the step asks for;
+    the existence leaves, which refuse a domain, get the unconstrained
+    clocked system."""
+    ctx, system = AUDIT_PROBLEM.assumptions, AUDIT_PROBLEM.system
+    p, q, g = parse_formula(goal), parse_formula(domain), parse_formula("u >= 2")
+    target = Sequent(ctx, dia(system.with_domain(q), p))
+
+    def child(post, dom):
+        return leaf(Sequent(ctx, dia(system.with_domain(dom), post)))
+
+    t0 = Cmp("=", Polynomial.var(kernel.CLOCK_NAME), Polynomial.const(0))
+    clocked = leaf(Sequent(ctx + (t0,), dia(system.with_domain(q).with_clock(kernel.CLOCK_NAME), p)))
+    unconstrained = system.with_domain(TRUE).with_clock(kernel.CLOCK_NAME)
+    calls = (
+        (step_monotone_dia, target, g, child(g, q)),
+        (step_goal_refine, target, g, child(g, q)),
+        (step_refine_domain, target, AUDIT_REFINED, child(p, AUDIT_REFINED)),
+        (step_topo_closed_open, target, AUDIT_REFINED, child(p, AUDIT_REFINED)),
+        (step_topo_semialg, target, AUDIT_REFINED, child(p, AUDIT_REFINED)),
+        (step_ghost_clock, target, clocked),
+        (step_exist_global, ctx, unconstrained, Polynomial.const(1)),
+        (step_exist_bounded, ctx, unconstrained, q, Polynomial.const(1)),
+        (step_assumption, ctx, target.succedent),
+    )
+    return {step.__name__: step(*args) for step, *args in calls}
+
+
+def _diamond_domain(seq):
+    s = seq.succedent
+    if isinstance(s, Modal) and not s.box:
+        return TRUE if s.system.domain is None else s.system.domain
+    return None
+
+
+def refines_domain_under_goal_negation(node) -> bool:
+    """The node changes its diamond's domain Q and puts the goal negation
+    among the conjuncts of a box premise's domain: the shape that is sound
+    only with COR's gates (CE-2 shows the failure without them)."""
+    domain = _diamond_domain(node.conclusion)
+    if domain is None or all(_diamond_domain(c.conclusion) in (None, domain) for c in node.children):
+        return False
+    not_p = set(conjuncts(negate(node.conclusion.succedent.post)))
+    return any(
+        isinstance(ob, InvarianceOb) and not_p <= set(conjuncts(ob.sequent.succedent.system.domain))
+        for ob in node.obligations
+    )
+
+
+def missing_gates(node) -> list:
+    """The gates of that shape a node lacks: a Closed/Open topology gate, and
+    the initial-state gate whose conclusion is the goal negation under the
+    node's context."""
+    not_p = negate(node.conclusion.succedent.post)
+    hyp = conj(list(node.conclusion.context))
+    gates = [ob for ob in node.obligations if ob.role == kernel.GATE]
+    missing = []
+    if not any(isinstance(ob, TopoOb) and ob.prop in (topology.CLOSED, topology.OPEN) for ob in gates):
+        missing.append("topology")
+    if not any(
+        isinstance(ob, ArithOb) and (ob.obligation.hypothesis, ob.obligation.conclusion) == (hyp, not_p)
+        for ob in gates
+    ):
+        missing.append("initial-state")
+    return missing
+
+
+def step_audit_findings() -> list:
+    """What the constructor audit finds wrong, empty when sound: a `step_*`
+    constructor it does not build, a step other than COR that refines the
+    domain under the goal negation, such a step without its gates, COR no
+    longer seen to do so, or a DR box premise over more than the plain R."""
+    constructors = {name for name in vars(kernel) if name.startswith("step_")}
+    findings = []
+    for goal, domain in AUDIT_PAIRS:
+        built = build_every_step(goal, domain)
+        findings += [f"{name} is not built by the audit" for name in sorted(constructors - set(built))]
+        tripped = {name for name, node in built.items() if refines_domain_under_goal_negation(node)}
+        findings += [f"{name} refines the domain under not-P" for name in sorted(tripped - {"step_topo_closed_open"})]
+        findings += [f"{name} lacks its {gate} gate" for name in sorted(tripped) for gate in missing_gates(built[name])]
+        if "step_topo_closed_open" not in tripped:
+            findings.append(f"COR is not seen to refine the domain under not-P ({goal}, {domain})")
+        dr_domains = [ob.sequent.succedent.system.domain for ob in built["step_refine_domain"].obligations]
+        if dr_domains != [AUDIT_REFINED]:
+            findings.append(f"DR's box premise domains are {dr_domains}, not the plain R")
+    return findings
+
+
+def test_every_step_constructor_is_audited():
+    constructors = {name for name in vars(kernel) if name.startswith("step_")}
+    for goal, domain in AUDIT_PAIRS:
+        assert set(build_every_step(goal, domain)) == constructors
 
 
 def test_no_domain_refinement_carries_goal_negation_without_topo_gate():
-    for k in STEP_KINDS:
-        if k.changes_domain and "!P" in k.invariance_domain_shape:
-            assert k.topo_gated and k.initial_gate, k.name
+    assert step_audit_findings() == []
+
+
+def test_audit_sees_the_ungated_shape(alpha_l):
+    """The detector and the gate check on hand-built nodes: COR stripped of
+    its gates, and DR given not-P in its box domain."""
+    p, q = parse_formula("u >= 1"), parse_formula("u^2 + v^2 <= 4")
+    target = dia_seq(alpha_l, p, domain=q)
+    child = leaf(dia_seq(alpha_l, p, domain=AUDIT_REFINED))
+    cor = step_topo_closed_open(target, AUDIT_REFINED, child)
+    stripped = ProofNode(cor.step, cor.conclusion, cor.children, cor.obligations[-1:])
+    assert refines_domain_under_goal_negation(stripped)
+    assert missing_gates(stripped) == ["topology", "initial-state"]
+    inside_not_p = alpha_l.system.with_domain(conj([AUDIT_REFINED, negate(p)]))
+    unsound = InvarianceOb("domain refinement box premise", kernel.PREMISE, Sequent((), box(inside_not_p, q)))
+    dr = ProofNode(Step("DR⟨·⟩"), target, (child,), (unsound,))
+    assert refines_domain_under_goal_negation(dr)
+    assert missing_gates(dr) == ["topology", "initial-state"]
+    assert not refines_domain_under_goal_negation(step_refine_domain(target, AUDIT_REFINED, child))
 
 
 def test_domain_refine_signature_admits_no_extra_domain_term():
@@ -327,13 +437,3 @@ def test_bex_false_escape_trivially_bounded(alpha_n):
     (ob,) = node.obligations
     v = topo_mod.check_bounded(FALSE, alpha_n.system.vars)
     assert v.holds  # the empty set is bounded; the disjunct !false holds at time 0
-
-
-def test_monotone_box_generates_premise(alpha_l):
-    q = parse_formula("u^2 + v^2 <= 2")
-    target = Sequent((), box(alpha_l.system.with_domain(q), parse_formula("u^2 + v^2 <= 4")))
-    child = leaf(Sequent((), box(alpha_l.system.with_domain(q), parse_formula("u^2 + v^2 <= 1"))))
-    node = step_monotone_box(target, parse_formula("u^2 + v^2 <= 1"), child)
-    (ob,) = node.obligations
-    assert ob.obligation.conclusion == parse_formula("u^2 + v^2 <= 4")
-    assert node.step.name == "M□′"

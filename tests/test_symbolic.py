@@ -11,6 +11,7 @@ from odeliveness.errors import (
     UnknownVariable,
 )
 from odeliveness.symbolic import (
+    DEGREE_CAP,
     OdeSystem,
     Polynomial,
     higher_lie,
@@ -18,7 +19,6 @@ from odeliveness.symbolic import (
     poly_divmod,
     primitive,
     reduce_mod_equalities,
-    set_degree_cap,
 )
 from odeliveness.syntax import parse_poly, print_poly
 
@@ -55,14 +55,13 @@ def test_pow_negative_exponent_rejected():
 
 
 def test_degree_cap_guards_runaway_products():
-    set_degree_cap(8)
-    try:
-        with pytest.raises(DegreeCapExceeded):
-            (u**4) * (u**4) * u
-        with pytest.raises(DegreeCapExceeded):
-            u**9
-    finally:
-        set_degree_cap(64)
+    assert (u**32 * u**32).degree() == DEGREE_CAP == 64
+    with pytest.raises(DegreeCapExceeded):
+        (u**32) * (u**32) * u
+    with pytest.raises(DegreeCapExceeded):
+        u**65
+    with pytest.raises(DegreeCapExceeded):
+        poly_divmod(Polynomial({(("u", 65),): frac(1)}), u - 1)
 
 
 def test_eval_rational():
