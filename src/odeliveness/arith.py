@@ -800,7 +800,11 @@ def falsify(ob: ArithObligation, samples: int = 2000, seed: int = 0) -> ArithVer
     ivs = [work_box[v] if work_box else default for v in names]
     los = [iv.lo for iv in ivs]
     spans = [iv.hi - iv.lo for iv in ivs]
-    axes = [[float(lo) + float(span) * (k / 256.0) for k in range(257)] for lo, span in zip(los, spans)]
+    try:
+        axes = [[float(lo) + float(span) * (k / 256.0) for k in range(257)] for lo, span in zip(los, spans)]
+    except OverflowError:
+        # a box bound past the float range leaves an axis with no float to screen
+        return ArithVerdict(UNKNOWN, trace={"method": "sampling", "samples": 0})
     screen = _compile_screen(ob, names, axes)
     tried = 0
     for ks in _sample_grid(len(names), samples, seed):

@@ -1,12 +1,15 @@
 """Numeric semantics: trajectory integration, falsification, counterexamples.
 
-Trajectories are integrated with classic fourth-order Runge-Kutta under
-step-halving error control; goal entry, domain exit and suspected blow-up
-are located by bisection.  Equalities are evaluated at floats with a 1e-9
-absolute tolerance, strict comparisons with none; every event records the
-time found by bisection.  A goal entry and a domain exit located at the same
-point reach the goal when that point lies in both sets, that is, when the
-goal was entered and the domain left through non-strict atoms.
+Trajectories are integrated with the embedded Dormand-Prince 5(4) pair
+(advancing with the fifth-order solution, controlling the step with the
+fourth-order one's difference); goal entry, domain exit and suspected
+blow-up are located by bisecting the step's dense-output polynomial, which
+costs no further right-hand-side evaluations.  Equalities are evaluated at
+floats with a 1e-9 absolute tolerance, strict comparisons with none; every
+event records the time found by bisection.  A goal entry and a domain exit
+located at the same point reach the goal when that point lies in both sets,
+that is, when the goal was entered and the domain left through non-strict
+atoms.
 
 Each system and goal is compiled to Python once (`Plan`), and trajectories
 are bit-identical however often a plan is reused, so `falsify_liveness`
@@ -23,6 +26,7 @@ observes the expected trajectory behavior.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -58,10 +62,11 @@ BLOWUP = "BLOWUP"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 
-# Integrator constants: step-doubling error tolerance, initial and smallest
-# step, blow-up norm, bisection width of event times, float tolerance of
-# equalities, step cap, and the gap within which a goal entry and a domain
-# exit count as one event
+# Integrator constants: the tolerance on a step's embedded error estimate,
+# initial and smallest step (a trial at or below HMIN is accepted whatever
+# its error), blow-up norm, bisection width of event times on the dense
+# output, float tolerance of equalities, step cap, and the gap within which
+# a goal entry and a domain exit count as one event
 TOL = 1e-9
 H0 = 1e-2
 HMIN = 1e-12
@@ -101,18 +106,45 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 # Compiled trajectory work
 #
-# A `Plan` compiles a system, its domain and a goal to Python once: the RK4
-# step with its four stages inlined over the state tuple, float predicates
-# for the goal and the domain, and an evaluator for each atom's difference
-# polynomial.  Every float operation is fixed by the source, so trajectories
-# do not depend on how often a plan is reused:
+# A `Plan` compiles a system, its domain and a goal to Python once: the
+# right-hand side `f(y)`, float predicates for the goal and the domain, and
+# an evaluator for each atom's difference polynomial.  The Dormand-Prince
+# trial `dp(y, h, k1)` calls `f` for its stages rather than inlining the
+# right-hand side six times; its source depends only on the dimension, so
+# it is compiled once per dimension (`_dimension`) and bound to each plan's
+# `f`.  Every float operation is fixed by the source, so trajectories do not
+# depend on how often a plan is reused:
 #
-#   stage points  y + (0.5*h)*k1,  y + (0.5*h)*k2,  y + h*k3
-#   result        y + (h/6.0)*(((k1 + 2*k2) + 2*k3) + k4)
+#   stage i       k_i = f(y + h*(a_i1*k1 + ... + a_i,i-1*k_{i-1})),  i = 2..7
+#   result        y1 = y + h*(b1*k1 + b3*k3 + ... + b6*k6)  (the 7th stage point)
+#   error         max_i |h*(e1*k1_i + e3*k3_i + ... + e7*k7_i)| / (1 + |y1_i|)
 #
-# with right-hand sides summed in `Polynomial.sorted_terms` order and atom
-# polynomials in `Polynomial.eval_float` order.  An OverflowError in a
-# stage's right-hand side makes every component of that stage infinite.
+# with the weights of `_DP_A` and `_DP_E` as floats, zero weights left out,
+# sums taken left to right, right-hand sides summed in
+# `Polynomial.sorted_terms` order and atom polynomials in
+# `Polynomial.eval_float` order.  An OverflowError in `f` makes every
+# component of that stage infinite.  The 7th stage is f at y1, so an
+# accepted trial's k7 is the next trial's k1 (first same as last): a trial
+# costs six evaluations of `f`.
+
+# Dormand & Prince, J. Comput. Appl. Math. 6 (1980), as the nearest floats
+# to the rationals: the rows of the stage matrix for stages 2..7 (the last
+# row is the fifth-order weights b), the error weights b - b^ for k1..k7,
+# and the weights of the continuous extension's last coefficient for k1,
+# k3..k7 (Hairer, Norsett & Wanner, Solving ODEs I, II.6)
+_DP_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+_DENSE = (
+    -12715105075 / 11282082432, 87487479700 / 32700410799, -10690763975 / 1880347072,
+    701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423,
+)
 
 _STRICT = frozenset(("<", ">", "!="))
 
@@ -181,6 +213,38 @@ def _predicate(f: Formula, names, eq_tol: float) -> Callable:
     return build(src, "_pred", {"_eq": eq_tol})
 
 
+@functools.cache
+def _dimension(n: int) -> SimpleNamespace:
+    """The compiled work that depends only on the state's dimension n, built
+    once per n: `dp_over(f)`, the Dormand-Prince trial `dp(y, h, k1)` over
+    the right-hand side `f`, which returns the fifth-order state, its error
+    and k7 = f(state), and the stages the dense output reads; `finite(y)`;
+    and `norm(y)`, the max norm."""
+
+    def combo(weights, i):
+        return " + ".join(f"{w!r} * k{j + 1}_{i}" for j, w in enumerate(weights) if w)
+
+    body = [_unpack("a", n, "y"), _unpack("k1_", n, "k1")]
+    for s, row in enumerate(_DP_A[:-1], start=2):
+        point = "".join(f"a{i} + h * ({combo(row, i)}), " for i in range(n))
+        body += [f"k{s} = f(({point}))", _unpack(f"k{s}_", n, f"k{s}")]
+    body += [f"b{i} = a{i} + h * ({combo(_DP_A[-1], i)})" for i in range(n)]
+    body += ["y1 = (" + "".join(f"b{i}, " for i in range(n)) + ")", "k7 = f(y1)", _unpack("k7_", n, "k7")]
+    error = _max_src([f"abs(h * ({combo(_DP_E, i)})) / (1.0 + abs(b{i}))" for i in range(n)])
+    body.append(f"return y1, {error}, k7, (k1, k3, k4, k5, k6, k7)")
+    unpack = _unpack("a", n, "y")
+    src = "\n".join(
+        ["def dp_over(f):", "    def dp(y, h, k1):"]
+        + [f"        {line}" for line in body]
+        + ["    return dp", "def finite(y):", f"    {unpack}"]
+        + ["    return " + " and ".join(f"isfinite(a{i})" for i in range(n))]
+        + ["def norm(y):", f"    {unpack}", "    return " + _max_src([f"abs(a{i})" for i in range(n)])]
+    )
+    namespace = {"isfinite": math.isfinite}
+    exec(src, namespace)  # generated from the tableau alone
+    return SimpleNamespace(dp_over=namespace["dp_over"], finite=namespace["finite"], norm=namespace["norm"])
+
+
 class Plan:
     """The compiled per-trajectory work of one system and goal.  Build it
     once and pass it to every `integrate` call on that system and goal;
@@ -193,7 +257,7 @@ class Plan:
         self.pnames = tuple(sorted(system.params))
         domain = system.domain if system.domain is not None else TRUE
         self.domain_atoms = len(_atom_cmps(domain))
-        scope = {"_inf": math.inf, "isfinite": math.isfinite, "_ns": SimpleNamespace}
+        scope = {"_inf": math.inf, "_ns": SimpleNamespace, **vars(_dimension(len(self.names)))}
         self._bind = build(self._source(domain), "_bind", scope)
 
     def _source(self, domain: Formula) -> str:
@@ -210,29 +274,13 @@ class Plan:
         if params:
             out.append("    " + _unpack("p", len(params), "_par"))
 
-        # step(y, h): one RK4 step
-        rhs = [self.system.rhs_of(v).sorted_terms() for v in names]
-        body = [_unpack("a", n, "y")]
-        stages = (("k1", "a", "", ""), ("k2", "b", "k1", "hh"), ("k3", "c", "k2", "hh"), ("k4", "d", "k3", "h"))
-        for k, point, prev, scale in stages:
-            if prev == "k1":
-                body.append("hh = 0.5 * h")
-            if prev:
-                body += [f"{point}{i} = a{i} + {scale} * {prev}_{i}" for i in range(n)]
-            body.append("try:")
-            body += [f"    {k}_{i} = {poly_src(terms, ref(point))}" for i, terms in enumerate(rhs)]
-            body += ["except OverflowError:", "    " + "".join(f"{k}_{i} = " for i in range(n)) + "_inf"]
-        body.append("h6 = h / 6.0")
-        result = "".join(f"a{i} + h6 * (((k1_{i} + 2*k2_{i}) + 2*k3_{i}) + k4_{i}), " for i in range(n))
-        body.append(f"return ({result})")
-        out += fn("step", "y, h", *body)
+        # f(y): the right-hand side
+        rhs = "".join(f"{poly_src(self.system.rhs_of(v).sorted_terms(), ref('a'))}, " for v in names)
+        body = ["try:", f"    return ({rhs})", "except OverflowError:", "    return (" + "_inf, " * n + ")"]
+        out += fn("f", "y", _unpack("a", n, "y"), *body)
 
-        # finite(y), norm(y) (the max norm), error(f, g) (the largest
-        # relative difference of two steps)
-        out += fn("finite", "y", _unpack("a", n, "y"), "return " + " and ".join(f"isfinite(a{i})" for i in range(n)))
-        out += fn("norm", "y", _unpack("a", n, "y"), "return " + _max_src([f"abs(a{i})" for i in range(n)]))
-        error = _max_src([f"abs(a{i} - b{i}) / (1.0 + abs(b{i}))" for i in range(n)])
-        out += fn("error", "f, g", _unpack("a", n, "f"), _unpack("b", n, "g"), "return " + error)
+        # dp(y, h, k1), finite(y) and norm(y) depend only on the dimension
+        out.append("    dp = dp_over(f)")
 
         # atoms(y): every atom's difference polynomial, domain then goal
         formulas = (("domain", domain), ("goal", self.goal))
@@ -268,7 +316,7 @@ class Plan:
         # values(y): the state and parameters by name
         keys = "".join(f"{v!r}: {ref('a')(v)}, " for v in names + self.pnames)
         out += fn("values", "y", _unpack("a", n, "y"), "return {" + keys + "}")
-        fields = ["step", "finite", "norm", "error", "atoms", "values"]
+        fields = ["f", "dp", "finite", "norm", "atoms", "values"]
         fields += [f"{g}{s}" for g, _ in formulas for s in ("", "_boundary", "_limit")]
         out.append("    return _ns(" + ", ".join(f"{f}={f}" for f in fields) + ")")
         return "\n".join(out) + "\n"
@@ -281,6 +329,40 @@ class Plan:
 
 # ---------------------------------------------------------------------------
 # Integration
+
+
+def _interpolant(y0: tuple, y1: tuple, h: float, ks: tuple) -> list:
+    """The continuous extension of one Dormand-Prince step from y0 to y1,
+    per component: the state at t0 + theta*h is
+    r1 + theta*(r2 + (1-theta)*(r3 + theta*(r4 + (1-theta)*r5))).
+    `ks` holds the stages k1, k3, k4, k5, k6, k7."""
+    rows = []
+    for i, (a, b) in enumerate(zip(y0, y1)):
+        k = [stage[i] for stage in ks]
+        diff = b - a
+        bspl = h * k[0] - diff
+        dense = h * sum(d * ki for d, ki in zip(_DENSE, k))
+        rows.append((a, diff, bspl, diff - h * k[-1] - bspl, dense))
+    return rows
+
+
+def _locate(pred, finite, t0: float, h: float, y0: tuple, y1: tuple, ks: tuple) -> tuple:
+    """Earliest time in (t0, t0 + h] where `pred` flips to true, by
+    bisecting the step's continuous extension; no right-hand side is
+    evaluated.  Returns (time, state at the bracket's start, state at time)."""
+    rows = _interpolant(y0, y1, h, ks)
+    lo, hi = t0, t0 + h
+    y_lo, y_hi = y0, y1
+    while hi - lo > EVENT_TOL:
+        mid = 0.5 * (lo + hi)
+        theta = (mid - t0) / h
+        u = 1.0 - theta
+        y_mid = tuple(r1 + theta * (r2 + u * (r3 + theta * (r4 + u * r5))) for r1, r2, r3, r4, r5 in rows)
+        if not finite(y_mid) or pred(y_mid):
+            hi, y_hi = mid, y_mid
+        else:
+            lo, y_lo = mid, y_mid
+    return hi, y_lo, y_hi
 
 
 def integrate(
@@ -308,8 +390,12 @@ def integrate(
     for n in plan.names + plan.pnames:
         if n not in init:
             raise UnsamplableInitSet(f"initial state missing '{n}'")
+    unknown = sorted(set(init) - set(plan.names + plan.pnames))
+    if unknown:
+        names = ", ".join(map(repr, unknown))
+        raise InvalidArgument(f"initial state has names that are neither variables nor parameters: {names}")
     c = plan.bind(tuple(float(init[p]) for p in plan.pnames), EQ_TOL, EVENT_TOL)
-    step, finite, norm, atoms = c.step, c.finite, c.norm, c.atoms
+    dp, finite, norm, atoms = c.dp, c.finite, c.norm, c.atoms
 
     y = tuple(float(init[n]) for n in plan.names)
     t = 0.0
@@ -331,26 +417,13 @@ def integrate(
         if stop_on_event:
             return Trajectory(samples, events, stats, closed)
 
-    def locate(pred, y_lo, t_lo, t_hi):
-        """Earliest time in (t_lo, t_hi] where pred flips to true, by
-        bisection: (time, state at the bracket's start, state at time)."""
-        lo, hi = t_lo, t_hi
-        y_cur = y_lo
-        while hi - lo > EVENT_TOL:
-            mid = 0.5 * (lo + hi)
-            y_mid = step(y_cur, mid - lo)
-            if not finite(y_mid) or pred(y_mid):
-                hi = mid
-            else:
-                lo, y_cur = mid, y_mid
-        return hi, y_cur, step(y_cur, hi - lo)
-
     candidates: dict = {}  # the step's events: kind -> (time, closed)
 
     def offer(kind, tau, is_closed):
         if kind not in candidates or tau < candidates[kind][0]:
             candidates[kind] = (tau, is_closed)
 
+    k1 = c.f(y)
     h = grid if grid is not None else H0
     d_old = None  # atom values at y
     while t < horizon and stats["steps"] < MAX_STEPS:
@@ -359,30 +432,28 @@ def integrate(
             # land exactly on grid multiples, no adaptation
             k = round(t / grid)
             h = grid * (k + 1) - t if grid * (k + 1) - t > 1e-15 else grid
-            y_new = step(y, h)
+            y_new, err, k7, ks = dp(y, h, k1)
         else:
-            # step doubling; halving h is exact, so a rejected trial's first
-            # half step is the next trial's full step
-            full = step(y, h)
+            # the elementary controller: after every trial h is scaled by
+            # 0.9*(TOL/err)^(1/5), kept within [0.2, 5]; a non-finite trial
+            # counts as err = inf.  h stops at HMIN, where a trial is accepted
+            # whatever its error.  A rejected trial keeps k1 (the same y), so
+            # it costs six evaluations of f like an accepted one
             while True:
-                mid = step(y, h / 2)
-                half = step(mid, h / 2)
-                if not finite(full) or not finite(half):
+                y_new, err, k7, ks = dp(y, h, k1)
+                if not (finite(y_new) and err == err):
                     err = math.inf
-                else:
-                    err = c.error(full, half)
+                scale = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (TOL / err) ** 0.2))
                 if err <= TOL or h <= HMIN:
-                    y_new = half if finite(half) else full
                     break
-                h /= 2
-                full = mid
+                h = max(h * scale, HMIN)
                 stats["rejected"] += 1
         stats["steps"] += 1
         stats["min_h"] = min(stats["min_h"], h)
         t_new = t + h
 
         if not finite(y_new) or norm(y_new) > BLOWUP_NORM:
-            tau, _, y_hit = locate(lambda yy: norm(yy) > BLOWUP_NORM, y, t, t_new)
+            tau, _, y_hit = _locate(lambda yy: norm(yy) > BLOWUP_NORM, finite, t, h, y, y_new, ks)
             samples.append(State(c.values(y_hit), tau))
             events.append((tau, BLOWUP_SUSPECTED))
             return Trajectory(samples, events, stats, closed)
@@ -391,12 +462,12 @@ def integrate(
         if goal is not None:
             goal_new = c.goal(y_new)
             if goal_new and not goal_now:
-                tau, y_lo, y_hit = locate(c.goal, y, t, t_new)
+                tau, y_lo, y_hit = _locate(c.goal, finite, t, h, y, y_new, ks)
                 offer(GOAL_ENTERED, tau, c.goal_limit(y_lo, y_hit))
             goal_now = goal_new
         domain_new = c.domain(y_new)
         if not domain_new and domain_now:
-            tau, y_lo, y_hit = locate(lambda yy: not c.domain(yy), y, t, t_new)
+            tau, y_lo, y_hit = _locate(lambda yy: not c.domain(yy), finite, t, h, y, y_new, ks)
             offer(DOMAIN_EXITED, tau, c.domain_limit(y_lo, y_hit))
         domain_now = domain_new
 
@@ -408,7 +479,9 @@ def integrate(
         for i, (d0, d1) in enumerate(zip(d_old, d_new)):
             if not (math.isfinite(d0) and math.isfinite(d1)) or d0 * d1 >= 0:
                 continue
-            tau, y_lo, y_hit = locate(lambda yy, _i=i, _s=d0 > 0: (atoms(yy)[_i] > 0) != _s, y, t, t_new)
+            tau, y_lo, y_hit = _locate(
+                lambda yy, _i=i, _s=d0 > 0: (atoms(yy)[_i] > 0) != _s, finite, t, h, y, y_new, ks
+            )
             if i < plan.domain_atoms:
                 if not c.domain_boundary(y_hit):
                     offer(DOMAIN_EXITED, tau, c.domain_limit(y_lo, y_hit))
@@ -421,13 +494,11 @@ def integrate(
             events.append((tau, kind))
             closed.setdefault(kind, is_closed)
         samples.append(State(c.values(y_new), t_new))
-        y, t = y_new, t_new
+        y, t, k1 = y_new, t_new, k7
         if stop_on_event and step_events:
             return Trajectory(samples, events, stats, closed)
-        if grid is None and not stats["rejected"]:
-            h = min(h * 2, H0 * 4, horizon)
-        elif grid is None:
-            h = min(h * 2, H0 * 4)
+        if grid is None:
+            h = min(max(h * scale, HMIN), H0 * 4)
 
     events.append((t, HORIZON_REACHED))
     return Trajectory(samples, events, stats, closed)

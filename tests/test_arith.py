@@ -118,6 +118,16 @@ def test_falsify_no_counterexample_exists():
     assert v.status == arith.UNKNOWN
 
 
+def test_falsify_box_past_the_float_range_is_unknown():
+    # the box reaches 10^600: the sampler has no float axis to screen and
+    # answers Unknown with no sample, while the exact prover refutes x = 0
+    o = ob(("x",), "x >= 0 & (1/10^300)*x <= 10^300", "x >= 1")
+    v = falsify(o, samples=200, seed=0)
+    assert v.status == arith.UNKNOWN
+    assert v.trace == {"method": "sampling", "samples": 0}
+    assert arith.prove_implication(o).status == arith.FALSIFIED
+
+
 def test_falsify_epsilon_two_at_unit_circle():
     v = falsify(
         ob(

@@ -229,6 +229,15 @@ def test_bad_arguments_are_input_errors(capsys, argv):
     assert out.startswith("input error: ")
 
 
+@pytest.mark.parametrize("init,name", [("u=1", "'v'"), ("u=1,v=0,w=5", "'w'"), ("u=1,v=0,w=5,a=1", "'a', 'w'")])
+def test_simulate_init_names_only_variables_and_parameters(capsys, init, name):
+    # a missing variable and a name that is neither a variable nor a
+    # parameter are both input errors that name it
+    code, out = run(capsys, "simulate", problem_path("example1.ode"), "--init", init)
+    assert code == 3
+    assert out.startswith("input error: ") and name in out
+
+
 @pytest.mark.parametrize(
     "argv, text",
     [

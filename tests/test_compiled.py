@@ -1,8 +1,9 @@
 """The falsifier's compiled evaluation against tree-walking references.
 
-`eval_state`, `eval_state_boundary` and `_rk4_step` below are the
-interpreters `sim` used before its goal, domain and RK4 work was compiled;
-they stay here as the specification.  The compiled functions must agree on
+`eval_state` and `eval_state_boundary` below are the interpreters `sim`
+used before its goal and domain work was compiled, and `_dp_step` is one
+Dormand-Prince trial written out plainly from the method's tableau; they
+stay here as the specification.  The compiled functions must agree on
 every truth value and produce bit-identical floats (atom values may differ
 only in the sign of a zero).
 """
@@ -95,7 +96,7 @@ def eval_limit(f: Formula, lo: dict, hi: dict, eq_tol: float = 1e-9) -> bool:
 
 
 def rhs_reference(system: OdeSystem, par: dict):
-    """The right-hand side as `sim` generated it before: terms in
+    """The right-hand side as `sim` generates it: terms in
     `sorted_terms` order, `c*x**e*...`, summed left to right."""
     names = system.state_names()
 
@@ -121,12 +122,41 @@ def rhs_reference(system: OdeSystem, par: dict):
     return fwrapped
 
 
-def _rk4_step(f, y, h):
-    k1 = f(y)
-    k2 = f(tuple(a + 0.5 * h * b for a, b in zip(y, k1)))
-    k3 = f(tuple(a + 0.5 * h * b for a, b in zip(y, k2)))
-    k4 = f(tuple(a + h * b for a, b in zip(y, k3)))
-    return tuple(a + h / 6.0 * (b1 + 2 * b2 + 2 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
+# Dormand & Prince (1980): rows of the stage matrix for stages 2..7 (the
+# last row is the fifth-order weights) and the error weights b - b^
+DP_A = (
+    (Fraction(1, 5),),
+    (Fraction(3, 40), Fraction(9, 40)),
+    (Fraction(44, 45), Fraction(-56, 15), Fraction(32, 9)),
+    (Fraction(19372, 6561), Fraction(-25360, 2187), Fraction(64448, 6561), Fraction(-212, 729)),
+    (Fraction(9017, 3168), Fraction(-355, 33), Fraction(46732, 5247), Fraction(49, 176), Fraction(-5103, 18656)),
+    (Fraction(35, 384), Fraction(0), Fraction(500, 1113), Fraction(125, 192), Fraction(-2187, 6784), Fraction(11, 84)),
+)
+DP_E = (
+    Fraction(71, 57600), Fraction(0), Fraction(-71, 16695), Fraction(71, 1920),
+    Fraction(-17253, 339200), Fraction(22, 525), Fraction(-1, 40),
+)
+
+
+def _weighted(weights, ks, i):
+    """sum_j w_j * k_j[i] left to right over the nonzero weights."""
+    total = None
+    for w, k in zip(weights, ks):
+        if w:
+            term = float(w) * k[i]
+            total = term if total is None else total + term
+    return total
+
+
+def _dp_step(f, y, h, k1):
+    """One Dormand-Prince trial: (fifth-order state, error, k7)."""
+    ks = [k1]
+    for row in DP_A[:-1]:
+        ks.append(f(tuple(a + h * _weighted(row, ks, i) for i, a in enumerate(y))))
+    y1 = tuple(a + h * _weighted(DP_A[-1], ks, i) for i, a in enumerate(y))
+    ks.append(f(y1))
+    err = max(abs(h * _weighted(DP_E, ks, i)) / (1.0 + abs(b)) for i, b in enumerate(y1))
+    return y1, err, ks[-1]
 
 
 def bits(x: float) -> bytes:
@@ -221,14 +251,19 @@ big = st.sampled_from([1e100, -1e103, 1e160, math.inf]) | values
 
 @settings(max_examples=200, deadline=None)
 @given(systems, st.lists(big, min_size=4, max_size=4), st.sampled_from([1e-3, 0.01, 0.5, 2.0]))
-def test_compiled_rk4_step_is_bit_identical(system, point, h):
+def test_compiled_dp_step_is_bit_identical(system, point, h):
     par = point[2]
     y = (point[0], point[1], point[3])
     c = sim.Plan(system).bind((par,), 1e-9, 1e-9)
-    want = _rk4_step(rhs_reference(system, {PARAM: par}), y, h)
-    got = c.step(y, h)
-    assert len(got) == len(want)
-    assert all(same_float(a, b) for a, b in zip(got, want)), (got, want)
+    f = rhs_reference(system, {PARAM: par})
+    k1 = f(y)
+    assert all(same_float(a, b) for a, b in zip(c.f(y), k1))
+    want = _dp_step(f, y, h, k1)
+    got = c.dp(y, h, k1)
+    assert len(got[0]) == len(want[0]) == len(y)
+    assert all(same_float(a, b) for a, b in zip(got[0], want[0])), (got, want)
+    assert same_float(got[1], want[1]), (got, want)
+    assert all(same_float(a, b) for a, b in zip(got[2], want[2])), (got, want)
 
 
 def test_compiled_atoms_at_exact_tolerance_edges():

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -42,30 +43,73 @@ def test_blowup_detected_at_pi_over_two():
     assert t_blow is not None and abs(t_blow - math.pi / 2) < 1e-3
 
 
-def test_rejected_trial_reuses_its_half_step(alpha_l, monkeypatch):
-    # with no event to locate, an accepted step costs its full step and two
-    # half steps, and each rejected trial only two half steps
-    calls = []
-    bind = sim.Plan.bind
+def _count_rhs_calls(monkeypatch) -> tuple:
+    """Counters of the generated right-hand side's calls, in total and
+    inside `_locate`; every `f` a plan builds is named `f` in `<string>`."""
+    counts = {"f": 0, "locate": 0, "in_locate": 0}
 
-    def counting_bind(self, *args):
-        c = bind(self, *args)
-        step = c.step
-        c.step = lambda y, h: calls.append(h) or step(y, h)
-        return c
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "f" and frame.f_code.co_filename == "<string>":
+            counts["f"] += 1
 
-    monkeypatch.setattr(sim.Plan, "bind", counting_bind)
-    traj = sim.integrate(alpha_l.system, {"u": 1.0, "v": 0.0}, 1.0, stop_on_event=False)
-    assert traj.events == [(1.0, sim.HORIZON_REACHED)]
-    assert traj.stats["rejected"] > 0
-    assert len(calls) == 3 * traj.stats["steps"] + 2 * traj.stats["rejected"]
+    locate = sim._locate
+
+    def counting_locate(*args):
+        before = counts["f"]
+        out = locate(*args)
+        counts["locate"] += 1
+        counts["in_locate"] += counts["f"] - before
+        return out
+
+    monkeypatch.setattr(sim, "_locate", counting_locate)
+    return counts, profile
+
+
+def test_first_same_as_last_costs_six_rhs_per_trial(monkeypatch):
+    # the first trial evaluates f at the initial state and its six stages;
+    # every later trial, accepted or rejected, reuses the k1 it starts from
+    # (the last trial's k7, or the rejected trial's own k1), and event
+    # location bisects the dense output without evaluating f
+    pf = parse_problem("ode { x' = -100*x }  goal { x <= 1/2 }")
+    counts, profile = _count_rhs_calls(monkeypatch)
+    sys.setprofile(profile)
+    try:
+        traj = sim.integrate(pf.system, {"x": 1.0}, 1.0, goal=pf.goal, stop_on_event=False)
+    finally:
+        sys.setprofile(None)
+    assert [k for _, k in traj.events] == [sim.GOAL_ENTERED, sim.HORIZON_REACHED]
+    trials = traj.stats["steps"] + traj.stats["rejected"]
+    assert traj.stats["rejected"] > 0 and counts["locate"] > 0
+    assert counts["f"] == 7 + 6 * (trials - 1)
+    assert counts["in_locate"] == 0
 
 
 def test_blowup_step_statistics():
-    # the step-doubling controller's counts on CE-1's trajectory
+    # the Dormand-Prince controller's counts on CE-1's trajectory
     pf = parse_problem("ode { x' = 1 + x^2; t' = 1 }  assume { x = 0, t = 0 }  goal { t >= 2 }")
     traj = sim.integrate(pf.system, {"x": 0.0, "t": 0.0}, 10.0, goal=pf.goal)
-    assert traj.stats == {"steps": 992, "rejected": 1007, "min_h": 0.01 / 2**29}
+    assert traj.stats == {"steps": 553, "rejected": 0, "min_h": 3.799078133005522e-11}
+
+
+def test_dense_output_is_fourth_order_between_the_step_ends():
+    # x' = -x from 1: the continuous extension of one step starts at the
+    # step's start, ends at its result, and meets exp(-theta*h) with a local
+    # error O(h^5) in between
+    pf = parse_problem("ode { x' = -x }")
+    c = sim.Plan(pf.system).bind((), sim.EQ_TOL, sim.EVENT_TOL)
+
+    def worst(h):
+        y1, _, _, ks = c.dp((1.0,), h, c.f((1.0,)))
+        ((r1, r2, r3, r4, r5),) = sim._interpolant((1.0,), y1, h, ks)
+
+        def at(th):
+            return r1 + th * (r2 + (1 - th) * (r3 + th * (r4 + (1 - th) * r5)))
+
+        assert at(0.0) == 1.0 and abs(at(1.0) - y1[0]) <= 1e-16
+        return max(abs(at(i / 64) - math.exp(-i / 64 * h)) for i in range(65))
+
+    assert worst(0.04) < 1e-10
+    assert worst(0.4) / worst(0.2) > 16
 
 
 def test_integration_deterministic(alpha_n):
