@@ -288,13 +288,13 @@ class Plan:
         diffs = [_diff_src(c, ref("a")) for c in cmps]
         out += fn("atoms", "y", _unpack("a", n, "y"), "return (" + "".join(f"{d}, " for d in diffs) + ")")
 
-        # name(y), name_boundary(y), name_limit(lo, hi) for domain and goal;
-        # formula_src visits comparisons in `_atom_cmps` order, so the k-th
-        # one rendered is atom offset + k
+        # name(y), name_limit(lo, hi) for domain and goal, and
+        # domain_boundary(y); formula_src visits comparisons in `_atom_cmps`
+        # order, so the k-th one rendered is atom offset + k
         offset = 0
         for name, f in formulas:
             if f is None:
-                out.append(f"    {name} = {name}_boundary = {name}_limit = None")
+                out.append(f"    {name} = {name}_limit = None")
                 continue
 
             def render(atom, f=f, offset=offset):
@@ -302,9 +302,9 @@ class Plan:
                 return formula_src(f, lambda c: atom(c.op, next(k)))
 
             out += fn(name, "y", _unpack("a", n, "y"), "return " + render(lambda op, k: _state_atom(op, diffs[k])))
-            out += fn(
-                f"{name}_boundary", "y", "A = atoms(y)", "return " + render(lambda op, k: _boundary_atom(op, f"A[{k}]"))
-            )
+            if name == "domain":
+                boundary = render(lambda op, k: _boundary_atom(op, f"A[{k}]"))
+                out += fn("domain_boundary", "y", "A = atoms(y)", "return " + boundary)
             out += fn(
                 f"{name}_limit",
                 "lo, hi",
@@ -316,8 +316,8 @@ class Plan:
         # values(y): the state and parameters by name
         keys = "".join(f"{v!r}: {ref('a')(v)}, " for v in names + self.pnames)
         out += fn("values", "y", _unpack("a", n, "y"), "return {" + keys + "}")
-        fields = ["f", "dp", "finite", "norm", "atoms", "values"]
-        fields += [f"{g}{s}" for g, _ in formulas for s in ("", "_boundary", "_limit")]
+        fields = ["f", "dp", "finite", "norm", "atoms", "values", "domain", "domain_boundary", "domain_limit"]
+        fields += ["goal", "goal_limit"]
         out.append("    return _ns(" + ", ".join(f"{f}={f}" for f in fields) + ")")
         return "\n".join(out) + "\n"
 
@@ -485,8 +485,11 @@ def integrate(
             if i < plan.domain_atoms:
                 if not c.domain_boundary(y_hit):
                     offer(DOMAIN_EXITED, tau, c.domain_limit(y_lo, y_hit))
-            elif not goal_now and c.goal_boundary(y_hit):
-                offer(GOAL_ENTERED, tau, c.goal_limit(y_lo, y_hit))
+            elif not goal_now and c.goal_limit(y_lo, y_hit):
+                # the goal holds where the bracket closes in, which an
+                # equality atom's sign change puts on its boundary however
+                # steep the crossing
+                offer(GOAL_ENTERED, tau, True)
         d_old = d_new
 
         step_events = sorted(candidates.items(), key=lambda e: (e[1][0], e[0] != DOMAIN_EXITED))

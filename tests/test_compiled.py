@@ -229,13 +229,10 @@ def test_compiled_predicates_match_references(system, goal, point, other):
     y_lo = (other[0], other[1], other[3])
     vals = dict(zip(("x", "y", CLOCK), y), c=point[2])
     lo = dict(zip(("x", "y", CLOCK), y_lo), c=point[2])
-    for f, state, boundary, limit in (
-        (system.domain, c.domain, c.domain_boundary, c.domain_limit),
-        (goal, c.goal, c.goal_boundary, c.goal_limit),
-    ):
+    for f, state, limit in ((system.domain, c.domain, c.domain_limit), (goal, c.goal, c.goal_limit)):
         assert state(y) == eval_state(f, vals, eq_tol)
-        assert boundary(y) == eval_state_boundary(f, vals, margin)
         assert limit(y_lo, y) == eval_limit(f, lo, vals, eq_tol)
+    assert c.domain_boundary(y) == eval_state_boundary(system.domain, vals, margin)
     cmps = sim._atom_cmps(system.domain) + sim._atom_cmps(goal)
     compiled = c.atoms(y)
     assert len(compiled) == len(cmps)
@@ -274,10 +271,11 @@ def test_compiled_atoms_at_exact_tolerance_edges():
     for op in ("=", "!=", "<", "<=", ">", ">="):
         f = Cmp(op, x, Polynomial.const(0))
         c = sim.Plan(system, f).bind((), 1e-9, 1e-9)
+        d = sim.Plan(OdeSystem(("x",), (Polynomial.const(1),), f)).bind((), 1e-9, 1e-9)
         for v in edges:
             vals = {"x": v}
             assert c.goal((v,)) == eval_state(f, vals), (op, v)
-            assert c.goal_boundary((v,)) == eval_state_boundary(f, vals), (op, v)
+            assert d.domain_boundary((v,)) == eval_state_boundary(f, vals), (op, v)
             for w in edges:
                 assert c.goal_limit((w,), (v,)) == eval_limit(f, {"x": w}, vals), (op, w, v)
 

@@ -43,9 +43,12 @@ def test_blowup_detected_at_pi_over_two():
     assert t_blow is not None and abs(t_blow - math.pi / 2) < 1e-3
 
 
-def _count_rhs_calls(monkeypatch) -> tuple:
-    """Counters of the generated right-hand side's calls, in total and
-    inside `_locate`; every `f` a plan builds is named `f` in `<string>`."""
+def test_first_same_as_last_costs_six_rhs_per_trial(monkeypatch):
+    # the first trial evaluates f at the initial state and its six stages;
+    # every later trial, accepted or rejected, reuses the k1 it starts from
+    # (the last trial's k7, or the rejected trial's own k1), and event
+    # location bisects the dense output without evaluating f.  Every `f` a
+    # plan builds is a generated function named `f`.
     counts = {"f": 0, "locate": 0, "in_locate": 0}
 
     def profile(frame, event, arg):
@@ -62,16 +65,7 @@ def _count_rhs_calls(monkeypatch) -> tuple:
         return out
 
     monkeypatch.setattr(sim, "_locate", counting_locate)
-    return counts, profile
-
-
-def test_first_same_as_last_costs_six_rhs_per_trial(monkeypatch):
-    # the first trial evaluates f at the initial state and its six stages;
-    # every later trial, accepted or rejected, reuses the k1 it starts from
-    # (the last trial's k7, or the rejected trial's own k1), and event
-    # location bisects the dense output without evaluating f
     pf = parse_problem("ode { x' = -100*x }  goal { x <= 1/2 }")
-    counts, profile = _count_rhs_calls(monkeypatch)
     sys.setprofile(profile)
     try:
         traj = sim.integrate(pf.system, {"x": 1.0}, 1.0, goal=pf.goal, stop_on_event=False)
@@ -110,6 +104,17 @@ def test_dense_output_is_fourth_order_between_the_step_ends():
 
     assert worst(0.04) < 1e-10
     assert worst(0.4) / worst(0.2) > 16
+
+
+@pytest.mark.parametrize("k", [1, 13, 30, 80])
+def test_equality_goal_met_on_a_steep_crossing(k):
+    # x = 1/2 is crossed at ln(2)/k with slope k/2: the located point is
+    # within 1e-9 in time, not in x, and the sign change still puts the
+    # equality on its boundary there
+    pf = parse_problem(f"ode {{ x' = -{k}*x }}  goal {{ x = 1/2 }}")
+    traj = sim.integrate(pf.system, {"x": 1.0}, 1.0, goal=pf.goal)
+    assert traj.events[0][1] == sim.GOAL_ENTERED and traj.closed[sim.GOAL_ENTERED]
+    assert abs(traj.events[0][0] - math.log(2) / k) < 1e-8
 
 
 def test_integration_deterministic(alpha_n):
