@@ -387,10 +387,11 @@ def integrate(
         plan = Plan(system, goal)
     elif plan.system is not system or plan.goal is not goal:
         raise ValueError("plan was built for another system or goal")
-    for n in plan.names + plan.pnames:
+    known = plan.names + plan.pnames
+    for n in known:
         if n not in init:
             raise UnsamplableInitSet(f"initial state missing '{n}'")
-    unknown = sorted(set(init) - set(plan.names + plan.pnames))
+    unknown = sorted(set(init) - set(known))
     if unknown:
         names = ", ".join(map(repr, unknown))
         raise InvalidArgument(f"initial state has names that are neither variables nor parameters: {names}")
