@@ -13,7 +13,8 @@ atoms.
 
 Each system and goal is compiled to Python once (`Plan`), and trajectories
 are bit-identical however often a plan is reused, so `falsify_liveness`
-integrates each distinct initial state once.
+integrates each distinct initial state once.  A state whose atoms have no
+float value (one overflows) ends its trajectory with no event.
 
 Blow-up is detected, not proved: the max-norm threshold `BLOWUP_NORM` (1e9)
 combined with step-size collapse yields a BlowUpSuspected event.
@@ -107,13 +108,16 @@ class Trajectory:
 # Compiled trajectory work
 #
 # A `Plan` compiles a system, its domain and a goal to Python once: the
-# right-hand side `f(y)`, float predicates for the goal and the domain, and
-# an evaluator for each atom's difference polynomial.  The Dormand-Prince
-# trial `dp(y, h, k1)` calls `f` for its stages rather than inlining the
-# right-hand side six times; its source depends only on the dimension, so
-# it is compiled once per dimension (`_dimension`) and bound to each plan's
-# `f`.  Every float operation is fixed by the source, so trajectories do not
-# depend on how often a plan is reused:
+# right-hand side `f(y)`; the atom vector `atoms(y)`, every comparison's
+# difference polynomial, domain then goal, which is the only place a
+# state's atoms are evaluated; and the domain and goal predicates, which
+# read that vector (`A`, or `L` and `H` at a bracket's ends).  A state where
+# an atom's evaluation overflows has no atom vector (None).  The
+# Dormand-Prince trial `dp(y, h, k1)` calls `f` for its stages rather than
+# inlining the right-hand side six times; its source depends only on the
+# dimension, so it is compiled once per dimension (`_dimension`) and bound
+# to each plan's `f`.  Every float operation is fixed by the source, so
+# trajectories do not depend on how often a plan is reused:
 #
 #   stage i       k_i = f(y + h*(a_i1*k1 + ... + a_i,i-1*k_{i-1})),  i = 2..7
 #   result        y1 = y + h*(b1*k1 + b3*k3 + ... + b6*k6)  (the 7th stage point)
@@ -121,11 +125,10 @@ class Trajectory:
 #
 # with the weights of `_DP_A` and `_DP_E` as floats, zero weights left out,
 # sums taken left to right, right-hand sides summed in
-# `Polynomial.sorted_terms` order and atom polynomials in
-# `Polynomial.eval_float` order.  An OverflowError in `f` makes every
-# component of that stage infinite.  The 7th stage is f at y1, so an
-# accepted trial's k7 is the next trial's k1 (first same as last): a trial
-# costs six evaluations of `f`.
+# `Polynomial.sorted_terms` order and atom polynomials in the order of their
+# terms.  An OverflowError in `f` makes every component of that stage
+# infinite.  The 7th stage is f at y1, so an accepted trial's k7 is the next
+# trial's k1 (first same as last): a trial costs six evaluations of `f`.
 
 # Dormand & Prince, J. Comput. Appl. Math. 6 (1980), as the nearest floats
 # to the rationals: the rows of the stage matrix for stages 2..7 (the last
@@ -164,38 +167,40 @@ def _diff_src(f: Cmp, ref) -> str:
     return poly_src((f.lhs - f.rhs).terms.items(), ref)
 
 
-def _state_atom(op: str, d: str) -> str:
-    """Truth at a state: equalities within `_eq`, strict atoms exact."""
+def _state_atom(op: str, k: int, vec: str = "A") -> str:
+    """Truth of atom k of the vector `vec` at a state: equalities within
+    `_eq`, strict atoms exact."""
+    d = f"{vec}[{k}]"
     if op == "=":
         return f"(abs({d}) <= _eq)"
     if op == "!=":
         return f"(abs({d}) > _eq)"
-    return f"(({d}) {op} 0.0)"
+    return f"({d} {op} 0.0)"
 
 
-def _boundary_atom(op: str, d: str) -> str:
-    """Truth at a located event point: strict atoms need a positive margin,
-    non-strict atoms hold on their boundary (closed sets contain limits,
-    open ones do not)."""
+def _boundary_atom(op: str, k: int) -> str:
+    """Truth of atom k at a located event point: strict atoms need a
+    positive margin, non-strict atoms hold on their boundary (closed sets
+    contain limits, open ones do not)."""
     return {
-        "=": f"(abs({d}) <= _margin)",
-        "!=": f"(abs({d}) > _margin)",
-        "<": f"({d} < -_margin)",
-        ">": f"({d} > _margin)",
-        "<=": f"({d} <= _margin)",
-        ">=": f"({d} >= -_margin)",
+        "=": f"(abs(A[{k}]) <= _margin)",
+        "!=": f"(abs(A[{k}]) > _margin)",
+        "<": f"(A[{k}] < -_margin)",
+        ">": f"(A[{k}] > _margin)",
+        "<=": f"(A[{k}] <= _margin)",
+        ">=": f"(A[{k}] >= -_margin)",
     }[op]
 
 
-def _limit_atom(op: str, d_lo: str, d_hi: str) -> str:
-    """Truth at the point a bisection bracket [lo, hi] closes in on: an atom
-    whose polynomial changes sign across the bracket is on its boundary,
-    where non-strict atoms hold and strict ones fail; any other atom is read
-    at hi."""
-    crossed = f"({d_lo} * {d_hi} <= 0.0)"
+def _limit_atom(op: str, k: int) -> str:
+    """Truth of atom k at the point a bisection bracket closes in on, from
+    the atom vectors L and H at its ends: an atom whose polynomial changes
+    sign across the bracket is on its boundary, where non-strict atoms hold
+    and strict ones fail; any other atom is read at H."""
+    crossed = f"(L[{k}] * H[{k}] <= 0.0)"
     if op in _STRICT:
-        return f"(not {crossed} and {_state_atom(op, d_hi)})"
-    return f"({crossed} or {_state_atom(op, d_hi)})"
+        return f"(not {crossed} and {_state_atom(op, k, 'H')})"
+    return f"({crossed} or {_state_atom(op, k, 'H')})"
 
 
 def _unpack(prefix: str, n: int, src: str) -> str:
@@ -206,11 +211,31 @@ def _max_src(parts: list) -> str:
     return f"max({', '.join(parts)})" if len(parts) > 1 else parts[0]
 
 
-def _predicate(f: Formula, names, eq_tol: float) -> Callable:
-    """Truth of `f` at a float tuple over `names`, as a compiled function."""
-    body = formula_src(f, lambda c: _state_atom(c.op, _diff_src(c, lambda v: f"a{names.index(v)}")))
-    src = f"def _pred(y):\n    {_unpack('a', len(names), 'y')}\n    return {body}\n"
-    return build(src, "_pred", {"_eq": eq_tol})
+def _def(name: str, args: str, *body: str) -> list:
+    return [f"def {name}({args}):"] + [f"    {line}" for line in body]
+
+
+def _atoms_def(cmps: list, n: int, ref) -> list:
+    """Source of `atoms(y)`, the atom vector: the difference polynomial of
+    each comparison in `cmps` at the state y of n floats, or None when one
+    has no float value (its evaluation overflows)."""
+    diffs = "".join(f"{_diff_src(c, ref)}, " for c in cmps)
+    return _def("atoms", "y", _unpack("a", n, "y"), "try:", f"    return ({diffs})", "except OverflowError:", "    return None")
+
+
+def _over_atoms(f: Formula, offset: int, atom) -> str:
+    """Source of `f` with its comparisons, in `_atom_cmps` order, rendered
+    by `atom(op, k)` as the entries k = offset, offset + 1, ... of a vector."""
+    k = itertools.count(offset)
+    return formula_src(f, lambda c: atom(c.op, next(k)))
+
+
+def _predicate(f: Formula, names) -> Callable:
+    """Truth of `f` at a float tuple over `names`, as a compiled function; a
+    point whose atoms have no float value is outside."""
+    lines = _atoms_def(_atom_cmps(f), len(names), lambda v: f"a{names.index(v)}")
+    lines += _def("_pred", "y", "A = atoms(y)", f"return A is not None and {_over_atoms(f, 0, _state_atom)}")
+    return build("\n".join(lines) + "\n", "_pred", {"_eq": EQ_TOL})
 
 
 @functools.cache
@@ -248,7 +273,7 @@ def _dimension(n: int) -> SimpleNamespace:
 class Plan:
     """The compiled per-trajectory work of one system and goal.  Build it
     once and pass it to every `integrate` call on that system and goal;
-    `bind` fixes one trajectory's parameter values and tolerances."""
+    `bind` fixes one trajectory's parameter values."""
 
     def __init__(self, system: OdeSystem, goal: Optional[Formula] = None):
         self.system = system
@@ -257,74 +282,52 @@ class Plan:
         self.pnames = tuple(sorted(system.params))
         domain = system.domain if system.domain is not None else TRUE
         self.domain_atoms = len(_atom_cmps(domain))
-        scope = {"_inf": math.inf, "_ns": SimpleNamespace, **vars(_dimension(len(self.names)))}
-        self._bind = build(self._source(domain), "_bind", scope)
+        scope = {"_inf": math.inf, "_ns": SimpleNamespace, "_eq": EQ_TOL, "_margin": EVENT_TOL}
+        self._bind = build(self._source(domain), "_bind", {**scope, **vars(_dimension(len(self.names)))})
 
     def _source(self, domain: Formula) -> str:
         names, n = self.names, len(self.names)
         params = {p: f"p{j}" for j, p in enumerate(self.pnames)}
 
-        def ref(prefix):
-            return lambda v: params.get(v) or f"{prefix}{names.index(v)}"
-
-        def fn(name, args, *body):
-            return [f"    def {name}({args}):"] + [f"        {line}" for line in body]
-
-        out = ["def _bind(_par, _eq, _margin):"]
-        if params:
-            out.append("    " + _unpack("p", len(params), "_par"))
+        def ref(v):
+            return params.get(v) or f"a{names.index(v)}"
 
         # f(y): the right-hand side
-        rhs = "".join(f"{poly_src(self.system.rhs_of(v).sorted_terms(), ref('a'))}, " for v in names)
-        body = ["try:", f"    return ({rhs})", "except OverflowError:", "    return (" + "_inf, " * n + ")"]
-        out += fn("f", "y", _unpack("a", n, "y"), *body)
+        rhs = "".join(f"{poly_src(self.system.rhs_of(v).sorted_terms(), ref)}, " for v in names)
+        overflow = "    return (" + "_inf, " * n + ")"
+        body = _def("f", "y", _unpack("a", n, "y"), "try:", f"    return ({rhs})", "except OverflowError:", overflow)
 
         # dp(y, h, k1), finite(y) and norm(y) depend only on the dimension
-        out.append("    dp = dp_over(f)")
+        body.append("dp = dp_over(f)")
 
-        # atoms(y): every atom's difference polynomial, domain then goal
+        # atoms(y): every atom's difference polynomial, domain then goal;
+        # the predicates read it: name(A), name_limit(L, H) for domain and
+        # goal, and domain_boundary(A)
         formulas = (("domain", domain), ("goal", self.goal))
-        cmps = [c for _, f in formulas if f is not None for c in _atom_cmps(f)]
-        diffs = [_diff_src(c, ref("a")) for c in cmps]
-        out += fn("atoms", "y", _unpack("a", n, "y"), "return (" + "".join(f"{d}, " for d in diffs) + ")")
-
-        # name(y), name_limit(lo, hi) for domain and goal, and
-        # domain_boundary(y); formula_src visits comparisons in `_atom_cmps`
-        # order, so the k-th one rendered is atom offset + k
+        body += _atoms_def([c for _, f in formulas if f is not None for c in _atom_cmps(f)], n, ref)
         offset = 0
         for name, f in formulas:
             if f is None:
-                out.append(f"    {name} = {name}_limit = None")
+                body.append(f"{name} = {name}_limit = None")
                 continue
-
-            def render(atom, f=f, offset=offset):
-                k = itertools.count(offset)
-                return formula_src(f, lambda c: atom(c.op, next(k)))
-
-            out += fn(name, "y", _unpack("a", n, "y"), "return " + render(lambda op, k: _state_atom(op, diffs[k])))
+            body += _def(name, "A", "return " + _over_atoms(f, offset, _state_atom))
             if name == "domain":
-                boundary = render(lambda op, k: _boundary_atom(op, f"A[{k}]"))
-                out += fn("domain_boundary", "y", "A = atoms(y)", "return " + boundary)
-            out += fn(
-                f"{name}_limit",
-                "lo, hi",
-                "L, H = atoms(lo), atoms(hi)",
-                "return " + render(lambda op, k: _limit_atom(op, f"L[{k}]", f"H[{k}]")),
-            )
+                body += _def("domain_boundary", "A", "return " + _over_atoms(f, offset, _boundary_atom))
+            body += _def(f"{name}_limit", "L, H", "return " + _over_atoms(f, offset, _limit_atom))
             offset += len(_atom_cmps(f))
 
         # values(y): the state and parameters by name
-        keys = "".join(f"{v!r}: {ref('a')(v)}, " for v in names + self.pnames)
-        out += fn("values", "y", _unpack("a", n, "y"), "return {" + keys + "}")
+        keys = "".join(f"{v!r}: {ref(v)}, " for v in names + self.pnames)
+        body += _def("values", "y", _unpack("a", n, "y"), "return {" + keys + "}")
         fields = ["f", "dp", "finite", "norm", "atoms", "values", "domain", "domain_boundary", "domain_limit"]
         fields += ["goal", "goal_limit"]
-        out.append("    return _ns(" + ", ".join(f"{f}={f}" for f in fields) + ")")
-        return "\n".join(out) + "\n"
+        body.append("return _ns(" + ", ".join(f"{f}={f}" for f in fields) + ")")
+        head = [_unpack("p", len(params), "_par")] if params else []
+        return "\n".join(_def("_bind", "_par", *head, *body)) + "\n"
 
-    def bind(self, par: tuple, eq_tol: float, margin: float) -> SimpleNamespace:
-        """The compiled functions with parameters `par` (in `pnames` order),
-        equality tolerance `eq_tol` and event-point margin `margin`."""
-        return self._bind(par, eq_tol, margin)
+    def bind(self, par: tuple) -> SimpleNamespace:
+        """The compiled functions with parameters `par` (in `pnames` order)."""
+        return self._bind(par)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +398,7 @@ def integrate(
     if unknown:
         names = ", ".join(map(repr, unknown))
         raise InvalidArgument(f"initial state has names that are neither variables nor parameters: {names}")
-    c = plan.bind(tuple(float(init[p]) for p in plan.pnames), EQ_TOL, EVENT_TOL)
+    c = plan.bind(tuple(float(init[p]) for p in plan.pnames))
     dp, finite, norm, atoms = c.dp, c.finite, c.norm, c.atoms
 
     y = tuple(float(init[n]) for n in plan.names)
@@ -405,9 +408,14 @@ def integrate(
     closed: dict = {}
     stats = {"steps": 0, "rejected": 0, "min_h": math.inf}
 
-    goal_now = c.goal(y) if goal is not None else False
-    domain_now = c.domain(y)
-    if goal is not None and goal_now and domain_now:
+    # every predicate reads the atom vector; at a state whose atoms have no
+    # float value the trajectory stops, with no event
+    A = atoms(y)
+    if A is None:
+        return Trajectory(samples, events, stats, closed)
+    goal_now = goal is not None and c.goal(A)
+    domain_now = c.domain(A)
+    if goal_now and domain_now:
         events.append((0.0, GOAL_ENTERED))
         closed[GOAL_ENTERED] = True
         if stop_on_event:
@@ -424,9 +432,16 @@ def integrate(
         if kind not in candidates or tau < candidates[kind][0]:
             candidates[kind] = (tau, is_closed)
 
+    # the step's earliest time where `test` of the atom vector turns true,
+    # and the vectors L and H at the ends of the bracket closing in on it; a
+    # point whose atoms have no float value is passed over as one before the
+    # event, and L is then read at the step's start
+    def bracket(test):
+        tau, y_lo, y_hi = _locate(lambda yy: (B := atoms(yy)) is not None and test(B), finite, t, h, y, y_new, ks)
+        return tau, atoms(y_lo) or A, atoms(y_hi)
+
     k1 = c.f(y)
     h = grid if grid is not None else H0
-    d_old = None  # atom values at y
     while t < horizon and stats["steps"] < MAX_STEPS:
         h = min(h, horizon - t)
         if grid is not None:
@@ -458,47 +473,43 @@ def integrate(
             samples.append(State(c.values(y_hit), tau))
             events.append((tau, BLOWUP_SUSPECTED))
             return Trajectory(samples, events, stats, closed)
-
+        A_new = atoms(y_new)
+        if A_new is None:
+            return Trajectory(samples, events, stats, closed)
         candidates.clear()
         if goal is not None:
-            goal_new = c.goal(y_new)
+            goal_new = c.goal(A_new)
             if goal_new and not goal_now:
-                tau, y_lo, y_hit = _locate(c.goal, finite, t, h, y, y_new, ks)
-                offer(GOAL_ENTERED, tau, c.goal_limit(y_lo, y_hit))
+                tau, L, H = bracket(c.goal)
+                offer(GOAL_ENTERED, tau, c.goal_limit(L, H))
             goal_now = goal_new
-        domain_new = c.domain(y_new)
+        domain_new = c.domain(A_new)
         if not domain_new and domain_now:
-            tau, y_lo, y_hit = _locate(lambda yy: not c.domain(yy), finite, t, h, y, y_new, ks)
-            offer(DOMAIN_EXITED, tau, c.domain_limit(y_lo, y_hit))
+            tau, L, H = bracket(lambda B: not c.domain(B))
+            offer(DOMAIN_EXITED, tau, c.domain_limit(L, H))
         domain_now = domain_new
 
         # atom boundary crossings inside the step: measure-zero domain
         # violations and equality-goal contacts that endpoint checks miss
-        if d_old is None:
-            d_old = atoms(y)
-        d_new = atoms(y_new)
-        for i, (d0, d1) in enumerate(zip(d_old, d_new)):
+        for i, (d0, d1) in enumerate(zip(A, A_new)):
             if not (math.isfinite(d0) and math.isfinite(d1)) or d0 * d1 >= 0:
                 continue
-            tau, y_lo, y_hit = _locate(
-                lambda yy, _i=i, _s=d0 > 0: (atoms(yy)[_i] > 0) != _s, finite, t, h, y, y_new, ks
-            )
+            tau, L, H = bracket(lambda B, _i=i, _s=d0 > 0: (B[_i] > 0) != _s)
             if i < plan.domain_atoms:
-                if not c.domain_boundary(y_hit):
-                    offer(DOMAIN_EXITED, tau, c.domain_limit(y_lo, y_hit))
-            elif not goal_now and c.goal_limit(y_lo, y_hit):
+                if not c.domain_boundary(H):
+                    offer(DOMAIN_EXITED, tau, c.domain_limit(L, H))
+            elif not goal_now and c.goal_limit(L, H):
                 # the goal holds where the bracket closes in, which an
                 # equality atom's sign change puts on its boundary however
                 # steep the crossing
                 offer(GOAL_ENTERED, tau, True)
-        d_old = d_new
 
         step_events = sorted(candidates.items(), key=lambda e: (e[1][0], e[0] != DOMAIN_EXITED))
         for kind, (tau, is_closed) in step_events:
             events.append((tau, kind))
             closed.setdefault(kind, is_closed)
         samples.append(State(c.values(y_new), t_new))
-        y, t, k1 = y_new, t_new, k7
+        y, t, k1, A = y_new, t_new, k7, A_new
         if stop_on_event and step_events:
             return Trajectory(samples, events, stats, closed)
         if grid is None:
@@ -581,7 +592,7 @@ def sample_initial_states(problem: ProblemFile, count: int, seed: int) -> list:
                 raise UnsamplableInitSet(f"no finite bounds for '{n}' in the assume block")
             raise UnsamplableInitSet("assume block is empty; nothing to sample")
 
-    inside = _predicate(formula_of_atoms(leftovers), names, EQ_TOL) if leftovers else None
+    inside = _predicate(formula_of_atoms(leftovers), names) if leftovers else None
     out = []
     tries = 0
     while len(out) < count and tries < count * 200:

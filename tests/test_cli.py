@@ -1,11 +1,14 @@
+import os
 import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
 
 from odeliveness import cli
 from odeliveness.cli import main
-from conftest import problem_path
+from conftest import ROOT, problem_path
 
 
 def run(capsys, *argv):
@@ -255,6 +258,31 @@ def test_number_outside_float_range_is_input_error(tmp_path, capsys, argv, text)
     code, out = run(capsys, argv[0], f, *argv[1:])
     assert code == 3
     assert out == "input error: number 1E+400 is outside the float range\n"
+
+
+OVERFLOWING_GOAL = "ode { x' = x^2 }\nassume { x = 1 }\ngoal { x^40 <= -1 }\n"
+OVERFLOWING_ASSUME = "ode { x' = 1 }\nassume { x >= 10^8, x <= 2*10^8, x^40 >= 0 }\ngoal { x >= 0 }\n"
+
+
+@pytest.mark.parametrize(
+    "text, argv, code, out",
+    [
+        (OVERFLOWING_GOAL, ["falsify", "--samples", "2"], 2, "samples=2 WITNESS=0 REFUTED-SAMPLE=0 BLOWUP=0 INCONCLUSIVE=2\n"),
+        (OVERFLOWING_GOAL, ["simulate", "--init", "x=1"], 0, ""),
+        (OVERFLOWING_ASSUME, ["falsify"], 3, "input error: rejection sampling failed to populate the initial set\n"),
+    ],
+    ids=["falsify-goal", "simulate-goal", "falsify-assume"],
+)
+def test_atoms_past_the_float_range_end_cleanly(tmp_path, text, argv, code, out):
+    # x^40 overflows near x = 10^8: a trajectory stops there with no event,
+    # so the sample is INCONCLUSIVE, never BLOWUP or REFUTED-SAMPLE, and a
+    # sampler candidate counts as outside the set
+    f = tmp_path / "overflow.ode"
+    f.write_text(text)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    cmd = [sys.executable, "-m", "odeliveness.cli", argv[0], str(f), *argv[1:]]
+    done = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, "")
 
 
 @pytest.mark.parametrize("bound", ["10^60", "10^400"])

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from odeliveness import sim
 from odeliveness.codegen import build
 from odeliveness.symbolic import OdeSystem, Polynomial
-from odeliveness.syntax import And, BoolLit, Cmp, Formula, Implies, Not, Or
+from odeliveness.syntax import And, BoolLit, Cmp, Formula, Implies, Not, Or, parse_problem
 
 # -- references --------------------------------------------------------------
 
@@ -222,25 +222,24 @@ systems = st.builds(
 @settings(max_examples=200, deadline=None)
 @given(systems, formulas(ALL), st.lists(values, min_size=4, max_size=4), st.lists(values, min_size=4, max_size=4))
 def test_compiled_predicates_match_references(system, goal, point, other):
-    eq_tol, margin = 1e-9, 1e-9
     plan = sim.Plan(system, goal)
-    c = plan.bind((point[2],), eq_tol, margin)
+    c = plan.bind((point[2],))
     y = (point[0], point[1], point[3])  # x, y, then the clock
     y_lo = (other[0], other[1], other[3])
     vals = dict(zip(("x", "y", CLOCK), y), c=point[2])
     lo = dict(zip(("x", "y", CLOCK), y_lo), c=point[2])
+    A, L = c.atoms(y), c.atoms(y_lo)
     for f, state, limit in ((system.domain, c.domain, c.domain_limit), (goal, c.goal, c.goal_limit)):
-        assert state(y) == eval_state(f, vals, eq_tol)
-        assert limit(y_lo, y) == eval_limit(f, lo, vals, eq_tol)
-    assert c.domain_boundary(y) == eval_state_boundary(system.domain, vals, margin)
+        assert state(A) == eval_state(f, vals)
+        assert limit(L, A) == eval_limit(f, lo, vals)
+    assert c.domain_boundary(A) == eval_state_boundary(system.domain, vals)
     cmps = sim._atom_cmps(system.domain) + sim._atom_cmps(goal)
-    compiled = c.atoms(y)
-    assert len(compiled) == len(cmps)
-    for value, f in zip(compiled, cmps):
+    assert len(A) == len(cmps)
+    for value, f in zip(A, cmps):
         assert same_float(value, (f.lhs - f.rhs).eval_float(vals), signed_zero=False)
     names = ("x", "y", PARAM, CLOCK)
-    pred = sim._predicate(goal, names, eq_tol)
-    assert pred(tuple(point)) == eval_state(goal, dict(zip(names, point)), eq_tol)
+    pred = sim._predicate(goal, names)
+    assert pred(tuple(point)) == eval_state(goal, dict(zip(names, point)))
 
 
 big = st.sampled_from([1e100, -1e103, 1e160, math.inf]) | values
@@ -251,7 +250,7 @@ big = st.sampled_from([1e100, -1e103, 1e160, math.inf]) | values
 def test_compiled_dp_step_is_bit_identical(system, point, h):
     par = point[2]
     y = (point[0], point[1], point[3])
-    c = sim.Plan(system).bind((par,), 1e-9, 1e-9)
+    c = sim.Plan(system).bind((par,))
     f = rhs_reference(system, {PARAM: par})
     k1 = f(y)
     assert all(same_float(a, b) for a, b in zip(c.f(y), k1))
@@ -270,14 +269,33 @@ def test_compiled_atoms_at_exact_tolerance_edges():
     edges = [0.0, -0.0, 5e-10, -5e-10, 1e-9, -1e-9, 2e-9, -2e-9]
     for op in ("=", "!=", "<", "<=", ">", ">="):
         f = Cmp(op, x, Polynomial.const(0))
-        c = sim.Plan(system, f).bind((), 1e-9, 1e-9)
-        d = sim.Plan(OdeSystem(("x",), (Polynomial.const(1),), f)).bind((), 1e-9, 1e-9)
+        c = sim.Plan(system, f).bind(())
+        d = sim.Plan(OdeSystem(("x",), (Polynomial.const(1),), f)).bind(())
         for v in edges:
             vals = {"x": v}
-            assert c.goal((v,)) == eval_state(f, vals), (op, v)
-            assert d.domain_boundary((v,)) == eval_state_boundary(f, vals), (op, v)
+            assert c.goal(c.atoms((v,))) == eval_state(f, vals), (op, v)
+            assert d.domain_boundary(d.atoms((v,))) == eval_state_boundary(f, vals), (op, v)
             for w in edges:
-                assert c.goal_limit((w,), (v,)) == eval_limit(f, {"x": w}, vals), (op, w, v)
+                assert c.goal_limit(c.atoms((w,)), c.atoms((v,))) == eval_limit(f, {"x": w}, vals), (op, w, v)
+
+
+def test_plan_renders_each_atom_polynomial_once():
+    # the atom vector is the only place an atom's difference polynomial is
+    # rendered: the domain and goal predicates read its entries
+    pf = parse_problem(
+        "param c; ode { x' = y; y' = -x }  domain { x^3 + 7*y <= 5 & !(c*y^2 > -3) }"
+        "  goal { x^5*y = 11 | (x^3 + 7*y >= 2 -> c*x != 13) }"
+    )
+    plan = sim.Plan(pf.system, pf.goal)
+    src = plan._source(pf.system.domain)
+
+    def ref(v):
+        return f"p{plan.pnames.index(v)}" if v in plan.pnames else f"a{plan.names.index(v)}"
+
+    cmps = sim._atom_cmps(pf.system.domain) + sim._atom_cmps(pf.goal)
+    assert len(cmps) == 5
+    for c in cmps:
+        assert src.count(sim._diff_src(c, ref)) == 1, sim._diff_src(c, ref)
 
 
 def test_built_function_is_freed_without_the_cycle_collector():

@@ -78,6 +78,26 @@ def test_first_same_as_last_costs_six_rhs_per_trial(monkeypatch):
     assert counts["in_locate"] == 0
 
 
+def test_atoms_are_evaluated_once_per_accepted_state():
+    # outside event location, `integrate` reads the generated atom vector
+    # at the initial state and at each accepted state, and nowhere else
+    calls = {"integrate": 0, "other": 0}
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "atoms" and frame.f_code.co_filename == "<string>":
+            calls["integrate" if frame.f_back.f_code.co_name == "integrate" else "other"] += 1
+
+    pf = parse_problem("ode { x' = -100*x }  domain { x >= -1 }  goal { x <= 1/2 }")
+    sys.setprofile(profile)
+    try:
+        traj = sim.integrate(pf.system, {"x": 1.0}, 1.0, goal=pf.goal, stop_on_event=False)
+    finally:
+        sys.setprofile(None)
+    assert [k for _, k in traj.events] == [sim.GOAL_ENTERED, sim.HORIZON_REACHED]
+    assert calls["integrate"] == traj.stats["steps"] + 1
+    assert calls["other"] > 0  # the goal entry's bisection
+
+
 def test_blowup_step_statistics():
     # the Dormand-Prince controller's counts on CE-1's trajectory
     pf = parse_problem("ode { x' = 1 + x^2; t' = 1 }  assume { x = 0, t = 0 }  goal { t >= 2 }")
@@ -90,7 +110,7 @@ def test_dense_output_is_fourth_order_between_the_step_ends():
     # step's start, ends at its result, and meets exp(-theta*h) with a local
     # error O(h^5) in between
     pf = parse_problem("ode { x' = -x }")
-    c = sim.Plan(pf.system).bind((), sim.EQ_TOL, sim.EVENT_TOL)
+    c = sim.Plan(pf.system).bind(())
 
     def worst(h):
         y1, _, _, ks = c.dp((1.0,), h, c.f((1.0,)))
