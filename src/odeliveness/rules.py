@@ -141,25 +141,36 @@ class DomainWeakenStep:
 
 
 def hints_from_cert(steps) -> tuple:
+    """The hint steps of a `hint [...]` block; a binding that its hint
+    never reads is refused, as for rules."""
     out = []
     for s in steps:
+        read = set()
+
+        def get(key, kind, default=None, required=False):
+            read.add(key)
+            return _binding(s, key, kind, default, required)
+
         if s.name == "DI":
-            f = _binding(s, "f", "formula")
+            f = get("f", "formula")
             if f is not None and not isinstance(f, Cmp):
                 raise HintMismatch("DI takes an atomic comparison binding 'f'")
             out.append(DIStep(f))
         elif s.name == "DC":
-            out.append(DCStep(_binding(s, "f", "formula", required=True), _binding(s, "hints", "hints", ())))
+            out.append(DCStep(get("f", "formula", required=True), get("hints", "hints", ())))
         elif s.name == "DW":
             out.append(DWStep())
         elif s.name == "DX":
             out.append(DXStep())
         elif s.name == "BC":
-            out.append(BCStep(_binding(s, "p", "polynomial", required=True)))
+            out.append(BCStep(get("p", "polynomial", required=True)))
         elif s.name == "DomainWeaken":
-            out.append(DomainWeakenStep(_binding(s, "f", "formula", required=True)))
+            out.append(DomainWeakenStep(get("f", "formula", required=True)))
         else:
             raise HintMismatch(f"'{s.name}' is not an invariance hint")
+        unread = [k for k, _ in s.bindings if k not in read]
+        if unread:
+            raise UnreadBinding(s.name, unread)
     return tuple(out)
 
 

@@ -351,6 +351,25 @@ def test_unread_certificate_keys_are_named(tmp_path, capsys):
     assert out.splitlines()[-1] == "input error: rule dV_geq reads no binding named 'bx' or 'hnts'"
 
 
+@pytest.mark.parametrize(
+    "hint, misspelt",
+    [
+        ("rule DC { f = u^2 + v^2 >= 1; typo = 5; hints", "rule DC reads no binding named 'typo'"),
+        ("rule DI { bogus = u }", "rule DI reads no binding named 'bogus'"),
+        ("rule DW { whatever = 1 }", "rule DW reads no binding named 'whatever'"),
+    ],
+)
+def test_unread_hint_keys_are_named(tmp_path, capsys, hint, misspelt):
+    # problems/example2_domain.ode is proved; one unread key in a hint makes it an input error
+    text = problem_path("example2_domain.ode").read_text()
+    original = {"DC": "rule DC { f = u^2 + v^2 >= 1; hints", "DI": "rule DI { }", "DW": "rule DW { }"}[hint[5:7]]
+    assert text.count(original) == 1
+    f = tmp_path / "misspelt-hint.ode"
+    f.write_text(text.replace(original, hint))
+    code, out = run(capsys, "check", f)
+    assert (code, out.splitlines()[-1]) == (3, f"input error: {misspelt}")
+
+
 # x(t) = -2000 - 1000*e^(t/1000) falls forever, so no certificate may prove
 # that it reaches x >= 0 (or x > 0, or x = 0).  Each box makes the slope
 # premise true, but the flow leaves it: the box must not be taken on trust.
