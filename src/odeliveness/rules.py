@@ -202,9 +202,9 @@ class Checker:
             elif prop == topology.OPEN:
                 v = topology.check_open(formula, vars)
             elif prop == topology.BOUNDED:
-                v = topology.check_bounded(formula, vars)
+                v = topology.check_bounded(formula, vars, self.prove)
             else:
-                v = topology.check_compact(formula, vars)
+                v = topology.check_compact(formula, vars, self.prove)
             self._topo_cache[key] = v
         return self._topo_cache[key]
 

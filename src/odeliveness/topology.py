@@ -83,22 +83,22 @@ def first_proved(region: Formula, p: Polynomial, op: str, candidates, prove) -> 
     return None
 
 
-def check_bounded(f: Formula, vars) -> TopoVerdict:
+def check_bounded(f: Formula, vars, prove) -> TopoVerdict:
     """Doubling search for B = 2^k, k = 0..32, with f -> sum of squares of
-    `vars` <= B proved Valid; the witness is the first such B."""
+    `vars` <= B proved Valid by `prove`; the witness is the first such B."""
     if not vars:
         return TopoVerdict(BOUNDED, UNKNOWN)
     sumsq = sum((Polynomial.var(v) * Polynomial.var(v) for v in vars), Polynomial())
-    bound = first_proved(f, sumsq, "<=", (Fraction(2) ** k for k in range(33)), arith.prove_implication)
+    bound = first_proved(f, sumsq, "<=", (Fraction(2) ** k for k in range(33)), prove)
     return TopoVerdict(BOUNDED, UNKNOWN if bound is None else HOLDS, witness=bound)
 
 
-def check_compact(f: Formula, vars) -> TopoVerdict:
+def check_compact(f: Formula, vars, prove) -> TopoVerdict:
     """Closed and bounded; witness carried over from the bounded check."""
     closed = check_closed(f, vars)
     if not closed.holds:
         return TopoVerdict(COMPACT, UNKNOWN)
-    bounded = check_bounded(f, vars)
+    bounded = check_bounded(f, vars, prove)
     if not bounded.holds:
         return TopoVerdict(COMPACT, UNKNOWN)
     return TopoVerdict(COMPACT, HOLDS, witness=bounded.witness)

@@ -69,7 +69,7 @@ def test_criterion_2_example2_end_to_end(capsys):
     elapsed = time.monotonic() - t0
     trace = render_trace(node)
     compact = topology.check_compact(
-        parse_formula("1 <= u^2 + v^2 & u^2 + v^2 <= 2"), ("u", "v")
+        parse_formula("1 <= u^2 + v^2 & u^2 + v^2 <= 2"), ("u", "v"), arith.prove_implication
     )
     ok = (
         node.verdict() == PROVED

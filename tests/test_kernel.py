@@ -2,7 +2,7 @@ import inspect
 
 import pytest
 
-from odeliveness import kernel, topology
+from odeliveness import arith, kernel, topology
 from odeliveness.errors import (
     ClockNotFresh,
     NoClock,
@@ -435,5 +435,5 @@ def test_bex_false_escape_trivially_bounded(alpha_n):
     clocked = alpha_n.system.with_domain(TRUE).with_clock("_t")
     node = step_exist_bounded((), clocked, FALSE, None)
     (ob,) = node.obligations
-    v = topo_mod.check_bounded(FALSE, alpha_n.system.vars)
+    v = topo_mod.check_bounded(FALSE, alpha_n.system.vars, arith.prove_implication)
     assert v.holds  # the empty set is bounded; the disjunct !false holds at time 0

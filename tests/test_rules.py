@@ -782,6 +782,25 @@ def test_shared_obligations_discharged_once(monkeypatch):
     assert calls[first.obligation, checker.budget] == 1
 
 
+def test_bound_search_is_proved_through_the_checker_cache(monkeypatch):
+    # check_bounded's doubling search asks Checker.prove, so an obligation
+    # posed twice, by the rules or by two searches, is proved once:
+    # `check problems/example2.ode` poses 12 distinct obligations
+    from conftest import problem_path
+
+    calls = Counter()
+    prove = arith.prove_implication
+
+    def counting(ob, budget=None, **kw):
+        calls[ob, budget] += 1
+        return prove(ob, budget=budget, **kw)
+
+    monkeypatch.setattr(arith, "prove_implication", counting)
+    pf = parse_problem(problem_path("example2.ode").read_text())
+    assert apply_rule(pf, pf.certificate[0], Checker()).verdict() == PROVED
+    assert (sum(calls.values()), len(calls)) == (12, 12)
+
+
 def test_name_tables_agree():
     assert set(RULE_BUILDERS) == syntax.RULE_NAMES
     bindings = {"DC": "f = u >= 0", "BC": "p = u", "DomainWeaken": "f = u >= 0"}

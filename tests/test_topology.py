@@ -8,6 +8,7 @@ from odeliveness.normal import atoms_of
 from odeliveness.syntax import TRUE, parse_formula
 
 UV = ("u", "v")
+PROVE = arith.prove_implication
 
 
 def test_closed_nonstrict_atom():
@@ -35,17 +36,17 @@ def test_negation_normalizes_before_classification():
 
 
 def test_bounded_annulus_with_witness_two():
-    v = topology.check_bounded(parse_formula("1 <= u^2 + v^2 & u^2 + v^2 <= 2"), UV)
+    v = topology.check_bounded(parse_formula("1 <= u^2 + v^2 & u^2 + v^2 <= 2"), UV, PROVE)
     assert v.holds and v.witness == 2
 
 
 def test_bounded_true_unknown():
-    assert not topology.check_bounded(TRUE, ("x",)).holds
+    assert not topology.check_bounded(TRUE, ("x",), PROVE).holds
 
 
 def test_bounded_ignores_unbounded_symbols_outside_vars():
     # w is unbounded, but the sum of squares of (u, v) is still bounded
-    v = topology.check_bounded(parse_formula("u^2 + v^2 <= 2 & w >= 0"), UV)
+    v = topology.check_bounded(parse_formula("u^2 + v^2 <= 2 & w >= 0"), UV, PROVE)
     assert v.holds and v.witness == 2
 
 
@@ -55,7 +56,7 @@ def test_bounded_draws_no_samples(monkeypatch):
 
     monkeypatch.setattr(arith, "falsify", no_sampling)
     for region in ("t <= 3", "true"):  # ce4's regions over (x, t)
-        v = topology.check_bounded(parse_formula(region), ("x", "t"))
+        v = topology.check_bounded(parse_formula(region), ("x", "t"), PROVE)
         assert not v.holds and v.witness is None
 
 
@@ -71,26 +72,26 @@ def test_bounded_draws_no_samples(monkeypatch):
 def test_bounded_by_a_combination_of_atoms(region, vars, witness):
     # no single atom bounds a variable of `vars`, so no box encloses the
     # region, yet a positive combination of the atoms proves the bound
-    v = topology.check_bounded(parse_formula(region), vars)
+    v = topology.check_bounded(parse_formula(region), vars, PROVE)
     assert v.holds and v.witness == witness
 
 
 def test_bounded_singleton_witness_one():
-    v = topology.check_bounded(parse_formula("u = 0 & v = 0"), UV)
+    v = topology.check_bounded(parse_formula("u = 0 & v = 0"), UV, PROVE)
     assert v.holds and v.witness == 1
 
 
 def test_compact_annulus():
-    v = topology.check_compact(parse_formula("1 <= u^2 + v^2 & u^2 + v^2 <= 2"), UV)
+    v = topology.check_compact(parse_formula("1 <= u^2 + v^2 & u^2 + v^2 <= 2"), UV, PROVE)
     assert v.holds and v.witness == 2
 
 
 def test_compact_open_box_unknown():
-    assert not topology.check_compact(parse_formula("u > 0 & u < 1"), ("u",)).holds
+    assert not topology.check_compact(parse_formula("u > 0 & u < 1"), ("u",), PROVE).holds
 
 
 def test_compact_true_unknown():
-    assert not topology.check_compact(TRUE, ("x",)).holds
+    assert not topology.check_compact(TRUE, ("x",), PROVE).holds
 
 
 def test_closed_criterion_excludes_strict_atoms_syntactically():
@@ -105,7 +106,7 @@ def test_closed_criterion_excludes_strict_atoms_syntactically():
 
 def test_bounded_witness_encloses_samples():
     f = parse_formula("1 <= u^2 + v^2 & u^2 + v^2 <= 2")
-    witness = topology.check_bounded(f, UV).witness
+    witness = topology.check_bounded(f, UV, PROVE).witness
     rng = Random(5)
     found = 0
     while found < 200:
@@ -121,7 +122,7 @@ def test_bounded_witness_encloses_samples():
 def test_bounded_monotone_under_atom_strengthening():
     g = parse_formula("u^2 + v^2 <= 2")
     f = parse_formula("u^2 + v^2 <= 2 & u >= 0")  # f implies g atom-by-atom
-    bg = topology.check_bounded(g, UV)
-    bf = topology.check_bounded(f, UV)
+    bg = topology.check_bounded(g, UV, PROVE)
+    bf = topology.check_bounded(f, UV, PROVE)
     assert bg.holds and bf.holds
     assert bf.witness <= bg.witness
