@@ -430,24 +430,10 @@ def render_trace(root: ProofNode) -> str:
 
     emit(root, 0)
     lines.append("obligations:")
-    index = 0
-    seen = set()
-
-    def emit_obs(node: ProofNode, indent: str):
-        nonlocal index
-        for child in node.children:
-            emit_obs(child, indent)
-        for ob in node.obligations:
-            if id(ob) in seen:
-                continue
-            seen.add(id(ob))
-            lines.append(indent + _status_line(index, ob)[2:])
-            index += 1
-            if isinstance(ob, InvarianceOb) and ob.proof is not None:
-                for sub in ob.proof.walk():
-                    lines.append(
-                        f"{indent}      . {sub.step.name} {sub.verdict()} -- {print_sequent(sub.conclusion)}"
-                    )
-
-    emit_obs(root, "  ")
+    # numbered as `all_obligations` yields them, as emit-smt numbers its files
+    for index, ob in enumerate(root.all_obligations()):
+        lines.append(_status_line(index, ob))
+        if isinstance(ob, InvarianceOb) and ob.proof is not None:
+            for sub in ob.proof.walk():
+                lines.append(f"        . {sub.step.name} {sub.verdict()} -- {print_sequent(sub.conclusion)}")
     return "\n".join(lines) + "\n"
