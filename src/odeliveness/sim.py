@@ -409,12 +409,14 @@ def integrate(
     stats = {"steps": 0, "rejected": 0, "min_h": math.inf}
 
     # every predicate reads the atom vector; at a state whose atoms have no
-    # float value the trajectory stops, with no event
+    # float value the trajectory stops, with no event.  The initial state is
+    # in the domain also when it is as an event point is (`domain_boundary`),
+    # so a sampled state that rounds just outside a closed boundary is in
     A = atoms(y)
     if A is None:
         return Trajectory(samples, events, stats, closed)
     goal_now = goal is not None and c.goal(A)
-    domain_now = c.domain(A)
+    domain_now = c.domain(A) or c.domain_boundary(A)
     if goal_now and domain_now:
         events.append((0.0, GOAL_ENTERED))
         closed[GOAL_ENTERED] = True

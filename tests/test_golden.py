@@ -104,14 +104,6 @@ def test_transcript_byte_identical(rel, argv):
 
 CLASSES = ("WITNESS", "REFUTED-SAMPLE", "BLOWUP", "INCONCLUSIVE")
 
-# Samples whose float initial state on the unit circle (cos and sin of the
-# sample's angle) rounds to just outside the closed domain 1 <= u^2 + v^2:
-# `integrate` reports a domain exit at t = 0, against the known class.  This
-# is a defect of the circle sampler, pinned here so that no other sample
-# can flip.
-ROUNDED_OUT = {"example2_domain.s0.n16.txt": (1, 13), "example2_domain.s1.n16.txt": (1, 13)}
-
-
 def test_falsify_goldens_hold_the_known_classes():
     # every summary count, per-sample class and exit code agrees with the
     # hand-written answers, so a regenerated golden cannot flip a class
@@ -119,17 +111,13 @@ def test_falsify_goldens_hold_the_known_classes():
     assert {p.name.split(".")[0] + ".ode" for p in paths} == set(known.FALSIFY_CLASS) == set(PROBLEMS)
     for path in paths:
         name, _, samples = path.name.split(".")[:3]
-        out = ROUNDED_OUT.get(path.name, ())
         expected = [known.FALSIFY_CLASS[name + ".ode"]] * int(samples[1:])
-        for i in out:
-            expected[i] = "REFUTED-SAMPLE"
         lines = path.read_text().splitlines()
         summary = f"samples={len(expected)} " + " ".join(f"{c}={expected.count(c)}" for c in CLASSES)
         assert lines[0] == summary and lines.count(summary) == 2, path.name
         assert f"exit {1 if 'REFUTED-SAMPLE' in expected or 'BLOWUP' in expected else 0}" in lines, path.name
         classes = [line for line in lines if line.startswith("sample ")]
         assert [line.split(" t=")[0] for line in classes] == [f"sample {i}: {c}" for i, c in enumerate(expected)]
-        assert all(classes[i].endswith(" t=0.0") for i in out), path.name
 
 
 def test_catalog_golden_passes_every_entry():

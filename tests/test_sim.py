@@ -8,6 +8,8 @@ from odeliveness.errors import InsufficientSamples, UnsamplableInitSet
 from odeliveness.symbolic import Polynomial, lie_derivative
 from odeliveness.syntax import parse_formula, parse_poly, parse_problem
 
+from conftest import problem_path
+
 
 # -- integration oracles -------------------------------------------------------
 
@@ -142,6 +144,24 @@ def test_integration_deterministic(alpha_n):
     b = sim.integrate(alpha_n.system, {"u": 1.0, "v": 0.0}, 1.0, goal=alpha_n.goal)
     assert [s.time for s in a.samples] == [s.time for s in b.samples]
     assert a.events == b.events
+
+
+def test_sampled_state_rounded_just_outside_a_closed_domain_starts_inside():
+    # the sampler's 13th of 16 points on the unit circle has u^2 + v^2
+    # below 1 in floats, outside the closed annulus 1 <= u^2 + v^2 <= 2 by
+    # one rounding: it starts in the domain and reaches the goal
+    pf = parse_problem(problem_path("example2_domain.ode").read_text())
+    theta = 2 * math.pi * 13 / 16
+    init = {"u": math.cos(theta), "v": math.sin(theta)}
+    plan = sim.Plan(pf.system, pf.goal)
+    c = plan.bind(())
+    A = c.atoms((init["u"], init["v"]))
+    assert not c.domain(A) and c.domain_boundary(A)
+    traj = sim.integrate(pf.system, init, 10.0, goal=pf.goal, plan=plan)
+    assert sim.classify(traj)[0] == sim.WITNESS
+    # a state far outside a closed domain still exits at t = 0 (CE-3)
+    ce3 = parse_problem("ode { x' = 1 }  domain { x <= -1 }  assume { x = 1 }  goal { x >= 0 }")
+    assert sim.classify(sim.integrate(ce3.system, {"x": 1.0}, 10.0, goal=ce3.goal)) == (sim.REFUTED, 0.0)
 
 
 def test_goal_never_follows_domain_exit_with_stop():
