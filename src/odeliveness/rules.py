@@ -140,37 +140,33 @@ class DomainWeakenStep:
     formula: Formula
 
 
+# hint step -> (its step class, the bindings it reads as `_binding`
+# arguments: key, kind, default, required)
+_HINTS = {
+    "DI": (DIStep, (("f", "formula"),)),
+    "DC": (DCStep, (("f", "formula", None, True), ("hints", "hints", ()))),
+    "DW": (DWStep, ()),
+    "DX": (DXStep, ()),
+    "BC": (BCStep, (("p", "polynomial", None, True),)),
+    "DomainWeaken": (DomainWeakenStep, (("f", "formula", None, True),)),
+}
+
+
 def hints_from_cert(steps) -> tuple:
-    """The hint steps of a `hint [...]` block; a binding that its hint
-    never reads is refused, as for rules."""
+    """The hint steps of a `hint [...]` block; as for rules, a binding the
+    hint never reads is refused."""
     out = []
     for s in steps:
-        read = set()
-
-        def get(key, kind, default=None, required=False):
-            read.add(key)
-            return _binding(s, key, kind, default, required)
-
-        if s.name == "DI":
-            f = get("f", "formula")
-            if f is not None and not isinstance(f, Cmp):
-                raise HintMismatch("DI takes an atomic comparison binding 'f'")
-            out.append(DIStep(f))
-        elif s.name == "DC":
-            out.append(DCStep(get("f", "formula", required=True), get("hints", "hints", ())))
-        elif s.name == "DW":
-            out.append(DWStep())
-        elif s.name == "DX":
-            out.append(DXStep())
-        elif s.name == "BC":
-            out.append(BCStep(get("p", "polynomial", required=True)))
-        elif s.name == "DomainWeaken":
-            out.append(DomainWeakenStep(get("f", "formula", required=True)))
-        else:
+        if s.name not in _HINTS:
             raise HintMismatch(f"'{s.name}' is not an invariance hint")
-        unread = [k for k, _ in s.bindings if k not in read]
+        make, reads = _HINTS[s.name]
+        args = [_binding(s, *read) for read in reads]
+        if s.name == "DI" and args[0] is not None and not isinstance(args[0], Cmp):
+            raise HintMismatch("DI takes an atomic comparison binding 'f'")
+        unread = [k for k, _ in s.bindings if k not in {read[0] for read in reads}]
         if unread:
             raise UnreadBinding(s.name, unread)
+        out.append(make(*args))
     return tuple(out)
 
 

@@ -163,10 +163,6 @@ def _atom_cmps(f: Formula) -> list:
     return []
 
 
-def _diff_src(f: Cmp, ref) -> str:
-    return poly_src((f.lhs - f.rhs).terms.items(), ref)
-
-
 def _state_atom(op: str, k: int, vec: str = "A") -> str:
     """Truth of atom k of the vector `vec` at a state: equalities within
     `_eq`, strict atoms exact."""
@@ -219,13 +215,13 @@ def _atoms_def(cmps: list, n: int, ref) -> list:
     """Source of `atoms(y)`, the atom vector: the difference polynomial of
     each comparison in `cmps` at the state y of n floats, or None when one
     has no float value (its evaluation overflows)."""
-    diffs = "".join(f"{_diff_src(c, ref)}, " for c in cmps)
+    diffs = "".join(f"{poly_src((c.lhs - c.rhs).terms.items(), ref)}, " for c in cmps)
     return _def("atoms", "y", _unpack("a", n, "y"), "try:", f"    return ({diffs})", "except OverflowError:", "    return None")
 
 
 def _over_atoms(f: Formula, offset: int, atom) -> str:
-    """Source of `f` with its comparisons, in `_atom_cmps` order, rendered
-    by `atom(op, k)` as the entries k = offset, offset + 1, ... of a vector."""
+    """Source of `f` whose comparisons, in `_atom_cmps` order, are entries
+    offset, offset + 1, ... of a vector; `atom(op, k)` renders entry k."""
     k = itertools.count(offset)
     return formula_src(f, lambda c: atom(c.op, next(k)))
 
@@ -273,7 +269,8 @@ def _dimension(n: int) -> SimpleNamespace:
 class Plan:
     """The compiled per-trajectory work of one system and goal.  Build it
     once and pass it to every `integrate` call on that system and goal;
-    `bind` fixes one trajectory's parameter values."""
+    `bind(par)` fixes one trajectory's parameter values (in `pnames` order)
+    and returns the compiled functions."""
 
     def __init__(self, system: OdeSystem, goal: Optional[Formula] = None):
         self.system = system
@@ -283,7 +280,7 @@ class Plan:
         domain = system.domain if system.domain is not None else TRUE
         self.domain_atoms = len(_atom_cmps(domain))
         scope = {"_inf": math.inf, "_ns": SimpleNamespace, "_eq": EQ_TOL, "_margin": EVENT_TOL}
-        self._bind = build(self._source(domain), "_bind", {**scope, **vars(_dimension(len(self.names)))})
+        self.bind = build(self._source(domain), "_bind", {**scope, **vars(_dimension(len(self.names)))})
 
     def _source(self, domain: Formula) -> str:
         names, n = self.names, len(self.names)
@@ -319,15 +316,10 @@ class Plan:
         # values(y): the state and parameters by name
         keys = "".join(f"{v!r}: {ref(v)}, " for v in names + self.pnames)
         body += _def("values", "y", _unpack("a", n, "y"), "return {" + keys + "}")
-        fields = ["f", "dp", "finite", "norm", "atoms", "values", "domain", "domain_boundary", "domain_limit"]
-        fields += ["goal", "goal_limit"]
+        fields = "f dp finite norm atoms values domain domain_boundary domain_limit goal goal_limit".split()
         body.append("return _ns(" + ", ".join(f"{f}={f}" for f in fields) + ")")
         head = [_unpack("p", len(params), "_par")] if params else []
         return "\n".join(_def("_bind", "_par", *head, *body)) + "\n"
-
-    def bind(self, par: tuple) -> SimpleNamespace:
-        """The compiled functions with parameters `par` (in `pnames` order)."""
-        return self._bind(par)
 
 
 # ---------------------------------------------------------------------------
@@ -408,10 +400,9 @@ def integrate(
     closed: dict = {}
     stats = {"steps": 0, "rejected": 0, "min_h": math.inf}
 
-    # every predicate reads the atom vector; at a state whose atoms have no
-    # float value the trajectory stops, with no event.  The initial state is
-    # in the domain also when it is as an event point is (`domain_boundary`),
-    # so a sampled state that rounds just outside a closed boundary is in
+    # at a state whose atoms have no float value the trajectory stops, with
+    # no event.  The initial state is in the domain also when it is so as an
+    # event point, so a sample rounded just past a closed boundary is inside
     A = atoms(y)
     if A is None:
         return Trajectory(samples, events, stats, closed)
@@ -436,8 +427,7 @@ def integrate(
 
     # the step's earliest time where `test` of the atom vector turns true,
     # and the vectors L and H at the ends of the bracket closing in on it; a
-    # point whose atoms have no float value is passed over as one before the
-    # event, and L is then read at the step's start
+    # point with no atom vector counts as before the event (L is then A)
     def bracket(test):
         tau, y_lo, y_hi = _locate(lambda yy: (B := atoms(yy)) is not None and test(B), finite, t, h, y, y_new, ks)
         return tau, atoms(y_lo) or A, atoms(y_hi)

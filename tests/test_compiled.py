@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from odeliveness import sim
-from odeliveness.codegen import build
+from odeliveness.codegen import build, poly_src
 from odeliveness.symbolic import OdeSystem, Polynomial
 from odeliveness.syntax import And, BoolLit, Cmp, Formula, Implies, Not, Or, parse_problem
 
@@ -295,7 +295,8 @@ def test_plan_renders_each_atom_polynomial_once():
     cmps = sim._atom_cmps(pf.system.domain) + sim._atom_cmps(pf.goal)
     assert len(cmps) == 5
     for c in cmps:
-        assert src.count(sim._diff_src(c, ref)) == 1, sim._diff_src(c, ref)
+        diff = poly_src((c.lhs - c.rhs).terms.items(), ref)
+        assert src.count(diff) == 1, diff
 
 
 def test_built_function_is_freed_without_the_cycle_collector():
