@@ -316,7 +316,8 @@ class Plan:
         # values(y): the state and parameters by name
         keys = "".join(f"{v!r}: {ref(v)}, " for v in names + self.pnames)
         body += _def("values", "y", _unpack("a", n, "y"), "return {" + keys + "}")
-        fields = "f dp finite norm atoms values domain domain_boundary domain_limit goal goal_limit".split()
+        fields = ["f", "dp", "finite", "norm", "atoms", "values", "domain", "domain_boundary", "domain_limit"]
+        fields += ["goal", "goal_limit"]
         body.append("return _ns(" + ", ".join(f"{f}={f}" for f in fields) + ")")
         head = [_unpack("p", len(params), "_par")] if params else []
         return "\n".join(_def("_bind", "_par", *head, *body)) + "\n"

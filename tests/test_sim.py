@@ -100,6 +100,19 @@ def test_atoms_are_evaluated_once_per_accepted_state():
     assert calls["other"] > 0  # the goal entry's bisection
 
 
+def test_bisection_passes_over_points_whose_atoms_overflow():
+    # x = R sin t peaks at t = pi/2, where y = 0 meets the goal; x^40
+    # overflows within about 4.5e-4 of the peak, which no step end reaches
+    # but the bisection of y's sign change does: those points count as
+    # before the event, so the contact is located at the window's end
+    r = 50859008.462246634  # the least float whose 40th power overflows
+    pf = parse_problem("ode { x' = y; y' = -x }  goal { x^40 <= -1 | y = 0 }")
+    traj = sim.integrate(pf.system, {"x": 0.0, "y": r * (1 + 1e-7)}, 3.0, goal=pf.goal)
+    ((tau, kind),) = traj.events
+    assert kind == sim.GOAL_ENTERED and traj.closed[kind]
+    assert 0 < tau - math.pi / 2 < 5e-4
+
+
 def test_blowup_step_statistics():
     # the Dormand-Prince controller's counts on CE-1's trajectory
     pf = parse_problem("ode { x' = 1 + x^2; t' = 1 }  assume { x = 0, t = 0 }  goal { t >= 2 }")
