@@ -92,16 +92,14 @@ def cmd_simulate(args) -> int:
     traj = sim.integrate(problem.system, init, args.horizon, goal=problem.goal, stop_on_event=False)
     for t, kind in traj.events:
         print(f"event {kind} at t={t!r}")
+    if traj.stopped is not None:
+        t, reason = traj.stopped
+        print(f"stopped at t={t!r}: {reason}")
     if args.out:
         out = pathlib.Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        names = list(problem.system.vars) + sorted(problem.system.params)
         path = out / "trajectory.csv"
-        ev = dict((t, k) for t, k in traj.events)
-        with open(path, "w") as fh:
-            fh.write("t," + ",".join(names) + ",event\n")
-            for s in traj.samples:
-                fh.write(f"{s.time!r}," + ",".join(repr(s.values[n]) for n in names) + f",{ev.get(s.time, '')}\n")
+        sim.write_csv(path, traj, problem.system)
         print(f"wrote {path}")
     return 0
 

@@ -13,8 +13,12 @@ atoms.
 
 Each system and goal is compiled to Python once (`Plan`), and trajectories
 are bit-identical however often a plan is reused, so `falsify_liveness`
-integrates each distinct initial state once.  A state whose atoms have no
-float value (one overflows) ends its trajectory with no event.
+integrates each distinct initial state once.  A generated kernel takes
+every step that cannot carry an event, and `integrate` handles only the
+steps that may.  A trajectory keeps its samples as raw (time, state tuple)
+rows and builds a `State` with a values dict only when one is read.  A
+state whose atoms have no float value (one overflows) ends its trajectory
+with no event, as does the step cap; `Trajectory.stopped` says which.
 
 Blow-up is detected, not proved: the max-norm threshold `BLOWUP_NORM` (1e9)
 combined with step-size collapse yields a BlowUpSuspected event.
@@ -57,6 +61,10 @@ DOMAIN_EXITED = "DomainExited"
 BLOWUP_SUSPECTED = "BlowUpSuspected"
 HORIZON_REACHED = "HorizonReached"
 
+# why a trajectory ended short of its horizon with no event
+ATOMS_UNDEFINED = "atoms have no float value"
+STEP_CAP = "step cap reached"
+
 WITNESS = "WITNESS"
 REFUTED = "REFUTED-SAMPLE"
 BLOWUP = "BLOWUP"
@@ -86,16 +94,27 @@ class State:
 
 @dataclass
 class Trajectory:
-    samples: list
+    rows: list  # [(time, state tuple)]: the raw samples
     events: list  # [(time, kind)]
     stats: dict = field(default_factory=dict)
     # kind -> whether the first event of that kind lies on a closed boundary:
     # the goal already holds at a GoalEntered point, the domain still holds
     # at a DomainExited point
     closed: dict = field(default_factory=dict)
+    # values(state tuple): the state and parameters by name
+    values: Optional[Callable] = None
+    # (time, reason) when the trajectory ended short of its horizon with no
+    # event: at the state whose atoms have no float value, or at the step cap
+    stopped: Optional[tuple] = None
+
+    @property
+    def samples(self) -> list:
+        """The rows as `State`s, built on every read."""
+        return [State(self.values(y), t) for t, y in self.rows]
 
     def final(self) -> State:
-        return self.samples[-1]
+        t, y = self.rows[-1]
+        return State(self.values(y), t)
 
     def event_time(self, kind) -> Optional[float]:
         for t, k in self.events:
@@ -112,11 +131,23 @@ class Trajectory:
 # difference polynomial, domain then goal, which is the only place a
 # state's atoms are evaluated; and the domain and goal predicates, which
 # read that vector (`A`, or `L` and `H` at a bracket's ends).  A state where
-# an atom's evaluation overflows has no atom vector (None).  The
-# Dormand-Prince trial `dp(y, h, k1)` calls `f` for its stages rather than
-# inlining the right-hand side six times; its source depends only on the
-# dimension, so it is compiled once per dimension (`_dimension`) and bound
-# to each plan's `f`.  Every float operation is fixed by the source, so
+# an atom's evaluation overflows has no atom vector (None).
+#
+# The stepping kernel `advance` takes steps until one may carry an event.
+# Within one call it runs, per step, the Dormand-Prince trial (inline; it
+# calls `f` for its stages rather than inlining the right-hand side six
+# times), the step-size controller, the finiteness and `BLOWUP_NORM`
+# screen, the atom vector, the domain and goal readings and a screen for
+# atoms whose value changes sign (a product below 0.0), and appends the
+# step's raw (t, state) row.  It hands back the first step at which the
+# result is not finite or blows up, the atoms have no vector, the goal is
+# entered, the domain is left or an atom changes sign, with that step's
+# trial and atom vector, so `integrate` locates its events as before; or
+# it returns at the horizon or the step cap.  The kernel's and the
+# standalone trial `dp(y, h, k1)`'s sources depend only on the dimension,
+# so they are compiled once per dimension (`_dimension`), on first use,
+# from the one trial source `_trial`, and bound to each plan's `f`, `atoms`,
+# `domain` and `goal`.  Every float operation is fixed by the source, so
 # trajectories do not depend on how often a plan is reused:
 #
 #   stage i       k_i = f(y + h*(a_i1*k1 + ... + a_i,i-1*k_{i-1})),  i = 2..7
@@ -234,36 +265,151 @@ def _predicate(f: Formula, names) -> Callable:
     return build("\n".join(lines) + "\n", "_pred", {"_eq": EQ_TOL})
 
 
+def _trial(n: int) -> list:
+    """Source lines of one Dormand-Prince trial of step h from the state
+    a0, ..., a{n-1} whose first stage is k1 (unpacked as k1_0, ...): stages
+    k2..k7 through `f`, unpacked as k2_0, ...; the fifth-order state y1 =
+    (b0, ...), with k7 = f(y1); and its error `err`.  The one source of the
+    trial, read by `dp` and by the stepping kernel."""
+
+    def combo(weights, i):
+        return " + ".join(f"{w!r} * k{j + 1}_{i}" for j, w in enumerate(weights) if w)
+
+    lines = []
+    for s, row in enumerate(_DP_A[:-1], start=2):
+        point = "".join(f"a{i} + h * ({combo(row, i)}), " for i in range(n))
+        lines += [f"k{s} = f(({point}))", _unpack(f"k{s}_", n, f"k{s}")]
+    lines += [f"b{i} = a{i} + h * ({combo(_DP_A[-1], i)})" for i in range(n)]
+    lines += ["y1 = (" + "".join(f"b{i}, " for i in range(n)) + ")", "k7 = f(y1)", _unpack("k7_", n, "k7")]
+    lines.append("err = " + _max_src([f"abs(h * ({combo(_DP_E, i)})) / (1.0 + abs(b{i}))" for i in range(n)]))
+    return lines
+
+
+def _advance(n: int) -> list:
+    """Source of `advance_over(f, atoms, domain, goal)`, the stepping kernel
+    over one plan's functions; see "Compiled trajectory work"."""
+
+    def indent(depth, lines):
+        return [" " * (4 * depth) + line for line in lines]
+
+    def each(template):
+        return [template.format(i=i) for i in range(n)]
+
+    unpack_y, unpack_k1 = _unpack("a", n, "y"), _unpack("k1_", n, "k1")
+    finite = " and ".join(each("isfinite(b{i})"))
+    inside = " and ".join(each(f"{-BLOWUP_NORM!r} <= b{{i}} <= {BLOWUP_NORM!r}"))
+    # the elementary controller: after every trial h is scaled by
+    # 0.9*(TOL/err)^(1/5), kept within [0.2, 5]; a non-finite trial counts as
+    # err = inf.  h stops at HMIN, where a trial is accepted whatever its
+    # error.  A rejected trial keeps k1 (the same y), so it costs six
+    # evaluations of f like an accepted one.  After an accepted step h is
+    # kept within [HMIN, H0 * 4].  Each min and max is written as the
+    # comparisons that return the same float.  With `grid` set, steps land
+    # exactly on grid multiples, with no adaptation
+    controller = [
+        "while True:",
+        *indent(1, _trial(n)),
+        "    if grid is not None:",
+        "        break",
+        f"    if not ({finite} and err == err):",
+        "        err = inf",
+        "    if err == 0.0:",
+        "        scale = 5.0",
+        "    else:",
+        f"        scale = 0.9 * ({TOL!r} / err) ** 0.2",
+        "        if not scale > 0.2:",
+        "            scale = 0.2",
+        "        elif scale > 5.0:",
+        "            scale = 5.0",
+        f"    if err <= {TOL!r} or h <= {HMIN!r}:",
+        "        break",
+        "    h = h * scale",
+        f"    if h < {HMIN!r}:",
+        f"        h = {HMIN!r}",
+        "    rejected += 1",
+    ]
+    step = [
+        "d = horizon - t",
+        "if d < h:",
+        "    h = d",
+        "if grid is not None:",
+        "    j = round(t / grid)",
+        "    h = grid * (j + 1) - t if grid * (j + 1) - t > 1e-15 else grid",
+        *controller,
+        "steps += 1",
+        "if h < min_h:",
+        "    min_h = h",
+        "t1 = t + h",
+        "if grid is None:",
+        "    hn = h * scale",
+        f"    if hn < {HMIN!r}:",
+        f"        hn = {HMIN!r}",
+        f"    if hn > {H0 * 4!r}:",
+        f"        hn = {H0 * 4!r}",
+        "else:",
+        "    hn = h",
+        f"if not ({inside}):",
+        "    A1 = None",
+        "    break",
+        "A1 = atoms(y1)",
+        "if A1 is None:",
+        "    break",
+        "g1 = goal is not None and goal(A1)",
+        "if g1 and not goal_now:",
+        "    break",
+        "d1 = domain(A1)",
+        "if domain_now and not d1:",
+        "    break",
+        "for x0, x1 in zip(A, A1):",
+        "    if x0 * x1 < 0.0:",
+        "        break",
+        "else:",
+        "    rows.append((t1, y1))",
+        "    t, y, h, k1, A, goal_now, domain_now = t1, y1, hn, k7, A1, g1, d1",
+        *each("    a{i} = b{i}"),
+        *each("    k1_{i} = k7_{i}"),
+        "    continue",
+        "break",
+    ]
+    out = 'stats["steps"], stats["rejected"], stats["min_h"] = steps, rejected, min_h'
+    body = [
+        'steps, rejected, min_h = stats["steps"], stats["rejected"], stats["min_h"]',
+        unpack_y,
+        unpack_k1,
+        "while t < horizon and steps < max_steps:",
+        *indent(1, step),
+        "else:",
+        f"    {out}",
+        "    return t, y, k1, A, goal_now, domain_now, None",
+        out,
+        "return t, y, k1, A, goal_now, domain_now, (h, t1, y1, k7, (k1, k3, k4, k5, k6, k7), A1, hn)",
+    ]
+    args = "t, y, h, k1, A, goal_now, domain_now, horizon, grid, max_steps, rows, stats"
+    return ["def advance_over(f, atoms, domain, goal):", f"    def advance({args}):"] + indent(2, body) + ["    return advance"]
+
+
 @functools.cache
 def _dimension(n: int) -> SimpleNamespace:
     """The compiled work that depends only on the state's dimension n, built
     once per n: `dp_over(f)`, the Dormand-Prince trial `dp(y, h, k1)` over
     the right-hand side `f`, which returns the fifth-order state, its error
-    and k7 = f(state), and the stages the dense output reads; `finite(y)`;
+    and k7 = f(state), and the stages the dense output reads;
+    `advance_over(f, atoms, domain, goal)`, the stepping kernel; `finite(y)`;
     and `norm(y)`, the max norm."""
-
-    def combo(weights, i):
-        return " + ".join(f"{w!r} * k{j + 1}_{i}" for j, w in enumerate(weights) if w)
-
-    body = [_unpack("a", n, "y"), _unpack("k1_", n, "k1")]
-    for s, row in enumerate(_DP_A[:-1], start=2):
-        point = "".join(f"a{i} + h * ({combo(row, i)}), " for i in range(n))
-        body += [f"k{s} = f(({point}))", _unpack(f"k{s}_", n, f"k{s}")]
-    body += [f"b{i} = a{i} + h * ({combo(_DP_A[-1], i)})" for i in range(n)]
-    body += ["y1 = (" + "".join(f"b{i}, " for i in range(n)) + ")", "k7 = f(y1)", _unpack("k7_", n, "k7")]
-    error = _max_src([f"abs(h * ({combo(_DP_E, i)})) / (1.0 + abs(b{i}))" for i in range(n)])
-    body.append(f"return y1, {error}, k7, (k1, k3, k4, k5, k6, k7)")
     unpack = _unpack("a", n, "y")
+    dp = [unpack, _unpack("k1_", n, "k1"), *_trial(n), "return y1, err, k7, (k1, k3, k4, k5, k6, k7)"]
     src = "\n".join(
         ["def dp_over(f):", "    def dp(y, h, k1):"]
-        + [f"        {line}" for line in body]
-        + ["    return dp", "def finite(y):", f"    {unpack}"]
+        + [f"        {line}" for line in dp]
+        + ["    return dp"]
+        + _advance(n)
+        + ["def finite(y):", f"    {unpack}"]
         + ["    return " + " and ".join(f"isfinite(a{i})" for i in range(n))]
         + ["def norm(y):", f"    {unpack}", "    return " + _max_src([f"abs(a{i})" for i in range(n)])]
     )
-    namespace = {"isfinite": math.isfinite}
+    namespace = {"isfinite": math.isfinite, "inf": math.inf}
     exec(src, namespace)  # generated from the tableau alone
-    return SimpleNamespace(dp_over=namespace["dp_over"], finite=namespace["finite"], norm=namespace["norm"])
+    return SimpleNamespace(**{k: namespace[k] for k in ("dp_over", "advance_over", "finite", "norm")})
 
 
 class Plan:
@@ -313,11 +459,14 @@ class Plan:
             body += _def(f"{name}_limit", "L, H", "return " + _over_atoms(f, offset, _limit_atom))
             offset += len(_atom_cmps(f))
 
+        # the stepping kernel over f, the atom vector and the predicates
+        body.append("advance = advance_over(f, atoms, domain, goal)")
+
         # values(y): the state and parameters by name
         keys = "".join(f"{v!r}: {ref(v)}, " for v in names + self.pnames)
         body += _def("values", "y", _unpack("a", n, "y"), "return {" + keys + "}")
-        fields = ["f", "dp", "finite", "norm", "atoms", "values", "domain", "domain_boundary", "domain_limit"]
-        fields += ["goal", "goal_limit"]
+        fields = ["f", "dp", "advance", "finite", "norm", "atoms", "values", "domain", "domain_boundary"]
+        fields += ["domain_limit", "goal", "goal_limit"]
         body.append("return _ns(" + ", ".join(f"{f}={f}" for f in fields) + ")")
         head = [_unpack("p", len(params), "_par")] if params else []
         return "\n".join(_def("_bind", "_par", *head, *body)) + "\n"
@@ -375,7 +524,9 @@ def integrate(
     Detects goal entry, domain exit and suspected blow-up; with `grid` set,
     integration switches to fixed steps landing exactly on multiples of
     `grid` (used by the Lie-derivative consistency check).  `plan`, a
-    `Plan(system, goal)`, saves compiling it again for every call.
+    `Plan(system, goal)`, saves compiling it again for every call.  A
+    trajectory that ends short of the horizon with no event, at atoms with
+    no float value or at the step cap `MAX_STEPS`, says so in `stopped`.
     """
     if not 0 < horizon < math.inf:
         raise InvalidArgument(f"horizon must be positive and finite, got {horizon!r}")
@@ -392,33 +543,36 @@ def integrate(
         names = ", ".join(map(repr, unknown))
         raise InvalidArgument(f"initial state has names that are neither variables nor parameters: {names}")
     c = plan.bind(tuple(float(init[p]) for p in plan.pnames))
-    dp, finite, norm, atoms = c.dp, c.finite, c.norm, c.atoms
+    finite, norm, atoms = c.finite, c.norm, c.atoms
 
     y = tuple(float(init[n]) for n in plan.names)
     t = 0.0
-    samples = [State(c.values(y), t)]
+    rows = [(t, y)]
     events: list = []
     closed: dict = {}
     stats = {"steps": 0, "rejected": 0, "min_h": math.inf}
+
+    def end(stopped=None):
+        return Trajectory(rows, events, stats, closed, c.values, stopped)
 
     # at a state whose atoms have no float value the trajectory stops, with
     # no event.  The initial state is in the domain also when it is so as an
     # event point, so a sample rounded just past a closed boundary is inside
     A = atoms(y)
     if A is None:
-        return Trajectory(samples, events, stats, closed)
+        return end((t, ATOMS_UNDEFINED))
     goal_now = goal is not None and c.goal(A)
     domain_now = c.domain(A) or c.domain_boundary(A)
     if goal_now and domain_now:
         events.append((0.0, GOAL_ENTERED))
         closed[GOAL_ENTERED] = True
         if stop_on_event:
-            return Trajectory(samples, events, stats, closed)
+            return end()
     if not domain_now:
         events.append((0.0, DOMAIN_EXITED))
         closed[DOMAIN_EXITED] = False
         if stop_on_event:
-            return Trajectory(samples, events, stats, closed)
+            return end()
 
     candidates: dict = {}  # the step's events: kind -> (time, closed)
 
@@ -435,40 +589,23 @@ def integrate(
 
     k1 = c.f(y)
     h = grid if grid is not None else H0
-    while t < horizon and stats["steps"] < MAX_STEPS:
-        h = min(h, horizon - t)
-        if grid is not None:
-            # land exactly on grid multiples, no adaptation
-            k = round(t / grid)
-            h = grid * (k + 1) - t if grid * (k + 1) - t > 1e-15 else grid
-            y_new, err, k7, ks = dp(y, h, k1)
-        else:
-            # the elementary controller: after every trial h is scaled by
-            # 0.9*(TOL/err)^(1/5), kept within [0.2, 5]; a non-finite trial
-            # counts as err = inf.  h stops at HMIN, where a trial is accepted
-            # whatever its error.  A rejected trial keeps k1 (the same y), so
-            # it costs six evaluations of f like an accepted one
-            while True:
-                y_new, err, k7, ks = dp(y, h, k1)
-                if not (finite(y_new) and err == err):
-                    err = math.inf
-                scale = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (TOL / err) ** 0.2))
-                if err <= TOL or h <= HMIN:
-                    break
-                h = max(h * scale, HMIN)
-                stats["rejected"] += 1
-        stats["steps"] += 1
-        stats["min_h"] = min(stats["min_h"], h)
-        t_new = t + h
+    while True:
+        # the kernel takes every step that cannot carry an event and hands
+        # back the first one that may, or None at the horizon or step cap
+        t, y, k1, A, goal_now, domain_now, step = c.advance(
+            t, y, h, k1, A, goal_now, domain_now, horizon, grid, MAX_STEPS, rows, stats
+        )
+        if step is None:
+            break
+        h, t_new, y_new, k7, ks, A_new, h_next = step
 
         if not finite(y_new) or norm(y_new) > BLOWUP_NORM:
             tau, _, y_hit = _locate(lambda yy: norm(yy) > BLOWUP_NORM, finite, t, h, y, y_new, ks)
-            samples.append(State(c.values(y_hit), tau))
+            rows.append((tau, y_hit))
             events.append((tau, BLOWUP_SUSPECTED))
-            return Trajectory(samples, events, stats, closed)
-        A_new = atoms(y_new)
+            return end()
         if A_new is None:
-            return Trajectory(samples, events, stats, closed)
+            return end((t_new, ATOMS_UNDEFINED))
         candidates.clear()
         if goal is not None:
             goal_new = c.goal(A_new)
@@ -501,15 +638,28 @@ def integrate(
         for kind, (tau, is_closed) in step_events:
             events.append((tau, kind))
             closed.setdefault(kind, is_closed)
-        samples.append(State(c.values(y_new), t_new))
+        rows.append((t_new, y_new))
         y, t, k1, A = y_new, t_new, k7, A_new
         if stop_on_event and step_events:
-            return Trajectory(samples, events, stats, closed)
-        if grid is None:
-            h = min(max(h * scale, HMIN), H0 * 4)
+            return end()
+        h = h_next
 
+    if t < horizon:
+        return end((t, STEP_CAP))
     events.append((t, HORIZON_REACHED))
-    return Trajectory(samples, events, stats, closed)
+    return end()
+
+
+def write_csv(path, traj: Trajectory, system: OdeSystem) -> None:
+    """The trajectory as CSV: one row per sample with its time, the
+    variables and parameters, and the kind of an event at that time."""
+    names = list(system.vars) + sorted(system.params)
+    ev = dict(traj.events)
+    with open(path, "w") as fh:
+        fh.write("t," + ",".join(names) + ",event\n")
+        for t, y in traj.rows:
+            values = traj.values(y)
+            fh.write(f"{t!r}," + ",".join(repr(values[n]) for n in names) + f",{ev.get(t, '')}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -690,16 +840,10 @@ def write_report(report: FalsifyReport, problem: ProblemFile, outdir) -> list:
 
     outdir = pathlib.Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    names = list(problem.system.vars) + sorted(problem.system.params)
     written = []
     for r in report.results:
         path = outdir / f"sample-{r.index:03d}.csv"
-        with open(path, "w") as fh:
-            fh.write("t," + ",".join(names) + ",event\n")
-            ev = dict((t, k) for t, k in r.trajectory.events)
-            for s in r.trajectory.samples:
-                mark = ev.get(s.time, "")
-                fh.write(f"{s.time!r}," + ",".join(repr(s.values[n]) for n in names) + f",{mark}\n")
+        write_csv(path, r.trajectory, problem.system)
         written.append(path)
     spath = outdir / "summary.txt"
     with open(spath, "w") as fh:
@@ -718,17 +862,17 @@ def write_report(report: FalsifyReport, problem: ProblemFile, outdir) -> list:
 def lie_consistency_check(p: Polynomial, system: OdeSystem, traj: Trajectory, h: float) -> dict:
     """Max deviation between centered differences of p along the trajectory
     and the Lie derivative evaluated at the sample states."""
-    if len(traj.samples) < 3:
+    samples = traj.samples
+    if len(samples) < 3:
         raise InsufficientSamples("need at least three samples")
     lie = lie_derivative(p, system)
-    times = [s.time for s in traj.samples]
+    times = [s.time for s in samples]
     for a, b in zip(times, times[1:]):
         if b - a > h * (1 + 1e-6):
             raise InsufficientSamples(f"sample spacing {b - a} exceeds h={h}")
     worst = 0.0
     count = 0
-    for i in range(1, len(traj.samples) - 1):
-        prev_s, cur, next_s = traj.samples[i - 1], traj.samples[i], traj.samples[i + 1]
+    for prev_s, cur, next_s in zip(samples, samples[1:], samples[2:]):
         dt = next_s.time - prev_s.time
         if dt <= 0:
             continue

@@ -268,7 +268,7 @@ OVERFLOWING_ASSUME = "ode { x' = 1 }\nassume { x >= 10^8, x <= 2*10^8, x^40 >= 0
     "text, argv, code, out",
     [
         (OVERFLOWING_GOAL, ["falsify", "--samples", "2"], 2, "samples=2 WITNESS=0 REFUTED-SAMPLE=0 BLOWUP=0 INCONCLUSIVE=2\n"),
-        (OVERFLOWING_GOAL, ["simulate", "--init", "x=1"], 0, ""),
+        (OVERFLOWING_GOAL, ["simulate", "--init", "x=1"], 0, "stopped at t=0.9999999807591958: atoms have no float value\n"),
         (OVERFLOWING_ASSUME, ["falsify"], 3, "input error: rejection sampling failed to populate the initial set\n"),
     ],
     ids=["falsify-goal", "simulate-goal", "falsify-assume"],
@@ -276,13 +276,27 @@ OVERFLOWING_ASSUME = "ode { x' = 1 }\nassume { x >= 10^8, x <= 2*10^8, x^40 >= 0
 def test_atoms_past_the_float_range_end_cleanly(tmp_path, text, argv, code, out):
     # x^40 overflows near x = 10^8: a trajectory stops there with no event,
     # so the sample is INCONCLUSIVE, never BLOWUP or REFUTED-SAMPLE, and a
-    # sampler candidate counts as outside the set
+    # sampler candidate counts as outside the set; `simulate` says where and
+    # why the trajectory stopped
     f = tmp_path / "overflow.ode"
     f.write_text(text)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     cmd = [sys.executable, "-m", "odeliveness.cli", argv[0], str(f), *argv[1:]]
     done = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (code, out, "")
+
+
+def test_simulate_says_when_the_step_cap_ends_a_trajectory(tmp_path, capsys, monkeypatch):
+    # a trajectory cut by the step cap is not at its horizon: no
+    # HorizonReached, one line saying where it stopped, and the CSV ends there
+    from odeliveness import sim
+
+    monkeypatch.setattr(sim, "MAX_STEPS", 3)
+    code, out = run(capsys, "simulate", problem_path("example1.ode"), "--init", "u=1,v=0", "--out", tmp_path)
+    assert code == 0
+    assert out == f"stopped at t=0.09: step cap reached\nwrote {tmp_path / 'trajectory.csv'}\n"
+    rows = (tmp_path / "trajectory.csv").read_text().splitlines()
+    assert len(rows) == 1 + 4 and rows[-1].startswith("0.09,")
 
 
 @pytest.mark.parametrize("bound", ["10^60", "10^400"])

@@ -149,14 +149,138 @@ def _weighted(weights, ks, i):
 
 
 def _dp_step(f, y, h, k1):
-    """One Dormand-Prince trial: (fifth-order state, error, k7)."""
+    """One Dormand-Prince trial: (fifth-order state, error, k7, and the
+    stages k1, k3, ..., k7 that the dense output reads)."""
     ks = [k1]
     for row in DP_A[:-1]:
         ks.append(f(tuple(a + h * _weighted(row, ks, i) for i, a in enumerate(y))))
     y1 = tuple(a + h * _weighted(DP_A[-1], ks, i) for i, a in enumerate(y))
     ks.append(f(y1))
     err = max(abs(h * _weighted(DP_E, ks, i)) / (1.0 + abs(b)) for i, b in enumerate(y1))
-    return y1, err, ks[-1]
+    return y1, err, ks[-1], (ks[0], *ks[2:])
+
+
+def reference_integrate(plan, init, horizon, stop_on_event, grid, max_steps, screened):
+    """The stepping loop `sim.integrate` ran in Python before its steps
+    moved into a generated kernel, with each trial taken by `_dp_step` over
+    `rhs_reference` and the plan's compiled atom vector and predicates.  It
+    appends to `screened` the step count of every step that may carry an
+    event: a non-finite or blown-up result, no atom vector, goal entry,
+    domain exit or an atom whose value changes sign.  At the step cap it
+    records the stop instead of a `HorizonReached` event.  Returns (rows,
+    events, closed, stats, stopped)."""
+    system, goal = plan.system, plan.goal
+    par = {p: float(init[p]) for p in plan.pnames}
+    c = plan.bind(tuple(par[p] for p in plan.pnames))
+    f = rhs_reference(system, par)
+
+    def finite(y):
+        return all(math.isfinite(v) for v in y)
+
+    def norm(y):
+        return max(abs(v) for v in y)
+
+    atoms = c.atoms
+    y = tuple(float(init[n]) for n in plan.names)
+    t = 0.0
+    rows = [(t, y)]
+    events, closed = [], {}
+    stats = {"steps": 0, "rejected": 0, "min_h": math.inf}
+    A = atoms(y)
+    if A is None:
+        return rows, events, closed, stats, (t, sim.ATOMS_UNDEFINED)
+    goal_now = goal is not None and c.goal(A)
+    domain_now = c.domain(A) or c.domain_boundary(A)
+    if goal_now and domain_now:
+        events.append((0.0, sim.GOAL_ENTERED))
+        closed[sim.GOAL_ENTERED] = True
+        if stop_on_event:
+            return rows, events, closed, stats, None
+    if not domain_now:
+        events.append((0.0, sim.DOMAIN_EXITED))
+        closed[sim.DOMAIN_EXITED] = False
+        if stop_on_event:
+            return rows, events, closed, stats, None
+    candidates = {}
+
+    def offer(kind, tau, is_closed):
+        if kind not in candidates or tau < candidates[kind][0]:
+            candidates[kind] = (tau, is_closed)
+
+    def bracket(test):
+        tau, y_lo, y_hi = sim._locate(lambda yy: (B := atoms(yy)) is not None and test(B), finite, t, h, y, y_new, ks)
+        return tau, atoms(y_lo) or A, atoms(y_hi)
+
+    k1 = f(y)
+    h = grid if grid is not None else sim.H0
+    while t < horizon and stats["steps"] < max_steps:
+        h = min(h, horizon - t)
+        if grid is not None:
+            k = round(t / grid)
+            h = grid * (k + 1) - t if grid * (k + 1) - t > 1e-15 else grid
+            y_new, err, k7, ks = _dp_step(f, y, h, k1)
+        else:
+            while True:
+                y_new, err, k7, ks = _dp_step(f, y, h, k1)
+                if not (finite(y_new) and err == err):
+                    err = math.inf
+                scale = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (sim.TOL / err) ** 0.2))
+                if err <= sim.TOL or h <= sim.HMIN:
+                    break
+                h = max(h * scale, sim.HMIN)
+                stats["rejected"] += 1
+        stats["steps"] += 1
+        stats["min_h"] = min(stats["min_h"], h)
+        t_new = t + h
+        if not finite(y_new) or norm(y_new) > sim.BLOWUP_NORM:
+            screened.append(stats["steps"])
+            tau, _, y_hit = sim._locate(lambda yy: norm(yy) > sim.BLOWUP_NORM, finite, t, h, y, y_new, ks)
+            rows.append((tau, y_hit))
+            events.append((tau, sim.BLOWUP_SUSPECTED))
+            return rows, events, closed, stats, None
+        A_new = atoms(y_new)
+        if A_new is None:
+            screened.append(stats["steps"])
+            return rows, events, closed, stats, (t_new, sim.ATOMS_UNDEFINED)
+        goal_new = goal is not None and c.goal(A_new)
+        domain_new = c.domain(A_new)
+        if (goal_new and not goal_now) or (domain_now and not domain_new) or any(
+            d0 * d1 < 0.0 for d0, d1 in zip(A, A_new)
+        ):
+            screened.append(stats["steps"])
+        candidates.clear()
+        if goal is not None:
+            if goal_new and not goal_now:
+                tau, L, H = bracket(c.goal)
+                offer(sim.GOAL_ENTERED, tau, c.goal_limit(L, H))
+            goal_now = goal_new
+        if not domain_new and domain_now:
+            tau, L, H = bracket(lambda B: not c.domain(B))
+            offer(sim.DOMAIN_EXITED, tau, c.domain_limit(L, H))
+        domain_now = domain_new
+        for i, (d0, d1) in enumerate(zip(A, A_new)):
+            if not (math.isfinite(d0) and math.isfinite(d1)) or d0 * d1 >= 0:
+                continue
+            tau, L, H = bracket(lambda B, _i=i, _s=d0 > 0: (B[_i] > 0) != _s)
+            if i < plan.domain_atoms:
+                if not c.domain_boundary(H):
+                    offer(sim.DOMAIN_EXITED, tau, c.domain_limit(L, H))
+            elif not goal_now and c.goal_limit(L, H):
+                offer(sim.GOAL_ENTERED, tau, True)
+        step_events = sorted(candidates.items(), key=lambda e: (e[1][0], e[0] != sim.DOMAIN_EXITED))
+        for kind, (tau, is_closed) in step_events:
+            events.append((tau, kind))
+            closed.setdefault(kind, is_closed)
+        rows.append((t_new, y_new))
+        y, t, k1, A = y_new, t_new, k7, A_new
+        if stop_on_event and step_events:
+            return rows, events, closed, stats, None
+        if grid is None:
+            h = min(max(h * scale, sim.HMIN), sim.H0 * 4)
+    if t < horizon:
+        return rows, events, closed, stats, (t, sim.STEP_CAP)
+    events.append((t, sim.HORIZON_REACHED))
+    return rows, events, closed, stats, None
 
 
 def bits(x: float) -> bytes:
@@ -260,6 +384,68 @@ def test_compiled_dp_step_is_bit_identical(system, point, h):
     assert all(same_float(a, b) for a, b in zip(got[0], want[0])), (got, want)
     assert same_float(got[1], want[1]), (got, want)
     assert all(same_float(a, b) for a, b in zip(got[2], want[2])), (got, want)
+
+
+@st.composite
+def small_problems(draw):
+    """A system of 1-3 variables and a parameter, with a domain, a goal and
+    an initial point."""
+    names = ("x", "y", "z")[: draw(st.integers(1, 3))]
+    scope = names + (PARAM,)
+    rhs = draw(st.lists(polys(scope), min_size=len(names), max_size=len(names)))
+    system = OdeSystem(names, tuple(rhs), draw(formulas(scope)), frozenset({PARAM}))
+    init = dict(zip(scope, draw(st.lists(values, min_size=len(scope), max_size=len(scope)))))
+    return system, draw(formulas(scope)), init
+
+
+def hexes(floats) -> list:
+    return [v.hex() for v in floats]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    small_problems(),
+    st.sampled_from([0.5, 2.0]),
+    st.booleans(),
+    st.sampled_from([None, None, None, 0.125, 0.3]),
+)
+def test_kernel_matches_the_reference_loop(problem, horizon, stop_on_event, grid):
+    # `integrate` takes the same steps, bit for bit, as the Python loop it
+    # replaced, and its kernel hands back exactly the steps that may carry
+    # an event.  A small step cap keeps every case short and reaches the cap
+    system, goal, init = problem
+    plan = sim.Plan(system, goal)
+    exits, screened = [], []
+    bind = plan.bind
+
+    def recording_bind(par):
+        c = bind(par)
+        advance = c.advance
+
+        def recorded(*args):
+            out = advance(*args)
+            if out[-1] is not None:
+                exits.append(args[-1]["steps"])
+            return out
+
+        c.advance = recorded
+        return c
+
+    cap, sim.MAX_STEPS = sim.MAX_STEPS, 300
+    try:
+        want = reference_integrate(plan, init, horizon, stop_on_event, grid, 300, screened)
+        plan.bind = recording_bind
+        traj = sim.integrate(system, init, horizon, goal, stop_on_event, grid, plan)
+    finally:
+        sim.MAX_STEPS = cap
+    rows, events, closed, stats, stopped = want
+    assert [(t.hex(), k) for t, k in traj.events] == [(t.hex(), k) for t, k in events]
+    assert traj.closed == closed
+    assert traj.stopped == stopped
+    assert (traj.stats["steps"], traj.stats["rejected"]) == (stats["steps"], stats["rejected"])
+    assert traj.stats["min_h"].hex() == stats["min_h"].hex()
+    assert [(t.hex(), hexes(y)) for t, y in traj.rows] == [(t.hex(), hexes(y)) for t, y in rows]
+    assert exits == screened
 
 
 def test_compiled_atoms_at_exact_tolerance_edges():

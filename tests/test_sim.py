@@ -81,13 +81,15 @@ def test_first_same_as_last_costs_six_rhs_per_trial(monkeypatch):
 
 
 def test_atoms_are_evaluated_once_per_accepted_state():
-    # outside event location, `integrate` reads the generated atom vector
-    # at the initial state and at each accepted state, and nowhere else
+    # outside event location, `integrate` and its stepping kernel (the
+    # generated `advance`) read the generated atom vector at the initial
+    # state and at each accepted state, and nowhere else
     calls = {"integrate": 0, "other": 0}
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code.co_name == "atoms" and frame.f_code.co_filename == "<string>":
-            calls["integrate" if frame.f_back.f_code.co_name == "integrate" else "other"] += 1
+            caller = frame.f_back.f_code.co_name
+            calls["integrate" if caller in ("integrate", "advance") else "other"] += 1
 
     pf = parse_problem("ode { x' = -100*x }  domain { x >= -1 }  goal { x <= 1/2 }")
     sys.setprofile(profile)
