@@ -285,107 +285,107 @@ def _trial(n: int) -> list:
     return lines
 
 
-def _advance(n: int) -> list:
-    """Source of `advance_over(f, atoms, domain, goal)`, the stepping kernel
-    over one plan's functions; see "Compiled trajectory work"."""
+# The stepping kernel over one plan's f, atoms, domain and goal; see
+# "Compiled trajectory work".  `_advance` fills in the dimension's trial,
+# unpackings and tests.  The elementary controller: after every trial h is
+# scaled by 0.9*(TOL/err)^(1/5), kept within [0.2, 5]; a non-finite trial
+# counts as err = inf.  h stops at HMIN, where a trial is accepted whatever
+# its error.  A rejected trial keeps k1 (the same y), so it costs six
+# evaluations of f like an accepted one.  After an accepted step h is kept
+# within [HMIN, H0 * 4].  Each min and max is written as the comparisons
+# that return the same float.  With `grid` set, steps land exactly on grid
+# multiples, with no adaptation.
+_ADVANCE = """\
+def advance_over(f, atoms, domain, goal):
+    def advance(t, y, h, k1, A, goal_now, domain_now, horizon, grid, max_steps, rows, stats):
+        steps, rejected, min_h = stats["steps"], stats["rejected"], stats["min_h"]
+        {unpack_y}
+        {unpack_k1}
+        while t < horizon and steps < max_steps:
+            d = horizon - t
+            if d < h:
+                h = d
+            if grid is not None:
+                j = round(t / grid)
+                h = grid * (j + 1) - t if grid * (j + 1) - t > 1e-15 else grid
+            while True:
+                {trial}
+                if grid is not None:
+                    break
+                if not ({finite} and err == err):
+                    err = inf
+                if err == 0.0:
+                    scale = 5.0
+                else:
+                    scale = 0.9 * ({TOL!r} / err) ** 0.2
+                    if not scale > 0.2:
+                        scale = 0.2
+                    elif scale > 5.0:
+                        scale = 5.0
+                if err <= {TOL!r} or h <= {HMIN!r}:
+                    break
+                h = h * scale
+                if h < {HMIN!r}:
+                    h = {HMIN!r}
+                rejected += 1
+            steps += 1
+            if h < min_h:
+                min_h = h
+            t1 = t + h
+            if grid is None:
+                hn = h * scale
+                if hn < {HMIN!r}:
+                    hn = {HMIN!r}
+                if hn > {CAP!r}:
+                    hn = {CAP!r}
+            else:
+                hn = h
+            if not ({inside}):
+                A1 = None
+                break
+            A1 = atoms(y1)
+            if A1 is None:
+                break
+            g1 = goal is not None and goal(A1)
+            if g1 and not goal_now:
+                break
+            d1 = domain(A1)
+            if domain_now and not d1:
+                break
+            for x0, x1 in zip(A, A1):
+                if x0 * x1 < 0.0:
+                    break
+            else:
+                rows.append((t1, y1))
+                t, y, h, k1, A, goal_now, domain_now = t1, y1, hn, k7, A1, g1, d1
+                {next_state}
+                continue
+            break
+        else:
+            stats["steps"], stats["rejected"], stats["min_h"] = steps, rejected, min_h
+            return t, y, k1, A, goal_now, domain_now, None
+        stats["steps"], stats["rejected"], stats["min_h"] = steps, rejected, min_h
+        return t, y, k1, A, goal_now, domain_now, (h, t1, y1, k7, (k1, k3, k4, k5, k6, k7), A1, hn)
+    return advance"""
 
-    def indent(depth, lines):
-        return [" " * (4 * depth) + line for line in lines]
 
-    def each(template):
-        return [template.format(i=i) for i in range(n)]
+def _advance(n: int) -> str:
+    """Source of `advance_over` for the dimension n."""
 
-    unpack_y, unpack_k1 = _unpack("a", n, "y"), _unpack("k1_", n, "k1")
-    finite = " and ".join(each("isfinite(b{i})"))
-    inside = " and ".join(each(f"{-BLOWUP_NORM!r} <= b{{i}} <= {BLOWUP_NORM!r}"))
-    # the elementary controller: after every trial h is scaled by
-    # 0.9*(TOL/err)^(1/5), kept within [0.2, 5]; a non-finite trial counts as
-    # err = inf.  h stops at HMIN, where a trial is accepted whatever its
-    # error.  A rejected trial keeps k1 (the same y), so it costs six
-    # evaluations of f like an accepted one.  After an accepted step h is
-    # kept within [HMIN, H0 * 4].  Each min and max is written as the
-    # comparisons that return the same float.  With `grid` set, steps land
-    # exactly on grid multiples, with no adaptation
-    controller = [
-        "while True:",
-        *indent(1, _trial(n)),
-        "    if grid is not None:",
-        "        break",
-        f"    if not ({finite} and err == err):",
-        "        err = inf",
-        "    if err == 0.0:",
-        "        scale = 5.0",
-        "    else:",
-        f"        scale = 0.9 * ({TOL!r} / err) ** 0.2",
-        "        if not scale > 0.2:",
-        "            scale = 0.2",
-        "        elif scale > 5.0:",
-        "            scale = 5.0",
-        f"    if err <= {TOL!r} or h <= {HMIN!r}:",
-        "        break",
-        "    h = h * scale",
-        f"    if h < {HMIN!r}:",
-        f"        h = {HMIN!r}",
-        "    rejected += 1",
-    ]
-    step = [
-        "d = horizon - t",
-        "if d < h:",
-        "    h = d",
-        "if grid is not None:",
-        "    j = round(t / grid)",
-        "    h = grid * (j + 1) - t if grid * (j + 1) - t > 1e-15 else grid",
-        *controller,
-        "steps += 1",
-        "if h < min_h:",
-        "    min_h = h",
-        "t1 = t + h",
-        "if grid is None:",
-        "    hn = h * scale",
-        f"    if hn < {HMIN!r}:",
-        f"        hn = {HMIN!r}",
-        f"    if hn > {H0 * 4!r}:",
-        f"        hn = {H0 * 4!r}",
-        "else:",
-        "    hn = h",
-        f"if not ({inside}):",
-        "    A1 = None",
-        "    break",
-        "A1 = atoms(y1)",
-        "if A1 is None:",
-        "    break",
-        "g1 = goal is not None and goal(A1)",
-        "if g1 and not goal_now:",
-        "    break",
-        "d1 = domain(A1)",
-        "if domain_now and not d1:",
-        "    break",
-        "for x0, x1 in zip(A, A1):",
-        "    if x0 * x1 < 0.0:",
-        "        break",
-        "else:",
-        "    rows.append((t1, y1))",
-        "    t, y, h, k1, A, goal_now, domain_now = t1, y1, hn, k7, A1, g1, d1",
-        *each("    a{i} = b{i}"),
-        *each("    k1_{i} = k7_{i}"),
-        "    continue",
-        "break",
-    ]
-    out = 'stats["steps"], stats["rejected"], stats["min_h"] = steps, rejected, min_h'
-    body = [
-        'steps, rejected, min_h = stats["steps"], stats["rejected"], stats["min_h"]',
-        unpack_y,
-        unpack_k1,
-        "while t < horizon and steps < max_steps:",
-        *indent(1, step),
-        "else:",
-        f"    {out}",
-        "    return t, y, k1, A, goal_now, domain_now, None",
-        out,
-        "return t, y, k1, A, goal_now, domain_now, (h, t1, y1, k7, (k1, k3, k4, k5, k6, k7), A1, hn)",
-    ]
-    args = "t, y, h, k1, A, goal_now, domain_now, horizon, grid, max_steps, rows, stats"
-    return ["def advance_over(f, atoms, domain, goal):", f"    def advance({args}):"] + indent(2, body) + ["    return advance"]
+    def lines(parts, depth):
+        return ("\n" + " " * depth).join(parts)
+
+    return _ADVANCE.format(
+        unpack_y=_unpack("a", n, "y"),
+        unpack_k1=_unpack("k1_", n, "k1"),
+        trial=lines(_trial(n), 16),
+        finite=" and ".join(f"isfinite(b{i})" for i in range(n)),
+        inside=" and ".join(f"{-BLOWUP_NORM!r} <= b{i} <= {BLOWUP_NORM!r}" for i in range(n)),
+        next_state=lines([f"a{i} = b{i}" for i in range(n)] + [f"k1_{i} = k7_{i}" for i in range(n)], 16),
+        TOL=TOL,
+        HMIN=HMIN,
+        CAP=H0 * 4,
+    )
 
 
 @functools.cache
@@ -401,8 +401,7 @@ def _dimension(n: int) -> SimpleNamespace:
     src = "\n".join(
         ["def dp_over(f):", "    def dp(y, h, k1):"]
         + [f"        {line}" for line in dp]
-        + ["    return dp"]
-        + _advance(n)
+        + ["    return dp", _advance(n)]
         + ["def finite(y):", f"    {unpack}"]
         + ["    return " + " and ".join(f"isfinite(a{i})" for i in range(n))]
         + ["def norm(y):", f"    {unpack}", "    return " + _max_src([f"abs(a{i})" for i in range(n)])]

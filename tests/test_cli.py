@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from odeliveness import cli
+from odeliveness import cli, sim
 from odeliveness.cli import main
 from conftest import ROOT, problem_path
 
@@ -289,8 +289,6 @@ def test_atoms_past_the_float_range_end_cleanly(tmp_path, text, argv, code, out)
 def test_simulate_says_when_the_step_cap_ends_a_trajectory(tmp_path, capsys, monkeypatch):
     # a trajectory cut by the step cap is not at its horizon: no
     # HorizonReached, one line saying where it stopped, and the CSV ends there
-    from odeliveness import sim
-
     monkeypatch.setattr(sim, "MAX_STEPS", 3)
     code, out = run(capsys, "simulate", problem_path("example1.ode"), "--init", "u=1,v=0", "--out", tmp_path)
     assert code == 0
