@@ -294,7 +294,7 @@ def _trial(n: int) -> list:
 # evaluations of f like an accepted one.  After an accepted step h is kept
 # within [HMIN, H0 * 4].  Each min and max is written as the comparisons
 # that return the same float.  With `grid` set, steps land exactly on grid
-# multiples, with no adaptation.
+# multiples, with no adaptation, and the last one on the horizon.
 _ADVANCE = """\
 def advance_over(f, atoms, domain, goal):
     def advance(t, y, h, k1, A, goal_now, domain_now, horizon, grid, max_steps, rows, stats):
@@ -302,12 +302,12 @@ def advance_over(f, atoms, domain, goal):
         {unpack_y}
         {unpack_k1}
         while t < horizon and steps < max_steps:
-            d = horizon - t
-            if d < h:
-                h = d
             if grid is not None:
                 j = round(t / grid)
                 h = grid * (j + 1) - t if grid * (j + 1) - t > 1e-15 else grid
+            d = horizon - t
+            if d < h:
+                h = d
             while True:
                 {trial}
                 if grid is not None:

@@ -14,8 +14,11 @@ grammar (whitespace-insensitive, `#` line comments):
     step      := "rule" RuleName "{" binding (";" binding)* "}"
     binding   := Ident "=" (poly | formula | rational | "hint" "[" step* "]")
 
-Rational literals only (`a/b`, integers); `&`, `|`, `!`, `->` for
-connectives; `forall x (...)` / `exists x (...)` for quantifiers.
+Rational literals only (`a/b`, integers); a numeral is ASCII digits
+`[0-9]`, and any other digit character (`²`, `٣`) is an unexpected
+character.  An identifier starts with a letter (`str.isalpha()`) and
+continues with letters, digits (`str.isalnum()`) or `_`.  `&`, `|`, `!`,
+`->` for connectives; `forall x (...)` / `exists x (...)` for quantifiers.
 Comparison chains such as `1 <= p <= 2` desugar to conjunctions.
 Printing is deterministic (graded lexicographic term order) and
 `parse(print(ast))` is the identity on ASTs.
@@ -23,9 +26,11 @@ Printing is deterministic (graded lexicographic term order) and
 
 from __future__ import annotations
 
+import functools
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import DuplicateDeclaration, ParseError, UnknownIdentifier
 from .symbolic import OdeSystem, Polynomial
@@ -214,91 +219,55 @@ class ProblemFile:
 # Lexer
 
 
-_SYMBOLS = [
-    "->",
-    "!=",
-    ">=",
-    "<=",
-    "{",
-    "}",
-    "(",
-    ")",
-    "[",
-    "]",
-    ";",
-    ",",
-    "'",
-    "=",
-    ">",
-    "<",
-    "+",
-    "-",
-    "*",
-    "^",
-    "&",
-    "|",
-    "!",
-    "/",
-]
-
 _KEYWORDS = frozenset(
     {"param", "ode", "domain", "assume", "goal", "proof", "rule", "hint", "true", "false", "forall", "exists"}
 )
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "ident" | "int" | "sym" | "kw" | "eof"
+class Token(NamedTuple):
+    kind: str  # "ident" | "kw" | "int" | "sym" | "eof"
     text: str
     line: int
     col: int
 
 
+# Each match is the blanks before one token, then the first alternative
+# that matches: newline, comment, word, numeral, symbol (two-character
+# symbols first), any other character but a blank.  `\w` is exactly
+# `str.isalnum()` or "_"; a word must also start with a letter
+# (`str.isalpha()`), which `[^\W\d_]` alone does not ensure (it accepts "½"
+# and "²").  Numerals are ASCII.
+_TOKEN = re.compile(
+    r"[ \t\r]*(?:(\n)|(#[^\n]*)|([^\W\d_]\w*)|([0-9]+)"
+    r"|(->|!=|>=|<=|[{}()\[\];,'=><+\-*^&|!/])|([^ \t\r]))"
+)
+_NEWLINE, _COMMENT, _WORD, _INT, _SYM, _OTHER = range(1, 7)
+
+
 def _tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
+    append = toks.append
+    new = tuple.__new__  # skips the Python-level `Token.__new__`, half the cost
+    line, start = 1, 0  # start: index of the current line's first character
+    for m in _TOKEN.finditer(text):
+        group = m.lastindex
+        if group == _SYM:
+            append(new(Token, ("sym", m[group], line, m.start(group) - start + 1)))
+        elif group == _WORD:
+            word, col = m[group], m.start(group) - start + 1
+            if not word[0].isalpha():
+                raise ParseError(f"unexpected character {word[0]!r}", line, col)
+            append(new(Token, ("kw" if word in _KEYWORDS else "ident", word, line, col)))
+        elif group == _NEWLINE:
             line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            toks.append(Token("kw" if word in _KEYWORDS else "ident", word, line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                toks.append(Token("sym", sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(Token("eof", "", line, col))
+            start = m.end()
+        elif group == _INT:
+            append(new(Token, ("int", m[group], line, m.start(group) - start + 1)))
+        elif group == _OTHER:
+            raise ParseError(f"unexpected character {m[group]!r}", line, m.start(group) - start + 1)
+    # a comment runs to the end of its line and advances no column
+    end = text.find("#", start)
+    append(new(Token, ("eof", "", line, (len(text) if end < 0 else end) - start + 1)))
     return toks
 
 
@@ -313,7 +282,9 @@ class _Parser:
         self.uses: list[tuple[str, int, int]] = []  # identifier occurrences in expressions
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        if ahead:
+            return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        return self.toks[self.pos]  # `next` never moves past the eof token
 
     def next(self) -> Token:
         t = self.toks[self.pos]
@@ -663,6 +634,8 @@ def _mono_str(m) -> str:
     return "*".join(v if e == 1 else f"{v}^{e}" for v, e in m)
 
 
+# A `check` pass prints the same few dozen polynomials hundreds of times.
+@functools.lru_cache(maxsize=128)
 def print_poly(p: Polynomial) -> str:
     if p.is_zero():
         return "0"

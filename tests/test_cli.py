@@ -79,6 +79,17 @@ def test_check_parse_error_exit3(tmp_path, capsys):
     assert "input error" in out
 
 
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0663"], ids=["superscript-two", "arabic-indic-three"])
+def test_non_ascii_digit_is_input_error(tmp_path, capsys, digit):
+    # numerals are ASCII: '²' and '٣' pass `str.isdigit`, yet neither starts
+    # a numeral, and a bad input exits 3, never 1
+    f = tmp_path / "digit.ode"
+    f.write_text(f"ode {{ x' = {digit} }}\n")
+    code, out = run(capsys, "check", f)
+    assert code == 3
+    assert out == f"input error: 1:12: unexpected character {digit!r}\n"
+
+
 def test_check_trace_byte_identical(capsys):
     _, out1 = run(capsys, "check", problem_path("example1.ode"))
     _, out2 = run(capsys, "check", problem_path("example1.ode"))

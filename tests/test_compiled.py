@@ -217,7 +217,7 @@ def reference_integrate(plan, init, horizon, stop_on_event, grid, max_steps, scr
         h = min(h, horizon - t)
         if grid is not None:
             k = round(t / grid)
-            h = grid * (k + 1) - t if grid * (k + 1) - t > 1e-15 else grid
+            h = min(grid * (k + 1) - t if grid * (k + 1) - t > 1e-15 else grid, horizon - t)
             y_new, err, k7, ks = _dp_step(f, y, h, k1)
         else:
             while True:
@@ -302,7 +302,7 @@ CLOCK = "_t"
 coefficients = st.sampled_from([Fraction(k, d) for k in (-3, -2, -1, 1, 2, 3) for d in (1, 2, 3)])
 
 
-def polys(names):
+def polys(names, min_terms=0):
     term = st.tuples(coefficients, st.lists(st.sampled_from(names), max_size=3))
 
     def build(terms):
@@ -314,7 +314,7 @@ def polys(names):
             p = p + t
         return p
 
-    return st.lists(term, max_size=4).map(build)
+    return st.lists(term, min_size=min_terms, max_size=4).map(build)
 
 
 def formulas(names):
@@ -389,13 +389,19 @@ def test_compiled_dp_step_is_bit_identical(system, point, h):
 @st.composite
 def small_problems(draw):
     """A system of 1-3 variables and a parameter, with a domain, a goal and
-    an initial point."""
+    an initial point.  Each right-hand side has a term, and the point lies
+    in the domain and off the goal (each drawn formula negated where
+    needed), so that events come after the first state."""
     names = ("x", "y", "z")[: draw(st.integers(1, 3))]
     scope = names + (PARAM,)
-    rhs = draw(st.lists(polys(scope), min_size=len(names), max_size=len(names)))
-    system = OdeSystem(names, tuple(rhs), draw(formulas(scope)), frozenset({PARAM}))
+    rhs = draw(st.lists(polys(scope, 1), min_size=len(names), max_size=len(names)))
+    domain, goal = draw(formulas(scope)), draw(formulas(scope))
     init = dict(zip(scope, draw(st.lists(values, min_size=len(scope), max_size=len(scope)))))
-    return system, draw(formulas(scope)), init
+    if not eval_state(domain, init):
+        domain = Not(domain)
+    if eval_state(goal, init):
+        goal = Not(goal)
+    return OdeSystem(names, tuple(rhs), domain, frozenset({PARAM})), goal, init
 
 
 def hexes(floats) -> list:

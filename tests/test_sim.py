@@ -379,6 +379,15 @@ def test_lie_consistency_clock_unit_rate(alpha_l):
     assert out["max_error"] <= 1e-10
 
 
+def test_grid_steps_end_at_the_horizon():
+    # 0.1 is no multiple of 0.03: the last grid step is cut to the horizon,
+    # so the goal x >= 0.11 beyond it is never entered
+    pf = parse_problem("ode { x' = 1 }  goal { x >= 11/100 }")
+    traj = sim.integrate(pf.system, {"x": 0.0}, 0.1, pf.goal, grid=0.03)
+    assert traj.events == [(0.1, sim.HORIZON_REACHED)]
+    assert [t for t, _ in traj.rows] == [0.0, 0.03, 0.06, 0.09, 0.1]
+
+
 def test_lie_consistency_insufficient_samples(alpha_l):
     traj = sim.integrate(alpha_l.system, {"u": 1.0, "v": 0.0}, 1.0, stop_on_event=False)
     with pytest.raises(InsufficientSamples):

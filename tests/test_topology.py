@@ -5,7 +5,8 @@ import pytest
 
 from odeliveness import arith, topology
 from odeliveness.normal import atoms_of
-from odeliveness.syntax import TRUE, parse_formula
+from odeliveness.symbolic import Polynomial
+from odeliveness.syntax import TRUE, Cmp, parse_formula
 
 UV = ("u", "v")
 PROVE = arith.prove_implication
@@ -74,6 +75,22 @@ def test_bounded_by_a_combination_of_atoms(region, vars, witness):
     # region, yet a positive combination of the atoms proves the bound
     v = topology.check_bounded(parse_formula(region), vars, PROVE)
     assert v.holds and v.witness == witness
+
+
+def test_bound_search_is_not_monotone_in_its_bound():
+    # the two atoms sum to 4 - 2*x^2 - 2*t^2 >= 0, which is 2 - x^2 - t^2
+    # >= 0 up to scale: x^2 + t^2 <= 2 is proved as a positive combination,
+    # while the looser bounds 4, 8 and 2^32 are unknown (unbounded domain).
+    # A search that tried the loosest bound first would lose this proof
+    region = parse_formula("3 - 2*x^2 - t^2 + x*t >= 0 & 1 - t^2 - x*t >= 0")
+    v = topology.check_bounded(region, ("x", "t"), PROVE)
+    assert v.holds and v.witness == 2
+    sumsq = parse_formula("x^2 + t^2 <= 0").lhs
+    for bound in (2, 4, 8, 2**32):
+        ob = arith.ArithObligation.closure(region, Cmp("<=", sumsq, Polynomial.const(bound)))
+        verdict = PROVE(ob, budget=topology.BOUND_SEARCH_BUDGET)
+        want = ("valid", "positive-combination") if bound == 2 else ("unknown", "unbounded-domain")
+        assert (verdict.status, verdict.trace["method"]) == want
 
 
 def test_bounded_singleton_witness_one():
