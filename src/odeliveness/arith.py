@@ -1,20 +1,28 @@
 """Sound-incomplete real-arithmetic backend.
 
 Obligations are universally quantified implications between quantifier-free
-formulas.  `prove_implication` normalises each obligation once and then works
-in this order: (1) the box its hypothesis atoms bound; (2) the root-midpoint
-refutation: when the box is bounded and the hypothesis has no top-level
-disjunction, the centre of the box is tried as an exact counterexample,
-which is what branch-and-bound's first cell would find; (3) cheap symbolic
-certificates (inconsistent hypothesis, reduction modulo hypothesis
-equalities, positive combinations of hypothesis atoms, exact division by a
-hypothesis atom with a sign-definite quotient); (4) a case split on a
-top-level disjunction; (5) interval branch-and-bound over the box.  Every
-cell is evaluated exactly, in integers scaled by a positive constant per
-atom and cell, so the prover needs no rounding tolerance: Valid is never
-returned for an obligation that is falsifiable over its box.  The symbolic
-certificates are sound, so they never prove an obligation that (2) refutes,
-and putting (2) first changes no verdict.
+formulas.  The hypothesis half of an obligation is normalised once into a
+`Region`: its conjuncts and atoms, its box, its compiled form and its truth
+at the box's centre.  `prove_implication` reads the `Region` from a dict
+that the caller may share, so every conclusion proved over one hypothesis
+(every candidate of a bound search, every premise over one domain) reads
+one normal form; `rules.Checker` keeps one such dict per command.  Each
+obligation then goes in this order: (1) the box its hypothesis atoms
+bound; (2) the root-midpoint refutation: when the box is bounded and the
+hypothesis has no top-level disjunction, the centre of the box is tried as
+an exact counterexample, which is what branch-and-bound's first cell would
+find; (3) cheap symbolic certificates (inconsistent hypothesis, reduction
+modulo hypothesis equalities, positive combinations of hypothesis atoms,
+exact division by a hypothesis atom with a sign-definite quotient); (4) a
+case split on a top-level disjunction, each disjunct proved through
+`prove_implication` with its own `Region`; (5) interval branch-and-bound
+over the box, which skips the centre (2) tried.  The conclusion is compiled
+only when (2) or (5) reads it.  Every cell is evaluated exactly, in integers
+scaled by a positive constant per atom and cell, so the prover needs no
+rounding tolerance: Valid is never returned for an obligation that is
+falsifiable over its box.  The symbolic certificates are sound, so they
+never prove an obligation that (2) refutes, and putting (2) first changes
+no verdict.
 
 `falsify` samples exact rational points and can only ever answer Falsified or
 Unknown; counterexamples re-verify by rational evaluation.
@@ -368,11 +376,12 @@ def _root(p: Polynomial) -> Optional[tuple[str, bool, Fraction]]:
 class _Hypothesis:
     """The normalised atoms of a hypothesis's top-level conjuncts, with what
     the box, the entailed-atom filter and the pre-checks read of them, each
-    computed once per obligation: the root (`_root`) of every atom and,
-    when the pre-checks first ask, the equalities, the facts `poly >= 0`
-    (an equality gives both signs) and the primitive polynomials of the
-    disequalities.  A fact is (poly, is_strict, zero), where zero is
-    (v, -b/a) for a fact linear in one variable v, else None."""
+    computed once per `Region`: the root (`_root`) of every atom and, when
+    the pre-checks first ask, the equalities, the facts `poly >= 0` (an
+    equality gives both signs), the primitive polynomials of the
+    disequalities, and whether the atoms are `contradictory`.  A fact is
+    (poly, is_strict, zero), where zero is (v, -b/a) for a fact linear in
+    one variable v, else None."""
 
     def __init__(self, atoms: list):
         self.atoms = atoms
@@ -397,6 +406,10 @@ class _Hypothesis:
     @cached_property
     def neqs(self) -> set:
         return {primitive(a.poly) for a in self.atoms if a.op == "!="}
+
+    @cached_property
+    def contradictory(self) -> bool:
+        return contradictory(self.atoms)
 
 
 def _sum_of_even_powers(p: Polynomial) -> Optional[tuple[Fraction, dict]]:
@@ -597,7 +610,7 @@ def _symbolic_valid(hyp: _Hypothesis, concl_atoms: Optional[list], box: Optional
     """Try symbolic certificates; returns a reason string when valid.
     `concl_atoms` are the conclusion's atoms, None unless it is a pure
     conjunction of them."""
-    if contradictory(hyp.atoms):
+    if hyp.contradictory:
         return "inconsistent-hypothesis"
     if concl_atoms is None:
         return None
@@ -619,68 +632,109 @@ def _falsified(mid: dict, cells: int, max_depth: int) -> ArithVerdict:
     )
 
 
-def prove_implication(ob: ArithObligation, budget: Optional[Budget] = None) -> ArithVerdict:
+class Region:
+    """The hypothesis half of every obligation `forall universals
+    (hypothesis -> _)`, normalised once: the top-level conjuncts of its NNF
+    and their `_Hypothesis`, the box or the unbounded universals, and, when
+    the box is bounded and no conjunct is a disjunction, the compiled
+    hypothesis without the atoms the box entails, the root cell, and the
+    hypothesis's truth at the root cell's midpoint.  A closed hypothesis
+    (no universals) keeps only its truth."""
+
+    def __init__(self, universals: tuple, hypothesis: Formula):
+        self.mid = None  # the root midpoint, when there is a root cell
+        if not universals:
+            self.holds = eval_formula_exact(hypothesis, {})
+            return
+        self.parts = parts = conjuncts(nnf(hypothesis))
+        self.hyp = hyp = _Hypothesis(atoms_of_conjuncts(parts)[0])
+        box, self.unbounded = extract_box(hypothesis, universals, hyp)
+        self.box = box
+        self.split = next((g for g in parts if isinstance(g, Or)), None)
+        if self.split is None and box is not None:
+            # Without a top-level disjunction every conjunct is an atom.  Atoms
+            # the box entails hold on every cell, and +1 is the unit of the
+            # conjunction, so dropping them changes no cell's answer.
+            self.names = names = tuple(sorted(universals))
+            self.node = _conj_node([_atom_node(a) for a, r in zip(hyp.atoms, hyp.roots) if not _entailed(a, r, box)])
+            self.root_cell = tuple(_scaled((v, box[v].lo, box[v].hi) for v in names).values())
+            self.mid = _midpoint(dict(zip(names, self.root_cell)))
+            self.mid_truth = _eval3(self.node, self.mid)
+
+    @cached_property
+    def cases(self) -> list:
+        """The hypotheses of the case split on the first top-level
+        disjunction: the other conjuncts with each of its disjuncts."""
+        rest = conj([g for g in self.parts if g is not self.split])
+        return [conj([rest, d]) for d in disjuncts(self.split)]
+
+
+def _conclusion_node(atoms: list, parts: list) -> tuple:
+    """The compiled conjunction of a conclusion's atoms and its other
+    top-level conjuncts."""
+    others = [_compile(g) for g in parts if not isinstance(g, (Cmp, BoolLit))]
+    return _conj_node([_atom_node(a) for a in atoms] + others)
+
+
+def prove_implication(
+    ob: ArithObligation, budget: Optional[Budget] = None, regions: Optional[dict] = None
+) -> ArithVerdict:
     """Valid / Falsified(counterexample) / Unknown over a rational box.
 
     The box is extracted from hypothesis atoms of the shapes l <= v, v <= u,
     or C - sum of even powers >= 0; if some universal stays unbounded the
     verdict is Unknown.  The steps run in the order of the module docstring:
     box, root-midpoint refutation, pre-checks, case split, branch-and-bound.
+
+    `regions` maps (universals, hypothesis) to the obligation's `Region`; it
+    is read, and filled for a hypothesis not yet in it, so every obligation
+    proved through one dict over one hypothesis reads one normal form.
     """
     budget = budget or Budget()
+    if regions is None:
+        region = Region(ob.universals, ob.hypothesis)
+    else:
+        key = (ob.universals, ob.hypothesis)
+        region = regions.get(key)
+        if region is None:
+            region = regions[key] = Region(ob.universals, ob.hypothesis)
     if not ob.universals:
         # closed obligation: decide by direct evaluation
-        if not eval_formula_exact(ob.hypothesis, {}) or eval_formula_exact(ob.conclusion, {}):
+        if not region.holds or eval_formula_exact(ob.conclusion, {}):
             return ArithVerdict(VALID, trace={"method": "closed-evaluation", "cells": 0})
         return ArithVerdict(FALSIFIED, counterexample={}, trace={"method": "closed-evaluation", "cells": 0})
-    # one normal form per obligation: the top-level conjuncts of both sides,
-    # their normalised atoms and the hypothesis atoms' roots, read by the
-    # box, the refutation, the pre-checks, the split and branch-and-bound
-    parts = conjuncts(nnf(ob.hypothesis))
-    hyp = _Hypothesis(atoms_of_conjuncts(parts)[0])
-    work_box, unbounded = extract_box(ob.hypothesis, ob.universals, hyp)
-    if work_box is None and not unbounded:
+    if region.box is None and not region.unbounded:
         return ArithVerdict(VALID, trace={"method": "empty-box", "cells": 0})
     concl_parts = conjuncts(nnf(ob.conclusion))
     concl_atoms, concl_complete = atoms_of_conjuncts(concl_parts)
 
-    split = next((g for g in parts if isinstance(g, Or)), None)
-    if split is None and work_box is not None:
-        # Without a top-level disjunction every conjunct is an atom.  Atoms
-        # the box entails hold on every cell, and +1 is the unit of the
-        # conjunction, so dropping them changes no cell's answer.
-        names = tuple(sorted(ob.universals))
-        hyp_node = _conj_node([_atom_node(a) for a, r in zip(hyp.atoms, hyp.roots) if not _entailed(a, r, work_box)])
-        concl_node = _conj_node(
-            [_atom_node(a) for a in concl_atoms]
-            + [_compile(g) for g in concl_parts if not isinstance(g, (Cmp, BoolLit))]
-        )
-        root_cell = tuple(_scaled((v, work_box[v].lo, work_box[v].hi) for v in names).values())
-        # Refute first: when the root midpoint is an exact counterexample,
-        # branch-and-bound's first cell can neither discard nor accept the
-        # root, so it returns this midpoint; the sound pre-checks cannot
-        # prove the obligation either.  With no cell to spend, the first
-        # cell is budget-exhausted instead, so the probe waits for it.
-        if budget.max_cells >= 1:
-            mid = _midpoint(dict(zip(names, root_cell)))
-            if _eval3(hyp_node, mid) == 1 and _eval3(concl_node, mid) == -1:
-                return _falsified(mid, 1, 0)
+    # Refute first: when the root midpoint is an exact counterexample,
+    # branch-and-bound's first cell can neither discard nor accept the root,
+    # so it returns this midpoint; the sound pre-checks cannot prove the
+    # obligation either.  With no cell to spend, the first cell is
+    # budget-exhausted instead, so the probe waits for it.  The conclusion
+    # is compiled only when the hypothesis holds at the midpoint.
+    concl_node = None
+    if region.mid is not None and budget.max_cells >= 1 and region.mid_truth == 1:
+        concl_node = _conclusion_node(concl_atoms, concl_parts)
+        if _eval3(concl_node, region.mid) == -1:
+            return _falsified(region.mid, 1, 0)
 
-    reason = _symbolic_valid(hyp, concl_atoms if concl_complete else None, work_box)
+    reason = _symbolic_valid(region.hyp, concl_atoms if concl_complete else None, region.box)
     if reason is not None:
         return ArithVerdict(VALID, trace={"method": reason, "cells": 0})
 
     # case split on a top-level disjunction in the hypothesis; the disjuncts
     # share the cell budget, and once it is spent the split is Unknown
-    if split is not None:
-        rest = conj([g for g in parts if g is not split])
+    if region.split is not None:
         stats = {"method": "case-split", "cells": 0}
         worst = VALID
-        for d in disjuncts(split):
+        for case in region.cases:
             if stats["cells"] > budget.max_cells:
                 return ArithVerdict(UNKNOWN, trace=stats)
-            sub = ArithObligation(ob.universals, conj([rest, d]), ob.conclusion)
-            v = prove_implication(sub, budget=Budget(budget.max_cells - stats["cells"], budget.max_seconds))
+            sub = ArithObligation(ob.universals, case, ob.conclusion)
+            sub_budget = Budget(budget.max_cells - stats["cells"], budget.max_seconds)
+            v = prove_implication(sub, budget=sub_budget, regions=regions)
             stats["cells"] += v.trace.get("cells", 0)
             if v.status == FALSIFIED:
                 return ArithVerdict(FALSIFIED, counterexample=v.counterexample, trace=stats)
@@ -690,15 +744,18 @@ def prove_implication(ob: ArithObligation, budget: Optional[Budget] = None) -> A
             return ArithVerdict(VALID, trace=stats)
         return ArithVerdict(UNKNOWN, trace=stats)
 
-    if work_box is None:
-        return ArithVerdict(UNKNOWN, trace={"method": "unbounded-domain", "unbounded": unbounded, "cells": 0})
-    return _branch_and_bound(names, hyp_node, concl_node, root_cell, budget)
+    if region.box is None:
+        return ArithVerdict(UNKNOWN, trace={"method": "unbounded-domain", "unbounded": region.unbounded, "cells": 0})
+    if concl_node is None:
+        concl_node = _conclusion_node(concl_atoms, concl_parts)
+    return _branch_and_bound(region.names, region.node, concl_node, region.root_cell, budget)
 
 
 def _branch_and_bound(names: tuple, hyp: tuple, concl: tuple, root: tuple, budget: Budget) -> ArithVerdict:
     """Breadth-first interval branch-and-bound from the root cell, over the
     compiled hypothesis and conclusion; cells are tuples of (L, H, D) in
-    `names` order."""
+    `names` order.  The root cell's midpoint is not tried again: the
+    refutation probe did that before the pre-checks."""
     start = time.monotonic()
     queue = deque([(root, 0)])
     cells = 0
@@ -717,9 +774,10 @@ def _branch_and_bound(names: tuple, hyp: tuple, concl: tuple, root: tuple, budge
             continue
         if _eval3(concl, scaled) == 1:
             continue
-        mid = _midpoint(scaled)
-        if _eval3(hyp, mid) == 1 and _eval3(concl, mid) == -1:
-            return _falsified(mid, cells, max_depth)
+        if depth:
+            mid = _midpoint(scaled)
+            if _eval3(hyp, mid) == 1 and _eval3(concl, mid) == -1:
+                return _falsified(mid, cells, max_depth)
         # split the first widest interval, comparing widths (H - L) / D exactly
         k = 0
         for i, (lo, hi, d) in enumerate(cell):

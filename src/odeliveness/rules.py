@@ -175,19 +175,22 @@ def hints_from_cert(steps) -> tuple:
 
 
 class Checker:
-    """Discharges obligations; caches by structural key."""
+    """Discharges obligations; caches by structural key.  One checker serves
+    one command: its verdicts, and the `arith.Region` of every hypothesis it
+    proves a conclusion over, live as long as it does."""
 
     def __init__(self, budget: Optional[arith.Budget] = None):
         self.budget = budget or arith.Budget()
         self._arith_cache: dict = {}
         self._topo_cache: dict = {}
+        self._regions: dict = {}
 
     # -- primitive queries --------------------------------------------------
 
     def prove(self, ob: arith.ArithObligation, budget=None) -> arith.ArithVerdict:
         key = (ob, budget or self.budget)  # an Unknown holds only for its budget
         if key not in self._arith_cache:
-            self._arith_cache[key] = arith.prove_implication(ob, budget=key[1])
+            self._arith_cache[key] = arith.prove_implication(ob, budget=key[1], regions=self._regions)
         return self._arith_cache[key]
 
     def topo(self, prop: str, formula: Formula, vars) -> topology.TopoVerdict:
