@@ -22,7 +22,9 @@ scaled by a positive constant per atom and cell, so the prover needs no
 rounding tolerance: Valid is never returned for an obligation that is
 falsifiable over its box.  The symbolic certificates are sound, so they
 never prove an obligation that (2) refutes, and putting (2) first changes
-no verdict.
+no verdict.  Every step is monotone in the constant of a one-atom
+conclusion: loosening `p <= c` to `p <= c + d` (d >= 0) keeps Valid Valid,
+with no more cells, which lets `topology.first_proved` bisect.
 
 `falsify` samples exact rational points and can only ever answer Falsified or
 Unknown; counterexamples re-verify by rational evaluation.
@@ -333,6 +335,12 @@ class ArithVerdict:
     def is_valid(self) -> bool:
         return self.status == VALID
 
+    def clock_stopped(self, budget: "Budget") -> bool:
+        """Did the wall clock end the proof under `budget`?  A stop at the
+        cell count reads `max_cells + 1` cells; a stop at `max_seconds`
+        reads fewer, and is no verdict on the obligation."""
+        return self.trace.get("method") == "budget-exhausted" and self.trace["cells"] <= budget.max_cells
+
 
 @dataclass(frozen=True)
 class Budget:
@@ -544,7 +552,6 @@ def _derive_atom(goal: NormAtom, hyp: _Hypothesis, box: Optional[Box]) -> bool:
         return True
 
     facts = hyp.facts
-    ep = primitive(e)
     candidates = [(f, s) for f, s, _ in facts]
     # a candidate matches only if it holds every non-constant monomial of e
     e_body_monos = [m for m in e.terms if m]
@@ -557,27 +564,28 @@ def _derive_atom(goal: NormAtom, hyp: _Hypothesis, box: Optional[Box]) -> bool:
             if not s.is_zero():
                 candidates.append((s, facts[i][1] or facts[j][1]))
 
+    # e = lam*f + c with lam > 0 and c >= 0: the scale lam is read off one
+    # non-constant monomial of e, and then every other one must agree.  A
+    # weaker goal e + d (d >= 0) matches the same f with c + d, so this test,
+    # like every other step of the prover, is monotone in the goal's constant.
     e_const = e.coefficient(())
     e_body = len(e.terms) - (() in e.terms)  # number of non-constant terms
+    m0 = next(m for m in e.terms if m)
     for fpoly, fstrict in candidates:
-        if fpoly.is_zero():
+        f0 = fpoly.terms.get(m0)
+        if f0 is None or len(fpoly.terms) - (() in fpoly.terms) != e_body:
             continue
-        # primitive() keeps the monomials, so only equal monomial sets can match
-        if fpoly.terms.keys() == ep.terms.keys() and primitive(fpoly) == ep:
-            if not strict or fstrict:
-                return True
-            # e >= 0 known; strictness from a disequality on the same polynomial
-            if _canonical_sign(ep) in hyp.neqs or primitive(_canonical_sign(ep)) in hyp.neqs:
-                return True
-        # e - fpoly is a constant exactly when their non-constant parts agree
-        if len(fpoly.terms) - (() in fpoly.terms) != e_body:
+        lam = e.terms[m0] / f0
+        if lam <= 0 or any(m and e.terms.get(m) != lam * c for m, c in fpoly.terms.items()):
             continue
-        if any(m and e.terms.get(m) != c for m, c in fpoly.terms.items()):
+        rc = e_const - lam * fpoly.coefficient(())
+        if rc < 0:
             continue
-        rc = e_const - fpoly.coefficient(())
-        if rc >= 0:
-            if not strict or fstrict or rc > 0:
-                return True
+        if not strict or fstrict or rc > 0:
+            return True
+        # e >= 0 known; strictness from a disequality on the same polynomial
+        if _canonical_sign(primitive(e)) in hyp.neqs:
+            return True
 
     # division: e = a*q + r with a >= 0 from hypothesis, q sign-definite on box
     for fpoly, fstrict, zero in facts:
@@ -725,7 +733,8 @@ def prove_implication(
         return ArithVerdict(VALID, trace={"method": reason, "cells": 0})
 
     # case split on a top-level disjunction in the hypothesis; the disjuncts
-    # share the cell budget, and once it is spent the split is Unknown
+    # share the cell budget, and once it is spent the split is Unknown; a
+    # disjunct stopped by the clock stops the split, which reads as that stop
     if region.split is not None:
         stats = {"method": "case-split", "cells": 0}
         worst = VALID
@@ -736,6 +745,8 @@ def prove_implication(
             sub_budget = Budget(budget.max_cells - stats["cells"], budget.max_seconds)
             v = prove_implication(sub, budget=sub_budget, regions=regions)
             stats["cells"] += v.trace.get("cells", 0)
+            if v.clock_stopped(sub_budget):
+                return ArithVerdict(UNKNOWN, trace={**v.trace, "cells": stats["cells"]})
             if v.status == FALSIFIED:
                 return ArithVerdict(FALSIFIED, counterexample=v.counterexample, trace=stats)
             if v.status == UNKNOWN:

@@ -86,16 +86,17 @@ def _canonical_sign(p: Polynomial) -> Polynomial:
     return -p if c < 0 else p
 
 
+_FLIP = {"<=": ">=", "<": ">"}
+
+
 def norm_atom(c: Cmp) -> NormAtom:
+    op = _FLIP.get(c.op)
+    if op is not None:
+        return NormAtom(op, c.rhs - c.lhs)
     e = c.lhs - c.rhs
-    op = c.op
-    if op == "<=":
-        e, op = -e, ">="
-    elif op == "<":
-        e, op = -e, ">"
-    if op in ("=", "!="):
+    if c.op in ("=", "!="):
         e = _canonical_sign(e)
-    return NormAtom(op, e)
+    return NormAtom(c.op, e)
 
 
 def atoms_of(f: Formula) -> Optional[list[NormAtom]]:

@@ -466,12 +466,15 @@ def upper_bound_on(p: Polynomial, region: Formula, checker: Checker) -> Optional
     best = min((c for c in consts if c is not None), default=None)
     if best is not None:
         return best
-    return topology.first_proved(region, p, "<=", (Fraction(2) ** k for k in range(17)), checker.prove)
+    return topology.first_proved(region, p, "<=", topology.DOUBLING[:17], checker.prove)
+
+
+_HALVING = tuple(Fraction(1, 2**k) for k in range(9))
 
 
 def lie_lower_bound(le: Polynomial, region: Formula, checker: Checker) -> Optional[Fraction]:
     """Some positive rational c with region |- le >= c (for display bounds)."""
-    return topology.first_proved(region, le, ">=", (Fraction(1, 2**k) for k in range(9)), checker.prove)
+    return topology.first_proved(region, le, ">=", _HALVING, checker.prove)
 
 
 def _time_bound(p0, eps, p1=Fraction(0)) -> Optional[Fraction]:

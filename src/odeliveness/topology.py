@@ -3,8 +3,11 @@
 Closed/open are decided by a sound syntactic criterion on the negation
 normal form (non-strict atoms and positive connectives characterize closed
 sets, strict atoms open ones).  Boundedness is decided by `first_proved`,
-the one bound search of the package: it tries candidate bounds in order,
-each with the same cell budget, and draws no samples.  `check_bounded`
+the one bound search of the package.  It gives each candidate bound the
+same cell budget and draws no samples.  It tries the two strongest
+candidates in order, then the weakest, then bisects between them: the
+prover is monotone in the bound (a weaker bound is proved wherever a
+stronger one is), so this finds the first candidate proved.  `check_bounded`
 runs it over doubling bounds on the sum of squared variables; the rules
 run it for their variant witnesses.  Every check returns Holds or Unknown;
 Unknown means the gating rule must refuse.
@@ -71,16 +74,39 @@ def check_open(f: Formula, vars) -> TopoVerdict:
 
 # The one bound search: each candidate bound gets its own cell budget.
 BOUND_SEARCH_BUDGET = arith.Budget(max_cells=20_000, max_seconds=2.0)
+# Its doubling candidates 2^k, k = 0..32, built once: a search reads a few.
+DOUBLING = tuple(Fraction(2) ** k for k in range(33))
 
 
 def first_proved(region: Formula, p: Polynomial, op: str, candidates, prove) -> Optional[Fraction]:
-    """The first candidate c with region |- p `op` c proved Valid by
-    `prove(obligation, budget=...)`."""
-    for c in candidates:
-        ob = arith.ArithObligation.closure(region, Cmp(op, p, Polynomial.const(c)))
-        if prove(ob, budget=BOUND_SEARCH_BUDGET).is_valid:
-            return c
-    return None
+    """The first of the `candidates` (a sequence) c with region |- p `op` c
+    proved Valid by `prove(obligation, budget=...)`.
+
+    The candidates run from the strongest bound to the weakest, and the
+    prover is monotone in the bound: Valid at one candidate means Valid at
+    every later one.  So the two strongest are tried in order (most
+    witnesses are one of them), then the weakest, which when not Valid
+    ends the search, then bisection finds the first Valid one: the witness
+    a scan in order would return.  A candidate stopped by the clock is no
+    verdict on its bound, so it ends the search with no witness."""
+    n = len(candidates)
+    lo, hi = -1, n  # candidates[lo] is not Valid and candidates[hi] is; -1 and n stand outside
+    while hi - lo > 1:
+        if lo < 1:
+            i = lo + 1
+        elif hi == n:
+            i = hi - 1
+        else:
+            i = (lo + hi) // 2
+        ob = arith.ArithObligation.closure(region, Cmp(op, p, Polynomial.const(candidates[i])))
+        v = prove(ob, budget=BOUND_SEARCH_BUDGET)
+        if v.is_valid:
+            hi = i
+        elif v.clock_stopped(BOUND_SEARCH_BUDGET):
+            return None
+        else:
+            lo = i
+    return candidates[hi] if hi < n else None
 
 
 def check_bounded(f: Formula, vars, prove) -> TopoVerdict:
@@ -89,7 +115,7 @@ def check_bounded(f: Formula, vars, prove) -> TopoVerdict:
     if not vars:
         return TopoVerdict(BOUNDED, UNKNOWN)
     sumsq = sum((Polynomial.var(v) * Polynomial.var(v) for v in vars), Polynomial())
-    bound = first_proved(f, sumsq, "<=", (Fraction(2) ** k for k in range(33)), prove)
+    bound = first_proved(f, sumsq, "<=", DOUBLING, prove)
     return TopoVerdict(BOUNDED, UNKNOWN if bound is None else HOLDS, witness=bound)
 
 

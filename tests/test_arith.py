@@ -227,7 +227,8 @@ def test_interval_encloses_point_values(p, a, b, c, d, pick):
 
 
 def ref_derive_atom(goal, atoms, box):
-    """`_derive_atom` before it skipped divisions and pair sums that cannot succeed."""
+    """`_derive_atom` without its skips of divisions and pair sums that cannot
+    succeed, matching a scaled fact plus a constant through primitive parts."""
     eqs = equality_polys(atoms)
     e = reduce_mod_equalities(goal.poly, eqs)
     strict = goal.op == ">"
@@ -255,24 +256,21 @@ def ref_derive_atom(goal, atoms, box):
             s = facts[i][0] + facts[j][0]
             if not s.is_zero():
                 candidates.append((s, facts[i][1] or facts[j][1]))
-    e_const = e.coefficient(())
-    e_body = len(e.terms) - (() in e.terms)
+    e_body = e - e.coefficient(())
     for fpoly, fstrict in candidates:
-        if fpoly.is_zero():
+        # e = lam*f + c with lam > 0 exactly when the non-constant parts are
+        # positive multiples of each other
+        f_body = fpoly - fpoly.coefficient(())
+        if f_body.is_zero() or primitive(f_body) != primitive(e_body):
             continue
-        if fpoly.terms.keys() == ep.terms.keys() and primitive(fpoly) == ep:
-            if not strict or fstrict:
-                return True
-            if _canonical_sign(ep) in neq_polys or primitive(_canonical_sign(ep)) in neq_polys:
-                return True
-        if len(fpoly.terms) - (() in fpoly.terms) != e_body:
+        m, ec = next(iter(e_body.terms.items()))
+        c = e.coefficient(()) - ec / f_body.terms[m] * fpoly.coefficient(())
+        if c < 0:
             continue
-        if any(m and e.terms.get(m) != c for m, c in fpoly.terms.items()):
-            continue
-        rc = e_const - fpoly.coefficient(())
-        if rc >= 0:
-            if not strict or fstrict or rc > 0:
-                return True
+        if not strict or fstrict or c > 0:
+            return True
+        if _canonical_sign(ep) in neq_polys or primitive(_canonical_sign(ep)) in neq_polys:
+            return True
     for fpoly, fstrict in facts:
         if fpoly.is_constant() or fpoly.degree() > e.degree():
             continue
@@ -353,6 +351,14 @@ def precheck_cases(draw):
 @example(
     (
         NormAtom(">=", parse_poly("x + y + 3/2")),
+        [NormAtom(">=", parse_poly("x - 1")), NormAtom(">", parse_poly("y + 2"))],
+        None,
+    )
+)
+# e = 2*((x - 1) + (y + 2)) + 1/2: twice the pair sum plus a constant
+@example(
+    (
+        NormAtom(">=", parse_poly("2*x + 2*y + 5/2")),
         [NormAtom(">=", parse_poly("x - 1")), NormAtom(">", parse_poly("y + 2"))],
         None,
     )

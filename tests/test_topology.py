@@ -77,11 +77,11 @@ def test_bounded_by_a_combination_of_atoms(region, vars, witness):
     assert v.holds and v.witness == witness
 
 
-def test_bound_search_is_not_monotone_in_its_bound():
+def test_bound_search_is_monotone_in_its_bound():
     # the two atoms sum to 4 - 2*x^2 - 2*t^2 >= 0, which is 2 - x^2 - t^2
-    # >= 0 up to scale: x^2 + t^2 <= 2 is proved as a positive combination,
-    # while the looser bounds 4, 8 and 2^32 are unknown (unbounded domain).
-    # A search that tried the loosest bound first would lose this proof
+    # >= 0 up to scale: x^2 + t^2 <= 2 is the first bound proved, and every
+    # looser bound B is B - 2 more than half the pair sum, so it is proved
+    # the same way and a search may try the loosest bound first
     region = parse_formula("3 - 2*x^2 - t^2 + x*t >= 0 & 1 - t^2 - x*t >= 0")
     v = topology.check_bounded(region, ("x", "t"), PROVE)
     assert v.holds and v.witness == 2
@@ -89,8 +89,7 @@ def test_bound_search_is_not_monotone_in_its_bound():
     for bound in (2, 4, 8, 2**32):
         ob = arith.ArithObligation.closure(region, Cmp("<=", sumsq, Polynomial.const(bound)))
         verdict = PROVE(ob, budget=topology.BOUND_SEARCH_BUDGET)
-        want = ("valid", "positive-combination") if bound == 2 else ("unknown", "unbounded-domain")
-        assert (verdict.status, verdict.trace["method"]) == want
+        assert (verdict.status, verdict.trace["method"]) == ("valid", "positive-combination")
 
 
 def test_bounded_singleton_witness_one():
