@@ -335,7 +335,7 @@ class ArithVerdict:
     def is_valid(self) -> bool:
         return self.status == VALID
 
-    def clock_stopped(self, budget: "Budget") -> bool:
+    def clock_stopped(self, budget: Budget) -> bool:
         """Did the wall clock end the proof under `budget`?  A stop at the
         cell count reads `max_cells + 1` cells; a stop at `max_seconds`
         reads fewer, and is no verdict on the obligation."""

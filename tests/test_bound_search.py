@@ -15,7 +15,6 @@ import math
 import sys
 import types
 from fractions import Fraction
-from functools import cache
 from itertools import count
 
 import pytest
@@ -48,10 +47,8 @@ def reference_first_proved(region, p, op, candidates, prove):
 # -- monotonicity of the prover in the conclusion's constant ------------------------
 
 
-@cache
-def corpus(name: str) -> list:
-    make = getattr(corpora, f"{name}_corpus")
-    return [case.ob for seed in (0, 1, 11) for case in make(seed)]
+CRITERION6 = [case.ob for seed in (0, 1, 11) for case in corpora.criterion6_corpus(seed)]
+HARD = [case.ob for seed in (0, 1, 11) for case in corpora.hard_corpus(seed)]
 
 
 def weakened(ob: ArithObligation, delta: Fraction) -> ArithObligation:
@@ -61,7 +58,7 @@ def weakened(ob: ArithObligation, delta: Fraction) -> ArithObligation:
     return ArithObligation(ob.universals, ob.hypothesis, Cmp(c.op, c.lhs, rhs))
 
 
-obligations = st.one_of(st.sampled_from(corpus("criterion6")), st.sampled_from(corpus("hard")))
+obligations = st.one_of(st.sampled_from(CRITERION6), st.sampled_from(HARD))
 deltas = st.fractions(min_value=0, max_value=4, max_denominator=64)
 
 
