@@ -419,16 +419,17 @@ def _status_line(index: int, ob) -> str:
     return f"  ob-{index} [{ob.role}] {ob.label}: {v}{extra} -- {ob.describe()}"
 
 
+def _emit(node: ProofNode, depth: int, lines: list) -> None:
+    """Append the lines of `node`'s subtree to `lines`, children first."""
+    for child in node.children:
+        _emit(child, depth + 1, lines)
+    note = f" ({node.step.note})" if node.step.note else ""
+    lines.append(f"{depth} {node.step.name}{note} {node.verdict()} -- {print_sequent(node.conclusion)}")
+
+
 def render_trace(root: ProofNode) -> str:
-    lines = []
-
-    def emit(node: ProofNode, depth: int):
-        for child in node.children:
-            emit(child, depth + 1)
-        note = f" ({node.step.note})" if node.step.note else ""
-        lines.append(f"{depth} {node.step.name}{note} {node.verdict()} -- {print_sequent(node.conclusion)}")
-
-    emit(root, 0)
+    lines: list = []
+    _emit(root, 0, lines)
     lines.append("obligations:")
     # numbered as `all_obligations` yields them, as emit-smt numbers its files
     for index, ob in enumerate(root.all_obligations()):

@@ -901,15 +901,32 @@ def apply_rule(problem: ProblemFile, cert: CertStep, checker: Optional[Checker] 
     except TopoUnknown as e:
         raise RuleRefused("TopoUnknown", str(e)) from e
     checker.run(root)
+    gate = _first_unproved_gate(root)
+    if gate is not None:
+        raise _refusal(gate, root)
+    return root
 
-    def scan(node):  # rule gates before child gates, so refusals name the rule's own condition
+
+# Neither helper below refers to itself or keeps the exception in a frame, so
+# a proof tree and its checker are freed by reference counting once the
+# caller lets go of them, also after a refusal has been handled.
+
+
+def _first_unproved_gate(root: ProofNode):
+    """The first gate obligation that is not proved, in pre-order: a rule's
+    own gates before its children's, so a refusal names the rule's own
+    condition."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
         for ob in node.obligations:
             if getattr(ob, "role", None) == GATE and ob.verdict() != PROVED:
-                exc = RuleRefused(ob.label, detail=ob.describe())
-                exc.proof = root
-                raise exc
-        for child in node.children:
-            scan(child)
+                return ob
+        stack.extend(reversed(node.children))
+    return None
 
-    scan(root)
-    return root
+
+def _refusal(gate, root: ProofNode) -> RuleRefused:
+    exc = RuleRefused(gate.label, detail=gate.describe())
+    exc.proof = root
+    return exc

@@ -14,6 +14,12 @@ grammar (whitespace-insensitive, `#` line comments):
     step      := "rule" RuleName "{" binding (";" binding)* "}"
     binding   := Ident "=" (poly | formula | rational | "hint" "[" step* "]")
 
+Binding, tightest first: `^` (a nonnegative integer exponent), unary `-`,
+`*`, binary `+` and `-`, the comparisons `= != >= > <= <`, then `!` and the
+quantifiers, `&`, `|`, and `->` loosest.  `->` is right-associative
+(`a -> b -> c` is `a -> (b -> c)`); `&`, `|`, `*`, `+` and `-` are
+left-associative.  So `-x^2` is `-(x^2)` and `!x >= 1` is `!(x >= 1)`.
+
 Rational literals only (`a/b`, integers); a numeral is ASCII digits
 `[0-9]`, and any other digit character (`²`, `٣`) is an unexpected
 character.  An identifier starts with a letter (`str.isalpha()`) and
@@ -27,61 +33,93 @@ Printing is deterministic (graded lexicographic term order) and
 from __future__ import annotations
 
 import functools
+import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
-from .errors import DuplicateDeclaration, ParseError, UnknownIdentifier
-from .symbolic import OdeSystem, Polynomial
+from .errors import DegreeCapExceeded, DuplicateDeclaration, ParseError, UnknownIdentifier
+from .symbolic import DEGREE_CAP, OdeSystem, Polynomial, _accumulate
 
 # ---------------------------------------------------------------------------
 # Formula AST
+#
+# Each node is a frozen, slotted dataclass with two memo slots that take no
+# part in equality and are not shown by `repr`: its hash and its printed
+# text, each computed on first use.  `rules.Checker` and the `regions`
+# lookup hash the same trees many times, and a transcript prints each
+# formula several times.  A memo lives and dies with its node.
+
+_MEMO = {"default": None, "init": False, "repr": False, "compare": False}
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    """Make `cls` a formula node: its fields as given, then the memo slots
+    `_hash` and `_text`.  The hash is that of the tuple of the fields, as the
+    dataclass would compute it, in one frame per nesting level."""
+    cls.__annotations__.update(_hash="Optional[int]", _text="Optional[str]")
+    cls._hash = field(**_MEMO)
+    cls._text = field(**_MEMO)
+    cls = dataclass(frozen=True, slots=True)(cls)
+    names = [f.name for f in fields(cls) if f.compare]
+    key = operator.attrgetter(*names)
+    single = len(names) == 1
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((key(self),) if single else key(self))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_node
 class BoolLit:
     value: bool
 
 
-@dataclass(frozen=True)
+@_node
 class Cmp:
     op: str  # one of = != >= > <= <
     lhs: Polynomial
     rhs: Polynomial
 
 
-@dataclass(frozen=True)
+@_node
 class Not:
     arg: "Formula"
 
 
-@dataclass(frozen=True)
+@_node
 class And:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@_node
 class Or:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@_node
 class Implies:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@_node
 class Quant:
     kind: str  # "forall" | "exists"
     var: str
     body: "Formula"
 
 
-@dataclass(frozen=True)
+@_node
 class Modal:
     """Box or diamond ODE modality; appears in sequents, not in problem files."""
 
@@ -96,6 +134,17 @@ TRUE = BoolLit(True)
 FALSE = BoolLit(False)
 
 CMP_OPS = ("!=", ">=", "<=", "=", ">", "<")
+_CMP = frozenset(CMP_OPS)
+
+# The binary connectives, loosest first: node -> (symbol, binding level,
+# least level of the left operand, least level of the right operand).  `->`
+# is right-associative, `|` and `&` are left-associative.  Every other node
+# binds as an atom does.
+_BINARY = {Implies: ("->", 1, 2, 1), Or: ("|", 2, 2, 3), And: ("&", 3, 3, 4)}
+_ATOM = ("", 5, 0, 0)
+# symbol -> (binding level, least level of the right operand, node)
+_CONNECTIVES = {sym: (level, right, cls) for cls, (sym, level, _, right) in _BINARY.items()}
+_ONE = Fraction(1)
 
 
 def conj(parts) -> Formula:
@@ -314,156 +363,201 @@ class _Parser:
         t = self.peek()
         return ParseError(f"found {t.text or 'end of input'!r}", t.line, t.col, expected=expected)
 
-    # -- expressions (unified polynomial/formula tower) --------------------
+    # -- expressions --------------------------------------------------------
+    #
+    # One tower for polynomials and formulas: each level returns a
+    # `Polynomial` or a `Formula`, and a context that needs one of the two
+    # checks with `_as_poly` or `_as_formula`.
 
-    def parse_expr(self):
-        """Returns ("poly", Polynomial) or ("formula", Formula)."""
-        return self._implication()
-
-    def _implication(self):
-        left = self._disjunction()
-        if self.accept("->"):
-            right = self._implication()
-            return ("formula", Implies(self._as_formula(left), self._as_formula(right)))
-        return left
-
-    def _disjunction(self):
-        left = self._conjunction()
-        while self.accept("|"):
-            right = self._conjunction()
-            left = ("formula", Or(self._as_formula(left), self._as_formula(right)))
-        return left
-
-    def _conjunction(self):
+    def parse_expr(self, min_prec: int = 1):
+        """Connectives by precedence climbing.  The operand is a unary
+        formula; an operator that binds at least `min_prec` takes as its
+        right operand everything that binds at least as tightly as itself
+        (`->`, right-associative) or more tightly (`|` and `&`, left)."""
         left = self._unary()
-        while self.accept("&"):
-            right = self._unary()
-            left = ("formula", And(self._as_formula(left), self._as_formula(right)))
-        return left
+        toks = self.toks
+        while True:
+            t = toks[self.pos]
+            op = _CONNECTIVES.get(t.text) if t.kind == "sym" else None
+            if op is None or op[0] < min_prec:
+                return left
+            self.pos += 1
+            right = self.parse_expr(op[1])
+            left = op[2](self._as_formula(left), self._as_formula(right))
 
     def _unary(self):
-        t = self.peek()
+        t = self.toks[self.pos]
         if t.kind == "sym" and t.text == "!":
-            self.next()
-            arg = self._unary()
-            return ("formula", Not(self._as_formula(arg)))
+            self.pos += 1
+            return Not(self._as_formula(self._unary()))
         if t.kind == "kw" and t.text in ("forall", "exists"):
-            self.next()
+            self.pos += 1
             var = self.expect_ident()
             self.uses.append((var.text, var.line, var.col))
             self.expect("(")
             body = self.parse_expr()
             self.expect(")")
-            return ("formula", Quant(t.text, var.text, self._as_formula(body)))
+            return Quant(t.text, var.text, self._as_formula(body))
         return self._comparison()
 
     def _comparison(self):
+        """A sum, or a chain `a op b op c ...` of sums, which desugars to the
+        left-nested conjunction of its comparisons."""
         first = self._sum()
-        if first[0] == "formula":
+        toks = self.toks
+        t = toks[self.pos]
+        if t.kind != "sym" or t.text not in _CMP or not isinstance(first, Polynomial):
             return first
-        chain = [first]
-        ops = []
-        while True:
-            t = self.peek()
-            if t.kind == "sym" and t.text in CMP_OPS:
-                ops.append(self.next().text)
-                chain.append(self._sum())
-            else:
-                break
-        if not ops:
-            return first
-        cmps = []
-        for i, op in enumerate(ops):
-            cmps.append(Cmp(op, self._as_poly(chain[i]), self._as_poly(chain[i + 1])))
-        return ("formula", conj(cmps) if len(cmps) > 1 else cmps[0])
+        chain, ops = [first], []
+        while t.kind == "sym" and t.text in _CMP:
+            ops.append(t.text)
+            self.pos += 1
+            chain.append(self._sum())
+            t = toks[self.pos]
+        out = None
+        for op, lhs, rhs in zip(ops, chain, chain[1:]):
+            c = Cmp(op, self._as_poly(lhs), self._as_poly(rhs))
+            out = c if out is None else And(out, c)
+        return out
 
     def _sum(self):
-        t = self.peek()
-        negate = False
-        if t.kind == "sym" and t.text == "-":
-            self.next()
-            negate = True
-        left = self._term()
-        if left[0] == "formula" and not negate:
-            return left
-        value = self._as_poly(left)
+        """Terms joined by `+` and `-`, added into one term dict."""
+        toks = self.toks
+        t = toks[self.pos]
+        negate = t.kind == "sym" and t.text == "-"
         if negate:
-            value = -value
-        while True:
-            t = self.peek()
-            if t.kind == "sym" and t.text in ("+", "-"):
-                self.next()
-                right = self._as_poly(self._term())
-                value = value + right if t.text == "+" else value - right
-            else:
-                return ("poly", value)
+            self.pos += 1
+        first = self._term()
+        if not negate and not isinstance(first, Polynomial):
+            return first
+        first = self._as_poly(first)
+        t = toks[self.pos]
+        if t.kind != "sym" or t.text not in ("+", "-"):
+            return -first if negate else first
+        terms = {m: -c for m, c in first.terms.items()} if negate else dict(first.terms)
+        while t.kind == "sym" and t.text in ("+", "-"):
+            self.pos += 1
+            right = self._as_poly(self._term())
+            plus = t.text == "+"
+            for m, c in right.terms.items():
+                _accumulate(terms, m, c if plus else -c)
+            t = toks[self.pos]
+        return Polynomial._trusted(terms)
 
     def _term(self):
-        left = self._factor()
-        if left[0] == "formula":
-            return left
-        value = self._as_poly(left)
-        while self.accept("*"):
-            value = value * self._as_poly(self._factor())
-        return ("poly", value)
-
-    def _factor(self):
-        if self.accept("-"):
-            inner = self._as_poly(self._factor())
-            return ("poly", -inner)
-        base = self._atom()
-        if self.peek().kind == "sym" and self.peek().text == "^":
-            if base[0] == "formula":
-                raise self.fail(["polynomial base for '^'"])
-            self.next()
-            t = self.peek()
-            if t.kind != "int":
-                raise self.fail(["nonnegative integer exponent"])
-            self.next()
-            return ("poly", self._as_poly(base) ** int(t.text))
-        return base
-
-    def _atom(self):
-        t = self.peek()
-        if t.kind == "int":
-            self.next()
-            num = int(t.text)
-            if self.peek().kind == "sym" and self.peek().text == "/":
-                nxt = self.peek(1)
-                if nxt.kind == "int":
-                    self.next()
-                    den = int(self.next().text)
+        """Factors joined by `*`.  A factor is unary minus signs, then a
+        numeral, identifier, `true`/`false` or parenthesised expression,
+        then an optional `^k`.  Numerals and `ident^k` fold into one
+        coefficient and one exponent map; only a parenthesised factor is
+        multiplied in as a polynomial.  The degree cap is checked at every
+        `*` as `Polynomial.__mul__` checks it.  A formula factor in first
+        place (`true`, `(a >= b)`) is passed up as it is."""
+        toks = self.toks
+        coef, exps = _ONE, {}  # the numerals and identifiers since `acc`
+        acc = None  # the product up to the last parenthesised factor
+        deg = 0  # degree of the whole product so far, -1 once it is zero
+        first = True
+        while True:
+            t = toks[self.pos]
+            negative = False
+            while t.kind == "sym" and t.text == "-":
+                negative = not negative
+                self.pos += 1
+                t = toks[self.pos]
+            name = None
+            if t.kind == "int":
+                self.pos += 1
+                value = int(t.text)
+                slash = toks[self.pos]
+                if slash.kind == "sym" and slash.text == "/" and toks[self.pos + 1].kind == "int":
+                    den = int(toks[self.pos + 1].text)
+                    self.pos += 2
                     if den == 0:
                         raise ParseError("zero denominator", t.line, t.col)
-                    return ("poly", Polynomial.const(Fraction(num, den)))
-            return ("poly", Polynomial.const(num))
-        if t.kind == "ident":
-            self.next()
-            self.uses.append((t.text, t.line, t.col))
-            return ("poly", Polynomial.var(t.text))
-        if t.kind == "kw" and t.text in ("true", "false"):
-            self.next()
-            return ("formula", TRUE if t.text == "true" else FALSE)
-        if t.kind == "sym" and t.text == "(":
-            self.next()
-            inner = self.parse_expr()
-            self.expect(")")
-            return inner
-        raise self.fail(["expression"])
+                    value = Fraction(value, den)
+            elif t.kind == "ident":
+                self.pos += 1
+                self.uses.append((t.text, t.line, t.col))
+                name, value = t.text, 1
+            elif t.kind == "kw" and t.text in ("true", "false"):
+                self.pos += 1
+                value = TRUE if t.text == "true" else FALSE
+            elif t.kind == "sym" and t.text == "(":
+                self.pos += 1
+                value = self.parse_expr()
+                self.expect(")")
+            else:
+                raise self.fail(["expression"])
+            t = toks[self.pos]
+            if t.kind == "sym" and t.text == "^":
+                if not isinstance(value, (int, Fraction, Polynomial)):
+                    raise self.fail(["polynomial base for '^'"])
+                self.pos += 1
+                t = toks[self.pos]
+                if t.kind != "int":
+                    raise self.fail(["nonnegative integer exponent"])
+                self.pos += 1
+                k = int(t.text)
+                if name is None:
+                    value = value**k
+                elif k > DEGREE_CAP:
+                    raise DegreeCapExceeded(f"power degree {k} exceeds cap {DEGREE_CAP}")
+                else:
+                    value = k  # the exponent of `name`
+            if isinstance(value, Polynomial):
+                if negative:
+                    value = -value
+                if deg >= 0:
+                    if exps or coef != 1:
+                        monomial = Polynomial._trusted({tuple(sorted(exps.items())): coef})
+                        acc = monomial if acc is None else acc * monomial
+                        coef, exps = _ONE, {}
+                    acc = value if acc is None else acc * value
+                    deg = acc.degree()
+            elif name is None and not isinstance(value, (int, Fraction)):
+                if first:
+                    return value  # a formula; `_sum` refuses it after a sign
+                raise self._not_a_poly()
+            else:
+                fdeg = value if name is not None else (0 if value else -1)
+                if deg >= 0 and fdeg >= 0 and deg + fdeg > DEGREE_CAP:
+                    raise DegreeCapExceeded(f"product degree {deg + fdeg} exceeds cap {DEGREE_CAP}")
+                if deg < 0 or fdeg < 0:
+                    deg = -1
+                else:
+                    deg += fdeg
+                    if name is None:
+                        coef = coef * value
+                    elif value:
+                        exps[name] = exps.get(name, 0) + value
+                    if negative:
+                        coef = -coef
+            t = toks[self.pos]
+            if t.kind != "sym" or t.text != "*":
+                break
+            self.pos += 1
+            first = False
+        if deg < 0:
+            return Polynomial._trusted({})
+        if exps or coef != 1 or acc is None:
+            monomial = Polynomial._trusted({tuple(sorted(exps.items())): coef})
+            return monomial if acc is None else acc * monomial
+        return acc
 
     def _as_formula(self, v) -> Formula:
-        kind, value = v
-        if kind == "formula":
-            return value
+        if not isinstance(v, Polynomial):
+            return v
         t = self.peek()
         raise ParseError("expected a formula, found a bare polynomial", t.line, t.col, expected=CMP_OPS)
 
     def _as_poly(self, v) -> Polynomial:
-        kind, value = v
-        if kind == "poly":
-            return value
+        if isinstance(v, Polynomial):
+            return v
+        raise self._not_a_poly()
+
+    def _not_a_poly(self) -> ParseError:
         t = self.peek()
-        raise ParseError("expected a polynomial, found a formula", t.line, t.col)
+        return ParseError("expected a polynomial, found a formula", t.line, t.col)
 
     # -- file structure -----------------------------------------------------
 
@@ -589,12 +683,11 @@ class _Parser:
             if nxt.kind == "sym" and nxt.text in (";", "}"):
                 self.next()
                 return t.text
-        kind, value = self.parse_expr()
-        if kind == "poly":
+        value = self.parse_expr()
+        if isinstance(value, Polynomial):
             c = value.constant_value()
             if c is not None:
                 return c
-            return value
         return value
 
 
@@ -655,36 +748,40 @@ def print_poly(p: Polynomial) -> str:
     return "".join(parts)
 
 
-# precedence levels: Implies 1 < Or 2 < And 3 < Not 4; atoms bind tightest
-def _print_formula(f: Formula, parent: int) -> str:
-    if isinstance(f, BoolLit):
-        return "true" if f.value else "false"
-    if isinstance(f, Cmp):
-        return f"{print_poly(f.lhs)} {f.op} {print_poly(f.rhs)}"
-    if isinstance(f, Not):
-        if isinstance(f.arg, BoolLit):
-            return f"!{_print_formula(f.arg, 5)}"
-        return f"!({_print_formula(f.arg, 0)})"
-    if isinstance(f, And):
-        s = f"{_print_formula(f.left, 3)} & {_print_formula(f.right, 4)}"
-        return f"({s})" if parent > 3 else s
-    if isinstance(f, Or):
-        s = f"{_print_formula(f.left, 2)} | {_print_formula(f.right, 3)}"
-        return f"({s})" if parent > 2 else s
-    if isinstance(f, Implies):
-        s = f"{_print_formula(f.left, 2)} -> {_print_formula(f.right, 1)}"
-        return f"({s})" if parent > 1 else s
-    if isinstance(f, Quant):
-        return f"{f.kind} {f.var} ({_print_formula(f.body, 0)})"
-    if isinstance(f, Modal):
-        inner = print_ode(f.system)
-        post = _print_formula(f.post, 0)
-        return f"[{inner}] ({post})" if f.box else f"<{inner}> ({post})"
-    raise TypeError(f"not a formula: {f!r}")
-
-
 def print_formula(f: Formula) -> str:
-    return _print_formula(f, 0)
+    """The text of `f`, computed once per node and kept in its memo slot."""
+    s = f._text
+    if s is not None:
+        return s
+    cls = type(f)
+    binary = _BINARY.get(cls)
+    if binary is not None:
+        # an operand that binds more loosely than its side allows is put in
+        # parentheses; one frame per nesting level, as in parsing
+        sym, _, left_least, right_least = binary
+        left, right = print_formula(f.left), print_formula(f.right)
+        if _BINARY.get(type(f.left), _ATOM)[1] < left_least:
+            left = f"({left})"
+        if _BINARY.get(type(f.right), _ATOM)[1] < right_least:
+            right = f"({right})"
+        s = f"{left} {sym} {right}"
+    elif cls is Cmp:
+        s = f"{print_poly(f.lhs)} {f.op} {print_poly(f.rhs)}"
+    elif cls is Not:
+        arg = print_formula(f.arg)
+        s = f"!{arg}" if type(f.arg) is BoolLit else f"!({arg})"
+    elif cls is BoolLit:
+        s = "true" if f.value else "false"
+    elif cls is Quant:
+        s = f"{f.kind} {f.var} ({print_formula(f.body)})"
+    elif cls is Modal:
+        inner = print_ode(f.system)
+        post = print_formula(f.post)
+        s = f"[{inner}] ({post})" if f.box else f"<{inner}> ({post})"
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+    object.__setattr__(f, "_text", s)
+    return s
 
 
 def print_ode(sys: OdeSystem) -> str:
@@ -695,45 +792,3 @@ def print_ode(sys: OdeSystem) -> str:
     if sys.domain is not None and sys.domain != TRUE:
         s += f" & {print_formula(sys.domain)}"
     return s
-
-
-def print_problem(pf: ProblemFile) -> str:
-    out = []
-    for p in pf.params:
-        out.append(f"param {p};")
-    eqns = "; ".join(f"{x}' = {print_poly(fx)}" for x, fx in zip(pf.system.vars, pf.system.rhs))
-    out.append(f"ode {{ {eqns} }}")
-    if pf.system.domain is not None and pf.system.domain != TRUE:
-        out.append(f"domain {{ {print_formula(pf.system.domain)} }}")
-    if pf.assumptions:
-        out.append(f"assume {{ {', '.join(print_formula(a) for a in pf.assumptions)} }}")
-    if pf.goal is not None:
-        out.append(f"goal {{ {print_formula(pf.goal)} }}")
-    if pf.certificate:
-        out.append("proof {")
-        for step in pf.certificate:
-            out.extend(_print_step(step, "  "))
-        out.append("}")
-    return "\n".join(out) + "\n"
-
-
-def _print_binding_value(v: BindingValue) -> str:
-    if isinstance(v, tuple):  # hint list
-        inner = []
-        for step in v:
-            inner.extend(_print_step(step, ""))
-        return "hint [ " + " ".join(inner) + " ]"
-    if isinstance(v, Polynomial):
-        return print_poly(v)
-    if isinstance(v, Fraction):
-        return _frac_str(v)
-    if isinstance(v, str):
-        return v
-    return print_formula(v)
-
-
-def _print_step(step: CertStep, indent: str) -> list[str]:
-    if not step.bindings:
-        return [f"{indent}rule {step.name} {{ }}"]
-    bindings = "; ".join(f"{k} = {_print_binding_value(v)}" for k, v in step.bindings)
-    return [f"{indent}rule {step.name} {{ {bindings} }}"]

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -849,3 +851,49 @@ def test_invariance_auto_splits_conjunction():
     node = prove_invariance(seq, (), Checker())
     assert node.step.name == "∧-split"
     assert node.verdict() == PROVED
+
+
+# the problem files with a proof block, and whether `apply_rule` refuses them
+PROOF_FILES = {
+    "ce1.ode": True,
+    "ce3.ode": True,
+    "ce4.ode": True,
+    "double_integrator.ode": False,
+    "example1.ode": False,
+    "example2.ode": False,
+    "example2_domain.ode": False,
+    "example2_domain_halfopen.ode": True,
+}
+
+
+@pytest.fixture
+def no_cycle_collector():
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("name", sorted(PROOF_FILES))
+def test_proof_tree_and_checker_are_freed_without_the_cycle_collector(name, no_cycle_collector):
+    # as `odeliv check` does: apply, render the tree, let go of it
+    from conftest import problem_path
+
+    pf = parse_problem(problem_path(name).read_text())
+    checker = Checker()
+    refs = [weakref.ref(checker)]
+    try:
+        root = apply_rule(pf, pf.certificate[0], checker)
+        refused = False
+    except RuleRefused as e:
+        refused = True
+        root = getattr(e, "proof", None)  # a refusal before any check carries no tree
+    assert refused == PROOF_FILES[name]
+    assert (root is None) == (name == "example2_domain_halfopen.ode")
+    if root is not None:
+        render_trace(root)
+        refs.append(weakref.ref(root))
+    del checker, root
+    assert [r() for r in refs] == [None] * len(refs)

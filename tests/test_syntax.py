@@ -10,18 +10,67 @@ from odeliveness.syntax import (
     TRUE,
     And,
     BoolLit,
+    CertStep,
     Cmp,
     Implies,
     Not,
     Or,
+    ProblemFile,
     Quant,
+    _frac_str,
     parse_formula,
     parse_poly,
     parse_problem,
     print_formula,
     print_poly,
-    print_problem,
 )
+
+
+# -- a problem printer -------------------------------------------------------
+# No command prints a whole problem file; this printer exists to check that
+# printing and parsing a problem are inverse.
+
+
+def print_problem(pf: ProblemFile) -> str:
+    out = []
+    for p in pf.params:
+        out.append(f"param {p};")
+    eqns = "; ".join(f"{x}' = {print_poly(fx)}" for x, fx in zip(pf.system.vars, pf.system.rhs))
+    out.append(f"ode {{ {eqns} }}")
+    if pf.system.domain is not None and pf.system.domain != TRUE:
+        out.append(f"domain {{ {print_formula(pf.system.domain)} }}")
+    if pf.assumptions:
+        out.append(f"assume {{ {', '.join(print_formula(a) for a in pf.assumptions)} }}")
+    if pf.goal is not None:
+        out.append(f"goal {{ {print_formula(pf.goal)} }}")
+    if pf.certificate:
+        out.append("proof {")
+        for step in pf.certificate:
+            out.extend(_print_step(step, "  "))
+        out.append("}")
+    return "\n".join(out) + "\n"
+
+
+def _print_binding_value(v) -> str:
+    if isinstance(v, tuple):  # hint list
+        inner = []
+        for step in v:
+            inner.extend(_print_step(step, ""))
+        return "hint [ " + " ".join(inner) + " ]"
+    if isinstance(v, Polynomial):
+        return print_poly(v)
+    if isinstance(v, Fraction):
+        return _frac_str(v)
+    if isinstance(v, str):
+        return v
+    return print_formula(v)
+
+
+def _print_step(step: CertStep, indent: str) -> list:
+    if not step.bindings:
+        return [f"{indent}rule {step.name} {{ }}"]
+    bindings = "; ".join(f"{k} = {_print_binding_value(v)}" for k, v in step.bindings)
+    return [f"{indent}rule {step.name} {{ {bindings} }}"]
 
 
 # -- problem files -----------------------------------------------------------
