@@ -95,10 +95,6 @@ class UnsamplableInitSet(OdelivError):
     pass
 
 
-class InsufficientSamples(OdelivError):
-    pass
-
-
 class NestingTooDeep(OdelivError):
     """A formula is nested too deeply to be compiled to Python."""
 

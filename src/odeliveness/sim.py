@@ -11,8 +11,11 @@ located at the same point reach the goal when that point lies in both sets,
 that is, when the goal was entered and the domain left through non-strict
 atoms.
 
-Each system and goal is compiled to Python once (`Plan`), and trajectories
-are bit-identical however often a plan is reused, so `falsify_liveness`
+Each system and goal is compiled to Python once (`Plan`): the right-hand
+side, the atom vector and one predicate per formula, which also gives the
+formula's truth at an event point and at a bracket's limit, read from a
+transformed atom vector (`_on_boundary`, `_at_limit`).  Trajectories are
+bit-identical however often a plan is reused, so `falsify_liveness`
 integrates each distinct initial state once.  A generated kernel takes
 every step that cannot carry an event, and `integrate` handles only the
 steps that may.  A trajectory keeps its samples as raw (time, state tuple)
@@ -26,7 +29,7 @@ combined with step-size collapse yields a BlowUpSuspected event.
 The built-in catalog reproduces four soundness counterexamples against the
 uncorrected side conditions of the derived rules; `run_catalog` checks that
 each certificate is refused at the expected gate and that the falsifier
-observes the expected trajectory behavior.
+observes the expected trajectory behavior, as each entry's data states.
 """
 
 from __future__ import annotations
@@ -40,9 +43,9 @@ from types import SimpleNamespace
 from typing import Callable, Optional
 
 from .codegen import build, formula_src, poly_src, to_float
-from .errors import InsufficientSamples, InvalidArgument, RuleRefused, UnsamplableInitSet
+from .errors import InvalidArgument, RuleRefused, UnsamplableInitSet
 from .normal import atoms_of
-from .symbolic import OdeSystem, Polynomial, lie_derivative
+from .symbolic import OdeSystem, Polynomial, lie_derivative  # noqa: F401 (perfbench traces sim.lie_derivative)
 from .syntax import (
     TRUE,
     And,
@@ -74,8 +77,9 @@ INCONCLUSIVE = "INCONCLUSIVE"
 # Integrator constants: the tolerance on a step's embedded error estimate,
 # initial and smallest step (a trial at or below HMIN is accepted whatever
 # its error), blow-up norm, bisection width of event times on the dense
-# output, float tolerance of equalities, step cap, and the gap within which
-# a goal entry and a domain exit count as one event
+# output, float tolerance of equalities, which is also the margin within
+# which an atom is on its boundary at an event point, step cap, and the gap
+# within which a goal entry and a domain exit count as one event
 TOL = 1e-9
 H0 = 1e-2
 HMIN = 1e-12
@@ -130,8 +134,10 @@ class Trajectory:
 # right-hand side `f(y)`; the atom vector `atoms(y)`, every comparison's
 # difference polynomial, domain then goal, which is the only place a
 # state's atoms are evaluated; and the domain and goal predicates, which
-# read that vector (`A`, or `L` and `H` at a bracket's ends).  A state where
-# an atom's evaluation overflows has no atom vector (None).
+# read that vector.  A state where an atom's evaluation overflows has no
+# atom vector (None).  The same predicates give a formula's truth at a
+# located event point, read from `_on_boundary(A)`, and where a bisection
+# bracket closes in, read from `_at_limit(L, H)` of the vectors at its ends.
 #
 # The stepping kernel `advance` takes steps until one may carry an event.
 # Within one call it runs, per step, the Dormand-Prince trial (inline; it
@@ -143,12 +149,12 @@ class Trajectory:
 # result is not finite or blows up, the atoms have no vector, the goal is
 # entered, the domain is left or an atom changes sign, with that step's
 # trial and atom vector, so `integrate` locates its events as before; or
-# it returns at the horizon or the step cap.  The kernel's and the
-# standalone trial `dp(y, h, k1)`'s sources depend only on the dimension,
-# so they are compiled once per dimension (`_dimension`), on first use,
-# from the one trial source `_trial`, and bound to each plan's `f`, `atoms`,
-# `domain` and `goal`.  Every float operation is fixed by the source, so
-# trajectories do not depend on how often a plan is reused:
+# it returns at the horizon or the step cap.  The kernel's source depends
+# only on the dimension, so it is compiled once per dimension
+# (`_dimension`), on first use, with the trial from `_trial`, and bound to
+# each plan's `f`, `atoms`, `domain` and `goal`.  Every float operation is
+# fixed by the source, so trajectories do not depend on how often a plan is
+# reused:
 #
 #   stage i       k_i = f(y + h*(a_i1*k1 + ... + a_i,i-1*k_{i-1})),  i = 2..7
 #   result        y1 = y + h*(b1*k1 + b3*k3 + ... + b6*k6)  (the 7th stage point)
@@ -180,9 +186,6 @@ _DENSE = (
     701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423,
 )
 
-_STRICT = frozenset(("<", ">", "!="))
-
-
 def _atom_cmps(f: Formula) -> list:
     """Comparison atoms of the formula, left to right."""
     if isinstance(f, Cmp):
@@ -194,40 +197,30 @@ def _atom_cmps(f: Formula) -> list:
     return []
 
 
-def _state_atom(op: str, k: int, vec: str = "A") -> str:
-    """Truth of atom k of the vector `vec` at a state: equalities within
-    `_eq`, strict atoms exact."""
-    d = f"{vec}[{k}]"
+def _state_atom(op: str, k: int) -> str:
+    """Truth of atom k of the vector `A` at a state: equalities within
+    `_eq`, strict atoms exact.  At 0.0, non-strict atoms hold and strict
+    ones fail."""
     if op == "=":
-        return f"(abs({d}) <= _eq)"
+        return f"(abs(A[{k}]) <= _eq)"
     if op == "!=":
-        return f"(abs({d}) > _eq)"
-    return f"({d} {op} 0.0)"
+        return f"(abs(A[{k}]) > _eq)"
+    return f"(A[{k}] {op} 0.0)"
 
 
-def _boundary_atom(op: str, k: int) -> str:
-    """Truth of atom k at a located event point: strict atoms need a
-    positive margin, non-strict atoms hold on their boundary (closed sets
-    contain limits, open ones do not)."""
-    return {
-        "=": f"(abs(A[{k}]) <= _margin)",
-        "!=": f"(abs(A[{k}]) > _margin)",
-        "<": f"(A[{k}] < -_margin)",
-        ">": f"(A[{k}] > _margin)",
-        "<=": f"(A[{k}] <= _margin)",
-        ">=": f"(A[{k}] >= -_margin)",
-    }[op]
+def _on_boundary(A: tuple) -> tuple:
+    """The atom vector as read at a located event point: an atom within
+    `EQ_TOL` of 0.0 is on its boundary, where non-strict atoms hold and
+    strict ones fail (closed sets contain limits, open ones do not); so a
+    strict atom needs a margin of `EQ_TOL`.  NaN and infinities stay."""
+    return tuple(0.0 if abs(a) <= EQ_TOL else a for a in A)
 
 
-def _limit_atom(op: str, k: int) -> str:
-    """Truth of atom k at the point a bisection bracket closes in on, from
-    the atom vectors L and H at its ends: an atom whose polynomial changes
-    sign across the bracket is on its boundary, where non-strict atoms hold
-    and strict ones fail; any other atom is read at H."""
-    crossed = f"(L[{k}] * H[{k}] <= 0.0)"
-    if op in _STRICT:
-        return f"(not {crossed} and {_state_atom(op, k, 'H')})"
-    return f"({crossed} or {_state_atom(op, k, 'H')})"
+def _at_limit(L: tuple, H: tuple) -> tuple:
+    """The atom vector as read where a bisection bracket closes in, from the
+    vectors L and H at its ends: an atom whose value changes sign across the
+    bracket is on its boundary (0.0); any other atom is read at H."""
+    return tuple(0.0 if lo * hi <= 0.0 else hi for lo, hi in zip(L, H))
 
 
 def _unpack(prefix: str, n: int, src: str) -> str:
@@ -269,8 +262,7 @@ def _trial(n: int) -> list:
     """Source lines of one Dormand-Prince trial of step h from the state
     a0, ..., a{n-1} whose first stage is k1 (unpacked as k1_0, ...): stages
     k2..k7 through `f`, unpacked as k2_0, ...; the fifth-order state y1 =
-    (b0, ...), with k7 = f(y1); and its error `err`.  The one source of the
-    trial, read by `dp` and by the stepping kernel."""
+    (b0, ...), with k7 = f(y1); and its error `err`."""
 
     def combo(weights, i):
         return " + ".join(f"{w!r} * k{j + 1}_{i}" for j, w in enumerate(weights) if w)
@@ -391,24 +383,18 @@ def _advance(n: int) -> str:
 @functools.cache
 def _dimension(n: int) -> SimpleNamespace:
     """The compiled work that depends only on the state's dimension n, built
-    once per n: `dp_over(f)`, the Dormand-Prince trial `dp(y, h, k1)` over
-    the right-hand side `f`, which returns the fifth-order state, its error
-    and k7 = f(state), and the stages the dense output reads;
-    `advance_over(f, atoms, domain, goal)`, the stepping kernel; `finite(y)`;
-    and `norm(y)`, the max norm."""
+    once per n: `advance_over(f, atoms, domain, goal)`, the stepping kernel;
+    `finite(y)`; and `norm(y)`, the max norm."""
     unpack = _unpack("a", n, "y")
-    dp = [unpack, _unpack("k1_", n, "k1"), *_trial(n), "return y1, err, k7, (k1, k3, k4, k5, k6, k7)"]
     src = "\n".join(
-        ["def dp_over(f):", "    def dp(y, h, k1):"]
-        + [f"        {line}" for line in dp]
-        + ["    return dp", _advance(n)]
+        [_advance(n)]
         + ["def finite(y):", f"    {unpack}"]
         + ["    return " + " and ".join(f"isfinite(a{i})" for i in range(n))]
         + ["def norm(y):", f"    {unpack}", "    return " + _max_src([f"abs(a{i})" for i in range(n)])]
     )
     namespace = {"isfinite": math.isfinite, "inf": math.inf}
     exec(src, namespace)  # generated from the tableau alone
-    return SimpleNamespace(**{k: namespace[k] for k in ("dp_over", "advance_over", "finite", "norm")})
+    return SimpleNamespace(**{k: namespace[k] for k in ("advance_over", "finite", "norm")})
 
 
 class Plan:
@@ -424,7 +410,7 @@ class Plan:
         self.pnames = tuple(sorted(system.params))
         domain = system.domain if system.domain is not None else TRUE
         self.domain_atoms = len(_atom_cmps(domain))
-        scope = {"_inf": math.inf, "_ns": SimpleNamespace, "_eq": EQ_TOL, "_margin": EVENT_TOL}
+        scope = {"_inf": math.inf, "_ns": SimpleNamespace, "_eq": EQ_TOL}
         self.bind = build(self._source(domain), "_bind", {**scope, **vars(_dimension(len(self.names)))})
 
     def _source(self, domain: Formula) -> str:
@@ -439,23 +425,16 @@ class Plan:
         overflow = "    return (" + "_inf, " * n + ")"
         body = _def("f", "y", _unpack("a", n, "y"), "try:", f"    return ({rhs})", "except OverflowError:", overflow)
 
-        # dp(y, h, k1), finite(y) and norm(y) depend only on the dimension
-        body.append("dp = dp_over(f)")
-
         # atoms(y): every atom's difference polynomial, domain then goal;
-        # the predicates read it: name(A), name_limit(L, H) for domain and
-        # goal, and domain_boundary(A)
+        # the predicates domain(A) and goal(A) read it
         formulas = (("domain", domain), ("goal", self.goal))
         body += _atoms_def([c for _, f in formulas if f is not None for c in _atom_cmps(f)], n, ref)
         offset = 0
         for name, f in formulas:
             if f is None:
-                body.append(f"{name} = {name}_limit = None")
+                body.append(f"{name} = None")
                 continue
             body += _def(name, "A", "return " + _over_atoms(f, offset, _state_atom))
-            if name == "domain":
-                body += _def("domain_boundary", "A", "return " + _over_atoms(f, offset, _boundary_atom))
-            body += _def(f"{name}_limit", "L, H", "return " + _over_atoms(f, offset, _limit_atom))
             offset += len(_atom_cmps(f))
 
         # the stepping kernel over f, the atom vector and the predicates
@@ -464,8 +443,7 @@ class Plan:
         # values(y): the state and parameters by name
         keys = "".join(f"{v!r}: {ref(v)}, " for v in names + self.pnames)
         body += _def("values", "y", _unpack("a", n, "y"), "return {" + keys + "}")
-        fields = ["f", "dp", "advance", "finite", "norm", "atoms", "values", "domain", "domain_boundary"]
-        fields += ["domain_limit", "goal", "goal_limit"]
+        fields = ["f", "advance", "finite", "norm", "atoms", "values", "domain", "goal"]
         body.append("return _ns(" + ", ".join(f"{f}={f}" for f in fields) + ")")
         head = [_unpack("p", len(params), "_par")] if params else []
         return "\n".join(_def("_bind", "_par", *head, *body)) + "\n"
@@ -561,7 +539,7 @@ def integrate(
     if A is None:
         return end((t, ATOMS_UNDEFINED))
     goal_now = goal is not None and c.goal(A)
-    domain_now = c.domain(A) or c.domain_boundary(A)
+    domain_now = c.domain(A) or c.domain(_on_boundary(A))
     if goal_now and domain_now:
         events.append((0.0, GOAL_ENTERED))
         closed[GOAL_ENTERED] = True
@@ -610,12 +588,12 @@ def integrate(
             goal_new = c.goal(A_new)
             if goal_new and not goal_now:
                 tau, L, H = bracket(c.goal)
-                offer(GOAL_ENTERED, tau, c.goal_limit(L, H))
+                offer(GOAL_ENTERED, tau, c.goal(_at_limit(L, H)))
             goal_now = goal_new
         domain_new = c.domain(A_new)
         if not domain_new and domain_now:
             tau, L, H = bracket(lambda B: not c.domain(B))
-            offer(DOMAIN_EXITED, tau, c.domain_limit(L, H))
+            offer(DOMAIN_EXITED, tau, c.domain(_at_limit(L, H)))
         domain_now = domain_new
 
         # atom boundary crossings inside the step: measure-zero domain
@@ -625,9 +603,9 @@ def integrate(
                 continue
             tau, L, H = bracket(lambda B, _i=i, _s=d0 > 0: (B[_i] > 0) != _s)
             if i < plan.domain_atoms:
-                if not c.domain_boundary(H):
-                    offer(DOMAIN_EXITED, tau, c.domain_limit(L, H))
-            elif not goal_now and c.goal_limit(L, H):
+                if not c.domain(_on_boundary(H)):
+                    offer(DOMAIN_EXITED, tau, c.domain(_at_limit(L, H)))
+            elif not goal_now and c.goal(_at_limit(L, H)):
                 # the goal holds where the bracket closes in, which an
                 # equality atom's sign change puts on its boundary however
                 # steep the crossing
@@ -855,36 +833,6 @@ def write_report(report: FalsifyReport, problem: ProblemFile, outdir) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Lie-derivative consistency along a trajectory
-
-
-def lie_consistency_check(p: Polynomial, system: OdeSystem, traj: Trajectory, h: float) -> dict:
-    """Max deviation between centered differences of p along the trajectory
-    and the Lie derivative evaluated at the sample states."""
-    samples = traj.samples
-    if len(samples) < 3:
-        raise InsufficientSamples("need at least three samples")
-    lie = lie_derivative(p, system)
-    times = [s.time for s in samples]
-    for a, b in zip(times, times[1:]):
-        if b - a > h * (1 + 1e-6):
-            raise InsufficientSamples(f"sample spacing {b - a} exceeds h={h}")
-    worst = 0.0
-    count = 0
-    for prev_s, cur, next_s in zip(samples, samples[1:], samples[2:]):
-        dt = next_s.time - prev_s.time
-        if dt <= 0:
-            continue
-        diff = (p.eval_float(next_s.values) - p.eval_float(prev_s.values)) / dt
-        exact = lie.eval_float(cur.values)
-        worst = max(worst, abs(diff - exact))
-        count += 1
-    if count == 0:
-        raise InsufficientSamples("no interior samples")
-    return {"max_error": worst, "points": count, "h": h}
-
-
-# ---------------------------------------------------------------------------
 # Counterexample catalog
 
 
@@ -894,54 +842,27 @@ class CatalogEntry:
     source: str
     broken_rule: str
     expected_gate: Optional[str]  # substring of the refusal label; None for CE-2
-    expected_outcome: str  # falsification class expected to dominate
-    check: Callable  # (entry, report) -> list of failure strings
+    expected_outcome: str  # the falsification class of every sample
+    at: float  # where every sample's event lies, within `tol`
+    tol: float
+    final_var: Optional[str] = None  # read the final value of this variable instead
 
     def problem(self) -> ProblemFile:
         return parse_problem(self.source)
 
-
-def _ce1_check(entry, report) -> list:
-    errors = []
-    if report.n(BLOWUP) != len(report.results):
-        errors.append(f"expected all BLOWUP, got {report.counts}")
-    for r in report.results:
-        if r.t_event is None or abs(r.t_event - math.pi / 2) > 1e-3:
-            errors.append(f"blow-up time {r.t_event} not within 1e-3 of pi/2")
-    return errors
-
-
-def _ce2_check(entry, report) -> list:
-    errors = []
-    if report.n(REFUTED) != len(report.results):
-        errors.append(f"expected all REFUTED-SAMPLE, got {report.counts}")
-    for r in report.results:
-        if r.t_event is None or abs(r.t_event - 1.0) > 1e-6:
-            errors.append(f"domain exit at {r.t_event}, expected 1.0")
-    return errors
-
-
-def _ce3_check(entry, report) -> list:
-    errors = []
-    if report.n(REFUTED) != len(report.results):
-        errors.append(f"expected all REFUTED-SAMPLE, got {report.counts}")
-    for r in report.results:
-        if r.t_event is None or abs(r.t_event) > 1e-9:
-            errors.append(f"domain violation at {r.t_event}, expected time 0")
-    return errors
-
-
-def _ce4_check(entry, report) -> list:
-    errors = []
-    if report.n(BLOWUP) != len(report.results):
-        errors.append(f"expected all BLOWUP, got {report.counts}")
-    for r in report.results:
-        t_final = r.final.values.get("t")
-        if t_final is None or abs(t_final - 2.5) > 1e-3:
-            errors.append(f"final t {t_final}, expected 2.5 within 1e-3")
-        if t_final is not None and t_final >= 3.0:
-            errors.append("goal t > 3 unexpectedly reachable")
-    return errors
+    def errors(self, report: FalsifyReport) -> list:
+        """How `report` departs from the entry: samples of another class than
+        `expected_outcome`, and each sample whose event time (or final
+        `final_var`) is not within `tol` of `at`."""
+        errors = []
+        if report.n(self.expected_outcome) != len(report.results):
+            errors.append(f"expected all {self.expected_outcome}, got {report.counts}")
+        what = "event time" if self.final_var is None else f"final {self.final_var}"
+        for r in report.results:
+            x = r.t_event if self.final_var is None else r.final.values.get(self.final_var)
+            if x is None or abs(x - self.at) > self.tol:
+                errors.append(f"{what} {x}, expected {self.at!r} within {self.tol!r}")
+        return errors
 
 
 def catalog() -> list:
@@ -959,7 +880,8 @@ proof { rule dV_geq { p = t - 2; eps = 1 } }
             broken_rule="equational/atomic variant rules stated with only local Lipschitz continuity",
             expected_gate="GlobalLipschitz",
             expected_outcome=BLOWUP,
-            check=_ce1_check,
+            at=math.pi / 2,
+            tol=1e-3,
         ),
         CatalogEntry(
             id="CE-2",
@@ -973,7 +895,8 @@ goal { x >= 1 }
             broken_rule="domain refinement with the goal negation added to the box domain",
             expected_gate=None,
             expected_outcome=REFUTED,
-            check=_ce2_check,
+            at=1.0,
+            tol=1e-6,
         ),
         CatalogEntry(
             id="CE-3",
@@ -988,7 +911,8 @@ proof { rule dV_geq_dom { p = x; eps = 1 } }
             broken_rule="variant rule with domains, stated without the initial goal-negation assumption",
             expected_gate="InitialState",
             expected_outcome=REFUTED,
-            check=_ce3_check,
+            at=0.0,
+            tol=1e-9,
         ),
         CatalogEntry(
             id="CE-4",
@@ -1002,7 +926,9 @@ proof { rule SLyap { p = t - 2; K = true } }
             broken_rule="set Lyapunov argument with a closed rather than compact set",
             expected_gate="Compact",
             expected_outcome=BLOWUP,
-            check=_ce4_check,
+            at=2.5,
+            tol=1e-3,
+            final_var="t",
         ),
     ]
 
@@ -1025,7 +951,7 @@ def run_catalog(samples: int = 8, seed: int = 0, horizon: float = 10.0) -> list:
                 if entry.expected_gate not in e.gate:
                     errors.append(f"refused at {e.gate}, expected {entry.expected_gate}")
         report = falsify_liveness(problem, samples=samples, seed=seed, horizon=horizon)
-        errors.extend(entry.check(entry, report))
+        errors.extend(entry.errors(report))
         out.append(
             {
                 "id": entry.id,

@@ -20,6 +20,7 @@ from typing import Iterable, Mapping, Optional
 
 from .errors import (
     DegreeCapExceeded,
+    InvalidArgument,
     MissingBinding,
     PowNegativeExponent,
     UnknownVariable,
@@ -225,15 +226,6 @@ class Polynomial:
             total += term
         return total
 
-    def eval_float(self, point: Mapping[str, float]) -> float:
-        total = 0.0
-        for m, c in self.terms.items():
-            term = float(c)
-            for v, e in m:
-                term *= point[v] ** e
-            total += term
-        return total
-
     # -- structure ---------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
@@ -425,7 +417,7 @@ def lie_derivative(p: Polynomial, sys: OdeSystem) -> Polynomial:
 
 def higher_lie(p: Polynomial, sys: OdeSystem, k: int) -> Polynomial:
     if k < 0:
-        raise ValueError("order must be nonnegative")
+        raise InvalidArgument(f"order must be nonnegative, got {k}")
     for _ in range(k):
         p = lie_derivative(p, sys)
     return p

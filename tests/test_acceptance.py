@@ -19,7 +19,7 @@ from odeliveness.rules import RULE_BUILDERS, Checker, apply_rule
 from odeliveness.symbolic import OdeSystem, Polynomial
 from odeliveness.syntax import Cmp, parse_formula, parse_poly, parse_problem
 
-from conftest import PROBLEMS, ROOT, problem_path
+from conftest import PROBLEMS, ROOT, lie_consistency_check, problem_path
 from test_kernel import missing_gates, refines_domain_under_goal_negation, step_audit_findings
 
 
@@ -159,9 +159,9 @@ def test_criterion_5_lie_numerical_consistency():
         traj = sim.integrate(sys, finit, horizon, grid=h, stop_on_event=False)
         if any(abs(x) > 1e3 for s in traj.samples for x in s.values.values()):
             continue
-        out = sim.lie_consistency_check(p, sys, traj, h)
+        out = lie_consistency_check(p, sys, traj, h)
         traj2 = sim.integrate(sys, finit, horizon, grid=h / 2, stop_on_event=False)
-        out2 = sim.lie_consistency_check(p, sys, traj2, h / 2)
+        out2 = lie_consistency_check(p, sys, traj2, h / 2)
         checked += 1
         worst = max(worst, out["max_error"])
         # the convergence ratio is meaningful only above the float noise floor

@@ -225,6 +225,7 @@ def test_simulate_writes_manifest(tmp_path, capsys):
         ["simulate", problem_path("example1.ode"), "--init", "u=-1e400,v=0"],
         ["simulate", problem_path("example1.ode"), "--init", "u=inf,v=0"],
         ["simulate", problem_path("example1.ode"), "--init", "u=nan,v=0"],
+        ["lie", problem_path("example1.ode"), "-p", "u", "-k", "-1"],
     ],
     ids=[
         "simulate-horizon-0",
@@ -234,6 +235,7 @@ def test_simulate_writes_manifest(tmp_path, capsys):
         "simulate-init-below-float-range",
         "simulate-init-inf",
         "simulate-init-nan",
+        "lie-order-negative",
     ],
 )
 def test_bad_arguments_are_input_errors(capsys, argv):

@@ -10,6 +10,7 @@ only in the sign of a zero).
 
 import gc
 import math
+import re
 import struct
 import weakref
 from fractions import Fraction
@@ -22,6 +23,8 @@ from odeliveness.codegen import build, poly_src
 from odeliveness.symbolic import OdeSystem, Polynomial
 from odeliveness.syntax import And, BoolLit, Cmp, Formula, Implies, Not, Or, parse_problem
 
+from conftest import eval_float
+
 # -- references --------------------------------------------------------------
 
 
@@ -30,7 +33,7 @@ def eval_state(f: Formula, vals: dict, eq_tol: float = 1e-9) -> bool:
     if isinstance(f, BoolLit):
         return f.value
     if isinstance(f, Cmp):
-        d = (f.lhs - f.rhs).eval_float(vals)
+        d = eval_float(f.lhs - f.rhs, vals)
         if f.op == "=":
             return abs(d) <= eq_tol
         if f.op == "!=":
@@ -53,7 +56,7 @@ def eval_state_boundary(f: Formula, vals: dict, margin: float = 1e-9) -> bool:
     if isinstance(f, BoolLit):
         return f.value
     if isinstance(f, Cmp):
-        d = (f.lhs - f.rhs).eval_float(vals)
+        d = eval_float(f.lhs - f.rhs, vals)
         if f.op == "=":
             return abs(d) <= margin
         if f.op == "!=":
@@ -81,7 +84,7 @@ def eval_limit(f: Formula, lo: dict, hi: dict, eq_tol: float = 1e-9) -> bool:
     polynomial changes sign across it are on their boundary."""
     if isinstance(f, Cmp):
         p = f.lhs - f.rhs
-        if p.eval_float(lo) * p.eval_float(hi) <= 0:
+        if eval_float(p, lo) * eval_float(p, hi) <= 0:
             return f.op in ("<=", ">=", "=")
         return eval_state(f, hi, eq_tol)
     if isinstance(f, BoolLit):
@@ -190,7 +193,7 @@ def reference_integrate(plan, init, horizon, stop_on_event, grid, max_steps, scr
     if A is None:
         return rows, events, closed, stats, (t, sim.ATOMS_UNDEFINED)
     goal_now = goal is not None and c.goal(A)
-    domain_now = c.domain(A) or c.domain_boundary(A)
+    domain_now = c.domain(A) or c.domain(sim._on_boundary(A))
     if goal_now and domain_now:
         events.append((0.0, sim.GOAL_ENTERED))
         closed[sim.GOAL_ENTERED] = True
@@ -252,20 +255,20 @@ def reference_integrate(plan, init, horizon, stop_on_event, grid, max_steps, scr
         if goal is not None:
             if goal_new and not goal_now:
                 tau, L, H = bracket(c.goal)
-                offer(sim.GOAL_ENTERED, tau, c.goal_limit(L, H))
+                offer(sim.GOAL_ENTERED, tau, c.goal(sim._at_limit(L, H)))
             goal_now = goal_new
         if not domain_new and domain_now:
             tau, L, H = bracket(lambda B: not c.domain(B))
-            offer(sim.DOMAIN_EXITED, tau, c.domain_limit(L, H))
+            offer(sim.DOMAIN_EXITED, tau, c.domain(sim._at_limit(L, H)))
         domain_now = domain_new
         for i, (d0, d1) in enumerate(zip(A, A_new)):
             if not (math.isfinite(d0) and math.isfinite(d1)) or d0 * d1 >= 0:
                 continue
             tau, L, H = bracket(lambda B, _i=i, _s=d0 > 0: (B[_i] > 0) != _s)
             if i < plan.domain_atoms:
-                if not c.domain_boundary(H):
-                    offer(sim.DOMAIN_EXITED, tau, c.domain_limit(L, H))
-            elif not goal_now and c.goal_limit(L, H):
+                if not c.domain(sim._on_boundary(H)):
+                    offer(sim.DOMAIN_EXITED, tau, c.domain(sim._at_limit(L, H)))
+            elif not goal_now and c.goal(sim._at_limit(L, H)):
                 offer(sim.GOAL_ENTERED, tau, True)
         step_events = sorted(candidates.items(), key=lambda e: (e[1][0], e[0] != sim.DOMAIN_EXITED))
         for kind, (tau, is_closed) in step_events:
@@ -353,14 +356,14 @@ def test_compiled_predicates_match_references(system, goal, point, other):
     vals = dict(zip(("x", "y", CLOCK), y), c=point[2])
     lo = dict(zip(("x", "y", CLOCK), y_lo), c=point[2])
     A, L = c.atoms(y), c.atoms(y_lo)
-    for f, state, limit in ((system.domain, c.domain, c.domain_limit), (goal, c.goal, c.goal_limit)):
+    for f, state in ((system.domain, c.domain), (goal, c.goal)):
         assert state(A) == eval_state(f, vals)
-        assert limit(L, A) == eval_limit(f, lo, vals)
-    assert c.domain_boundary(A) == eval_state_boundary(system.domain, vals)
+        assert state(sim._at_limit(L, A)) == eval_limit(f, lo, vals)
+    assert c.domain(sim._on_boundary(A)) == eval_state_boundary(system.domain, vals)
     cmps = sim._atom_cmps(system.domain) + sim._atom_cmps(goal)
     assert len(A) == len(cmps)
     for value, f in zip(A, cmps):
-        assert same_float(value, (f.lhs - f.rhs).eval_float(vals), signed_zero=False)
+        assert same_float(value, eval_float(f.lhs - f.rhs, vals), signed_zero=False)
     names = ("x", "y", PARAM, CLOCK)
     pred = sim._predicate(goal, names)
     assert pred(tuple(point)) == eval_state(goal, dict(zip(names, point)))
@@ -372,18 +375,34 @@ big = st.sampled_from([1e100, -1e103, 1e160, math.inf]) | values
 @settings(max_examples=200, deadline=None)
 @given(systems, st.lists(big, min_size=4, max_size=4), st.sampled_from([1e-3, 0.01, 0.5, 2.0]))
 def test_compiled_dp_step_is_bit_identical(system, point, h):
+    # the kernel's trial, as one step of h to the horizon h: on the grid h
+    # its result and last stage, and without it whether the first trial is
+    # accepted, which its error decides
     par = point[2]
     y = (point[0], point[1], point[3])
     c = sim.Plan(system).bind((par,))
     f = rhs_reference(system, {PARAM: par})
     k1 = f(y)
     assert all(same_float(a, b) for a, b in zip(c.f(y), k1))
-    want = _dp_step(f, y, h, k1)
-    got = c.dp(y, h, k1)
-    assert len(got[0]) == len(want[0]) == len(y)
-    assert all(same_float(a, b) for a, b in zip(got[0], want[0])), (got, want)
-    assert same_float(got[1], want[1]), (got, want)
-    assert all(same_float(a, b) for a, b in zip(got[2], want[2])), (got, want)
+    want_y1, want_err, want_k7, _ = _dp_step(f, y, h, k1)
+
+    def one_step(grid):
+        # no atom vector before the step and neither goal nor domain holding
+        # there, so only a blow-up or undefined atoms hand the step back
+        stats = {"steps": 0, "rejected": 0, "min_h": math.inf}
+        _, y1, k7, *_, step = c.advance(0.0, y, h, k1, (), False, False, h, grid, 1, [], stats)
+        if step is not None:
+            y1, k7 = step[2], step[3]
+        return y1, k7, stats
+
+    y1, k7, stats = one_step(h)
+    assert stats["steps"] == 1 and len(y1) == len(want_y1) == len(y)
+    assert all(same_float(a, b) for a, b in zip(y1, want_y1)), (y1, want_y1)
+    assert all(same_float(a, b) for a, b in zip(k7, want_k7)), (k7, want_k7)
+    if not (all(map(math.isfinite, want_y1)) and want_err == want_err):
+        want_err = math.inf
+    _, _, stats = one_step(None)
+    assert (stats["rejected"] == 0) == (want_err <= sim.TOL or h <= sim.HMIN), (stats, want_err)
 
 
 @st.composite
@@ -455,10 +474,11 @@ def test_kernel_matches_the_reference_loop(problem, horizon, stop_on_event, grid
 
 
 def test_compiled_atoms_at_exact_tolerance_edges():
-    # values at, inside and outside the 1e-9 equality tolerance and margin
+    # values at, inside and outside the 1e-9 equality tolerance and margin,
+    # and infinities and NaN, which are never on a boundary
     system = OdeSystem(("x",), (Polynomial.const(1),))
     x = Polynomial.var("x")
-    edges = [0.0, -0.0, 5e-10, -5e-10, 1e-9, -1e-9, 2e-9, -2e-9]
+    edges = [0.0, -0.0, 5e-10, -5e-10, 1e-9, -1e-9, 2e-9, -2e-9, math.inf, -math.inf, math.nan]
     for op in ("=", "!=", "<", "<=", ">", ">="):
         f = Cmp(op, x, Polynomial.const(0))
         c = sim.Plan(system, f).bind(())
@@ -466,14 +486,16 @@ def test_compiled_atoms_at_exact_tolerance_edges():
         for v in edges:
             vals = {"x": v}
             assert c.goal(c.atoms((v,))) == eval_state(f, vals), (op, v)
-            assert d.domain_boundary(d.atoms((v,))) == eval_state_boundary(f, vals), (op, v)
+            assert d.domain(sim._on_boundary(d.atoms((v,)))) == eval_state_boundary(f, vals), (op, v)
             for w in edges:
-                assert c.goal_limit(c.atoms((w,)), c.atoms((v,))) == eval_limit(f, {"x": w}, vals), (op, w, v)
+                assert c.goal(sim._at_limit(c.atoms((w,)), c.atoms((v,)))) == eval_limit(f, {"x": w}, vals), (op, w, v)
 
 
 def test_plan_renders_each_atom_polynomial_once():
     # the atom vector is the only place an atom's difference polynomial is
-    # rendered: the domain and goal predicates read its entries
+    # rendered: the domain and goal predicates read its entries, and each
+    # formula has one predicate, which also gives its truth at an event
+    # point and at a bracket's limit
     pf = parse_problem(
         "param c; ode { x' = y; y' = -x }  domain { x^3 + 7*y <= 5 & !(c*y^2 > -3) }"
         "  goal { x^5*y = 11 | (x^3 + 7*y >= 2 -> c*x != 13) }"
@@ -489,6 +511,9 @@ def test_plan_renders_each_atom_polynomial_once():
     for c in cmps:
         diff = poly_src((c.lhs - c.rhs).terms.items(), ref)
         assert src.count(diff) == 1, diff
+    assert re.findall(r"^ *def (\w+)", src, re.M) == ["_bind", "f", "atoms", "domain", "goal", "values"]
+    # the stepping kernel holds the only Dormand-Prince trial
+    assert sorted(vars(sim._dimension(len(plan.names)))) == ["advance_over", "finite", "norm"]
 
 
 def test_built_function_is_freed_without_the_cycle_collector():

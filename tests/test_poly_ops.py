@@ -5,8 +5,8 @@ dicts to the trusted constructor, which checks nothing.  The references below
 are the operations as they were when every result went through the
 normalising constructor `Polynomial(...)`; the trusted results must hold only
 nonzero `Fraction` coefficients and equal the references term for term, in
-the same dict order (`eval_float` sums in that order, so the falsifier's
-floats depend on it).
+the same dict order (the falsifier's atom vector sums terms in that order,
+so its floats depend on it).
 """
 
 from fractions import Fraction

@@ -1,14 +1,16 @@
+import dataclasses
 import math
 import sys
 
 import pytest
 
 from odeliveness import sim
-from odeliveness.errors import InsufficientSamples, UnsamplableInitSet
+from odeliveness.errors import UnsamplableInitSet
 from odeliveness.symbolic import Polynomial, lie_derivative
 from odeliveness.syntax import parse_formula, parse_poly, parse_problem
 
-from conftest import problem_path
+from conftest import InsufficientSamples, lie_consistency_check, problem_path
+from test_compiled import _dp_step
 
 
 # -- integration oracles -------------------------------------------------------
@@ -130,7 +132,7 @@ def test_dense_output_is_fourth_order_between_the_step_ends():
     c = sim.Plan(pf.system).bind(())
 
     def worst(h):
-        y1, _, _, ks = c.dp((1.0,), h, c.f((1.0,)))
+        y1, _, _, ks = _dp_step(c.f, (1.0,), h, c.f((1.0,)))
         ((r1, r2, r3, r4, r5),) = sim._interpolant((1.0,), y1, h, ks)
 
         def at(th):
@@ -171,7 +173,7 @@ def test_sampled_state_rounded_just_outside_a_closed_domain_starts_inside():
     plan = sim.Plan(pf.system, pf.goal)
     c = plan.bind(())
     A = c.atoms((init["u"], init["v"]))
-    assert not c.domain(A) and c.domain_boundary(A)
+    assert not c.domain(A) and c.domain(sim._on_boundary(A))
     traj = sim.integrate(pf.system, init, 10.0, goal=pf.goal, plan=plan)
     assert sim.classify(traj)[0] == sim.WITNESS
     # a state far outside a closed domain still exits at t = 0 (CE-3)
@@ -335,6 +337,39 @@ def test_run_catalog_all_pass():
     results = sim.run_catalog(samples=4, seed=0)
     for r in results:
         assert r["ok"], (r["id"], r["errors"])
+    assert [(r["id"], r["refusal"], r["counts"]) for r in results] == [
+        ("CE-1", "GlobalLipschitz", {sim.BLOWUP: 4}),
+        ("CE-2", None, {sim.REFUTED: 4}),
+        ("CE-3", "InitialState x < 0", {sim.REFUTED: 4}),
+        ("CE-4", "Compact(true)", {sim.BLOWUP: 4}),
+    ]
+
+
+@pytest.mark.parametrize("entry", sim.catalog(), ids=lambda e: e.id)
+def test_catalog_entry_reports_each_departure(entry):
+    report = sim.falsify_liveness(entry.problem(), samples=4, seed=0)
+    assert entry.errors(report) == []
+    # the stated point moved past its tolerance: every sample departs
+    moved = dataclasses.replace(entry, at=entry.at + 2 * entry.tol)
+    assert len(moved.errors(report)) == 4
+    # one sample of another class
+    first = dataclasses.replace(report.results[0], classification=sim.INCONCLUSIVE)
+    counts = {entry.expected_outcome: 3, sim.INCONCLUSIVE: 1}
+    odd = dataclasses.replace(report, counts=counts, results=[first, *report.results[1:]])
+    assert entry.errors(odd) == [f"expected all {entry.expected_outcome}, got {counts}"]
+
+
+def test_ce4_entry_reads_the_final_t():
+    # x blows up half a time unit after the start, when t, which starts at
+    # 2, is 2.5: the entry states the final t, not the event time
+    entry = next(e for e in sim.catalog() if e.id == "CE-4")
+    report = sim.falsify_liveness(entry.problem(), samples=4, seed=0)
+    assert entry.errors(report) == []
+    assert len(dataclasses.replace(entry, final_var=None).errors(report)) == 4
+    r = report.results[0]
+    late = dataclasses.replace(r, final=dataclasses.replace(r.final, values={**r.final.values, "t": 3.0}))
+    errors = entry.errors(dataclasses.replace(report, results=[late, *report.results[1:]]))
+    assert errors == ["final t 3.0, expected 2.5 within 0.001"]
 
 
 def test_ce2_domain_exit_at_goal_crossing():
@@ -361,21 +396,21 @@ def test_ce4_blowup_before_goal():
 def test_lie_consistency_alpha_l(alpha_l):
     p = parse_poly("u^2 + v^2")
     traj = sim.integrate(alpha_l.system, {"u": 1.0, "v": 0.0}, 1.0, grid=1e-4, stop_on_event=False)
-    out = sim.lie_consistency_check(p, alpha_l.system, traj, 1e-4)
+    out = lie_consistency_check(p, alpha_l.system, traj, 1e-4)
     assert out["max_error"] <= 1e-5
 
 
 def test_lie_consistency_constant_is_exact():
     pf = parse_problem("param c;  ode { x' = 1 }  assume { c = 1 }  goal { x >= 1 }")
     traj = sim.integrate(pf.system, {"x": 0.0, "c": 1.0}, 0.1, grid=1e-3, stop_on_event=False)
-    out = sim.lie_consistency_check(Polynomial.var("c"), pf.system, traj, 1e-3)
+    out = lie_consistency_check(Polynomial.var("c"), pf.system, traj, 1e-3)
     assert out["max_error"] <= 1e-12
 
 
 def test_lie_consistency_clock_unit_rate(alpha_l):
     clocked = alpha_l.system.with_clock("_t")
     traj = sim.integrate(clocked, {"u": 1.0, "v": 0.0, "_t": 0.0}, 0.5, grid=1e-3, stop_on_event=False)
-    out = sim.lie_consistency_check(Polynomial.var("_t"), clocked, traj, 1e-3)
+    out = lie_consistency_check(Polynomial.var("_t"), clocked, traj, 1e-3)
     assert out["max_error"] <= 1e-10
 
 
@@ -391,14 +426,14 @@ def test_grid_steps_end_at_the_horizon():
 def test_lie_consistency_insufficient_samples(alpha_l):
     traj = sim.integrate(alpha_l.system, {"u": 1.0, "v": 0.0}, 1.0, stop_on_event=False)
     with pytest.raises(InsufficientSamples):
-        sim.lie_consistency_check(parse_poly("u"), alpha_l.system, traj, 1e-6)
+        lie_consistency_check(parse_poly("u"), alpha_l.system, traj, 1e-6)
 
 
 @pytest.mark.parametrize("h,bound", [(1e-3, 1e-3), (1e-4, 1e-5)])
 def test_lie_consistency_tolerance_at_steps(alpha_l, h, bound):
     p = parse_poly("u^2 + v^2")
     traj = sim.integrate(alpha_l.system, {"u": 1.0, "v": 0.0}, 1.0, grid=h, stop_on_event=False)
-    out = sim.lie_consistency_check(p, alpha_l.system, traj, h)
+    out = lie_consistency_check(p, alpha_l.system, traj, h)
     assert out["max_error"] <= bound
 
 
