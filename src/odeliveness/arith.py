@@ -17,7 +17,10 @@ exact division by a hypothesis atom with a sign-definite quotient); (4) a
 case split on a top-level disjunction, each disjunct proved through
 `prove_implication` with its own `Region`; (5) interval branch-and-bound
 over the box, which skips the centre (2) tried.  The conclusion is compiled
-only when (2) or (5) reads it.  Every cell is evaluated exactly, in integers
+only when (2) or (5) reads it, and its atoms are normalised only when (3)
+reads them.  The set-up works on numerators and denominators: each root is
+one `Fraction` of integer products, and each atom compiles from the integer
+terms of its two sides.  Every cell is evaluated exactly, in integers
 scaled by a positive constant per atom and cell, so the prover needs no
 rounding tolerance: Valid is never returned for an obligation that is
 falsifiable over its box.  The symbolic certificates are sound, so they
@@ -47,13 +50,13 @@ from typing import Optional
 from .codegen import build, formula_src, poly_src
 from .errors import MissingBinding
 from .normal import (
+    _FLIP,
     NormAtom,
     _canonical_sign,
     atoms_of_conjuncts,
     contradictory,
     equality_polys,
     nnf,
-    norm_atom,
     partial_atoms,
 )
 from .symbolic import Polynomial, poly_divmod, primitive, reduce_mod_equalities
@@ -65,6 +68,7 @@ from .syntax import (
     Implies,
     Not,
     Or,
+    TRUE,
     conj,
     conjuncts,
     disjuncts,
@@ -143,20 +147,29 @@ def _decide(op: str, lo, hi) -> int:
 # is a cell with L_v = H_v.
 
 
-def _scaled_poly(p: Polynomial) -> tuple:
-    """(terms, s, degrees): terms as (integer coefficient, factors, gaps)
-    in `p.terms` order, the scale s, and M_v per variable."""
-    s = math.lcm(*(c.denominator for c in p.terms.values()))
+_ZERO_POLY = Polynomial()
+
+
+def _scaled_poly(p: Polynomial, q: Polynomial = _ZERO_POLY) -> tuple:
+    """(terms, s, degrees) of p - q, built in integers: terms as (integer
+    coefficient, factors, gaps) in the order `Polynomial.__sub__` gives
+    them, the scale s (the lcm of the denominators of p and q), and M_v per
+    variable."""
+    s = math.lcm(*(c.denominator for c in p.terms.values()), *(c.denominator for c in q.terms.values()))
+    coeffs = {m: c.numerator * (s // c.denominator) for m, c in p.terms.items()}
+    for m, c in q.terms.items():
+        coeffs[m] = coeffs.get(m, 0) - c.numerator * (s // c.denominator)
+    coeffs = {m: c for m, c in coeffs.items() if c}
     degrees: dict = {}
-    for m in p.terms:
+    for m in coeffs:
         for v, e in m:
             if e > degrees.get(v, 0):
                 degrees[v] = e
     terms = []
-    for m, c in p.terms.items():
+    for m, c in coeffs.items():
         exps = dict(m)
         gaps = tuple((v, k - exps.get(v, 0)) for v, k in degrees.items() if k > exps.get(v, 0))
-        terms.append((c.numerator * (s // c.denominator), m, gaps))
+        terms.append((c, m, gaps))
     return tuple(terms), s, degrees
 
 
@@ -212,18 +225,18 @@ def interval_of_poly(p: Polynomial, box: Box) -> Interval:
 
 
 # ---------------------------------------------------------------------------
-# Formulas compiled once: nested tuples whose atoms carry the scaled terms of
-# their normalised difference polynomial (`normal.norm_atom`).
+# Formulas compiled once: nested tuples whose atoms carry the scaled integer
+# terms of the difference of their two sides (`_atom_node`).
 
 _LIT, _ATOM, _NOT, _AND, _OR = range(5)
 
 
-def _atom_node(a: NormAtom) -> tuple:
-    """A normalised atom `poly op 0`, compiled.  Normalising negates the
-    difference of `<=` and `<` atoms and may negate that of `=` and `!=`
-    atoms; the enclosure of -p is exactly (-hi, -lo), so every three-valued
-    answer is that of the atom as written."""
-    return (_ATOM, a.op, _scaled_poly(a.poly)[0])
+def _atom_node(op: str, lhs: Polynomial, rhs: Polynomial = _ZERO_POLY) -> tuple:
+    """`lhs op rhs` compiled from its two sides: `norm_atom`'s difference,
+    up to the sign of `=` and `!=` atoms, which no answer depends on."""
+    if op in _FLIP:
+        return (_ATOM, _FLIP[op], _scaled_poly(rhs, lhs)[0])
+    return (_ATOM, op, _scaled_poly(lhs, rhs)[0])
 
 
 def _conj_node(nodes: list) -> tuple:
@@ -240,7 +253,7 @@ def _compile(f: Formula) -> tuple:
     if isinstance(f, BoolLit):
         return (_LIT, 1 if f.value else -1)
     if isinstance(f, Cmp):
-        return _atom_node(norm_atom(f))
+        return _atom_node(f.op, f.lhs, f.rhs)
     if isinstance(f, Not):
         return (_NOT, _compile(f.arg))
     if isinstance(f, And):
@@ -272,12 +285,6 @@ def _eval3(node: tuple, cell: dict) -> int:
     if kind == _NOT:
         return -_eval3(node[1], cell)
     return node[1]
-
-
-def eval_formula3(f: Formula, box: Box) -> int:
-    """Three-valued truth over a box by exact interval arithmetic: +1
-    certainly true, -1 certainly false, 0 unknown."""
-    return _eval3(_compile(f), _scaled((v, iv.lo, iv.hi) for v, iv in box.items()))
 
 
 def eval_formula_exact(f: Formula, point: dict) -> bool:
@@ -316,6 +323,12 @@ class ArithObligation:
         names = formula_variables(hypothesis) | formula_variables(conclusion)
         return cls(tuple(sorted(names)), hypothesis, conclusion)
 
+    def with_conclusion(self, conclusion: Formula) -> "ArithObligation":
+        """This obligation with another conclusion, which alone is checked."""
+        ob = ArithObligation(self.universals, TRUE, conclusion)
+        ob.__dict__["hypothesis"] = self.hypothesis  # past the frozen dataclass's guard
+        return ob
+
     def describe(self) -> str:
         return f"{print_formula(self.hypothesis)} -> {print_formula(self.conclusion)}"
 
@@ -351,6 +364,8 @@ class Budget:
 # ---------------------------------------------------------------------------
 # Box extraction from hypothesis atoms
 
+_ZERO = Fraction(0)
+
 
 def _root_upper(x: Fraction, k: int) -> Fraction:
     """Smallest n/64 with (n/64)^k >= x, for x >= 0 (outward rational root),
@@ -371,14 +386,17 @@ def _root_upper(x: Fraction, k: int) -> Fraction:
 def _root(p: Polynomial) -> Optional[tuple[str, bool, Fraction]]:
     """(v, a > 0, -b/a) when p = a*v + b is linear in the single variable
     v, else None: `p >= 0` bounds v from below at -b/a when a > 0, from
-    above when a < 0."""
-    b = p.terms.get((), 0)
-    if len(p.terms) - (() in p.terms) != 1:
+    above when a < 0.  The root is one `Fraction` of integer products."""
+    terms = p.terms
+    b = terms.get((), _ZERO)
+    if len(terms) - (() in terms) != 1:
         return None  # not exactly one non-constant term
-    m, a = next((m, a) for m, a in p.terms.items() if m)
+    for m, a in terms.items():
+        if m:
+            break
     if len(m) != 1 or m[0][1] != 1:
         return None
-    return m[0][0], a > 0, -b / a
+    return m[0][0], a.numerator > 0, Fraction(-b.numerator * a.denominator, b.denominator * a.numerator)
 
 
 class _Hypothesis:
@@ -452,22 +470,15 @@ def extract_box(
         hyp = _Hypothesis(partial_atoms(hypothesis)[0])
     lows: dict = {}
     highs: dict = {}
-
-    def note_low(v, x):
-        lows[v] = max(lows.get(v, x), x)
-
-    def note_high(v, x):
-        highs[v] = min(highs.get(v, x), x)
-
     for a, root in zip(hyp.atoms, hyp.roots):
         if a.op == "!=":
             continue
         if root is not None:
             v, lower, x = root
-            if a.op == "=" or lower:
-                note_low(v, x)
-            if a.op == "=" or not lower:
-                note_high(v, x)
+            if (a.op == "=" or lower) and (v not in lows or x > lows[v]):
+                lows[v] = x
+            if (a.op == "=" or not lower) and (v not in highs or x < highs[v]):
+                highs[v] = x
             continue
         for e in [a.poly] if a.op != "=" else [a.poly, -a.poly]:
             sq = _sum_of_even_powers(e)
@@ -477,8 +488,10 @@ def extract_box(
                     return None, []  # unsatisfiable: sum of even powers <= negative
                 for v, (c, k) in body.items():
                     r = _root_upper(bound / c, k)
-                    note_low(v, -r)
-                    note_high(v, r)
+                    if v not in lows or -r > lows[v]:
+                        lows[v] = -r
+                    if v not in highs or r < highs[v]:
+                        highs[v] = r
     box: Box = {}
     unbounded = []
     for v in universals:
@@ -552,17 +565,21 @@ def _derive_atom(goal: NormAtom, hyp: _Hypothesis, box: Optional[Box]) -> bool:
         return True
 
     facts = hyp.facts
-    candidates = [(f, s) for f, s, _ in facts]
-    # a candidate matches only if it holds every non-constant monomial of e
+    # a candidate matches only if it holds every non-constant monomial of e;
+    # the pair sums are built only after every single fact failed to match
     e_body_monos = [m for m in e.terms if m]
-    for i in range(len(facts)):
-        missing = [m for m in e_body_monos if m not in facts[i][0].terms]
-        for j in range(i + 1, len(facts)):
-            if any(m not in facts[j][0].terms for m in missing):
-                continue
-            s = facts[i][0] + facts[j][0]
-            if not s.is_zero():
-                candidates.append((s, facts[i][1] or facts[j][1]))
+
+    def pair_sums():
+        for i in range(len(facts)):
+            missing = [m for m in e_body_monos if m not in facts[i][0].terms]
+            for j in range(i + 1, len(facts)):
+                if any(m not in facts[j][0].terms for m in missing):
+                    continue
+                s = facts[i][0] + facts[j][0]
+                if not s.is_zero():
+                    yield s, facts[i][1] or facts[j][1]
+
+    candidates = itertools.chain([(f, s) for f, s, _ in facts], pair_sums())
 
     # e = lam*f + c with lam > 0 and c >= 0: the scale lam is read off one
     # non-constant monomial of e, and then every other one must agree.  A
@@ -664,9 +681,11 @@ class Region:
             # the box entails hold on every cell, and +1 is the unit of the
             # conjunction, so dropping them changes no cell's answer.
             self.names = names = tuple(sorted(universals))
-            self.node = _conj_node([_atom_node(a) for a, r in zip(hyp.atoms, hyp.roots) if not _entailed(a, r, box)])
-            self.root_cell = tuple(_scaled((v, box[v].lo, box[v].hi) for v in names).values())
-            self.mid = _midpoint(dict(zip(names, self.root_cell)))
+            kept = [a for a, r in zip(hyp.atoms, hyp.roots) if not _entailed(a, r, box)]
+            self.node = _conj_node([_atom_node(a.op, a.poly) for a in kept])
+            cell = _scaled((v, box[v].lo, box[v].hi) for v in names)
+            self.root_cell = tuple(cell.values())
+            self.mid = _midpoint(cell)
             self.mid_truth = _eval3(self.node, self.mid)
 
     @cached_property
@@ -677,11 +696,9 @@ class Region:
         return [conj([rest, d]) for d in disjuncts(self.split)]
 
 
-def _conclusion_node(atoms: list, parts: list) -> tuple:
-    """The compiled conjunction of a conclusion's atoms and its other
-    top-level conjuncts."""
-    others = [_compile(g) for g in parts if not isinstance(g, (Cmp, BoolLit))]
-    return _conj_node([_atom_node(a) for a in atoms] + others)
+def _conclusion_node(parts: list) -> tuple:
+    """The compiled conjunction of a conclusion's top-level conjuncts."""
+    return _conj_node([_compile(g) for g in parts])
 
 
 def prove_implication(
@@ -714,7 +731,6 @@ def prove_implication(
     if region.box is None and not region.unbounded:
         return ArithVerdict(VALID, trace={"method": "empty-box", "cells": 0})
     concl_parts = conjuncts(nnf(ob.conclusion))
-    concl_atoms, concl_complete = atoms_of_conjuncts(concl_parts)
 
     # Refute first: when the root midpoint is an exact counterexample,
     # branch-and-bound's first cell can neither discard nor accept the root,
@@ -724,10 +740,11 @@ def prove_implication(
     # is compiled only when the hypothesis holds at the midpoint.
     concl_node = None
     if region.mid is not None and budget.max_cells >= 1 and region.mid_truth == 1:
-        concl_node = _conclusion_node(concl_atoms, concl_parts)
+        concl_node = _conclusion_node(concl_parts)
         if _eval3(concl_node, region.mid) == -1:
             return _falsified(region.mid, 1, 0)
 
+    concl_atoms, concl_complete = atoms_of_conjuncts(concl_parts)
     reason = _symbolic_valid(region.hyp, concl_atoms if concl_complete else None, region.box)
     if reason is not None:
         return ArithVerdict(VALID, trace={"method": reason, "cells": 0})
@@ -758,7 +775,7 @@ def prove_implication(
     if region.box is None:
         return ArithVerdict(UNKNOWN, trace={"method": "unbounded-domain", "unbounded": region.unbounded, "cells": 0})
     if concl_node is None:
-        concl_node = _conclusion_node(concl_atoms, concl_parts)
+        concl_node = _conclusion_node(concl_parts)
     return _branch_and_bound(region.names, region.node, concl_node, region.root_cell, budget)
 
 
@@ -915,6 +932,9 @@ def _smt_poly(p: Polynomial) -> str:
     return "(+ " + " ".join(parts) + ")"
 
 
+_SMT_CONNECTIVES = {And: "and", Or: "or", Implies: "=>"}
+
+
 def _smt_formula(f: Formula) -> str:
     if isinstance(f, BoolLit):
         return "true" if f.value else "false"
@@ -925,12 +945,8 @@ def _smt_formula(f: Formula) -> str:
         return f"({f.op} {l} {r})"
     if isinstance(f, Not):
         return f"(not {_smt_formula(f.arg)})"
-    if isinstance(f, And):
-        return f"(and {_smt_formula(f.left)} {_smt_formula(f.right)})"
-    if isinstance(f, Or):
-        return f"(or {_smt_formula(f.left)} {_smt_formula(f.right)})"
-    if isinstance(f, Implies):
-        return f"(=> {_smt_formula(f.left)} {_smt_formula(f.right)})"
+    if type(f) in _SMT_CONNECTIVES:
+        return f"({_SMT_CONNECTIVES[type(f)]} {_smt_formula(f.left)} {_smt_formula(f.right)})"
     raise TypeError(f"cannot emit {f!r}")
 
 

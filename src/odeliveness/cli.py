@@ -31,6 +31,11 @@ def _load(path: str):
 
 
 def _checker(args) -> Checker:
+    # branch-and-bound reads the clock every 256 cells, so no time budget stops it sooner
+    if args.budget_cells < 0:
+        raise InvalidArgument(f"--budget-cells must be nonnegative, got {args.budget_cells}")
+    if not args.budget_secs > 0:
+        raise InvalidArgument(f"--budget-secs must be positive, got {args.budget_secs}")
     return Checker(budget=arith.Budget(max_cells=args.budget_cells, max_seconds=args.budget_secs))
 
 

@@ -8,10 +8,11 @@ positive) so that structural matching catches both orientations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .symbolic import Polynomial, grlex_key, primitive
+from .symbolic import Polynomial, grlex_key
 from .syntax import (
     And,
     BoolLit,
@@ -29,17 +30,18 @@ _NEG = {"=": "!=", "!=": "=", ">=": "<", "<": ">=", ">": "<=", "<=": ">"}
 
 
 def nnf(f: Formula) -> Formula:
-    """Negation normal form; implications expanded, negations pushed to atoms."""
+    """Negation normal form; implications expanded, negations pushed to atoms.
+    A node that is already in NNF is returned itself, memo slots and all."""
     if isinstance(f, (BoolLit, Cmp)):
         return f
-    if isinstance(f, And):
-        return And(nnf(f.left), nnf(f.right))
-    if isinstance(f, Or):
-        return Or(nnf(f.left), nnf(f.right))
+    if isinstance(f, (And, Or)):
+        left, right = nnf(f.left), nnf(f.right)
+        return f if left is f.left and right is f.right else type(f)(left, right)
     if isinstance(f, Implies):
         return Or(nnf(Not(f.left)), nnf(f.right))
     if isinstance(f, Quant):
-        return Quant(f.kind, f.var, nnf(f.body))
+        body = nnf(f.body)
+        return f if body is f.body else Quant(f.kind, f.var, body)
     if isinstance(f, Not):
         g = f.arg
         if isinstance(g, BoolLit):
@@ -131,37 +133,35 @@ def atoms_of_conjuncts(parts: list[Formula]) -> tuple[list[NormAtom], bool]:
     return out, complete
 
 
+def _primitive_key(p: Polynomial) -> frozenset:
+    """The terms of `primitive(p)` as (monomial, integer) pairs, built in
+    integers: one key for two polynomials iff each is a positive multiple of
+    the other."""
+    s = math.lcm(*(c.denominator for c in p.terms.values()))
+    ints = [(m, c.numerator * (s // c.denominator)) for m, c in p.terms.items()]
+    g = math.gcd(*(n for _, n in ints))
+    return frozenset((m, n // g) for m, n in ints)
+
+
+def _negated(key: frozenset) -> frozenset:
+    return frozenset((m, -n) for m, n in key)
+
+
 def contradictory(atoms: list[NormAtom]) -> bool:
     """Sound syntactic inconsistency check over a conjunction of atoms."""
-    eqs = set()
-    neqs = set()
-    ge = set()  # primitive e with e >= 0
-    gt = set()  # primitive e with e > 0
+    polys: dict = {"=": [], "!=": [], ">=": [], ">": []}
     for a in atoms:
         c = a.poly.constant_value()
-        if c is not None:
-            sat = {">=": c >= 0, ">": c > 0, "=": c == 0, "!=": c != 0}[a.op]
-            if not sat:
-                return True
-            continue
-        p = primitive(a.poly)
-        if a.op == "=":
-            eqs.add(p)
-        elif a.op == "!=":
-            neqs.add(p)
-        elif a.op == ">=":
-            ge.add(p)
-        else:
-            gt.add(p)
-    for e in eqs:
-        if e in neqs:
+        if c is None:
+            polys[a.op].append(a.poly)
+        elif not {">=": c >= 0, ">": c > 0, "=": c == 0, "!=": c != 0}[a.op]:
             return True
-        if e in gt or -e in gt:
-            return True
-    for e in gt:
-        if -e in gt or -e in ge:
-            return True
-    return False
+    if not polys["="] and not polys[">"]:
+        return False  # every conflict below takes an equality or a strict atom
+    eqs, neqs, ge, gt = ({_primitive_key(p) for p in polys[op]} for op in ("=", "!=", ">=", ">"))
+    if any(e in neqs or e in gt or _negated(e) in gt for e in eqs):
+        return True
+    return any(_negated(e) in gt or _negated(e) in ge for e in gt)
 
 
 def equality_polys(atoms: list[NormAtom]) -> list[Polynomial]:

@@ -789,6 +789,8 @@ def falsify_liveness(
     seed: int = 0,
     horizon: float = 10.0,
 ) -> FalsifyReport:
+    if samples < 1:
+        raise InvalidArgument(f"samples must be positive, got {samples}")
     if problem.goal is None:
         raise UnsamplableInitSet("problem has no goal block")
     inits = sample_initial_states(problem, samples, seed)

@@ -21,7 +21,6 @@ from typing import Iterable, Mapping, Optional
 from .errors import (
     DegreeCapExceeded,
     InvalidArgument,
-    MissingBinding,
     PowNegativeExponent,
     UnknownVariable,
 )
@@ -209,22 +208,6 @@ class Polynomial:
             # m -> dm is one-to-one on the monomials that contain `name`
             out[tuple(sorted(exps.items()))] = c * e
         return Polynomial._trusted(out)
-
-    # -- evaluation --------------------------------------------------------
-
-    def eval_rational(self, point: Mapping[str, Fraction]) -> Fraction:
-        total = Fraction(0)
-        for m, c in self.terms.items():
-            term = c
-            for v, e in m:
-                if v not in point:
-                    raise MissingBinding(f"no value for '{v}'")
-                x = point[v]
-                if type(x) is not Fraction:
-                    x = Fraction(x)
-                term *= x if e == 1 else x**e
-            total += term
-        return total
 
     # -- structure ---------------------------------------------------------
 

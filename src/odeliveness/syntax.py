@@ -160,7 +160,7 @@ def conj(parts) -> Formula:
 def conjuncts(f: Formula) -> list:
     if isinstance(f, And):
         return conjuncts(f.left) + conjuncts(f.right)
-    if f == TRUE:
+    if type(f) is BoolLit and f.value:
         return []
     return [f]
 
@@ -168,7 +168,7 @@ def conjuncts(f: Formula) -> list:
 def disjuncts(f: Formula) -> list:
     if isinstance(f, Or):
         return disjuncts(f.left) + disjuncts(f.right)
-    if f == FALSE:
+    if type(f) is BoolLit and not f.value:
         return []
     return [f]
 

@@ -60,16 +60,12 @@ def _atoms_in(f: Formula, allowed: frozenset) -> bool:
 
 def check_closed(f: Formula, vars) -> TopoVerdict:
     """Holds when every NNF atom is one of =, >=, <= under and/or."""
-    if _atoms_in(nnf(f), frozenset({"=", ">=", "<="})):
-        return TopoVerdict(CLOSED, HOLDS)
-    return TopoVerdict(CLOSED, UNKNOWN)
+    return TopoVerdict(CLOSED, HOLDS if _atoms_in(nnf(f), frozenset({"=", ">=", "<="})) else UNKNOWN)
 
 
 def check_open(f: Formula, vars) -> TopoVerdict:
     """Dual criterion: every NNF atom strict (!=, >, <)."""
-    if _atoms_in(nnf(f), frozenset({"!=", ">", "<"})):
-        return TopoVerdict(OPEN, HOLDS)
-    return TopoVerdict(OPEN, UNKNOWN)
+    return TopoVerdict(OPEN, HOLDS if _atoms_in(nnf(f), frozenset({"!=", ">", "<"})) else UNKNOWN)
 
 
 # The one bound search: each candidate bound gets its own cell budget.
@@ -89,6 +85,7 @@ def first_proved(region: Formula, p: Polynomial, op: str, candidates, prove) -> 
     ends the search, then bisection finds the first Valid one: the witness
     a scan in order would return.  A candidate stopped by the clock is no
     verdict on its bound, so it ends the search with no witness."""
+    base = arith.ArithObligation.closure(region, Cmp(op, p, Polynomial()))  # checks the region once
     n = len(candidates)
     lo, hi = -1, n  # candidates[lo] is not Valid and candidates[hi] is; -1 and n stand outside
     while hi - lo > 1:
@@ -98,8 +95,7 @@ def first_proved(region: Formula, p: Polynomial, op: str, candidates, prove) -> 
             i = hi - 1
         else:
             i = (lo + hi) // 2
-        ob = arith.ArithObligation.closure(region, Cmp(op, p, Polynomial.const(candidates[i])))
-        v = prove(ob, budget=BOUND_SEARCH_BUDGET)
+        v = prove(base.with_conclusion(Cmp(op, p, Polynomial.const(candidates[i]))), budget=BOUND_SEARCH_BUDGET)
         if v.is_valid:
             hi = i
         elif v.clock_stopped(BOUND_SEARCH_BUDGET):
@@ -121,10 +117,7 @@ def check_bounded(f: Formula, vars, prove) -> TopoVerdict:
 
 def check_compact(f: Formula, vars, prove) -> TopoVerdict:
     """Closed and bounded; witness carried over from the bounded check."""
-    closed = check_closed(f, vars)
-    if not closed.holds:
+    if not check_closed(f, vars).holds:
         return TopoVerdict(COMPACT, UNKNOWN)
     bounded = check_bounded(f, vars, prove)
-    if not bounded.holds:
-        return TopoVerdict(COMPACT, UNKNOWN)
-    return TopoVerdict(COMPACT, HOLDS, witness=bounded.witness)
+    return TopoVerdict(COMPACT, bounded.status, witness=bounded.witness)

@@ -1,7 +1,9 @@
 import pathlib
+from fractions import Fraction
 
 import pytest
 
+from odeliveness.errors import MissingBinding
 from odeliveness.symbolic import OdeSystem, Polynomial, lie_derivative
 from odeliveness.syntax import parse_problem
 
@@ -28,7 +30,21 @@ def problem_path(name: str) -> pathlib.Path:
     return PROBLEMS / name
 
 
-# -- float oracles ---------------------------------------------------------------
+# -- oracles ----------------------------------------------------------------------
+
+
+def eval_rational(p: Polynomial, point: dict) -> Fraction:
+    """p at a point of rationals, exactly."""
+    total = Fraction(0)
+    for m, c in p.terms.items():
+        term = c
+        for v, e in m:
+            if v not in point:
+                raise MissingBinding(f"no value for '{v}'")
+            term *= Fraction(point[v]) ** e
+        total += term
+    return total
+
 
 
 def eval_float(p: Polynomial, point: dict) -> float:

@@ -21,6 +21,8 @@ from odeliveness.normal import NormAtom, _canonical_sign, equality_polys
 from odeliveness.symbolic import Polynomial, poly_divmod, primitive, reduce_mod_equalities
 from odeliveness.syntax import parse_formula, parse_poly
 
+from conftest import eval_rational
+
 
 def ob(universals, hyp, concl):
     return ArithObligation(tuple(universals), parse_formula(hyp), parse_formula(concl))
@@ -219,7 +221,7 @@ def test_interval_encloses_point_values(p, a, b, c, d, pick):
     pt = {}
     for n, i in box.items():
         pt[n] = i.lo + (i.hi - i.lo) * Fraction(rng.randrange(0, 101), 100)
-    val = p.eval_rational(pt)
+    val = eval_rational(p, pt)
     assert iv.lo <= val <= iv.hi
 
 

@@ -186,3 +186,30 @@ def test_a_cell_count_stop_moves_the_bisection(monkeypatch):
     witness, verdicts = traced_search()
     assert witness == reference_first_proved(SQUARE, P, ">=", CANDIDATES, prove_implication) == -2
     assert [(v.trace["method"], v.trace["cells"]) for v in verdicts[-2:]] == [("budget-exhausted", 256)] * 2
+
+
+def test_the_search_checks_its_region_once(monkeypatch):
+    # the candidates share the region's universals and its check; each
+    # obligation still equals the closure a caller would build
+    walks = []
+    real = arith.is_quantifier_free
+    monkeypatch.setattr(arith, "is_quantifier_free", lambda f: walks.append(f) or real(f))
+    obligations = []
+
+    def prove(ob, budget):
+        obligations.append(ob)
+        return prove_implication(ob, budget=budget)
+
+    assert topology.first_proved(SQUARE, P, ">=", CANDIDATES, prove) == Fraction(-1, 4)
+    assert len(obligations) == 5 and walks.count(SQUARE) == 1
+    for ob in obligations:
+        assert ob == ArithObligation.closure(SQUARE, ob.conclusion)
+        assert hash(ob) == hash(ArithObligation.closure(SQUARE, ob.conclusion))
+
+
+def test_with_conclusion_checks_the_conclusion():
+    ob = ArithObligation.closure(SQUARE, Cmp(">=", P, Polynomial()))
+    with pytest.raises(ValueError, match=r"free variables \['z'\] not quantified"):
+        ob.with_conclusion(parse_formula("z >= 0"))
+    with pytest.raises(ValueError, match="quantifier- and modality-free"):
+        ob.with_conclusion(parse_formula("forall x (x >= 0)"))

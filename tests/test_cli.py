@@ -226,6 +226,14 @@ def test_simulate_writes_manifest(tmp_path, capsys):
         ["simulate", problem_path("example1.ode"), "--init", "u=inf,v=0"],
         ["simulate", problem_path("example1.ode"), "--init", "u=nan,v=0"],
         ["lie", problem_path("example1.ode"), "-p", "u", "-k", "-1"],
+        ["catalog", "--samples", "0"],
+        ["catalog", "--samples", "-1"],
+        ["falsify", problem_path("example1.ode"), "--samples", "-3"],
+        ["check", problem_path("example1.ode"), "--budget-cells", "-5"],
+        ["check", problem_path("example1.ode"), "--budget-secs", "-1"],
+        ["check", problem_path("example1.ode"), "--budget-secs", "0"],
+        ["check", problem_path("example1.ode"), "--budget-secs", "nan"],
+        ["emit-smt", problem_path("example1.ode"), "--budget-cells", "-1"],
     ],
     ids=[
         "simulate-horizon-0",
@@ -236,6 +244,14 @@ def test_simulate_writes_manifest(tmp_path, capsys):
         "simulate-init-inf",
         "simulate-init-nan",
         "lie-order-negative",
+        "catalog-samples-0",
+        "catalog-samples-negative",
+        "falsify-samples-negative",
+        "check-budget-cells-negative",
+        "check-budget-secs-negative",
+        "check-budget-secs-0",
+        "check-budget-secs-nan",
+        "emit-smt-budget-cells-negative",
     ],
 )
 def test_bad_arguments_are_input_errors(capsys, argv):

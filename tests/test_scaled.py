@@ -27,7 +27,6 @@ from odeliveness.arith import (
     _eval3,
     _midpoint,
     _scaled,
-    eval_formula3,
     eval_formula_exact,
     extract_box,
     interval_of_poly,
@@ -36,6 +35,8 @@ from odeliveness.arith import (
 from odeliveness.errors import MissingBinding
 from odeliveness.symbolic import Polynomial
 from odeliveness.syntax import And, BoolLit, Cmp, Implies, Not, Or, conj, parse_formula
+
+from conftest import eval_rational
 
 NAMES = ("x", "y", "z")
 
@@ -113,7 +114,7 @@ HOLDS = {
 
 def ref_holds(f, point: dict) -> bool:
     if isinstance(f, Cmp):
-        return HOLDS[f.op]((f.lhs - f.rhs).eval_rational(point))
+        return HOLDS[f.op](eval_rational(f.lhs - f.rhs, point))
     if isinstance(f, Not):
         return not ref_holds(f.arg, point)
     if isinstance(f, And):
@@ -202,6 +203,12 @@ def formulas(draw, depth=2, values=rationals, max_exp=4):
     if kind is Not:
         return Not(draw(formulas(depth - 1, values, max_exp)))
     return kind(draw(formulas(depth - 1, values, max_exp)), draw(formulas(depth - 1, values, max_exp)))
+
+
+def eval_formula3(f, box: dict) -> int:
+    """Three-valued truth over a box by the package's compile and scaled
+    evaluation: +1 certainly true, -1 certainly false, 0 unknown."""
+    return _eval3(_compile(f), _scaled((v, iv.lo, iv.hi) for v, iv in box.items()))
 
 
 def cube(lo, hi) -> dict:
