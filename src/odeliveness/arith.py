@@ -348,11 +348,10 @@ class ArithVerdict:
     def is_valid(self) -> bool:
         return self.status == VALID
 
-    def clock_stopped(self, budget: Budget) -> bool:
-        """Did the wall clock end the proof under `budget`?  A stop at the
-        cell count reads `max_cells + 1` cells; a stop at `max_seconds`
-        reads fewer, and is no verdict on the obligation."""
-        return self.trace.get("method") == "budget-exhausted" and self.trace["cells"] <= budget.max_cells
+    def clock_stopped(self) -> bool:
+        """Did the wall clock end the proof?  A stop at `max_seconds` is no
+        verdict on the obligation, unlike a stop at the cell count."""
+        return self.trace.get("method") == "time-exhausted"
 
 
 @dataclass(frozen=True)
@@ -750,19 +749,21 @@ def prove_implication(
         return ArithVerdict(VALID, trace={"method": reason, "cells": 0})
 
     # case split on a top-level disjunction in the hypothesis; the disjuncts
-    # share the cell budget, and once it is spent the split is Unknown; a
-    # disjunct stopped by the clock stops the split, which reads as that stop
+    # share the cell and seconds budgets, each getting what the earlier ones
+    # left, and once the cells are spent the split is Unknown; a disjunct
+    # stopped by the clock stops the split, which reads as that stop
     if region.split is not None:
         stats = {"method": "case-split", "cells": 0}
         worst = VALID
+        start = time.monotonic()
         for case in region.cases:
             if stats["cells"] > budget.max_cells:
                 return ArithVerdict(UNKNOWN, trace=stats)
             sub = ArithObligation(ob.universals, case, ob.conclusion)
-            sub_budget = Budget(budget.max_cells - stats["cells"], budget.max_seconds)
-            v = prove_implication(sub, budget=sub_budget, regions=regions)
+            seconds = budget.max_seconds - (time.monotonic() - start)
+            v = prove_implication(sub, budget=Budget(budget.max_cells - stats["cells"], seconds), regions=regions)
             stats["cells"] += v.trace.get("cells", 0)
-            if v.clock_stopped(sub_budget):
+            if v.clock_stopped():
                 return ArithVerdict(UNKNOWN, trace={**v.trace, "cells": stats["cells"]})
             if v.status == FALSIFIED:
                 return ArithVerdict(FALSIFIED, counterexample=v.counterexample, trace=stats)
@@ -792,11 +793,10 @@ def _branch_and_bound(names: tuple, hyp: tuple, concl: tuple, root: tuple, budge
         cell, depth = queue.popleft()  # breadth-first: balanced refinement
         max_depth = max(max_depth, depth)
         cells += 1
-        if cells > budget.max_cells or (cells % 256 == 0 and time.monotonic() - start > budget.max_seconds):
-            return ArithVerdict(
-                UNKNOWN,
-                trace={"method": "budget-exhausted", "cells": cells, "max_depth": max_depth},
-            )
+        if cells > budget.max_cells:
+            return ArithVerdict(UNKNOWN, trace={"method": "budget-exhausted", "cells": cells, "max_depth": max_depth})
+        if cells % 256 == 0 and time.monotonic() - start > budget.max_seconds:
+            return ArithVerdict(UNKNOWN, trace={"method": "time-exhausted", "cells": cells, "max_depth": max_depth})
         scaled = dict(zip(names, cell))
         if _eval3(hyp, scaled) == -1:
             continue

@@ -2,8 +2,9 @@
 
 Exit codes for `check`: 0 proved, 1 refuted (an obligation falsified with an
 exact counterexample), 2 unknown / conditionally proved / rule refused,
-3 input error.  All configuration is taken from flags; identical inputs with
-identical seeds and budgets produce byte-identical output.
+3 input error, a malformed or unknown flag among them.  All configuration
+is taken from flags; identical inputs with identical seeds and budgets
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -88,13 +89,16 @@ def cmd_simulate(args) -> int:
     init = {}
     for part in args.init.split(","):
         k, _, v = part.partition("=")
+        name = k.strip()
+        if name in init:
+            raise InvalidArgument(f"--init: {name!r} is given more than once")
         try:
-            init[k.strip()] = float(Fraction(v.strip()))
+            init[name] = float(Fraction(v.strip()))
         except (ValueError, ZeroDivisionError):  # also 'inf' and 'nan', which Fraction rejects
             raise InvalidArgument(f"--init: cannot read {part.strip()!r} as name=number")
         except OverflowError:
             raise InvalidArgument(f"--init: {part.strip()!r} is out of float range")
-    traj = sim.integrate(problem.system, init, args.horizon, goal=problem.goal, stop_on_event=False)
+    traj = sim.integrate(sim.Plan(problem.system, problem.goal), init, args.horizon, stop_on_event=False)
     for t, kind in traj.events:
         print(f"event {kind} at t={t!r}")
     if traj.stopped is not None:
@@ -163,12 +167,20 @@ def cmd_catalog(args) -> int:
     return 0 if ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose errors, such as a malformed or unknown flag, are input
+    errors (exit 3) rather than argparse's exit 2, which means Unknown."""
+
+    def error(self, message):
+        raise InvalidArgument(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared by every
     later one: building it takes about 2 ms, which a caller that runs `main`
     many times in one process would otherwise pay on every call."""
-    ap = argparse.ArgumentParser(prog="odeliv", description=__doc__)
+    ap = _Parser(prog="odeliv", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, file=True):
@@ -212,8 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except OdelivError as e:
         print(f"input error: {e}")

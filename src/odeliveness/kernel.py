@@ -282,10 +282,10 @@ def step_topo_closed_open(target: Sequent, stronger_domain: Formula, child: "Pro
     if child.conclusion != want:
         raise ShapeMismatch("topological refinement child proves the wrong sequent")
     xs = system.vars
-    closed_p = topology.check_closed(post, xs)
-    closed_q = topology.check_closed(domain, xs)
-    open_p = topology.check_open(post, xs)
-    open_q = topology.check_open(domain, xs)
+    closed_p = topology.check_closed(post)
+    closed_q = topology.check_closed(domain)
+    open_p = topology.check_open(post)
+    open_q = topology.check_open(domain)
     if closed_p.holds and closed_q.holds:
         pair = "closed"
         tops = (
@@ -396,7 +396,7 @@ def step_assumption(context, formula: Formula) -> ProofNode:
 
 
 def derived_node(name: str, conclusion: Sequent, children=(), obligations=(), note="") -> ProofNode:
-    """A derived-rule application; obligations are the rule's stated premises."""
+    """A derived or invariance rule's application; obligations are its stated premises."""
     return ProofNode(Step(name, note), conclusion, tuple(children), tuple(obligations))
 
 

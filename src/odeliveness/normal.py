@@ -76,9 +76,6 @@ class NormAtom:
     def to_formula(self) -> Formula:
         return Cmp(self.op, self.poly, Polynomial.const(0))
 
-    def strict(self) -> bool:
-        return self.op == ">"
-
 
 def _canonical_sign(p: Polynomial) -> Polynomial:
     if p.is_zero():

@@ -58,7 +58,6 @@ from .kernel import (
     LipschitzOb,
     ProofNode,
     Sequent,
-    Step,
     TopoOb,
     box,
     context_filter,
@@ -197,9 +196,9 @@ class Checker:
         key = (prop, formula, tuple(vars))
         if key not in self._topo_cache:
             if prop == topology.CLOSED:
-                v = topology.check_closed(formula, vars)
+                v = topology.check_closed(formula)
             elif prop == topology.OPEN:
-                v = topology.check_open(formula, vars)
+                v = topology.check_open(formula)
             elif prop == topology.BOUNDED:
                 v = topology.check_bounded(formula, vars, self.prove)
             else:
@@ -263,10 +262,6 @@ def _taut_implies(a: Formula, b: Formula) -> bool:
     return False
 
 
-def _node(name, seq, children=(), obligations=(), note="") -> ProofNode:
-    return ProofNode(Step(name, note), seq, tuple(children), tuple(obligations))
-
-
 def prove_invariance(seq: Sequent, hints, checker: Checker) -> ProofNode:
     """Prove a box-modality sequent by applying hints in order.
 
@@ -298,12 +293,12 @@ def prove_invariance(seq: Sequent, hints, checker: Checker) -> ProofNode:
         stronger = system.with_domain(conj([domain, head.cut]))
         rest_seq = Sequent(seq.context, box(stronger, post))
         rest_proof = prove_invariance(rest_seq, rest, checker)
-        return _node("DC", seq, (cut_proof, rest_proof), note=print_formula(head.cut))
+        return derived_node("DC", seq, (cut_proof, rest_proof), note=print_formula(head.cut))
 
     if isinstance(head, DXStep):
         extended = Sequent(seq.context + tuple(conjuncts(nnf(domain))), seq.succedent)
         child = prove_invariance(extended, rest, checker)
-        return _node("DX", seq, (child,))
+        return derived_node("DX", seq, (child,))
 
     if isinstance(head, BCStep):
         if rest:
@@ -317,7 +312,7 @@ def prove_invariance(seq: Sequent, hints, checker: Checker) -> ProofNode:
             )
         weaker = Sequent(seq.context, box(system.with_domain(head.formula), post))
         child = prove_invariance(weaker, rest, checker)
-        return _node("DomainWeaken", seq, (child,), note=print_formula(head.formula))
+        return derived_node("DomainWeaken", seq, (child,), note=print_formula(head.formula))
 
     raise HintMismatch(f"unrecognized hint {head!r}")
 
@@ -327,22 +322,22 @@ def _auto_invariance(seq: Sequent, checker: Checker) -> ProofNode:
     dw_ob = _arith_ob("weakening premise", INTERNAL, domain, post)
     checker.discharge(dw_ob)
     if dw_ob.verdict() == PROVED:
-        return _node("DW", seq, (), (dw_ob,))
+        return derived_node("DW", seq, (), (dw_ob,))
     if isinstance(post, Cmp):
         return _di_node(seq, checker)
     if isinstance(post, And):
         children = [_auto_invariance(Sequent(seq.context, box(system, part)), checker) for part in conjuncts(post)]
-        return _node("∧-split", seq, tuple(children))
-    return _node("DW", seq, (), (dw_ob,))
+        return derived_node("∧-split", seq, tuple(children))
+    return derived_node("DW", seq, (), (dw_ob,))
 
 
 def _dw_node(seq: Sequent, checker: Checker) -> ProofNode:
     _, domain, post = _modal_parts(seq)
     if _taut_implies(domain, post):
-        return _node("DW", seq, note="domain implies postcondition syntactically")
+        return derived_node("DW", seq, note="domain implies postcondition syntactically")
     ob = _arith_ob("weakening premise", INTERNAL, domain, post)
     checker.discharge(ob)
-    return _node("DW", seq, (), (ob,))
+    return derived_node("DW", seq, (), (ob,))
 
 
 def _di_node(seq: Sequent, checker: Checker) -> ProofNode:
@@ -366,17 +361,17 @@ def _di_node(seq: Sequent, checker: Checker) -> ProofNode:
     if a.op == "=":
         plain = _arith_ob("Lie derivative vanishes", INTERNAL, domain, Cmp("=", le, Polynomial.const(0)))
         checker.discharge(plain)
-        return _node("DI", seq, (), (initial, plain))
+        return derived_node("DI", seq, (), (initial, plain))
     plain = _arith_ob("Lie derivative sign condition", INTERNAL, domain, Cmp(">=", le, Polynomial.const(0)))
     checker.discharge(plain)
     if plain.verdict() == PROVED:
-        return _node("DI", seq, (), (initial, plain))
+        return derived_node("DI", seq, (), (initial, plain))
     boundary_hyp = conj([domain, Cmp("=", e, Polynomial.const(0))])
     boundary = _arith_ob("strict inflow on the boundary", INTERNAL, boundary_hyp, Cmp(">", le, Polynomial.const(0)))
     checker.discharge(boundary)
     if boundary.verdict() == PROVED:
-        return _node("DI", seq, (), (initial, boundary), note="strict boundary variant")
-    return _node("DI", seq, (), (initial, plain))
+        return derived_node("DI", seq, (), (initial, boundary), note="strict boundary variant")
+    return derived_node("DI", seq, (), (initial, plain))
 
 
 def _bc_node(seq: Sequent, p: Polynomial, checker: Checker) -> ProofNode:
@@ -397,7 +392,7 @@ def _bc_node(seq: Sequent, p: Polynomial, checker: Checker) -> ProofNode:
     )
     checker.discharge(initial)
     checker.discharge(boundary)
-    return _node("BC", seq, (), (initial, boundary))
+    return derived_node("BC", seq, (), (initial, boundary))
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,16 @@ atoms.
 Each system and goal is compiled to Python once (`Plan`): the right-hand
 side, the atom vector and one predicate per formula, which also gives the
 formula's truth at an event point and at a bracket's limit, read from a
-transformed atom vector (`_on_boundary`, `_at_limit`).  Trajectories are
-bit-identical however often a plan is reused, so `falsify_liveness`
-integrates each distinct initial state once.  A generated kernel takes
-every step that cannot carry an event, and `integrate` handles only the
-steps that may.  A trajectory keeps its samples as raw (time, state tuple)
-rows and builds a `State` with a values dict only when one is read.  A
-state whose atoms have no float value (one overflows) ends its trajectory
-with no event, as does the step cap; `Trajectory.stopped` says which.
+transformed atom vector (`_on_boundary`, `_at_limit`).  A plan is what
+`integrate(plan, init, horizon)` integrates, and every step it takes is
+adaptive.  Trajectories are bit-identical however often a plan is reused,
+so `falsify_liveness` integrates each distinct initial state once.  A
+generated kernel takes every step that cannot carry an event, and
+`integrate` handles only the steps that may.  A trajectory keeps its
+samples as raw (time, state tuple) rows and builds a `State` with a values
+dict only when one is read.  A state whose atoms have no float value (one
+overflows) ends its trajectory with no event, as does the step cap;
+`Trajectory.stopped` says which.
 
 Blow-up is detected, not proved: the max-norm threshold `BLOWUP_NORM` (1e9)
 combined with step-size collapse yields a BlowUpSuspected event.
@@ -111,11 +113,6 @@ class Trajectory:
     # event: at the state whose atoms have no float value, or at the step cap
     stopped: Optional[tuple] = None
 
-    @property
-    def samples(self) -> list:
-        """The rows as `State`s, built on every read."""
-        return [State(self.values(y), t) for t, y in self.rows]
-
     def final(self) -> State:
         t, y = self.rows[-1]
         return State(self.values(y), t)
@@ -130,31 +127,32 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 # Compiled trajectory work
 #
-# A `Plan` compiles a system, its domain and a goal to Python once: the
-# right-hand side `f(y)`; the atom vector `atoms(y)`, every comparison's
-# difference polynomial, domain then goal, which is the only place a
-# state's atoms are evaluated; and the domain and goal predicates, which
-# read that vector.  A state where an atom's evaluation overflows has no
-# atom vector (None).  The same predicates give a formula's truth at a
-# located event point, read from `_on_boundary(A)`, and where a bisection
-# bracket closes in, read from `_at_limit(L, H)` of the vectors at its ends.
+# A `Plan` compiles a system, its domain and a goal to Python once, and
+# `integrate` reads all three from it: the right-hand side `f(y)`; the atom
+# vector `atoms(y)`, every comparison's difference polynomial, domain then
+# goal, which is the only place a state's atoms are evaluated; and the
+# domain and goal predicates, which read that vector.  A state where an
+# atom's evaluation overflows has no atom vector (None).  The same
+# predicates give a formula's truth at a located event point, read from
+# `_on_boundary(A)`, and where a bisection bracket closes in, read from
+# `_at_limit(L, H)` of the vectors at its ends.
 #
-# The stepping kernel `advance` takes steps until one may carry an event.
-# Within one call it runs, per step, the Dormand-Prince trial (inline; it
-# calls `f` for its stages rather than inlining the right-hand side six
-# times), the step-size controller, the finiteness and `BLOWUP_NORM`
-# screen, the atom vector, the domain and goal readings and a screen for
-# atoms whose value changes sign (a product below 0.0), and appends the
-# step's raw (t, state) row.  It hands back the first step at which the
-# result is not finite or blows up, the atoms have no vector, the goal is
-# entered, the domain is left or an atom changes sign, with that step's
-# trial and atom vector, so `integrate` locates its events as before; or
-# it returns at the horizon or the step cap.  The kernel's source depends
-# only on the dimension, so it is compiled once per dimension
-# (`_dimension`), on first use, with the trial from `_trial`, and bound to
-# each plan's `f`, `atoms`, `domain` and `goal`.  Every float operation is
-# fixed by the source, so trajectories do not depend on how often a plan is
-# reused:
+# The stepping kernel `advance` takes adaptive steps until one may carry
+# an event.  Within one call it runs, per step, the Dormand-Prince trial
+# (inline; it calls `f` for its stages rather than inlining the right-hand
+# side six times), the step-size controller, the finiteness and
+# `BLOWUP_NORM` screen, the atom vector, the domain and goal readings and
+# a screen for atoms whose value changes sign (a product below 0.0), and
+# appends the step's raw (t, state) row.  It hands back the first step at
+# which the result is not finite or blows up, the atoms have no vector,
+# the goal is entered, the domain is left or an atom changes sign, with
+# that step's trial and atom vector, so `integrate` locates its events;
+# or it returns at the horizon or the step cap.  The kernel's
+# source depends only on the dimension, so it is compiled once per
+# dimension (`_dimension`), on first use, with the trial from `_trial`,
+# and bound to each plan's `f`, `atoms`, `domain` and `goal`.  Every float
+# operation is fixed by the source, so trajectories do not depend on how
+# often a plan is reused:
 #
 #   stage i       k_i = f(y + h*(a_i1*k1 + ... + a_i,i-1*k_{i-1})),  i = 2..7
 #   result        y1 = y + h*(b1*k1 + b3*k3 + ... + b6*k6)  (the 7th stage point)
@@ -285,25 +283,19 @@ def _trial(n: int) -> list:
 # its error.  A rejected trial keeps k1 (the same y), so it costs six
 # evaluations of f like an accepted one.  After an accepted step h is kept
 # within [HMIN, H0 * 4].  Each min and max is written as the comparisons
-# that return the same float.  With `grid` set, steps land exactly on grid
-# multiples, with no adaptation, and the last one on the horizon.
+# that return the same float.
 _ADVANCE = """\
 def advance_over(f, atoms, domain, goal):
-    def advance(t, y, h, k1, A, goal_now, domain_now, horizon, grid, max_steps, rows, stats):
+    def advance(t, y, h, k1, A, goal_now, domain_now, horizon, max_steps, rows, stats):
         steps, rejected, min_h = stats["steps"], stats["rejected"], stats["min_h"]
         {unpack_y}
         {unpack_k1}
         while t < horizon and steps < max_steps:
-            if grid is not None:
-                j = round(t / grid)
-                h = grid * (j + 1) - t if grid * (j + 1) - t > 1e-15 else grid
             d = horizon - t
             if d < h:
                 h = d
             while True:
                 {trial}
-                if grid is not None:
-                    break
                 if not ({finite} and err == err):
                     err = inf
                 if err == 0.0:
@@ -324,14 +316,11 @@ def advance_over(f, atoms, domain, goal):
             if h < min_h:
                 min_h = h
             t1 = t + h
-            if grid is None:
-                hn = h * scale
-                if hn < {HMIN!r}:
-                    hn = {HMIN!r}
-                if hn > {CAP!r}:
-                    hn = {CAP!r}
-            else:
-                hn = h
+            hn = h * scale
+            if hn < {HMIN!r}:
+                hn = {HMIN!r}
+            if hn > {CAP!r}:
+                hn = {CAP!r}
             if not ({inside}):
                 A1 = None
                 break
@@ -398,10 +387,10 @@ def _dimension(n: int) -> SimpleNamespace:
 
 
 class Plan:
-    """The compiled per-trajectory work of one system and goal.  Build it
-    once and pass it to every `integrate` call on that system and goal;
-    `bind(par)` fixes one trajectory's parameter values (in `pnames` order)
-    and returns the compiled functions."""
+    """The compiled per-trajectory work of one system and goal, and the
+    input of every `integrate` call on them: build it once per system and
+    goal.  `bind(par)` fixes one trajectory's parameter values (in `pnames`
+    order) and returns the compiled functions."""
 
     def __init__(self, system: OdeSystem, goal: Optional[Formula] = None):
         self.system = system
@@ -487,30 +476,15 @@ def _locate(pred, finite, t0: float, h: float, y0: tuple, y1: tuple, ks: tuple) 
     return hi, y_lo, y_hi
 
 
-def integrate(
-    system: OdeSystem,
-    init: dict,
-    horizon: float,
-    goal: Optional[Formula] = None,
-    stop_on_event: bool = True,
-    grid: Optional[float] = None,
-    plan: Optional[Plan] = None,
-) -> Trajectory:
-    """Integrate from `init` (covering variables and parameters) to `horizon`.
-
-    Detects goal entry, domain exit and suspected blow-up; with `grid` set,
-    integration switches to fixed steps landing exactly on multiples of
-    `grid` (used by the Lie-derivative consistency check).  `plan`, a
-    `Plan(system, goal)`, saves compiling it again for every call.  A
-    trajectory that ends short of the horizon with no event, at atoms with
-    no float value or at the step cap `MAX_STEPS`, says so in `stopped`.
+def integrate(plan: Plan, init: dict, horizon: float, stop_on_event: bool = True) -> Trajectory:
+    """Integrate the plan's system from `init` (covering variables and
+    parameters) to `horizon`, detecting entry into the plan's goal, domain
+    exit and suspected blow-up.  A trajectory that ends short of the horizon
+    with no event, at atoms with no float value or at the step cap
+    `MAX_STEPS`, says so in `stopped`.
     """
     if not 0 < horizon < math.inf:
         raise InvalidArgument(f"horizon must be positive and finite, got {horizon!r}")
-    if plan is None:
-        plan = Plan(system, goal)
-    elif plan.system is not system or plan.goal is not goal:
-        raise ValueError("plan was built for another system or goal")
     known = plan.names + plan.pnames
     for n in known:
         if n not in init:
@@ -538,7 +512,7 @@ def integrate(
     A = atoms(y)
     if A is None:
         return end((t, ATOMS_UNDEFINED))
-    goal_now = goal is not None and c.goal(A)
+    goal_now = c.goal is not None and c.goal(A)
     domain_now = c.domain(A) or c.domain(_on_boundary(A))
     if goal_now and domain_now:
         events.append((0.0, GOAL_ENTERED))
@@ -565,12 +539,12 @@ def integrate(
         return tau, atoms(y_lo) or A, atoms(y_hi)
 
     k1 = c.f(y)
-    h = grid if grid is not None else H0
+    h = H0
     while True:
         # the kernel takes every step that cannot carry an event and hands
         # back the first one that may, or None at the horizon or step cap
         t, y, k1, A, goal_now, domain_now, step = c.advance(
-            t, y, h, k1, A, goal_now, domain_now, horizon, grid, MAX_STEPS, rows, stats
+            t, y, h, k1, A, goal_now, domain_now, horizon, MAX_STEPS, rows, stats
         )
         if step is None:
             break
@@ -584,7 +558,7 @@ def integrate(
         if A_new is None:
             return end((t_new, ATOMS_UNDEFINED))
         candidates.clear()
-        if goal is not None:
+        if c.goal is not None:
             goal_new = c.goal(A_new)
             if goal_new and not goal_now:
                 tau, L, H = bracket(c.goal)
@@ -803,9 +777,7 @@ def falsify_liveness(
     for i, init in enumerate(inits):
         key = tuple(float(init[n]).hex() for n in plan.names + plan.pnames)
         if key not in trajectories:
-            trajectories[key] = integrate(
-                problem.system, init, horizon, goal=problem.goal, stop_on_event=True, plan=plan
-            )
+            trajectories[key] = integrate(plan, init, horizon)
         traj = trajectories[key]
         cls, t_event = classify(traj)
         counts[cls] = counts.get(cls, 0) + 1

@@ -58,12 +58,12 @@ def _atoms_in(f: Formula, allowed: frozenset) -> bool:
     return False  # quantifiers, modalities, residual negations: be conservative
 
 
-def check_closed(f: Formula, vars) -> TopoVerdict:
+def check_closed(f: Formula) -> TopoVerdict:
     """Holds when every NNF atom is one of =, >=, <= under and/or."""
     return TopoVerdict(CLOSED, HOLDS if _atoms_in(nnf(f), frozenset({"=", ">=", "<="})) else UNKNOWN)
 
 
-def check_open(f: Formula, vars) -> TopoVerdict:
+def check_open(f: Formula) -> TopoVerdict:
     """Dual criterion: every NNF atom strict (!=, >, <)."""
     return TopoVerdict(OPEN, HOLDS if _atoms_in(nnf(f), frozenset({"!=", ">", "<"})) else UNKNOWN)
 
@@ -98,7 +98,7 @@ def first_proved(region: Formula, p: Polynomial, op: str, candidates, prove) -> 
         v = prove(base.with_conclusion(Cmp(op, p, Polynomial.const(candidates[i]))), budget=BOUND_SEARCH_BUDGET)
         if v.is_valid:
             hi = i
-        elif v.clock_stopped(BOUND_SEARCH_BUDGET):
+        elif v.clock_stopped():
             return None
         else:
             lo = i
@@ -117,7 +117,7 @@ def check_bounded(f: Formula, vars, prove) -> TopoVerdict:
 
 def check_compact(f: Formula, vars, prove) -> TopoVerdict:
     """Closed and bounded; witness carried over from the bounded check."""
-    if not check_closed(f, vars).holds:
+    if not check_closed(f).holds:
         return TopoVerdict(COMPACT, UNKNOWN)
     bounded = check_bounded(f, vars, prove)
     return TopoVerdict(COMPACT, bounded.status, witness=bounded.witness)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from odeliveness import sim
 from odeliveness.errors import MissingBinding
 from odeliveness.symbolic import OdeSystem, Polynomial, lie_derivative
 from odeliveness.syntax import parse_problem
@@ -58,14 +59,70 @@ def eval_float(p: Polynomial, point: dict) -> float:
     return total
 
 
+# Dormand & Prince (1980): rows of the stage matrix for stages 2..7 (the
+# last row is the fifth-order weights) and the error weights b - b^
+DP_A = (
+    (Fraction(1, 5),),
+    (Fraction(3, 40), Fraction(9, 40)),
+    (Fraction(44, 45), Fraction(-56, 15), Fraction(32, 9)),
+    (Fraction(19372, 6561), Fraction(-25360, 2187), Fraction(64448, 6561), Fraction(-212, 729)),
+    (Fraction(9017, 3168), Fraction(-355, 33), Fraction(46732, 5247), Fraction(49, 176), Fraction(-5103, 18656)),
+    (Fraction(35, 384), Fraction(0), Fraction(500, 1113), Fraction(125, 192), Fraction(-2187, 6784), Fraction(11, 84)),
+)
+DP_E = (
+    Fraction(71, 57600), Fraction(0), Fraction(-71, 16695), Fraction(71, 1920),
+    Fraction(-17253, 339200), Fraction(22, 525), Fraction(-1, 40),
+)
+
+
+def _weighted(weights, ks, i):
+    """sum_j w_j * k_j[i] left to right over the nonzero weights."""
+    total = None
+    for w, k in zip(weights, ks):
+        if w:
+            term = float(w) * k[i]
+            total = term if total is None else total + term
+    return total
+
+
+def _dp_step(f, y, h, k1):
+    """One Dormand-Prince trial: (fifth-order state, error, k7, and the
+    stages k1, k3, ..., k7 that the dense output reads)."""
+    ks = [k1]
+    for row in DP_A[:-1]:
+        ks.append(f(tuple(a + h * _weighted(row, ks, i) for i, a in enumerate(y))))
+    y1 = tuple(a + h * _weighted(DP_A[-1], ks, i) for i, a in enumerate(y))
+    ks.append(f(y1))
+    err = max(abs(h * _weighted(DP_E, ks, i)) / (1.0 + abs(b)) for i, b in enumerate(y1))
+    return y1, err, ks[-1], (ks[0], *ks[2:])
+
+
+def fixed_steps(plan, init: dict, horizon: float, h: float) -> list:
+    """The `State`s of fixed steps of h from `init`, by `_dp_step` over the
+    plan's compiled right-hand side with no step control: each step lands
+    exactly on a multiple of h and the last on the horizon.  A state that is
+    not finite or past `sim.BLOWUP_NORM` is the last."""
+    c = plan.bind(tuple(float(init[p]) for p in plan.pnames))
+    y = tuple(float(init[n]) for n in plan.names)
+    t, k1 = 0.0, c.f(y)
+    states = [sim.State(c.values(y), t)]
+    while t < horizon and c.finite(y) and c.norm(y) <= sim.BLOWUP_NORM:
+        j = round(t / h)
+        step = h * (j + 1) - t if h * (j + 1) - t > 1e-15 else h
+        step = min(step, horizon - t)
+        y, _, k1, _ = _dp_step(c.f, y, step, k1)
+        t += step
+        states.append(sim.State(c.values(y), t))
+    return states
+
+
 class InsufficientSamples(Exception):
     pass
 
 
-def lie_consistency_check(p: Polynomial, system: OdeSystem, traj, h: float) -> dict:
-    """Max deviation between centered differences of p along the trajectory
-    and the Lie derivative evaluated at the sample states."""
-    samples = traj.samples
+def lie_consistency_check(p: Polynomial, system: OdeSystem, samples: list, h: float) -> dict:
+    """Max deviation between centered differences of p along the sampled
+    `State`s and the Lie derivative evaluated at the sample states."""
     if len(samples) < 3:
         raise InsufficientSamples("need at least three samples")
     lie = lie_derivative(p, system)

@@ -19,7 +19,7 @@ from odeliveness.rules import RULE_BUILDERS, Checker, apply_rule
 from odeliveness.symbolic import OdeSystem, Polynomial
 from odeliveness.syntax import Cmp, parse_formula, parse_poly, parse_problem
 
-from conftest import PROBLEMS, ROOT, lie_consistency_check, problem_path
+from conftest import PROBLEMS, ROOT, fixed_steps, lie_consistency_check, problem_path
 from test_kernel import missing_gates, refines_domain_under_goal_negation, step_audit_findings
 
 
@@ -99,10 +99,10 @@ def test_criterion_4_counterexample_catalog():
     failures = [r for r in results if not r["ok"]]
     # re-assert the stated numeric expectations directly
     ce1 = next(e for e in sim.catalog() if e.id == "CE-1")
-    traj = sim.integrate(ce1.problem().system, {"x": 0.0, "t": 0.0}, 10.0, goal=ce1.problem().goal)
+    traj = sim.integrate(sim.Plan(ce1.problem().system, ce1.problem().goal), {"x": 0.0, "t": 0.0}, 10.0)
     t_blow = traj.event_time(sim.BLOWUP_SUSPECTED)
     ce4 = next(e for e in sim.catalog() if e.id == "CE-4")
-    traj4 = sim.integrate(ce4.problem().system, {"x": 2.0, "t": 2.0}, 10.0, goal=ce4.problem().goal)
+    traj4 = sim.integrate(sim.Plan(ce4.problem().system, ce4.problem().goal), {"x": 2.0, "t": 2.0}, 10.0)
     t4 = traj4.final().values["t"]
     ok = (
         not failures
@@ -151,17 +151,17 @@ def test_criterion_5_lie_numerical_consistency():
             p = p + Polynomial.var(v) * Polynomial.var(v) + Polynomial.var(v)
         init = {v: Fraction(rng.randrange(-5, 6), 10) for v in sys.vars}
         finit = {k: float(x) for k, x in init.items()}
-        probe = sim.integrate(sys, finit, 0.5, stop_on_event=False)
+        plan = sim.Plan(sys)
+        probe = sim.integrate(plan, finit, 0.5, stop_on_event=False)
         t_blow = probe.event_time(sim.BLOWUP_SUSPECTED)
         horizon = 0.5 if t_blow is None else min(0.5, 0.5 * t_blow)
         if horizon < 40 * h:
             continue
-        traj = sim.integrate(sys, finit, horizon, grid=h, stop_on_event=False)
-        if any(abs(x) > 1e3 for s in traj.samples for x in s.values.values()):
+        states = fixed_steps(plan, finit, horizon, h)
+        if any(abs(x) > 1e3 for s in states for x in s.values.values()):
             continue
-        out = lie_consistency_check(p, sys, traj, h)
-        traj2 = sim.integrate(sys, finit, horizon, grid=h / 2, stop_on_event=False)
-        out2 = lie_consistency_check(p, sys, traj2, h / 2)
+        out = lie_consistency_check(p, sys, states, h)
+        out2 = lie_consistency_check(p, sys, fixed_steps(plan, finit, horizon, h / 2), h / 2)
         checked += 1
         worst = max(worst, out["max_error"])
         # the convergence ratio is meaningful only above the float noise floor
@@ -226,11 +226,12 @@ def test_criterion_6_backend_soundness():
 
 def test_criterion_7_simulation_oracles(alpha_l, alpha_n):
     """Energy decay matches the closed form; the nonlinear spiral escapes in time."""
-    traj = sim.integrate(alpha_l.system, {"u": 1.0, "v": 0.0}, 3.0, stop_on_event=False)
+    traj = sim.integrate(sim.Plan(alpha_l.system), {"u": 1.0, "v": 0.0}, 3.0, stop_on_event=False)
     worst = 0.0
-    for s in traj.samples:
-        r2 = s.values["u"] ** 2 + s.values["v"] ** 2
-        exact = math.exp(-2 * s.time)
+    for t, y in traj.rows:
+        values = traj.values(y)
+        r2 = values["u"] ** 2 + values["v"] ** 2
+        exact = math.exp(-2 * t)
         worst = max(worst, abs(r2 - exact) / exact)
     pf = parse_problem(
         "ode { u' = -v - u*(1/4 - u^2 - v^2); v' = u - v*(1/4 - u^2 - v^2) }"
@@ -284,7 +285,7 @@ def test_criterion_9_kernel_structural_soundness():
                     findings.append(f"{path.name}: {node.step.name} lacks its topology gate")
     entry = next(e for e in sim.catalog() if e.id == "CE-2")
     pf = entry.problem()
-    traj = sim.integrate(pf.system, {"x": 0.0}, 3.0, goal=pf.goal, stop_on_event=True)
+    traj = sim.integrate(sim.Plan(pf.system, pf.goal), {"x": 0.0}, 3.0, stop_on_event=True)
     cls, t_event = sim.classify(traj)
     ok = (
         not findings

@@ -160,7 +160,7 @@ def test_a_clock_stop_ends_the_search_with_no_witness(monkeypatch):
     witness, verdicts = traced_search()
     assert witness is None
     last = verdicts[-1].trace
-    assert (last["method"], last["cells"]) == ("budget-exhausted", 256)
+    assert (last["method"], last["cells"]) == ("time-exhausted", 256)
     assert [v.trace["cells"] for v in verdicts] == [6, 10, 1, 181, 256]
 
 
@@ -175,7 +175,32 @@ def test_a_clock_stop_in_a_case_split_ends_the_search_with_no_witness(monkeypatc
     witness, verdicts = traced_search(SPLIT)
     assert witness is None
     last_two = [(v.trace["method"], v.trace["cells"]) for v in verdicts[-2:]]
-    assert last_two == [("case-split", 150), ("budget-exhausted", 256)]
+    assert last_two == [("case-split", 150), ("time-exhausted", 256)]
+
+
+def test_a_later_disjunct_gets_only_the_seconds_left(monkeypatch):
+    # the clock moves only after the first disjunct's branch-and-bound, by
+    # 150 s of a 100 s budget: the second disjunct gets the -50 s left and
+    # stops at its first reading of the clock, at cell 256, where the full
+    # budget would have let it prove its half of the square
+    now = [0.0]
+    seconds = []
+    real = arith._branch_and_bound
+
+    def slow_first(names, hyp, concl, root, budget):
+        seconds.append(budget.max_seconds)
+        v = real(names, hyp, concl, root, budget)
+        now[0] += 150.0
+        return v
+
+    ob = ArithObligation.closure(SPLIT, Cmp(">=", P, Polynomial.const(Fraction(-1, 4))))
+    budget = Budget(max_cells=20_000, max_seconds=100.0)
+    assert prove_implication(ob, budget=budget).is_valid
+    monkeypatch.setattr(arith, "_branch_and_bound", slow_first)
+    monkeypatch.setattr(arith, "time", types.SimpleNamespace(monotonic=lambda: now[0]))
+    v = prove_implication(ob, budget=budget)
+    assert seconds == [100.0, -50.0]
+    assert (v.status, v.trace["method"]) == (arith.UNKNOWN, "time-exhausted") and v.clock_stopped()
 
 
 def test_a_cell_count_stop_moves_the_bisection(monkeypatch):

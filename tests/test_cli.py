@@ -99,7 +99,7 @@ def test_check_trace_byte_identical(capsys):
 def test_one_parser_serves_a_sequence_of_calls(capsys):
     """`main` builds its parser on the first call and reuses it: check,
     falsify and a malformed flag in one process print and exit as each does
-    as the first call of a process."""
+    as the first call of a process; the malformed flag is an input error."""
     calls = [
         ["check", problem_path("example1.ode")],
         ["falsify", problem_path("example1.ode"), "--samples", "2"],
@@ -107,10 +107,7 @@ def test_one_parser_serves_a_sequence_of_calls(capsys):
     ]
 
     def call(argv):
-        try:
-            code = main([str(a) for a in argv])
-        except SystemExit as e:  # argparse rejects the malformed flag
-            code = e.code
+        code = main([str(a) for a in argv])
         captured = capsys.readouterr()
         return code, captured.out, captured.err
 
@@ -121,8 +118,8 @@ def test_one_parser_serves_a_sequence_of_calls(capsys):
     cli.build_parser.cache_clear()
     assert [call(argv) for argv in calls] == first
     assert cli.build_parser.cache_info().misses == 1
-    assert [code for code, _, _ in first] == [0, 0, 2]
-    assert "invalid int value: 'many'" in first[2][2]
+    assert [code for code, _, _ in first] == [0, 0, 3]
+    assert first[2][1:] == ("input error: argument --budget-cells: invalid int value: 'many'\n", "")
 
 
 def test_refuted_certificate_exit1(tmp_path, capsys):
@@ -234,6 +231,9 @@ def test_simulate_writes_manifest(tmp_path, capsys):
         ["check", problem_path("example1.ode"), "--budget-secs", "0"],
         ["check", problem_path("example1.ode"), "--budget-secs", "nan"],
         ["emit-smt", problem_path("example1.ode"), "--budget-cells", "-1"],
+        ["check", problem_path("example1.ode"), "--budget-cells", "many"],
+        ["check", problem_path("example1.ode"), "--no-such-flag"],
+        ["simulate", problem_path("example1.ode"), "--init", "u=1,u=2,v=0"],
     ],
     ids=[
         "simulate-horizon-0",
@@ -252,6 +252,9 @@ def test_simulate_writes_manifest(tmp_path, capsys):
         "check-budget-secs-0",
         "check-budget-secs-nan",
         "emit-smt-budget-cells-negative",
+        "check-budget-cells-not-a-number",
+        "check-unknown-flag",
+        "simulate-init-name-repeated",
     ],
 )
 def test_bad_arguments_are_input_errors(capsys, argv):
@@ -259,6 +262,13 @@ def test_bad_arguments_are_input_errors(capsys, argv):
     code, out = run(capsys, *argv)
     assert code == 3
     assert out.startswith("input error: ")
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["check", "--help"])
+    assert e.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: odeliv check")
 
 
 @pytest.mark.parametrize("init,name", [("u=1", "'v'"), ("u=1,v=0,w=5", "'w'"), ("u=1,v=0,w=5,a=1", "'a', 'w'")])

@@ -1,11 +1,11 @@
 """The falsifier's compiled evaluation against tree-walking references.
 
 `eval_state` and `eval_state_boundary` below are the interpreters `sim`
-used before its goal and domain work was compiled, and `_dp_step` is one
-Dormand-Prince trial written out plainly from the method's tableau; they
-stay here as the specification.  The compiled functions must agree on
-every truth value and produce bit-identical floats (atom values may differ
-only in the sign of a zero).
+used before its goal and domain work was compiled, and `_dp_step` (in
+`conftest`) is one Dormand-Prince trial written out plainly from the
+method's tableau; they stay as the specification.  The compiled functions
+must agree on every truth value and produce bit-identical floats (atom
+values may differ only in the sign of a zero).
 """
 
 import gc
@@ -23,7 +23,7 @@ from odeliveness.codegen import build, poly_src
 from odeliveness.symbolic import OdeSystem, Polynomial
 from odeliveness.syntax import And, BoolLit, Cmp, Formula, Implies, Not, Or, parse_problem
 
-from conftest import eval_float
+from conftest import _dp_step, eval_float
 
 # -- references --------------------------------------------------------------
 
@@ -125,45 +125,7 @@ def rhs_reference(system: OdeSystem, par: dict):
     return fwrapped
 
 
-# Dormand & Prince (1980): rows of the stage matrix for stages 2..7 (the
-# last row is the fifth-order weights) and the error weights b - b^
-DP_A = (
-    (Fraction(1, 5),),
-    (Fraction(3, 40), Fraction(9, 40)),
-    (Fraction(44, 45), Fraction(-56, 15), Fraction(32, 9)),
-    (Fraction(19372, 6561), Fraction(-25360, 2187), Fraction(64448, 6561), Fraction(-212, 729)),
-    (Fraction(9017, 3168), Fraction(-355, 33), Fraction(46732, 5247), Fraction(49, 176), Fraction(-5103, 18656)),
-    (Fraction(35, 384), Fraction(0), Fraction(500, 1113), Fraction(125, 192), Fraction(-2187, 6784), Fraction(11, 84)),
-)
-DP_E = (
-    Fraction(71, 57600), Fraction(0), Fraction(-71, 16695), Fraction(71, 1920),
-    Fraction(-17253, 339200), Fraction(22, 525), Fraction(-1, 40),
-)
-
-
-def _weighted(weights, ks, i):
-    """sum_j w_j * k_j[i] left to right over the nonzero weights."""
-    total = None
-    for w, k in zip(weights, ks):
-        if w:
-            term = float(w) * k[i]
-            total = term if total is None else total + term
-    return total
-
-
-def _dp_step(f, y, h, k1):
-    """One Dormand-Prince trial: (fifth-order state, error, k7, and the
-    stages k1, k3, ..., k7 that the dense output reads)."""
-    ks = [k1]
-    for row in DP_A[:-1]:
-        ks.append(f(tuple(a + h * _weighted(row, ks, i) for i, a in enumerate(y))))
-    y1 = tuple(a + h * _weighted(DP_A[-1], ks, i) for i, a in enumerate(y))
-    ks.append(f(y1))
-    err = max(abs(h * _weighted(DP_E, ks, i)) / (1.0 + abs(b)) for i, b in enumerate(y1))
-    return y1, err, ks[-1], (ks[0], *ks[2:])
-
-
-def reference_integrate(plan, init, horizon, stop_on_event, grid, max_steps, screened):
+def reference_integrate(plan, init, horizon, stop_on_event, max_steps, screened):
     """The stepping loop `sim.integrate` ran in Python before its steps
     moved into a generated kernel, with each trial taken by `_dp_step` over
     `rhs_reference` and the plan's compiled atom vector and predicates.  It
@@ -215,23 +177,18 @@ def reference_integrate(plan, init, horizon, stop_on_event, grid, max_steps, scr
         return tau, atoms(y_lo) or A, atoms(y_hi)
 
     k1 = f(y)
-    h = grid if grid is not None else sim.H0
+    h = sim.H0
     while t < horizon and stats["steps"] < max_steps:
         h = min(h, horizon - t)
-        if grid is not None:
-            k = round(t / grid)
-            h = min(grid * (k + 1) - t if grid * (k + 1) - t > 1e-15 else grid, horizon - t)
+        while True:
             y_new, err, k7, ks = _dp_step(f, y, h, k1)
-        else:
-            while True:
-                y_new, err, k7, ks = _dp_step(f, y, h, k1)
-                if not (finite(y_new) and err == err):
-                    err = math.inf
-                scale = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (sim.TOL / err) ** 0.2))
-                if err <= sim.TOL or h <= sim.HMIN:
-                    break
-                h = max(h * scale, sim.HMIN)
-                stats["rejected"] += 1
+            if not (finite(y_new) and err == err):
+                err = math.inf
+            scale = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (sim.TOL / err) ** 0.2))
+            if err <= sim.TOL or h <= sim.HMIN:
+                break
+            h = max(h * scale, sim.HMIN)
+            stats["rejected"] += 1
         stats["steps"] += 1
         stats["min_h"] = min(stats["min_h"], h)
         t_new = t + h
@@ -278,8 +235,7 @@ def reference_integrate(plan, init, horizon, stop_on_event, grid, max_steps, scr
         y, t, k1, A = y_new, t_new, k7, A_new
         if stop_on_event and step_events:
             return rows, events, closed, stats, None
-        if grid is None:
-            h = min(max(h * scale, sim.HMIN), sim.H0 * 4)
+        h = min(max(h * scale, sim.HMIN), sim.H0 * 4)
     if t < horizon:
         return rows, events, closed, stats, (t, sim.STEP_CAP)
     events.append((t, sim.HORIZON_REACHED))
@@ -375,34 +331,31 @@ big = st.sampled_from([1e100, -1e103, 1e160, math.inf]) | values
 @settings(max_examples=200, deadline=None)
 @given(systems, st.lists(big, min_size=4, max_size=4), st.sampled_from([1e-3, 0.01, 0.5, 2.0]))
 def test_compiled_dp_step_is_bit_identical(system, point, h):
-    # the kernel's trial, as one step of h to the horizon h: on the grid h
-    # its result and last stage, and without it whether the first trial is
-    # accepted, which its error decides
+    # the kernel's trial, as one step towards the horizon h: whether the
+    # first trial of h is accepted, which its error decides, and the
+    # accepted trial's result and last stage, at the step's h (one step, so
+    # the smallest)
     par = point[2]
     y = (point[0], point[1], point[3])
     c = sim.Plan(system).bind((par,))
     f = rhs_reference(system, {PARAM: par})
     k1 = f(y)
     assert all(same_float(a, b) for a, b in zip(c.f(y), k1))
-    want_y1, want_err, want_k7, _ = _dp_step(f, y, h, k1)
+    first_y1, first_err, _, _ = _dp_step(f, y, h, k1)
+    if not (all(map(math.isfinite, first_y1)) and first_err == first_err):
+        first_err = math.inf
 
-    def one_step(grid):
-        # no atom vector before the step and neither goal nor domain holding
-        # there, so only a blow-up or undefined atoms hand the step back
-        stats = {"steps": 0, "rejected": 0, "min_h": math.inf}
-        _, y1, k7, *_, step = c.advance(0.0, y, h, k1, (), False, False, h, grid, 1, [], stats)
-        if step is not None:
-            y1, k7 = step[2], step[3]
-        return y1, k7, stats
-
-    y1, k7, stats = one_step(h)
-    assert stats["steps"] == 1 and len(y1) == len(want_y1) == len(y)
+    # no atom vector before the step and neither goal nor domain holding
+    # there, so only a blow-up or undefined atoms hand the step back
+    stats = {"steps": 0, "rejected": 0, "min_h": math.inf}
+    _, y1, k7, *_, step = c.advance(0.0, y, h, k1, (), False, False, h, 1, [], stats)
+    if step is not None:
+        y1, k7 = step[2], step[3]
+    assert stats["steps"] == 1 and len(y1) == len(y)
+    assert (stats["rejected"] == 0) == (first_err <= sim.TOL or h <= sim.HMIN), (stats, first_err)
+    want_y1, _, want_k7, _ = _dp_step(f, y, stats["min_h"], k1)
     assert all(same_float(a, b) for a, b in zip(y1, want_y1)), (y1, want_y1)
     assert all(same_float(a, b) for a, b in zip(k7, want_k7)), (k7, want_k7)
-    if not (all(map(math.isfinite, want_y1)) and want_err == want_err):
-        want_err = math.inf
-    _, _, stats = one_step(None)
-    assert (stats["rejected"] == 0) == (want_err <= sim.TOL or h <= sim.HMIN), (stats, want_err)
 
 
 @st.composite
@@ -428,13 +381,8 @@ def hexes(floats) -> list:
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    small_problems(),
-    st.sampled_from([0.5, 2.0]),
-    st.booleans(),
-    st.sampled_from([None, None, None, 0.125, 0.3]),
-)
-def test_kernel_matches_the_reference_loop(problem, horizon, stop_on_event, grid):
+@given(small_problems(), st.sampled_from([0.5, 2.0]), st.booleans())
+def test_kernel_matches_the_reference_loop(problem, horizon, stop_on_event):
     # `integrate` takes the same steps, bit for bit, as the Python loop it
     # replaced, and its kernel hands back exactly the steps that may carry
     # an event.  A small step cap keeps every case short and reaches the cap
@@ -458,9 +406,9 @@ def test_kernel_matches_the_reference_loop(problem, horizon, stop_on_event, grid
 
     cap, sim.MAX_STEPS = sim.MAX_STEPS, 300
     try:
-        want = reference_integrate(plan, init, horizon, stop_on_event, grid, 300, screened)
+        want = reference_integrate(plan, init, horizon, stop_on_event, 300, screened)
         plan.bind = recording_bind
-        traj = sim.integrate(system, init, horizon, goal, stop_on_event, grid, plan)
+        traj = sim.integrate(plan, init, horizon, stop_on_event)
     finally:
         sim.MAX_STEPS = cap
     rows, events, closed, stats, stopped = want

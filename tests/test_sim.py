@@ -9,8 +9,7 @@ from odeliveness.errors import UnsamplableInitSet
 from odeliveness.symbolic import Polynomial, lie_derivative
 from odeliveness.syntax import parse_formula, parse_poly, parse_problem
 
-from conftest import InsufficientSamples, lie_consistency_check, problem_path
-from test_compiled import _dp_step
+from conftest import InsufficientSamples, _dp_step, fixed_steps, lie_consistency_check, problem_path
 
 
 # -- integration oracles -------------------------------------------------------
@@ -18,31 +17,32 @@ from test_compiled import _dp_step
 
 def test_alpha_l_goal_entry_time(alpha_l):
     # r^2(t) = exp(-2t) exactly, so the goal r^2 <= 1/4 is entered at ln(4)/2
-    traj = sim.integrate(alpha_l.system, {"u": 1.0, "v": 0.0}, 3.0, goal=alpha_l.goal)
+    traj = sim.integrate(sim.Plan(alpha_l.system, alpha_l.goal), {"u": 1.0, "v": 0.0}, 3.0)
     t_goal = traj.event_time(sim.GOAL_ENTERED)
     assert t_goal is not None
     assert abs(t_goal - math.log(4) / 2) < 1e-6
 
 
 def test_alpha_l_energy_matches_closed_form(alpha_l):
-    traj = sim.integrate(alpha_l.system, {"u": 1.0, "v": 0.0}, 3.0, stop_on_event=False)
+    traj = sim.integrate(sim.Plan(alpha_l.system), {"u": 1.0, "v": 0.0}, 3.0, stop_on_event=False)
     worst = 0.0
-    for s in traj.samples:
-        r2 = s.values["u"] ** 2 + s.values["v"] ** 2
-        exact = math.exp(-2 * s.time)
+    for t, y in traj.rows:
+        values = traj.values(y)
+        r2 = values["u"] ** 2 + values["v"] ** 2
+        exact = math.exp(-2 * t)
         worst = max(worst, abs(r2 - exact) / exact)
     assert worst < 1e-6
 
 
 def test_alpha_n_reaches_goal_before_two_thirds(alpha_n):
-    traj = sim.integrate(alpha_n.system, {"u": 1.0, "v": 0.0}, 2.0, goal=alpha_n.goal)
+    traj = sim.integrate(sim.Plan(alpha_n.system, alpha_n.goal), {"u": 1.0, "v": 0.0}, 2.0)
     t_goal = traj.event_time(sim.GOAL_ENTERED)
     assert t_goal is not None and t_goal < 2 / 3 + 0.05
 
 
 def test_blowup_detected_at_pi_over_two():
     pf = parse_problem("ode { x' = 1 + x^2 }  goal { x >= 2 }")
-    traj = sim.integrate(pf.system, {"x": 0.0}, 10.0, stop_on_event=False)
+    traj = sim.integrate(sim.Plan(pf.system), {"x": 0.0}, 10.0, stop_on_event=False)
     t_blow = traj.event_time(sim.BLOWUP_SUSPECTED)
     assert t_blow is not None and abs(t_blow - math.pi / 2) < 1e-3
 
@@ -72,7 +72,7 @@ def test_first_same_as_last_costs_six_rhs_per_trial(monkeypatch):
     pf = parse_problem("ode { x' = -100*x }  goal { x <= 1/2 }")
     sys.setprofile(profile)
     try:
-        traj = sim.integrate(pf.system, {"x": 1.0}, 1.0, goal=pf.goal, stop_on_event=False)
+        traj = sim.integrate(sim.Plan(pf.system, pf.goal), {"x": 1.0}, 1.0, stop_on_event=False)
     finally:
         sys.setprofile(None)
     assert [k for _, k in traj.events] == [sim.GOAL_ENTERED, sim.HORIZON_REACHED]
@@ -96,7 +96,7 @@ def test_atoms_are_evaluated_once_per_accepted_state():
     pf = parse_problem("ode { x' = -100*x }  domain { x >= -1 }  goal { x <= 1/2 }")
     sys.setprofile(profile)
     try:
-        traj = sim.integrate(pf.system, {"x": 1.0}, 1.0, goal=pf.goal, stop_on_event=False)
+        traj = sim.integrate(sim.Plan(pf.system, pf.goal), {"x": 1.0}, 1.0, stop_on_event=False)
     finally:
         sys.setprofile(None)
     assert [k for _, k in traj.events] == [sim.GOAL_ENTERED, sim.HORIZON_REACHED]
@@ -111,7 +111,7 @@ def test_bisection_passes_over_points_whose_atoms_overflow():
     # before the event, so the contact is located at the window's end
     r = 50859008.462246634  # the least float whose 40th power overflows
     pf = parse_problem("ode { x' = y; y' = -x }  goal { x^40 <= -1 | y = 0 }")
-    traj = sim.integrate(pf.system, {"x": 0.0, "y": r * (1 + 1e-7)}, 3.0, goal=pf.goal)
+    traj = sim.integrate(sim.Plan(pf.system, pf.goal), {"x": 0.0, "y": r * (1 + 1e-7)}, 3.0)
     ((tau, kind),) = traj.events
     assert kind == sim.GOAL_ENTERED and traj.closed[kind]
     assert 0 < tau - math.pi / 2 < 5e-4
@@ -120,7 +120,7 @@ def test_bisection_passes_over_points_whose_atoms_overflow():
 def test_blowup_step_statistics():
     # the Dormand-Prince controller's counts on CE-1's trajectory
     pf = parse_problem("ode { x' = 1 + x^2; t' = 1 }  assume { x = 0, t = 0 }  goal { t >= 2 }")
-    traj = sim.integrate(pf.system, {"x": 0.0, "t": 0.0}, 10.0, goal=pf.goal)
+    traj = sim.integrate(sim.Plan(pf.system, pf.goal), {"x": 0.0, "t": 0.0}, 10.0)
     assert traj.stats == {"steps": 553, "rejected": 0, "min_h": 3.799078133005522e-11}
 
 
@@ -151,15 +151,15 @@ def test_equality_goal_met_on_a_steep_crossing(k):
     # within 1e-9 in time, not in x, and the sign change still puts the
     # equality on its boundary there
     pf = parse_problem(f"ode {{ x' = -{k}*x }}  goal {{ x = 1/2 }}")
-    traj = sim.integrate(pf.system, {"x": 1.0}, 1.0, goal=pf.goal)
+    traj = sim.integrate(sim.Plan(pf.system, pf.goal), {"x": 1.0}, 1.0)
     assert traj.events[0][1] == sim.GOAL_ENTERED and traj.closed[sim.GOAL_ENTERED]
     assert abs(traj.events[0][0] - math.log(2) / k) < 1e-8
 
 
 def test_integration_deterministic(alpha_n):
-    a = sim.integrate(alpha_n.system, {"u": 1.0, "v": 0.0}, 1.0, goal=alpha_n.goal)
-    b = sim.integrate(alpha_n.system, {"u": 1.0, "v": 0.0}, 1.0, goal=alpha_n.goal)
-    assert [s.time for s in a.samples] == [s.time for s in b.samples]
+    a = sim.integrate(sim.Plan(alpha_n.system, alpha_n.goal), {"u": 1.0, "v": 0.0}, 1.0)
+    b = sim.integrate(sim.Plan(alpha_n.system, alpha_n.goal), {"u": 1.0, "v": 0.0}, 1.0)
+    assert [t for t, _ in a.rows] == [t for t, _ in b.rows]
     assert a.events == b.events
 
 
@@ -174,27 +174,30 @@ def test_sampled_state_rounded_just_outside_a_closed_domain_starts_inside():
     c = plan.bind(())
     A = c.atoms((init["u"], init["v"]))
     assert not c.domain(A) and c.domain(sim._on_boundary(A))
-    traj = sim.integrate(pf.system, init, 10.0, goal=pf.goal, plan=plan)
+    traj = sim.integrate(plan, init, 10.0)
     assert sim.classify(traj)[0] == sim.WITNESS
     # a state far outside a closed domain still exits at t = 0 (CE-3)
     ce3 = parse_problem("ode { x' = 1 }  domain { x <= -1 }  assume { x = 1 }  goal { x >= 0 }")
-    assert sim.classify(sim.integrate(ce3.system, {"x": 1.0}, 10.0, goal=ce3.goal)) == (sim.REFUTED, 0.0)
+    assert sim.classify(sim.integrate(sim.Plan(ce3.system, ce3.goal), {"x": 1.0}, 10.0)) == (sim.REFUTED, 0.0)
 
 
 def test_goal_never_follows_domain_exit_with_stop():
     pf = parse_problem(
         "ode { x' = 1 }  domain { x <= 1 }  assume { x = 0 }  goal { x >= 2 }"
     )
-    traj = sim.integrate(pf.system, {"x": 0.0}, 5.0, goal=pf.goal, stop_on_event=True)
+    traj = sim.integrate(sim.Plan(pf.system, pf.goal), {"x": 0.0}, 5.0, stop_on_event=True)
     kinds = [k for _, k in traj.events]
     assert sim.DOMAIN_EXITED in kinds
     assert sim.GOAL_ENTERED not in kinds
 
 
 def test_horizon_event():
-    pf = parse_problem("ode { x' = 1 }  goal { x >= 100 }")
-    traj = sim.integrate(pf.system, {"x": 0.0}, 1.0, goal=pf.goal, stop_on_event=False)
-    assert traj.events[-1][1] == sim.HORIZON_REACHED
+    # the last step is cut to the horizon and lands exactly on it, so the
+    # goal x >= 0.11 just beyond it is never entered
+    pf = parse_problem("ode { x' = 1 }  goal { x >= 11/100 }")
+    traj = sim.integrate(sim.Plan(pf.system, pf.goal), {"x": 0.0}, 0.1, stop_on_event=False)
+    assert traj.events == [(0.1, sim.HORIZON_REACHED)]
+    assert traj.rows[-1][0] == 0.1
 
 
 # -- sampling -------------------------------------------------------------------
@@ -375,7 +378,7 @@ def test_ce4_entry_reads_the_final_t():
 def test_ce2_domain_exit_at_goal_crossing():
     entry = next(e for e in sim.catalog() if e.id == "CE-2")
     pf = entry.problem()
-    traj = sim.integrate(pf.system, {"x": 0.0}, 5.0, goal=pf.goal, stop_on_event=True)
+    traj = sim.integrate(sim.Plan(pf.system, pf.goal), {"x": 0.0}, 5.0, stop_on_event=True)
     t_exit = traj.event_time(sim.DOMAIN_EXITED)
     t_goal = traj.event_time(sim.GOAL_ENTERED)
     assert t_exit is not None and abs(t_exit - 1.0) < 1e-6
@@ -385,7 +388,7 @@ def test_ce2_domain_exit_at_goal_crossing():
 def test_ce4_blowup_before_goal():
     entry = next(e for e in sim.catalog() if e.id == "CE-4")
     pf = entry.problem()
-    traj = sim.integrate(pf.system, {"x": 2.0, "t": 2.0}, 5.0, goal=pf.goal, stop_on_event=True)
+    traj = sim.integrate(sim.Plan(pf.system, pf.goal), {"x": 2.0, "t": 2.0}, 5.0, stop_on_event=True)
     assert traj.event_time(sim.BLOWUP_SUSPECTED) is not None
     assert abs(traj.final().values["t"] - 2.5) < 1e-3
 
@@ -395,45 +398,37 @@ def test_ce4_blowup_before_goal():
 
 def test_lie_consistency_alpha_l(alpha_l):
     p = parse_poly("u^2 + v^2")
-    traj = sim.integrate(alpha_l.system, {"u": 1.0, "v": 0.0}, 1.0, grid=1e-4, stop_on_event=False)
-    out = lie_consistency_check(p, alpha_l.system, traj, 1e-4)
+    states = fixed_steps(sim.Plan(alpha_l.system), {"u": 1.0, "v": 0.0}, 1.0, 1e-4)
+    out = lie_consistency_check(p, alpha_l.system, states, 1e-4)
     assert out["max_error"] <= 1e-5
 
 
 def test_lie_consistency_constant_is_exact():
     pf = parse_problem("param c;  ode { x' = 1 }  assume { c = 1 }  goal { x >= 1 }")
-    traj = sim.integrate(pf.system, {"x": 0.0, "c": 1.0}, 0.1, grid=1e-3, stop_on_event=False)
-    out = lie_consistency_check(Polynomial.var("c"), pf.system, traj, 1e-3)
+    states = fixed_steps(sim.Plan(pf.system), {"x": 0.0, "c": 1.0}, 0.1, 1e-3)
+    out = lie_consistency_check(Polynomial.var("c"), pf.system, states, 1e-3)
     assert out["max_error"] <= 1e-12
 
 
 def test_lie_consistency_clock_unit_rate(alpha_l):
     clocked = alpha_l.system.with_clock("_t")
-    traj = sim.integrate(clocked, {"u": 1.0, "v": 0.0, "_t": 0.0}, 0.5, grid=1e-3, stop_on_event=False)
-    out = lie_consistency_check(Polynomial.var("_t"), clocked, traj, 1e-3)
+    states = fixed_steps(sim.Plan(clocked), {"u": 1.0, "v": 0.0, "_t": 0.0}, 0.5, 1e-3)
+    out = lie_consistency_check(Polynomial.var("_t"), clocked, states, 1e-3)
     assert out["max_error"] <= 1e-10
 
 
-def test_grid_steps_end_at_the_horizon():
-    # 0.1 is no multiple of 0.03: the last grid step is cut to the horizon,
-    # so the goal x >= 0.11 beyond it is never entered
-    pf = parse_problem("ode { x' = 1 }  goal { x >= 11/100 }")
-    traj = sim.integrate(pf.system, {"x": 0.0}, 0.1, pf.goal, grid=0.03)
-    assert traj.events == [(0.1, sim.HORIZON_REACHED)]
-    assert [t for t, _ in traj.rows] == [0.0, 0.03, 0.06, 0.09, 0.1]
-
-
 def test_lie_consistency_insufficient_samples(alpha_l):
-    traj = sim.integrate(alpha_l.system, {"u": 1.0, "v": 0.0}, 1.0, stop_on_event=False)
+    traj = sim.integrate(sim.Plan(alpha_l.system), {"u": 1.0, "v": 0.0}, 1.0, stop_on_event=False)
+    states = [sim.State(traj.values(y), t) for t, y in traj.rows]
     with pytest.raises(InsufficientSamples):
-        lie_consistency_check(parse_poly("u"), alpha_l.system, traj, 1e-6)
+        lie_consistency_check(parse_poly("u"), alpha_l.system, states, 1e-6)
 
 
 @pytest.mark.parametrize("h,bound", [(1e-3, 1e-3), (1e-4, 1e-5)])
 def test_lie_consistency_tolerance_at_steps(alpha_l, h, bound):
     p = parse_poly("u^2 + v^2")
-    traj = sim.integrate(alpha_l.system, {"u": 1.0, "v": 0.0}, 1.0, grid=h, stop_on_event=False)
-    out = lie_consistency_check(p, alpha_l.system, traj, h)
+    states = fixed_steps(sim.Plan(alpha_l.system), {"u": 1.0, "v": 0.0}, 1.0, h)
+    out = lie_consistency_check(p, alpha_l.system, states, h)
     assert out["max_error"] <= bound
 
 
@@ -482,9 +477,3 @@ def test_goal_entry_and_domain_exit_at_one_point(domain, goal, expected):
 def test_classify_breaks_ties_by_closedness(closed, expected):
     traj = sim.Trajectory([], [(0.5, sim.DOMAIN_EXITED), (0.5 + 1e-9, sim.GOAL_ENTERED)], {}, closed)
     assert sim.classify(traj)[0] == expected
-
-
-def test_plan_is_tied_to_its_system_and_goal(alpha_l):
-    plan = sim.Plan(alpha_l.system, alpha_l.goal)
-    with pytest.raises(ValueError):
-        sim.integrate(alpha_l.system, {"u": 1.0, "v": 0.0}, 1.0, goal=None, plan=plan)

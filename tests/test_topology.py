@@ -13,27 +13,27 @@ PROVE = arith.prove_implication
 
 
 def test_closed_nonstrict_atom():
-    assert topology.check_closed(parse_formula("u^2 + v^2 >= 2"), UV).holds
+    assert topology.check_closed(parse_formula("u^2 + v^2 >= 2")).holds
 
 
 def test_closed_annulus():
-    assert topology.check_closed(parse_formula("1 <= u^2 + v^2 & u^2 + v^2 <= 2"), UV).holds
+    assert topology.check_closed(parse_formula("1 <= u^2 + v^2 & u^2 + v^2 <= 2")).holds
 
 
 def test_closed_mixed_strictness_unknown():
-    v = topology.check_closed(parse_formula("u > 0 | u >= 1"), UV)
+    v = topology.check_closed(parse_formula("u > 0 | u >= 1"))
     assert not v.holds
 
 
 def test_open_checks():
-    assert topology.check_open(parse_formula("u^2 + v^2 > 1/4"), UV).holds
-    assert topology.check_open(parse_formula("u > 0"), UV).holds
-    assert not topology.check_open(parse_formula("u >= 0"), UV).holds
+    assert topology.check_open(parse_formula("u^2 + v^2 > 1/4")).holds
+    assert topology.check_open(parse_formula("u > 0")).holds
+    assert not topology.check_open(parse_formula("u >= 0")).holds
 
 
 def test_negation_normalizes_before_classification():
     # !(u^2+v^2 >= 2) is an open set even though it is written negated
-    assert topology.check_open(parse_formula("!(u^2 + v^2 >= 2)"), UV).holds
+    assert topology.check_open(parse_formula("!(u^2 + v^2 >= 2)")).holds
 
 
 def test_bounded_annulus_with_witness_two():
@@ -114,7 +114,7 @@ def test_closed_criterion_excludes_strict_atoms_syntactically():
     # soundness of Holds: no strict atom survives in the NNF
     for text in ("u^2 + v^2 >= 2", "1 <= u^2 + v^2 & u^2 + v^2 <= 2", "u = 0 & v = 0"):
         f = parse_formula(text)
-        assert topology.check_closed(f, UV).holds
+        assert topology.check_closed(f).holds
         atoms = atoms_of(f)
         assert atoms is not None
         assert all(a.op in (">=", "=") for a in atoms)
