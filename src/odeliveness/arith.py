@@ -19,15 +19,15 @@ case split on a top-level disjunction, each disjunct proved through
 over the box, which skips the centre (2) tried.  The conclusion is compiled
 only when (2) or (5) reads it, and its atoms are normalised only when (3)
 reads them.  The set-up works on numerators and denominators: each root is
-one `Fraction` of integer products, and each atom compiles from the integer
-terms of its two sides.  Every cell is evaluated exactly, in integers
-scaled by a positive constant per atom and cell, so the prover needs no
-rounding tolerance: Valid is never returned for an obligation that is
-falsifiable over its box.  The symbolic certificates are sound, so they
-never prove an obligation that (2) refutes, and putting (2) first changes
-no verdict.  Every step is monotone in the constant of a one-atom
-conclusion: loosening `p <= c` to `p <= c + d` (d >= 0) keeps Valid Valid,
-with no more cells, which lets `topology.first_proved` bisect.
+one `Fraction` of two numerators, and each atom compiles from the integer
+numerators of the difference of its two sides.  Every cell is evaluated
+exactly, in integers scaled by a positive constant per atom and cell, so the
+prover needs no rounding tolerance: Valid is never returned for an
+obligation that is falsifiable over its box.  The symbolic certificates are
+sound, so they never prove an obligation that (2) refutes, and putting (2)
+first changes no verdict.  Every step is monotone in the constant of a
+one-atom conclusion: loosening `p <= c` to `p <= c + d` (d >= 0) keeps Valid
+Valid, with no more cells, which lets `topology.first_proved` bisect.
 
 `falsify` samples exact rational points and can only ever answer Falsified or
 Unknown; counterexamples re-verify by rational evaluation.
@@ -43,7 +43,6 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from random import Random
 from typing import Optional
 
@@ -136,10 +135,10 @@ def _decide(op: str, lo, hi) -> int:
 # ---------------------------------------------------------------------------
 # Exact evaluation in scaled integers.
 #
-# A polynomial d is compiled once: scaled by the lcm s of its coefficient
-# denominators, each term becomes an integer coefficient, its factors, and
-# the gaps M_v - e_v, where M_v is the highest degree of v in d.  A cell
-# gives each variable v integer bounds L_v <= H_v over one positive
+# A polynomial d is compiled once: scaled by its denominator s, each term
+# becomes its integer numerator, its factors, and the gaps M_v - e_v, where
+# M_v is the highest degree of v in d.  A cell gives each variable v
+# integer bounds L_v <= H_v over one positive
 # denominator D_v (`_scaled`).  `_enclosure` runs the steps of the interval
 # enclosure on the numerators and multiplies each term by prod D_v^(M_v - e_v),
 # so every bound it returns is the exact rational bound times
@@ -147,30 +146,20 @@ def _decide(op: str, lo, hi) -> int:
 # is a cell with L_v = H_v.
 
 
-_ZERO_POLY = Polynomial()
-
-
-def _scaled_poly(p: Polynomial, q: Polynomial = _ZERO_POLY) -> tuple:
-    """(terms, s, degrees) of p - q, built in integers: terms as (integer
-    coefficient, factors, gaps) in the order `Polynomial.__sub__` gives
-    them, the scale s (the lcm of the denominators of p and q), and M_v per
-    variable."""
-    s = math.lcm(*(c.denominator for c in p.terms.values()), *(c.denominator for c in q.terms.values()))
-    coeffs = {m: c.numerator * (s // c.denominator) for m, c in p.terms.items()}
-    for m, c in q.terms.items():
-        coeffs[m] = coeffs.get(m, 0) - c.numerator * (s // c.denominator)
-    coeffs = {m: c for m, c in coeffs.items() if c}
+def _scaled_poly(p: Polynomial) -> tuple:
+    """(terms, degrees) of p scaled by s = p.den: terms as (integer
+    numerator, factors, gaps) in p's order, and M_v per variable."""
     degrees: dict = {}
-    for m in coeffs:
+    for m in p.terms:
         for v, e in m:
             if e > degrees.get(v, 0):
                 degrees[v] = e
     terms = []
-    for m, c in coeffs.items():
+    for m, c in p.terms.items():
         exps = dict(m)
         gaps = tuple((v, k - exps.get(v, 0)) for v, k in degrees.items() if k > exps.get(v, 0))
         terms.append((c, m, gaps))
-    return tuple(terms), s, degrees
+    return tuple(terms), degrees
 
 
 def _scaled(bounds) -> dict:
@@ -214,29 +203,17 @@ def _enclosure(terms: tuple, cell: dict) -> tuple:
     return lo, hi
 
 
-def interval_of_poly(p: Polynomial, box: Box) -> Interval:
-    """Exact interval enclosure of p over the box, monomial by monomial."""
-    terms, s, degrees = _scaled_poly(p)
-    cell = _scaled((v, box[v].lo, box[v].hi) for v in degrees)
-    lo, hi = _enclosure(terms, cell)
-    for v, k in degrees.items():
-        s *= cell[v][2] ** k
-    return Interval(Fraction(lo, s), Fraction(hi, s))
-
-
 # ---------------------------------------------------------------------------
 # Formulas compiled once: nested tuples whose atoms carry the scaled integer
-# terms of the difference of their two sides (`_atom_node`).
+# terms of the difference of their two sides (`_atom_node`), which is
+# `norm_atom`'s up to the sign of `=` and `!=` atoms, which no answer
+# depends on.
 
 _LIT, _ATOM, _NOT, _AND, _OR = range(5)
 
 
-def _atom_node(op: str, lhs: Polynomial, rhs: Polynomial = _ZERO_POLY) -> tuple:
-    """`lhs op rhs` compiled from its two sides: `norm_atom`'s difference,
-    up to the sign of `=` and `!=` atoms, which no answer depends on."""
-    if op in _FLIP:
-        return (_ATOM, _FLIP[op], _scaled_poly(rhs, lhs)[0])
-    return (_ATOM, op, _scaled_poly(lhs, rhs)[0])
+def _atom_node(op: str, d: Polynomial) -> tuple:
+    return (_ATOM, op, _scaled_poly(d)[0])
 
 
 def _conj_node(nodes: list) -> tuple:
@@ -253,7 +230,9 @@ def _compile(f: Formula) -> tuple:
     if isinstance(f, BoolLit):
         return (_LIT, 1 if f.value else -1)
     if isinstance(f, Cmp):
-        return _atom_node(f.op, f.lhs, f.rhs)
+        if f.op in _FLIP:
+            return _atom_node(_FLIP[f.op], f.rhs - f.lhs)
+        return _atom_node(f.op, f.lhs - f.rhs)
     if isinstance(f, Not):
         return (_NOT, _compile(f.arg))
     if isinstance(f, And):
@@ -363,15 +342,13 @@ class Budget:
 # ---------------------------------------------------------------------------
 # Box extraction from hypothesis atoms
 
-_ZERO = Fraction(0)
 
-
-def _root_upper(x: Fraction, k: int) -> Fraction:
-    """Smallest n/64 with (n/64)^k >= x, for x >= 0 (outward rational root),
-    found in integers: the least n >= 1 with n^k * den >= num * 64^k."""
-    if x <= 0:
-        return Fraction(0)
-    t = -(-x.numerator * 64**k // x.denominator)  # n^k >= t, as n^k is an integer
+def _root_upper(num: int, den: int, k: int) -> int:
+    """The least n >= 0 with (n/64)^k >= num/den, den > 0 (an outward
+    rational root n/64), found in integers: n^k * den >= num * 64^k."""
+    if num <= 0:
+        return 0
+    t = -(-num * 64**k // den)  # n^k >= t, as n^k is an integer
     lo, hi = 1, 1 << -(-t.bit_length() // k)  # hi^k >= 2^bits > t
     while lo < hi:  # bisect for the least n in [lo, hi] with n^k >= t
         mid = (lo + hi) // 2
@@ -379,15 +356,15 @@ def _root_upper(x: Fraction, k: int) -> Fraction:
             hi = mid
         else:
             lo = mid + 1
-    return Fraction(lo, 64)
+    return lo
 
 
-def _root(p: Polynomial) -> Optional[tuple[str, bool, Fraction]]:
-    """(v, a > 0, -b/a) when p = a*v + b is linear in the single variable
-    v, else None: `p >= 0` bounds v from below at -b/a when a > 0, from
-    above when a < 0.  The root is one `Fraction` of integer products."""
+def _root(p: Polynomial) -> Optional[tuple[str, bool, int, int]]:
+    """(v, a > 0, n, d) with n/d = -b/a, d > 0, read off p's numerators when
+    p = a*v + b is linear in the single variable v, else None: `p >= 0`
+    bounds v from below at -b/a when a > 0, from above when a < 0."""
     terms = p.terms
-    b = terms.get((), _ZERO)
+    b = terms.get((), 0)
     if len(terms) - (() in terms) != 1:
         return None  # not exactly one non-constant term
     for m, a in terms.items():
@@ -395,51 +372,50 @@ def _root(p: Polynomial) -> Optional[tuple[str, bool, Fraction]]:
             break
     if len(m) != 1 or m[0][1] != 1:
         return None
-    return m[0][0], a.numerator > 0, Fraction(-b.numerator * a.denominator, b.denominator * a.numerator)
+    return (m[0][0], True, -b, a) if a > 0 else (m[0][0], False, b, -a)
 
 
 class _Hypothesis:
     """The normalised atoms of a hypothesis's top-level conjuncts, with what
     the box, the entailed-atom filter and the pre-checks read of them, each
     computed once per `Region`: the root (`_root`) of every atom and, when
-    the pre-checks first ask, the equalities, the facts `poly >= 0` (an
-    equality gives both signs), the primitive polynomials of the
+    the pre-checks first ask, the equalities `eqs`, the `facts` `poly >= 0`
+    (an equality gives both signs), the primitive polynomials `neqs` of the
     disequalities, and whether the atoms are `contradictory`.  A fact is
-    (poly, is_strict, zero), where zero is (v, -b/a) for a fact linear in
-    one variable v, else None."""
+    (poly, is_strict, zero), where zero is (v, n, d) with -b/a = n/d, d > 0,
+    for a fact linear in one variable v, else None.  `__getattr__` builds
+    each of the four on first use, as a plain attribute."""
 
     def __init__(self, atoms: list):
         self.atoms = atoms
         self.roots = [_root(a.poly) for a in atoms]
 
-    @cached_property
-    def eqs(self) -> list:
-        return equality_polys(self.atoms)
-
-    @cached_property
-    def facts(self) -> list:
-        facts = []
-        for a, root in zip(self.atoms, self.roots):
-            zero = root and (root[0], root[2])
-            if a.op in (">=", ">"):
-                facts.append((a.poly, a.op == ">", zero))
-            elif a.op == "=":
-                facts.append((a.poly, False, zero))
-                facts.append((-a.poly, False, zero))
-        return facts
-
-    @cached_property
-    def neqs(self) -> set:
-        return {primitive(a.poly) for a in self.atoms if a.op == "!="}
-
-    @cached_property
-    def contradictory(self) -> bool:
-        return contradictory(self.atoms)
+    def __getattr__(self, name: str):
+        if name == "eqs":
+            value = equality_polys(self.atoms)
+        elif name == "facts":
+            value = []
+            for a, root in zip(self.atoms, self.roots):
+                zero = root and (root[0], root[2], root[3])
+                if a.op in (">=", ">"):
+                    value.append((a.poly, a.op == ">", zero))
+                elif a.op == "=":
+                    value.append((a.poly, False, zero))
+                    value.append((-a.poly, False, zero))
+        elif name == "neqs":
+            value = {primitive(a.poly) for a in self.atoms if a.op == "!="}
+        elif name == "contradictory":
+            value = contradictory(self.atoms)
+        else:
+            raise AttributeError(name)
+        setattr(self, name, value)
+        return value
 
 
-def _sum_of_even_powers(p: Polynomial) -> Optional[tuple[Fraction, dict]]:
-    """Match C - sum(c_i * v_i^(2k_i)) with all c_i > 0; returns (C, {v: (c, 2k)})."""
-    bound = p.coefficient(())
+def _sum_of_even_powers(p: Polynomial) -> Optional[tuple[int, dict]]:
+    """Match C - sum(c_i * v_i^(2k_i)) with all c_i > 0; returns (C, {v: (c, 2k)})
+    in numerators over p's denominator."""
+    bound = p.terms.get((), 0)
     body = {}
     for m, c in p.terms.items():
         if not m:
@@ -467,17 +443,17 @@ def extract_box(
     """
     if hyp is None:
         hyp = _Hypothesis(partial_atoms(hypothesis)[0])
-    lows: dict = {}
+    lows: dict = {}  # v -> (n, d), the bound n/d with d > 0
     highs: dict = {}
     for a, root in zip(hyp.atoms, hyp.roots):
         if a.op == "!=":
             continue
         if root is not None:
-            v, lower, x = root
-            if (a.op == "=" or lower) and (v not in lows or x > lows[v]):
-                lows[v] = x
-            if (a.op == "=" or not lower) and (v not in highs or x < highs[v]):
-                highs[v] = x
+            v, lower, n, d = root
+            if (a.op == "=" or lower) and (v not in lows or n * lows[v][1] > lows[v][0] * d):
+                lows[v] = (n, d)
+            if (a.op == "=" or not lower) and (v not in highs or n * highs[v][1] < highs[v][0] * d):
+                highs[v] = (n, d)
             continue
         for e in [a.poly] if a.op != "=" else [a.poly, -a.poly]:
             sq = _sum_of_even_powers(e)
@@ -486,18 +462,19 @@ def extract_box(
                 if bound < 0:
                     return None, []  # unsatisfiable: sum of even powers <= negative
                 for v, (c, k) in body.items():
-                    r = _root_upper(bound / c, k)
-                    if v not in lows or -r > lows[v]:
-                        lows[v] = -r
-                    if v not in highs or r < highs[v]:
-                        highs[v] = r
+                    r = _root_upper(bound, c, k)
+                    if v not in lows or -r * lows[v][1] > lows[v][0] * 64:
+                        lows[v] = (-r, 64)
+                    if v not in highs or r * highs[v][1] < highs[v][0] * 64:
+                        highs[v] = (r, 64)
     box: Box = {}
     unbounded = []
     for v in universals:
         if v in lows and v in highs:
-            if lows[v] > highs[v]:
+            (ln, ld), (hn, hd) = lows[v], highs[v]
+            if ln * hd > hn * ld:
                 return None, []
-            box[v] = Interval(lows[v], highs[v])
+            box[v] = Interval(Fraction(ln, ld), Fraction(hn, hd))
         else:
             unbounded.append(v)
     if unbounded:
@@ -505,18 +482,18 @@ def extract_box(
     return box, []
 
 
-def _entailed(a: NormAtom, root, box: Box) -> bool:
-    """Does every point of the box satisfy the atom, by its root alone?
-    True for `a*v + b >= 0` when the box's bound on v lies on the right side
-    of -b/a, and for `a*v + b = 0` when the box is that one point in v.
-    Strict atoms, nonlinear atoms and disequalities are never entailed."""
+def _entailed(a: NormAtom, root, cell: dict) -> bool:
+    """Does every point of the scaled cell satisfy the atom, by its root
+    alone?  True for `a*v + b >= 0` when the cell's bound on v lies on the
+    right side of -b/a, and for `a*v + b = 0` when the cell is that point in
+    v.  Strict atoms, nonlinear atoms and disequalities are never entailed."""
     if root is None or a.op not in (">=", "="):
         return False
-    v, lower, x = root
-    iv = box[v]
+    v, lower, n, d = root
+    lo, hi, den = cell[v]
     if a.op == "=":
-        return iv.lo == iv.hi == x
-    return iv.lo >= x if lower else iv.hi <= x
+        return lo == hi and lo * d == n * den
+    return lo * d >= n * den if lower else hi * d <= n * den
 
 
 # ---------------------------------------------------------------------------
@@ -530,8 +507,10 @@ def _trivially_nonneg(p: Polynomial) -> bool:
     return all(c > 0 and all(e % 2 == 0 for _, e in m) for m, c in p.terms.items())
 
 
-def _constant_at(p: Polynomial, v: str, x: Fraction) -> bool:
-    """Is p with v replaced by x a constant polynomial?"""
+def _constant_at(p: Polynomial, v: str, n: int, d: int) -> bool:
+    """Is p with v replaced by n/d (d > 0) a constant polynomial?  Decided on
+    p * d^K, K the degree of p in v: each c * v^k becomes c * n^k * d^(K-k)."""
+    big = p.degree_in((v,))
     rest: dict = {}
     for m, c in p.terms.items():
         k = 0
@@ -543,7 +522,7 @@ def _constant_at(p: Polynomial, v: str, x: Fraction) -> bool:
                 others.append((w, e))
         if others:
             key = tuple(others)
-            rest[key] = rest.get(key, 0) + c * x**k
+            rest[key] = rest.get(key, 0) + c * n**k * d ** (big - k)
     return not any(rest.values())
 
 
@@ -556,9 +535,10 @@ def _derive_atom(goal: NormAtom, hyp: _Hypothesis, box: Optional[Box]) -> bool:
     if goal.op == "=":
         return e.is_zero()
 
-    c = e.constant_value()
-    if c is not None:
-        return c > 0 if strict else c >= 0
+    e_terms = e.terms  # numerators over e.den > 0, so their signs are e's
+    e_const = e_terms.get((), 0)
+    if e.is_constant():
+        return e_const > 0 if strict else e_const >= 0
 
     if not strict and _trivially_nonneg(e):
         return True
@@ -566,7 +546,7 @@ def _derive_atom(goal: NormAtom, hyp: _Hypothesis, box: Optional[Box]) -> bool:
     facts = hyp.facts
     # a candidate matches only if it holds every non-constant monomial of e;
     # the pair sums are built only after every single fact failed to match
-    e_body_monos = [m for m in e.terms if m]
+    e_body_monos = [m for m in e_terms if m]
 
     def pair_sums():
         for i in range(len(facts)):
@@ -580,21 +560,22 @@ def _derive_atom(goal: NormAtom, hyp: _Hypothesis, box: Optional[Box]) -> bool:
 
     candidates = itertools.chain([(f, s) for f, s, _ in facts], pair_sums())
 
-    # e = lam*f + c with lam > 0 and c >= 0: the scale lam is read off one
-    # non-constant monomial of e, and then every other one must agree.  A
-    # weaker goal e + d (d >= 0) matches the same f with c + d, so this test,
-    # like every other step of the prover, is monotone in the goal's constant.
-    e_const = e.coefficient(())
-    e_body = len(e.terms) - (() in e.terms)  # number of non-constant terms
-    m0 = next(m for m in e.terms if m)
+    # e = lam*f + c with lam > 0 and c >= 0, in numerators: lam's sign is
+    # that of a*b for a, b of one non-constant monomial of e and f, then each
+    # other one must agree, e[m]*b == a*f[m], and c has the sign of
+    # (e_const*b - a*f_const)*b.  A weaker goal e + d (d >= 0) matches the
+    # same f with c + d, so this test is monotone in the goal's constant.
+    e_body = len(e_terms) - (() in e_terms)  # number of non-constant terms
+    m0 = e_body_monos[0]
+    a = e_terms[m0]
     for fpoly, fstrict in candidates:
-        f0 = fpoly.terms.get(m0)
-        if f0 is None or len(fpoly.terms) - (() in fpoly.terms) != e_body:
+        f_terms = fpoly.terms
+        b = f_terms.get(m0)
+        if b is None or len(f_terms) - (() in f_terms) != e_body:
             continue
-        lam = e.terms[m0] / f0
-        if lam <= 0 or any(m and e.terms.get(m) != lam * c for m, c in fpoly.terms.items()):
+        if (a > 0) != (b > 0) or any(m and e_terms.get(m, 0) * b != a * c for m, c in f_terms.items()):
             continue
-        rc = e_const - lam * fpoly.coefficient(())
+        rc = (e_const * b - a * f_terms.get((), 0)) * b
         if rc < 0:
             continue
         if not strict or fstrict or rc > 0:
@@ -603,24 +584,25 @@ def _derive_atom(goal: NormAtom, hyp: _Hypothesis, box: Optional[Box]) -> bool:
         if _canonical_sign(primitive(e)) in hyp.neqs:
             return True
 
-    # division: e = a*q + r with a >= 0 from hypothesis, q sign-definite on box
+    # division: e = f*q + r with f >= 0 from hypothesis, q sign-definite on
+    # box; the signs of r, q and q's enclosure are those of their numerators
     for fpoly, fstrict, zero in facts:
         if fpoly.is_constant() or fpoly.degree() > e.degree():
             continue
         if zero is not None and not _constant_at(e, *zero):
             continue  # dividing by a*v + b leaves e at v = -b/a, not a constant
         q, r = poly_divmod(e, fpoly)
-        rc = r.constant_value()
-        if rc is None or rc < 0 or q.is_zero():
+        rc = r.terms.get((), 0)
+        if not r.is_constant() or rc < 0 or q.is_zero():
             continue
-        qc = q.constant_value()
-        if qc is not None:
-            q_nonneg, q_pos = qc >= 0, qc > 0
+        if q.is_constant():
+            qlo = q.terms[()]
         elif box is not None and all(v in box for v in q.variables()):
-            iv = interval_of_poly(q, box)
-            q_nonneg, q_pos = iv.lo >= 0, iv.lo > 0
+            terms, degrees = _scaled_poly(q)
+            qlo, _ = _enclosure(terms, _scaled((v, box[v].lo, box[v].hi) for v in degrees))
         else:
             continue
+        q_nonneg, q_pos = qlo >= 0, qlo > 0
         if not q_nonneg:
             continue
         if not strict:
@@ -680,19 +662,21 @@ class Region:
             # the box entails hold on every cell, and +1 is the unit of the
             # conjunction, so dropping them changes no cell's answer.
             self.names = names = tuple(sorted(universals))
-            kept = [a for a, r in zip(hyp.atoms, hyp.roots) if not _entailed(a, r, box)]
-            self.node = _conj_node([_atom_node(a.op, a.poly) for a in kept])
             cell = _scaled((v, box[v].lo, box[v].hi) for v in names)
+            kept = [a for a, r in zip(hyp.atoms, hyp.roots) if not _entailed(a, r, cell)]
+            self.node = _conj_node([_atom_node(a.op, a.poly) for a in kept])
             self.root_cell = tuple(cell.values())
             self.mid = _midpoint(cell)
             self.mid_truth = _eval3(self.node, self.mid)
 
-    @cached_property
-    def cases(self) -> list:
-        """The hypotheses of the case split on the first top-level
-        disjunction: the other conjuncts with each of its disjuncts."""
+    def __getattr__(self, name: str):
+        """`cases` on first use, then a plain attribute: the other conjuncts
+        with each disjunct of the first top-level disjunction."""
+        if name != "cases":
+            raise AttributeError(name)
         rest = conj([g for g in self.parts if g is not self.split])
-        return [conj([rest, d]) for d in disjuncts(self.split)]
+        self.cases = [conj([rest, d]) for d in disjuncts(self.split)]
+        return self.cases
 
 
 def _conclusion_node(parts: list) -> tuple:
@@ -857,7 +841,7 @@ def _compile_screen(ob: ArithObligation, names, axes):
     coordinates of `names[i]`."""
 
     def atom(f: Cmp) -> str:
-        d = poly_src((f.lhs - f.rhs).sorted_terms(), lambda v: f"_a{names.index(v)}")
+        d = poly_src(f.lhs - f.rhs, lambda v: f"_a{names.index(v)}", ordered=True)
         if f.op == "=":
             return f"(abs({d}) <= 1e-9)"  # permissive: exact confirmation decides
         if f.op == "!=":
@@ -923,7 +907,7 @@ def _smt_poly(p: Polynomial) -> str:
         return "0"
     parts = []
     for m, c in p.sorted_terms():
-        factors = [] if (c == 1 and m) else [_smt_frac(c)]
+        factors = [] if (c == p.den and m) else [_smt_frac(Fraction(c, p.den))]
         for v, e in m:
             factors.extend([v] * e)
         parts.append(factors[0] if len(factors) == 1 else "(* " + " ".join(factors) + ")")

@@ -224,6 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # exact numbers are read and printed at any length
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)

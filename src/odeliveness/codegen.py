@@ -6,36 +6,36 @@ once instead of walking the AST per point.  Sources are generated
 exclusively from the package's own ASTs.
 
 A polynomial becomes `c*x**e*y + c2*...`: each term is the coefficient
-times its factors, left to right, and terms are summed left to right in
-the order the caller gives, so a caller that needs bit-identical results to
-some other evaluation order only has to pass the terms in that order.
+(its numerator over the denominator, correctly rounded) times its factors,
+left to right, and terms are summed left to right in the polynomial's dict
+order or in `sorted_terms` order, as the caller asks.
 """
 
 from __future__ import annotations
 
 from decimal import Context, Decimal
-from fractions import Fraction
 from typing import Callable
 
 from .errors import InvalidArgument, NestingTooDeep
 from .syntax import And, BoolLit, Cmp, Formula, Implies, Not, Or
 
 
-def to_float(c: Fraction) -> float:
-    """c as a float; a number past the float range is an input error."""
+def to_float(num: int, den: int = 1) -> float:
+    """num/den (den != 0) as a float, correctly rounded as `float` of the
+    `Fraction` is; a number past the float range is an input error."""
     try:
-        return float(c)
+        return num / den
     except OverflowError:
-        approx = Context(prec=6).divide(Decimal(c.numerator), Decimal(c.denominator)).normalize()
+        approx = Context(prec=6).divide(Decimal(num), Decimal(den)).normalize()
         raise InvalidArgument(f"number {approx} is outside the float range") from None
 
 
-def poly_src(terms, ref: Callable[[str], str]) -> str:
-    """Source of the sum of `terms` ((monomial, coefficient) pairs, summed in
-    the given order); `ref(name)` is the source of a variable."""
+def poly_src(p, ref: Callable[[str], str], ordered: bool = False) -> str:
+    """Source of the sum of p's terms, in dict order or, when `ordered`, in
+    `sorted_terms` order; `ref(name)` is the source of a variable."""
     parts = []
-    for m, c in terms:
-        factors = [repr(to_float(c))]
+    for m, c in p.sorted_terms() if ordered else p.terms.items():
+        factors = [repr(to_float(c, p.den))]
         for v, e in m:
             factors.append(ref(v) if e == 1 else f"{ref(v)}**{e}")
         parts.append("*".join(factors))

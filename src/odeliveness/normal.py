@@ -8,11 +8,11 @@ positive) so that structural matching catches both orientations.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
-from .symbolic import Polynomial, grlex_key
+from .symbolic import Polynomial, grlex_key, primitive
 from .syntax import (
     And,
     BoolLit,
@@ -130,35 +130,23 @@ def atoms_of_conjuncts(parts: list[Formula]) -> tuple[list[NormAtom], bool]:
     return out, complete
 
 
-def _primitive_key(p: Polynomial) -> frozenset:
-    """The terms of `primitive(p)` as (monomial, integer) pairs, built in
-    integers: one key for two polynomials iff each is a positive multiple of
-    the other."""
-    s = math.lcm(*(c.denominator for c in p.terms.values()))
-    ints = [(m, c.numerator * (s // c.denominator)) for m, c in p.terms.items()]
-    g = math.gcd(*(n for _, n in ints))
-    return frozenset((m, n // g) for m, n in ints)
-
-
-def _negated(key: frozenset) -> frozenset:
-    return frozenset((m, -n) for m, n in key)
-
-
 def contradictory(atoms: list[NormAtom]) -> bool:
     """Sound syntactic inconsistency check over a conjunction of atoms."""
     polys: dict = {"=": [], "!=": [], ">=": [], ">": []}
     for a in atoms:
-        c = a.poly.constant_value()
-        if c is None:
+        if not a.poly.is_constant():
             polys[a.op].append(a.poly)
-        elif not {">=": c >= 0, ">": c > 0, "=": c == 0, "!=": c != 0}[a.op]:
+            continue
+        c = a.poly.terms.get((), 0)  # the constant's sign, over den > 0
+        if not {">=": c >= 0, ">": c > 0, "=": c == 0, "!=": c != 0}[a.op]:
             return True
     if not polys["="] and not polys[">"]:
         return False  # every conflict below takes an equality or a strict atom
-    eqs, neqs, ge, gt = ({_primitive_key(p) for p in polys[op]} for op in ("=", "!=", ">=", ">"))
-    if any(e in neqs or e in gt or _negated(e) in gt for e in eqs):
+    # one primitive polynomial for two iff each is a positive multiple of the other
+    eqs, neqs, ge, gt = ({primitive(p) for p in polys[op]} for op in ("=", "!=", ">=", ">"))
+    if any(e in neqs or e in gt or -e in gt for e in eqs):
         return True
-    return any(_negated(e) in gt or _negated(e) in ge for e in gt)
+    return any(-e in gt or -e in ge for e in gt)
 
 
 def equality_polys(atoms: list[NormAtom]) -> list[Polynomial]:
@@ -170,7 +158,8 @@ def equality_polys(atoms: list[NormAtom]) -> list[Polynomial]:
 def _poly_sort_key(p: Polynomial):
     universe = tuple(sorted(p.variables()))
     return tuple(
-        (grlex_key(m, universe), c) for m, c in sorted(p.terms.items(), key=lambda t: grlex_key(t[0], universe))
+        (grlex_key(m, universe), Fraction(c, p.den))
+        for m, c in sorted(p.terms.items(), key=lambda t: grlex_key(t[0], universe))
     )
 
 

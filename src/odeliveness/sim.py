@@ -237,7 +237,7 @@ def _atoms_def(cmps: list, n: int, ref) -> list:
     """Source of `atoms(y)`, the atom vector: the difference polynomial of
     each comparison in `cmps` at the state y of n floats, or None when one
     has no float value (its evaluation overflows)."""
-    diffs = "".join(f"{poly_src((c.lhs - c.rhs).terms.items(), ref)}, " for c in cmps)
+    diffs = "".join(f"{poly_src(c.lhs - c.rhs, ref)}, " for c in cmps)
     return _def("atoms", "y", _unpack("a", n, "y"), "try:", f"    return ({diffs})", "except OverflowError:", "    return None")
 
 
@@ -410,7 +410,7 @@ class Plan:
             return params.get(v) or f"a{names.index(v)}"
 
         # f(y): the right-hand side
-        rhs = "".join(f"{poly_src(self.system.rhs_of(v).sorted_terms(), ref)}, " for v in names)
+        rhs = "".join(f"{poly_src(self.system.rhs_of(v), ref, ordered=True)}, " for v in names)
         overflow = "    return (" + "_inf, " * n + ")"
         body = _def("f", "y", _unpack("a", n, "y"), "try:", f"    return ({rhs})", "except OverflowError:", overflow)
 
@@ -621,7 +621,7 @@ def _circle_param(atom_poly: Polynomial) -> Optional[tuple]:
     """Match c1*x^2 + c2*y^2 - C = 0 with c1, c2 > 0 and C > 0."""
     if len(atom_poly.terms) != 3:
         return None
-    const = atom_poly.coefficient(())
+    const = atom_poly.terms.get((), 0)  # numerators: the denominator cancels in C / c
     rest = {m: c for m, c in atom_poly.terms.items() if m}
     if len(rest) != 2 or const >= 0:
         return None
@@ -633,7 +633,7 @@ def _circle_param(atom_poly: Polynomial) -> Optional[tuple]:
     coords.sort()
     (x, cx), (yv, cy) = coords
     C = -const
-    return x, math.sqrt(to_float(C / cx)), yv, math.sqrt(to_float(C / cy))
+    return x, math.sqrt(to_float(C, cx)), yv, math.sqrt(to_float(C, cy))
 
 
 def sample_initial_states(problem: ProblemFile, count: int, seed: int) -> list:
@@ -658,9 +658,9 @@ def sample_initial_states(problem: ProblemFile, count: int, seed: int) -> list:
             names_in = sorted(a.poly.variables())
             if len(names_in) == 1 and a.poly.degree() == 1:
                 v = names_in[0]
-                coef = a.poly.coefficient(((v, 1),))
-                off = a.poly.coefficient(())
-                pinned[v] = to_float(-off / coef)
+                coef = a.poly.terms[((v, 1),)]
+                off = a.poly.terms.get((), 0)
+                pinned[v] = to_float(-off, coef)
                 continue
             circ = _circle_param(a.poly)
             if circ is not None:
@@ -698,7 +698,8 @@ def sample_initial_states(problem: ProblemFile, count: int, seed: int) -> list:
             pt[yv] = ry * math.sin(th)
         for n in free:
             iv = box[n]
-            pt[n] = to_float(iv.lo) + (to_float(iv.hi) - to_float(iv.lo)) * rng.random()
+            lo, hi = (to_float(x.numerator, x.denominator) for x in (iv.lo, iv.hi))
+            pt[n] = lo + (hi - lo) * rng.random()
         if inside is None or inside(tuple(pt[n] for n in names)):
             out.append(pt)
     if len(out) < count:

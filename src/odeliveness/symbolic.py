@@ -1,10 +1,14 @@
 """Exact polynomial algebra and Lie derivatives.
 
-Polynomials are sparse maps from monomials to nonzero rational coefficients.
+A polynomial maps monomials to nonzero integer numerators over one shared
+denominator `den > 0`, with gcd(den, every numerator) = 1: each rational
+polynomial has exactly one such form, so `==` and `hash` compare integers.
 A monomial is a tuple of (variable, exponent) pairs sorted by variable name
-with all exponents positive; the empty tuple is the constant monomial and the
-zero polynomial is the empty map.  All arithmetic is exact over `Fraction`,
-no floating point enters this module.
+with all exponents positive; the empty tuple is the constant monomial and
+the zero polynomial is the empty map over 1.  Every operation runs in
+integers (content, primitive part and pseudo-division as in Knuth, TAOCP
+vol. 2, 4.6.1); the printers and floats read each coefficient as the pair
+(numerator, den).
 
 Monomials are ordered graded lexicographically (total degree first, then the
 exponent vector over the name-sorted variable universe), which makes printing
@@ -29,6 +33,8 @@ Monomial = tuple  # tuple[tuple[str, int], ...], sorted by name, exponents > 0
 
 # Degree guard on mul/pow, to fail fast on runaway certificates.
 DEGREE_CAP = 64
+# Size guard on powers of numbers, which outgrow their text without bound.
+POWER_BITS_CAP = 1 << 16
 
 
 def _mono_degree(m: Monomial) -> int:
@@ -46,7 +52,7 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(exps.items()))
 
 
-def _accumulate(terms: dict, m: Monomial, c: Fraction) -> None:
+def _accumulate(terms: dict, m: Monomial, c: int) -> None:
     """terms[m] += c, dropping the monomial when the sum is zero."""
     s = terms.get(m)
     if s is None:
@@ -59,6 +65,23 @@ def _accumulate(terms: dict, m: Monomial, c: Fraction) -> None:
             del terms[m]
 
 
+def _add_into(terms: dict, den: int, other: "Polynomial", sign: int) -> int:
+    """terms/den += sign * other in place, over the lcm of the denominators,
+    which it returns; the sum is not reduced."""
+    lcm = den // math.gcd(den, other.den) * other.den
+    if lcm != den:
+        for m in terms:
+            terms[m] *= lcm // den
+    f = sign * (lcm // other.den)
+    for m, c in other.terms.items():
+        s = terms.get(m, 0) + c * f
+        if s:
+            terms[m] = s
+        else:
+            del terms[m]
+    return lcm
+
+
 def grlex_key(m: Monomial, universe: tuple[str, ...]) -> tuple:
     """Sort key: total degree, then exponent vector over `universe`."""
     exps = dict(m)
@@ -66,39 +89,42 @@ def grlex_key(m: Monomial, universe: tuple[str, ...]) -> tuple:
 
 
 class Polynomial:
-    """Sparse multivariate polynomial over the rationals."""
+    """Sparse multivariate polynomial over the rationals: `terms` maps each
+    monomial to a nonzero integer, and the polynomial is terms / `den`."""
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms", "den", "_hash")
 
-    def __init__(self, terms: Optional[Mapping[Monomial, Fraction]] = None):
-        clean: dict[Monomial, Fraction] = {}
-        if terms:
-            for m, c in terms.items():
-                c = Fraction(c)
-                if c != 0:
-                    clean[m] = c
-        self.terms = clean
-        self._hash: Optional[int] = None
+    def __init__(self, terms: Optional[Mapping[Monomial, object]] = None):
+        """From a map to rational coefficients (`int`, `Fraction` or what
+        `Fraction` accepts); over the lcm of the reduced denominators."""
+        items = [(m, c if isinstance(c, (int, Fraction)) else Fraction(c)) for m, c in (terms or {}).items()]
+        items = [(m, c) for m, c in items if c]
+        self.den = den = math.lcm(*(c.denominator for _, c in items))
+        self.terms = {m: c.numerator * (den // c.denominator) for m, c in items}
+        self._hash = None
 
     @classmethod
-    def _trusted(cls, terms: dict) -> "Polynomial":
-        """Wrap a dict that is already clean (every coefficient a nonzero
-        `Fraction`) without copying or re-checking it."""
+    def _trusted(cls, terms: dict, den: int = 1) -> "Polynomial":
+        """Wrap nonzero integers over den > 0 without copying or checking
+        them, dividing out their common factor with den."""
+        if den != 1:
+            g = math.gcd(den, *terms.values())
+            if g != 1:
+                terms = {m: c // g for m, c in terms.items()}
+                den //= g
         p = object.__new__(cls)
-        p.terms = terms
-        p._hash = None
+        p.terms, p.den, p._hash = terms, den, None
         return p
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def const(cls, c) -> "Polynomial":
-        c = Fraction(c)
-        return cls({(): c} if c != 0 else {})
+        return cls({(): c})
 
     @classmethod
     def var(cls, name: str) -> "Polynomial":
-        return cls({((name, 1),): Fraction(1)})
+        return cls._trusted({((name, 1),): 1})
 
     # -- basic queries -----------------------------------------------------
 
@@ -113,7 +139,7 @@ class Polynomial:
         if not self.terms:
             return Fraction(0)
         if len(self.terms) == 1 and () in self.terms:
-            return self.terms[()]
+            return Fraction(self.terms[()], self.den)
         return None
 
     def degree(self) -> int:
@@ -132,27 +158,20 @@ class Polynomial:
     def variables(self) -> frozenset:
         return frozenset(v for m in self.terms for v, _ in m)
 
-    def coefficient(self, m: Monomial) -> Fraction:
-        return self.terms.get(m, Fraction(0))
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "Polynomial":
         out = dict(self.terms)
-        for m, c in _coerce(other).terms.items():
-            _accumulate(out, m, c)
-        return Polynomial._trusted(out)
+        return Polynomial._trusted(out, _add_into(out, self.den, _coerce(other), 1))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._trusted({m: -c for m, c in self.terms.items()})
+        return Polynomial._trusted({m: -c for m, c in self.terms.items()}, self.den)
 
     def __sub__(self, other) -> "Polynomial":
         out = dict(self.terms)
-        for m, c in _coerce(other).terms.items():
-            _accumulate(out, m, -c)
-        return Polynomial._trusted(out)
+        return Polynomial._trusted(out, _add_into(out, self.den, _coerce(other), -1))
 
     def __rsub__(self, other) -> "Polynomial":
         return _coerce(other) - self
@@ -162,11 +181,11 @@ class Polynomial:
         if not self.is_zero() and not other.is_zero():
             if self.degree() + other.degree() > DEGREE_CAP:
                 raise DegreeCapExceeded(f"product degree {self.degree() + other.degree()} exceeds cap {DEGREE_CAP}")
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, int] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 _accumulate(out, _mono_mul(m1, m2), c1 * c2)
-        return Polynomial._trusted(out)
+        return Polynomial._trusted(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -175,6 +194,9 @@ class Polynomial:
             raise PowNegativeExponent(f"exponent must be a nonnegative integer, got {k!r}")
         if k > 0 and self.degree() * k > DEGREE_CAP:
             raise DegreeCapExceeded(f"power degree {self.degree() * k} exceeds cap {DEGREE_CAP}")
+        bits = (max(abs(self.terms.get((), 0)).bit_length(), self.den.bit_length()) - 1) * k
+        if self.is_constant() and bits > POWER_BITS_CAP:
+            raise InvalidArgument(f"power of a number with about {bits} bits exceeds cap {POWER_BITS_CAP}")
         result = Polynomial.const(1)
         base = self
         while k:
@@ -187,15 +209,16 @@ class Polynomial:
 
     def scale(self, c) -> "Polynomial":
         c = Fraction(c)
-        if c == 0:
+        n = c.numerator
+        if n == 0:
             return Polynomial()
-        return Polynomial._trusted({m: c * v for m, v in self.terms.items()})
+        return Polynomial._trusted({m: n * v for m, v in self.terms.items()}, self.den * c.denominator)
 
     # -- calculus ----------------------------------------------------------
 
     def partial(self, name: str) -> "Polynomial":
         """Formal partial derivative with respect to `name`."""
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, int] = {}
         for m, c in self.terms.items():
             exps = dict(m)
             e = exps.get(name, 0)
@@ -207,18 +230,20 @@ class Polynomial:
                 exps[name] = e - 1
             # m -> dm is one-to-one on the monomials that contain `name`
             out[tuple(sorted(exps.items()))] = c * e
-        return Polynomial._trusted(out)
+        return Polynomial._trusted(out, self.den)
 
     # -- structure ---------------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        """Terms in descending graded lexicographic order."""
+    def sorted_terms(self) -> list[tuple[Monomial, int]]:
+        """Terms, as (monomial, numerator over `den`), in descending graded
+        lexicographic order."""
         universe = tuple(sorted(self.variables()))
         return sorted(
             self.terms.items(), key=lambda t: grlex_key(t[0], universe), reverse=True
         )
 
-    def leading(self, universe: tuple[str, ...]) -> tuple[Monomial, Fraction]:
+    def leading(self, universe: tuple[str, ...]) -> tuple[Monomial, int]:
+        """The leading monomial over `universe` and its numerator."""
         m = max(self.terms, key=lambda m: grlex_key(m, universe))
         return m, self.terms[m]
 
@@ -227,11 +252,11 @@ class Polynomial:
             other = Polynomial.const(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.terms == other.terms
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
+            self._hash = hash((self.den, frozenset(self.terms.items())))
         return self._hash
 
     def __repr__(self) -> str:
@@ -249,22 +274,16 @@ def _coerce(x) -> Polynomial:
 
 
 def primitive(p: Polynomial) -> Polynomial:
-    """Scale by a positive rational so coefficients are coprime integers.
+    """Scale by a positive rational so coefficients are coprime integers:
+    the numerators divided by their content (their gcd), over 1.
 
     The sign of the polynomial is preserved, so `primitive(p) == primitive(q)`
     iff p and q are positive multiples of each other.
     """
-    if p.is_zero():
-        return p
-    denom_lcm = 1
-    for c in p.terms.values():
-        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-    num_gcd = 0
-    for c in p.terms.values():
-        num_gcd = math.gcd(num_gcd, abs(c.numerator * (denom_lcm // c.denominator)))
-    if denom_lcm == num_gcd:
-        return p  # already primitive
-    return p.scale(Fraction(denom_lcm, num_gcd))
+    g = math.gcd(*p.terms.values())
+    if g <= 1 and p.den == 1:
+        return p  # already primitive, or zero
+    return Polynomial._trusted({m: c // g for m, c in p.terms.items()})
 
 
 def poly_divmod(p: Polynomial, d: Polynomial) -> tuple[Polynomial, Polynomial]:
@@ -272,15 +291,18 @@ def poly_divmod(p: Polynomial, d: Polynomial) -> tuple[Polynomial, Polynomial]:
 
     Leading terms (graded lex over the joint variable universe) of r are not
     divisible by the leading term of d.  Exact when r is zero or constant.
+    A pseudo-division in integers: q and r are numerators over one
+    denominator, and each step scales them by the smallest s that makes the
+    quotient term an integer k with d's numerators, so it equals the
+    division over the rationals term for term, in the same order.
     """
     if d.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     universe = tuple(sorted(p.variables() | d.variables()))
     dm, dc = d.leading(universe)
     dexp = dict(dm)
-    # q and r change in place, term for term as q + qterm and r - qterm*d would
-    q: dict[Monomial, Fraction] = {}
-    r = dict(p.terms)
+    q: dict[Monomial, int] = {}
+    r, den = dict(p.terms), p.den  # q / den and r / den
     keys: dict = {}  # monomial -> grlex key, None when dm does not divide it
     while r:
         m = best = None
@@ -298,11 +320,18 @@ def poly_divmod(p: Polynomial, d: Polynomial) -> tuple[Polynomial, Polynomial]:
             raise DegreeCapExceeded(f"product degree {_mono_degree(m)} exceeds cap {DEGREE_CAP}")
         exps = dict(m)
         qm = tuple(sorted((v, e) for v, e in ((v, exps.get(v, 0) - dexp.get(v, 0)) for v in exps) if e > 0))
-        qc = r[m] / dc
-        _accumulate(q, qm, qc)
+        g = math.gcd(r[m], dc) if dc > 0 else -math.gcd(r[m], dc)
+        k, s = r[m] // g, dc // g  # r[m] / dc = k / s with s > 0
+        if s != 1:
+            for t in r:
+                r[t] *= s
+            for t in q:
+                q[t] *= s
+            den *= s
+        q[qm] = k * d.den  # the quotient term (r[m] / den) / (dc / d.den)
         for m2, c2 in d.terms.items():
-            _accumulate(r, _mono_mul(qm, m2), -qc * c2)
-    return Polynomial._trusted(q), Polynomial._trusted(r)
+            _accumulate(r, _mono_mul(qm, m2), -k * c2)
+    return Polynomial._trusted(q, den), Polynomial._trusted(r, den)
 
 
 def reduce_mod_equalities(p: Polynomial, eqs: list[Polynomial]) -> Polynomial:
@@ -318,7 +347,7 @@ def reduce_mod_equalities(p: Polynomial, eqs: list[Polynomial]) -> Polynomial:
             if e.is_zero():
                 continue
             _, r = poly_divmod(current, e)
-            if r.terms != current.terms:
+            if r != current:
                 current = r
                 changed = True
         if not changed:

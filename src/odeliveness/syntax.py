@@ -40,7 +40,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
 from .errors import DegreeCapExceeded, DuplicateDeclaration, ParseError, UnknownIdentifier
-from .symbolic import DEGREE_CAP, OdeSystem, Polynomial, _accumulate
+from .symbolic import DEGREE_CAP, OdeSystem, Polynomial, _add_into
 
 # ---------------------------------------------------------------------------
 # Formula AST
@@ -144,7 +144,6 @@ _BINARY = {Implies: ("->", 1, 2, 1), Or: ("|", 2, 2, 3), And: ("&", 3, 3, 4)}
 _ATOM = ("", 5, 0, 0)
 # symbol -> (binding level, least level of the right operand, node)
 _CONNECTIVES = {sym: (level, right, cls) for cls, (sym, level, _, right) in _BINARY.items()}
-_ONE = Fraction(1)
 
 
 def conj(parts) -> Formula:
@@ -435,25 +434,25 @@ class _Parser:
         if t.kind != "sym" or t.text not in ("+", "-"):
             return -first if negate else first
         terms = {m: -c for m, c in first.terms.items()} if negate else dict(first.terms)
+        den = first.den
         while t.kind == "sym" and t.text in ("+", "-"):
             self.pos += 1
             right = self._as_poly(self._term())
-            plus = t.text == "+"
-            for m, c in right.terms.items():
-                _accumulate(terms, m, c if plus else -c)
+            den = _add_into(terms, den, right, 1 if t.text == "+" else -1)
             t = toks[self.pos]
-        return Polynomial._trusted(terms)
+        return Polynomial._trusted(terms, den)
 
     def _term(self):
         """Factors joined by `*`.  A factor is unary minus signs, then a
         numeral, identifier, `true`/`false` or parenthesised expression,
-        then an optional `^k`.  Numerals and `ident^k` fold into one
-        coefficient and one exponent map; only a parenthesised factor is
-        multiplied in as a polynomial.  The degree cap is checked at every
+        then an optional `^k`.  Numerals, each read as an integer numerator
+        and denominator, and `ident^k` fold into one such coefficient and
+        one exponent map; only a parenthesised factor is multiplied in as
+        a polynomial.  The degree cap is checked at every
         `*` as `Polynomial.__mul__` checks it.  A formula factor in first
         place (`true`, `(a >= b)`) is passed up as it is."""
         toks = self.toks
-        coef, exps = _ONE, {}  # the numerals and identifiers since `acc`
+        cn, cd, exps = 1, 1, {}  # the numerals (cn/cd) and identifiers since `acc`
         acc = None  # the product up to the last parenthesised factor
         deg = 0  # degree of the whole product so far, -1 once it is zero
         first = True
@@ -467,14 +466,14 @@ class _Parser:
             name = None
             if t.kind == "int":
                 self.pos += 1
-                value = int(t.text)
+                value = (int(t.text), 1)
                 slash = toks[self.pos]
                 if slash.kind == "sym" and slash.text == "/" and toks[self.pos + 1].kind == "int":
                     den = int(toks[self.pos + 1].text)
                     self.pos += 2
                     if den == 0:
                         raise ParseError("zero denominator", t.line, t.col)
-                    value = Fraction(value, den)
+                    value = (value[0], den)
             elif t.kind == "ident":
                 self.pos += 1
                 self.uses.append((t.text, t.line, t.col))
@@ -490,7 +489,7 @@ class _Parser:
                 raise self.fail(["expression"])
             t = toks[self.pos]
             if t.kind == "sym" and t.text == "^":
-                if not isinstance(value, (int, Fraction, Polynomial)):
+                if name is None and not isinstance(value, (tuple, Polynomial)):
                     raise self.fail(["polynomial base for '^'"])
                 self.pos += 1
                 t = toks[self.pos]
@@ -498,8 +497,8 @@ class _Parser:
                     raise self.fail(["nonnegative integer exponent"])
                 self.pos += 1
                 k = int(t.text)
-                if name is None:
-                    value = value**k
+                if name is None:  # a numeral's power too is checked by `Polynomial.__pow__`
+                    value = (value if isinstance(value, Polynomial) else Polynomial.const(Fraction(*value))) ** k
                 elif k > DEGREE_CAP:
                     raise DegreeCapExceeded(f"power degree {k} exceeds cap {DEGREE_CAP}")
                 else:
@@ -508,18 +507,18 @@ class _Parser:
                 if negative:
                     value = -value
                 if deg >= 0:
-                    if exps or coef != 1:
-                        monomial = Polynomial._trusted({tuple(sorted(exps.items())): coef})
+                    if exps or cn != cd:
+                        monomial = Polynomial._trusted({tuple(sorted(exps.items())): cn}, cd)
                         acc = monomial if acc is None else acc * monomial
-                        coef, exps = _ONE, {}
+                        cn, cd, exps = 1, 1, {}
                     acc = value if acc is None else acc * value
                     deg = acc.degree()
-            elif name is None and not isinstance(value, (int, Fraction)):
+            elif name is None and not isinstance(value, tuple):
                 if first:
                     return value  # a formula; `_sum` refuses it after a sign
                 raise self._not_a_poly()
             else:
-                fdeg = value if name is not None else (0 if value else -1)
+                fdeg = value if name is not None else (0 if value[0] else -1)
                 if deg >= 0 and fdeg >= 0 and deg + fdeg > DEGREE_CAP:
                     raise DegreeCapExceeded(f"product degree {deg + fdeg} exceeds cap {DEGREE_CAP}")
                 if deg < 0 or fdeg < 0:
@@ -527,11 +526,12 @@ class _Parser:
                 else:
                     deg += fdeg
                     if name is None:
-                        coef = coef * value
+                        cn *= value[0]
+                        cd *= value[1]
                     elif value:
                         exps[name] = exps.get(name, 0) + value
                     if negative:
-                        coef = -coef
+                        cn = -cn
             t = toks[self.pos]
             if t.kind != "sym" or t.text != "*":
                 break
@@ -539,8 +539,8 @@ class _Parser:
             first = False
         if deg < 0:
             return Polynomial._trusted({})
-        if exps or coef != 1 or acc is None:
-            monomial = Polynomial._trusted({tuple(sorted(exps.items())): coef})
+        if exps or cn != cd or acc is None:
+            monomial = Polynomial._trusted({tuple(sorted(exps.items())): cn}, cd)
             return monomial if acc is None else acc * monomial
         return acc
 
@@ -717,12 +717,6 @@ def parse_poly(text: str) -> Polynomial:
 # Printer
 
 
-def _frac_str(c: Fraction) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
-    return f"{c.numerator}/{c.denominator}"
-
-
 def _mono_str(m) -> str:
     return "*".join(v if e == 1 else f"{v}^{e}" for v, e in m)
 
@@ -733,14 +727,15 @@ def print_poly(p: Polynomial) -> str:
     if p.is_zero():
         return "0"
     parts: list[str] = []
+    den = p.den
     for i, (m, c) in enumerate(p.sorted_terms()):
         mag = abs(c)
         if not m:
-            body = _frac_str(mag)
-        elif mag == 1:
+            body = str(Fraction(mag, den))
+        elif mag == den:
             body = _mono_str(m)
         else:
-            body = f"{_frac_str(mag)}*{_mono_str(m)}"
+            body = f"{Fraction(mag, den)}*{_mono_str(m)}"
         if i == 0:
             parts.append(body if c > 0 else f"-{body}")
         else:

@@ -2,11 +2,15 @@ import pathlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
-from odeliveness import sim
+from odeliveness import arith, sim
 from odeliveness.errors import MissingBinding
 from odeliveness.symbolic import OdeSystem, Polynomial, lie_derivative
 from odeliveness.syntax import parse_problem
+
+# The full CLI fuzz: `pytest tests/test_fuzz_cli.py --hypothesis-profile=ci`.
+settings.register_profile("ci", max_examples=2000)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PROBLEMS = ROOT / "problems"
@@ -38,7 +42,7 @@ def eval_rational(p: Polynomial, point: dict) -> Fraction:
     """p at a point of rationals, exactly."""
     total = Fraction(0)
     for m, c in p.terms.items():
-        term = c
+        term = Fraction(c, p.den)
         for v, e in m:
             if v not in point:
                 raise MissingBinding(f"no value for '{v}'")
@@ -47,12 +51,31 @@ def eval_rational(p: Polynomial, point: dict) -> Fraction:
     return total
 
 
+def interval_of_poly(p: Polynomial, box: dict) -> arith.Interval:
+    """Exact interval enclosure of p over the box, from the package's
+    enclosure in scaled integers: the bounds it returns over p.den times the
+    D_v powers of the cell."""
+    terms, degrees = arith._scaled_poly(p)
+    cell = arith._scaled((v, box[v].lo, box[v].hi) for v in degrees)
+    lo, hi = arith._enclosure(terms, cell)
+    s = p.den
+    for v, k in degrees.items():
+        s *= cell[v][2] ** k
+    return arith.Interval(Fraction(lo, s), Fraction(hi, s))
 
-def eval_float(p: Polynomial, point: dict) -> float:
-    """p at a point of floats, its terms summed in dict order."""
+
+def float_terms(p: Polynomial) -> list:
+    """p's terms as (float coefficient, monomial) in dict order, each
+    coefficient its numerator over p's denominator, read once."""
+    return [(c / p.den, m) for m, c in p.terms.items()]
+
+
+def eval_float(p, point: dict) -> float:
+    """p (a polynomial or its `float_terms`) at a point of floats, its terms
+    summed in dict order."""
     total = 0.0
-    for m, c in p.terms.items():
-        term = float(c)
+    for c, m in float_terms(p) if isinstance(p, Polynomial) else p:
+        term = c
         for v, e in m:
             term *= point[v] ** e
         total += term
@@ -75,13 +98,17 @@ DP_E = (
 )
 
 
+# Each tableau row's nonzero weights as (stage, float), converted once and
+# keyed by the row's identity; a `Fraction` row would be slow to hash.
+_FLOAT_ROWS = {id(row): tuple((j, float(w)) for j, w in enumerate(row) if w) for row in (*DP_A, DP_E)}
+
+
 def _weighted(weights, ks, i):
     """sum_j w_j * k_j[i] left to right over the nonzero weights."""
     total = None
-    for w, k in zip(weights, ks):
-        if w:
-            term = float(w) * k[i]
-            total = term if total is None else total + term
+    for j, w in _FLOAT_ROWS[id(weights)]:
+        term = w * ks[j][i]
+        total = term if total is None else total + term
     return total
 
 
@@ -125,7 +152,8 @@ def lie_consistency_check(p: Polynomial, system: OdeSystem, samples: list, h: fl
     `State`s and the Lie derivative evaluated at the sample states."""
     if len(samples) < 3:
         raise InsufficientSamples("need at least three samples")
-    lie = lie_derivative(p, system)
+    lie = float_terms(lie_derivative(p, system))
+    p = float_terms(p)
     times = [s.time for s in samples]
     for a, b in zip(times, times[1:]):
         if b - a > h * (1 + 1e-6):

@@ -13,7 +13,6 @@ from odeliveness.arith import (
     emit_smtlib,
     extract_box,
     falsify,
-    interval_of_poly,
     prove_implication,
     smt_filename,
 )
@@ -21,7 +20,8 @@ from odeliveness.normal import NormAtom, _canonical_sign, equality_polys
 from odeliveness.symbolic import Polynomial, poly_divmod, primitive, reduce_mod_equalities
 from odeliveness.syntax import parse_formula, parse_poly
 
-from conftest import eval_rational
+from conftest import eval_rational, interval_of_poly
+from ref_poly import rational_terms
 
 
 def ob(universals, hyp, concl):
@@ -189,7 +189,7 @@ def test_extract_box_from_equality():
 @example(Fraction(10**400), 2)
 @example(Fraction(10**400), 4)
 def test_root_upper_is_the_least_outward_root(x, k):
-    r = arith._root_upper(x, k)
+    r = Fraction(arith._root_upper(x.numerator, x.denominator, k), 64)
     n = r * 64  # the definition: the least integer n >= 1 with (n/64)^k >= x
     assert n.denominator == 1 and n >= 1
     assert r**k >= x and (n == 1 or Fraction(n - 1, 64) ** k < x)
@@ -228,6 +228,10 @@ def test_interval_encloses_point_values(p, a, b, c, d, pick):
 # -- pre-check rejects ------------------------------------------------------------
 
 
+def constant(p: Polynomial) -> Fraction:
+    return rational_terms(p).get((), Fraction(0))
+
+
 def ref_derive_atom(goal, atoms, box):
     """`_derive_atom` without its skips of divisions and pair sums that cannot
     succeed, matching a scaled fact plus a constant through primitive parts."""
@@ -258,15 +262,15 @@ def ref_derive_atom(goal, atoms, box):
             s = facts[i][0] + facts[j][0]
             if not s.is_zero():
                 candidates.append((s, facts[i][1] or facts[j][1]))
-    e_body = e - e.coefficient(())
+    e_body = e - constant(e)
     for fpoly, fstrict in candidates:
         # e = lam*f + c with lam > 0 exactly when the non-constant parts are
         # positive multiples of each other
-        f_body = fpoly - fpoly.coefficient(())
+        f_body = fpoly - constant(fpoly)
         if f_body.is_zero() or primitive(f_body) != primitive(e_body):
             continue
-        m, ec = next(iter(e_body.terms.items()))
-        c = e.coefficient(()) - ec / f_body.terms[m] * fpoly.coefficient(())
+        m, ec = next(iter(rational_terms(e_body).items()))
+        c = constant(e) - ec / rational_terms(f_body)[m] * constant(fpoly)
         if c < 0:
             continue
         if not strict or fstrict or c > 0:

@@ -108,8 +108,9 @@ def rhs_reference(system: OdeSystem, par: dict):
         out = []
         for v in names:
             total = None
-            for m, c in system.rhs_of(v).sorted_terms():
-                term = float(c)
+            p = system.rhs_of(v)
+            for m, c in p.sorted_terms():
+                term = float(Fraction(c, p.den))
                 for var, e in m:
                     term = term * (point[var] if e == 1 else point[var] ** e)
                 total = term if total is None else total + term
@@ -457,7 +458,7 @@ def test_plan_renders_each_atom_polynomial_once():
     cmps = sim._atom_cmps(pf.system.domain) + sim._atom_cmps(pf.goal)
     assert len(cmps) == 5
     for c in cmps:
-        diff = poly_src((c.lhs - c.rhs).terms.items(), ref)
+        diff = poly_src(c.lhs - c.rhs, ref)
         assert src.count(diff) == 1, diff
     assert re.findall(r"^ *def (\w+)", src, re.M) == ["_bind", "f", "atoms", "domain", "goal", "values"]
     # the stepping kernel holds the only Dormand-Prince trial

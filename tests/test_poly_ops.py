@@ -1,133 +1,114 @@
-"""Ring operations built on `Polynomial._trusted` against the normalising ones.
+"""Integer polynomials against the `Fraction` reference.
 
-`+`, `-`, `*`, `neg`, `scale`, `partial` and `poly_divmod` hand their result
-dicts to the trusted constructor, which checks nothing.  The references below
-are the operations as they were when every result went through the
-normalising constructor `Polynomial(...)`; the trusted results must hold only
-nonzero `Fraction` coefficients and equal the references term for term, in
-the same dict order (the falsifier's atom vector sums terms in that order,
-so its floats depend on it).
+`symbolic.Polynomial` keeps integer numerators over one reduced denominator
+and runs every operation in integers.  `ref_poly.RefPoly` is the `Fraction`
+implementation it replaced.  Every result must be in reduced form (nonzero
+integer numerators, a positive denominator coprime to all of them) and equal
+the reference term for term, in the same dict order: the falsifier's atom
+vector sums terms in that order, so its floats depend on it.  Equality and
+hashing, the printer, the float source and `to_float` must agree with the
+reference too.
 """
 
+import math
 from fractions import Fraction
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from ref_poly import RefPoly, rational_terms, ref_divmod, ref_of, ref_poly_src, ref_primitive, ref_print_poly, ref_reduce
 
-from odeliveness.symbolic import Polynomial, _coerce, _mono_mul, grlex_key, poly_divmod
+from odeliveness.codegen import poly_src, to_float
+from odeliveness.errors import InvalidArgument
+from odeliveness.symbolic import Polynomial, _coerce, poly_divmod, primitive, reduce_mod_equalities
+from odeliveness.syntax import print_poly
 
-# -- references --------------------------------------------------------------
+# -- strategies --------------------------------------------------------------
 
-
-def ref_add(a: Polynomial, b: Polynomial) -> Polynomial:
-    out = dict(a.terms)
-    for m, c in b.terms.items():
-        s = out.get(m, Fraction(0)) + c
-        if s == 0:
-            out.pop(m, None)
-        else:
-            out[m] = s
-    return Polynomial(out)
-
-
-def ref_neg(a: Polynomial) -> Polynomial:
-    return Polynomial({m: -c for m, c in a.terms.items()})
-
-
-def ref_sub(a: Polynomial, b: Polynomial) -> Polynomial:
-    return ref_add(a, ref_neg(b))
-
-
-def ref_mul(a: Polynomial, b: Polynomial) -> Polynomial:
-    out: dict = {}
-    for m1, c1 in a.terms.items():
-        for m2, c2 in b.terms.items():
-            m = _mono_mul(m1, m2)
-            s = out.get(m, Fraction(0)) + c1 * c2
-            if s == 0:
-                out.pop(m, None)
-            else:
-                out[m] = s
-    return Polynomial(out)
-
-
-def ref_scale(a: Polynomial, c) -> Polynomial:
-    c = Fraction(c)
-    if c == 0:
-        return Polynomial()
-    return Polynomial({m: c * v for m, v in a.terms.items()})
-
-
-def ref_partial(a: Polynomial, name: str) -> Polynomial:
-    out: dict = {}
-    for m, c in a.terms.items():
-        exps = dict(m)
-        e = exps.get(name, 0)
-        if e == 0:
-            continue
-        if e == 1:
-            del exps[name]
-        else:
-            exps[name] = e - 1
-        dm = tuple(sorted(exps.items()))
-        out[dm] = out.get(dm, Fraction(0)) + c * e
-    return Polynomial(out)
-
-
-def ref_divmod(p: Polynomial, d: Polynomial) -> tuple:
-    universe = tuple(sorted(p.variables() | d.variables()))
-    dm, dc = d.leading(universe)
-    dexp = dict(dm)
-    q = Polynomial()
-    r = Polynomial(p.terms)
-    while not r.is_zero():
-        candidates = []
-        for m in r.terms:
-            exps = dict(m)
-            if all(exps.get(v, 0) >= e for v, e in dexp.items()):
-                candidates.append(m)
-        if not candidates:
-            break
-        m = max(candidates, key=lambda m: grlex_key(m, universe))
-        exps = dict(m)
-        qm = tuple(sorted((v, e) for v, e in ((v, exps.get(v, 0) - dexp.get(v, 0)) for v in exps) if e > 0))
-        qterm = Polynomial({qm: r.terms[m] / dc})
-        q = ref_add(q, qterm)
-        r = ref_sub(r, ref_mul(qterm, d))
-    return q, r
-
-
-# -- properties --------------------------------------------------------------
-
-coeffs = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+small = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+large = st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**25))
+coeffs = st.one_of(small, small, large, st.just(Fraction(0)))
 monomials = st.builds(
     lambda ex, ey, ez: tuple((v, e) for v, e in (("x", ex), ("y", ey), ("z", ez)) if e),
     st.integers(0, 3),
     st.integers(0, 3),
     st.integers(0, 2),
 )
-polys = st.builds(Polynomial, st.dictionaries(monomials, coeffs, max_size=5))
+term_maps = st.dictionaries(monomials, coeffs, max_size=5)
 
 
-def same(got: Polynomial, want: Polynomial) -> None:
-    assert all(type(c) is Fraction and c != 0 for c in got.terms.values())
-    assert list(got.terms.items()) == list(want.terms.items())
+def same(got: Polynomial, want: RefPoly) -> None:
+    """got is reduced and equals want term for term, in the same order."""
+    assert type(got.den) is int and got.den > 0
+    assert all(type(c) is int and c != 0 for c in got.terms.values())
+    assert math.gcd(got.den, *got.terms.values()) == 1
+    assert list(rational_terms(got).items()) == list(want.terms.items())
+
+
+def ref(v):
+    return f"_{v}"
+
+
+# -- properties --------------------------------------------------------------
 
 
 @settings(max_examples=300, deadline=None)
-@given(polys, polys, coeffs, st.sampled_from(["x", "y", "z"]))
-def test_trusted_results_equal_normalised_results(a, b, c, name):
-    same(a + b, ref_add(a, b))
-    same(a - b, ref_sub(a, b))
-    same(a - a, Polynomial())
-    same(a * b, ref_mul(a, b))
-    same(-a, ref_neg(a))
-    same(a.scale(c), ref_scale(a, c))
-    same(a.scale(0), Polynomial())
-    same(a.partial(name), ref_partial(a, name))
-    same(3 - a, ref_sub(_coerce(3), a))
+@given(term_maps, term_maps, coeffs, st.sampled_from(["x", "y", "z"]))
+@example({(): Fraction(0), (("x", 1),): Fraction(-3, 2)}, {(("x", 1),): Fraction(3, 2)}, Fraction(-1, 3), "x")
+def test_operations_equal_the_fraction_reference(da, db, c, name):
+    a, b = Polynomial(da), Polynomial(db)
+    ra, rb = RefPoly(da), RefPoly(db)
+    same(a, ra)
+    same(a + b, ra + rb)
+    same(a - b, ra - rb)
+    same(a - a, RefPoly())
+    same(a * b, ra * rb)
+    same(-a, -ra)
+    same(a**2, ra**2)
+    same(a.scale(c), ra.scale(c))
+    same(a.partial(name), ra.partial(name))
+    same(3 - a, 3 - ra)
+    same(Polynomial.const(c), RefPoly({(): c}))
+    same(primitive(a), ref_primitive(ra))
     if not b.is_zero():
         q, r = poly_divmod(a, b)
-        rq, rr = ref_divmod(a, b)
+        rq, rr = ref_divmod(ra, rb)
         same(q, rq)
         same(r, rr)
+        same(reduce_mod_equalities(a * a, [b, a]), ref_reduce(ra * ra, [rb, ra]))
+    # equality and hashing: one form per rational polynomial
+    assert (a == b) == (ra == rb)
+    for twin in (Polynomial(dict(reversed(list(da.items())))), (a - b) + b, a.scale(c).scale(1 / c) if c else a):
+        assert twin == a and hash(twin) == hash(a)
+    assert (a == 0) == ra.is_zero() and _coerce(c) == Polynomial.const(c)
+    assert a.constant_value() == ra.constant_value()
+    # printing and floats read (numerator, den)
+    assert print_poly(a) == ref_print_poly(ra)
+    assert poly_src(a, ref, ordered=True) == ref_poly_src(ra.sorted_terms(), ref)
+    assert poly_src(a, ref) == ref_poly_src(ra.terms.items(), ref)
+    for n in a.terms.values():
+        assert to_float(n, a.den) == float(Fraction(n, a.den))
+
+
+@pytest.mark.parametrize(
+    "num, den", [(10**400, 3), (-(10**400), 7), (10**400, 10**50)], ids=["large", "negative", "unreduced"]
+)
+def test_to_float_past_the_float_range_is_an_input_error(num, den):
+    with pytest.raises(OverflowError):
+        float(Fraction(num, den))
+    with pytest.raises(InvalidArgument, match="outside the float range"):
+        to_float(num, den)
+
+
+def test_tiny_and_unreduced_ratios_round_as_the_fraction():
+    for num, den in [(1, 10**400), (2, 4), (-6, 4), (10**30 + 1, 3 * 10**29), (1, 3)]:
+        assert to_float(num, den) == float(Fraction(num, den))
+
+
+def test_division_keeps_the_denominator_of_the_divisor_out_of_the_remainder():
+    x = Polynomial.var("x")
+    p = x * x * Fraction(3, 4) + x * Fraction(1, 6) - Fraction(5, 9)
+    d = x.scale(Fraction(-2, 5)) + Fraction(7, 3)
+    q, r = poly_divmod(p, d)
+    same(q, ref_divmod(ref_of(p), ref_of(d))[0])
+    assert q * d + r == p and r.is_constant()

@@ -100,7 +100,7 @@ def box(**bounds) -> dict:
 
 def entailed(text: str, b: dict) -> bool:
     (a,) = atoms_of(parse_formula(text))
-    return arith._entailed(a, arith._root(a.poly), b)
+    return arith._entailed(a, arith._root(a.poly), arith._scaled((v, iv.lo, iv.hi) for v, iv in b.items()))
 
 
 def test_non_strict_bounds_the_box_meets_are_dropped():

@@ -29,14 +29,14 @@ from odeliveness.arith import (
     _scaled,
     eval_formula_exact,
     extract_box,
-    interval_of_poly,
     prove_implication,
 )
 from odeliveness.errors import MissingBinding
 from odeliveness.symbolic import Polynomial
 from odeliveness.syntax import And, BoolLit, Cmp, Implies, Not, Or, conj, parse_formula
 
-from conftest import eval_rational
+from conftest import eval_rational, interval_of_poly
+from ref_poly import rational_terms
 
 NAMES = ("x", "y", "z")
 
@@ -57,7 +57,7 @@ def ref_iv_pow(a: Interval, e: int) -> Interval:
 
 def ref_interval_of_poly(p: Polynomial, box: dict) -> Interval:
     lo = hi = Fraction(0)
-    for m, c in p.terms.items():
+    for m, c in rational_terms(p).items():
         tlo = thi = c
         for i, (v, e) in enumerate(m):
             b = ref_iv_pow(box[v], e) if e != 1 else box[v]

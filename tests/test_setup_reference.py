@@ -8,9 +8,13 @@ denominators.  The references below are the `Fraction` versions it
 replaced, kept as the package had them: `nnf` rebuilding every node,
 `norm_atom` through polynomial subtraction, `_root` as -b/a,
 `extract_box` through `max` and `min`, `contradictory` over `primitive`
-polynomials, and the compile of one normalised polynomial.
+polynomials, and the compile of one normalised polynomial, all reading
+`Fraction` coefficients (`ref_poly`).
 Every `Region` must equal the one they build, and every compiled conclusion
-must give the three-valued answers of the old compile.
+must give the three-valued answers of the old compile.  `_root`,
+`primitive` (which `contradictory` keys its atoms by) and `_scaled_poly`
+are also checked alone on rational
+polynomials with large numerators and denominators.
 """
 
 import math
@@ -18,6 +22,7 @@ from fractions import Fraction
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from ref_poly import rational_terms, ref_of, ref_primitive
 
 from odeliveness import arith
 from odeliveness.arith import Interval, Region, _conclusion_node, _conj_node, _eval3, _midpoint, _scaled
@@ -82,13 +87,26 @@ def ref_atoms(parts: list) -> list:
 
 
 def ref_root(p: Polynomial):
-    b = p.terms.get((), 0)
-    if len(p.terms) - (() in p.terms) != 1:
+    terms = rational_terms(p)
+    b = terms.get((), 0)
+    if len(terms) - (() in terms) != 1:
         return None
-    m, a = next((m, a) for m, a in p.terms.items() if m)
+    m, a = next((m, a) for m, a in terms.items() if m)
     if len(m) != 1 or m[0][1] != 1:
         return None
     return m[0][0], a > 0, -b / a
+
+
+def ref_sum_of_even_powers(p: Polynomial):
+    """(C, {v: (c, 2k)}) of C - sum c_v v^(2k) with every c_v > 0, in `Fraction`s."""
+    terms = rational_terms(p)
+    body = {}
+    for m, c in terms.items():
+        if m and (len(m) != 1 or m[0][1] % 2 or c >= 0 or m[0][0] in body):
+            return None
+        if m:
+            body[m[0][0]] = (-c, m[0][1])
+    return (terms.get((), Fraction(0)), body) if body else None
 
 
 def ref_extract_box(atoms: list, roots: list, universals):
@@ -111,13 +129,14 @@ def ref_extract_box(atoms: list, roots: list, universals):
                 note_high(v, x)
             continue
         for e in [a.poly] if a.op != "=" else [a.poly, -a.poly]:
-            sq = arith._sum_of_even_powers(e)
+            sq = ref_sum_of_even_powers(e)
             if sq is not None:
                 bound, body = sq
                 if bound < 0:
                     return None, []
                 for v, (c, k) in body.items():
-                    r = arith._root_upper(bound / c, k)
+                    x = bound / c
+                    r = Fraction(arith._root_upper(x.numerator, x.denominator, k), 64)
                     note_low(v, -r)
                     note_high(v, r)
     box, unbounded = {}, []
@@ -133,6 +152,21 @@ def ref_extract_box(atoms: list, roots: list, universals):
     return box, []
 
 
+def ref_entailed(a: NormAtom, root, box) -> bool:
+    if root is None or a.op not in (">=", "="):
+        return False
+    v, lower, x = root
+    iv = box[v]
+    if a.op == "=":
+        return iv.lo == iv.hi == x
+    return iv.lo >= x if lower else iv.hi <= x
+
+
+def as_fraction(root):
+    """A package root (v, lower, n, d) as the reference's (v, lower, n/d)."""
+    return root and (root[0], root[1], Fraction(root[2], root[3]))
+
+
 def ref_contradictory(atoms: list) -> bool:
     eqs, neqs, ge, gt = set(), set(), set(), set()
     for a in atoms:
@@ -141,7 +175,7 @@ def ref_contradictory(atoms: list) -> bool:
             if not {">=": c >= 0, ">": c > 0, "=": c == 0, "!=": c != 0}[a.op]:
                 return True
             continue
-        p = primitive(a.poly)
+        p = ref_primitive(ref_of(a.poly))
         {"=": eqs, "!=": neqs, ">=": ge, ">": gt}[a.op].add(p)
     for e in eqs:
         if e in neqs or e in gt or -e in gt:
@@ -152,14 +186,14 @@ def ref_contradictory(atoms: list) -> bool:
 def ref_atom_node(a: NormAtom) -> tuple:
     """The compile of one normalised polynomial: scaled by the lcm of its
     denominators, each term with its factors and its gaps to M_v."""
-    p = a.poly
-    s = math.lcm(*(c.denominator for c in p.terms.values()))
+    p = rational_terms(a.poly)
+    s = math.lcm(*(c.denominator for c in p.values()))
     degrees = {}
-    for m in p.terms:
+    for m in p:
         for v, e in m:
             degrees[v] = max(degrees.get(v, 0), e)
     terms = []
-    for m, c in p.terms.items():
+    for m, c in p.items():
         exps = dict(m)
         gaps = tuple((v, k - exps.get(v, 0)) for v, k in degrees.items() if k > exps.get(v, 0))
         terms.append((c.numerator * (s // c.denominator), m, gaps))
@@ -184,7 +218,7 @@ def ref_region(universals: tuple, hypothesis) -> dict:
     out = {"parts": parts, "atoms": atoms, "roots": roots, "box": box, "unbounded": unbounded}
     if box is not None and not any(isinstance(g, Or) for g in parts):
         names = tuple(sorted(universals))
-        node = _conj_node([ref_atom_node(a) for a, r in zip(atoms, roots) if not arith._entailed(a, r, box)])
+        node = _conj_node([ref_atom_node(a) for a, r in zip(atoms, roots) if not ref_entailed(a, r, box)])
         root_cell = tuple(_scaled((v, box[v].lo, box[v].hi) for v in names).values())
         mid = _midpoint(dict(zip(names, root_cell)))
         out.update(node=node, root_cell=root_cell, mid=mid, mid_truth=_eval3(node, mid))
@@ -282,7 +316,7 @@ def test_region_equals_the_fraction_region(hypothesis, conclusion):
     assert region.parts == ref["parts"]
     assert region.hyp.atoms == ref["atoms"]
     assert [list(a.poly.terms.items()) for a in region.hyp.atoms] == [list(a.poly.terms.items()) for a in ref["atoms"]]
-    assert region.hyp.roots == ref["roots"]
+    assert list(map(as_fraction, region.hyp.roots)) == ref["roots"]
     assert region.hyp.contradictory == ref_contradictory(ref["atoms"])
     assert (region.box, region.unbounded) == (ref["box"], ref["unbounded"])
     assert arith.extract_box(hypothesis, NAMES) == (ref["box"], ref["unbounded"])
@@ -310,7 +344,7 @@ def test_normal_forms_equal_the_references(atom_list, conjunct_list):
         if isinstance(a, Cmp):
             n, r = norm_atom(a), ref_norm_atom(a)
             assert n == r and list(n.poly.terms.items()) == list(r.poly.terms.items())
-            assert arith._root(n.poly) == ref_root(r.poly)
+            assert as_fraction(arith._root(n.poly)) == ref_root(r.poly)
     for g in conjunct_list:
         assert nnf(g) == ref_nnf(g) and nnf(Not(g)) == ref_nnf(Not(g))
 
@@ -334,3 +368,65 @@ def test_nnf_keeps_the_memo_slots():
     f = parse_formula("0 <= x & x <= 1 & (y >= 0 | y <= -1)")
     hash(f)
     assert nnf(f) is f and f._hash is not None
+
+
+def ref_primitive_key(p: Polynomial) -> frozenset:
+    """The terms of the primitive part as `contradictory` keyed them, from
+    `Fraction` coefficients."""
+    terms = rational_terms(p)
+    s = math.lcm(*(c.denominator for c in terms.values()))
+    ints = [(m, c.numerator * (s // c.denominator)) for m, c in terms.items()]
+    g = math.gcd(*(n for _, n in ints))
+    return frozenset((m, n // g) for m, n in ints)
+
+
+def ref_scaled_poly(p: Polynomial) -> tuple:
+    """`_scaled_poly` as it read `Fraction` coefficients: p over the lcm of
+    their denominators."""
+    pt = rational_terms(p)
+    s = math.lcm(*(c.denominator for c in pt.values()))
+    coeffs = {m: c.numerator * (s // c.denominator) for m, c in pt.items()}
+    degrees = {}
+    for m in coeffs:
+        for v, e in m:
+            degrees[v] = max(degrees.get(v, 0), e)
+    terms = []
+    for m, c in coeffs.items():
+        exps = dict(m)
+        terms.append((c, m, tuple((v, k - exps.get(v, 0)) for v, k in degrees.items() if k > exps.get(v, 0))))
+    return tuple(terms), degrees
+
+
+wide = st.one_of(
+    coefficients,
+    st.builds(Fraction, st.integers(-(10**30), 10**30).filter(bool), st.integers(1, 10**25)),
+)
+rational_polys = st.one_of(
+    # a*v + b: linear in one variable, with zero and large constants
+    st.builds(
+        lambda v, a, b: Polynomial({((v, 1),): a, (): b}),
+        st.sampled_from(NAMES),
+        wide,
+        st.one_of(constants, wide),
+    ),
+    st.dictionaries(
+        st.sampled_from([(), (("x", 1),), (("y", 1),), (("x", 2),), (("x", 1), ("y", 1)), (("y", 3),)]),
+        st.one_of(wide, st.just(Fraction(0))),
+        max_size=5,
+    ).map(Polynomial),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(rational_polys, rational_polys, st.booleans())
+@example(Polynomial({(("x", 1),): Fraction(-10**30, 7), (): Fraction(0)}), Polynomial(), True)
+def test_root_primitive_and_scaled_terms_equal_the_fraction_references(p, q, negate):
+    if negate:
+        p = -p
+    assert as_fraction(arith._root(p)) == ref_root(p)
+    if not p.is_zero():
+        assert frozenset(primitive(p).terms.items()) == ref_primitive_key(p) and primitive(p).den == 1
+        assert (primitive(p) == primitive(q)) == (ref_primitive(ref_of(p)) == ref_primitive(ref_of(q)))
+        assert primitive(-p) == -primitive(p)
+    assert arith._scaled_poly(p) == ref_scaled_poly(p)
+    assert arith._scaled_poly(p - q) == ref_scaled_poly(p - q)

@@ -17,7 +17,6 @@ from odeliveness.syntax import (
     Or,
     ProblemFile,
     Quant,
-    _frac_str,
     parse_formula,
     parse_poly,
     parse_problem,
@@ -60,7 +59,7 @@ def _print_binding_value(v) -> str:
     if isinstance(v, Polynomial):
         return print_poly(v)
     if isinstance(v, Fraction):
-        return _frac_str(v)
+        return str(v)
     if isinstance(v, str):
         return v
     return print_formula(v)
