@@ -20,7 +20,7 @@ from .errors import InvalidArgument, NestingTooDeep
 from .syntax import And, BoolLit, Cmp, Formula, Implies, Not, Or
 
 
-def to_float(num: int, den: int = 1) -> float:
+def to_float(num: int, den: int) -> float:
     """num/den (den != 0) as a float, correctly rounded as `float` of the
     `Fraction` is; a number past the float range is an input error."""
     try:

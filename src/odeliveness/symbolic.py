@@ -207,13 +207,6 @@ class Polynomial:
                 base = base * base
         return result
 
-    def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
-        n = c.numerator
-        if n == 0:
-            return Polynomial()
-        return Polynomial._trusted({m: n * v for m, v in self.terms.items()}, self.den * c.denominator)
-
     # -- calculus ----------------------------------------------------------
 
     def partial(self, name: str) -> "Polynomial":

@@ -332,7 +332,7 @@ def precheck_cases(draw):
     elif shape == 2:  # a multiple of one fact, by a factor of known sign on some boxes
         body = draw(st.sampled_from(polys)) * draw(st.one_of(poly_st, coef.map(Polynomial.const), square_plus))
     else:  # one fact scaled
-        body = draw(st.sampled_from(polys)).scale(draw(coef))
+        body = draw(st.sampled_from(polys)) * draw(coef)
     goal = NormAtom(draw(st.sampled_from([">=", ">", "="])), body + Polynomial.const(draw(coef)))
     box = None
     if draw(st.booleans()):

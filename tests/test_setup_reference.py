@@ -267,7 +267,7 @@ conclusions = st.one_of(atoms, st.builds(And, atoms, atoms), st.builds(Or, atoms
 # every conflict `contradictory` looks for comes up
 POOL = [parse_formula(t).lhs for t in ("x + 1 >= 0", "2*x*y - 1/3*y >= 0", "x^2 - 3 >= 0")]
 pool_atoms = st.builds(
-    lambda p, k, op: NormAtom(op, p.scale(k)),
+    lambda p, k, op: NormAtom(op, p * k),
     st.sampled_from(POOL),
     st.sampled_from([1, 2, -1, Fraction(-1, 3)]),
     st.sampled_from([">=", ">", "=", "!="]),

@@ -456,7 +456,7 @@ def test_hand_picked_values_and_errors():
         syntax.parse_poly("x^40*x^40")
     assert syntax.parse_poly("0*x^40*x^40") == Polynomial()
     assert syntax.parse_poly("-x^2") == -(Polynomial.var("x") ** 2)
-    assert syntax.parse_poly("2*-x") == Polynomial.var("x").scale(-2)
+    assert syntax.parse_poly("2*-x") == Polynomial.var("x") * -2
     assert syntax.parse_poly("1/2^3") == Polynomial.const(Fraction(1, 8))
     f = syntax.parse_formula("a >= 0 -> b >= 0 -> c >= 0")
     assert type(f) is Implies and type(f.right) is Implies
