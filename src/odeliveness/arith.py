@@ -431,18 +431,23 @@ def _sum_of_even_powers(p: Polynomial) -> Optional[tuple[int, dict]]:
     return bound, body
 
 
-def extract_box(
-    hypothesis: Formula, universals, hyp: Optional[_Hypothesis] = None
-) -> tuple[Optional[Box], list]:
+def extract_box(hypothesis: Formula, universals) -> tuple[Optional[Box], list]:
     """Per-variable bounds entailed by hypothesis conjuncts.
 
     Returns (box, unbounded_names); box is None when some universal has no
     finite bound.  An empty dict for `unbounded` with box=None signals an
-    inconsistent set of bounds (the hypothesis is unsatisfiable).  `hyp`,
-    when given, is the hypothesis's normal form, already computed.
+    inconsistent set of bounds (the hypothesis is unsatisfiable).
     """
-    if hyp is None:
-        hyp = _Hypothesis(partial_atoms(hypothesis)[0])
+    cell, unbounded = _box_cell(_Hypothesis(partial_atoms(hypothesis)[0]), universals)
+    if cell is None:
+        return None, unbounded
+    return {v: Interval(Fraction(lo, d), Fraction(hi, d)) for v, (lo, hi, d) in cell.items()}, []
+
+
+def _box_cell(hyp: _Hypothesis, universals) -> tuple[Optional[dict], list]:
+    """`extract_box` in integers, its box as the cell v -> (L, H, D) that
+    `_scaled` makes of it: bounds are compared by cross-multiplication and
+    reduced as a `Fraction` is."""
     lows: dict = {}  # v -> (n, d), the bound n/d with d > 0
     highs: dict = {}
     for a, root in zip(hyp.atoms, hyp.roots):
@@ -467,19 +472,22 @@ def extract_box(
                         lows[v] = (-r, 64)
                     if v not in highs or r * highs[v][1] < highs[v][0] * 64:
                         highs[v] = (r, 64)
-    box: Box = {}
+    cell: dict = {}
     unbounded = []
     for v in universals:
         if v in lows and v in highs:
             (ln, ld), (hn, hd) = lows[v], highs[v]
             if ln * hd > hn * ld:
                 return None, []
-            box[v] = Interval(Fraction(ln, ld), Fraction(hn, hd))
+            g, h = math.gcd(ln, ld), math.gcd(hn, hd)
+            ld, hd = ld // g, hd // h
+            d = math.lcm(ld, hd)
+            cell[v] = (ln // g * (d // ld), hn // h * (d // hd), d)
         else:
             unbounded.append(v)
     if unbounded:
         return None, unbounded
-    return box, []
+    return cell, []
 
 
 def _entailed(a: NormAtom, root, cell: dict) -> bool:
@@ -526,7 +534,7 @@ def _constant_at(p: Polynomial, v: str, n: int, d: int) -> bool:
     return not any(rest.values())
 
 
-def _derive_atom(goal: NormAtom, hyp: _Hypothesis, box: Optional[Box]) -> bool:
+def _derive_atom(goal: NormAtom, hyp: _Hypothesis, cell: Optional[dict]) -> bool:
     """Does the conjunction of the hypothesis atoms entail `goal` (op in >=,
     >, =)?"""
     e = reduce_mod_equalities(goal.poly, hyp.eqs)
@@ -585,7 +593,8 @@ def _derive_atom(goal: NormAtom, hyp: _Hypothesis, box: Optional[Box]) -> bool:
             return True
 
     # division: e = f*q + r with f >= 0 from hypothesis, q sign-definite on
-    # box; the signs of r, q and q's enclosure are those of their numerators
+    # the box's cell; the signs of r, q and q's enclosure are those of their
+    # numerators
     for fpoly, fstrict, zero in facts:
         if fpoly.is_constant() or fpoly.degree() > e.degree():
             continue
@@ -597,9 +606,8 @@ def _derive_atom(goal: NormAtom, hyp: _Hypothesis, box: Optional[Box]) -> bool:
             continue
         if q.is_constant():
             qlo = q.terms[()]
-        elif box is not None and all(v in box for v in q.variables()):
-            terms, degrees = _scaled_poly(q)
-            qlo, _ = _enclosure(terms, _scaled((v, box[v].lo, box[v].hi) for v in degrees))
+        elif cell is not None and all(v in cell for v in q.variables()):
+            qlo, _ = _enclosure(_scaled_poly(q)[0], cell)
         else:
             continue
         q_nonneg, q_pos = qlo >= 0, qlo > 0
@@ -612,7 +620,7 @@ def _derive_atom(goal: NormAtom, hyp: _Hypothesis, box: Optional[Box]) -> bool:
     return False
 
 
-def _symbolic_valid(hyp: _Hypothesis, concl_atoms: Optional[list], box: Optional[Box]) -> Optional[str]:
+def _symbolic_valid(hyp: _Hypothesis, concl_atoms: Optional[list], cell: Optional[dict]) -> Optional[str]:
     """Try symbolic certificates; returns a reason string when valid.
     `concl_atoms` are the conclusion's atoms, None unless it is a pure
     conjunction of them."""
@@ -620,7 +628,7 @@ def _symbolic_valid(hyp: _Hypothesis, concl_atoms: Optional[list], box: Optional
         return "inconsistent-hypothesis"
     if concl_atoms is None:
         return None
-    if all(_derive_atom(a, hyp, box) for a in concl_atoms):
+    if all(_derive_atom(a, hyp, cell) for a in concl_atoms):
         return "positive-combination"
     return None
 
@@ -641,8 +649,8 @@ def _falsified(mid: dict, cells: int, max_depth: int) -> ArithVerdict:
 class Region:
     """The hypothesis half of every obligation `forall universals
     (hypothesis -> _)`, normalised once: the top-level conjuncts of its NNF
-    and their `_Hypothesis`, the box or the unbounded universals, and, when
-    the box is bounded and no conjunct is a disjunction, the compiled
+    and their `_Hypothesis`, the cell of the box or the unbounded universals,
+    and, when the box is bounded and no conjunct is a disjunction, the compiled
     hypothesis without the atoms the box entails, the root cell, and the
     hypothesis's truth at the root cell's midpoint.  A closed hypothesis
     (no universals) keeps only its truth."""
@@ -654,15 +662,14 @@ class Region:
             return
         self.parts = parts = conjuncts(nnf(hypothesis))
         self.hyp = hyp = _Hypothesis(atoms_of_conjuncts(parts)[0])
-        box, self.unbounded = extract_box(hypothesis, universals, hyp)
-        self.box = box
+        self.cell, self.unbounded = _box_cell(hyp, universals)
         self.split = next((g for g in parts if isinstance(g, Or)), None)
-        if self.split is None and box is not None:
+        if self.split is None and self.cell is not None:
             # Without a top-level disjunction every conjunct is an atom.  Atoms
             # the box entails hold on every cell, and +1 is the unit of the
             # conjunction, so dropping them changes no cell's answer.
             self.names = names = tuple(sorted(universals))
-            cell = _scaled((v, box[v].lo, box[v].hi) for v in names)
+            cell = {v: self.cell[v] for v in names}
             kept = [a for a, r in zip(hyp.atoms, hyp.roots) if not _entailed(a, r, cell)]
             self.node = _conj_node([_atom_node(a.op, a.poly) for a in kept])
             self.root_cell = tuple(cell.values())
@@ -711,7 +718,7 @@ def prove_implication(
         if not region.holds or eval_formula_exact(ob.conclusion, {}):
             return ArithVerdict(VALID, trace={"method": "closed-evaluation", "cells": 0})
         return ArithVerdict(FALSIFIED, counterexample={}, trace={"method": "closed-evaluation", "cells": 0})
-    if region.box is None and not region.unbounded:
+    if region.cell is None and not region.unbounded:
         return ArithVerdict(VALID, trace={"method": "empty-box", "cells": 0})
     concl_parts = conjuncts(nnf(ob.conclusion))
 
@@ -728,7 +735,7 @@ def prove_implication(
             return _falsified(region.mid, 1, 0)
 
     concl_atoms, concl_complete = atoms_of_conjuncts(concl_parts)
-    reason = _symbolic_valid(region.hyp, concl_atoms if concl_complete else None, region.box)
+    reason = _symbolic_valid(region.hyp, concl_atoms if concl_complete else None, region.cell)
     if reason is not None:
         return ArithVerdict(VALID, trace={"method": reason, "cells": 0})
 
@@ -757,7 +764,7 @@ def prove_implication(
             return ArithVerdict(VALID, trace=stats)
         return ArithVerdict(UNKNOWN, trace=stats)
 
-    if region.box is None:
+    if region.cell is None:
         return ArithVerdict(UNKNOWN, trace={"method": "unbounded-domain", "unbounded": region.unbounded, "cells": 0})
     if concl_node is None:
         concl_node = _conclusion_node(concl_parts)

@@ -371,7 +371,8 @@ def precheck_cases(draw):
 )
 def test_derive_atom_matches_reference(case):
     goal, atoms, box = case
-    assert arith._derive_atom(goal, arith._Hypothesis(atoms), box) == ref_derive_atom(goal, atoms, box)
+    cell = box and arith._scaled((v, iv.lo, iv.hi) for v, iv in box.items())
+    assert arith._derive_atom(goal, arith._Hypothesis(atoms), cell) == ref_derive_atom(goal, atoms, box)
 
 
 # -- soundness cross-check (prover vs falsifier) ------------------------------

@@ -47,14 +47,15 @@ def test_prechecks_prove_no_obligation_refuted_at_its_root_midpoint(seed):
         if any(isinstance(g, Or) for g in parts):
             continue  # each disjunct's sub-call probes itself
         hyp = arith._Hypothesis(atoms_of_conjuncts(parts)[0])
-        box, _ = arith.extract_box(ob.hypothesis, ob.universals, hyp)
+        box, _ = arith.extract_box(ob.hypothesis, ob.universals)
         if box is None:
             continue
         mid = {v: box[v].midpoint() for v in sorted(ob.universals)}
         if not exact.is_counterexample(case, mid):
             continue
         refuted += 1
-        assert arith._symbolic_valid(hyp, atoms_of(ob.conclusion), box) is None, ob.describe()
+        cell = arith._scaled((v, iv.lo, iv.hi) for v, iv in box.items())
+        assert arith._symbolic_valid(hyp, atoms_of(ob.conclusion), cell) is None, ob.describe()
         v = prove_implication(ob, budget=corpora.BUDGET)
         assert (v.status, v.counterexample, v.trace) == (FALSIFIED, mid, FIRST_CELL), ob.describe()
     assert refuted >= 150  # about half of each criterion-6 corpus

@@ -318,7 +318,8 @@ def test_region_equals_the_fraction_region(hypothesis, conclusion):
     assert [list(a.poly.terms.items()) for a in region.hyp.atoms] == [list(a.poly.terms.items()) for a in ref["atoms"]]
     assert list(map(as_fraction, region.hyp.roots)) == ref["roots"]
     assert region.hyp.contradictory == ref_contradictory(ref["atoms"])
-    assert (region.box, region.unbounded) == (ref["box"], ref["unbounded"])
+    box_cell = ref["box"] and _scaled((v, iv.lo, iv.hi) for v, iv in ref["box"].items())
+    assert (region.cell, region.unbounded) == (box_cell, ref["unbounded"])
     assert arith.extract_box(hypothesis, NAMES) == (ref["box"], ref["unbounded"])
     if "node" not in ref:
         assert region.mid is None
