@@ -687,6 +687,7 @@ def sample_initial_states(problem: ProblemFile, count: int, seed: int) -> list:
             raise UnsamplableInitSet("assume block is empty; nothing to sample")
 
     inside = _predicate(formula_of_atoms(leftovers), names) if leftovers else None
+    spans = {n: [to_float(x.numerator, x.denominator) for x in (box[n].lo, box[n].hi)] for n in free}
     out = []
     tries = 0
     while len(out) < count and tries < count * 200:
@@ -697,8 +698,7 @@ def sample_initial_states(problem: ProblemFile, count: int, seed: int) -> list:
             pt[x] = rx * math.cos(th)
             pt[yv] = ry * math.sin(th)
         for n in free:
-            iv = box[n]
-            lo, hi = (to_float(x.numerator, x.denominator) for x in (iv.lo, iv.hi))
+            lo, hi = spans[n]
             pt[n] = lo + (hi - lo) * rng.random()
         if inside is None or inside(tuple(pt[n] for n in names)):
             out.append(pt)
