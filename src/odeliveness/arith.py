@@ -18,14 +18,14 @@ case split on a top-level disjunction, each disjunct proved through
 `prove_implication` with its own `Region`; (5) interval branch-and-bound
 over the box, which skips the centre (2) tried.  The conclusion is compiled
 only when (2) or (5) reads it, and its atoms are normalised only when (3)
-reads them.  The set-up works on numerators and denominators: each root is
-one `Fraction` of two numerators, and each atom compiles from the integer
-numerators of the difference of its two sides.  Every cell is evaluated
-exactly, in integers scaled by a positive constant per atom and cell, so the
-prover needs no rounding tolerance: Valid is never returned for an
-obligation that is falsifiable over its box.  The symbolic certificates are
-sound, so they never prove an obligation that (2) refutes, and putting (2)
-first changes no verdict.  Every step is monotone in the constant of a
+reads them.  The set-up works on numerators: each root is a pair of them,
+the box is the integer cell of the winning roots, and each atom compiles
+from the numerators of the difference of its two sides.  Every cell is
+evaluated exactly, in integers scaled by a positive constant per atom and
+cell, so the prover needs no rounding tolerance: Valid is never returned for
+an obligation that is falsifiable over its box.  The symbolic certificates
+are sound, so they never prove an obligation that (2) refutes, and putting
+(2) first changes no verdict.  Every step is monotone in the constant of a
 one-atom conclusion: loosening `p <= c` to `p <= c + d` (d >= 0) keeps Valid
 Valid, with no more cells, which lets `topology.first_proved` bisect.
 

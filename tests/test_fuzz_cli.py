@@ -28,6 +28,7 @@ TEXTS = {p.name: p.read_text() for p in FILES}
 # numerals, words, runs of blanks, and any other single character
 _PIECE = re.compile(r"[0-9]+|[^\W\d]\w*|\s+|.", re.S)
 SYMBOLS = list("{}()[];,'=<>+-*^&|!/") + ["->", "<=", ">=", "!="]
+MUTATIONS = ["numeral", "numeral", "zero-den", "huge-den", "power", "delete", "repeat", "swap", "symbol"]
 
 
 def _numeral(draw) -> str:
@@ -47,7 +48,7 @@ def mutated(draw) -> tuple:
     pieces = _PIECE.findall(TEXTS[name])
     for _ in range(draw(st.integers(1, 3))):
         numerals = [i for i, p in enumerate(pieces) if p.isdigit()]
-        kind = draw(st.sampled_from(["numeral", "numeral", "zero-den", "huge-den", "power", "delete", "repeat", "swap", "symbol"]))
+        kind = draw(st.sampled_from(MUTATIONS))
         if kind in ("numeral", "zero-den", "huge-den") and numerals:
             i = draw(st.sampled_from(numerals))
             tail = {"numeral": "", "zero-den": "/0", "huge-den": "/" + "7" * draw(st.integers(20, 400))}[kind]

@@ -16,7 +16,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from ref_poly import RefPoly, rational_terms, ref_divmod, ref_of, ref_poly_src, ref_primitive, ref_print_poly, ref_reduce
+from ref_poly import (
+    RefPoly,
+    rational_terms,
+    ref_divmod,
+    ref_of,
+    ref_poly_src,
+    ref_primitive,
+    ref_print_poly,
+    ref_reduce,
+)
 
 from odeliveness.codegen import poly_src, to_float
 from odeliveness.errors import InvalidArgument
