@@ -74,11 +74,7 @@ def _add_into(terms: dict, den: int, other: "Polynomial", sign: int) -> int:
             terms[m] *= lcm // den
     f = sign * (lcm // other.den)
     for m, c in other.terms.items():
-        s = terms.get(m, 0) + c * f
-        if s:
-            terms[m] = s
-        else:
-            del terms[m]
+        _accumulate(terms, m, c * f)
     return lcm
 
 
@@ -194,9 +190,10 @@ class Polynomial:
             raise PowNegativeExponent(f"exponent must be a nonnegative integer, got {k!r}")
         if k > 0 and self.degree() * k > DEGREE_CAP:
             raise DegreeCapExceeded(f"power degree {self.degree() * k} exceeds cap {DEGREE_CAP}")
-        bits = (max(abs(self.terms.get((), 0)).bit_length(), self.den.bit_length()) - 1) * k
-        if self.is_constant() and bits > POWER_BITS_CAP:
-            raise InvalidArgument(f"power of a number with about {bits} bits exceeds cap {POWER_BITS_CAP}")
+        if self.is_constant():
+            bits = (max(abs(self.terms.get((), 0)).bit_length(), self.den.bit_length()) - 1) * k
+            if bits > POWER_BITS_CAP:
+                raise InvalidArgument(f"power of a number with about {bits} bits exceeds cap {POWER_BITS_CAP}")
         result = Polynomial.const(1)
         base = self
         while k:
