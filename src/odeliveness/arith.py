@@ -35,15 +35,12 @@ Unknown; counterexamples re-verify by rational evaluation.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 import sys
 import time
 from collections import deque
-from dataclasses import dataclass, field
 from fractions import Fraction
-from random import Random
 from typing import Optional
 
 from .codegen import build, formula_src, poly_src
@@ -58,6 +55,7 @@ from .normal import (
     nnf,
     partial_atoms,
 )
+from .record import Frozen, Record
 from .symbolic import Polynomial, poly_divmod, primitive, reduce_mod_equalities
 from .syntax import (
     And,
@@ -67,7 +65,6 @@ from .syntax import (
     Implies,
     Not,
     Or,
-    TRUE,
     conj,
     conjuncts,
     disjuncts,
@@ -80,10 +77,8 @@ from .syntax import (
 # Intervals
 
 
-@dataclass(frozen=True, slots=True)
-class Interval:
-    lo: Fraction
-    hi: Fraction
+class Interval(Frozen):
+    __slots__ = ("lo", "hi")
 
     def __post_init__(self):
         if self.lo > self.hi:
@@ -280,19 +275,20 @@ def eval_formula_exact(f: Formula, point: dict) -> bool:
 # Obligations and verdicts
 
 
-@dataclass(frozen=True)
-class ArithObligation:
+class ArithObligation(Frozen):
     """forall universals (hypothesis -> conclusion), bodies quantifier-free."""
 
-    universals: tuple
-    hypothesis: Formula
-    conclusion: Formula
+    __slots__ = ("universals", "hypothesis", "conclusion")
 
     def __post_init__(self):
-        for part in (self.hypothesis, self.conclusion):
+        self._check(self.hypothesis, self.conclusion)
+
+    def _check(self, *parts) -> None:
+        free = set()
+        for part in parts:
             if not is_quantifier_free(part):
                 raise ValueError("obligation bodies must be quantifier- and modality-free")
-        free = formula_variables(self.hypothesis) | formula_variables(self.conclusion)
+            free |= formula_variables(part)
         if not free <= set(self.universals):
             raise ValueError(f"free variables {sorted(free - set(self.universals))} not quantified")
 
@@ -304,8 +300,9 @@ class ArithObligation:
 
     def with_conclusion(self, conclusion: Formula) -> "ArithObligation":
         """This obligation with another conclusion, which alone is checked."""
-        ob = ArithObligation(self.universals, TRUE, conclusion)
-        ob.__dict__["hypothesis"] = self.hypothesis  # past the frozen dataclass's guard
+        self._check(conclusion)
+        ob = object.__new__(ArithObligation)
+        ob._unchecked(self.universals, self.hypothesis, conclusion)  # the hypothesis was checked with self
         return ob
 
     def describe(self) -> str:
@@ -317,11 +314,13 @@ FALSIFIED = "falsified"
 UNKNOWN = "unknown"
 
 
-@dataclass
-class ArithVerdict:
-    status: str
-    counterexample: Optional[dict] = None
-    trace: dict = field(default_factory=dict)
+class ArithVerdict(Record):
+    __slots__ = ("status", "counterexample", "trace")
+
+    def __init__(self, status, counterexample=None, trace=None):  # written out: see `kernel.ArithOb`
+        self.status = status
+        self.counterexample = counterexample
+        self.trace = {} if trace is None else trace
 
     @property
     def is_valid(self) -> bool:
@@ -333,10 +332,9 @@ class ArithVerdict:
         return self.trace.get("method") == "time-exhausted"
 
 
-@dataclass(frozen=True)
-class Budget:
-    max_cells: int = 200_000
-    max_seconds: float = 10.0
+class Budget(Frozen):
+    __slots__ = ("max_cells", "max_seconds")
+    _defaults = {"max_cells": 200_000, "max_seconds": 10.0}
 
 
 # ---------------------------------------------------------------------------
@@ -826,6 +824,8 @@ def _sample_grid(n: int, count: int, seed: int):
         yield from itertools.filterfalse(set(first).__contains__, itertools.product(range(257), repeat=n))
         return
     yield from first[:count]
+    from random import Random
+
     rng = Random(seed)
     for _ in range(count - len(first)):
         ks = [rng.randrange(0, 257) for _ in range(n)]
@@ -960,5 +960,7 @@ def emit_smtlib(ob: ArithObligation) -> str:
 
 
 def smt_filename(index: int, ob: ArithObligation) -> str:
+    import hashlib
+
     digest = hashlib.sha256(emit_smtlib(ob).encode()).hexdigest()[:8]
     return f"ob-{index}-{digest}.smt2"

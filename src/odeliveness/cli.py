@@ -15,7 +15,7 @@ import pathlib
 import sys
 from fractions import Fraction
 
-from . import arith, sim
+from . import arith
 from .errors import InvalidArgument, OdelivError, RuleRefused
 from .kernel import PROVED, REFUTED, render_trace
 from .rules import Checker, apply_rule
@@ -70,6 +70,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_falsify(args) -> int:
+    from . import sim  # only the numeric commands pay for its import
+
     problem = _load(args.file)
     report = sim.falsify_liveness(problem, samples=args.samples, seed=args.seed, horizon=args.horizon)
     print(report.summary())
@@ -85,6 +87,8 @@ def cmd_falsify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import sim
+
     problem = _load(args.file)
     init = {}
     for part in args.init.split(","):
@@ -155,6 +159,8 @@ def cmd_emit_smt(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    from . import sim
+
     results = sim.run_catalog(samples=args.samples, seed=args.seed, horizon=args.horizon)
     ok = True
     for r in results:

@@ -20,7 +20,6 @@ Obligation discharge is delegated to a checker object (see `rules.Checker`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from . import topology
@@ -32,6 +31,7 @@ from .errors import (
     ShapeMismatch,
     TopoUnknown,
 )
+from .record import Frozen, Record
 from .symbolic import OdeSystem, Polynomial
 from .syntax import (
     TRUE,
@@ -63,10 +63,8 @@ INTERNAL = "internal"  # obligations of the internal refinement replay
 WITNESS = "witness"  # optional numeric witnesses (initial values, bounds)
 
 
-@dataclass(frozen=True)
-class Sequent:
-    context: tuple  # tuple[Formula, ...]
-    succedent: Formula
+class Sequent(Frozen):
+    __slots__ = ("context", "succedent")  # context: (Formula, ...)
 
 
 def dia(system: OdeSystem, post: Formula) -> Modal:
@@ -95,13 +93,18 @@ def context_filter(context, system: OdeSystem):
 # Obligations
 
 
-@dataclass
-class ArithOb:
-    label: str
-    role: str
-    obligation: ArithObligation
-    refuting: bool = False  # Falsified here refutes the certificate
-    result: Optional[ArithVerdict] = None
+class ArithOb(Record):
+    __slots__ = ("label", "role", "obligation", "refuting", "result")
+
+    # Written out, as are `ProofNode`'s and `arith.ArithVerdict`'s: a check
+    # builds one of each per obligation, and the shared constructor costs
+    # three to four times as much for a mutable record with defaults.
+    def __init__(self, label, role, obligation, refuting=False, result=None):
+        self.label = label
+        self.role = role
+        self.obligation = obligation
+        self.refuting = refuting  # Falsified here refutes the certificate
+        self.result = result
 
     def verdict(self) -> str:
         if self.result is None:
@@ -116,14 +119,9 @@ class ArithOb:
         return self.obligation.describe()
 
 
-@dataclass
-class TopoOb:
-    label: str
-    role: str
-    formula: Formula
-    prop: str  # Closed | Open | Bounded | Compact
-    vars: tuple
-    result: Optional[topology.TopoVerdict] = None
+class TopoOb(Record):
+    __slots__ = ("label", "role", "formula", "prop", "vars", "result")  # prop: Closed | Open | Bounded | Compact
+    _defaults = {"result": None}
 
     def verdict(self) -> str:
         if self.result is not None and self.result.holds:
@@ -134,12 +132,9 @@ class TopoOb:
         return f"{self.prop}({print_formula(self.formula)})"
 
 
-@dataclass
-class LipschitzOb:
-    label: str
-    role: str
-    system: OdeSystem
-    result: Optional[bool] = None
+class LipschitzOb(Record):
+    __slots__ = ("label", "role", "system", "result")
+    _defaults = {"result": None}
 
     def verdict(self) -> str:
         return PROVED if self.result else UNKNOWN
@@ -148,13 +143,9 @@ class LipschitzOb:
         return f"GlobalLipschitz({print_ode(self.system)})"
 
 
-@dataclass
-class InvarianceOb:
-    label: str
-    role: str
-    sequent: Sequent
-    hints: tuple = ()
-    proof: Optional["ProofNode"] = None
+class InvarianceOb(Record):
+    __slots__ = ("label", "role", "sequent", "hints", "proof")
+    _defaults = {"hints": (), "proof": None}
 
     def verdict(self) -> str:
         return self.proof.verdict() if self.proof is not None else UNKNOWN
@@ -163,11 +154,9 @@ class InvarianceOb:
         return print_sequent(self.sequent)
 
 
-@dataclass
-class AssumeOb:
-    label: str
-    formula: Formula
-    role: str = "assumption"
+class AssumeOb(Record):
+    __slots__ = ("label", "formula", "role")
+    _defaults = {"role": "assumption"}
 
     def verdict(self) -> str:
         return CONDITIONAL
@@ -176,18 +165,19 @@ class AssumeOb:
         return print_formula(self.formula)
 
 
-@dataclass(frozen=True)
-class Step:
-    name: str
-    note: str = ""
+class Step(Frozen):
+    __slots__ = ("name", "note")
+    _defaults = {"note": ""}
 
 
-@dataclass
-class ProofNode:
-    step: Step
-    conclusion: Sequent
-    children: tuple = ()
-    obligations: tuple = ()
+class ProofNode(Record):
+    __slots__ = ("step", "conclusion", "children", "obligations")
+
+    def __init__(self, step, conclusion, children=(), obligations=()):
+        self.step = step
+        self.conclusion = conclusion
+        self.children = children
+        self.obligations = obligations
 
     def verdict(self) -> str:
         worst = PROVED

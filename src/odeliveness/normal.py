@@ -8,10 +8,10 @@ positive) so that structural matching catches both orientations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .record import Frozen
 from .symbolic import Polynomial, grlex_key, primitive
 from .syntax import (
     And,
@@ -66,12 +66,10 @@ def negate(f: Formula) -> Formula:
     return nnf(Not(f))
 
 
-@dataclass(frozen=True)
-class NormAtom:
+class NormAtom(Frozen):
     """Comparison in normalized form: poly `op` 0 with op in >=, >, =, !=."""
 
-    op: str
-    poly: Polynomial
+    __slots__ = ("op", "poly")
 
     def to_formula(self) -> Formula:
         return Cmp(self.op, self.poly, Polynomial.const(0))

@@ -33,7 +33,6 @@ premise, proved with the certificate's `hints`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -75,6 +74,7 @@ from .kernel import (
     step_topo_semialg,
 )
 from .normal import atoms_of, equality_polys, negate, nnf, norm_atom
+from .record import Frozen
 from .symbolic import (
     Polynomial,
     higher_lie,
@@ -108,35 +108,30 @@ ZERO = Polynomial.const(0)
 # Invariance hints
 
 
-@dataclass(frozen=True)
-class DIStep:
-    formula: Optional[Cmp] = None  # defaults to the node's postcondition
+class DIStep(Frozen):
+    __slots__ = ("formula",)
+    _defaults = {"formula": None}  # None: the node's postcondition
 
 
-@dataclass(frozen=True)
-class DCStep:
-    cut: Formula
-    hints: tuple = ()
+class DCStep(Frozen):
+    __slots__ = ("cut", "hints")
+    _defaults = {"hints": ()}
 
 
-@dataclass(frozen=True)
-class DWStep:
-    pass
+class DWStep(Frozen):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DXStep:
-    pass
+class DXStep(Frozen):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BCStep:
-    poly: Polynomial
+class BCStep(Frozen):
+    __slots__ = ("poly",)
 
 
-@dataclass(frozen=True)
-class DomainWeakenStep:
-    formula: Formula
+class DomainWeakenStep(Frozen):
+    __slots__ = ("formula",)
 
 
 # hint step -> (its step class, the bindings it reads as `_binding`

@@ -39,7 +39,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 from random import Random
 from types import SimpleNamespace
 from typing import Callable, Optional
@@ -47,6 +46,7 @@ from typing import Callable, Optional
 from .codegen import build, formula_src, poly_src, to_float
 from .errors import InvalidArgument, RuleRefused, UnsamplableInitSet
 from .normal import atoms_of
+from .record import Factory, Frozen, Record
 from .symbolic import OdeSystem, Polynomial, lie_derivative  # noqa: F401 (perfbench traces sim.lie_derivative)
 from .syntax import (
     TRUE,
@@ -92,26 +92,21 @@ MAX_STEPS = 2_000_000
 TIE_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class State:
-    values: dict
-    time: float
+class State(Frozen):
+    __slots__ = ("values", "time")
 
 
-@dataclass
-class Trajectory:
-    rows: list  # [(time, state tuple)]: the raw samples
-    events: list  # [(time, kind)]
-    stats: dict = field(default_factory=dict)
-    # kind -> whether the first event of that kind lies on a closed boundary:
-    # the goal already holds at a GoalEntered point, the domain still holds
-    # at a DomainExited point
-    closed: dict = field(default_factory=dict)
-    # values(state tuple): the state and parameters by name
-    values: Optional[Callable] = None
-    # (time, reason) when the trajectory ended short of its horizon with no
-    # event: at the state whose atoms have no float value, or at the step cap
-    stopped: Optional[tuple] = None
+class Trajectory(Record):
+    # rows: [(time, state tuple)], the raw samples; events: [(time, kind)].
+    # closed: kind -> whether the first event of that kind lies on a closed
+    # boundary: the goal already holds at a GoalEntered point, the domain
+    # still holds at a DomainExited point.
+    # values(state tuple): the state and parameters by name.
+    # stopped: (time, reason) when the trajectory ended short of its horizon
+    # with no event: at the state whose atoms have no float value, or at the
+    # step cap.
+    __slots__ = ("rows", "events", "stats", "closed", "values", "stopped")
+    _defaults = {"stats": Factory(dict), "closed": Factory(dict), "values": None, "stopped": None}
 
     def final(self) -> State:
         t, y = self.rows[-1]
@@ -711,21 +706,12 @@ def sample_initial_states(problem: ProblemFile, count: int, seed: int) -> list:
 # Liveness falsification
 
 
-@dataclass
-class SampleResult:
-    index: int
-    classification: str
-    t_event: Optional[float]
-    final: State
-    trajectory: Trajectory
+class SampleResult(Record):
+    __slots__ = ("index", "classification", "t_event", "final", "trajectory")
 
 
-@dataclass
-class FalsifyReport:
-    counts: dict
-    results: list
-    seed: int
-    horizon: float
+class FalsifyReport(Record):
+    __slots__ = ("counts", "results", "seed", "horizon")
 
     def n(self, kind) -> int:
         return self.counts.get(kind, 0)
@@ -811,16 +797,13 @@ def write_report(report: FalsifyReport, problem: ProblemFile, outdir) -> list:
 # Counterexample catalog
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    id: str
-    source: str
-    broken_rule: str
-    expected_gate: Optional[str]  # substring of the refusal label; None for CE-2
-    expected_outcome: str  # the falsification class of every sample
-    at: float  # where every sample's event lies, within `tol`
-    tol: float
-    final_var: Optional[str] = None  # read the final value of this variable instead
+class CatalogEntry(Frozen):
+    # expected_gate: a substring of the refusal label, None for CE-2;
+    # expected_outcome: the falsification class of every sample; at: where
+    # every sample's event lies, within `tol`; final_var: read the final
+    # value of this variable instead
+    __slots__ = ("id", "source", "broken_rule", "expected_gate", "expected_outcome", "at", "tol", "final_var")
+    _defaults = {"final_var": None}
 
     def problem(self) -> ProblemFile:
         return parse_problem(self.source)

@@ -18,7 +18,6 @@ deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
@@ -28,11 +27,15 @@ from .errors import (
     PowNegativeExponent,
     UnknownVariable,
 )
+from .record import Frozen
 
 Monomial = tuple  # tuple[tuple[str, int], ...], sorted by name, exponents > 0
 
 # Degree guard on mul/pow, to fail fast on runaway certificates.
 DEGREE_CAP = 64
+# Order guard on higher Lie derivatives: on a linear system the degree cap
+# never trips, so the order alone bounds the work.
+LIE_ORDER_CAP = 1000
 # Size guard on powers of numbers, which outgrow their text without bound.
 POWER_BITS_CAP = 1 << 16
 
@@ -345,8 +348,7 @@ def reduce_mod_equalities(p: Polynomial, eqs: list[Polynomial]) -> Polynomial:
     return current
 
 
-@dataclass(frozen=True)
-class OdeSystem:
+class OdeSystem(Frozen):
     """x' = f(x) with domain constraint, constant parameters, optional clock.
 
     `domain` is a quantifier-free formula (see `syntax`); it is stored opaque
@@ -355,11 +357,8 @@ class OdeSystem:
     identifiers (users cannot write a leading underscore).
     """
 
-    vars: tuple[str, ...]
-    rhs: tuple[Polynomial, ...]
-    domain: object = None
-    params: frozenset = frozenset()
-    clock: Optional[str] = None
+    __slots__ = ("vars", "rhs", "domain", "params", "clock")
+    _defaults = {"domain": None, "params": frozenset(), "clock": None}
 
     def __post_init__(self):
         if len(self.vars) != len(self.rhs):
@@ -420,6 +419,10 @@ def lie_derivative(p: Polynomial, sys: OdeSystem) -> Polynomial:
 def higher_lie(p: Polynomial, sys: OdeSystem, k: int) -> Polynomial:
     if k < 0:
         raise InvalidArgument(f"order must be nonnegative, got {k}")
+    if k > LIE_ORDER_CAP:
+        raise InvalidArgument(f"order must be at most {LIE_ORDER_CAP}, got {k}")
     for _ in range(k):
+        if p.is_zero():  # so is every derivative after it
+            break
         p = lie_derivative(p, sys)
     return p

@@ -33,99 +33,71 @@ Printing is deterministic (graded lexicographic term order) and
 from __future__ import annotations
 
 import functools
-import operator
 import re
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
 from .errors import DegreeCapExceeded, DuplicateDeclaration, ParseError, UnknownIdentifier
+from .record import Frozen
 from .symbolic import DEGREE_CAP, OdeSystem, Polynomial, _add_into
 
 # ---------------------------------------------------------------------------
 # Formula AST
 #
-# Each node is a frozen, slotted dataclass with two memo slots that take no
-# part in equality and are not shown by `repr`: its hash and its printed
+# Each node is a frozen record (see `record`) with two memo slots that take
+# no part in equality and are not shown by `repr`: its hash and its printed
 # text, each computed on first use.  `rules.Checker` and the `regions`
 # lookup hash the same trees many times, and a transcript prints each
 # formula several times.  A memo lives and dies with its node.
 
-_MEMO = {"default": None, "init": False, "repr": False, "compare": False}
 
+class Node(Frozen):
+    """A formula node: its fields, then the memo slots `_hash` and `_text`.
+    The hash is that of the tuple of the fields, in one frame per nesting
+    level."""
 
-def _node(cls):
-    """Make `cls` a formula node: its fields as given, then the memo slots
-    `_hash` and `_text`.  The hash is that of the tuple of the fields, as the
-    dataclass would compute it, in one frame per nesting level."""
-    cls.__annotations__.update(_hash="Optional[int]", _text="Optional[str]")
-    cls._hash = field(**_MEMO)
-    cls._text = field(**_MEMO)
-    cls = dataclass(frozen=True, slots=True)(cls)
-    names = [f.name for f in fields(cls) if f.compare]
-    key = operator.attrgetter(*names)
-    single = len(names) == 1
+    __slots__ = ("_hash", "_text")
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((key(self),) if single else key(self))
+            h = hash(self._key(self))
             object.__setattr__(self, "_hash", h)
         return h
 
-    cls.__hash__ = __hash__
-    return cls
+
+class BoolLit(Node):
+    __slots__ = ("value",)
 
 
-@_node
-class BoolLit:
-    value: bool
+class Cmp(Node):
+    __slots__ = ("op", "lhs", "rhs")  # op: one of = != >= > <= <; lhs, rhs: Polynomial
 
 
-@_node
-class Cmp:
-    op: str  # one of = != >= > <= <
-    lhs: Polynomial
-    rhs: Polynomial
+class Not(Node):
+    __slots__ = ("arg",)
 
 
-@_node
-class Not:
-    arg: "Formula"
+class And(Node):
+    __slots__ = ("left", "right")
 
 
-@_node
-class And:
-    left: "Formula"
-    right: "Formula"
+class Or(Node):
+    __slots__ = ("left", "right")
 
 
-@_node
-class Or:
-    left: "Formula"
-    right: "Formula"
+class Implies(Node):
+    __slots__ = ("left", "right")
 
 
-@_node
-class Implies:
-    left: "Formula"
-    right: "Formula"
+class Quant(Node):
+    __slots__ = ("kind", "var", "body")  # kind: "forall" | "exists"
 
 
-@_node
-class Quant:
-    kind: str  # "forall" | "exists"
-    var: str
-    body: "Formula"
-
-
-@_node
-class Modal:
+class Modal(Node):
     """Box or diamond ODE modality; appears in sequents, not in problem files."""
 
-    box: bool
-    system: OdeSystem
-    post: "Formula"
+    __slots__ = ("box", "system", "post")
 
 
 Formula = Union[BoolLit, Cmp, Not, And, Or, Implies, Quant, Modal]
@@ -237,12 +209,10 @@ HINT_STEP_NAMES = frozenset({"DI", "DC", "DW", "DX", "BC", "DomainWeaken"})
 ENUM_BINDING_VALUES = frozenset({"GEx", "BEx", "assume", "COR", "DR", "SAR"})
 
 
-@dataclass(frozen=True)
-class CertStep:
-    name: str
-    bindings: tuple  # tuple[(str, BindingValue), ...]
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
+class CertStep(Frozen):
+    __slots__ = ("name", "bindings", "line", "col")  # bindings: ((str, BindingValue), ...)
+    _defaults = {"line": 0, "col": 0}
+    _compare = ("name", "bindings")  # where it was written takes no part
 
     def get(self, key: str, default=None):
         for k, v in self.bindings:
@@ -254,13 +224,8 @@ class CertStep:
         return any(k == key for k, _ in self.bindings)
 
 
-@dataclass(frozen=True)
-class ProblemFile:
-    params: tuple
-    system: OdeSystem
-    assumptions: tuple
-    goal: Optional[Formula]
-    certificate: tuple  # tuple[CertStep, ...]
+class ProblemFile(Frozen):
+    __slots__ = ("params", "system", "assumptions", "goal", "certificate")  # certificate: (CertStep, ...)
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,12 @@ depend on a parameter value comes back Unknown.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from . import arith
 from .normal import nnf
+from .record import Frozen
 from .symbolic import Polynomial
 from .syntax import And, BoolLit, Cmp, Formula, Or
 
@@ -37,11 +37,9 @@ HOLDS = "Holds"
 UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
-class TopoVerdict:
-    property: str
-    status: str
-    witness: Optional[Fraction] = None
+class TopoVerdict(Frozen):
+    __slots__ = ("property", "status", "witness")
+    _defaults = {"witness": None}
 
     @property
     def holds(self) -> bool:

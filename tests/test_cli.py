@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from odeliveness import cli, sim
+from odeliveness import cli, sim, symbolic
 from odeliveness.cli import main
 from conftest import ROOT, problem_path
 
@@ -193,6 +193,38 @@ def test_lie_k0_echoes_canonically(capsys):
 def test_lie_second_order(capsys):
     code, out = run(capsys, "lie", problem_path("example1.ode"), "-p", "u", "-k", 2)
     assert out.strip() == "2*v"
+
+
+def test_lie_order_at_the_cap_prints(capsys):
+    # u' + i v' = (-1 + i)(u + i v) on example1, and (-1 + i)^1000 = 2^500
+    code, out = run(capsys, "lie", problem_path("example1.ode"), "-p", "u", "-k", symbolic.LIE_ORDER_CAP)
+    assert symbolic.LIE_ORDER_CAP == 1000
+    assert code == 0 and out.strip() == f"{2**500}*u"
+
+
+def test_lie_order_past_the_cap_is_an_input_error(capsys):
+    # the order alone bounds the work: the degree cap never trips on a linear system
+    start = time.perf_counter()
+    code, out = run(capsys, "lie", problem_path("example1.ode"), "-p", "u", "-k", 100_000_000)
+    assert code == 3
+    assert out.strip() == "input error: order must be at most 1000, got 100000000"
+    assert time.perf_counter() - start < 1
+
+
+def test_certificate_order_past_the_cap_is_an_input_error(tmp_path, capsys):
+    f = tmp_path / "dv_k.ode"
+    f.write_text(problem_path("double_integrator.ode").read_text().replace("k = 2;", "k = 1001;"))
+    code, out = run(capsys, "check", f)
+    assert code == 3 and out.splitlines()[-1] == "input error: order must be at most 1000, got 1001"
+
+
+def test_lie_stops_at_a_zero_derivative(capsys, monkeypatch):
+    calls = []
+    real = symbolic.lie_derivative
+    monkeypatch.setattr(symbolic, "lie_derivative", lambda p, sys: calls.append(p) or real(p, sys))
+    code, out = run(capsys, "lie", problem_path("example1.ode"), "-p", "u^2 - u^2 + 3", "-k", 1000)
+    assert code == 0 and out.strip() == "0"
+    assert len(calls) == 1  # every derivative after a zero one is zero
 
 
 def test_simulate_writes_manifest(tmp_path, capsys):

@@ -14,7 +14,6 @@ parser: both give equal values, with the terms of every polynomial in the
 same order, or the same error at the same place.
 """
 
-import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,6 +23,7 @@ from hypothesis import strategies as st
 
 from odeliveness import syntax
 from odeliveness.errors import DegreeCapExceeded, OdelivError, ParseError, UnknownIdentifier
+from odeliveness.record import Record
 from odeliveness.symbolic import Polynomial
 from odeliveness.syntax import (
     CMP_OPS,
@@ -358,8 +358,8 @@ def shape(v):
     decides the order of evaluation in generated code."""
     if isinstance(v, Polynomial):
         return ("poly", tuple(v.terms.items()))
-    if dataclasses.is_dataclass(v):
-        return (type(v).__name__,) + tuple(shape(getattr(v, f.name)) for f in dataclasses.fields(v) if f.compare)
+    if isinstance(v, Record):
+        return (type(v).__name__,) + tuple(shape(getattr(v, name)) for name in v._compare)
     if isinstance(v, tuple):
         return tuple(shape(x) for x in v)
     return v
@@ -517,6 +517,6 @@ def test_memo_slots_are_invisible(index):
     assert a == b and hash(a) == hash(b) and print_formula(a) == print_formula(b)
     assert repr(a) == repr(b) == want
     assert {a: 1}[b] == 1
-    # the hash is that of the fields, as a frozen dataclass computes it
-    values = tuple(getattr(a, f.name) for f in dataclasses.fields(a) if f.compare)
-    assert hash(a) == hash(values)
+    # the hash is that of the tuple of the fields
+    values = tuple(getattr(a, name) for name in a._fields)
+    assert a._compare == a._fields and hash(a) == hash(values)
