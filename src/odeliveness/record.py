@@ -7,7 +7,7 @@ record.  Slots a record inherits (the formula nodes' memos) start as None.
 The constructor ends with the class's `__post_init__`, if it has one;
 `_unchecked` then sets the fields without it, for values already checked.
 A class may write its own `__init__` instead.  `repr` shows the fields in
-order.
+order; `copy` and `pickle` rebuild a record through its constructor.
 
 `Record` is mutable, and compares and hashes by identity.  `Frozen` refuses
 assignment (`AttributeError`), compares equal only to a record of exactly
@@ -64,6 +64,11 @@ class Record:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
+    def __reduce__(self):
+        # through the constructor, which resets the memo slots: restoring
+        # the slots by `setattr` would meet `Frozen`'s guard
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
 
 def _initializer(cls, inherited, post):
     """An `__init__` for `cls` that ends with `post(self)` unless `post` is
@@ -74,44 +79,10 @@ def _initializer(cls, inherited, post):
     # passes by a frozen class's `__setattr__`
     setters = tuple(getattr(cls, f).__set__ for f in cls._fields)
     memo = tuple(getattr(cls, s).__set__ for s in inherited)
-    # len(args) -> the defaults of the fields after them, when a call need
-    # give no later field
-    tails = {k: cls._padding[k:] for k in range(n) if all(i < k for i in cls._unfilled)}
-
-    # Two and three fields (the formula nodes, atoms and sequents) are
-    # stored without a loop, which saves a fifth of their construction.
-    if n == 2 and post is None:
-        s0, s1 = setters
-
-        def __init__(self, *args, **kwargs):
-            if kwargs or len(args) != 2:
-                tail = None if kwargs else tails.get(len(args))
-                args = _bind(cls, args, kwargs) if tail is None else args + tail
-            s0(self, args[0])
-            s1(self, args[1])
-            for set_ in memo:
-                set_(self, None)
-
-        return __init__
-    if n == 3 and post is None:
-        s0, s1, s2 = setters
-
-        def __init__(self, *args, **kwargs):
-            if kwargs or len(args) != 3:
-                tail = None if kwargs else tails.get(len(args))
-                args = _bind(cls, args, kwargs) if tail is None else args + tail
-            s0(self, args[0])
-            s1(self, args[1])
-            s2(self, args[2])
-            for set_ in memo:
-                set_(self, None)
-
-        return __init__
 
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != n:
-            tail = None if kwargs else tails.get(len(args))
-            args = _bind(cls, args, kwargs) if tail is None else args + tail
+            args = _bind(cls, args, kwargs)
         i = 0
         for set_ in setters:  # indexing beats zip here
             set_(self, args[i])

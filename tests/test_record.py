@@ -3,7 +3,9 @@ relies on: equality by exact class and fields, a hash equal to that of the
 field tuple, frozenness, the field-order repr and the constructor's
 signature.  And importing the CLI loads neither `dataclasses` nor `sim`."""
 
+import copy
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -109,6 +111,22 @@ def test_validation_runs_on_construction():
     assert ob.with_conclusion(A) == arith.ArithObligation(("x",), B, A)
     with pytest.raises(ValueError, match="not quantified"):
         ob.with_conclusion(Cmp(">=", Polynomial.var("y"), ONE))
+
+
+def test_copy_and_pickle_rebuild_through_the_constructor():
+    formula = And(A, Not(B))
+    hash(formula)  # fills the memo, which a copy starts without
+    for record in [formula, CertStep("DI", (("f", TRUE),), 3, 7), kernel.Sequent((A,), B), rules.DWStep(),
+                   OdeSystem(("x",), (ONE,)), arith.Budget(5, 1.5), arith.Interval(Fraction(0), Fraction(1))]:
+        for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+            assert twin == record and hash(twin) == hash(record) and repr(twin) == repr(record)
+    assert pickle.loads(pickle.dumps(formula))._hash is None
+    twin = copy.copy(formula)
+    assert twin.left is formula.left and twin is not formula
+    with pytest.raises(AttributeError):
+        twin.left = B
+    trajectory = pickle.loads(pickle.dumps(sim.Trajectory([(0.0, (1.0,))], [], stats={"steps": 1})))
+    assert (trajectory.rows, trajectory.stats, trajectory.closed) == ([(0.0, (1.0,))], {"steps": 1}, {})
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_sim():
