@@ -16,11 +16,13 @@ modulo hypothesis equalities, positive combinations of hypothesis atoms,
 exact division by a hypothesis atom with a sign-definite quotient); (4) a
 case split on a top-level disjunction, each disjunct proved through
 `prove_implication` with its own `Region`; (5) interval branch-and-bound
-over the box, which skips the centre (2) tried.  The conclusion is compiled
-only when (2) or (5) reads it, and its atoms are normalised only when (3)
-reads them.  The set-up works on numerators: each root is a pair of them,
-the box is the integer cell of the winning roots, and each atom compiles
-from the numerators of the difference of its two sides.  Every cell is
+over the box, which skips the centre (2) tried.  Each conclusion atom is
+normalised (`normal.norm_atom`, the one place where a comparison's sides
+are subtracted) once per call, for (2), (3) and (5) alike; the conclusion
+is compiled only when (2) or (5) reads it.  The set-up works on numerators:
+each root is a pair of them, the box is the integer cell of the winning
+roots, and each atom compiles from the numerators of its normalised
+polynomial.  Every cell is
 evaluated exactly, in integers scaled by a positive constant per atom and
 cell, so the prover needs no rounding tolerance: Valid is never returned for
 an obligation that is falsifiable over its box.  The symbolic certificates
@@ -46,13 +48,13 @@ from typing import Optional
 from .codegen import build, formula_src, poly_src
 from .errors import MissingBinding
 from .normal import (
-    _FLIP,
     NormAtom,
     _canonical_sign,
     atoms_of_conjuncts,
     contradictory,
     equality_polys,
     nnf,
+    norm_atom,
     partial_atoms,
 )
 from .record import Frozen, Record
@@ -151,9 +153,15 @@ def _scaled_poly(p: Polynomial) -> tuple:
                 degrees[v] = e
     terms = []
     for m, c in p.terms.items():
-        exps = dict(m)
-        gaps = tuple((v, k - exps.get(v, 0)) for v, k in degrees.items() if k > exps.get(v, 0))
-        terms.append((c, m, gaps))
+        gaps = []  # plain loops: a generator's frame per term costs more here
+        for v, k in degrees.items():
+            for w, e in m:
+                if w == v:
+                    k -= e
+                    break
+            if k:
+                gaps.append((v, k))
+        terms.append((c, m, tuple(gaps)))
     return tuple(terms), degrees
 
 
@@ -200,15 +208,15 @@ def _enclosure(terms: tuple, cell: dict) -> tuple:
 
 # ---------------------------------------------------------------------------
 # Formulas compiled once: nested tuples whose atoms carry the scaled integer
-# terms of the difference of their two sides (`_atom_node`), which is
-# `norm_atom`'s up to the sign of `=` and `!=` atoms, which no answer
-# depends on.
+# terms of their normalised atom (`_atom_node`).  `normal.norm_atom` is the
+# one place where a comparison's sides are subtracted; it gives `=` and `!=`
+# atoms a canonical sign, which no answer depends on.
 
 _LIT, _ATOM, _NOT, _AND, _OR = range(5)
 
 
-def _atom_node(op: str, d: Polynomial) -> tuple:
-    return (_ATOM, op, _scaled_poly(d)[0])
+def _atom_node(a: NormAtom) -> tuple:
+    return (_ATOM, a.op, _scaled_poly(a.poly)[0])
 
 
 def _conj_node(nodes: list) -> tuple:
@@ -222,12 +230,10 @@ def _conj_node(nodes: list) -> tuple:
 
 
 def _compile(f: Formula) -> tuple:
+    if isinstance(f, Cmp):
+        return _atom_node(norm_atom(f))
     if isinstance(f, BoolLit):
         return (_LIT, 1 if f.value else -1)
-    if isinstance(f, Cmp):
-        if f.op in _FLIP:
-            return _atom_node(_FLIP[f.op], f.rhs - f.lhs)
-        return _atom_node(f.op, f.lhs - f.rhs)
     if isinstance(f, Not):
         return (_NOT, _compile(f.arg))
     if isinstance(f, And):
@@ -286,17 +292,22 @@ class ArithObligation(Frozen):
     def _check(self, *parts) -> None:
         free = set()
         for part in parts:
-            if not is_quantifier_free(part):
-                raise ValueError("obligation bodies must be quantifier- and modality-free")
+            _require_quantifier_free(part)
             free |= formula_variables(part)
         if not free <= set(self.universals):
             raise ValueError(f"free variables {sorted(free - set(self.universals))} not quantified")
 
     @classmethod
     def closure(cls, hypothesis: Formula, conclusion: Formula) -> "ArithObligation":
-        """hypothesis -> conclusion, quantified over its free variables in name order."""
+        """hypothesis -> conclusion, quantified over its free variables in name
+        order; those are its universals by construction, so only
+        quantifier-freeness is checked."""
         names = formula_variables(hypothesis) | formula_variables(conclusion)
-        return cls(tuple(sorted(names)), hypothesis, conclusion)
+        _require_quantifier_free(hypothesis)
+        _require_quantifier_free(conclusion)
+        ob = object.__new__(cls)
+        ob._unchecked(tuple(sorted(names)), hypothesis, conclusion)
+        return ob
 
     def with_conclusion(self, conclusion: Formula) -> "ArithObligation":
         """This obligation with another conclusion, which alone is checked."""
@@ -307,6 +318,11 @@ class ArithObligation(Frozen):
 
     def describe(self) -> str:
         return f"{print_formula(self.hypothesis)} -> {print_formula(self.conclusion)}"
+
+
+def _require_quantifier_free(f: Formula) -> None:
+    if not is_quantifier_free(f):
+        raise ValueError("obligation bodies must be quantifier- and modality-free")
 
 
 VALID = "valid"
@@ -659,9 +675,10 @@ class Region:
             self.holds = eval_formula_exact(hypothesis, {})
             return
         self.parts = parts = conjuncts(nnf(hypothesis))
-        self.hyp = hyp = _Hypothesis(atoms_of_conjuncts(parts)[0])
+        atoms, rest = atoms_of_conjuncts(parts)
+        self.hyp = hyp = _Hypothesis(atoms)
         self.cell, self.unbounded = _box_cell(hyp, universals)
-        self.split = next((g for g in parts if isinstance(g, Or)), None)
+        self.split = rest[0] if rest else None  # in NNF, a quantifier-free non-atom is a disjunction
         if self.split is None and self.cell is not None:
             # Without a top-level disjunction every conjunct is an atom.  Atoms
             # the box entails hold on every cell, and +1 is the unit of the
@@ -669,7 +686,7 @@ class Region:
             self.names = names = tuple(sorted(universals))
             cell = {v: self.cell[v] for v in names}
             kept = [a for a, r in zip(hyp.atoms, hyp.roots) if not _entailed(a, r, cell)]
-            self.node = _conj_node([_atom_node(a.op, a.poly) for a in kept])
+            self.node = _conj_node([_atom_node(a) for a in kept])
             self.root_cell = tuple(cell.values())
             self.mid = _midpoint(cell)
             self.mid_truth = _eval3(self.node, self.mid)
@@ -684,9 +701,10 @@ class Region:
         return self.cases
 
 
-def _conclusion_node(parts: list) -> tuple:
-    """The compiled conjunction of a conclusion's top-level conjuncts."""
-    return _conj_node([_compile(g) for g in parts])
+def _conclusion_node(atoms: list, rest: list) -> tuple:
+    """The compiled conjunction of a conclusion's normalised atoms and its
+    other top-level conjuncts (`atoms_of_conjuncts`)."""
+    return _conj_node([_atom_node(a) for a in atoms] + [_compile(g) for g in rest])
 
 
 def prove_implication(
@@ -718,7 +736,9 @@ def prove_implication(
         return ArithVerdict(FALSIFIED, counterexample={}, trace={"method": "closed-evaluation", "cells": 0})
     if region.cell is None and not region.unbounded:
         return ArithVerdict(VALID, trace={"method": "empty-box", "cells": 0})
-    concl_parts = conjuncts(nnf(ob.conclusion))
+    # each conclusion atom is normalised, so differenced, once for the
+    # probe, the pre-checks and branch-and-bound
+    concl_atoms, concl_rest = atoms_of_conjuncts(conjuncts(nnf(ob.conclusion)))
 
     # Refute first: when the root midpoint is an exact counterexample,
     # branch-and-bound's first cell can neither discard nor accept the root,
@@ -728,12 +748,11 @@ def prove_implication(
     # is compiled only when the hypothesis holds at the midpoint.
     concl_node = None
     if region.mid is not None and budget.max_cells >= 1 and region.mid_truth == 1:
-        concl_node = _conclusion_node(concl_parts)
+        concl_node = _conclusion_node(concl_atoms, concl_rest)
         if _eval3(concl_node, region.mid) == -1:
             return _falsified(region.mid, 1, 0)
 
-    concl_atoms, concl_complete = atoms_of_conjuncts(concl_parts)
-    reason = _symbolic_valid(region.hyp, concl_atoms if concl_complete else None, region.cell)
+    reason = _symbolic_valid(region.hyp, None if concl_rest else concl_atoms, region.cell)
     if reason is not None:
         return ArithVerdict(VALID, trace={"method": reason, "cells": 0})
 
@@ -765,7 +784,7 @@ def prove_implication(
     if region.cell is None:
         return ArithVerdict(UNKNOWN, trace={"method": "unbounded-domain", "unbounded": region.unbounded, "cells": 0})
     if concl_node is None:
-        concl_node = _conclusion_node(concl_parts)
+        concl_node = _conclusion_node(concl_atoms, concl_rest)
     return _branch_and_bound(region.names, region.node, concl_node, region.root_cell, budget)
 
 

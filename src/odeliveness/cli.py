@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
-import pathlib
+import os
 import sys
 from fractions import Fraction
 
@@ -25,10 +25,21 @@ from .syntax import parse_poly, parse_problem, print_poly
 
 def _load(path: str):
     try:
-        text = pathlib.Path(path).read_text()
+        with open(path) as fh:
+            text = fh.read()
     except OSError as e:
         raise OdelivError(f"cannot read {path}: {e}")
     return parse_problem(text)
+
+
+def _out_dir(directory: str) -> str:
+    """Make the `--out` directory and return the prefix of the files written
+    to it, spelled as `pathlib` spells a POSIX path: empty and `.` parts
+    dropped and a leading `//` kept, so `./out/` prefixes `out/`."""
+    os.makedirs(directory, exist_ok=True)
+    lead = len(directory) - len(directory.lstrip("/"))
+    parts = "".join(p + "/" for p in directory.split("/") if p not in ("", "."))
+    return ("//" if lead == 2 else "/" if lead else "") + parts
 
 
 def _checker(args) -> Checker:
@@ -109,9 +120,7 @@ def cmd_simulate(args) -> int:
         t, reason = traj.stopped
         print(f"stopped at t={t!r}: {reason}")
     if args.out:
-        out = pathlib.Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        path = out / "trajectory.csv"
+        path = _out_dir(args.out) + "trajectory.csv"
         sim.write_csv(path, traj, problem.system)
         print(f"wrote {path}")
     return 0
@@ -137,8 +146,7 @@ def cmd_emit_smt(args) -> int:
     if root is None:
         print("no unknown arithmetic obligations; nothing to export")
         return 0
-    out = pathlib.Path(args.out or "smt-out")
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out or "smt-out")
     written = 0
     # indices match the obligation numbering of the printed trace
     from .kernel import ArithOb
@@ -149,8 +157,9 @@ def cmd_emit_smt(args) -> int:
             and ob.result is not None
             and ob.result.status == arith.UNKNOWN
         ):
-            path = out / arith.smt_filename(index, ob.obligation)
-            path.write_text(arith.emit_smtlib(ob.obligation))
+            path = out + arith.smt_filename(index, ob.obligation)
+            with open(path, "w") as fh:
+                fh.write(arith.emit_smtlib(ob.obligation))
             print(f"wrote {path}")
             written += 1
     if not written:

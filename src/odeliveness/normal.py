@@ -71,8 +71,17 @@ class NormAtom(Frozen):
 
     __slots__ = ("op", "poly")
 
+    # Written out, as `kernel.ArithOb`'s is: an obligation builds several,
+    # and the shared constructor costs about twice as much.
+    def __init__(self, op, poly):
+        _set_op(self, op)
+        _set_poly(self, poly)
+
     def to_formula(self) -> Formula:
         return Cmp(self.op, self.poly, Polynomial.const(0))
+
+
+_set_op, _set_poly = NormAtom.op.__set__, NormAtom.poly.__set__  # past `Frozen`'s guard
 
 
 def _canonical_sign(p: Polynomial) -> Polynomial:
@@ -87,6 +96,7 @@ _FLIP = {"<=": ">=", "<": ">"}
 
 
 def norm_atom(c: Cmp) -> NormAtom:
+    """The one place where a comparison's two sides are subtracted."""
     op = _FLIP.get(c.op)
     if op is not None:
         return NormAtom(op, c.rhs - c.lhs)
@@ -109,23 +119,25 @@ def partial_atoms(f: Formula) -> tuple[list[NormAtom], bool]:
     hypotheses only weakens what may be derived, so consumers stay sound.
     The flag reports whether the conjunction was covered completely.
     """
-    return atoms_of_conjuncts(conjuncts(nnf(f)))
+    atoms, rest = atoms_of_conjuncts(conjuncts(nnf(f)))
+    return atoms, not rest
 
 
-def atoms_of_conjuncts(parts: list[Formula]) -> tuple[list[NormAtom], bool]:
-    """`partial_atoms` over conjuncts already taken from a formula in NNF."""
-    out: list[NormAtom] = []
-    complete = True
+def atoms_of_conjuncts(parts: list[Formula]) -> tuple[list[NormAtom], list[Formula]]:
+    """The normalized atoms of conjuncts already taken from a formula in NNF,
+    with `false` as an unsatisfiable atom and `true` dropped, and the other
+    conjuncts (disjunctions and the like), each in order."""
+    atoms: list[NormAtom] = []
+    rest: list[Formula] = []
     for g in parts:
-        if isinstance(g, BoolLit):
-            if not g.value:
-                out.append(NormAtom(">", Polynomial.const(0)))  # unsatisfiable atom
-            continue
         if isinstance(g, Cmp):
-            out.append(norm_atom(g))
+            atoms.append(norm_atom(g))
+        elif isinstance(g, BoolLit):
+            if not g.value:
+                atoms.append(NormAtom(">", Polynomial.const(0)))  # unsatisfiable atom
         else:
-            complete = False
-    return out, complete
+            rest.append(g)
+    return atoms, rest
 
 
 def contradictory(atoms: list[NormAtom]) -> bool:

@@ -68,19 +68,6 @@ def _accumulate(terms: dict, m: Monomial, c: int) -> None:
             del terms[m]
 
 
-def _add_into(terms: dict, den: int, other: "Polynomial", sign: int) -> int:
-    """terms/den += sign * other in place, over the lcm of the denominators,
-    which it returns; the sum is not reduced."""
-    lcm = den // math.gcd(den, other.den) * other.den
-    if lcm != den:
-        for m in terms:
-            terms[m] *= lcm // den
-    f = sign * (lcm // other.den)
-    for m, c in other.terms.items():
-        _accumulate(terms, m, c * f)
-    return lcm
-
-
 def grlex_key(m: Monomial, universe: tuple[str, ...]) -> tuple:
     """Sort key: total degree, then exponent vector over `universe`."""
     exps = dict(m)
@@ -131,7 +118,8 @@ class Polynomial:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(not m for m in self.terms)
+        terms = self.terms  # the constant monomial () is the only one a constant may hold
+        return not terms or (len(terms) == 1 and () in terms)
 
     def constant_value(self) -> Optional[Fraction]:
         """The value of a constant polynomial, None if non-constant."""
@@ -160,8 +148,7 @@ class Polynomial:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "Polynomial":
-        out = dict(self.terms)
-        return Polynomial._trusted(out, _add_into(out, self.den, _coerce(other), 1))
+        return _plus(self, other, 1)
 
     __radd__ = __add__
 
@@ -169,8 +156,7 @@ class Polynomial:
         return Polynomial._trusted({m: -c for m, c in self.terms.items()}, self.den)
 
     def __sub__(self, other) -> "Polynomial":
-        out = dict(self.terms)
-        return Polynomial._trusted(out, _add_into(out, self.den, _coerce(other), -1))
+        return _plus(self, other, -1)
 
     def __rsub__(self, other) -> "Polynomial":
         return _coerce(other) - self
@@ -256,6 +242,54 @@ class Polynomial:
         from .syntax import print_poly  # deferred: syntax imports this module
 
         return f"Polynomial({print_poly(self)})"
+
+
+def _plus(p: Polynomial, other, sign: int) -> Polynomial:
+    """p + sign * other (sign +1 or -1) for a polynomial or rational `other`,
+    over the lcm of the denominators and reduced: p's terms in their order,
+    then other's new monomials in theirs.  p itself when other is zero, and
+    other itself when p is zero and sign is +1."""
+    if type(other) is Polynomial:
+        if not other.terms:
+            return p
+        if not p.terms and sign > 0:
+            return other
+        terms, den = other.terms, other.den
+    elif isinstance(other, (int, Fraction)):
+        if not other:
+            return p
+        terms, den = {(): other.numerator}, other.denominator
+    else:
+        raise TypeError(f"cannot coerce {type(other).__name__} to Polynomial")
+    out = dict(p.terms)
+    pden = p.den
+    if den != pden:
+        lcm = pden // math.gcd(pden, den) * den
+        if lcm != pden:
+            k = lcm // pden
+            for m in out:
+                out[m] *= k
+        sign *= lcm // den  # other's numerators over the lcm, signed
+        pden = lcm
+    get = out.get
+    for m, c in terms.items():
+        s = get(m)
+        if s is None:
+            out[m] = sign * c
+        else:
+            s += sign * c
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+    if pden != 1:
+        g = math.gcd(pden, *out.values())
+        if g != 1:
+            out = {m: c // g for m, c in out.items()}
+            pden //= g
+    q = object.__new__(Polynomial)
+    q.terms, q.den, q._hash = out, pden, None
+    return q
 
 
 def _coerce(x) -> Polynomial:

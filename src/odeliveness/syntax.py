@@ -34,12 +34,13 @@ from __future__ import annotations
 
 import functools
 import re
+from collections import _tuplegetter
 from fractions import Fraction
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 from .errors import DegreeCapExceeded, DuplicateDeclaration, ParseError, UnknownIdentifier
 from .record import Frozen
-from .symbolic import DEGREE_CAP, OdeSystem, Polynomial, _add_into
+from .symbolic import DEGREE_CAP, OdeSystem, Polynomial
 
 # ---------------------------------------------------------------------------
 # Formula AST
@@ -237,11 +238,18 @@ _KEYWORDS = frozenset(
 )
 
 
-class Token(NamedTuple):
-    kind: str  # "ident" | "kw" | "int" | "sym" | "eof"
-    text: str
-    line: int
-    col: int
+class Token(tuple):
+    """(kind, text, line, col), kind one of "ident", "kw", "int", "sym" and
+    "eof", with each field read-only by name.  A plain tuple subclass: a
+    `NamedTuple` generates its `__new__` when the class is made.  The fields
+    are the C getters `namedtuple` uses, which `collections` falls back to
+    `property(itemgetter(i))` for where they are missing."""
+
+    __slots__ = ()
+    kind = _tuplegetter(0, "ident, kw, int, sym or eof")
+    text = _tuplegetter(1, "the token's text")
+    line = _tuplegetter(2, "line, from 1")
+    col = _tuplegetter(3, "column, from 1")
 
 
 # Each match is the blanks before one token, then the first alternative
@@ -260,7 +268,7 @@ _NEWLINE, _COMMENT, _WORD, _INT, _SYM, _OTHER = range(1, 7)
 def _tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
     append = toks.append
-    new = tuple.__new__  # skips the Python-level `Token.__new__`, half the cost
+    new = tuple.__new__  # cheaper than calling `Token`
     line, start = 1, 0  # start: index of the current line's first character
     for m in _TOKEN.finditer(text):
         group = m.lastindex
@@ -385,7 +393,7 @@ class _Parser:
         return out
 
     def _sum(self):
-        """Terms joined by `+` and `-`, added into one term dict."""
+        """Terms joined by `+` and `-`, summed left to right."""
         toks = self.toks
         t = toks[self.pos]
         negate = t.kind == "sym" and t.text == "-"
@@ -394,18 +402,14 @@ class _Parser:
         first = self._term()
         if not negate and not isinstance(first, Polynomial):
             return first
-        first = self._as_poly(first)
+        total = -self._as_poly(first) if negate else self._as_poly(first)
         t = toks[self.pos]
-        if t.kind != "sym" or t.text not in ("+", "-"):
-            return -first if negate else first
-        terms = {m: -c for m, c in first.terms.items()} if negate else dict(first.terms)
-        den = first.den
         while t.kind == "sym" and t.text in ("+", "-"):
             self.pos += 1
             right = self._as_poly(self._term())
-            den = _add_into(terms, den, right, 1 if t.text == "+" else -1)
+            total = total + right if t.text == "+" else total - right
             t = toks[self.pos]
-        return Polynomial._trusted(terms, den)
+        return total
 
     def _term(self):
         """Factors joined by `*`.  A factor is unary minus signs, then a

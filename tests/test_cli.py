@@ -518,6 +518,17 @@ def test_goal_past_the_compilers_nesting_limit_is_input_error(tmp_path, capsys):
     assert out == "input error: formula nested too deeply to compile\n"
 
 
+@pytest.mark.parametrize("given", ["out", "./out/", "out//sub/./", "."])
+def test_out_paths_are_printed_as_pathlib_spells_them(tmp_path, capsys, monkeypatch, given):
+    # `--out` is made with `os.makedirs`, and each `wrote` line names the file
+    # as `pathlib.Path(given) / name` prints, as it did when cli used pathlib
+    monkeypatch.chdir(tmp_path)
+    code, out = run(capsys, "simulate", problem_path("example1.ode"), "--init", "u=1,v=0", "--horizon", 1,
+                    "--out", given)
+    want = pathlib.Path(given) / "trajectory.csv"
+    assert code == 0 and out.endswith(f"\nwrote {want}\n") and (tmp_path / want).is_file()
+
+
 def test_emit_smt_writes_unknown_obligations(tmp_path, capsys):
     # valid premise that is neither symbolically derivable nor boxable:
     # the prover stays Unknown, so the obligation is exported for a solver

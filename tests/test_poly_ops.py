@@ -99,6 +99,38 @@ def test_operations_equal_the_fraction_reference(da, db, c, name):
         assert to_float(n, a.den) == float(Fraction(n, a.den))
 
 
+@settings(max_examples=300, deadline=None)
+@given(term_maps, st.one_of(term_maps.map(Polynomial), st.integers(-3, 3), coeffs))
+@example({(): Fraction(1, 2), (("x", 1),): Fraction(1, 3)}, Polynomial({(("x", 1),): Fraction(1, 3)}))
+@example({(): Fraction(5, 6), (("y", 2),): Fraction(-1, 4)}, Polynomial({(("y", 2),): Fraction(-1, 4)}))
+@example({(("x", 1),): Fraction(3, 4)}, Fraction(1, 6))
+@example({(): Fraction(7, 2)}, Fraction(7, 2))
+def test_sum_and_difference_equal_the_fraction_reference(da, other):
+    # polynomial, int and Fraction operands, denominators that differ and
+    # results that cancel to zero or to a smaller denominator
+    a, ra = Polynomial(da), RefPoly(da)
+    rother = ref_of(other) if isinstance(other, Polynomial) else other
+    same(a + other, ra + rother)
+    same(a - other, ra - rother)
+    same(other - a, rother - ra)  # `Polynomial.__rsub__` for a number
+    same(other + a, rother + ra if isinstance(other, Polynomial) else ra + rother)
+    same(a - other + other, ra - rother + rother)
+    same(a - a, RefPoly())
+    same(a + -a, RefPoly())
+    # adding zero, of either kind, returns the other operand itself
+    assert a - 0 is a and a + Fraction(0) is a and a - Polynomial() is a
+    assert Polynomial() + a is a or a.is_zero()
+
+
+def test_sum_and_difference_refuse_other_operands():
+    x = Polynomial.var("x")
+    for bad in (1.5, "1", None):
+        with pytest.raises(TypeError):
+            x + bad
+        with pytest.raises(TypeError):
+            x - bad
+
+
 @pytest.mark.parametrize(
     "num, den", [(10**400, 3), (-(10**400), 7), (10**400, 10**50)], ids=["large", "negative", "unreduced"]
 )

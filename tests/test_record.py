@@ -13,8 +13,9 @@ from fractions import Fraction
 import pytest
 
 from odeliveness import arith, kernel, rules, sim
+from odeliveness.normal import NormAtom
 from odeliveness.symbolic import OdeSystem, Polynomial
-from odeliveness.syntax import FALSE, TRUE, And, CertStep, Cmp, Not, Or
+from odeliveness.syntax import FALSE, TRUE, And, CertStep, Cmp, Not, Or, Quant
 from conftest import ROOT
 
 X, ONE = Polynomial.var("x"), Polynomial.const(1)
@@ -113,6 +114,16 @@ def test_validation_runs_on_construction():
         ob.with_conclusion(Cmp(">=", Polynomial.var("y"), ONE))
 
 
+def test_closure_quantifies_the_free_variables_and_checks_only_quantifier_freeness():
+    y = Cmp(">=", Polynomial.var("y"), ONE)
+    ob = arith.ArithObligation.closure(y, And(A, TRUE))
+    assert ob == arith.ArithObligation(("x", "y"), y, And(A, TRUE)) and ob.universals == ("x", "y")
+    assert arith.ArithObligation.closure(TRUE, Cmp(">", ONE, ONE)).universals == ()
+    for hyp, concl in [(Quant("forall", "x", A), TRUE), (TRUE, Quant("exists", "y", y))]:
+        with pytest.raises(ValueError, match="quantifier"):
+            arith.ArithObligation.closure(hyp, concl)
+
+
 def test_copy_and_pickle_rebuild_through_the_constructor():
     formula = And(A, Not(B))
     hash(formula)  # fills the memo, which a copy starts without
@@ -129,8 +140,45 @@ def test_copy_and_pickle_rebuild_through_the_constructor():
     assert (trajectory.rows, trajectory.stats, trajectory.closed) == ([(0.0, (1.0,))], {"steps": 1}, {})
 
 
+def test_the_written_out_norm_atom_keeps_the_frozen_semantics():
+    a = NormAtom(">=", X - ONE)
+    assert (a.op, a.poly) == (">=", X - ONE) and a._fields == ("op", "poly")
+    for name in ("op", "poly"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    b = NormAtom(poly=ONE * X - 1, op=">=")  # an equal polynomial, built another way
+    assert a == b and hash(a) == hash(b) == hash((">=", X - ONE)) and {a: 1}[b] == 1
+    assert a != NormAtom(">", X - ONE) and a != NormAtom(">=", X) and a != (">=", X - ONE)
+    assert repr(a) == "NormAtom(op='>=', poly=Polynomial(x - 1))"
+    with pytest.raises(TypeError):
+        NormAtom(">=")
+    for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert type(twin) is NormAtom and twin == a and hash(twin) == hash(a) and repr(twin) == repr(a)
+        with pytest.raises(AttributeError):
+            twin.op = ">"
+
+
 def test_importing_the_cli_loads_neither_dataclasses_nor_sim():
     code = "import sys, odeliveness.cli; print(sorted({'dataclasses', 'odeliveness.sim'} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}).stdout
     assert out.strip() == "[]"
+    # without `site`, which may import it for installed packages, nothing
+    # imports `pathlib` either
+    code = code.replace("'dataclasses'", "'pathlib'")
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")}).stdout
+    assert out.strip() == "[]"
+
+
+def test_tokens_are_plain_tuples_with_read_only_fields():
+    from odeliveness.syntax import Token, _tokenize
+
+    assert Token.__new__ is tuple.__new__ and not hasattr(Token, "_make")  # no generated constructor
+    tok = _tokenize("x >= 1")[1]
+    assert type(tok) is Token and tok == ("sym", ">=", 1, 3)
+    assert (tok.kind, tok.text, tok.line, tok.col) == tuple(tok)
+    with pytest.raises(AttributeError):
+        tok.kind = "ident"

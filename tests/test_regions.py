@@ -17,7 +17,8 @@ import pytest
 
 from odeliveness import arith, cli
 from odeliveness.arith import VALID, ArithObligation, Budget, Region, prove_implication
-from odeliveness.syntax import parse_formula
+from odeliveness.symbolic import Polynomial
+from odeliveness.syntax import And, Cmp, Or, parse_formula
 
 from conftest import ROOT, problem_path
 
@@ -104,6 +105,43 @@ def test_conclusion_compiled_only_where_read(monkeypatch):
     # branch-and-bound reads it when the probe did not
     v = prove_implication(on_x("0 <= x & x <= 2 & x != 1", "x^2 >= x - 1"))
     assert (v.status, v.trace["method"], len(compiled)) == (VALID, "branch-and-bound", 2)
+
+
+@pytest.mark.parametrize(
+    "hyp, concl, method",
+    [
+        ("0 <= x & x <= 2", "x >= 2", "branch-and-bound"),  # refuted at the root midpoint
+        ("0 <= x & x <= 2", "x >= 0", "positive-combination"),  # after the probe
+        ("0 <= x & x <= 2", "x^2 >= x - 1 & 3 > x", "branch-and-bound"),  # probe, pre-checks, cells
+        ("0 <= x & x <= 2 & x != 1", "x^2 >= x - 1", "branch-and-bound"),  # no probe
+        ("0 <= x & x <= 2", "(x >= 0 | x = 7) & x <= 5/2", "branch-and-bound"),  # not all atoms
+        ("0 <= x & x <= 2", "x*(x - 1) = x^2 - x", "positive-combination"),  # a canonical sign
+    ],
+)
+def test_each_conclusion_comparison_is_differenced_once(monkeypatch, hyp, concl, method):
+    ob = on_x(hyp, concl)
+    sides = {(id(c.lhs), id(c.rhs)) for c in iter_cmps(ob.conclusion)}
+    sides |= {(r, l) for l, r in sides}
+    seen = Counter()
+    sub = Polynomial.__sub__
+
+    def counting(p, q):
+        if (id(p), id(q)) in sides:
+            seen[frozenset((id(p), id(q)))] += 1
+        return sub(p, q)
+
+    monkeypatch.setattr(Polynomial, "__sub__", counting)
+    v = prove_implication(ob, budget=Budget(max_cells=50, max_seconds=3600.0))
+    assert v.trace["method"] == method
+    assert sorted(seen.values()) == [1] * len(list(iter_cmps(ob.conclusion)))
+
+
+def iter_cmps(f):
+    if isinstance(f, Cmp):
+        yield f
+    elif isinstance(f, (And, Or)):
+        yield from iter_cmps(f.left)
+        yield from iter_cmps(f.right)
 
 
 def test_branch_and_bound_does_not_retry_the_root_midpoint(monkeypatch):

@@ -26,7 +26,7 @@ from ref_poly import rational_terms, ref_of, ref_primitive
 
 from odeliveness import arith
 from odeliveness.arith import Interval, Region, _conclusion_node, _conj_node, _eval3, _midpoint, _scaled
-from odeliveness.normal import NormAtom, _canonical_sign, contradictory, nnf, norm_atom
+from odeliveness.normal import NormAtom, _canonical_sign, atoms_of_conjuncts, contradictory, nnf, norm_atom
 from odeliveness.symbolic import Polynomial, primitive
 from odeliveness.syntax import And, BoolLit, Cmp, Implies, Not, Or, Quant, conjuncts, parse_formula
 
@@ -326,11 +326,11 @@ def test_region_equals_the_fraction_region(hypothesis, conclusion):
         return
     assert region.node == ref["node"]
     assert (region.root_cell, region.mid, region.mid_truth) == (ref["root_cell"], ref["mid"], ref["mid_truth"])
-    # the conclusion, compiled from the two sides of each atom, answers as the
-    # compile of its normalised atoms did: on the root cell, its midpoint and
-    # its corners
+    # the conclusion, compiled from its normalised atoms and then its other
+    # conjuncts, answers as the reference compile of its conjuncts in order:
+    # on the root cell, its midpoint and its corners
     parts = conjuncts(nnf(conclusion))
-    new, old = _conclusion_node(parts), _conj_node([ref_compile(g) for g in parts])
+    new, old = _conclusion_node(*atoms_of_conjuncts(parts)), _conj_node([ref_compile(g) for g in parts])
     cell = dict(zip(tuple(sorted(NAMES)), region.root_cell))
     ends = ((0, 0), (0, 1), (1, 0), (1, 1))
     corners = [{v: (b[i], b[i], b[2]) for v, b, i in zip(cell, cell.values(), e)} for e in ends]
