@@ -867,12 +867,15 @@ def _compile_screen(ob: ArithObligation, names, axes):
     coordinates of `names[i]`."""
 
     def atom(f: Cmp) -> str:
-        d = poly_src(f.lhs - f.rhs, lambda v: f"_a{names.index(v)}", ordered=True)
-        if f.op == "=":
+        # a negated polynomial's float terms, and so its sum, are exactly
+        # negated, so the normalised atom screens as its comparison would
+        a = norm_atom(f)
+        d = poly_src(a.poly, lambda v: f"_a{names.index(v)}", ordered=True)
+        if a.op == "=":
             return f"(abs({d}) <= 1e-9)"  # permissive: exact confirmation decides
-        if f.op == "!=":
+        if a.op == "!=":
             return f"(abs({d}) > 1e-12)"
-        return f"(({d}) {f.op} 0.0)"
+        return f"(({d}) {a.op} 0.0)"
 
     src = (
         "def _screen(_k):\n"

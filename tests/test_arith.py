@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from random import Random
 
@@ -18,7 +19,8 @@ from odeliveness.arith import (
 )
 from odeliveness.normal import NormAtom, _canonical_sign, equality_polys
 from odeliveness.symbolic import Polynomial, poly_divmod, primitive, reduce_mod_equalities
-from odeliveness.syntax import parse_formula, parse_poly
+from odeliveness.codegen import build, formula_src, poly_src
+from odeliveness.syntax import Cmp, conj, parse_formula, parse_poly
 
 from conftest import eval_rational, interval_of_poly
 from ref_poly import rational_terms
@@ -223,6 +225,55 @@ def test_interval_encloses_point_values(p, a, b, c, d, pick):
         pt[n] = i.lo + (i.hi - i.lo) * Fraction(rng.randrange(0, 101), 100)
     val = eval_rational(p, pt)
     assert iv.lo <= val <= iv.hi
+
+
+# -- the falsifier's float screen ---------------------------------------------------
+
+
+def side_screen(o, names, axes):
+    """`falsify`'s screen as it was built from each comparison's lhs - rhs."""
+
+    def atom(f):
+        d = poly_src(f.lhs - f.rhs, lambda v: f"_a{names.index(v)}", ordered=True)
+        if f.op == "=":
+            return f"(abs({d}) <= 1e-9)"
+        if f.op == "!=":
+            return f"(abs({d}) > 1e-12)"
+        return f"(({d}) {f.op} 0.0)"
+
+    src = (
+        "def _screen(_k):\n"
+        + "".join(f"    _a{i} = _x{i}[_k[{i}]]\n" for i in range(len(names)))
+        + f"    return {formula_src(o.hypothesis, atom)} and not {formula_src(o.conclusion, atom)}\n"
+    )
+    return build(src, "_screen", {f"_x{i}": axis for i, axis in enumerate(axes)})
+
+
+def screened(screen, k):
+    try:
+        return screen(k)
+    except OverflowError:
+        return "overflow"
+
+
+axis_floats = st.lists(
+    st.one_of(st.floats(-4, 4), st.sampled_from([0.0, -0.0, 0.5, 1e-9, -1e-9, 1e200, -1e200])), min_size=3, max_size=3
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["=", "!=", ">=", ">", "<=", "<"]), poly_st, poly_st), min_size=2, max_size=4),
+       axis_floats, axis_floats)
+def test_the_screen_of_normalised_atoms_answers_as_the_sides_did(cmps, xs, ys):
+    # the screen compiles each comparison's normalised atom; negating a
+    # polynomial negates its float terms and their sum exactly, so every
+    # lattice point screens as it did
+    parts = [Cmp(op, lhs, rhs) for op, lhs, rhs in cmps]
+    o = ArithObligation(("x", "y"), conj(parts[:-1]), parts[-1])
+    names, axes = ("x", "y"), [xs, ys]
+    new, old = arith._compile_screen(o, names, axes), side_screen(o, names, axes)
+    for k in itertools.product(range(3), repeat=2):
+        assert screened(new, k) == screened(old, k)
 
 
 # -- pre-check rejects ------------------------------------------------------------
