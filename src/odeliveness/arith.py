@@ -17,8 +17,8 @@ exact division by a hypothesis atom with a sign-definite quotient); (4) a
 case split on a top-level disjunction, each disjunct proved through
 `prove_implication` with its own `Region`; (5) interval branch-and-bound
 over the box, which skips the centre (2) tried.  Each conclusion atom is
-normalised (`normal.norm_atom`, the one place where a comparison's sides
-are subtracted) once per call, for (2), (3) and (5) alike; the conclusion
+normalised (`normal.norm_atom`, where the prover subtracts a comparison's
+sides) once per call, for (2), (3) and (5) alike; the conclusion
 is compiled only when (2) or (5) reads it.  The set-up works on numerators:
 each root is a pair of them, the box is the integer cell of the winning
 roots, and each atom compiles from the numerators of its normalised
@@ -208,9 +208,10 @@ def _enclosure(terms: tuple, cell: dict) -> tuple:
 
 # ---------------------------------------------------------------------------
 # Formulas compiled once: nested tuples whose atoms carry the scaled integer
-# terms of their normalised atom (`_atom_node`).  `normal.norm_atom` is the
-# one place where a comparison's sides are subtracted; it gives `=` and `!=`
-# atoms a canonical sign, which no answer depends on.
+# terms of their normalised atom (`_atom_node`).  `normal.norm_atom` is where
+# the prover, its pre-checks and `falsify`'s screen subtract a comparison's
+# sides; it gives `=` and `!=` atoms a canonical sign, which no answer
+# depends on.
 
 _LIT, _ATOM, _NOT, _AND, _OR = range(5)
 

@@ -96,7 +96,8 @@ _FLIP = {"<=": ">=", "<": ">"}
 
 
 def norm_atom(c: Cmp) -> NormAtom:
-    """The one place where a comparison's two sides are subtracted."""
+    """The one place, outside `sim`'s float plans, where a comparison's two
+    sides are subtracted."""
     op = _FLIP.get(c.op)
     if op is not None:
         return NormAtom(op, c.rhs - c.lhs)
