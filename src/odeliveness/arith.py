@@ -71,7 +71,6 @@ from .syntax import (
     conjuncts,
     disjuncts,
     formula_variables,
-    is_quantifier_free,
     print_formula,
 )
 
@@ -269,7 +268,7 @@ def _eval3(node: tuple, cell: dict) -> int:
 
 
 def eval_formula_exact(f: Formula, point: dict) -> bool:
-    """Exact rational truth of a quantifier-free formula at a point."""
+    """Exact rational truth of a formula at a point."""
     node = _compile(f)
     values = [(v, Fraction(x)) for v, x in point.items()]
     try:
@@ -293,7 +292,6 @@ class ArithObligation(Frozen):
     def _check(self, *parts) -> None:
         free = set()
         for part in parts:
-            _require_quantifier_free(part)
             free |= formula_variables(part)
         if not free <= set(self.universals):
             raise ValueError(f"free variables {sorted(free - set(self.universals))} not quantified")
@@ -301,11 +299,9 @@ class ArithObligation(Frozen):
     @classmethod
     def closure(cls, hypothesis: Formula, conclusion: Formula) -> "ArithObligation":
         """hypothesis -> conclusion, quantified over its free variables in name
-        order; those are its universals by construction, so only
-        quantifier-freeness is checked."""
+        order; those are its universals by construction, so nothing is
+        checked."""
         names = formula_variables(hypothesis) | formula_variables(conclusion)
-        _require_quantifier_free(hypothesis)
-        _require_quantifier_free(conclusion)
         ob = object.__new__(cls)
         ob._unchecked(tuple(sorted(names)), hypothesis, conclusion)
         return ob
@@ -319,11 +315,6 @@ class ArithObligation(Frozen):
 
     def describe(self) -> str:
         return f"{print_formula(self.hypothesis)} -> {print_formula(self.conclusion)}"
-
-
-def _require_quantifier_free(f: Formula) -> None:
-    if not is_quantifier_free(f):
-        raise ValueError("obligation bodies must be quantifier- and modality-free")
 
 
 VALID = "valid"
@@ -679,7 +670,7 @@ class Region:
         atoms, rest = atoms_of_conjuncts(parts)
         self.hyp = hyp = _Hypothesis(atoms)
         self.cell, self.unbounded = _box_cell(hyp, universals)
-        self.split = rest[0] if rest else None  # in NNF, a quantifier-free non-atom is a disjunction
+        self.split = rest[0] if rest else None  # in NNF, a non-atom is a disjunction
         if self.split is None and self.cell is not None:
             # Without a top-level disjunction every conjunct is an atom.  Atoms
             # the box entails hold on every cell, and +1 is the unit of the
@@ -871,7 +862,7 @@ def _compile_screen(ob: ArithObligation, names, axes):
         # a negated polynomial's float terms, and so its sum, are exactly
         # negated, so the normalised atom screens as its comparison would
         a = norm_atom(f)
-        d = poly_src(a.poly, lambda v: f"_a{names.index(v)}", ordered=True)
+        d = poly_src(a.poly, lambda v: f"_a{names.index(v)}")
         if a.op == "=":
             return f"(abs({d}) <= 1e-9)"  # permissive: exact confirmation decides
         if a.op == "!=":

@@ -42,6 +42,16 @@ def _out_dir(directory: str) -> str:
     return ("//" if lead == 2 else "/" if lead else "") + parts
 
 
+def _the_rule(problem):
+    """The proof block's one top-level rule step, which `check` proves and
+    `emit-smt` exports."""
+    if not problem.certificate:
+        raise InvalidArgument("no proof block (nothing to check)")
+    if len(problem.certificate) != 1:
+        raise InvalidArgument("expected exactly one top-level rule step")
+    return problem.certificate[0]
+
+
 def _checker(args) -> Checker:
     # branch-and-bound reads the clock every 256 cells, so no time budget stops it sooner
     if args.budget_cells < 0:
@@ -53,14 +63,8 @@ def _checker(args) -> Checker:
 
 def cmd_check(args) -> int:
     problem = _load(args.file)
-    if not problem.certificate:
-        print("input error: no proof block (nothing to check)")
-        return 3
-    if len(problem.certificate) != 1:
-        print("input error: expected exactly one top-level rule step")
-        return 3
+    step = _the_rule(problem)
     checker = _checker(args)
-    step = problem.certificate[0]
     print(f"rule {step.name}")
     try:
         root = apply_rule(problem, step, checker)
@@ -135,12 +139,10 @@ def cmd_lie(args) -> int:
 
 def cmd_emit_smt(args) -> int:
     problem = _load(args.file)
-    if not problem.certificate:
-        print("input error: no proof block")
-        return 3
+    step = _the_rule(problem)
     checker = _checker(args)
     try:
-        root = apply_rule(problem, problem.certificate[0], checker)
+        root = apply_rule(problem, step, checker)
     except RuleRefused as e:
         root = getattr(e, "proof", None)  # export whatever arithmetic was attempted
     if root is None:

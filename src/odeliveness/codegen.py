@@ -7,8 +7,7 @@ exclusively from the package's own ASTs.
 
 A polynomial becomes `c*x**e*y + c2*...`: each term is the coefficient
 (its numerator over the denominator, correctly rounded) times its factors,
-left to right, and terms are summed left to right in the polynomial's dict
-order or in `sorted_terms` order, as the caller asks.
+left to right, and terms are summed left to right in `sorted_terms` order.
 """
 
 from __future__ import annotations
@@ -30,11 +29,11 @@ def to_float(num: int, den: int) -> float:
         raise InvalidArgument(f"number {approx} is outside the float range") from None
 
 
-def poly_src(p, ref: Callable[[str], str], ordered: bool = False) -> str:
-    """Source of the sum of p's terms, in dict order or, when `ordered`, in
-    `sorted_terms` order; `ref(name)` is the source of a variable."""
+def poly_src(p, ref: Callable[[str], str]) -> str:
+    """Source of the sum of p's terms in `sorted_terms` order; `ref(name)`
+    is the source of a variable."""
     parts = []
-    for m, c in p.sorted_terms() if ordered else p.terms.items():
+    for m, c in p.sorted_terms():
         factors = [repr(to_float(c, p.den))]
         for v, e in m:
             factors.append(ref(v) if e == 1 else f"{ref(v)}**{e}")

@@ -9,11 +9,11 @@ judgment is through these constructors.
 
 Verdict propagation: a node is Proved iff every obligation passed and every
 child is Proved; ConditionallyProved when the only shortfall is explicit
-Assumption leaves; Refuted when a refuting obligation (a certificate premise)
-was falsified with an exact counterexample; Unknown otherwise.  Falsified
-obligations that are not certificate premises (for example a failed hint
-inside an invariance attempt) yield Unknown, because they disprove the hint,
-not the conclusion.
+Assumption leaves; Refuted when an arithmetic obligation in the PREMISE role
+(a certificate premise) was falsified with an exact counterexample; Unknown
+otherwise.  Falsified obligations that are not certificate premises (for
+example a failed hint inside an invariance attempt) yield Unknown, because
+they disprove the hint, not the conclusion.
 
 Obligation discharge is delegated to a checker object (see `rules.Checker`).
 """
@@ -94,16 +94,15 @@ def context_filter(context, system: OdeSystem):
 
 
 class ArithOb(Record):
-    __slots__ = ("label", "role", "obligation", "refuting", "result")
+    __slots__ = ("label", "role", "obligation", "result")
 
     # Written out, as are `ProofNode`'s and `arith.ArithVerdict`'s: a check
     # builds one of each per obligation, and the shared constructor costs
     # three to four times as much for a mutable record with defaults.
-    def __init__(self, label, role, obligation, refuting=False, result=None):
+    def __init__(self, label, role, obligation, result=None):
         self.label = label
         self.role = role
         self.obligation = obligation
-        self.refuting = refuting  # Falsified here refutes the certificate
         self.result = result
 
     def verdict(self) -> str:
@@ -111,8 +110,8 @@ class ArithOb(Record):
             return UNKNOWN
         if self.result.is_valid:
             return PROVED
-        if self.result.status == FALSIFIED and self.refuting:
-            return REFUTED
+        if self.result.status == FALSIFIED and self.role == PREMISE:
+            return REFUTED  # a falsified certificate premise refutes the certificate
         return UNKNOWN
 
     def describe(self) -> str:
@@ -225,12 +224,7 @@ def step_monotone_dia(target: Sequent, stronger: Formula, child: "ProofNode") ->
     if child.conclusion != want:
         raise ShapeMismatch("monotonicity child proves the wrong sequent")
     hyp = conj([domain, stronger])
-    ob = ArithOb(
-        "monotonicity premise",
-        PREMISE,
-        ArithObligation.closure(hyp, post),
-        refuting=True,
-    )
+    ob = ArithOb("monotonicity premise", PREMISE, ArithObligation.closure(hyp, post))
     return ProofNode(Step("M◇′"), target, (child,), (ob,))
 
 

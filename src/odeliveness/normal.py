@@ -21,7 +21,6 @@ from .syntax import (
     Implies,
     Not,
     Or,
-    Quant,
     conj,
     conjuncts,
 )
@@ -39,9 +38,6 @@ def nnf(f: Formula) -> Formula:
         return f if left is f.left and right is f.right else type(f)(left, right)
     if isinstance(f, Implies):
         return Or(nnf(Not(f.left)), nnf(f.right))
-    if isinstance(f, Quant):
-        body = nnf(f.body)
-        return f if body is f.body else Quant(f.kind, f.var, body)
     if isinstance(f, Not):
         g = f.arg
         if isinstance(g, BoolLit):
@@ -56,9 +52,6 @@ def nnf(f: Formula) -> Formula:
             return And(nnf(Not(g.left)), nnf(Not(g.right)))
         if isinstance(g, Implies):
             return And(nnf(g.left), nnf(Not(g.right)))
-        if isinstance(g, Quant):
-            dual = "exists" if g.kind == "forall" else "forall"
-            return Quant(dual, g.var, nnf(Not(g.body)))
     raise TypeError(f"cannot normalize {f!r}")
 
 

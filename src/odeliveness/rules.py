@@ -94,7 +94,6 @@ from .syntax import (
     Not,
     Or,
     ProblemFile,
-    Quant,
     conj,
     conjuncts,
     disjuncts,
@@ -237,8 +236,8 @@ def _modal_parts(seq: Sequent):
     return sys, (sys.domain if sys.domain is not None else TRUE), s.post
 
 
-def _arith_ob(label, role, hyp, concl, *, refuting=False) -> ArithOb:
-    return ArithOb(label, role, arith.ArithObligation.closure(hyp, concl), refuting=refuting)
+def _arith_ob(label, role, hyp, concl) -> ArithOb:
+    return ArithOb(label, role, arith.ArithObligation.closure(hyp, concl))
 
 
 def _taut_implies(a: Formula, b: Formula) -> bool:
@@ -395,7 +394,7 @@ def _bc_node(seq: Sequent, p: Polynomial, checker: Checker) -> ProofNode:
 
 
 def _as_formula(v) -> Optional[Formula]:
-    return v if isinstance(v, (Cmp, And, Or, BoolLit, Implies, Not, Quant)) else None
+    return v if isinstance(v, (Cmp, And, Or, BoolLit, Implies, Not)) else None
 
 
 # binding kind -> (what a value of the kind is, reader returning None for a misfit)
@@ -564,7 +563,7 @@ class _Rule:
         return _arith_ob(label, role, conj(list(self.gamma)), f)
 
     def premise(self, label: str, hyp: Formula, concl: Formula) -> ArithOb:
-        return _arith_ob(label, PREMISE, hyp, concl, refuting=True)
+        return _arith_ob(label, PREMISE, hyp, concl)
 
     def topo(self, prop: str, f: Formula) -> TopoOb:
         return TopoOb(f"{prop}({print_formula(f)})", GATE, f, prop, self.sys0.vars)

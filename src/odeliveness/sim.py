@@ -405,7 +405,7 @@ class Plan:
             return params.get(v) or f"a{names.index(v)}"
 
         # f(y): the right-hand side
-        rhs = "".join(f"{poly_src(self.system.rhs_of(v), ref, ordered=True)}, " for v in names)
+        rhs = "".join(f"{poly_src(self.system.rhs_of(v), ref)}, " for v in names)
         overflow = "    return (" + "_inf, " * n + ")"
         body = _def("f", "y", _unpack("a", n, "y"), "try:", f"    return ({rhs})", "except OverflowError:", overflow)
 
@@ -647,34 +647,29 @@ def sample_initial_states(problem: ProblemFile, count: int, seed: int) -> list:
 
     pinned: dict = {}
     circles = []
-    leftovers = []
+    leftovers = []  # checked on each drawn state, as is an equality over a variable already fixed
+    fixed = set()  # the variables a pin or a circle sets
     for a in atoms:
-        if a.op == "=":
+        if a.op == "=" and fixed.isdisjoint(a.poly.variables()):
             names_in = sorted(a.poly.variables())
             if len(names_in) == 1 and a.poly.degree() == 1:
                 v = names_in[0]
                 coef = a.poly.terms[((v, 1),)]
                 off = a.poly.terms.get((), 0)
                 pinned[v] = to_float(-off, coef)
+                fixed.add(v)
                 continue
             circ = _circle_param(a.poly)
             if circ is not None:
                 circles.append(circ)
+                fixed.update((circ[0], circ[2]))
                 continue
         leftovers.append(a)
 
     from .normal import formula_of_atoms
 
-    box, _ = arith.extract_box(
-        formula_of_atoms(leftovers) if leftovers else TRUE,
-        tuple(n for n in names if n not in pinned),
-    )
-
-    free = [
-        n
-        for n in names
-        if n not in pinned and not any(n in (c[0], c[2]) for c in circles)
-    ]
+    free = [n for n in names if n not in fixed]
+    box, _ = arith.extract_box(formula_of_atoms(leftovers) if leftovers else TRUE, tuple(free))
     for n in free:
         if box is None or n not in box:
             if leftovers or circles or pinned:

@@ -15,16 +15,16 @@ grammar (whitespace-insensitive, `#` line comments):
     binding   := Ident "=" (poly | formula | rational | "hint" "[" step* "]")
 
 Binding, tightest first: `^` (a nonnegative integer exponent), unary `-`,
-`*`, binary `+` and `-`, the comparisons `= != >= > <= <`, then `!` and the
-quantifiers, `&`, `|`, and `->` loosest.  `->` is right-associative
-(`a -> b -> c` is `a -> (b -> c)`); `&`, `|`, `*`, `+` and `-` are
-left-associative.  So `-x^2` is `-(x^2)` and `!x >= 1` is `!(x >= 1)`.
+`*`, binary `+` and `-`, the comparisons `= != >= > <= <`, then `!`, `&`,
+`|`, and `->` loosest.  `->` is right-associative (`a -> b -> c` is
+`a -> (b -> c)`); `&`, `|`, `*`, `+` and `-` are left-associative.  So `-x^2` is `-(x^2)` and `!x >= 1` is `!(x >= 1)`.
 
 Rational literals only (`a/b`, integers); a numeral is ASCII digits
 `[0-9]`, and any other digit character (`²`, `٣`) is an unexpected
 character.  An identifier starts with a letter (`str.isalpha()`) and
 continues with letters, digits (`str.isalnum()`) or `_`.  `&`, `|`, `!`,
-`->` for connectives; `forall x (...)` / `exists x (...)` for quantifiers.
+`->` for connectives.  Formulas are quantifier-free; `forall` and `exists`
+are reserved words, so a formula that uses them fails at the keyword.
 Comparison chains such as `1 <= p <= 2` desugar to conjunctions.
 Printing is deterministic (graded lexicographic term order) and
 `parse(print(ast))` is the identity on ASTs.
@@ -91,17 +91,13 @@ class Implies(Node):
     __slots__ = ("left", "right")
 
 
-class Quant(Node):
-    __slots__ = ("kind", "var", "body")  # kind: "forall" | "exists"
-
-
 class Modal(Node):
     """Box or diamond ODE modality; appears in sequents, not in problem files."""
 
     __slots__ = ("box", "system", "post")
 
 
-Formula = Union[BoolLit, Cmp, Not, And, Or, Implies, Quant, Modal]
+Formula = Union[BoolLit, Cmp, Not, And, Or, Implies, Modal]
 
 TRUE = BoolLit(True)
 FALSE = BoolLit(False)
@@ -154,24 +150,12 @@ def formula_variables(f: Formula) -> frozenset:
         return formula_variables(f.arg)
     if isinstance(f, (And, Or, Implies)):
         return formula_variables(f.left) | formula_variables(f.right)
-    if isinstance(f, Quant):
-        return formula_variables(f.body) - {f.var}
     if isinstance(f, Modal):
         names = formula_variables(f.post) | frozenset(f.system.all_names())
         if f.system.domain is not None:
             names |= formula_variables(f.system.domain)
         return names
     raise TypeError(f"not a formula: {f!r}")
-
-
-def is_quantifier_free(f: Formula) -> bool:
-    if isinstance(f, (BoolLit, Cmp)):
-        return True
-    if isinstance(f, Not):
-        return is_quantifier_free(f.arg)
-    if isinstance(f, (And, Or, Implies)):
-        return is_quantifier_free(f.left) and is_quantifier_free(f.right)
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -362,14 +346,6 @@ class _Parser:
         if t.kind == "sym" and t.text == "!":
             self.pos += 1
             return Not(self._as_formula(self._unary()))
-        if t.kind == "kw" and t.text in ("forall", "exists"):
-            self.pos += 1
-            var = self.expect_ident()
-            self.uses.append((var.text, var.line, var.col))
-            self.expect("(")
-            body = self.parse_expr()
-            self.expect(")")
-            return Quant(t.text, var.text, self._as_formula(body))
         return self._comparison()
 
     def _comparison(self):
@@ -736,8 +712,6 @@ def print_formula(f: Formula) -> str:
         s = f"!{arg}" if type(f.arg) is BoolLit else f"!({arg})"
     elif cls is BoolLit:
         s = "true" if f.value else "false"
-    elif cls is Quant:
-        s = f"{f.kind} {f.var} ({print_formula(f.body)})"
     elif cls is Modal:
         inner = print_ode(f.system)
         post = print_formula(f.post)

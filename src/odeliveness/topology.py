@@ -53,7 +53,7 @@ def _atoms_in(f: Formula, allowed: frozenset) -> bool:
         return f.op in allowed
     if isinstance(f, (And, Or)):
         return _atoms_in(f.left, allowed) and _atoms_in(f.right, allowed)
-    return False  # quantifiers, modalities, residual negations: be conservative
+    return False  # modalities, residual negations: be conservative
 
 
 def check_closed(f: Formula) -> TopoVerdict:

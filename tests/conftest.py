@@ -65,14 +65,14 @@ def interval_of_poly(p: Polynomial, box: dict) -> arith.Interval:
 
 
 def float_terms(p: Polynomial) -> list:
-    """p's terms as (float coefficient, monomial) in dict order, each
-    coefficient its numerator over p's denominator, read once."""
-    return [(c / p.den, m) for m, c in p.terms.items()]
+    """p's terms as (float coefficient, monomial) in `sorted_terms` order,
+    each coefficient its numerator over p's denominator, read once."""
+    return [(c / p.den, m) for m, c in p.sorted_terms()]
 
 
 def eval_float(p, point: dict) -> float:
     """p (a polynomial or its `float_terms`) at a point of floats, its terms
-    summed in dict order."""
+    summed in `sorted_terms` order, as `codegen.poly_src` sums them."""
     total = 0.0
     for c, m in float_terms(p) if isinstance(p, Polynomial) else p:
         term = c

@@ -234,7 +234,7 @@ def side_screen(o, names, axes):
     """`falsify`'s screen as it was built from each comparison's lhs - rhs."""
 
     def atom(f):
-        d = poly_src(f.lhs - f.rhs, lambda v: f"_a{names.index(v)}", ordered=True)
+        d = poly_src(f.lhs - f.rhs, lambda v: f"_a{names.index(v)}")
         if f.op == "=":
             return f"(abs({d}) <= 1e-9)"
         if f.op == "!=":

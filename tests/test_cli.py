@@ -71,6 +71,53 @@ def test_check_without_proof_block_is_input_error(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("command", ["check", "emit-smt"])
+@pytest.mark.parametrize(
+    "proof,message",
+    [
+        ("", "no proof block (nothing to check)"),
+        ("proof { }", "no proof block (nothing to check)"),
+        ("proof { rule dV_geq { p = x; eps = 1 } rule dV_gt { p = x; eps = 1 } }",
+         "expected exactly one top-level rule step"),
+    ],
+    ids=["no-proof", "no-rule", "two-rules"],
+)
+def test_a_proof_block_without_exactly_one_rule_is_input_error(tmp_path, capsys, command, proof, message):
+    # `emit-smt` exports the obligations of the rule `check` proves, so
+    # neither reads a proof block that `check` refuses
+    f = tmp_path / "proof.ode"
+    f.write_text(f"ode {{ x' = 1 }}  assume {{ x = 0 }}  goal {{ x >= 1 }}  {proof}\n")
+    code, out = run(capsys, command, f, "--out", tmp_path / "smt")
+    assert (code, out) == (3, f"input error: {message}\n")
+    assert not (tmp_path / "smt").exists()
+
+
+QUANTIFIED_SLOTS = {
+    "domain": "u^2 + v^2 <= 4",
+    "assume": "u^2 + v^2 = 1",
+    "goal": "u >= 1/2",
+    "binding": "-4 <= u & u <= 4",
+}
+
+
+@pytest.mark.parametrize("command", ["check", "falsify", "simulate", "emit-smt", "lie"])
+@pytest.mark.parametrize("slot", sorted(QUANTIFIED_SLOTS))
+@pytest.mark.parametrize("word", ["forall", "exists"])
+def test_a_quantified_formula_is_input_error(tmp_path, capsys, command, slot, word):
+    # formulas are quantifier-free: the reserved word itself is the error,
+    # wherever a formula stands and whichever command reads the file
+    parts = dict(QUANTIFIED_SLOTS, **{slot: f"{word} u (u^2 >= 0)"})
+    f = tmp_path / "quantified.ode"
+    f.write_text(
+        f"ode {{ u' = -v; v' = u }}\ndomain {{ {parts['domain']} }}\nassume {{ {parts['assume']} }}\n"
+        f"goal {{ {parts['goal']} }}\nproof {{ rule dV_geq {{ p = u; eps = 1; box = {parts['binding']} }} }}\n"
+    )
+    extra = {"simulate": ["--init", "u=1,v=0"], "lie": ["-p", "u"], "emit-smt": ["--out", tmp_path / "smt"]}
+    code, out = run(capsys, command, f, *extra.get(command, []))
+    assert code == 3
+    assert out.startswith("input error: ") and f"found '{word}' (expected one of: expression)" in out
+
+
 def test_check_parse_error_exit3(tmp_path, capsys):
     f = tmp_path / "bad.ode"
     f.write_text("ode { x' = }\n")

@@ -3,8 +3,9 @@
 Each example takes one of the nine problem files and mutates a few of its
 tokens: a numeral becomes a huge numerator, gets a zero or a huge
 denominator, or becomes a power near `DEGREE_CAP`; a token is deleted,
-repeated, swapped with its neighbour or replaced by a symbol.  It then draws
-a command and its flags at small budgets.  Every run must end with exit 0,
+repeated, swapped with its neighbour, or replaced by a symbol or by a
+reserved word or enum binding value.  It then draws a command and its flags
+at small budgets.  Every run must end with exit 0,
 1, 2 or 3, raise nothing (the command line would print a traceback), and
 print the same stdout when rerun.
 
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 
 from odeliveness.cli import main
 from odeliveness.symbolic import DEGREE_CAP
+from odeliveness.syntax import _KEYWORDS, ENUM_BINDING_VALUES
 from conftest import PROBLEMS
 
 FILES = sorted(PROBLEMS.glob("*.ode"))
@@ -28,7 +30,8 @@ TEXTS = {p.name: p.read_text() for p in FILES}
 # numerals, words, runs of blanks, and any other single character
 _PIECE = re.compile(r"[0-9]+|[^\W\d]\w*|\s+|.", re.S)
 SYMBOLS = list("{}()[];,'=<>+-*^&|!/") + ["->", "<=", ">=", "!="]
-MUTATIONS = ["numeral", "numeral", "zero-den", "huge-den", "power", "delete", "repeat", "swap", "symbol"]
+WORDS = sorted(_KEYWORDS | ENUM_BINDING_VALUES)
+MUTATIONS = ["numeral", "numeral", "zero-den", "huge-den", "power", "delete", "repeat", "swap", "symbol", "keyword"]
 
 
 def _numeral(draw) -> str:
@@ -63,6 +66,8 @@ def mutated(draw) -> tuple:
             pieces.insert(i, pieces[i])
         elif kind == "swap" and i + 1 < len(pieces):
             pieces[i], pieces[i + 1] = pieces[i + 1], pieces[i]
+        elif kind == "keyword":
+            pieces[i] = draw(st.sampled_from(WORDS))
         else:
             pieces[i] = draw(st.sampled_from(SYMBOLS))
     return name, "".join(pieces)

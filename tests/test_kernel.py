@@ -207,10 +207,10 @@ def test_bex_escape_must_mention_only_ode_vars(alpha_n):
 # -- verdict propagation -----------------------------------------------------------
 
 
-def _arith_stub(valid=None, refuting=False):
+def _arith_stub(valid=None, role=kernel.PREMISE):
     from odeliveness.arith import ArithObligation, ArithVerdict, VALID, FALSIFIED, UNKNOWN as U
 
-    ob = ArithOb("stub", kernel.PREMISE, ArithObligation((), TRUE, TRUE), refuting=refuting)
+    ob = ArithOb("stub", role, ArithObligation((), TRUE, TRUE))
     if valid is True:
         ob.result = ArithVerdict(VALID)
     elif valid is False:
@@ -234,9 +234,10 @@ def test_verdict_assumption_is_conditional(alpha_l):
 
 def test_verdict_refuted_only_for_refuting_obligations(alpha_l):
     seq = dia_seq(alpha_l, TRUE)
-    assert ProofNode(Step("x"), seq, (), (_arith_stub(False, refuting=True),)).verdict() == REFUTED
-    assert ProofNode(Step("x"), seq, (), (_arith_stub(False, refuting=False),)).verdict() == UNKNOWN
-    assert ProofNode(Step("x"), seq, (), (_arith_stub("unknown", refuting=True),)).verdict() == UNKNOWN
+    assert ProofNode(Step("x"), seq, (), (_arith_stub(False),)).verdict() == REFUTED
+    for role in (kernel.GATE, kernel.INTERNAL, kernel.WITNESS):
+        assert ProofNode(Step("x"), seq, (), (_arith_stub(False, role),)).verdict() == UNKNOWN
+    assert ProofNode(Step("x"), seq, (), (_arith_stub("unknown"),)).verdict() == UNKNOWN
 
 
 def test_verdict_tree_walk(alpha_l):

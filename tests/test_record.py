@@ -15,7 +15,7 @@ import pytest
 from odeliveness import arith, kernel, rules, sim
 from odeliveness.normal import NormAtom
 from odeliveness.symbolic import OdeSystem, Polynomial
-from odeliveness.syntax import FALSE, TRUE, And, CertStep, Cmp, Not, Or, Quant
+from odeliveness.syntax import FALSE, TRUE, And, CertStep, Cmp, Not, Or
 from conftest import ROOT
 
 X, ONE = Polynomial.var("x"), Polynomial.const(1)
@@ -77,7 +77,7 @@ def test_keywords_and_defaults():
     assert arith.Budget(max_cells=5, max_seconds=2.0).max_cells == 5
     assert Cmp(rhs=ONE, lhs=X, op=">=") == A
     ob = kernel.ArithOb("l", "r", arith.ArithObligation(("x",), TRUE, A))
-    assert ob.refuting is False and ob.result is None
+    assert ob.result is None
     # a default from `Factory` is made afresh for each record
     t, u = sim.Trajectory([], []), sim.Trajectory([], [], values=None)
     assert t.stats == t.closed == {} and t.stats is not u.stats and t.closed is not t.stats
@@ -114,14 +114,11 @@ def test_validation_runs_on_construction():
         ob.with_conclusion(Cmp(">=", Polynomial.var("y"), ONE))
 
 
-def test_closure_quantifies_the_free_variables_and_checks_only_quantifier_freeness():
+def test_closure_quantifies_the_free_variables():
     y = Cmp(">=", Polynomial.var("y"), ONE)
     ob = arith.ArithObligation.closure(y, And(A, TRUE))
     assert ob == arith.ArithObligation(("x", "y"), y, And(A, TRUE)) and ob.universals == ("x", "y")
     assert arith.ArithObligation.closure(TRUE, Cmp(">", ONE, ONE)).universals == ()
-    for hyp, concl in [(Quant("forall", "x", A), TRUE), (TRUE, Quant("exists", "y", y))]:
-        with pytest.raises(ValueError, match="quantifier"):
-            arith.ArithObligation.closure(hyp, concl)
 
 
 def test_copy_and_pickle_rebuild_through_the_constructor():

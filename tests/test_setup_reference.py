@@ -28,7 +28,7 @@ from odeliveness import arith
 from odeliveness.arith import Interval, Region, _conclusion_node, _conj_node, _eval3, _midpoint, _scaled
 from odeliveness.normal import NormAtom, _canonical_sign, atoms_of_conjuncts, contradictory, nnf, norm_atom
 from odeliveness.symbolic import Polynomial, primitive
-from odeliveness.syntax import And, BoolLit, Cmp, Implies, Not, Or, Quant, conjuncts, parse_formula
+from odeliveness.syntax import And, BoolLit, Cmp, Implies, Not, Or, conjuncts, parse_formula
 
 NAMES = ("x", "y")
 OPS = ("=", "!=", ">=", ">", "<=", "<")
@@ -46,8 +46,6 @@ def ref_nnf(f):
         return Or(ref_nnf(f.left), ref_nnf(f.right))
     if isinstance(f, Implies):
         return Or(ref_nnf(Not(f.left)), ref_nnf(f.right))
-    if isinstance(f, Quant):
-        return Quant(f.kind, f.var, ref_nnf(f.body))
     g = f.arg
     if isinstance(g, BoolLit):
         return BoolLit(not g.value)
@@ -59,10 +57,8 @@ def ref_nnf(f):
         return Or(ref_nnf(Not(g.left)), ref_nnf(Not(g.right)))
     if isinstance(g, Or):
         return And(ref_nnf(Not(g.left)), ref_nnf(Not(g.right)))
-    if isinstance(g, Implies):
-        return And(ref_nnf(g.left), ref_nnf(Not(g.right)))
-    dual = "exists" if g.kind == "forall" else "forall"
-    return Quant(dual, g.var, ref_nnf(Not(g.body)))
+    assert isinstance(g, Implies)
+    return And(ref_nnf(g.left), ref_nnf(Not(g.right)))
 
 
 def ref_norm_atom(c: Cmp) -> NormAtom:
@@ -362,7 +358,7 @@ def test_nnf_returns_a_formula_already_in_nnf_itself(f):
     g = ref_nnf(f)
     assert nnf(g) is g
     assert nnf(f) == g
-    assert nnf(Quant("forall", "x", g)).body is g
+    assert nnf(Not(Not(g))) is g
 
 
 def test_nnf_keeps_the_memo_slots():

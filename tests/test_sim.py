@@ -238,6 +238,32 @@ def test_unsamplable_unbounded():
         sim.sample_initial_states(pf, 4, seed=0)
 
 
+def test_circle_next_to_a_bounded_variable():
+    # the circle's variables need no box of their own
+    pf = parse_problem(
+        "ode { u' = -v; v' = u; w' = 1 }  assume { u^2 + v^2 = 1, 0 <= w, w <= 1 }  goal { w >= 2 }"
+    )
+    pts = sim.sample_initial_states(pf, 4, seed=0)
+    assert len(pts) == 4
+    for pt in pts:
+        assert abs(pt["u"] ** 2 + pt["v"] ** 2 - 1) < 1e-9 and 0 <= pt["w"] <= 1
+
+
+@pytest.mark.parametrize(
+    "assume",
+    [
+        "x = 0, x = 1, y = 0",  # a second pin of x: the set is empty
+        "x = 0, x^2 + y^2 = 1",  # a circle through a pinned x: (0, ±1), a set of measure zero in y
+        "x^2 + y^2 = 1, y = 1/2",  # a pin of a circle's y
+    ],
+)
+def test_an_equality_over_a_set_variable_is_checked_not_overwritten(assume):
+    # every sampled state satisfies the assume block, or there is none
+    pf = parse_problem(f"ode {{ x' = 0; y' = 1 }}  assume {{ {assume} }}  goal {{ y >= 2 }}")
+    with pytest.raises(UnsamplableInitSet, match="rejection sampling failed"):
+        sim.sample_initial_states(pf, 4, seed=0)
+
+
 # -- liveness falsification -------------------------------------------------------
 
 

@@ -16,7 +16,6 @@ from odeliveness.syntax import (
     Not,
     Or,
     ProblemFile,
-    Quant,
     parse_formula,
     parse_poly,
     parse_problem,
@@ -214,7 +213,6 @@ def formula_st():
             st.builds(And, sub, sub),
             st.builds(Or, sub, sub),
             st.builds(Implies, sub, sub),
-            st.builds(Quant, st.sampled_from(["forall", "exists"]), names, sub),
         ),
         max_leaves=6,
     )

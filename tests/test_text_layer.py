@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from odeliveness import syntax
 from odeliveness.errors import DegreeCapExceeded, OdelivError, ParseError, UnknownIdentifier
 from odeliveness.record import Record
-from odeliveness.symbolic import Polynomial
+from odeliveness.symbolic import OdeSystem, Polynomial
 from odeliveness.syntax import (
     CMP_OPS,
     FALSE,
@@ -33,9 +33,9 @@ from odeliveness.syntax import (
     BoolLit,
     Cmp,
     Implies,
+    Modal,
     Not,
     Or,
-    Quant,
     conj,
     print_formula,
     print_poly,
@@ -223,14 +223,6 @@ class ReferenceParser(syntax._Parser):
             self.next()
             arg = self._unary()
             return ("formula", Not(self._formula(arg)))
-        if t.kind == "kw" and t.text in ("forall", "exists"):
-            self.next()
-            var = self.expect_ident()
-            self.uses.append((var.text, var.line, var.col))
-            self.expect("(")
-            body = self._implication()
-            self.expect(")")
-            return ("formula", Quant(t.text, var.text, self._formula(body)))
         return self._comparison()
 
     def _comparison(self):
@@ -416,7 +408,6 @@ formulas = st.recursive(
         st.builds("!{}".format, sub),
         st.builds(infix, sub, st.lists(st.tuples(st.sampled_from(["&", "|", "->"]), sub), min_size=1, max_size=3)),
         st.builds("({})".format, sub),
-        st.builds("{} x ({})".format, st.sampled_from(["forall", "exists"]), sub),
     ),
     max_leaves=8,
 )
@@ -467,6 +458,9 @@ def test_hand_picked_values_and_errors():
         syntax.parse_poly("x + (y >= 1)")
     with pytest.raises(ParseError, match="trailing input '\\*'"):
         syntax.parse_formula("true * x")
+    for word in ("forall", "exists"):  # reserved words that no formula reads
+        with pytest.raises(ParseError, match=f"1:3: found '{word}' \\(expected one of: expression\\)"):
+            syntax.parse_formula(f"!({word} x (x >= 0))")
 
 
 def test_first_undeclared_identifier_in_source_order_is_reported():
@@ -474,7 +468,7 @@ def test_first_undeclared_identifier_in_source_order_is_reported():
         ("ode { x' = 1 }  goal { z >= 0 & y >= b }", "z"),
         ("goal { b >= 0 }  ode { x' = y }", "b"),
         ("ode { x' = y }  goal { b >= 0 }", "y"),
-        ("ode { x' = 1 }  goal { forall x (x >= w) & q > 0 }", "w"),
+        ("ode { x' = 1 }  goal { !(x >= w) & q > 0 }", "w"),
     ]:
         with pytest.raises(UnknownIdentifier) as err:
             syntax.parse_problem(source)
@@ -501,7 +495,7 @@ def nodes():
     x, one = Polynomial.var("x"), Polynomial.const(1)
     c = Cmp(">=", x, one)
     return [BoolLit(True), c, Not(Cmp(">=", x, one)), And(c, BoolLit(False)), Or(c, Not(c)), Implies(c, c),
-            Quant("forall", "x", c)]
+            Modal(False, OdeSystem(("x",), (one,), c), c)]
 
 
 @pytest.mark.parametrize("index", range(7))
