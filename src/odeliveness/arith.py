@@ -78,17 +78,6 @@ from .syntax import (
 # Intervals
 
 
-class Interval(Frozen):
-    __slots__ = ("lo", "hi")
-
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
-
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-
 def _iv_pow(lo, hi, e: int) -> tuple:
     """Bounds of x**e for lo <= x <= hi, e >= 2, case by case."""
     if e % 2 == 1:
@@ -100,23 +89,16 @@ def _iv_pow(lo, hi, e: int) -> tuple:
     return lo**e, hi**e
 
 
-Box = dict  # dict[str, Interval]
-
-
 def _decide(op: str, lo, hi) -> int:
-    """Three-valued truth of `d op 0` from bounds lo <= d <= hi: +1 certainly
-    true, -1 certainly false, 0 unknown.  Widening [lo, hi] never turns an
-    answer of +1 or -1 into the opposite one, only into 0; scaling both
-    bounds by one positive constant never changes it; on a point (lo == hi)
-    it is never 0."""
+    """Three-valued truth of `d op 0` (a `NormAtom` op) from bounds
+    lo <= d <= hi: +1 certainly true, -1 certainly false, 0 unknown.
+    Widening [lo, hi] never turns an answer of +1 or -1 into the opposite
+    one, only into 0; scaling both bounds by one positive constant never
+    changes it; on a point (lo == hi) it is never 0."""
     if op == ">=":
         return 1 if lo >= 0 else (-1 if hi < 0 else 0)
     if op == ">":
         return 1 if lo > 0 else (-1 if hi <= 0 else 0)
-    if op == "<=":
-        return 1 if hi <= 0 else (-1 if lo > 0 else 0)
-    if op == "<":
-        return 1 if hi < 0 else (-1 if lo >= 0 else 0)
     if op == "=":
         if lo == hi == 0:
             return 1
@@ -206,13 +188,16 @@ def _enclosure(terms: tuple, cell: dict) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Formulas compiled once: nested tuples whose atoms carry the scaled integer
-# terms of their normalised atom (`_atom_node`).  `normal.norm_atom` is where
+# Formulas compiled once, from NNF over literals, comparisons, `and` and
+# `or`: nested tuples whose atoms carry the scaled integer terms of their
+# normalised atom (`_atom_node`), so every atom's op is `>=`, `>`, `=` or
+# `!=`.  A negation pushed into an atom changes no answer: negating a
+# polynomial negates its enclosure exactly.  `normal.norm_atom` is where
 # the prover, its pre-checks and `falsify`'s screen subtract a comparison's
 # sides; it gives `=` and `!=` atoms a canonical sign, which no answer
 # depends on.
 
-_LIT, _ATOM, _NOT, _AND, _OR = range(5)
+_LIT, _ATOM, _AND, _OR = range(4)
 
 
 def _atom_node(a: NormAtom) -> tuple:
@@ -230,18 +215,15 @@ def _conj_node(nodes: list) -> tuple:
 
 
 def _compile(f: Formula) -> tuple:
+    """The compiled form of a formula in NNF."""
     if isinstance(f, Cmp):
         return _atom_node(norm_atom(f))
     if isinstance(f, BoolLit):
         return (_LIT, 1 if f.value else -1)
-    if isinstance(f, Not):
-        return (_NOT, _compile(f.arg))
     if isinstance(f, And):
         return (_AND, _compile(f.left), _compile(f.right))
     if isinstance(f, Or):
         return (_OR, _compile(f.left), _compile(f.right))
-    if isinstance(f, Implies):
-        return (_OR, (_NOT, _compile(f.left)), _compile(f.right))
     raise TypeError(f"cannot evaluate {f!r}")
 
 
@@ -262,14 +244,12 @@ def _eval3(node: tuple, cell: dict) -> int:
             return 1
         b = _eval3(node[2], cell)
         return 1 if b == 1 else max(a, b)
-    if kind == _NOT:
-        return -_eval3(node[1], cell)
     return node[1]
 
 
 def eval_formula_exact(f: Formula, point: dict) -> bool:
     """Exact rational truth of a formula at a point."""
-    node = _compile(f)
+    node = _compile(nnf(f))
     values = [(v, Fraction(x)) for v, x in point.items()]
     try:
         return _eval3(node, _scaled((v, x, x) for v, x in values)) == 1
@@ -437,23 +417,22 @@ def _sum_of_even_powers(p: Polynomial) -> Optional[tuple[int, dict]]:
     return bound, body
 
 
-def extract_box(hypothesis: Formula, universals) -> tuple[Optional[Box], list]:
-    """Per-variable bounds entailed by hypothesis conjuncts.
+def extract_box(atoms: list, universals) -> tuple[Optional[dict], list]:
+    """Per-variable bounds entailed by a conjunction of normalised atoms.
 
-    Returns (box, unbounded_names); box is None when some universal has no
-    finite bound.  An empty dict for `unbounded` with box=None signals an
-    inconsistent set of bounds (the hypothesis is unsatisfiable).
+    Returns (cell, unbounded_names): the cell maps each universal v to
+    integers (L, H, D), D > 0, for the bounds L/D <= v <= H/D, and is None
+    when some universal has no finite bound.  An empty list of unbounded
+    names with cell=None signals an inconsistent set of bounds (the atoms
+    are unsatisfiable).
     """
-    cell, unbounded = _box_cell(_Hypothesis(partial_atoms(hypothesis)[0]), universals)
-    if cell is None:
-        return None, unbounded
-    return {v: Interval(Fraction(lo, d), Fraction(hi, d)) for v, (lo, hi, d) in cell.items()}, []
+    return _box_cell(_Hypothesis(atoms), universals)
 
 
 def _box_cell(hyp: _Hypothesis, universals) -> tuple[Optional[dict], list]:
-    """`extract_box` in integers, its box as the cell v -> (L, H, D) that
-    `_scaled` makes of it: bounds are compared by cross-multiplication and
-    reduced as a `Fraction` is."""
+    """`extract_box` over the atoms of a `_Hypothesis`, whose roots it reads:
+    bounds are compared by cross-multiplication and each reduced as a
+    `Fraction` is before they share a denominator."""
     lows: dict = {}  # v -> (n, d), the bound n/d with d > 0
     highs: dict = {}
     for a, root in zip(hyp.atoms, hyp.roots):
@@ -885,12 +864,11 @@ def falsify(ob: ArithObligation, samples: int = 2000, seed: int = 0) -> ArithVer
     Candidates are screened with a compiled float predicate and every hit is
     confirmed by exact rational evaluation, so counterexamples are exact.
     """
-    work_box, _ = extract_box(ob.hypothesis, ob.universals)
+    cell, _ = extract_box(partial_atoms(ob.hypothesis)[0], ob.universals)
     names = tuple(sorted(ob.universals))
-    default = Interval(Fraction(-10), Fraction(10))
-    ivs = [work_box[v] if work_box else default for v in names]
-    los = [iv.lo for iv in ivs]
-    spans = [iv.hi - iv.lo for iv in ivs]
+    bounds = [cell[v] if cell else (-10, 10, 1) for v in names]
+    los = [Fraction(lo, d) for lo, _, d in bounds]
+    spans = [Fraction(hi - lo, d) for lo, hi, d in bounds]
     try:
         axes = [[float(lo) + float(span) * (k / 256.0) for k in range(257)] for lo, span in zip(los, spans)]
     except OverflowError:

@@ -91,7 +91,7 @@ def cmd_falsify(args) -> int:
     report = sim.falsify_liveness(problem, samples=args.samples, seed=args.seed, horizon=args.horizon)
     print(report.summary())
     if args.out:
-        for path in sim.write_report(report, problem, args.out):
+        for path in sim.write_report(report, problem, _out_dir(args.out)):
             print(f"wrote {path}")
     bad = report.n(sim.REFUTED) + report.n(sim.BLOWUP)
     if bad:
@@ -199,6 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     many times in one process would otherwise pay on every call."""
     ap = _Parser(prog="odeliv", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
+    budget = arith.Budget()
 
     def common(p, file=True):
         if file:
@@ -206,8 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--horizon", type=float, default=10.0)
         p.add_argument("--samples", type=int, default=64)
-        p.add_argument("--budget-cells", type=int, default=200_000)
-        p.add_argument("--budget-secs", type=float, default=10.0)
+        p.add_argument("--budget-cells", type=int, default=budget.max_cells)
+        p.add_argument("--budget-secs", type=float, default=budget.max_seconds)
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("check", help="verify the certificate in the proof block")

@@ -80,13 +80,10 @@ def print_sequent(seq: Sequent) -> str:
     return f"{ctx} |- {print_formula(seq.succedent)}" if ctx else f"|- {print_formula(seq.succedent)}"
 
 
-def context_filter(context, system: OdeSystem):
-    """Split a context into formulas constant for the ODE and the rest."""
+def context_filter(context, system: OdeSystem) -> tuple:
+    """The formulas of a context that are constant for the ODE."""
     state = set(system.state_names())
-    const, rest = [], []
-    for f in context:
-        (rest if formula_variables(f) & state else const).append(f)
-    return tuple(const), tuple(rest)
+    return tuple(f for f in context if not formula_variables(f) & state)
 
 
 # ---------------------------------------------------------------------------

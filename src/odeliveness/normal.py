@@ -21,7 +21,6 @@ from .syntax import (
     Implies,
     Not,
     Or,
-    conj,
     conjuncts,
 )
 
@@ -165,7 +164,3 @@ def _poly_sort_key(p: Polynomial):
         (grlex_key(m, universe), Fraction(c, p.den))
         for m, c in sorted(p.terms.items(), key=lambda t: grlex_key(t[0], universe))
     )
-
-
-def formula_of_atoms(atoms: list[NormAtom]) -> Formula:
-    return conj([a.to_formula() for a in atoms])

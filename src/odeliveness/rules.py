@@ -175,7 +175,6 @@ class Checker:
     def __init__(self, budget: Optional[arith.Budget] = None):
         self.budget = budget or arith.Budget()
         self._arith_cache: dict = {}
-        self._topo_cache: dict = {}
         self._regions: dict = {}
 
     # -- primitive queries --------------------------------------------------
@@ -186,20 +185,6 @@ class Checker:
             self._arith_cache[key] = arith.prove_implication(ob, budget=key[1], regions=self._regions)
         return self._arith_cache[key]
 
-    def topo(self, prop: str, formula: Formula, vars) -> topology.TopoVerdict:
-        key = (prop, formula, tuple(vars))
-        if key not in self._topo_cache:
-            if prop == topology.CLOSED:
-                v = topology.check_closed(formula)
-            elif prop == topology.OPEN:
-                v = topology.check_open(formula)
-            elif prop == topology.BOUNDED:
-                v = topology.check_bounded(formula, vars, self.prove)
-            else:
-                v = topology.check_compact(formula, vars, self.prove)
-            self._topo_cache[key] = v
-        return self._topo_cache[key]
-
     # -- obligation discharge ------------------------------------------------
 
     def discharge(self, ob) -> None:
@@ -207,8 +192,17 @@ class Checker:
             if ob.result is None:
                 ob.result = self.prove(ob.obligation)
         elif isinstance(ob, TopoOb):
+            # not cached: Closed and Open are syntactic walks, and a repeated
+            # Bounded or Compact search poses obligations `prove` has cached
             if ob.result is None:
-                ob.result = self.topo(ob.prop, ob.formula, ob.vars)
+                if ob.prop == topology.CLOSED:
+                    ob.result = topology.check_closed(ob.formula)
+                elif ob.prop == topology.OPEN:
+                    ob.result = topology.check_open(ob.formula)
+                elif ob.prop == topology.BOUNDED:
+                    ob.result = topology.check_bounded(ob.formula, ob.vars, self.prove)
+                else:
+                    ob.result = topology.check_compact(ob.formula, ob.vars, self.prove)
         elif isinstance(ob, LipschitzOb):
             if ob.result is None:
                 ob.result = ob.system.is_affine()
@@ -513,7 +507,7 @@ class _Rule:
         self.has_domain = self.domain is not None and self.domain != TRUE
         self.sys0 = problem.system.with_domain(TRUE)
         # constant assumptions are soundly kept across rule applications
-        self.const_ctx = context_filter(problem.assumptions, problem.system)[0]
+        self.const_ctx = context_filter(problem.assumptions, problem.system)
         self.read = set()  # the certificate keys the builder asked for
 
     def get(self, key: str, kind, default=None, required=False):

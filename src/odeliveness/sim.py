@@ -37,7 +37,6 @@ observes the expected trajectory behavior, as each entry's data states.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from random import Random
 from types import SimpleNamespace
@@ -50,12 +49,8 @@ from .record import Factory, Frozen, Record
 from .symbolic import OdeSystem, Polynomial, lie_derivative  # noqa: F401 (perfbench traces sim.lie_derivative)
 from .syntax import (
     TRUE,
-    And,
     Cmp,
     Formula,
-    Implies,
-    Not,
-    Or,
     ProblemFile,
     parse_problem,
     print_formula,
@@ -179,17 +174,6 @@ _DENSE = (
     701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423,
 )
 
-def _atom_cmps(f: Formula) -> list:
-    """Comparison atoms of the formula, left to right."""
-    if isinstance(f, Cmp):
-        return [f]
-    if isinstance(f, Not):
-        return _atom_cmps(f.arg)
-    if isinstance(f, (And, Or, Implies)):
-        return _atom_cmps(f.left) + _atom_cmps(f.right)
-    return []
-
-
 def _state_atom(op: str, k: int) -> str:
     """Truth of atom k of the vector `A` at a state: equalities within
     `_eq`, strict atoms exact.  At 0.0, non-strict atoms hold and strict
@@ -228,26 +212,21 @@ def _def(name: str, args: str, *body: str) -> list:
     return [f"def {name}({args}):"] + [f"    {line}" for line in body]
 
 
-def _atoms_def(cmps: list, n: int, ref) -> list:
-    """Source of `atoms(y)`, the atom vector: the difference polynomial of
-    each comparison in `cmps` at the state y of n floats, or None when one
-    has no float value (its evaluation overflows)."""
-    diffs = "".join(f"{poly_src(c.lhs - c.rhs, ref)}, " for c in cmps)
-    return _def("atoms", "y", _unpack("a", n, "y"), "try:", f"    return ({diffs})", "except OverflowError:", "    return None")
+def _atoms_def(polys: list, n: int, ref) -> list:
+    """Source of `atoms(y)`, the atom vector: each polynomial of `polys` at
+    the state y of n floats, or None when one has no float value (its
+    evaluation overflows)."""
+    values = "".join(f"{poly_src(p, ref)}, " for p in polys)
+    return _def("atoms", "y", _unpack("a", n, "y"), "try:", f"    return ({values})", "except OverflowError:", "    return None")
 
 
-def _over_atoms(f: Formula, offset: int, atom) -> str:
-    """Source of `f` whose comparisons, in `_atom_cmps` order, are entries
-    offset, offset + 1, ... of a vector; `atom(op, k)` renders entry k."""
-    k = itertools.count(offset)
-    return formula_src(f, lambda c: atom(c.op, next(k)))
-
-
-def _predicate(f: Formula, names) -> Callable:
-    """Truth of `f` at a float tuple over `names`, as a compiled function; a
-    point whose atoms have no float value is outside."""
-    lines = _atoms_def(_atom_cmps(f), len(names), lambda v: f"a{names.index(v)}")
-    lines += _def("_pred", "y", "A = atoms(y)", f"return A is not None and {_over_atoms(f, 0, _state_atom)}")
+def _predicate(atoms: list, names) -> Callable:
+    """Truth of the conjunction of normalised atoms at a float tuple over
+    `names`, as a compiled function; a point whose atoms have no float value
+    is outside."""
+    lines = _atoms_def([a.poly for a in atoms], len(names), lambda v: f"a{names.index(v)}")
+    test = " and ".join(_state_atom(a.op, k) for k, a in enumerate(atoms))
+    lines += _def("_pred", "y", "A = atoms(y)", f"return A is not None and {test}")
     return build("\n".join(lines) + "\n", "_pred", {"_eq": EQ_TOL})
 
 
@@ -393,11 +372,12 @@ class Plan:
         self.names = system.state_names()
         self.pnames = tuple(sorted(system.params))
         domain = system.domain if system.domain is not None else TRUE
-        self.domain_atoms = len(_atom_cmps(domain))
         scope = {"_inf": math.inf, "_ns": SimpleNamespace, "_eq": EQ_TOL}
         self.bind = build(self._source(domain), "_bind", {**scope, **vars(_dimension(len(self.names)))})
 
     def _source(self, domain: Formula) -> str:
+        """The source of `_bind`; sets `domain_atoms`, the number of the atom
+        vector's entries that belong to the domain."""
         names, n = self.names, len(self.names)
         params = {p: f"p{j}" for j, p in enumerate(self.pnames)}
 
@@ -409,17 +389,18 @@ class Plan:
         overflow = "    return (" + "_inf, " * n + ")"
         body = _def("f", "y", _unpack("a", n, "y"), "try:", f"    return ({rhs})", "except OverflowError:", overflow)
 
-        # atoms(y): every atom's difference polynomial, domain then goal;
-        # the predicates domain(A) and goal(A) read it
-        formulas = (("domain", domain), ("goal", self.goal))
-        body += _atoms_def([c for _, f in formulas if f is not None for c in _atom_cmps(f)], n, ref)
-        offset = 0
-        for name, f in formulas:
-            if f is None:
-                body.append(f"{name} = None")
-                continue
-            body += _def(name, "A", "return " + _over_atoms(f, offset, _state_atom))
-            offset += len(_atom_cmps(f))
+        # atoms(y): every atom's difference polynomial, domain then goal, in
+        # the order the predicates domain(A) and goal(A) render their atoms
+        cmps = []
+
+        def atom(c: Cmp) -> str:
+            cmps.append(c)
+            return _state_atom(c.op, len(cmps) - 1)
+
+        preds = _def("domain", "A", "return " + formula_src(domain, atom))
+        self.domain_atoms = len(cmps)
+        preds += ["goal = None"] if self.goal is None else _def("goal", "A", "return " + formula_src(self.goal, atom))
+        body += _atoms_def([c.lhs - c.rhs for c in cmps], n, ref) + preds
 
         # the stepping kernel over f, the atom vector and the predicates
         body.append("advance = advance_over(f, atoms, domain, goal)")
@@ -666,18 +647,15 @@ def sample_initial_states(problem: ProblemFile, count: int, seed: int) -> list:
                 continue
         leftovers.append(a)
 
-    from .normal import formula_of_atoms
-
     free = [n for n in names if n not in fixed]
-    box, _ = arith.extract_box(formula_of_atoms(leftovers) if leftovers else TRUE, tuple(free))
-    for n in free:
-        if box is None or n not in box:
-            if leftovers or circles or pinned:
-                raise UnsamplableInitSet(f"no finite bounds for '{n}' in the assume block")
-            raise UnsamplableInitSet("assume block is empty; nothing to sample")
+    cell, _ = arith.extract_box(leftovers, tuple(free))
+    if cell is None and free:
+        if leftovers or circles or pinned:
+            raise UnsamplableInitSet(f"no finite bounds for '{free[0]}' in the assume block")
+        raise UnsamplableInitSet("assume block is empty; nothing to sample")
 
-    inside = _predicate(formula_of_atoms(leftovers), names) if leftovers else None
-    spans = {n: [to_float(x.numerator, x.denominator) for x in (box[n].lo, box[n].hi)] for n in free}
+    inside = _predicate(leftovers, names) if leftovers else None
+    spans = {n: [to_float(lo, d), to_float(hi, d)] for n, (lo, hi, d) in (cell or {}).items()}
     out = []
     tries = 0
     while len(out) < count and tries < count * 200:
@@ -767,18 +745,15 @@ def falsify_liveness(
     return FalsifyReport(counts, results, seed, horizon)
 
 
-def write_report(report: FalsifyReport, problem: ProblemFile, outdir) -> list:
-    """CSV per sample plus a plain-text summary; returns written paths."""
-    import pathlib
-
-    outdir = pathlib.Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+def write_report(report: FalsifyReport, problem: ProblemFile, prefix: str) -> list:
+    """CSV per sample plus a plain-text summary, each at `prefix` and its
+    name, in a directory that exists; returns the written paths."""
     written = []
     for r in report.results:
-        path = outdir / f"sample-{r.index:03d}.csv"
+        path = f"{prefix}sample-{r.index:03d}.csv"
         write_csv(path, r.trajectory, problem.system)
         written.append(path)
-    spath = outdir / "summary.txt"
+    spath = prefix + "summary.txt"
     with open(spath, "w") as fh:
         fh.write(report.summary() + "\n")
         for r in report.results:

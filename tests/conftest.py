@@ -1,5 +1,6 @@
 import pathlib
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 from hypothesis import settings
@@ -7,7 +8,7 @@ from hypothesis import settings
 from odeliveness import arith, sim
 from odeliveness.errors import MissingBinding
 from odeliveness.symbolic import OdeSystem, Polynomial, lie_derivative
-from odeliveness.syntax import parse_problem
+from odeliveness.syntax import And, Cmp, Implies, Not, Or, parse_problem
 
 # The full CLI fuzz: `pytest tests/test_fuzz_cli.py --hypothesis-profile=ci`.
 settings.register_profile("ci", max_examples=2000)
@@ -51,17 +52,64 @@ def eval_rational(p: Polynomial, point: dict) -> Fraction:
     return total
 
 
-def interval_of_poly(p: Polynomial, box: dict) -> arith.Interval:
+HOLDS = {
+    "=": lambda d: d == 0,
+    "!=": lambda d: d != 0,
+    ">=": lambda d: d >= 0,
+    ">": lambda d: d > 0,
+    "<=": lambda d: d <= 0,
+    "<": lambda d: d < 0,
+}
+
+
+def ref_holds(f, point: dict) -> bool:
+    """Exact truth of a formula at a point of rationals, walking every
+    connective as written: no negation normal form, no normalised atoms."""
+    if isinstance(f, Cmp):
+        return HOLDS[f.op](eval_rational(f.lhs - f.rhs, point))
+    if isinstance(f, Not):
+        return not ref_holds(f.arg, point)
+    if isinstance(f, And):
+        return ref_holds(f.left, point) and ref_holds(f.right, point)
+    if isinstance(f, Or):
+        return ref_holds(f.left, point) or ref_holds(f.right, point)
+    if isinstance(f, Implies):
+        return (not ref_holds(f.left, point)) or ref_holds(f.right, point)
+    return f.value
+
+
+class Interval(NamedTuple):
+    """A rational interval lo <= hi, as the `Fraction` references read a
+    box; the package's boxes are integer cells v -> (L, H, D)."""
+
+    lo: Fraction
+    hi: Fraction
+
+    def midpoint(self) -> Fraction:
+        return (self.lo + self.hi) / 2
+
+
+def cell_of(box: dict) -> dict:
+    """The package's integer cell of a box of `Interval`s."""
+    return arith._scaled((v, iv.lo, iv.hi) for v, iv in box.items())
+
+
+def box_of(cell: dict) -> dict:
+    """The box of `Interval`s of an integer cell."""
+    return {v: Interval(Fraction(lo, d), Fraction(hi, d)) for v, (lo, hi, d) in cell.items()}
+
+
+def interval_of_poly(p: Polynomial, box: dict) -> Interval:
     """Exact interval enclosure of p over the box, from the package's
     enclosure in scaled integers: the bounds it returns over p.den times the
     D_v powers of the cell."""
     terms, degrees = arith._scaled_poly(p)
-    cell = arith._scaled((v, box[v].lo, box[v].hi) for v in degrees)
+    cell = cell_of({v: box[v] for v in degrees})
     lo, hi = arith._enclosure(terms, cell)
     s = p.den
     for v, k in degrees.items():
         s *= cell[v][2] ** k
-    return arith.Interval(Fraction(lo, s), Fraction(hi, s))
+    return Interval(Fraction(lo, s), Fraction(hi, s))
 
 
 def float_terms(p: Polynomial) -> list:

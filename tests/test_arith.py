@@ -10,19 +10,18 @@ from odeliveness import arith
 from odeliveness.arith import (
     ArithObligation,
     Budget,
-    Interval,
     emit_smtlib,
     extract_box,
     falsify,
     prove_implication,
     smt_filename,
 )
-from odeliveness.normal import NormAtom, _canonical_sign, equality_polys
+from odeliveness.normal import NormAtom, _canonical_sign, atoms_of, equality_polys
 from odeliveness.symbolic import Polynomial, poly_divmod, primitive, reduce_mod_equalities
 from odeliveness.codegen import build, formula_src, poly_src
 from odeliveness.syntax import Cmp, conj, parse_formula, parse_poly
 
-from conftest import eval_rational, interval_of_poly
+from conftest import Interval, cell_of, eval_rational, interval_of_poly
 from ref_poly import rational_terms
 
 
@@ -169,18 +168,20 @@ def test_sweep_finds_a_lone_lattice_counterexample():
 # -- box extraction -----------------------------------------------------------
 
 
+def box_cell(hyp: str, universals) -> tuple:
+    return extract_box(atoms_of(parse_formula(hyp)), universals)
+
+
 def test_extract_box_from_sum_of_squares():
-    b, unbounded = extract_box(parse_formula("u^2 + v^2 <= 2"), ("u", "v"))
+    b, unbounded = box_cell("u^2 + v^2 <= 2", ("u", "v"))
     assert not unbounded
-    for iv in b.values():
-        assert iv.lo <= -1 and iv.hi >= 1  # covers radius sqrt(2)
-        assert float(iv.hi) < 1.6  # outward but tight-ish
+    # the outward root 91/64 of 2, which covers radius sqrt(2)
+    assert b == {"u": (-91, 91, 64), "v": (-91, 91, 64)}
 
 
 def test_extract_box_from_equality():
-    b, _ = extract_box(parse_formula("u^2 + v^2 = 1 & x = 0"), ("u", "v", "x"))
-    assert b["x"] == Interval(Fraction(0), Fraction(0))
-    assert b["u"].hi >= 1
+    b, _ = box_cell("u^2 + v^2 = 1 & x = 0", ("u", "v", "x"))
+    assert b == {"u": (-1, 1, 1), "v": (-1, 1, 1), "x": (0, 0, 1)}
 
 
 @given(
@@ -198,7 +199,7 @@ def test_root_upper_is_the_least_outward_root(x, k):
 
 
 def test_extract_box_reports_unbounded():
-    b, unbounded = extract_box(parse_formula("u >= 0"), ("u",))
+    b, unbounded = box_cell("u >= 0", ("u",))
     assert b is None and unbounded == ["u"]
 
 
@@ -422,7 +423,7 @@ def precheck_cases(draw):
 )
 def test_derive_atom_matches_reference(case):
     goal, atoms, box = case
-    cell = box and arith._scaled((v, iv.lo, iv.hi) for v, iv in box.items())
+    cell = box and cell_of(box)
     assert arith._derive_atom(goal, arith._Hypothesis(atoms), cell) == ref_derive_atom(goal, atoms, box)
 
 

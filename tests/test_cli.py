@@ -568,12 +568,17 @@ def test_goal_past_the_compilers_nesting_limit_is_input_error(tmp_path, capsys):
 @pytest.mark.parametrize("given", ["out", "./out/", "out//sub/./", "."])
 def test_out_paths_are_printed_as_pathlib_spells_them(tmp_path, capsys, monkeypatch, given):
     # `--out` is made with `os.makedirs`, and each `wrote` line names the file
-    # as `pathlib.Path(given) / name` prints, as it did when cli used pathlib
+    # as `pathlib.Path(given) / name` prints, as it did when cli and sim used
+    # pathlib
     monkeypatch.chdir(tmp_path)
     code, out = run(capsys, "simulate", problem_path("example1.ode"), "--init", "u=1,v=0", "--horizon", 1,
                     "--out", given)
     want = pathlib.Path(given) / "trajectory.csv"
     assert code == 0 and out.endswith(f"\nwrote {want}\n") and (tmp_path / want).is_file()
+    code, out = run(capsys, "falsify", problem_path("example1.ode"), "--samples", 2, "--out", given)
+    wants = [pathlib.Path(given) / name for name in ("sample-000.csv", "sample-001.csv", "summary.txt")]
+    assert code == 0 and out.splitlines()[1:] == [f"wrote {want}" for want in wants]
+    assert all((tmp_path / want).is_file() for want in wants)
 
 
 def test_emit_smt_writes_unknown_obligations(tmp_path, capsys):

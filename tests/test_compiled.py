@@ -20,12 +20,24 @@ from hypothesis import strategies as st
 
 from odeliveness import sim
 from odeliveness.codegen import build, poly_src
+from odeliveness.normal import norm_atom
 from odeliveness.symbolic import OdeSystem, Polynomial
 from odeliveness.syntax import And, BoolLit, Cmp, Formula, Implies, Not, Or, parse_problem
 
 from conftest import _dp_step, eval_float
 
 # -- references --------------------------------------------------------------
+
+
+def cmps_of(f: Formula) -> list:
+    """The comparisons of a formula, left to right."""
+    if isinstance(f, Cmp):
+        return [f]
+    if isinstance(f, Not):
+        return cmps_of(f.arg)
+    if isinstance(f, (And, Or, Implies)):
+        return cmps_of(f.left) + cmps_of(f.right)
+    return []
 
 
 def eval_state(f: Formula, vals: dict, eq_tol: float = 1e-9) -> bool:
@@ -317,13 +329,16 @@ def test_compiled_predicates_match_references(system, goal, point, other):
         assert state(A) == eval_state(f, vals)
         assert state(sim._at_limit(L, A)) == eval_limit(f, lo, vals)
     assert c.domain(sim._on_boundary(A)) == eval_state_boundary(system.domain, vals)
-    cmps = sim._atom_cmps(system.domain) + sim._atom_cmps(goal)
+    cmps = cmps_of(system.domain) + cmps_of(goal)
     assert len(A) == len(cmps)
     for value, f in zip(A, cmps):
         assert same_float(value, eval_float(f.lhs - f.rhs, vals), signed_zero=False)
+    # the sampler's predicate, over the normalised atoms of the goal's comparisons
     names = ("x", "y", PARAM, CLOCK)
-    pred = sim._predicate(goal, names)
-    assert pred(tuple(point)) == eval_state(goal, dict(zip(names, point)))
+    atoms = [norm_atom(f) for f in cmps_of(goal)]
+    if atoms:
+        pred = sim._predicate(atoms, names)
+        assert pred(tuple(point)) == all(eval_state(a.to_formula(), dict(zip(names, point))) for a in atoms)
 
 
 big = st.sampled_from([1e100, -1e103, 1e160, math.inf]) | values
@@ -455,7 +470,7 @@ def test_plan_renders_each_atom_polynomial_once():
     def ref(v):
         return f"p{plan.pnames.index(v)}" if v in plan.pnames else f"a{plan.names.index(v)}"
 
-    cmps = sim._atom_cmps(pf.system.domain) + sim._atom_cmps(pf.goal)
+    cmps = cmps_of(pf.system.domain) + cmps_of(pf.goal)
     assert len(cmps) == 5
     for c in cmps:
         diff = poly_src(c.lhs - c.rhs, ref)

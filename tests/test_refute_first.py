@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from odeliveness import arith
-from odeliveness.arith import FALSIFIED, UNKNOWN, ArithObligation, Budget, Interval, prove_implication
+from odeliveness.arith import FALSIFIED, UNKNOWN, ArithObligation, Budget, prove_implication
 from odeliveness.normal import atoms_of, atoms_of_conjuncts, nnf
 from odeliveness.syntax import Or, conjuncts, parse_formula
 
@@ -47,14 +47,13 @@ def test_prechecks_prove_no_obligation_refuted_at_its_root_midpoint(seed):
         if any(isinstance(g, Or) for g in parts):
             continue  # each disjunct's sub-call probes itself
         hyp = arith._Hypothesis(atoms_of_conjuncts(parts)[0])
-        box, _ = arith.extract_box(ob.hypothesis, ob.universals)
-        if box is None:
+        cell, _ = arith.extract_box(hyp.atoms, ob.universals)
+        if cell is None:
             continue
-        mid = {v: box[v].midpoint() for v in sorted(ob.universals)}
+        mid = {v: Fraction(cell[v][0] + cell[v][1], 2 * cell[v][2]) for v in sorted(ob.universals)}
         if not exact.is_counterexample(case, mid):
             continue
         refuted += 1
-        cell = arith._scaled((v, iv.lo, iv.hi) for v, iv in box.items())
         assert arith._symbolic_valid(hyp, atoms_of(ob.conclusion), cell) is None, ob.describe()
         v = prove_implication(ob, budget=corpora.BUDGET)
         assert (v.status, v.counterexample, v.trace) == (FALSIFIED, mid, FIRST_CELL), ob.describe()
@@ -96,12 +95,13 @@ def test_unbounded_box_is_not_probed():
 
 
 def box(**bounds) -> dict:
-    return {v: Interval(Fraction(lo), Fraction(hi)) for v, (lo, hi) in bounds.items()}
+    """The cell of integer bounds lo <= v <= hi."""
+    return {v: (lo, hi, 1) for v, (lo, hi) in bounds.items()}
 
 
-def entailed(text: str, b: dict) -> bool:
+def entailed(text: str, cell: dict) -> bool:
     (a,) = atoms_of(parse_formula(text))
-    return arith._entailed(a, arith._root(a.poly), arith._scaled((v, iv.lo, iv.hi) for v, iv in b.items()))
+    return arith._entailed(a, arith._root(a.poly), cell)
 
 
 def test_non_strict_bounds_the_box_meets_are_dropped():

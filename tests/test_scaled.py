@@ -5,8 +5,9 @@ the exact rational bound times a positive constant, so every enclosure,
 three-valued answer and point answer must equal what plain `Fraction`
 interval arithmetic gives.  The references below are that arithmetic, kept
 here as the package had it before the integer evaluator: `interval_of_poly`
-with its `_iv_pow` cases, the three-valued and the point evaluation of a
-formula, and the branch-and-bound loop over `Interval` cells.  Boxes mix
+with its `_iv_pow` cases, the three-valued evaluation of a formula (the
+point evaluation is `conftest.ref_holds`), and the branch-and-bound loop
+over `Interval` cells.  Boxes mix
 non-dyadic bounds (1/3, 1/10), dyadic bounds with 53 significant bits, huge
 and tiny magnitudes, zero-width intervals and intervals across zero, where
 even powers switch case.
@@ -22,7 +23,6 @@ from hypothesis import strategies as st
 from odeliveness.arith import (
     ArithObligation,
     Budget,
-    Interval,
     _compile,
     _eval3,
     _midpoint,
@@ -32,10 +32,11 @@ from odeliveness.arith import (
     prove_implication,
 )
 from odeliveness.errors import MissingBinding
+from odeliveness.normal import nnf, partial_atoms
 from odeliveness.symbolic import Polynomial
 from odeliveness.syntax import And, BoolLit, Cmp, Implies, Not, Or, conj, parse_formula
 
-from conftest import eval_rational, interval_of_poly
+from conftest import Interval, box_of, cell_of, interval_of_poly, ref_holds
 from ref_poly import rational_terms
 
 NAMES = ("x", "y", "z")
@@ -100,30 +101,6 @@ def ref_eval3(f, box: dict) -> int:
     if isinstance(f, Implies):
         return ref_eval3(Or(Not(f.left), f.right), box)
     return 1 if f.value else -1
-
-
-HOLDS = {
-    "=": lambda d: d == 0,
-    "!=": lambda d: d != 0,
-    ">=": lambda d: d >= 0,
-    ">": lambda d: d > 0,
-    "<=": lambda d: d <= 0,
-    "<": lambda d: d < 0,
-}
-
-
-def ref_holds(f, point: dict) -> bool:
-    if isinstance(f, Cmp):
-        return HOLDS[f.op](eval_rational(f.lhs - f.rhs, point))
-    if isinstance(f, Not):
-        return not ref_holds(f.arg, point)
-    if isinstance(f, And):
-        return ref_holds(f.left, point) and ref_holds(f.right, point)
-    if isinstance(f, Or):
-        return ref_holds(f.left, point) or ref_holds(f.right, point)
-    if isinstance(f, Implies):
-        return (not ref_holds(f.left, point)) or ref_holds(f.right, point)
-    return f.value
 
 
 def ref_branch_and_bound(names, box, hyp, concl, max_cells):
@@ -206,9 +183,9 @@ def formulas(draw, depth=2, values=rationals, max_exp=4):
 
 
 def eval_formula3(f, box: dict) -> int:
-    """Three-valued truth over a box by the package's compile and scaled
-    evaluation: +1 certainly true, -1 certainly false, 0 unknown."""
-    return _eval3(_compile(f), _scaled((v, iv.lo, iv.hi) for v, iv in box.items()))
+    """Three-valued truth over a box by the package's compile of the NNF and
+    scaled evaluation: +1 certainly true, -1 certainly false, 0 unknown."""
+    return _eval3(_compile(nnf(f)), cell_of(box))
 
 
 def cube(lo, hi) -> dict:
@@ -257,8 +234,8 @@ def test_three_valued_answer_equals_reference(f, box):
     for point in corners_and_centre(box):
         assert eval_formula_exact(f, point) == ref_holds(f, point)
     # the point cell branch-and-bound builds at a cell's midpoint
-    node = _compile(f)
-    cell = _scaled((v, iv.lo, iv.hi) for v, iv in box.items())
+    node = _compile(nnf(f))
+    cell = cell_of(box)
     mid = {v: iv.midpoint() for v, iv in box.items()}
     assert _eval3(node, _midpoint(cell)) == (1 if ref_holds(f, mid) else -1)
 
@@ -322,7 +299,7 @@ def test_branch_and_bound_visits_the_reference_cells(hyp, concl, box):
     v = prove_implication(ob, budget=Budget(max_cells=60, max_seconds=3600.0))
     if v.trace["method"] not in ("branch-and-bound", "budget-exhausted"):
         return  # decided before branch-and-bound, or split into cases
-    work_box = extract_box(hyp, NAMES)[0]
+    work_box = box_of(extract_box(partial_atoms(hyp)[0], NAMES)[0])
     status, cells, depth, counterexample = ref_branch_and_bound(NAMES, work_box, hyp, concl, 60)
     assert (v.status, v.trace["cells"], v.trace["max_depth"]) == (status, cells, depth)
     assert v.counterexample == counterexample

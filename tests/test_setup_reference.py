@@ -25,10 +25,12 @@ from hypothesis import strategies as st
 from ref_poly import rational_terms, ref_of, ref_primitive
 
 from odeliveness import arith
-from odeliveness.arith import Interval, Region, _conclusion_node, _conj_node, _eval3, _midpoint, _scaled
+from odeliveness.arith import Region, _conclusion_node, _conj_node, _eval3, _midpoint
 from odeliveness.normal import NormAtom, _canonical_sign, atoms_of_conjuncts, contradictory, nnf, norm_atom
 from odeliveness.symbolic import Polynomial, primitive
 from odeliveness.syntax import And, BoolLit, Cmp, Implies, Not, Or, conjuncts, parse_formula
+
+from conftest import Interval, cell_of
 
 NAMES = ("x", "y")
 OPS = ("=", "!=", ">=", ">", "<=", "<")
@@ -215,7 +217,7 @@ def ref_region(universals: tuple, hypothesis) -> dict:
     if box is not None and not any(isinstance(g, Or) for g in parts):
         names = tuple(sorted(universals))
         node = _conj_node([ref_atom_node(a) for a, r in zip(atoms, roots) if not ref_entailed(a, r, box)])
-        root_cell = tuple(_scaled((v, box[v].lo, box[v].hi) for v in names).values())
+        root_cell = tuple(cell_of({v: box[v] for v in names}).values())
         mid = _midpoint(dict(zip(names, root_cell)))
         out.update(node=node, root_cell=root_cell, mid=mid, mid_truth=_eval3(node, mid))
     return out
@@ -314,9 +316,9 @@ def test_region_equals_the_fraction_region(hypothesis, conclusion):
     assert [list(a.poly.terms.items()) for a in region.hyp.atoms] == [list(a.poly.terms.items()) for a in ref["atoms"]]
     assert list(map(as_fraction, region.hyp.roots)) == ref["roots"]
     assert region.hyp.contradictory == ref_contradictory(ref["atoms"])
-    box_cell = ref["box"] and _scaled((v, iv.lo, iv.hi) for v, iv in ref["box"].items())
+    box_cell = ref["box"] and cell_of(ref["box"])
     assert (region.cell, region.unbounded) == (box_cell, ref["unbounded"])
-    assert arith.extract_box(hypothesis, NAMES) == (ref["box"], ref["unbounded"])
+    assert arith.extract_box(ref["atoms"], NAMES) == (box_cell, ref["unbounded"])
     if "node" not in ref:
         assert region.mid is None
         return

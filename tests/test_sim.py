@@ -291,13 +291,10 @@ def test_report_csv_export(tmp_path):
         "ode { u' = -v - u; v' = u - v }  assume { u^2 + v^2 = 1 }  goal { u^2 + v^2 <= 1/4 }"
     )
     report = sim.falsify_liveness(pf, samples=2, seed=0, horizon=5.0)
-    written = sim.write_report(report, pf, tmp_path)
-    names = {p.name for p in written}
-    assert "summary.txt" in names
-    assert any(n.startswith("sample-") and n.endswith(".csv") for n in names)
-    csv = next(p for p in written if p.name.endswith(".csv"))
-    header = csv.read_text().splitlines()[0]
-    assert header == "t,u,v,event"
+    written = sim.write_report(report, pf, f"{tmp_path}/")
+    assert written == [f"{tmp_path}/{name}" for name in ("sample-000.csv", "sample-001.csv", "summary.txt")]
+    with open(written[0]) as fh:
+        assert fh.readline() == "t,u,v,event\n"
 
 
 # -- one trajectory per distinct initial state -------------------------------------
@@ -325,9 +322,9 @@ def test_pinned_initial_state_is_integrated_once(monkeypatch, tmp_path):
     assert [r.index for r in report.results] == [0, 1, 2, 3, 4]
     assert {(r.classification, r.t_event) for r in report.results} == {(sim.BLOWUP, report.results[0].t_event)}
     assert report.summary() == "samples=5 WITNESS=0 REFUTED-SAMPLE=0 BLOWUP=5 INCONCLUSIVE=0"
-    written = sim.write_report(report, pf, tmp_path)
-    assert sorted(p.name for p in written) == [f"sample-{i:03d}.csv" for i in range(5)] + ["summary.txt"]
-    assert len({p.read_text() for p in written if p.suffix == ".csv"}) == 1
+    written = sim.write_report(report, pf, f"{tmp_path}/")
+    assert written == [f"{tmp_path}/sample-{i:03d}.csv" for i in range(5)] + [f"{tmp_path}/summary.txt"]
+    assert len({(tmp_path / f"sample-{i:03d}.csv").read_text() for i in range(5)}) == 1
 
 
 def test_distinct_initial_states_are_each_integrated(monkeypatch):
