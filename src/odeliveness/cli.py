@@ -36,7 +36,10 @@ def _out_dir(directory: str) -> str:
     """Make the `--out` directory and return the prefix of the files written
     to it, spelled as `pathlib` spells a POSIX path: empty and `.` parts
     dropped and a leading `//` kept, so `./out/` prefixes `out/`."""
-    os.makedirs(directory, exist_ok=True)
+    try:
+        os.makedirs(directory, exist_ok=True)
+    except OSError as e:
+        raise OdelivError(f"cannot make directory {directory}: {e}")
     lead = len(directory) - len(directory.lstrip("/"))
     parts = "".join(p + "/" for p in directory.split("/") if p not in ("", "."))
     return ("//" if lead == 2 else "/" if lead else "") + parts

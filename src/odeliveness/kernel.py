@@ -1,11 +1,14 @@
-"""Trusted proof core: sequents, obligations, proof nodes, refinement steps.
+"""Trusted proof core: sequents, obligations, proof nodes, proof steps.
 
-A ProofNode records one application of a refinement axiom, an existence
-axiom, a monotonicity rule, or a derived rule, together with the obligations
-that application generates.  Nodes are built bottom-up: each constructor
-receives the already-built child subtree and re-checks the structural side
-conditions of its step, so the only way to assemble a proved liveness
-judgment is through these constructors.
+A ProofNode records one application of an axiom or rule, together with the
+obligations that application generates.  Nodes are built bottom-up: each
+`step_*` constructor receives the already-built child subtrees, computes its
+own premises from the target sequent and checks each child's conclusion
+against the sequent that child must prove.  The diamond-modality steps are
+M◇′, K⟨&⟩, DR⟨·⟩, COR, SAR, dGt and the existence leaves GEx and BEx; the
+box-modality (invariance) steps are DW, DI, BC, DC, DX, ∧-split and
+DomainWeaken.  The one exception is `derived_node`, the macro node of a
+derived liveness rule, whose premises `rules` states.
 
 Verdict propagation: a node is Proved iff every obligation passed and every
 child is Proved; ConditionallyProved when the only shortfall is explicit
@@ -17,7 +20,6 @@ they disprove the hint, not the conclusion.
 
 Obligation discharge is delegated to a checker object (see `rules.Checker`).
 """
-
 from __future__ import annotations
 
 from typing import Optional
@@ -26,13 +28,14 @@ from . import topology
 from .arith import ArithObligation, ArithVerdict, FALSIFIED
 from .errors import (
     ClockNotFresh,
+    HintMismatch,
     NoClock,
     NonConstantBound,
     ShapeMismatch,
     TopoUnknown,
 )
 from .record import Frozen, Record
-from .symbolic import OdeSystem, Polynomial
+from .symbolic import OdeSystem, Polynomial, lie_derivative, primitive
 from .syntax import (
     TRUE,
     Cmp,
@@ -40,11 +43,14 @@ from .syntax import (
     Modal,
     Or,
     conj,
+    conjuncts,
+    disjuncts,
     formula_variables,
     print_formula,
     print_ode,
+    print_poly,
 )
-from .normal import negate
+from .normal import negate, nnf, norm_atom
 
 CLOCK_NAME = "_t"
 
@@ -207,16 +213,19 @@ class ProofNode(Record):
 # Step constructors: base rules, refinement, existence, topological axioms
 
 
-def _dia_parts(seq: Sequent):
+def modal_parts(seq: Sequent, boxed: bool = False):
+    """(system, Q or TRUE, P) of Γ ⊢ <x' = f & Q> P, or of Γ ⊢ [x' = f & Q] P if `boxed`."""
     s = seq.succedent
-    if not isinstance(s, Modal) or s.box:
+    if not isinstance(s, Modal) or s.box != boxed:
+        if boxed:
+            raise ShapeMismatch(f"invariance target must be a box sequent, got {print_sequent(seq)}")
         raise ShapeMismatch(f"expected a diamond succedent, got {print_formula(s)}")
     return s.system, s.system.domain if s.system.domain is not None else TRUE, s.post
 
 
 def step_monotone_dia(target: Sequent, stronger: Formula, child: "ProofNode") -> ProofNode:
     """M dia: from Gamma |- <x'=f & Q> R and Q, R |- P conclude the target."""
-    system, domain, post = _dia_parts(target)
+    system, domain, post = modal_parts(target)
     want = Sequent(target.context, dia(system, stronger))
     if child.conclusion != want:
         raise ShapeMismatch("monotonicity child proves the wrong sequent")
@@ -227,7 +236,7 @@ def step_monotone_dia(target: Sequent, stronger: Formula, child: "ProofNode") ->
 
 def step_goal_refine(target: Sequent, via: Formula, child: "ProofNode", hints=(), label="goal refinement") -> ProofNode:
     """K<&>: the solution cannot reach `via` before reaching the target goal."""
-    system, domain, post = _dia_parts(target)
+    system, domain, post = modal_parts(target)
     want = Sequent(target.context, dia(system, via))
     if child.conclusion != want:
         raise ShapeMismatch("goal refinement child proves the wrong sequent")
@@ -243,7 +252,7 @@ def step_goal_refine(target: Sequent, via: Formula, child: "ProofNode", hints=()
 
 def step_refine_domain(target: Sequent, stronger_domain: Formula, child: "ProofNode", hints=()) -> ProofNode:
     """DR dia: refine the evolution domain; box obligation keeps domain R plain."""
-    system, domain, post = _dia_parts(target)
+    system, domain, post = modal_parts(target)
     want = Sequent(target.context, dia(system.with_domain(stronger_domain), post))
     if child.conclusion != want:
         raise ShapeMismatch("domain refinement child proves the wrong sequent")
@@ -258,7 +267,7 @@ def step_refine_domain(target: Sequent, stronger_domain: Formula, child: "ProofN
 
 def step_topo_closed_open(target: Sequent, stronger_domain: Formula, child: "ProofNode", hints=()) -> ProofNode:
     """COR: domain refinement with not-P in the box domain, topologically gated."""
-    system, domain, post = _dia_parts(target)
+    system, domain, post = modal_parts(target)
     want = Sequent(target.context, dia(system.with_domain(stronger_domain), post))
     if child.conclusion != want:
         raise ShapeMismatch("topological refinement child proves the wrong sequent")
@@ -303,7 +312,7 @@ def step_topo_closed_open(target: Sequent, stronger_domain: Formula, child: "Pro
 
 def step_topo_semialg(target: Sequent, stronger_domain: Formula, child: "ProofNode", hints=()) -> ProofNode:
     """SAR: domain refinement assuming only not(P and Q) in the box domain."""
-    system, domain, post = _dia_parts(target)
+    system, domain, post = modal_parts(target)
     want = Sequent(target.context, dia(system.with_domain(stronger_domain), post))
     if child.conclusion != want:
         raise ShapeMismatch("semialgebraic refinement child proves the wrong sequent")
@@ -319,7 +328,7 @@ def step_topo_semialg(target: Sequent, stronger_domain: Formula, child: "ProofNo
 
 def step_ghost_clock(target: Sequent, child: "ProofNode") -> ProofNode:
     """dGt: prove the clocked system (clock fresh, starts at 0)."""
-    system, domain, post = _dia_parts(target)
+    system, domain, post = modal_parts(target)
     if system.clock is not None:
         raise ClockNotFresh("system already carries a clock")
     clocked = system.with_clock(CLOCK_NAME)
@@ -351,10 +360,13 @@ def _existence_time(kind: str, system: OdeSystem, bound: Optional[Polynomial], e
     return Cmp(">", Polynomial.var(system.clock), bound)
 
 
-def step_exist_global(context, system: OdeSystem, bound: Optional[Polynomial]) -> ProofNode:
-    """GEx leaf: a globally Lipschitz system exists past any constant time."""
+def step_exist_global(context, system: OdeSystem, bound: Optional[Polynomial], lip: LipschitzOb) -> ProofNode:
+    """GEx leaf: a globally Lipschitz system exists past any constant time.
+    `lip`, the rule's shared gate, must name this vector field unclocked."""
     post = _existence_time("global", system, bound)
-    lip = LipschitzOb("global existence", GATE, system)
+    gated = lip.system
+    if (gated.vars, gated.rhs, gated.clock) != (system.vars, system.rhs, None):
+        raise ShapeMismatch(f"the Lipschitz gate names {print_ode(gated)}, not this vector field")
     return ProofNode(Step("GEx"), Sequent(tuple(context), dia(system, post)), (), (lip,))
 
 
@@ -376,8 +388,129 @@ def step_assumption(context, formula: Formula) -> ProofNode:
     )
 
 
+# ---------------------------------------------------------------------------
+# Step constructors: invariance axioms for Γ ⊢ [x' = f & Q] P
+
+
+def _internal(label: str, hyp: Formula, concl: Formula) -> ArithOb:
+    return ArithOb(label, INTERNAL, ArithObligation.closure(hyp, concl))
+
+
+def _concludes(child: "ProofNode", context, system: OdeSystem, domain: Formula, post: Formula) -> bool:
+    """`child` proves context ⊢ [x' = f & domain] post over the vector field of
+    `system`, compared by parts: `with_domain` would validate it anew."""
+    c, s = child.conclusion, child.conclusion.succedent
+    if c.context != context or not isinstance(s, Modal) or not s.box or s.post != post:
+        return False
+    f = s.system
+    got = (f.vars, f.rhs, f.params, f.clock, TRUE if f.domain is None else f.domain)
+    return got == (system.vars, system.rhs, system.params, system.clock, domain)
+
+
+def _taut_implies(a: Formula, b: Formula) -> bool:
+    """Cheap propositional check that a -> b is valid: in NNF, b is a, has a
+    as a disjunct, or is a conjunction of conjuncts of a."""
+    if b == TRUE or a == b:
+        return True
+    na, nb = nnf(a), nnf(b)
+    ca, cb = conjuncts(na), conjuncts(nb)
+    return na == nb or na in disjuncts(nb) or bool(cb) and all(c in ca for c in cb)
+
+
+def step_dw(target: Sequent) -> ProofNode:
+    """DW: the domain implies the postcondition; no premise is left when it
+    does so syntactically."""
+    _, domain, post = modal_parts(target, True)
+    if _taut_implies(domain, post):
+        return ProofNode(Step("DW", "domain implies postcondition syntactically"), target)
+    return ProofNode(Step("DW"), target, (), (_internal("weakening premise", domain, post),))
+
+
+def step_di(target: Sequent, boundary: bool = False) -> ProofNode:
+    """DI for an atomic postcondition e ~ 0: true initially, and on the domain
+    e' = 0 for an equation, e' >= 0 for an inequality; or, the `boundary`
+    variant of an inequality, e' > 0 where the domain meets e = 0."""
+    system, domain, post = modal_parts(target, True)
+    if not isinstance(post, Cmp):
+        raise HintMismatch("DI applies to atomic comparison postconditions only")
+    a = norm_atom(post)
+    if a.op == "!=":
+        raise HintMismatch("DI does not apply to disequalities")
+    if boundary and a.op == "=":
+        raise HintMismatch("the strict-boundary variant of DI applies to inequalities")
+    e, zero = a.poly, Polynomial.const(0)
+    le = lie_derivative(e, system)
+    initial = _internal("invariant true initially", conj(target.context), a.to_formula())
+    if boundary:
+        lie = _internal("strict inflow on the boundary", conj([domain, Cmp("=", e, zero)]), Cmp(">", le, zero))
+    elif a.op == "=":
+        lie = _internal("Lie derivative vanishes", domain, Cmp("=", le, zero))
+    else:
+        lie = _internal("Lie derivative sign condition", domain, Cmp(">=", le, zero))
+    return ProofNode(Step("DI", "strict boundary variant" if boundary else ""), target, (), (initial, lie))
+
+
+def step_bc(target: Sequent, p: Polynomial) -> ProofNode:
+    """Strict barrier: p < 0 is invariant if it holds initially and p
+    decreases wherever the domain meets p = 0."""
+    system, domain, post = modal_parts(target, True)
+    if not isinstance(post, Cmp):
+        raise HintMismatch("BC applies to atomic strict comparisons")
+    a = norm_atom(post)
+    if a.op != ">" or primitive(a.poly) != primitive(-p):
+        raise HintMismatch(f"BC polynomial {print_poly(p)} does not match postcondition {print_formula(post)}")
+    zero = Polynomial.const(0)
+    initial = _internal("barrier negative initially", conj(target.context), Cmp("<", p, zero))
+    hyp, le = conj([domain, Cmp("=", p, zero)]), lie_derivative(p, system)
+    boundary = _internal("barrier decreases on the boundary", hyp, Cmp("<", le, zero))
+    return ProofNode(Step("BC"), target, (), (initial, boundary))
+
+
+def step_dc(target: Sequent, cut: Formula, cut_proof: "ProofNode", rest_proof: "ProofNode") -> ProofNode:
+    """DC: from Γ ⊢ [x' = f & Q] C and Γ ⊢ [x' = f & Q ∧ C] P conclude the target."""
+    system, domain, post = modal_parts(target, True)
+    if not (
+        _concludes(cut_proof, target.context, system, domain, cut)
+        and _concludes(rest_proof, target.context, system, conj([domain, cut]), post)
+    ):
+        raise ShapeMismatch("differential cut children prove the wrong sequents")
+    return ProofNode(Step("DC", print_formula(cut)), target, (cut_proof, rest_proof))
+
+
+def step_dx(target: Sequent, child: "ProofNode") -> ProofNode:
+    """DX: the domain holds initially, so its conjuncts join the context."""
+    system, domain, post = modal_parts(target, True)
+    context = target.context + tuple(conjuncts(nnf(domain)))
+    if not _concludes(child, context, system, domain, post):
+        raise ShapeMismatch("DX child proves the wrong sequent")
+    return ProofNode(Step("DX"), target, (child,))
+
+
+def step_and_split(target: Sequent, children) -> ProofNode:
+    """∧-split: one child per conjunct of the postcondition."""
+    system, domain, post = modal_parts(target, True)
+    parts = conjuncts(post)
+    if len(children) != len(parts) or not all(
+        _concludes(child, target.context, system, domain, part) for child, part in zip(children, parts)
+    ):
+        raise ShapeMismatch("∧-split children prove the wrong sequents")
+    return ProofNode(Step("∧-split"), target, tuple(children))
+
+
+def step_domain_weaken(target: Sequent, weaker: Formula, child: "ProofNode") -> ProofNode:
+    """DomainWeaken: prove the target over a domain the current one implies
+    propositionally."""
+    system, domain, post = modal_parts(target, True)
+    if not _taut_implies(domain, weaker):
+        raise HintMismatch(f"DomainWeaken: cannot certify {print_formula(domain)} -> {print_formula(weaker)}")
+    if not _concludes(child, target.context, system, weaker, post):
+        raise ShapeMismatch("DomainWeaken child proves the wrong sequent")
+    return ProofNode(Step("DomainWeaken", print_formula(weaker)), target, (child,))
+
+
 def derived_node(name: str, conclusion: Sequent, children=(), obligations=(), note="") -> ProofNode:
-    """A derived or invariance rule's application; obligations are its stated premises."""
+    """A derived liveness rule's macro node; obligations are its stated
+    premises.  The one way to build a node outside the step constructors."""
     return ProofNode(Step(name, note), conclusion, tuple(children), tuple(obligations))
 
 

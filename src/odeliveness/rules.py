@@ -9,19 +9,11 @@ its chain from the same parts of a `_Rule` context: the topological gate,
 the stay-in-a-set invariance premise, the premise hypothesis with the
 constant context, the initial value witness and the existence leaves.
 
-Box-modality premises are discharged by `prove_invariance`, which applies
-certificate hints in order:
-
-    DI            differential invariant for an atomic comparison; tries the
-                  plain Lie-inequality premise first and falls back to the
-                  sound strict-boundary variant for closed comparisons
-    DC            differential cut (recursive sub-hints), then continues with
-                  the cut added to the evolution domain
-    DW            differential weakening: domain implies postcondition
-    DX            assume the evolution domain in the initial context
-    BC            strict barrier: postcondition p < 0 with boundary condition
-                  domain and p = 0 implies Lie derivative of p negative
-    DomainWeaken  replace the domain by a propositionally weaker one
+Box-modality premises are discharged by `prove_invariance`, which hands
+each certificate hint, in order, to its kernel step constructor (DW, DI, BC,
+DC, DX, DomainWeaken), falling back from DI's plain Lie premise to its
+strict-boundary variant.  With no hints it tries DW, then DI for an atomic
+postcondition, and splits a conjunction.
 
 An arithmetic premise whose hypothesis leaves a variable unbounded stays
 Unknown, never Proved.  The variant rules accept a `box` formula to bound
@@ -62,8 +54,15 @@ from .kernel import (
     context_filter,
     derived_node,
     dia,
-    print_sequent,
+    modal_parts,
+    step_and_split,
     step_assumption,
+    step_bc,
+    step_dc,
+    step_di,
+    step_domain_weaken,
+    step_dw,
+    step_dx,
     step_exist_bounded,
     step_exist_global,
     step_ghost_clock,
@@ -90,13 +89,11 @@ from .syntax import (
     Cmp,
     Formula,
     Implies,
-    Modal,
     Not,
     Or,
     ProblemFile,
     conj,
     conjuncts,
-    disjuncts,
     print_formula,
     print_poly,
 )
@@ -211,176 +208,80 @@ class Checker:
                 ob.proof = prove_invariance(ob.sequent, ob.hints, self)
         # AssumeOb needs no discharge
 
-    def run(self, root: ProofNode) -> None:
-        """Discharge every obligation of the tree."""
+    def run(self, root: ProofNode) -> ProofNode:
+        """Discharge every obligation of the tree; returns `root`."""
         for node in root.walk():
             for ob in node.obligations:
                 self.discharge(ob)
+        return root
 
 
 # ---------------------------------------------------------------------------
 # Invariance sub-prover
 
 
-def _modal_parts(seq: Sequent):
-    s = seq.succedent
-    if not isinstance(s, Modal) or not s.box:
-        raise ShapeMismatch(f"invariance target must be a box sequent, got {print_sequent(seq)}")
-    sys = s.system
-    return sys, (sys.domain if sys.domain is not None else TRUE), s.post
-
-
 def _arith_ob(label, role, hyp, concl) -> ArithOb:
     return ArithOb(label, role, arith.ArithObligation.closure(hyp, concl))
 
 
-def _taut_implies(a: Formula, b: Formula) -> bool:
-    """Cheap propositional check that a -> b is valid."""
-    if b == TRUE or a == b:
-        return True
-    na, nb = nnf(a), nnf(b)
-    if na == nb:
-        return True
-    if na in disjuncts(nb):
-        return True
-    # every conjunct of b already a conjunct of a
-    ca, cb = conjuncts(na), conjuncts(nb)
-    if cb and all(any(c == d for d in ca) for c in cb):
-        return True
-    return False
+# the hints that close a branch, by the name a certificate gives them
+_FINAL_HINTS = {DWStep: "DW", DIStep: "DI", BCStep: "BC"}
 
 
 def prove_invariance(seq: Sequent, hints, checker: Checker) -> ProofNode:
-    """Prove a box-modality sequent by applying hints in order.
-
-    With no hints: try DW; for an atomic postcondition fall back to DI; for a
-    conjunction, split.  Failed attempts leave an Unknown node carrying the
-    failed obligation, never a false positive.
-    """
-    system, domain, post = _modal_parts(seq)
+    """Prove a box-modality sequent by handing each hint, in order, to its
+    kernel step constructor.  Failed attempts leave an Unknown node carrying
+    the failed obligation, never a false positive."""
+    system, domain, post = modal_parts(seq, True)
     if not hints:
         return _auto_invariance(seq, checker)
     head, rest = hints[0], hints[1:]
-
+    if rest and type(head) in _FINAL_HINTS:
+        raise HintMismatch(f"{_FINAL_HINTS[type(head)]} must be the final hint")
     if isinstance(head, DWStep):
-        if rest:
-            raise HintMismatch("DW must be the final hint")
-        return _dw_node(seq, checker)
-
+        return checker.run(step_dw(seq))
     if isinstance(head, DIStep):
-        if rest:
-            raise HintMismatch("DI must be the final hint")
-        target = head.formula if head.formula is not None else post
-        if nnf(target) != nnf(post):
+        if head.formula is not None and nnf(head.formula) != nnf(post):
             raise HintMismatch("DI hint formula differs from the postcondition")
-        return _di_node(seq, checker)
-
+        return _di(seq, checker)
+    if isinstance(head, BCStep):
+        return checker.run(step_bc(seq, head.poly))
     if isinstance(head, DCStep):
-        cut_seq = Sequent(seq.context, box(system, head.cut))
-        cut_proof = prove_invariance(cut_seq, head.hints, checker)
-        stronger = system.with_domain(conj([domain, head.cut]))
-        rest_seq = Sequent(seq.context, box(stronger, post))
-        rest_proof = prove_invariance(rest_seq, rest, checker)
-        return derived_node("DC", seq, (cut_proof, rest_proof), note=print_formula(head.cut))
-
+        cut_proof = prove_invariance(Sequent(seq.context, box(system, head.cut)), head.hints, checker)
+        stronger = Sequent(seq.context, box(system.with_domain(conj([domain, head.cut])), post))
+        return step_dc(seq, head.cut, cut_proof, prove_invariance(stronger, rest, checker))
     if isinstance(head, DXStep):
         extended = Sequent(seq.context + tuple(conjuncts(nnf(domain))), seq.succedent)
-        child = prove_invariance(extended, rest, checker)
-        return derived_node("DX", seq, (child,))
-
-    if isinstance(head, BCStep):
-        if rest:
-            raise HintMismatch("BC must be the final hint")
-        return _bc_node(seq, head.poly, checker)
-
+        return step_dx(seq, prove_invariance(extended, rest, checker))
     if isinstance(head, DomainWeakenStep):
-        if not _taut_implies(domain, head.formula):
-            raise HintMismatch(
-                f"DomainWeaken: cannot certify {print_formula(domain)} -> {print_formula(head.formula)}"
-            )
         weaker = Sequent(seq.context, box(system.with_domain(head.formula), post))
-        child = prove_invariance(weaker, rest, checker)
-        return derived_node("DomainWeaken", seq, (child,), note=print_formula(head.formula))
-
+        return step_domain_weaken(seq, head.formula, prove_invariance(weaker, rest, checker))
     raise HintMismatch(f"unrecognized hint {head!r}")
 
 
 def _auto_invariance(seq: Sequent, checker: Checker) -> ProofNode:
-    system, domain, post = _modal_parts(seq)
-    dw_ob = _arith_ob("weakening premise", INTERNAL, domain, post)
-    checker.discharge(dw_ob)
-    if dw_ob.verdict() == PROVED:
-        return derived_node("DW", seq, (), (dw_ob,))
+    """No hints: DW; for an atomic postcondition then DI; a conjunction splits."""
+    dw = checker.run(step_dw(seq))
+    if dw.verdict() == PROVED:
+        return dw
+    system, _, post = modal_parts(seq, True)
     if isinstance(post, Cmp):
-        return _di_node(seq, checker)
+        return _di(seq, checker)
     if isinstance(post, And):
-        children = [_auto_invariance(Sequent(seq.context, box(system, part)), checker) for part in conjuncts(post)]
-        return derived_node("∧-split", seq, tuple(children))
-    return derived_node("DW", seq, (), (dw_ob,))
+        parts = [_auto_invariance(Sequent(seq.context, box(system, part)), checker) for part in conjuncts(post)]
+        return step_and_split(seq, parts)
+    return dw
 
 
-def _dw_node(seq: Sequent, checker: Checker) -> ProofNode:
-    _, domain, post = _modal_parts(seq)
-    if _taut_implies(domain, post):
-        return derived_node("DW", seq, note="domain implies postcondition syntactically")
-    ob = _arith_ob("weakening premise", INTERNAL, domain, post)
-    checker.discharge(ob)
-    return derived_node("DW", seq, (), (ob,))
-
-
-def _di_node(seq: Sequent, checker: Checker) -> ProofNode:
-    """Differential invariant for an atomic comparison postcondition.
-
-    Plain premise: domain implies the Lie derivative inequality.  For closed
-    or strict comparisons whose plain premise fails, the sound boundary
-    variant is tried: on domain and e = 0 the Lie derivative is strictly
-    positive, which pushes the flow back inside.
-    """
-    system, domain, post = _modal_parts(seq)
-    if not isinstance(post, Cmp):
-        raise HintMismatch("DI applies to atomic comparison postconditions only")
-    a = norm_atom(post)
-    if a.op == "!=":
-        raise HintMismatch("DI does not apply to disequalities")
-    e = a.poly
-    le = lie_derivative(e, system)
-    initial = _arith_ob("invariant true initially", INTERNAL, conj(seq.context), a.to_formula())
-    checker.discharge(initial)
-    if a.op == "=":
-        plain = _arith_ob("Lie derivative vanishes", INTERNAL, domain, Cmp("=", le, Polynomial.const(0)))
-        checker.discharge(plain)
-        return derived_node("DI", seq, (), (initial, plain))
-    plain = _arith_ob("Lie derivative sign condition", INTERNAL, domain, Cmp(">=", le, Polynomial.const(0)))
-    checker.discharge(plain)
-    if plain.verdict() == PROVED:
-        return derived_node("DI", seq, (), (initial, plain))
-    boundary_hyp = conj([domain, Cmp("=", e, Polynomial.const(0))])
-    boundary = _arith_ob("strict inflow on the boundary", INTERNAL, boundary_hyp, Cmp(">", le, Polynomial.const(0)))
-    checker.discharge(boundary)
-    if boundary.verdict() == PROVED:
-        return derived_node("DI", seq, (), (initial, boundary), note="strict boundary variant")
-    return derived_node("DI", seq, (), (initial, plain))
-
-
-def _bc_node(seq: Sequent, p: Polynomial, checker: Checker) -> ProofNode:
-    """Strict barrier: proves p < 0 invariant via a boundary sign condition."""
-    system, domain, post = _modal_parts(seq)
-    if not isinstance(post, Cmp):
-        raise HintMismatch("BC applies to atomic strict comparisons")
-    a = norm_atom(post)
-    if a.op != ">" or primitive(a.poly) != primitive(-p):
-        raise HintMismatch(
-            f"BC polynomial {print_poly(p)} does not match postcondition {print_formula(post)}"
-        )
-    le = lie_derivative(p, system)
-    initial = _arith_ob("barrier negative initially", INTERNAL, conj(seq.context), Cmp("<", p, Polynomial.const(0)))
-    boundary_hyp = conj([domain, Cmp("=", p, Polynomial.const(0))])
-    boundary = _arith_ob(
-        "barrier decreases on the boundary", INTERNAL, boundary_hyp, Cmp("<", le, Polynomial.const(0))
-    )
-    checker.discharge(initial)
-    checker.discharge(boundary)
-    return derived_node("BC", seq, (), (initial, boundary))
+def _di(seq: Sequent, checker: Checker) -> ProofNode:
+    """DI; for an inequality whose Lie premise fails, the strict-boundary
+    variant when that one is proved."""
+    plain = checker.run(step_di(seq))
+    lie = plain.obligations[-1]
+    if lie.verdict() == PROVED or lie.obligation.conclusion.op == "=":
+        return plain
+    boundary = checker.run(step_di(seq, boundary=True))
+    return boundary if boundary.obligations[-1].verdict() == PROVED else plain
 
 
 # ---------------------------------------------------------------------------
@@ -571,9 +472,7 @@ class _Rule:
         return InvarianceOb(label, PREMISE, seq, hints=self.get(hints_key, "hints", ()))
 
     def gex(self, bound: Optional[Fraction], lip: LipschitzOb) -> ProofNode:
-        node = step_exist_global(self.const_ctx, self.sys0.with_clock(CLOCK_NAME), _const(bound))
-        # share the rule-level Lipschitz gate so the condition is reported once
-        return ProofNode(node.step, node.conclusion, node.children, (lip,))
+        return step_exist_global(self.const_ctx, self.sys0.with_clock(CLOCK_NAME), _const(bound), lip)
 
     def bex(self, escape: Formula, bound: Optional[Fraction] = None, context=None) -> ProofNode:
         context = self.const_ctx if context is None else context

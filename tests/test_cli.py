@@ -581,6 +581,21 @@ def test_out_paths_are_printed_as_pathlib_spells_them(tmp_path, capsys, monkeypa
     assert all((tmp_path / want).is_file() for want in wants)
 
 
+@pytest.mark.parametrize(
+    "command,extra",
+    [("falsify", ["--samples", 2]), ("simulate", ["--init", "u=1,v=0", "--horizon", 1]), ("emit-smt", [])],
+)
+def test_out_naming_an_existing_file_is_input_error(tmp_path, capsys, command, extra):
+    # `os.makedirs` cannot make the directory; that is the input's fault, not
+    # a refutation (exit 1) and not a traceback
+    existing = tmp_path / "taken"
+    existing.write_text("kept\n")
+    code, out = run(capsys, command, problem_path("example1.ode"), *extra, "--out", existing)
+    assert code == 3
+    assert out.splitlines()[-1].startswith(f"input error: cannot make directory {existing}: ")
+    assert existing.read_text() == "kept\n"
+
+
 def test_emit_smt_writes_unknown_obligations(tmp_path, capsys):
     # valid premise that is neither symbolically derivable nor boxable:
     # the prover stays Unknown, so the obligation is exported for a solver

@@ -5,9 +5,10 @@ tokens: a numeral becomes a huge numerator, gets a zero or a huge
 denominator, or becomes a power near `DEGREE_CAP`; a token is deleted,
 repeated, swapped with its neighbour, or replaced by a symbol or by a
 reserved word or enum binding value.  It then draws a command and its flags
-at small budgets.  Every run must end with exit 0,
-1, 2 or 3, raise nothing (the command line would print a traceback), and
-print the same stdout when rerun.
+at small budgets; the `--out` of `falsify`, `simulate` and `emit-smt` is a
+directory or an existing file.  Every run must end with exit 0, 1, 2 or 3,
+raise nothing (the command line would print a traceback), and print the
+same stdout when rerun.
 
 Tier-1 runs a derandomized slice of the default profile's examples; the
 `ci` profile (`--hypothesis-profile=ci`) runs about 2,000.
@@ -73,7 +74,7 @@ def mutated(draw) -> tuple:
     return name, "".join(pieces)
 
 
-def _flags(draw, command: str, out: str) -> list:
+def _flags(draw, command: str, outs: list) -> list:
     flags = [
         "--budget-cells",
         str(draw(st.integers(0, 2000))),
@@ -91,8 +92,8 @@ def _flags(draw, command: str, out: str) -> list:
         flags += ["-k", str(draw(st.integers(-1, 3)))]
     if command == "simulate":
         flags += ["--init", draw(st.sampled_from(["u=1,v=0", "x=1/2,t=0", "u=1/0,v=0", "u=1e999,v=0", "x=0"]))]
-    if command == "emit-smt":
-        flags += ["--out", out]
+    if command in ("falsify", "simulate", "emit-smt"):
+        flags += ["--out", draw(st.sampled_from(outs))]
     extra = draw(st.sampled_from([[]] * 8 + [["--no-such-flag"], ["--budget-cells", "many"]]))
     return flags + extra
 
@@ -114,7 +115,11 @@ def test_every_run_ends_in_an_exit_code_and_reruns_the_same(tmp_path_factory, pr
     base = tmp_path_factory.getbasetemp()
     (base / name).write_text(text)
     command = data.draw(st.sampled_from(["check", "check", "falsify", "lie", "simulate", "emit-smt"]))
-    argv = [command, str(base / name)] + _flags(data.draw, command, str(base / "smt"))
+    existing = base / "existing-file"
+    existing.write_text("")
+    # a directory, made by the first run that names it, or a file
+    outs = [str(base / "out"), str(base / "out" / "nested"), str(existing)]
+    argv = [command, str(base / name)] + _flags(data.draw, command, outs)
     code, out, err = run(argv)
     event(f"{command} exit {code}")
     assert code in (0, 1, 2, 3), (code, argv)

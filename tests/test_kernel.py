@@ -1,3 +1,4 @@
+import ast
 import inspect
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from odeliveness import arith, kernel, topology
 from odeliveness.errors import (
     ClockNotFresh,
+    HintMismatch,
     NoClock,
     NonConstantBound,
     ShapeMismatch,
@@ -18,6 +20,7 @@ from odeliveness.kernel import (
     ArithOb,
     AssumeOb,
     InvarianceOb,
+    LipschitzOb,
     ProofNode,
     Sequent,
     Step,
@@ -27,7 +30,14 @@ from odeliveness.kernel import (
     dia,
     print_sequent,
     render_trace,
+    step_and_split,
     step_assumption,
+    step_bc,
+    step_dc,
+    step_di,
+    step_domain_weaken,
+    step_dw,
+    step_dx,
     step_exist_bounded,
     step_exist_global,
     step_ghost_clock,
@@ -37,9 +47,10 @@ from odeliveness.kernel import (
     step_topo_closed_open,
     step_topo_semialg,
 )
-from odeliveness.normal import negate
+from odeliveness.normal import negate, nnf, norm_atom
 from odeliveness.symbolic import Polynomial
-from odeliveness.syntax import TRUE, Cmp, Modal, conj, conjuncts, parse_formula, parse_poly, parse_problem
+from odeliveness.syntax import TRUE, Cmp, Modal, Or, conj, conjuncts, parse_formula, parse_poly, parse_problem
+from conftest import ROOT
 
 
 def leaf(seq):
@@ -181,10 +192,20 @@ def test_ghost_clock_not_fresh_twice(alpha_l):
 
 def test_gex_rejects_state_dependent_bound(alpha_l):
     clocked = alpha_l.system.with_domain(TRUE).with_clock("_t")
+    lip = LipschitzOb("GlobalLipschitz", kernel.GATE, alpha_l.system.with_domain(TRUE))
     with pytest.raises(NonConstantBound):
-        step_exist_global((), clocked, parse_poly("2") * Polynomial.var("_t"))
+        step_exist_global((), clocked, parse_poly("2") * Polynomial.var("_t"), lip)
     with pytest.raises(NoClock):
-        step_exist_global((), alpha_l.system.with_domain(TRUE), Polynomial.const(1))
+        step_exist_global((), alpha_l.system.with_domain(TRUE), Polynomial.const(1), lip)
+
+
+def test_gex_takes_the_gate_of_its_own_vector_field(alpha_l, alpha_n):
+    clocked = alpha_l.system.with_domain(TRUE).with_clock("_t")
+    node = step_exist_global((), clocked, Polynomial.const(1), LipschitzOb("g", kernel.GATE, alpha_l.system))
+    assert [ob.label for ob in node.obligations] == ["g"]
+    for other in (alpha_n.system, clocked):  # another vector field; this one with the ghost clock
+        with pytest.raises(ShapeMismatch):
+            step_exist_global((), clocked, Polynomial.const(1), LipschitzOb("g", kernel.GATE, other))
 
 
 def test_bex_posts_disjunction(alpha_n):
@@ -269,13 +290,16 @@ AUDIT_PROBLEM = parse_problem("ode { u' = -v - u; v' = u - v }  assume { u = 0 }
 # (goal P, domain Q): a closed pair and an open pair, so COR builds on each
 AUDIT_PAIRS = (("u >= 1", "u^2 + v^2 <= 4"), ("u > 1", "u^2 + v^2 < 4"))
 AUDIT_REFINED = parse_formula("v <= 1")  # the stronger domain R of the refinement steps
+AUDIT_INVARIANT = parse_formula("u < 3")  # the postcondition of the invariance steps, p < 0 for BC
 
 
 def build_every_step(goal: str, domain: str) -> dict:
-    """Every kernel `step_*` constructor applied to Γ ⊢ <x' = f & Q> P, keyed
-    by its name.  Each child is a stub leaf of the shape the step asks for;
-    the existence leaves, which refuse a domain, get the unconstrained
-    clocked system."""
+    """Every kernel `step_*` constructor, keyed by its name: the diamond steps
+    applied to Γ ⊢ <x' = f & Q> P, the invariance steps to Γ ⊢ [x' = f & Q] I.
+    Each child is a stub leaf of the shape the step asks for; the existence
+    leaves, which refuse a domain, get the unconstrained clocked system.  DI
+    is the plain form on the closed pair and the strict-boundary variant on
+    the open one."""
     ctx, system = AUDIT_PROBLEM.assumptions, AUDIT_PROBLEM.system
     p, q, g = parse_formula(goal), parse_formula(domain), parse_formula("u >= 2")
     target = Sequent(ctx, dia(system.with_domain(q), p))
@@ -286,6 +310,15 @@ def build_every_step(goal: str, domain: str) -> dict:
     t0 = Cmp("=", Polynomial.var(kernel.CLOCK_NAME), Polynomial.const(0))
     clocked = leaf(Sequent(ctx + (t0,), dia(system.with_domain(q).with_clock(kernel.CLOCK_NAME), p)))
     unconstrained = system.with_domain(TRUE).with_clock(kernel.CLOCK_NAME)
+    lip = LipschitzOb("GlobalLipschitz", kernel.GATE, system.with_domain(TRUE))
+
+    inv, cut, weaker = AUDIT_INVARIANT, AUDIT_REFINED, Or(q, AUDIT_REFINED)
+    box_target = Sequent(ctx, box(system.with_domain(q), inv))
+    split_target = Sequent(ctx, box(system.with_domain(q), conj([inv, cut])))
+
+    def box_child(post, dom, context=ctx):
+        return leaf(Sequent(context, box(system.with_domain(dom), post)))
+
     calls = (
         (step_monotone_dia, target, g, child(g, q)),
         (step_goal_refine, target, g, child(g, q)),
@@ -293,9 +326,16 @@ def build_every_step(goal: str, domain: str) -> dict:
         (step_topo_closed_open, target, AUDIT_REFINED, child(p, AUDIT_REFINED)),
         (step_topo_semialg, target, AUDIT_REFINED, child(p, AUDIT_REFINED)),
         (step_ghost_clock, target, clocked),
-        (step_exist_global, ctx, unconstrained, Polynomial.const(1)),
+        (step_exist_global, ctx, unconstrained, Polynomial.const(1), lip),
         (step_exist_bounded, ctx, unconstrained, q, Polynomial.const(1)),
         (step_assumption, ctx, target.succedent),
+        (step_dw, box_target),
+        (step_di, box_target, p.op == ">"),
+        (step_bc, box_target, parse_poly("u - 3")),
+        (step_dc, box_target, cut, box_child(cut, q), box_child(inv, conj([q, cut]))),
+        (step_dx, box_target, box_child(inv, q, ctx + tuple(conjuncts(nnf(q))))),
+        (step_and_split, split_target, (box_child(inv, q), box_child(cut, q))),
+        (step_domain_weaken, box_target, weaker, box_child(inv, weaker)),
     )
     return {step.__name__: step(*args) for step, *args in calls}
 
@@ -339,11 +379,36 @@ def missing_gates(node) -> list:
     return missing
 
 
+def _atoms(f) -> set:
+    """The normalised atoms among the conjuncts of f (of TRUE for None)."""
+    return {norm_atom(c) for c in conjuncts(nnf(TRUE if f is None else f)) if isinstance(c, Cmp)}
+
+
+def assumes_what_it_proves(node) -> bool:
+    """The node proves Γ ⊢ [x' = f & Q] P and a premise assumes what it
+    proves: an arithmetic premise whose hypothesis holds an atom of P, or a
+    child proving Γ' ⊢ [x' = f & Q'] C over a Q' that holds an atom of C,
+    where neither Q nor Γ holds that atom.  DI and BC premises over the
+    invariant itself, or a DC cut proved under the cut, are unsound."""
+    s = node.conclusion.succedent
+    if not (isinstance(s, Modal) and s.box):
+        return False
+    given = _atoms(s.system.domain).union(*map(_atoms, node.conclusion.context))
+    premises = [(ob.obligation.hypothesis, s.post) for ob in node.obligations if isinstance(ob, ArithOb)]
+    premises += [
+        (c.conclusion.succedent.system.domain, c.conclusion.succedent.post)
+        for c in node.children
+        if isinstance(c.conclusion.succedent, Modal) and c.conclusion.succedent.box
+    ]
+    return any((_atoms(hyp) & _atoms(proved)) - given for hyp, proved in premises)
+
+
 def step_audit_findings() -> list:
     """What the constructor audit finds wrong, empty when sound: a `step_*`
     constructor it does not build, a step other than COR that refines the
     domain under the goal negation, such a step without its gates, COR no
-    longer seen to do so, or a DR box premise over more than the plain R."""
+    longer seen to do so, a DR box premise over more than the plain R, or an
+    invariance step with a premise that assumes what it proves."""
     constructors = {name for name in vars(kernel) if name.startswith("step_")}
     findings = []
     for goal, domain in AUDIT_PAIRS:
@@ -357,6 +422,7 @@ def step_audit_findings() -> list:
         dr_domains = [ob.sequent.succedent.system.domain for ob in built["step_refine_domain"].obligations]
         if dr_domains != [AUDIT_REFINED]:
             findings.append(f"DR's box premise domains are {dr_domains}, not the plain R")
+        findings += [f"{name} assumes what it proves" for name, node in built.items() if assumes_what_it_proves(node)]
     return findings
 
 
@@ -386,6 +452,80 @@ def test_audit_sees_the_ungated_shape(alpha_l):
     assert refines_domain_under_goal_negation(dr)
     assert missing_gates(dr) == ["topology", "initial-state"]
     assert not refines_domain_under_goal_negation(step_refine_domain(target, AUDIT_REFINED, child))
+
+
+def test_audit_sees_a_premise_that_assumes_what_it_proves():
+    """The detector on hand-built invariance nodes: a DI whose Lie premise
+    assumes the invariant, a BC whose boundary premise does, and a DC whose
+    cut is proved over a domain that already holds the cut."""
+    built = build_every_step(*AUDIT_PAIRS[0])
+    di, bc, dc = built["step_di"], built["step_bc"], built["step_dc"]
+    q = dc.conclusion.succedent.system.domain
+    inv, cut = AUDIT_INVARIANT, AUDIT_REFINED
+
+    def assuming_inv(node):
+        last = node.obligations[-1]
+        hyp = conj([last.obligation.hypothesis, inv])
+        ob = ArithOb(last.label, kernel.INTERNAL, arith.ArithObligation.closure(hyp, last.obligation.conclusion))
+        return ProofNode(node.step, node.conclusion, (), node.obligations[:-1] + (ob,))
+
+    cut_child, rest_child = dc.children
+    under_cut = Sequent(cut_child.conclusion.context, box(AUDIT_PROBLEM.system.with_domain(conj([q, cut])), cut))
+    for node in (assuming_inv(di), assuming_inv(bc), ProofNode(dc.step, dc.conclusion, (leaf(under_cut), rest_child))):
+        assert assumes_what_it_proves(node)
+    assert not any(assumes_what_it_proves(node) for node in (di, bc, dc))
+
+
+def test_invariance_steps_check_their_children():
+    """DC, DX, DomainWeaken and ∧-split refuse a child that proves another
+    sequent; DI, BC and DomainWeaken refuse a target outside their shape."""
+    built = build_every_step(*AUDIT_PAIRS[0])
+    target = built["step_dw"].conclusion
+    system, q = AUDIT_PROBLEM.system, target.succedent.system.domain
+    inv, cut, weaker = AUDIT_INVARIANT, AUDIT_REFINED, Or(q, AUDIT_REFINED)
+    wrong = leaf(Sequent(target.context, box(system.with_domain(q), parse_formula("v < 3"))))
+    split_target = built["step_and_split"].conclusion
+    cases = (
+        lambda: step_dc(target, cut, wrong, built["step_dc"].children[1]),
+        lambda: step_dc(target, cut, built["step_dc"].children[0], wrong),
+        lambda: step_dx(target, wrong),
+        lambda: step_dx(target, leaf(target)),  # the domain not added to the context
+        lambda: step_domain_weaken(target, weaker, wrong),
+        lambda: step_domain_weaken(target, weaker, leaf(target)),  # the domain not weakened
+        lambda: step_and_split(split_target, (wrong, built["step_and_split"].children[1])),
+        lambda: step_and_split(split_target, built["step_and_split"].children[:1]),
+        lambda: step_dw(Sequent(target.context, dia(system, inv))),
+    )
+    for case in cases:
+        with pytest.raises(ShapeMismatch):
+            case()
+    not_invariant = Sequent(target.context, box(system.with_domain(q), parse_formula("u != 3")))
+    for case in (
+        lambda: step_di(not_invariant),
+        lambda: step_di(Sequent(target.context, box(system, parse_formula("u = 3"))), boundary=True),
+        lambda: step_bc(target, parse_poly("u + 3")),
+        lambda: step_domain_weaken(target, cut, leaf(Sequent(target.context, box(system.with_domain(cut), inv)))),
+    ):
+        with pytest.raises(HintMismatch):
+            case()
+
+
+def test_only_the_kernel_builds_proof_nodes():
+    """Only `kernel.py` calls `ProofNode`, and no `derived_node` call, the one
+    unchecked node builder, names an invariance step."""
+    invariance = {"DW", "DI", "BC", "DC", "DX", "∧-split", "DomainWeaken"}
+    callers, named = set(), []
+    for path in sorted((ROOT / "src" / "odeliveness").glob("*.py")):
+        for call in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            if name == "ProofNode":
+                callers.add(path.name)
+            if name == "derived_node":
+                named += [c.value for c in ast.walk(call) if isinstance(c, ast.Constant) and c.value in invariance]
+    assert callers == {"kernel.py"}
+    assert named == []
 
 
 def test_domain_refine_signature_admits_no_extra_domain_term():
