@@ -10,6 +10,7 @@ produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import sys
@@ -43,6 +44,16 @@ def _out_dir(directory: str) -> str:
     lead = len(directory) - len(directory.lstrip("/"))
     parts = "".join(p + "/" for p in directory.split("/") if p not in ("", "."))
     return ("//" if lead == 2 else "/" if lead else "") + parts
+
+
+@contextlib.contextmanager
+def _writing(directory: str):
+    """Turns an OSError from writing a file under the `--out` directory into
+    an input error, as `_out_dir` does for making the directory."""
+    try:
+        yield
+    except OSError as e:
+        raise OdelivError(f"cannot write to {directory}: {e}") from None
 
 
 def _the_rule(problem):
@@ -94,7 +105,10 @@ def cmd_falsify(args) -> int:
     report = sim.falsify_liveness(problem, samples=args.samples, seed=args.seed, horizon=args.horizon)
     print(report.summary())
     if args.out:
-        for path in sim.write_report(report, problem, _out_dir(args.out)):
+        prefix = _out_dir(args.out)
+        with _writing(args.out):
+            written = sim.write_report(report, problem, prefix)
+        for path in written:
             print(f"wrote {path}")
     bad = report.n(sim.REFUTED) + report.n(sim.BLOWUP)
     if bad:
@@ -128,7 +142,8 @@ def cmd_simulate(args) -> int:
         print(f"stopped at t={t!r}: {reason}")
     if args.out:
         path = _out_dir(args.out) + "trajectory.csv"
-        sim.write_csv(path, traj, problem.system)
+        with _writing(args.out):
+            sim.write_csv(path, traj, problem.system)
         print(f"wrote {path}")
     return 0
 
@@ -151,7 +166,8 @@ def cmd_emit_smt(args) -> int:
     if root is None:
         print("no unknown arithmetic obligations; nothing to export")
         return 0
-    out = _out_dir(args.out or "smt-out")
+    directory = args.out or "smt-out"
+    out = _out_dir(directory)
     written = 0
     # indices match the obligation numbering of the printed trace
     from .kernel import ArithOb
@@ -163,7 +179,7 @@ def cmd_emit_smt(args) -> int:
             and ob.result.status == arith.UNKNOWN
         ):
             path = out + arith.smt_filename(index, ob.obligation)
-            with open(path, "w") as fh:
+            with _writing(directory), open(path, "w") as fh:
                 fh.write(arith.emit_smtlib(ob.obligation))
             print(f"wrote {path}")
             written += 1

@@ -11,10 +11,12 @@ located at the same point reach the goal when that point lies in both sets,
 that is, when the goal was entered and the domain left through non-strict
 atoms.
 
-Each system and goal is compiled to Python once (`Plan`): the right-hand
-side, the atom vector and one predicate per formula, which also gives the
-formula's truth at an event point and at a bracket's limit, read from a
-transformed atom vector (`_on_boundary`, `_at_limit`).  A plan is what
+Each system and goal becomes one generated Python source (`Plan`): the
+right-hand side, the atom vector and one predicate per formula, which also
+gives the formula's truth at an event point and at a bracket's limit, read
+from a transformed atom vector (`_on_boundary`, `_at_limit`).  Each
+distinct source is compiled once per process and executed once per plan
+(`codegen.build`), so every plan has functions of its own.  A plan is what
 `integrate(plan, init, horizon)` integrates, and every step it takes is
 adaptive.  Trajectories are bit-identical however often a plan is reused,
 so `falsify_liveness` integrates each distinct initial state once.  A
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import math
+from fractions import Fraction
 from random import Random
 from types import SimpleNamespace
 from typing import Callable, Optional
@@ -117,7 +120,8 @@ class Trajectory(Record):
 # ---------------------------------------------------------------------------
 # Compiled trajectory work
 #
-# A `Plan` compiles a system, its domain and a goal to Python once, and
+# A `Plan` renders a system, its domain and a goal as one source, which
+# `codegen.build` compiles once per process and executes once per plan, and
 # `integrate` reads all three from it: the right-hand side `f(y)`; the atom
 # vector `atoms(y)`, every comparison's difference polynomial, domain then
 # goal, which is the only place a state's atoms are evaluated; and the
@@ -594,7 +598,8 @@ def write_csv(path, traj: Trajectory, system: OdeSystem) -> None:
 
 
 def _circle_param(atom_poly: Polynomial) -> Optional[tuple]:
-    """Match c1*x^2 + c2*y^2 - C = 0 with c1, c2 > 0 and C > 0."""
+    """Match c1*x^2 + c2*y^2 - C = 0 with c1, c2 > 0 and C > 0; returns
+    ((x, c1), (y, c2), C), numerators over the polynomial's denominator."""
     if len(atom_poly.terms) != 3:
         return None
     const = atom_poly.terms.get((), 0)  # numerators: the denominator cancels in C / c
@@ -607,14 +612,13 @@ def _circle_param(atom_poly: Polynomial) -> Optional[tuple]:
             return None
         coords.append((m[0][0], c))
     coords.sort()
-    (x, cx), (yv, cy) = coords
-    C = -const
-    return x, math.sqrt(to_float(C, cx)), yv, math.sqrt(to_float(C, cy))
+    return coords[0], coords[1], -const
 
 
 def sample_initial_states(problem: ProblemFile, count: int, seed: int) -> list:
-    """Sample the assume-block set: pinned equalities, circles by angle, boxes
-    by rejection (equalities within a 1e-9 band)."""
+    """Sample the assume-block set: pinned equalities, circles by angle (or,
+    with one variable pinned, at their points on that line), boxes by
+    rejection (equalities within a 1e-9 band)."""
     from . import arith
 
     rng = Random(seed)
@@ -626,27 +630,43 @@ def sample_initial_states(problem: ProblemFile, count: int, seed: int) -> list:
             raise UnsamplableInitSet(f"cannot sample from disjunctive assumption {print_formula(f)}")
         atoms.extend(a)
 
-    pinned: dict = {}
+    exact: dict = {}  # each pin's rational value
     circles = []
+    points = []  # (variable, its values): a circle cut by a pin
     leftovers = []  # checked on each drawn state, as is an equality over a variable already fixed
     fixed = set()  # the variables a pin or a circle sets
-    for a in atoms:
-        if a.op == "=" and fixed.isdisjoint(a.poly.variables()):
-            names_in = sorted(a.poly.variables())
-            if len(names_in) == 1 and a.poly.degree() == 1:
-                v = names_in[0]
-                coef = a.poly.terms[((v, 1),)]
-                off = a.poly.terms.get((), 0)
-                pinned[v] = to_float(-off, coef)
-                fixed.add(v)
+    rest = []
+    for a in atoms:  # pins first, so that a circle sees every pin
+        names_in = sorted(a.poly.variables())
+        if a.op == "=" and len(names_in) == 1 and a.poly.degree() == 1 and names_in[0] not in fixed:
+            v = names_in[0]
+            coef = a.poly.terms[((v, 1),)]
+            off = a.poly.terms.get((), 0)
+            exact[v] = Fraction(-off, coef)
+            fixed.add(v)
+        else:
+            rest.append(a)
+    for a in rest:
+        circ = _circle_param(a.poly) if a.op == "=" else None
+        if circ is not None:
+            (x, cx), (yv, cy), C = circ
+            set_by = [v for v in (x, yv) if v in fixed]
+            if not set_by:
+                circles.append((x, math.sqrt(to_float(C, cx)), yv, math.sqrt(to_float(C, cy))))
+                fixed.update((x, yv))
                 continue
-            circ = _circle_param(a.poly)
-            if circ is not None:
-                circles.append(circ)
-                fixed.update((circ[0], circ[2]))
+            if len(set_by) == 1 and set_by[0] in exact:
+                (v, cv), (w, cw) = ((x, cx), (yv, cy)) if x in exact else ((yv, cy), (x, cx))
+                r2 = (C - cv * exact[v] ** 2) / cw
+                if r2 < 0:
+                    raise UnsamplableInitSet(f"{print_formula(a.to_formula())} has no point with {v} = {exact[v]}")
+                r = math.sqrt(to_float(r2.numerator, r2.denominator))
+                points.append((w, (r, -r) if r2 else (r,)))
+                fixed.add(w)
                 continue
         leftovers.append(a)
 
+    pinned = {v: to_float(q.numerator, q.denominator) for v, q in exact.items()}
     free = [n for n in names if n not in fixed]
     cell, _ = arith.extract_box(leftovers, tuple(free))
     if cell is None and free:
@@ -665,6 +685,8 @@ def sample_initial_states(problem: ProblemFile, count: int, seed: int) -> list:
             th = 2 * math.pi * (len(out) / count if count > 1 else 0.5) if tries <= count else 2 * math.pi * rng.random()
             pt[x] = rx * math.cos(th)
             pt[yv] = ry * math.sin(th)
+        for w, values in points:
+            pt[w] = values[len(out) % len(values)] if tries <= count else rng.choice(values)
         for n in free:
             lo, hi = spans[n]
             pt[n] = lo + (hi - lo) * rng.random()

@@ -14,7 +14,7 @@ import pytest
 from odeliveness import arith, sim, topology
 from odeliveness.cli import main as cli_main
 from odeliveness.errors import OdelivError, RuleRefused
-from odeliveness.kernel import PROVED, render_trace
+from odeliveness.kernel import PROVED, InvarianceOb, render_trace
 from odeliveness.rules import RULE_BUILDERS, Checker, apply_rule
 from odeliveness.symbolic import OdeSystem, Polynomial
 from odeliveness.syntax import Cmp, parse_formula, parse_poly, parse_problem
@@ -260,25 +260,40 @@ def test_criterion_8_topological_gate(capsys):
     report(8, ok, f"half-open exit={code_bad}, closed exit={code_good}")
 
 
+def checked_nodes(root):
+    """Every node of a checked proof: its chain and, below each invariance
+    obligation, the subproof built from its hints."""
+    for node in root.walk():
+        yield node
+        for ob in node.obligations:
+            if isinstance(ob, InvarianceOb) and ob.proof is not None:
+                yield from checked_nodes(ob.proof)
+
+
 def test_criterion_9_kernel_structural_soundness():
     """Built on a generic sequent, every kernel step constructor is audited:
     only COR refines the domain with the goal negation in a box premise's
     domain, and it carries the topology and initial-state gates; DR keeps
     the plain domain.  Every node of every rule golden's and problem file's
-    chain with that shape carries a topology gate.  The punctured line
-    documents the semantic failure an ungated refinement would permit."""
+    checked proof with that shape, the invariance subproofs built from its
+    hints included, carries a topology gate.  The punctured line documents
+    the semantic failure an ungated refinement would permit."""
     findings = step_audit_findings()
-    chain_nodes, shaped = 0, 0
+    proof_nodes, shaped = 0, 0
     for path in sorted((ROOT / "tests" / "golden" / "rules").glob("*.ode")) + sorted(PROBLEMS.glob("*.ode")):
         pf = parse_problem(path.read_text())
         if not pf.certificate:
             continue
         try:
-            root = RULE_BUILDERS[pf.certificate[0].name](pf, pf.certificate[0], Checker())
+            root = apply_rule(pf, pf.certificate[0], Checker())
+        except RuleRefused as e:
+            root = getattr(e, "proof", None)  # refused at a gate, after its proof was checked
         except OdelivError:
             continue  # refused before a chain exists
-        for node in root.walk():
-            chain_nodes += 1
+        if root is None:
+            continue
+        for node in checked_nodes(root):
+            proof_nodes += 1
             if refines_domain_under_goal_negation(node):
                 shaped += 1
                 if "topology" in missing_gates(node):
@@ -295,6 +310,6 @@ def test_criterion_9_kernel_structural_soundness():
         and abs(t_event - 1.0) < 1e-6
     )
     audit = "; ".join(findings) or (
-        f"every step constructor audited; {shaped} of {chain_nodes} chain nodes refine under not-P, all topology-gated"
+        f"every step constructor audited; {shaped} of {proof_nodes} proof nodes refine under not-P, all topology-gated"
     )
     report(9, ok, f"{audit}; CE-2 {cls} at t={t_event}")

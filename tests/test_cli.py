@@ -596,6 +596,21 @@ def test_out_naming_an_existing_file_is_input_error(tmp_path, capsys, command, e
     assert existing.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize(
+    "command,extra,blocked",
+    [
+        ("falsify", ["--samples", 2], "sample-001.csv"),
+        ("simulate", ["--init", "u=1,v=0", "--horizon", 1], "trajectory.csv"),
+    ],
+)
+def test_out_file_that_cannot_be_written_is_input_error(tmp_path, capsys, command, extra, blocked):
+    # the directory exists, but a directory stands where a file goes
+    (tmp_path / blocked).mkdir()
+    code, out = run(capsys, command, problem_path("example1.ode"), *extra, "--out", tmp_path)
+    assert code == 3
+    assert out.splitlines()[-1].startswith(f"input error: cannot write to {tmp_path}: ")
+
+
 def test_emit_smt_writes_unknown_obligations(tmp_path, capsys):
     # valid premise that is neither symbolically derivable nor boxable:
     # the prover stays Unknown, so the obligation is exported for a solver
@@ -625,6 +640,12 @@ def test_emit_smt_writes_unknown_obligations(tmp_path, capsys):
     }
     file_ids = {p.name.split("-")[1] for p in files}
     assert unknown_ids <= file_ids
+    # a directory where an obligation's file goes is an input error
+    files[0].unlink()
+    files[0].mkdir()
+    code, out = run(capsys, "emit-smt", f, "--out", tmp_path / "smt")
+    assert code == 3
+    assert out.splitlines()[-1].startswith(f"input error: cannot write to {tmp_path / 'smt'}: ")
 
 
 def test_catalog_command(capsys):

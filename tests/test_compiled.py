@@ -15,16 +15,18 @@ import struct
 import weakref
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odeliveness import sim
+from odeliveness import codegen, sim
 from odeliveness.codegen import build, poly_src
+from odeliveness.errors import NestingTooDeep
 from odeliveness.normal import norm_atom
 from odeliveness.symbolic import OdeSystem, Polynomial
 from odeliveness.syntax import And, BoolLit, Cmp, Formula, Implies, Not, Or, parse_problem
 
-from conftest import _dp_step, eval_float
+from conftest import _dp_step, eval_float, problem_path
 
 # -- references --------------------------------------------------------------
 
@@ -493,3 +495,46 @@ def test_built_function_is_freed_without_the_cycle_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_a_second_plan_of_the_same_source_compiles_nothing():
+    # a generated source is compiled once per process, and every plan
+    # executes its code into globals of its own: only the code is shared
+    pf = parse_problem("param c; ode { x' = c*y; y' = -x }  goal { x >= c }")
+    first = sim.Plan(pf.system, pf.goal)
+    misses = codegen._code.cache_info().misses
+    second = sim.Plan(pf.system, pf.goal)
+    assert codegen._code.cache_info().misses == misses
+    assert second.bind is not first.bind and second.bind.__code__ is first.bind.__code__
+    a, b = first.bind((2.0,)), second.bind((3.0,))
+    assert a.f is not b.f and a.f.__globals__ is not b.f.__globals__
+    assert a.f((1.0, 1.0)) == (2.0, -1.0) and b.f((1.0, 1.0)) == (3.0, -1.0)
+    assert a.goal(a.atoms((2.5, 0.0))) and not b.goal(b.atoms((2.5, 0.0)))
+    assert a.values((1.0, 1.0))["c"] == 2.0 and b.values((1.0, 1.0))["c"] == 3.0
+
+
+def test_a_source_too_deep_to_compile_fails_on_every_build():
+    # a failed compile is not cached, so the second build fails as the first
+    src = "def _f():\n    return " + "(" * 1000 + "1" + ")" * 1000 + "\n"
+    for _ in range(2):
+        with pytest.raises(NestingTooDeep):
+            build(src, "_f")
+
+
+def test_each_falsify_call_integrates_its_own_trajectories(monkeypatch):
+    # only code is cached across calls: ce1's two samples share one pinned
+    # initial state, so each call integrates exactly one trajectory
+    pf = parse_problem(problem_path("ce1.ode").read_text())
+    integrated = []
+    integrate = sim.integrate
+
+    def counted(plan, init, horizon, *args):
+        integrated.append(plan)
+        return integrate(plan, init, horizon, *args)
+
+    monkeypatch.setattr(sim, "integrate", counted)
+    reports = [sim.falsify_liveness(pf, samples=2, seed=11) for _ in range(2)]
+    assert len(integrated) == 2 and integrated[0] is not integrated[1]
+    first, second = (r.results[0].trajectory for r in reports)
+    assert first is not second and first.rows == second.rows
+    assert [r.summary() for r in reports] == ["samples=2 WITNESS=0 REFUTED-SAMPLE=0 BLOWUP=2 INCONCLUSIVE=0"] * 2
