@@ -252,37 +252,31 @@ def test_circle_next_to_a_bounded_variable():
 @pytest.mark.parametrize(
     "assume,want",
     [
-        # a second pin of x: the set is empty
-        pytest.param("x = 0, x = 1, y = 0", None, id="x = 0, x = 1, y = 0"),
-        # a circle through a pinned x: its points (0, 1) and (0, -1)
-        pytest.param("x = 0, x^2 + y^2 = 1", [(0.0, 1.0), (0.0, -1.0)], id="x = 0, x^2 + y^2 = 1"),
-        # a pin of a circle's y, read before the circle whatever its place
-        pytest.param(
-            "x^2 + y^2 = 1, y = 1/2", [(math.sqrt(0.75), 0.5), (-math.sqrt(0.75), 0.5)], id="x^2 + y^2 = 1, y = 1/2"
-        ),
+        pytest.param(*case, id=case[0])
+        for case in [
+            # a second pin of x: the set is empty
+            ("x = 0, x = 1, y = 0", "rejection sampling failed"),
+            # a circle through a pinned x: its points (0, 1) and (0, -1)
+            ("x = 0, x^2 + y^2 = 1", [(0.0, 1.0), (0.0, -1.0)] * 2),
+            # a pin of a circle's y, read before the circle whatever its place
+            ("x^2 + y^2 = 1, y = 1/2", [(math.sqrt(0.75), 0.5), (-math.sqrt(0.75), 0.5)] * 2),
+            # a tangent pin gives one point
+            ("x^2 + 4*y^2 = 4, y = -1", [(0.0, -1.0)] * 4),
+            # every drawn point still meets the other atoms
+            ("2*x^2 + y^2 = 2, y = 0, x > 0", [(1.0, 0.0)] * 4),
+            # a pin past the circle leaves no point
+            ("x^2 + y^2 = 1, y = 2", "has no point with y = 2"),
+        ]
     ],
 )
 def test_an_equality_over_a_set_variable_is_checked_not_overwritten(assume, want):
     # every sampled state satisfies the assume block, or there is none
     pf = parse_problem(f"ode {{ x' = 0; y' = 1 }}  assume {{ {assume} }}  goal {{ y >= 2 }}")
-    if want is None:
-        with pytest.raises(UnsamplableInitSet, match="rejection sampling failed"):
+    if isinstance(want, str):
+        with pytest.raises(UnsamplableInitSet, match=want):
             sim.sample_initial_states(pf, 4, seed=0)
     else:
-        assert [(pt["x"], pt["y"]) for pt in sim.sample_initial_states(pf, 4, seed=0)] == want * 2
-
-
-def test_a_circle_cut_by_a_pin():
-    # a tangent pin gives one point, every drawn state still meets the
-    # other atoms, and a pin past the circle leaves no point
-    def sample(assume):
-        pf = parse_problem(f"ode {{ x' = 0; y' = 1 }}  assume {{ {assume} }}  goal {{ y >= 2 }}")
-        return [(pt["x"], pt["y"]) for pt in sim.sample_initial_states(pf, 4, seed=0)]
-
-    assert sample("x^2 + 4*y^2 = 4, y = -1") == [(0.0, -1.0)] * 4
-    assert sample("2*x^2 + y^2 = 2, y = 0, x > 0") == [(1.0, 0.0)] * 4
-    with pytest.raises(UnsamplableInitSet, match="has no point with y = 2"):
-        sample("x^2 + y^2 = 1, y = 2")
+        assert [(pt["x"], pt["y"]) for pt in sim.sample_initial_states(pf, 4, seed=0)] == want
 
 
 # -- liveness falsification -------------------------------------------------------
