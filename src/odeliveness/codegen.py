@@ -3,9 +3,7 @@
 The arithmetic sampler and the numeric falsifier evaluate the same formulas
 at millions of float points, so both compile them to straight-line Python
 once instead of walking the AST per point.  Sources are generated
-exclusively from the package's own ASTs.  `build` compiles each distinct
-source text once per process and executes its code afresh on every call,
-so every caller still gets new functions over new globals.
+exclusively from the package's own ASTs.
 
 A polynomial becomes `c*x**e*y + c2*...`: each term is the coefficient
 (its numerator over the denominator, correctly rounded) times its factors,
@@ -14,7 +12,6 @@ left to right, and terms are summed left to right in `sorted_terms` order.
 
 from __future__ import annotations
 
-import functools
 from decimal import Context, Decimal
 from typing import Callable
 
@@ -62,17 +59,10 @@ def formula_src(f: Formula, atom: Callable[[Cmp], str]) -> str:
     raise TypeError(f"cannot compile {f!r}")
 
 
-# The code of the 64 most recently built sources.  That holds every plan
-# source of `falsify` over the problem files and `catalog` (9, the catalog's
-# four repeating those of ce1-ce4), and bounds what the arithmetic sampler's
-# screens, one per obligation and mostly distinct, keep alive.
-@functools.lru_cache(maxsize=64)
-def _code(src: str):
-    """The compiled code of `src`, under the filename `exec(src)` gives it.
-    Code objects are immutable, so one serves every `build` of the same
-    source; a compile that fails raises and is not cached."""
+def compile_source(src: str):
+    """The code of `src`, compiled under the filename `exec(src)` gives it."""
     try:
-        return compile(src, "<string>", "exec")
+        return compile(src, "<string>", "exec")  # generated exclusively from our own AST
     except (SyntaxError, RecursionError):
         # well-formed source fails only past the compiler's nesting limits
         raise NestingTooDeep("formula nested too deeply to compile") from None
@@ -84,5 +74,5 @@ def build(src: str, name: str, scope: dict = None):
     freed with the last reference rather than by the cycle collector; `src`
     must not refer to `name` itself."""
     namespace = dict(scope or {})
-    exec(_code(src), namespace)  # generated exclusively from our own AST
+    exec(compile_source(src), namespace)
     return namespace.pop(name)

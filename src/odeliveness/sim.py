@@ -14,13 +14,13 @@ atoms.
 Each system and goal becomes one generated Python source (`Plan`): the
 right-hand side, the atom vector and one predicate per formula, which also
 gives the formula's truth at an event point and at a bracket's limit, read
-from a transformed atom vector (`_on_boundary`, `_at_limit`).  Each
-distinct source is compiled once per process and executed once per plan
-(`codegen.build`), so every plan has functions of its own.  A plan is what
-`integrate(plan, init, horizon)` integrates, and every step it takes is
-adaptive.  Trajectories are bit-identical however often a plan is reused,
-so `falsify_liveness` integrates each distinct initial state once.  A
-generated kernel takes every step that cannot carry an event, and
+from a transformed atom vector (`_on_boundary`, `_at_limit`).  A plan
+compiles its source once and executes the code afresh for every parameter
+binding (`Plan.bind`), so every binding has functions of its own.  A plan
+is what `integrate(plan, init, horizon)` integrates, and every step it
+takes is adaptive.  Trajectories are bit-identical however often a plan is
+reused, so `falsify_liveness` integrates each distinct initial state once.
+A generated kernel takes every step that cannot carry an event, and
 `integrate` handles only the steps that may.  A trajectory keeps its
 samples as raw (time, state tuple) rows and builds a `State` with a values
 dict only when one is read.  A state whose atoms have no float value (one
@@ -45,7 +45,7 @@ from random import Random
 from types import SimpleNamespace
 from typing import Callable, Optional
 
-from .codegen import build, formula_src, poly_src, to_float
+from .codegen import build, compile_source, formula_src, poly_src, to_float
 from .errors import InvalidArgument, RuleRefused, UnsamplableInitSet
 from .normal import atoms_of
 from .record import Factory, Frozen, Record
@@ -120,8 +120,9 @@ class Trajectory(Record):
 # ---------------------------------------------------------------------------
 # Compiled trajectory work
 #
-# A `Plan` renders a system, its domain and a goal as one source, which
-# `codegen.build` compiles once per process and executes once per plan, and
+# A `Plan` renders a system, its domain and a goal as one flat source of
+# four functions, which it compiles once and executes into new globals for
+# each parameter binding, where the parameters are the globals p0, p1, ...;
 # `integrate` reads all three from it: the right-hand side `f(y)`; the atom
 # vector `atoms(y)`, every comparison's difference polynomial, domain then
 # goal, which is the only place a state's atoms are evaluated; and the
@@ -144,7 +145,9 @@ class Trajectory(Record):
 # or it returns at the horizon or the step cap.  The kernel's
 # source depends only on the dimension, so it is compiled once per
 # dimension (`_dimension`), on first use, with the trial from `_trial`,
-# and bound to each plan's `f`, `atoms`, `domain` and `goal`.  Every float
+# and bound to each plan's `f`, `atoms`, `domain` and `goal`; so is the
+# bisection loop of `_locate`, which evaluates the dense output with the
+# components unrolled.  Every float
 # operation is fixed by the source, so trajectories do not depend on how
 # often a plan is reused:
 #
@@ -347,21 +350,45 @@ def _advance(n: int) -> str:
     )
 
 
+# The loop of `_locate` over the rows of `_interpolant`, unpacked once: the
+# state at t0 + theta*h is r1 + theta*(r2 + (1-theta)*(r3 + theta*(r4 +
+# (1-theta)*r5))) per component.
+_BISECT = """\
+def bisect(pred, finite, t0, h, rows, y0, y1):
+    {rows}= rows
+    lo, hi = t0, t0 + h
+    y_lo, y_hi = y0, y1
+    while hi - lo > {EVENT_TOL!r}:
+        mid = 0.5 * (lo + hi)
+        theta = (mid - t0) / h
+        u = 1.0 - theta
+        y_mid = ({dense})
+        if not finite(y_mid) or pred(y_mid):
+            hi, y_hi = mid, y_mid
+        else:
+            lo, y_lo = mid, y_mid
+    return hi, y_lo, y_hi"""
+
+
 @functools.cache
 def _dimension(n: int) -> SimpleNamespace:
     """The compiled work that depends only on the state's dimension n, built
     once per n: `advance_over(f, atoms, domain, goal)`, the stepping kernel;
-    `finite(y)`; and `norm(y)`, the max norm."""
+    `bisect`, the loop of `_locate`; `finite(y)`; and `norm(y)`, the max
+    norm."""
     unpack = _unpack("a", n, "y")
+    rows = "".join(f"(r1_{i}, r2_{i}, r3_{i}, r4_{i}, r5_{i}), " for i in range(n))
+    dense = "".join(f"r1_{i} + theta * (r2_{i} + u * (r3_{i} + theta * (r4_{i} + u * r5_{i}))), " for i in range(n))
     src = "\n".join(
         [_advance(n)]
+        + [_BISECT.format(rows=rows, dense=dense, EVENT_TOL=EVENT_TOL)]
         + ["def finite(y):", f"    {unpack}"]
         + ["    return " + " and ".join(f"isfinite(a{i})" for i in range(n))]
         + ["def norm(y):", f"    {unpack}", "    return " + _max_src([f"abs(a{i})" for i in range(n)])]
     )
     namespace = {"isfinite": math.isfinite, "inf": math.inf}
     exec(src, namespace)  # generated from the tableau alone
-    return SimpleNamespace(**{k: namespace[k] for k in ("advance_over", "finite", "norm")})
+    return SimpleNamespace(**{k: namespace[k] for k in ("advance_over", "bisect", "finite", "norm")})
 
 
 class Plan:
@@ -376,12 +403,33 @@ class Plan:
         self.names = system.state_names()
         self.pnames = tuple(sorted(system.params))
         domain = system.domain if system.domain is not None else TRUE
-        scope = {"_inf": math.inf, "_ns": SimpleNamespace, "_eq": EQ_TOL}
-        self.bind = build(self._source(domain), "_bind", {**scope, **vars(_dimension(len(self.names)))})
+        self._code = compile_source(self._source(domain))
+        self._kernel = _dimension(len(self.names))
+
+    def bind(self, par: tuple) -> SimpleNamespace:
+        """The plan's functions over the parameter values `par`: its code
+        executed into new globals that hold them as p0, p1, ..."""
+        scope = {"_inf": math.inf, "_eq": EQ_TOL}
+        scope.update((f"p{j}", v) for j, v in enumerate(par))
+        exec(self._code, scope)  # generated from the plan's own system and goal
+        # taken out of their globals, which then hold no reference back
+        f, atoms, domain, goal = (scope.pop(k) for k in ("f", "atoms", "domain", "goal"))
+        keys, k = self.names + self.pnames, self._kernel
+        return SimpleNamespace(
+            f=f,
+            advance=k.advance_over(f, atoms, domain, goal),
+            finite=k.finite,
+            norm=k.norm,
+            atoms=atoms,
+            values=lambda y: dict(zip(keys, (*y, *par))),
+            domain=domain,
+            goal=goal,
+        )
 
     def _source(self, domain: Formula) -> str:
-        """The source of `_bind`; sets `domain_atoms`, the number of the atom
-        vector's entries that belong to the domain."""
+        """The source of the plan's functions `f`, `atoms`, `domain` and
+        `goal`; sets `domain_atoms`, the number of the atom vector's entries
+        that belong to the domain."""
         names, n = self.names, len(self.names)
         params = {p: f"p{j}" for j, p in enumerate(self.pnames)}
 
@@ -405,17 +453,7 @@ class Plan:
         self.domain_atoms = len(cmps)
         preds += ["goal = None"] if self.goal is None else _def("goal", "A", "return " + formula_src(self.goal, atom))
         body += _atoms_def([c.lhs - c.rhs for c in cmps], n, ref) + preds
-
-        # the stepping kernel over f, the atom vector and the predicates
-        body.append("advance = advance_over(f, atoms, domain, goal)")
-
-        # values(y): the state and parameters by name
-        keys = "".join(f"{v!r}: {ref(v)}, " for v in names + self.pnames)
-        body += _def("values", "y", _unpack("a", n, "y"), "return {" + keys + "}")
-        fields = ["f", "advance", "finite", "norm", "atoms", "values", "domain", "goal"]
-        body.append("return _ns(" + ", ".join(f"{f}={f}" for f in fields) + ")")
-        head = [_unpack("p", len(params), "_par")] if params else []
-        return "\n".join(_def("_bind", "_par", *head, *body)) + "\n"
+        return "\n".join(body) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -441,19 +479,7 @@ def _locate(pred, finite, t0: float, h: float, y0: tuple, y1: tuple, ks: tuple) 
     """Earliest time in (t0, t0 + h] where `pred` flips to true, by
     bisecting the step's continuous extension; no right-hand side is
     evaluated.  Returns (time, state at the bracket's start, state at time)."""
-    rows = _interpolant(y0, y1, h, ks)
-    lo, hi = t0, t0 + h
-    y_lo, y_hi = y0, y1
-    while hi - lo > EVENT_TOL:
-        mid = 0.5 * (lo + hi)
-        theta = (mid - t0) / h
-        u = 1.0 - theta
-        y_mid = tuple(r1 + theta * (r2 + u * (r3 + theta * (r4 + u * r5))) for r1, r2, r3, r4, r5 in rows)
-        if not finite(y_mid) or pred(y_mid):
-            hi, y_hi = mid, y_mid
-        else:
-            lo, y_lo = mid, y_mid
-    return hi, y_lo, y_hi
+    return _dimension(len(y0)).bisect(pred, finite, t0, h, _interpolant(y0, y1, h, ks), y0, y1)
 
 
 def integrate(plan: Plan, init: dict, horizon: float, stop_on_event: bool = True) -> Trajectory:

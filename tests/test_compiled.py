@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odeliveness import codegen, sim
+from odeliveness import sim
 from odeliveness.codegen import build, poly_src
 from odeliveness.errors import NestingTooDeep
 from odeliveness.normal import norm_atom
@@ -477,9 +477,9 @@ def test_plan_renders_each_atom_polynomial_once():
     for c in cmps:
         diff = poly_src(c.lhs - c.rhs, ref)
         assert src.count(diff) == 1, diff
-    assert re.findall(r"^ *def (\w+)", src, re.M) == ["_bind", "f", "atoms", "domain", "goal", "values"]
+    assert re.findall(r"^ *def (\w+)", src, re.M) == ["f", "atoms", "domain", "goal"]
     # the stepping kernel holds the only Dormand-Prince trial
-    assert sorted(vars(sim._dimension(len(plan.names)))) == ["advance_over", "finite", "norm"]
+    assert sorted(vars(sim._dimension(len(plan.names)))) == ["advance_over", "bisect", "finite", "norm"]
 
 
 def test_built_function_is_freed_without_the_cycle_collector():
@@ -497,24 +497,32 @@ def test_built_function_is_freed_without_the_cycle_collector():
         gc.enable()
 
 
-def test_a_second_plan_of_the_same_source_compiles_nothing():
-    # a generated source is compiled once per process, and every plan
-    # executes its code into globals of its own: only the code is shared
+def test_each_binding_executes_the_plan_code_into_globals_of_its_own(monkeypatch):
+    # a plan compiles its source once; each binding executes that code into
+    # new globals that hold its parameter values, so bindings share only the
+    # code, and a binding is freed without the cycle collector
+    compiled = []
+    compile_source = sim.compile_source
+    monkeypatch.setattr(sim, "compile_source", lambda src: compiled.append(src) or compile_source(src))
     pf = parse_problem("param c; ode { x' = c*y; y' = -x }  goal { x >= c }")
-    first = sim.Plan(pf.system, pf.goal)
-    misses = codegen._code.cache_info().misses
-    second = sim.Plan(pf.system, pf.goal)
-    assert codegen._code.cache_info().misses == misses
-    assert second.bind is not first.bind and second.bind.__code__ is first.bind.__code__
-    a, b = first.bind((2.0,)), second.bind((3.0,))
-    assert a.f is not b.f and a.f.__globals__ is not b.f.__globals__
+    plan = sim.Plan(pf.system, pf.goal)
+    a, b = plan.bind((2.0,)), plan.bind((3.0,))
+    assert len(compiled) == 1
+    assert a.f is not b.f and a.f.__code__ is b.f.__code__ and a.f.__globals__ is not b.f.__globals__
     assert a.f((1.0, 1.0)) == (2.0, -1.0) and b.f((1.0, 1.0)) == (3.0, -1.0)
     assert a.goal(a.atoms((2.5, 0.0))) and not b.goal(b.atoms((2.5, 0.0)))
-    assert a.values((1.0, 1.0))["c"] == 2.0 and b.values((1.0, 1.0))["c"] == 3.0
+    assert a.values((1.0, 1.0)) == {"x": 1.0, "y": 1.0, "c": 2.0} and b.values((1.0, 1.0))["c"] == 3.0
+    ref = weakref.ref(a.f)
+    gc.disable()
+    try:
+        del a
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_a_source_too_deep_to_compile_fails_on_every_build():
-    # a failed compile is not cached, so the second build fails as the first
+    # past the compiler's nesting limits every build is an input error
     src = "def _f():\n    return " + "(" * 1000 + "1" + ")" * 1000 + "\n"
     for _ in range(2):
         with pytest.raises(NestingTooDeep):
@@ -522,7 +530,7 @@ def test_a_source_too_deep_to_compile_fails_on_every_build():
 
 
 def test_each_falsify_call_integrates_its_own_trajectories(monkeypatch):
-    # only code is cached across calls: ce1's two samples share one pinned
+    # nothing is kept across calls: ce1's two samples share one pinned
     # initial state, so each call integrates exactly one trajectory
     pf = parse_problem(problem_path("ce1.ode").read_text())
     integrated = []
