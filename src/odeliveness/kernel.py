@@ -7,8 +7,10 @@ own premises from the target sequent and checks each child's conclusion
 against the sequent that child must prove.  The diamond-modality steps are
 M◇′, K⟨&⟩, DR⟨·⟩, COR, SAR, dGt and the existence leaves GEx and BEx; the
 box-modality (invariance) steps are DW, DI, BC, DC, DX, ∧-split and
-DomainWeaken.  The one exception is `derived_node`, the macro node of a
-derived liveness rule, whose premises `rules` states.
+DomainWeaken.  The eighteen derived liveness rules are six more steps, one
+per family (dV, dV_eq, SP, SP_b/SP_c, SLyap, SP_ck_dom/E_c_dom): each works
+out its gates, premises, witnesses and stay premises from the target
+sequent and the certificate's parameters, and checks its existence leaf.
 
 Verdict propagation: a node is Proved iff every obligation passed and every
 child is Proved; ConditionallyProved when the only shortfall is explicit
@@ -18,10 +20,11 @@ otherwise.  Falsified obligations that are not certificate premises (for
 example a failed hint inside an invariance attempt) yield Unknown, because
 they disprove the hint, not the conclusion.
 
-Obligation discharge is delegated to a checker object (see `rules.Checker`).
+`discharge` settles each obligation with a checker object (see `rules.Checker`).
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Optional
 
 from . import topology
@@ -35,9 +38,10 @@ from .errors import (
     TopoUnknown,
 )
 from .record import Frozen, Record
-from .symbolic import OdeSystem, Polynomial, lie_derivative, primitive
+from .symbolic import OdeSystem, Polynomial, higher_lie, lie_derivative, primitive
 from .syntax import (
     TRUE,
+    And,
     Cmp,
     Formula,
     Modal,
@@ -53,6 +57,8 @@ from .syntax import (
 from .normal import negate, nnf, norm_atom
 
 CLOCK_NAME = "_t"
+ZERO = Polynomial.const(0)
+CLOCK_START = Cmp("=", Polynomial.var(CLOCK_NAME), ZERO)  # the ghost clock's initial value
 
 # verdicts
 PROVED = "Proved"
@@ -165,6 +171,32 @@ class AssumeOb(Record):
 
     def describe(self) -> str:
         return print_formula(self.formula)
+
+
+def discharge(ob, checker) -> None:
+    """Settle `ob` with `checker`'s prover (`prove`, `prove_box`), once."""
+    if isinstance(ob, ArithOb):
+        if ob.result is None:
+            ob.result = checker.prove(ob.obligation)
+    elif isinstance(ob, TopoOb):
+        # not cached: Closed and Open are syntactic walks, and a repeated
+        # Bounded or Compact search poses obligations `prove` has cached
+        if ob.result is None:
+            if ob.prop == topology.CLOSED:
+                ob.result = topology.check_closed(ob.formula)
+            elif ob.prop == topology.OPEN:
+                ob.result = topology.check_open(ob.formula)
+            elif ob.prop == topology.BOUNDED:
+                ob.result = topology.check_bounded(ob.formula, ob.vars, checker.prove)
+            else:
+                ob.result = topology.check_compact(ob.formula, ob.vars, checker.prove)
+    elif isinstance(ob, LipschitzOb):
+        if ob.result is None:
+            ob.result = ob.system.is_affine()
+    elif isinstance(ob, InvarianceOb):
+        if ob.proof is None:
+            ob.proof = checker.prove_box(ob.sequent, ob.hints)
+    # AssumeOb needs no discharge
 
 
 class Step(Frozen):
@@ -335,8 +367,7 @@ def step_ghost_clock(target: Sequent, child: "ProofNode") -> ProofNode:
     for f in target.context + (post, domain):
         if CLOCK_NAME in formula_variables(f):
             raise ClockNotFresh(f"{CLOCK_NAME} already occurs in the problem")
-    t0 = Cmp("=", Polynomial.var(CLOCK_NAME), Polynomial.const(0))
-    want = Sequent(target.context + (t0,), dia(clocked, post))
+    want = Sequent(target.context + (CLOCK_START,), dia(clocked, post))
     if child.conclusion != want:
         raise ShapeMismatch("ghost clock child proves the wrong sequent")
     return ProofNode(Step("dGt"), target, (child,))
@@ -360,13 +391,11 @@ def _existence_time(kind: str, system: OdeSystem, bound: Optional[Polynomial], e
     return Cmp(">", Polynomial.var(system.clock), bound)
 
 
-def step_exist_global(context, system: OdeSystem, bound: Optional[Polynomial], lip: LipschitzOb) -> ProofNode:
+def step_exist_global(context, system: OdeSystem, bound: Optional[Polynomial]) -> ProofNode:
     """GEx leaf: a globally Lipschitz system exists past any constant time.
-    `lip`, the rule's shared gate, must name this vector field unclocked."""
+    Its gate names the vector field unclocked; the rule above shares it."""
     post = _existence_time("global", system, bound)
-    gated = lip.system
-    if (gated.vars, gated.rhs, gated.clock) != (system.vars, system.rhs, None):
-        raise ShapeMismatch(f"the Lipschitz gate names {print_ode(gated)}, not this vector field")
+    lip = LipschitzOb("GlobalLipschitz", GATE, OdeSystem(system.vars, system.rhs, system.domain, system.params))
     return ProofNode(Step("GEx"), Sequent(tuple(context), dia(system, post)), (), (lip,))
 
 
@@ -392,8 +421,8 @@ def step_assumption(context, formula: Formula) -> ProofNode:
 # Step constructors: invariance axioms for Γ ⊢ [x' = f & Q] P
 
 
-def _internal(label: str, hyp: Formula, concl: Formula) -> ArithOb:
-    return ArithOb(label, INTERNAL, ArithObligation.closure(hyp, concl))
+def _ob(label: str, role: str, hyp: Formula, concl: Formula) -> ArithOb:
+    return ArithOb(label, role, ArithObligation.closure(hyp, concl))
 
 
 def _concludes(child: "ProofNode", context, system: OdeSystem, domain: Formula, post: Formula) -> bool:
@@ -423,7 +452,7 @@ def step_dw(target: Sequent) -> ProofNode:
     _, domain, post = modal_parts(target, True)
     if _taut_implies(domain, post):
         return ProofNode(Step("DW", "domain implies postcondition syntactically"), target)
-    return ProofNode(Step("DW"), target, (), (_internal("weakening premise", domain, post),))
+    return ProofNode(Step("DW"), target, (), (_ob("weakening premise", INTERNAL, domain, post),))
 
 
 def step_di(target: Sequent, boundary: bool = False) -> ProofNode:
@@ -440,13 +469,13 @@ def step_di(target: Sequent, boundary: bool = False) -> ProofNode:
         raise HintMismatch("the strict-boundary variant of DI applies to inequalities")
     e, zero = a.poly, Polynomial.const(0)
     le = lie_derivative(e, system)
-    initial = _internal("invariant true initially", conj(target.context), a.to_formula())
+    initial = _ob("invariant true initially", INTERNAL, conj(target.context), a.to_formula())
     if boundary:
-        lie = _internal("strict inflow on the boundary", conj([domain, Cmp("=", e, zero)]), Cmp(">", le, zero))
+        lie = _ob("strict inflow on the boundary", INTERNAL, conj([domain, Cmp("=", e, zero)]), Cmp(">", le, zero))
     elif a.op == "=":
-        lie = _internal("Lie derivative vanishes", domain, Cmp("=", le, zero))
+        lie = _ob("Lie derivative vanishes", INTERNAL, domain, Cmp("=", le, zero))
     else:
-        lie = _internal("Lie derivative sign condition", domain, Cmp(">=", le, zero))
+        lie = _ob("Lie derivative sign condition", INTERNAL, domain, Cmp(">=", le, zero))
     return ProofNode(Step("DI", "strict boundary variant" if boundary else ""), target, (), (initial, lie))
 
 
@@ -460,9 +489,9 @@ def step_bc(target: Sequent, p: Polynomial) -> ProofNode:
     if a.op != ">" or primitive(a.poly) != primitive(-p):
         raise HintMismatch(f"BC polynomial {print_poly(p)} does not match postcondition {print_formula(post)}")
     zero = Polynomial.const(0)
-    initial = _internal("barrier negative initially", conj(target.context), Cmp("<", p, zero))
+    initial = _ob("barrier negative initially", INTERNAL, conj(target.context), Cmp("<", p, zero))
     hyp, le = conj([domain, Cmp("=", p, zero)]), lie_derivative(p, system)
-    boundary = _internal("barrier decreases on the boundary", hyp, Cmp("<", le, zero))
+    boundary = _ob("barrier decreases on the boundary", INTERNAL, hyp, Cmp("<", le, zero))
     return ProofNode(Step("BC"), target, (), (initial, boundary))
 
 
@@ -508,10 +537,240 @@ def step_domain_weaken(target: Sequent, weaker: Formula, child: "ProofNode") -> 
     return ProofNode(Step("DomainWeaken", print_formula(weaker)), target, (child,))
 
 
-def derived_node(name: str, conclusion: Sequent, children=(), obligations=(), note="") -> ProofNode:
-    """A derived liveness rule's macro node; obligations are its stated
-    premises.  The one way to build a node outside the step constructors."""
-    return ProofNode(Step(name, note), conclusion, tuple(children), tuple(obligations))
+def time_bound(p0: Optional[Fraction], eps: Optional[Polynomial], p1=Fraction(0)) -> Optional[Fraction]:
+    """(p1 - p0) / eps: how long a variant rising at rate eps from p0 takes to reach p1."""
+    e = None if eps is None else eps.constant_value()
+    if p0 is None or p1 is None or e is None or e <= 0:
+        return None
+    return (p1 - p0) / e
+
+
+def _after(bound: Optional[Fraction]) -> Formula:
+    """_t > bound, the time an existence leaf outlasts; _t > _p without a bound."""
+    return Cmp(">", Polynomial.var(CLOCK_NAME), Polynomial.var("_p") if bound is None else Polynomial.const(bound))
+
+
+def _is_atom(f: Formula, p: Polynomial, op: str) -> bool:
+    """f is the comparison p `op` 0 up to a positive factor."""
+    if not isinstance(f, Cmp):
+        return False
+    a, want = norm_atom(f), norm_atom(Cmp(op, p, ZERO))
+    return a.op == want.op and primitive(a.poly) == primitive(want.poly)
+
+
+def _match_variant_goal(goal: Formula, p: Polynomial, op: str) -> None:
+    """The rule's conclusion p `op` 0 must match the (possibly refined) goal."""
+    if not isinstance(goal, Cmp):
+        raise ShapeMismatch(
+            f"goal {print_formula(goal)} is not an atomic comparison; use 'post'/'via' bindings to refine it first"
+        )
+    if not _is_atom(goal, p, op):
+        raise ShapeMismatch(f"goal {print_formula(goal)} does not match variant condition {print_poly(p)} {op} 0")
+
+
+class _Derived:
+    """A derived rule applied to Γ ⊢ <x' = f & Q> P: the parts its premises
+    are built from.  A `_dom` rule argues inside Q; any other proves the
+    unconstrained system, and DR, COR or SAR above it adds Q."""
+
+    def __init__(self, name: str, target: Sequent):
+        system, self.domain, self.post = modal_parts(target)
+        self.dom = name.endswith("_dom")
+        if self.dom and self.domain == TRUE:
+            raise ShapeMismatch(f"rule {name} needs a domain block")
+        if not self.dom and self.domain != TRUE:
+            raise ShapeMismatch(f"rule {name} applies to unconstrained problems; use {name}_dom")
+        self.name, self.gamma = name, target.context
+        self.sys0 = system.with_domain(TRUE)
+        self.system = system if self.dom else self.sys0
+        self.clocked = self.sys0.with_clock(CLOCK_NAME)
+        self.const_ctx = context_filter(target.context, system)  # kept across the rule's steps
+        self.target = Sequent(self.gamma, dia(self.system, self.post))
+
+    def premise(self, label: str, concl: Formula, *parts) -> ArithOb:
+        """A premise whose hypothesis is the parts and the constant context."""
+        return _ob(label, PREMISE, conj(list(parts) + list(self.const_ctx)), concl)
+
+    def initially(self, label: str, f: Formula, role: str = GATE) -> ArithOb:
+        return _ob(label, role, conj(list(self.gamma)), f)
+
+    def topo(self, prop: str, f: Formula) -> TopoOb:
+        return TopoOb(f"{prop}({print_formula(f)})", GATE, f, prop, self.sys0.vars)
+
+    def stay(self, label: str, during: Formula, inside: Formula, hints) -> InvarianceOb:
+        """Γ ⊢ [x' = f & during] inside: while `during` holds, the flow stays `inside`."""
+        seq = Sequent(self.gamma, box(self.sys0.with_domain(during), inside))
+        return InvarianceOb(label, PREMISE, seq, hints=hints)
+
+    def eps_gate(self, eps: Polynomial) -> ArithOb:
+        """eps > 0, under the constant context when eps is a parameter."""
+        if eps.variables() - self.sys0.params:
+            raise NonConstantBound(f"eps {print_poly(eps)} mentions ODE state")
+        hyp = TRUE if eps.constant_value() is not None else conj(list(self.const_ctx))
+        return _ob("eps positive", GATE, hyp, Cmp(">", eps, ZERO))
+
+    def region(self, bounds: Optional[Formula]) -> Formula:
+        """R: a `_dom` rule's domain conjoined with the certificate's box `bounds`."""
+        parts = {"domain": self.domain if self.dom else None, "box": bounds}
+        parts = {name: f for name, f in parts.items() if f is not None}
+        self.where = " and ".join(parts)
+        return conj(list(parts.values()))
+
+    def inside(self, region: Formula, obligations: list, prop: str, initial: Formula, during, purpose: str, hints):
+        """`obligations` argued inside R: gates prop(R) and Γ ⊢ `initial`, the stay premise last."""
+        if region == TRUE:
+            return obligations
+        named = self.where if initial is region else print_formula(initial)  # R goes by its name
+        gates = [self.topo(prop, region), self.initially(f"InitialState {named}", initial)]
+        return gates + obligations + [self.stay(f"stay in the {self.where} {purpose}", during, region, hints)]
+
+    def leaf(self, child: ProofNode, kind: str, post: Formula) -> ProofNode:
+        """`child`, checked to be the `kind` leaf proving Γ_const ⊢ <x' = f, _t' = 1> post."""
+        want = Sequent(self.const_ctx, dia(self.clocked, post))
+        if child.step.name != kind or child.conclusion != want:
+            raise ShapeMismatch(f"rule {self.name} needs the {kind} leaf {print_sequent(want)}")
+        return child
+
+    def node(self, children, obligations, note: str = "", conclusion: Optional[Sequent] = None) -> ProofNode:
+        return ProofNode(Step(self.name, note), conclusion or self.target, tuple(children), tuple(obligations))
+
+
+def step_dv(name, target, p, eps, child, *, op, order=1, bounds=None, p0=None, p1=None, escape=None, hints=(),
+            escape_hints=()) -> ProofNode:
+    """dV_geq, dV_gt, dV_geq_star, dV_k and the `_dom` variants: off the goal
+    p `op` 0, the `order`-th Lie derivative of p is at least eps.  The child
+    GEx (sharing its GlobalLipschitz gate, CE-1), BEx over `escape` or an
+    assumption makes the flow last.  Inside a region R, the domain and the
+    certificate's box `bounds` (which bounds an otherwise unbounded premise),
+    the gates Closed/Open(R) and Γ ⊢ ¬P (CE-3) and a stay premise join."""
+    r = _Derived(name, target)
+    _match_variant_goal(r.post, p, op)
+    goal = Cmp(op, p, ZERO)
+    not_goal = negate(goal)
+    region = r.region(bounds)
+    slope = Cmp(">=", higher_lie(p, r.sys0, order), eps)
+    obligations = [r.eps_gate(eps), r.premise("variant slope premise", slope, not_goal, region)]
+    bound = time_bound(p0, eps) if order == 1 else None
+    if bound is not None:
+        obligations.append(r.initially("initial variant value", Cmp(">=", p, Polynomial.const(p0)), WITNESS))
+    if child.step.name == "GEx":
+        obligations.insert(0, r.leaf(child, "GEx", _after(bound)).obligations[0])
+    elif child.step.name == "BEx" and escape is not None:
+        obligations.append(r.stay("stay in the bounded set before the goal", not_goal, escape, escape_hints))
+        bound = time_bound(p0, eps, p1)
+        if bound is not None:
+            at_most = Cmp("<=", p, Polynomial.const(p1))
+            obligations.append(_ob("variant bounded on escape set", WITNESS, escape, at_most))
+        r.leaf(child, "BEx", Or(negate(escape), _after(bound)))
+    else:
+        start = Polynomial.var("_p0") if p0 is None else Polynomial.const(p0)
+        r.leaf(child, "assumption", Cmp(">", start + eps * Polynomial.var(CLOCK_NAME), ZERO))
+    prop = topology.CLOSED if op == ">=" else topology.OPEN
+    obligations = r.inside(region, obligations, prop, not_goal, not_goal, "before the goal", hints)
+    chain = [f"L^{i} p >= _g{i} + eps*t^{order - i}/{order - i}!" for i in range(order - 1, 0, -1)]
+    note = "dC chain: " + "; ".join(chain) if chain else ""
+    return r.node((child,), obligations, note, Sequent(r.gamma, dia(r.system, goal)) if r.dom else None)
+
+
+def step_dv_eq(name, target, p, eps, child, *, bounds=None, p0=None, hints=(), replay_hints=()) -> ProofNode:
+    """dV_eq and dV_eq_dom: p <= 0 rises at rate eps while negative, so it
+    reaches p = 0 within the GEx child's time; the internal replay keeps it
+    negative until then.  Inside a region R, Closed(R), Γ ⊢ R and a stay
+    premise join.  dV_eqM(_dom) concludes the goal from the zero set."""
+    r = _Derived(name, target)
+    goal = Cmp("=", p, ZERO)
+    mono = name.startswith("dV_eqM")
+    if not mono:
+        _match_variant_goal(r.post, p, "=")
+    region = r.region(bounds)
+    p_lt, p_le = Cmp("<", p, ZERO), Cmp("<=", p, ZERO)
+    slope = Cmp(">=", lie_derivative(p, r.sys0), eps)
+    before = Sequent(r.gamma + (p_le,), box(r.sys0.with_domain(conj([region, Cmp("!=", p, ZERO)])), p_lt))
+    replay = InvarianceOb("variant negative before the goal", INTERNAL, before, hints=replay_hints)
+    lip = r.leaf(child, "GEx", _after(time_bound(p0, eps))).obligations[0]
+    obligations = [lip, r.eps_gate(eps), r.initially("InitialState p <= 0", p_le)]
+    obligations += [r.premise("variant slope premise", slope, p_lt, region), replay]
+    obligations = r.inside(region, obligations, topology.CLOSED, region, p_lt, "while the variant is negative", hints)
+    reached = Sequent(r.gamma, dia(r.system, goal))
+    node = ProofNode(Step("dV_eq_dom" if r.dom else "dV_eq"), reached, (child,), tuple(obligations))
+    if not mono:
+        return node
+    return r.node((node,), (_ob("goal from the zero set", PREMISE, conj([r.domain, goal]), r.post),))
+
+
+def step_sp(name, target, p, eps, S, child, *, p0=None, hints=()) -> ProofNode:
+    """SP: on the staging set S, where the flow stays until the goal, p <= 0
+    rises at rate eps; SP_dom keeps S inside the domain, and the flow in S
+    until goal-and-domain."""
+    r = _Derived(name, target)
+    rising = conj([r.domain, Cmp("<=", p, ZERO), Cmp(">=", lie_derivative(p, r.sys0), eps)])
+    before = negate(And(r.post, r.domain) if r.dom else r.post)
+    lip = r.leaf(child, "GEx", _after(time_bound(p0, eps))).obligations[0]
+    staging = r.stay("staging invariance", before, S, hints)
+    return r.node((child,), (lip, r.eps_gate(eps), staging, r.premise("staging premise", rising, S)))
+
+
+def step_sp_bounded(name, target, p, S, eps, child, *, p0=None, p1=None, hints=(), duration_hints=()) -> ProofNode:
+    """SP_b (S bounded, p rising at rate eps) and SP_c (S compact, p strictly
+    rising; eps a witness): BEx leaves S or outlasts (p1 - p0) / eps, which
+    the flow cannot spend in S (K⟨&⟩, dGt); it stays in S until the goal."""
+    r = _Derived(name, target)
+    lie = lie_derivative(p, r.sys0)
+    if name == "SP_c":
+        increasing = r.premise("variant strictly increasing on the stage", Cmp(">", lie, ZERO), S)
+        obligations = [r.topo(topology.COMPACT, S), increasing]
+        if eps is not None:
+            obligations.append(_ob("variant slope witness", WITNESS, S, Cmp(">=", lie, eps)))
+    else:
+        slope = r.premise("variant slope on the stage", Cmp(">=", lie, eps), S)
+        obligations = [r.topo(topology.BOUNDED, S), r.eps_gate(eps), slope]
+    bound = time_bound(p0, eps, p1)
+    if bound is not None:
+        obligations.append(_ob("variant bounded on staging set", WITNESS, S, Cmp("<=", p, Polynomial.const(p1))))
+    not_S, clocked = negate(S), r.gamma + (CLOCK_START,)
+    escape = Or(not_S, _after(bound))
+    within = Sequent(clocked, dia(r.clocked, not_S))
+    timed = step_goal_refine(within, escape, child, duration_hints, "escape within the time bound")
+    untimed = step_ghost_clock(Sequent(r.gamma, dia(r.sys0, not_S)), timed)
+    return r.node((step_goal_refine(r.target, not_S, untimed, hints, "staging invariance"),), obligations)
+
+
+def step_slyap(name, target, p, K, child, *, strict=False) -> ProofNode:
+    """SLyap and SLyap_dom (domain exactly p > 0): p >= 0 initially (p > 0
+    if `strict` or under the domain), the set p >= 0 lies inside the compact
+    K (CE-4), and p rises off the open goal, so BEx leaves K minus the goal."""
+    r = _Derived(name, target)
+    if r.dom and not _is_atom(r.domain, p, ">"):
+        raise ShapeMismatch("SLyap_dom needs the domain to be exactly p > 0")
+    op = ">" if r.dom or strict else ">="
+    not_goal = negate(r.post)
+    r.leaf(child, "BEx", Or(negate(conj([K, not_goal])), _after(None)))
+    obligations = (
+        r.topo(topology.COMPACT, K),
+        r.topo(topology.OPEN, r.post),
+        r.initially(f"InitialState p {op} 0", Cmp(op, p, ZERO)),
+        r.premise("sublevel set inside K", K, Cmp(">=", p, ZERO)),
+        r.premise("Lie derivative positive off the goal", Cmp(">", lie_derivative(p, r.sys0), ZERO), not_goal, K),
+    )
+    return r.node((child,), obligations)
+
+
+def step_compact_dom(name, target, p, child, *, S=None, k=1, hints=()) -> ProofNode:
+    """SP_ck_dom (compact stage S inside the domain, the k-th Lie derivative
+    of p positive) and E_c_dom (S None: the domain off the goal, k = 1); the
+    flow stays put until goal-and-domain, and BEx leaves the stage."""
+    r = _Derived(name, target)
+    positive = Cmp(">", higher_lie(p, r.sys0, k), ZERO)
+    before = negate(And(r.post, r.domain))
+    if S is not None:
+        stay = r.stay("staging invariance", before, S, hints)
+        premise = r.premise("stage inside the domain with increasing variant", conj([r.domain, positive]), S)
+    else:
+        S = conj([r.domain, negate(r.post)])
+        stay = r.stay("stay in the domain before goal-and-domain", before, r.domain, hints)
+        premise = r.premise("Lie derivative positive off the goal", positive, S)
+    r.leaf(child, "BEx", Or(negate(S), _after(None)))
+    return r.node((child,), (r.topo(topology.COMPACT, S), stay, premise), f"k = {k}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,26 +1,17 @@
-"""The derived liveness proof rules and the invariance sub-prover.
+"""The derived liveness rules' certificates and the invariance sub-prover.
 
-Each rule builder turns a parsed certificate into a kernel refinement chain
-whose obligations are exactly the rule's premises and side conditions.  The
-acceptance-critical rules expand into explicit existence / goal-refinement
-steps so the printed chain mirrors the derivations; the remaining rules are
-derived-rule macro nodes over an existence leaf.  Every builder assembles
-its chain from the same parts of a `_Rule` context: the topological gate,
-the stay-in-a-set invariance premise, the premise hypothesis with the
-constant context, the initial value witness and the existence leaves.
+A rule builder reads a certificate's bindings, runs the witness searches
+(`initial_value`, `upper_bound_on`, `lie_lower_bound`), builds the
+existence leaf and hands them to the rule's `kernel.step_*` constructor,
+which works out every gate, premise, witness and stay premise.  A rule over
+the unconstrained system is then wrapped in the certificate's `post` / `via`
+refinements and the domain refinement (COR, DR or SAR).
 
 Box-modality premises are discharged by `prove_invariance`, which hands
 each certificate hint, in order, to its kernel step constructor (DW, DI, BC,
 DC, DX, DomainWeaken), falling back from DI's plain Lie premise to its
 strict-boundary variant.  With no hints it tries DW, then DI for an atomic
 postcondition, and splits a conjunction.
-
-An arithmetic premise whose hypothesis leaves a variable unbounded stays
-Unknown, never Proved.  The variant rules accept a `box` formula to bound
-it; the box is conjoined into the region the rule argues inside (the
-domain of a `_dom` rule, else true) and so gets the domain's parts: the
-topological gate, the initial state, the premise hypothesis, and the stay
-premise, proved with the certificate's `hints`.
 """
 
 from __future__ import annotations
@@ -39,48 +30,42 @@ from .errors import (
 )
 from .kernel import (
     CLOCK_NAME,
+    CLOCK_START,
     GATE,
-    INTERNAL,
-    PREMISE,
     PROVED,
-    WITNESS,
-    ArithOb,
-    InvarianceOb,
-    LipschitzOb,
-    ProofNode,
+    ZERO,
     Sequent,
-    TopoOb,
     box,
     context_filter,
-    derived_node,
     dia,
+    discharge,
     modal_parts,
     step_and_split,
     step_assumption,
     step_bc,
+    step_compact_dom,
     step_dc,
     step_di,
     step_domain_weaken,
+    step_dv,
+    step_dv_eq,
     step_dw,
     step_dx,
     step_exist_bounded,
     step_exist_global,
-    step_ghost_clock,
     step_goal_refine,
     step_monotone_dia,
     step_refine_domain,
+    step_slyap,
+    step_sp,
+    step_sp_bounded,
     step_topo_closed_open,
     step_topo_semialg,
+    time_bound,
 )
-from .normal import atoms_of, equality_polys, negate, nnf, norm_atom
+from .normal import atoms_of, equality_polys, negate, nnf
 from .record import Frozen
-from .symbolic import (
-    Polynomial,
-    higher_lie,
-    lie_derivative,
-    primitive,
-    reduce_mod_equalities,
-)
+from .symbolic import Polynomial, lie_derivative, reduce_mod_equalities
 from .syntax import (
     TRUE,
     And,
@@ -94,11 +79,7 @@ from .syntax import (
     ProblemFile,
     conj,
     conjuncts,
-    print_formula,
-    print_poly,
 )
-
-ZERO = Polynomial.const(0)
 
 # ---------------------------------------------------------------------------
 # Invariance hints
@@ -174,45 +155,20 @@ class Checker:
         self._arith_cache: dict = {}
         self._regions: dict = {}
 
-    # -- primitive queries --------------------------------------------------
-
     def prove(self, ob: arith.ArithObligation, budget=None) -> arith.ArithVerdict:
         key = (ob, budget or self.budget)  # an Unknown holds only for its budget
         if key not in self._arith_cache:
             self._arith_cache[key] = arith.prove_implication(ob, budget=key[1], regions=self._regions)
         return self._arith_cache[key]
 
-    # -- obligation discharge ------------------------------------------------
+    def prove_box(self, seq: Sequent, hints):
+        return prove_invariance(seq, hints, self)
 
-    def discharge(self, ob) -> None:
-        if isinstance(ob, ArithOb):
-            if ob.result is None:
-                ob.result = self.prove(ob.obligation)
-        elif isinstance(ob, TopoOb):
-            # not cached: Closed and Open are syntactic walks, and a repeated
-            # Bounded or Compact search poses obligations `prove` has cached
-            if ob.result is None:
-                if ob.prop == topology.CLOSED:
-                    ob.result = topology.check_closed(ob.formula)
-                elif ob.prop == topology.OPEN:
-                    ob.result = topology.check_open(ob.formula)
-                elif ob.prop == topology.BOUNDED:
-                    ob.result = topology.check_bounded(ob.formula, ob.vars, self.prove)
-                else:
-                    ob.result = topology.check_compact(ob.formula, ob.vars, self.prove)
-        elif isinstance(ob, LipschitzOb):
-            if ob.result is None:
-                ob.result = ob.system.is_affine()
-        elif isinstance(ob, InvarianceOb):
-            if ob.proof is None:
-                ob.proof = prove_invariance(ob.sequent, ob.hints, self)
-        # AssumeOb needs no discharge
-
-    def run(self, root: ProofNode) -> ProofNode:
+    def run(self, root):
         """Discharge every obligation of the tree; returns `root`."""
         for node in root.walk():
             for ob in node.obligations:
-                self.discharge(ob)
+                discharge(ob, self)
         return root
 
 
@@ -220,15 +176,11 @@ class Checker:
 # Invariance sub-prover
 
 
-def _arith_ob(label, role, hyp, concl) -> ArithOb:
-    return ArithOb(label, role, arith.ArithObligation.closure(hyp, concl))
-
-
 # the hints that close a branch, by the name a certificate gives them
 _FINAL_HINTS = {DWStep: "DW", DIStep: "DI", BCStep: "BC"}
 
 
-def prove_invariance(seq: Sequent, hints, checker: Checker) -> ProofNode:
+def prove_invariance(seq: Sequent, hints, checker: Checker):
     """Prove a box-modality sequent by handing each hint, in order, to its
     kernel step constructor.  Failed attempts leave an Unknown node carrying
     the failed obligation, never a false positive."""
@@ -259,7 +211,7 @@ def prove_invariance(seq: Sequent, hints, checker: Checker) -> ProofNode:
     raise HintMismatch(f"unrecognized hint {head!r}")
 
 
-def _auto_invariance(seq: Sequent, checker: Checker) -> ProofNode:
+def _auto_invariance(seq: Sequent, checker: Checker):
     """No hints: DW; for an atomic postcondition then DI; a conjunction splits."""
     dw = checker.run(step_dw(seq))
     if dw.verdict() == PROVED:
@@ -273,7 +225,7 @@ def _auto_invariance(seq: Sequent, checker: Checker) -> ProofNode:
     return dw
 
 
-def _di(seq: Sequent, checker: Checker) -> ProofNode:
+def _di(seq: Sequent, checker: Checker):
     """DI; for an inequality whose Lie premise fails, the strict-boundary
     variant when that one is proved."""
     plain = checker.run(step_di(seq))
@@ -329,7 +281,7 @@ def _binding(step: CertStep, key: str, kind, default=None, required=False):
 
 
 # ---------------------------------------------------------------------------
-# Shared derivations
+# Witness searches
 
 
 def initial_value(p: Polynomial, assumptions) -> Optional[Fraction]:
@@ -361,52 +313,24 @@ def lie_lower_bound(le: Polynomial, region: Formula, checker: Checker) -> Option
     return topology.first_proved(region, le, ">=", _HALVING, checker.prove)
 
 
-def _time_bound(p0, eps, p1=Fraction(0)) -> Optional[Fraction]:
-    """(p1 - p0) / eps: how long a variant rising at rate eps from p0 takes to reach p1."""
-    if p0 is None or p1 is None or eps is None or eps <= 0:
-        return None
-    return (p1 - p0) / eps
-
-
-def _is_atom(f: Formula, p: Polynomial, op: str) -> bool:
-    """f is the comparison p `op` 0 up to a positive factor."""
-    if not isinstance(f, Cmp):
-        return False
-    a, want = norm_atom(f), norm_atom(Cmp(op, p, ZERO))
-    return a.op == want.op and primitive(a.poly) == primitive(want.poly)
-
-
-def _match_variant_goal(target: Formula, p: Polynomial, op: str) -> None:
-    """The rule conclusion p `op` 0 must match the (possibly refined) goal."""
-    if not isinstance(target, Cmp):
-        raise ShapeMismatch(
-            f"goal {print_formula(target)} is not an atomic comparison; "
-            "use 'post'/'via' bindings to refine it first"
-        )
-    if not _is_atom(target, p, op):
-        raise ShapeMismatch(
-            f"goal {print_formula(target)} does not match variant condition {print_poly(p)} {op} 0"
-        )
-
-
 def _const(c: Optional[Fraction]) -> Optional[Polynomial]:
     return None if c is None else Polynomial.const(c)
 
 
 class _Rule:
-    """One rule application: the problem's parts every builder uses, and the
-    obligations and leaves they share."""
+    """One rule application: the certificate's bindings, each read through
+    `get` or `has`, and the parts of the problem the builders use."""
 
     def __init__(self, problem: ProblemFile, cert: CertStep, checker: Checker):
         if problem.goal is None:
             raise ShapeMismatch("problem has no goal block")
         self.problem, self.cert, self.checker = problem, cert, checker
-        self.name = cert.name
+        self.name, self.dom = cert.name, cert.name.endswith("_dom")
         self.gamma = problem.assumptions
         self.goal = problem.goal
-        self.domain = problem.system.domain
-        self.has_domain = self.domain is not None and self.domain != TRUE
+        self.domain = TRUE if problem.system.domain is None else problem.system.domain
         self.sys0 = problem.system.with_domain(TRUE)
+        self.clocked = self.sys0.with_clock(CLOCK_NAME)
         # constant assumptions are soundly kept across rule applications
         self.const_ctx = context_filter(problem.assumptions, problem.system)
         self.read = set()  # the certificate keys the builder asked for
@@ -419,64 +343,30 @@ class _Rule:
         self.read.add(key)
         return self.cert.has(key)
 
-    def need_domain(self) -> None:
-        if not self.has_domain:
-            raise ShapeMismatch(f"rule {self.name} needs a domain block")
-
-    def region(self, dom: bool) -> tuple:
-        """(R, its name): the set a variant rule argues inside, the domain of a
-        `_dom` rule conjoined with the certificate's `box`; TRUE for neither."""
-        if dom:
-            self.need_domain()
-        parts = {"domain": self.domain if dom else None, "box": self.get("box", "formula")}
-        parts = {name: f for name, f in parts.items() if f is not None}
-        return conj(list(parts.values())), " and ".join(parts)
-
     def conclusion(self, system, post: Optional[Formula] = None) -> Sequent:
         return Sequent(self.gamma, dia(system, self.goal if post is None else post))
-
-    def hyp(self, *parts) -> Formula:
-        """A premise hypothesis: the parts and the constant context."""
-        return conj(list(parts) + list(self.const_ctx))
 
     def p0(self, p: Polynomial) -> Optional[Fraction]:
         """The certificate's initial variant value, else the one the assumptions force."""
         p0 = self.get("p0", "rational")
         return initial_value(p, self.gamma) if p0 is None else p0
 
-    def eps(self):
-        """(eps polynomial, its rational value or None, the 'eps positive' gate)."""
+    def eps(self) -> Polynomial:
+        """The 'eps' binding: a rational or a declared constant parameter."""
         e = self.get("eps", "polynomial", required=True)
-        value = e.constant_value()
-        if value is not None:
-            return e, value, _arith_ob("eps positive", GATE, TRUE, Cmp(">", e, ZERO))
-        if len(e.variables()) == 1 and e.variables() <= self.sys0.params:
-            return e, None, _arith_ob("eps positive", GATE, self.hyp(), Cmp(">", e, ZERO))
+        if e.constant_value() is not None or len(e.variables()) == 1 and e.variables() <= self.sys0.params:
+            return e
         raise MissingCertificateField("'eps' must be a rational or a declared constant parameter")
 
-    def initially(self, label: str, f: Formula, role: str = GATE) -> ArithOb:
-        return _arith_ob(label, role, conj(list(self.gamma)), f)
+    def region_hints(self, bounds: Optional[Formula]) -> tuple:
+        """The stay premise's hints, read when the rule argues inside a region."""
+        return self.get("hints", "hints", ()) if self.dom or bounds not in (None, TRUE) else ()
 
-    def premise(self, label: str, hyp: Formula, concl: Formula) -> ArithOb:
-        return _arith_ob(label, PREMISE, hyp, concl)
+    def gex(self, bound: Optional[Fraction]):
+        return step_exist_global(self.const_ctx, self.clocked, _const(bound))
 
-    def topo(self, prop: str, f: Formula) -> TopoOb:
-        return TopoOb(f"{prop}({print_formula(f)})", GATE, f, prop, self.sys0.vars)
-
-    def lipschitz(self) -> LipschitzOb:
-        return LipschitzOb("GlobalLipschitz", GATE, self.sys0)
-
-    def stay(self, label: str, during: Formula, inside: Formula, hints_key: str = "hints") -> InvarianceOb:
-        """Premise Γ ⊢ [sys0 & during] inside: while `during` holds, the flow stays `inside`."""
-        seq = Sequent(self.gamma, box(self.sys0.with_domain(during), inside))
-        return InvarianceOb(label, PREMISE, seq, hints=self.get(hints_key, "hints", ()))
-
-    def gex(self, bound: Optional[Fraction], lip: LipschitzOb) -> ProofNode:
-        return step_exist_global(self.const_ctx, self.sys0.with_clock(CLOCK_NAME), _const(bound), lip)
-
-    def bex(self, escape: Formula, bound: Optional[Fraction] = None, context=None) -> ProofNode:
-        context = self.const_ctx if context is None else context
-        return step_exist_bounded(context, self.sys0.with_clock(CLOCK_NAME), escape, _const(bound))
+    def bex(self, escape: Formula, bound: Optional[Fraction] = None):
+        return step_exist_bounded(self.const_ctx, self.clocked, escape, _const(bound))
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +391,7 @@ _DOMAIN_STEPS = {"COR": step_topo_closed_open, "DR": step_refine_domain, "SAR": 
 _DURATIONS = ("GEx", "BEx", "assume")
 
 
-def _apply_wrappers(r: _Rule, node: ProofNode, specs=(), domain_hints=()) -> ProofNode:
+def _apply_wrappers(r: _Rule, node, specs=(), domain_hints=()):
     """Wrap the core node with via / post steps and the domain refinement."""
     for kind, outer, inner, hints in reversed(specs):
         target = Sequent(r.gamma, dia(r.sys0, outer))
@@ -509,7 +399,7 @@ def _apply_wrappers(r: _Rule, node: ProofNode, specs=(), domain_hints=()) -> Pro
             node = step_goal_refine(target, inner, node, hints=hints)
         else:
             node = step_monotone_dia(target, inner, node)
-    if r.has_domain:
+    if r.domain != TRUE:
         step = _DOMAIN_STEPS[r.get("domain_via", tuple(_DOMAIN_STEPS), "COR")]
         hints = r.get("domain_hints", "hints", ()) or domain_hints
         node = step(r.conclusion(r.problem.system), TRUE, node, hints=hints)
@@ -520,212 +410,102 @@ def _apply_wrappers(r: _Rule, node: ProofNode, specs=(), domain_hints=()) -> Pro
 # Rule builders
 
 
-def _rule_dv(r: _Rule, *, op: str, dom: bool = False, star: bool = False, order: int = 1):
-    """Differential variants: dV_geq, dV_gt, dV_geq_star, dV_k and the
-    domain-constrained dV_geq_dom / dV_gt_dom."""
-    p = r.get("p", "polynomial", required=True)
-    eps_poly, eps_val, eps_ob = r.eps()
-    region, where = r.region(dom)
+def _rule_dv(r: _Rule, *, op: str, star: bool = False, order: int = 1):
+    """Differential variants dV_geq, dV_gt, dV_geq_star, dV_k, dV_geq_dom and dV_gt_dom."""
+    p, eps, bounds = r.get("p", "polynomial", required=True), r.eps(), r.get("box", "formula")
     core_goal, specs = _peel_wrappers(r)
-    if dom and specs:
+    if r.dom and specs:
         raise ShapeMismatch("post/via refinements are not supported with domain rules")
-    _match_variant_goal(core_goal, p, op)
-
-    goal_atom = Cmp(op, p, ZERO)
-    not_goal = negate(goal_atom)
-    slope = Cmp(">=", higher_lie(p, r.sys0, order), eps_poly)
-    premise = r.premise("variant slope premise", r.hyp(not_goal, region), slope)
-    lip = r.lipschitz()
-    p0 = r.p0(p)
-    obligations = [eps_ob, premise]
-    bound = _time_bound(p0, eps_val) if order == 1 else None
-    if bound is not None:
-        obligations.append(r.initially("initial variant value", Cmp(">=", p, Polynomial.const(p0)), WITNESS))
-
+    p0, p1, escape, escape_hints = r.p0(p), None, None, ()
     duration = r.get("duration", _DURATIONS, "assume" if star else "GEx")
-    if duration == "GEx":
-        obligations.insert(0, lip)
-    chain = [f"L^{i} p >= _g{i} + eps*t^{order - i}/{order - i}!" for i in range(order - 1, 0, -1)]
-    note = "dC chain: " + "; ".join(chain) if chain else ""
-
     if duration == "assume":
-        p0_poly = Polynomial.var("_p0") if p0 is None else Polynomial.const(p0)
-        reach = Cmp(">", p0_poly + eps_poly * Polynomial.var(CLOCK_NAME), ZERO)
-        child = step_assumption(r.const_ctx, dia(r.sys0.with_clock(CLOCK_NAME), reach))
+        start = Polynomial.var("_p0") if p0 is None else Polynomial.const(p0)
+        child = step_assumption(r.const_ctx, dia(r.clocked, Cmp(">", start + eps * Polynomial.var(CLOCK_NAME), ZERO)))
     elif duration == "BEx":
         escape = r.get("duration_B", "formula", required=True)
-        obligations.append(r.stay("stay in the bounded set before the goal", not_goal, escape, "duration_hints"))
+        escape_hints = r.get("duration_hints", "hints", ())
         p1 = r.get("p1", "rational")
         if p1 is None:
             p1 = upper_bound_on(p, escape, r.checker)
-        bex_bound = _time_bound(p0, eps_val, p1)
-        if bex_bound is not None:
-            obligations.append(
-                _arith_ob("variant bounded on escape set", WITNESS, escape, Cmp("<=", p, Polynomial.const(p1)))
-            )
-        child = r.bex(escape, bex_bound)
+        child = r.bex(escape, time_bound(p0, eps, p1))
     else:
-        child = r.gex(bound, lip)
-
-    if region != TRUE:
-        gates = [
-            r.topo(topology.CLOSED if op == ">=" else topology.OPEN, region),
-            r.initially(f"InitialState {print_formula(not_goal)}", not_goal),
-        ]
-        obligations = gates + obligations + [r.stay(f"stay in the {where} before the goal", not_goal, region)]
-    if not dom:
-        node = derived_node(r.name, r.conclusion(r.sys0, core_goal), (child,), obligations, note=note)
-        return _apply_wrappers(r, node, specs)
-    return derived_node(r.name, r.conclusion(r.problem.system, goal_atom), (child,), obligations, note=note)
-
-
-def _rule_dv_eq(r: _Rule, *, mono: bool, dom: bool):
-    """Equational differential variants dV_eq / dV_eqM and domain variants."""
-    p = r.get("p", "polynomial", required=True)
-    eps_poly, eps_val, eps_ob = r.eps()
-    region, where = r.region(dom)
-    if not dom and r.has_domain:
-        raise ShapeMismatch(f"rule {r.name} applies to unconstrained problems; use {r.name}_dom")
-    goal_eq = Cmp("=", p, ZERO)
-    if not mono:
-        _match_variant_goal(r.goal, p, "=")
-
-    p_lt, p_le = Cmp("<", p, ZERO), Cmp("<=", p, ZERO)
-    slope = Cmp(">=", lie_derivative(p, r.sys0), eps_poly)
-    premise = r.premise("variant slope premise", r.hyp(p_lt, region), slope)
-    lip = r.lipschitz()
-    # internal replay: before reaching p = 0 the variant stays negative
-    stay_neg = InvarianceOb(
-        "variant negative before the goal",
-        INTERNAL,
-        Sequent(r.gamma + (p_le,), box(r.sys0.with_domain(conj([region, Cmp("!=", p, ZERO)])), p_lt)),
-        hints=(DXStep(), BCStep(p)),
+        child = r.gex(time_bound(p0, eps) if order == 1 else None)
+    target = r.conclusion(r.problem.system) if r.dom else r.conclusion(r.sys0, core_goal)
+    node = step_dv(
+        r.name, target, p, eps, child, op=op, order=order, bounds=bounds, p0=p0, p1=p1, escape=escape,
+        hints=r.region_hints(bounds), escape_hints=escape_hints,
     )
-    child = r.gex(_time_bound(r.p0(p), eps_val), lip)
-    obligations = [lip, eps_ob, r.initially("InitialState p <= 0", p_le), premise, stay_neg]
-    if region != TRUE:
-        obligations = (
-            [r.topo(topology.CLOSED, region), r.initially(f"InitialState {where}", region)]
-            + obligations
-            + [r.stay(f"stay in the {where} while the variant is negative", p_lt, region)]
-        )
-    system = r.problem.system if dom else r.sys0
-    eq_node = derived_node("dV_eq_dom" if dom else "dV_eq", r.conclusion(system, goal_eq), (child,), obligations)
-    if not mono:
-        return eq_node
-    mono_ob = r.premise("goal from the zero set", conj([r.domain if dom else TRUE, goal_eq]), r.goal)
-    return derived_node(r.name, r.conclusion(system), (eq_node,), (mono_ob,))
+    return node if r.dom else _apply_wrappers(r, node, specs)
 
 
-def _rule_sp(r: _Rule, *, dom: bool):
-    """SP: staging set with a variant that is nonpositive on the stage; SP&
-    (dom) keeps the stage inside the domain and is built on SAR."""
+def _rule_dv_eq(r: _Rule):
+    """Equational differential variants dV_eq / dV_eqM and domain variants."""
+    p, eps, bounds = r.get("p", "polynomial", required=True), r.eps(), r.get("box", "formula")
+    p0 = r.p0(p)
+    return step_dv_eq(
+        r.name, r.conclusion(r.problem.system), p, eps, r.gex(time_bound(p0, eps)), bounds=bounds, p0=p0,
+        hints=r.region_hints(bounds), replay_hints=(DXStep(), BCStep(p)),
+    )
+
+
+def _rule_sp(r: _Rule):
+    """SP and SP_dom: a staging set on which the variant is nonpositive."""
     p = r.get("p", "polynomial", required=True)
     S = r.get("S", "formula", required=True)
-    eps_poly, eps_val, eps_ob = r.eps()
-    if dom:
-        r.need_domain()
-    dom_part = [r.domain] if dom else []
-    rising = [Cmp("<=", p, ZERO), Cmp(">=", lie_derivative(p, r.sys0), eps_poly)]
-    premise = r.premise("staging premise", r.hyp(S), conj(dom_part + rising))
-    lip = r.lipschitz()
-    staging = r.stay("staging invariance", negate(And(r.goal, r.domain) if dom else r.goal), S)
-    child = r.gex(_time_bound(r.p0(p), eps_val), lip)
-    system = r.problem.system if dom else r.sys0
-    node = derived_node(r.name, r.conclusion(system), (child,), (lip, eps_ob, staging, premise))
-    return node if dom else _apply_wrappers(r, node, domain_hints=r.get("hints", "hints", ()))
+    eps, hints = r.eps(), r.get("hints", "hints", ())
+    p0 = r.p0(p)
+    target = r.conclusion(r.problem.system if r.dom else r.sys0)
+    node = step_sp(r.name, target, p, eps, S, r.gex(time_bound(p0, eps)), p0=p0, hints=hints)
+    return node if r.dom else _apply_wrappers(r, node, domain_hints=hints)
 
 
-def _rule_sp_bounded(r: _Rule, *, compact: bool):
-    """SP_b (bounded staging set) and SP_c (compact staging set, eps
-    optional): bounded existence, duration refinement, dGt and staging."""
+def _rule_sp_bounded(r: _Rule):
+    """SP_b (bounded staging set) and SP_c (compact staging set, eps optional)."""
     p = r.get("p", "polynomial", required=True)
     S = r.get("S", "formula", required=True)
-    lie = lie_derivative(p, r.sys0)
-    if compact:
-        gate = r.topo(topology.COMPACT, S)
-        premise_obs = [r.premise("variant strictly increasing on the stage", r.hyp(S), Cmp(">", lie, ZERO))]
-        eps_val = r.get("eps", "rational")
-        if eps_val is None:
-            eps_val = lie_lower_bound(lie, S, r.checker)
-        eps_poly = Polynomial.var("_eps") if eps_val is None else Polynomial.const(eps_val)
-        if eps_val is not None:
-            premise_obs.append(_arith_ob("variant slope witness", WITNESS, S, Cmp(">=", lie, eps_poly)))
+    if r.name == "SP_c":
+        eps = _const(r.get("eps", "rational"))
+        if eps is None:
+            eps = _const(lie_lower_bound(lie_derivative(p, r.sys0), S, r.checker))
     else:
-        gate = r.topo(topology.BOUNDED, S)
-        eps_poly, eps_val, eps_ob = r.eps()
-        premise_obs = [eps_ob, r.premise("variant slope on the stage", r.hyp(S), Cmp(">=", lie, eps_poly))]
-
-    staging_hints = r.get("hints", "hints", ())
+        eps = r.eps()
+    hints = r.get("hints", "hints", ())
     p0 = r.p0(p)
     p1 = r.get("p1", "rational")
     if p1 is None:
         p1 = upper_bound_on(p, S, r.checker)
     # with all witnesses the duration is refined by a clock cut; else the
     # bounded-existence leaf keeps a symbolic time bound
-    bound = _time_bound(p0, eps_val, p1)
-    ctx_clock = r.gamma + (Cmp("=", Polynomial.var(CLOCK_NAME), ZERO),)
-    bex = r.bex(S, bound, ctx_clock)
-    witness_obs, duration_hints = [], ()
+    bound = time_bound(p0, eps, p1)
+    duration_hints = ()
     if bound is not None:
-        cut = Cmp(">=", p, Polynomial.const(p0) + eps_poly * Polynomial.var(CLOCK_NAME))
+        cut = Cmp(">=", p, Polynomial.const(p0) + eps * Polynomial.var(CLOCK_NAME))
         duration_hints = (DCStep(cut, (DIStep(),)), DWStep())
-        witness_obs.append(
-            _arith_ob("variant bounded on staging set", WITNESS, S, Cmp("<=", p, Polynomial.const(p1)))
-        )
-    not_S = negate(S)
-    k1 = step_goal_refine(
-        Sequent(ctx_clock, dia(r.sys0.with_clock(CLOCK_NAME), not_S)),
-        bex.conclusion.succedent.post,
-        bex,
-        hints=duration_hints,
-        label="escape within the time bound",
+    child = step_exist_bounded(r.gamma + (CLOCK_START,), r.clocked, S, _const(bound))
+    node = step_sp_bounded(
+        r.name, r.conclusion(r.sys0), p, S, eps, child, p0=p0, p1=p1, hints=hints, duration_hints=duration_hints
     )
-    dgt = step_ghost_clock(Sequent(r.gamma, dia(r.sys0, not_S)), k1)
-    k2 = step_goal_refine(r.conclusion(r.sys0), not_S, dgt, hints=staging_hints, label="staging invariance")
-    node = derived_node(r.name, r.conclusion(r.sys0), (k2,), [gate] + premise_obs + witness_obs)
-    return _apply_wrappers(r, node, domain_hints=staging_hints)
+    return _apply_wrappers(r, node, domain_hints=hints)
 
 
-def _rule_slyap(r: _Rule, *, dom: bool):
+def _rule_slyap(r: _Rule):
     """Set Lyapunov functions, compact K and open goal (SLyap / SLyap_dom)."""
     p = r.get("p", "polynomial", required=True)
     K = r.get("K", "formula", required=True)
-    op = ">" if (dom or r.has("strict")) else ">="
-    if dom and not _is_atom(r.domain, p, ">"):
-        raise ShapeMismatch("SLyap_dom needs the domain to be exactly p > 0")
-    lie = lie_derivative(p, r.sys0)
-    not_goal = negate(r.goal)
-    obligations = (
-        r.topo(topology.COMPACT, K),
-        r.topo(topology.OPEN, r.goal),
-        r.initially(f"InitialState p {op} 0", Cmp(op, p, ZERO)),
-        r.premise("sublevel set inside K", r.hyp(Cmp(">=", p, ZERO)), K),
-        r.premise("Lie derivative positive off the goal", r.hyp(not_goal, K), Cmp(">", lie, ZERO)),
-    )
-    child = r.bex(conj([K, not_goal]))
-    node = derived_node(r.name, r.conclusion(r.problem.system if dom else r.sys0), (child,), obligations)
-    return node if dom else _apply_wrappers(r, node)
+    strict = not r.dom and r.has("strict")
+    target = r.conclusion(r.problem.system if r.dom else r.sys0)
+    node = step_slyap(r.name, target, p, K, r.bex(conj([K, negate(r.goal)])), strict=strict)
+    return node if r.dom else _apply_wrappers(r, node)
 
 
-def _rule_compact_dom(r: _Rule, *, staged: bool):
-    """SP_c^k& (staged: compact staging set S, k-th Lie derivative) and E_c&
-    (the stage is the domain off the goal, k = 1) under a domain, with the
-    corrected box premise: the flow stays put until it meets goal-and-domain."""
-    p = r.get("p", "polynomial", required=True)
-    S = r.get("S", "formula", required=True) if staged else conj([r.domain, negate(r.goal)])
+def _rule_compact_dom(r: _Rule):
+    """SP_ck_dom (staged: a compact staging set S) and E_c_dom under a domain."""
+    p, staged = r.get("p", "polynomial", required=True), r.name == "SP_ck_dom"
+    S = r.get("S", "formula", required=True) if staged else None
     k = r.get("k", "integer", 1) if staged else 1
-    r.need_domain()
-    positive = Cmp(">", higher_lie(p, r.sys0, k), ZERO)
-    before = negate(And(r.goal, r.domain))
-    if staged:
-        stay = r.stay("staging invariance", before, S)
-        premise = r.premise("stage inside the domain with increasing variant", r.hyp(S), conj([r.domain, positive]))
-    else:
-        stay = r.stay("stay in the domain before goal-and-domain", before, r.domain)
-        premise = r.premise("Lie derivative positive off the goal", r.hyp(S), positive)
-    obligations = (r.topo(topology.COMPACT, S), stay, premise)
-    return derived_node(r.name, r.conclusion(r.problem.system), (r.bex(S),), obligations, note=f"k = {k}")
+    hints = r.get("hints", "hints", ())
+    child = r.bex(S if staged else conj([r.domain, negate(r.goal)]))
+    return step_compact_dom(r.name, r.conclusion(r.problem.system), p, child, S=S, k=k, hints=hints)
 
 
 def _rule_dv_k(r: _Rule):
@@ -751,24 +531,24 @@ RULE_BUILDERS: dict = {
     "dV_gt": _builder(_rule_dv, op=">"),
     "dV_geq_star": _builder(_rule_dv, op=">=", star=True),
     "dV_k": _builder(_rule_dv_k),
-    "dV_geq_dom": _builder(_rule_dv, op=">=", dom=True),
-    "dV_gt_dom": _builder(_rule_dv, op=">", dom=True),
-    "dV_eq": _builder(_rule_dv_eq, mono=False, dom=False),
-    "dV_eqM": _builder(_rule_dv_eq, mono=True, dom=False),
-    "dV_eq_dom": _builder(_rule_dv_eq, mono=False, dom=True),
-    "dV_eqM_dom": _builder(_rule_dv_eq, mono=True, dom=True),
-    "SP": _builder(_rule_sp, dom=False),
-    "SP_b": _builder(_rule_sp_bounded, compact=False),
-    "SP_c": _builder(_rule_sp_bounded, compact=True),
-    "SLyap": _builder(_rule_slyap, dom=False),
-    "SLyap_dom": _builder(_rule_slyap, dom=True),
-    "SP_dom": _builder(_rule_sp, dom=True),
-    "SP_ck_dom": _builder(_rule_compact_dom, staged=True),
-    "E_c_dom": _builder(_rule_compact_dom, staged=False),
+    "dV_geq_dom": _builder(_rule_dv, op=">="),
+    "dV_gt_dom": _builder(_rule_dv, op=">"),
+    "dV_eq": _builder(_rule_dv_eq),
+    "dV_eqM": _builder(_rule_dv_eq),
+    "dV_eq_dom": _builder(_rule_dv_eq),
+    "dV_eqM_dom": _builder(_rule_dv_eq),
+    "SP": _builder(_rule_sp),
+    "SP_b": _builder(_rule_sp_bounded),
+    "SP_c": _builder(_rule_sp_bounded),
+    "SLyap": _builder(_rule_slyap),
+    "SLyap_dom": _builder(_rule_slyap),
+    "SP_dom": _builder(_rule_sp),
+    "SP_ck_dom": _builder(_rule_compact_dom),
+    "E_c_dom": _builder(_rule_compact_dom),
 }
 
 
-def apply_rule(problem: ProblemFile, cert: CertStep, checker: Optional[Checker] = None) -> ProofNode:
+def apply_rule(problem: ProblemFile, cert: CertStep, checker: Optional[Checker] = None):
     """Build and check the refinement chain for a certificate step.
 
     Raises RuleRefused when a gate side condition fails; the partially
@@ -794,7 +574,7 @@ def apply_rule(problem: ProblemFile, cert: CertStep, checker: Optional[Checker] 
 # caller lets go of them, also after a refusal has been handled.
 
 
-def _first_unproved_gate(root: ProofNode):
+def _first_unproved_gate(root):
     """The first gate obligation that is not proved, in pre-order: a rule's
     own gates before its children's, so a refusal names the rule's own
     condition."""
@@ -808,7 +588,7 @@ def _first_unproved_gate(root: ProofNode):
     return None
 
 
-def _refusal(gate, root: ProofNode) -> RuleRefused:
+def _refusal(gate, root) -> RuleRefused:
     exc = RuleRefused(gate.label, detail=gate.describe())
     exc.proof = root
     return exc

@@ -20,7 +20,7 @@ from odeliveness.symbolic import OdeSystem, Polynomial
 from odeliveness.syntax import Cmp, parse_formula, parse_poly, parse_problem
 
 from conftest import PROBLEMS, ROOT, fixed_steps, lie_consistency_check, problem_path
-from test_kernel import missing_gates, refines_domain_under_goal_negation, step_audit_findings
+from test_kernel import assumes_what_it_proves, missing_gates, refines_domain_under_goal_negation, step_audit_findings
 
 
 def report(n, ok, detail=""):
@@ -272,12 +272,14 @@ def checked_nodes(root):
 
 def test_criterion_9_kernel_structural_soundness():
     """Built on a generic sequent, every kernel step constructor is audited:
-    only COR refines the domain with the goal negation in a box premise's
-    domain, and it carries the topology and initial-state gates; DR keeps
-    the plain domain.  Every node of every rule golden's and problem file's
-    checked proof with that shape, the invariance subproofs built from its
-    hints included, carries a topology gate.  The punctured line documents
-    the semantic failure an ungated refinement would permit."""
+    only COR and dV's domain variants prove the domain under the goal
+    negation while refining it, and they carry the topology and
+    initial-state gates; DR keeps the plain domain; the liveness rules keep
+    the catalog's gates.  Every node of every rule golden's and problem
+    file's checked proof, the invariance subproofs built from its hints
+    included, has no premise that assumes what it proves, and each node of
+    that shape carries a topology gate.  The punctured line documents the
+    semantic failure an ungated refinement would permit."""
     findings = step_audit_findings()
     proof_nodes, shaped = 0, 0
     for path in sorted((ROOT / "tests" / "golden" / "rules").glob("*.ode")) + sorted(PROBLEMS.glob("*.ode")):
@@ -294,6 +296,8 @@ def test_criterion_9_kernel_structural_soundness():
             continue
         for node in checked_nodes(root):
             proof_nodes += 1
+            if assumes_what_it_proves(node):
+                findings.append(f"{path.name}: {node.step.name} assumes what it proves")
             if refines_domain_under_goal_negation(node):
                 shaped += 1
                 if "topology" in missing_gates(node):

@@ -33,9 +33,12 @@ from odeliveness.kernel import (
     step_and_split,
     step_assumption,
     step_bc,
+    step_compact_dom,
     step_dc,
     step_di,
     step_domain_weaken,
+    step_dv,
+    step_dv_eq,
     step_dw,
     step_dx,
     step_exist_bounded,
@@ -44,6 +47,9 @@ from odeliveness.kernel import (
     step_goal_refine,
     step_monotone_dia,
     step_refine_domain,
+    step_slyap,
+    step_sp,
+    step_sp_bounded,
     step_topo_closed_open,
     step_topo_semialg,
 )
@@ -192,20 +198,19 @@ def test_ghost_clock_not_fresh_twice(alpha_l):
 
 def test_gex_rejects_state_dependent_bound(alpha_l):
     clocked = alpha_l.system.with_domain(TRUE).with_clock("_t")
-    lip = LipschitzOb("GlobalLipschitz", kernel.GATE, alpha_l.system.with_domain(TRUE))
     with pytest.raises(NonConstantBound):
-        step_exist_global((), clocked, parse_poly("2") * Polynomial.var("_t"), lip)
+        step_exist_global((), clocked, parse_poly("2") * Polynomial.var("_t"))
     with pytest.raises(NoClock):
-        step_exist_global((), alpha_l.system.with_domain(TRUE), Polynomial.const(1), lip)
+        step_exist_global((), alpha_l.system.with_domain(TRUE), Polynomial.const(1))
 
 
-def test_gex_takes_the_gate_of_its_own_vector_field(alpha_l, alpha_n):
-    clocked = alpha_l.system.with_domain(TRUE).with_clock("_t")
-    node = step_exist_global((), clocked, Polynomial.const(1), LipschitzOb("g", kernel.GATE, alpha_l.system))
-    assert [ob.label for ob in node.obligations] == ["g"]
-    for other in (alpha_n.system, clocked):  # another vector field; this one with the ghost clock
-        with pytest.raises(ShapeMismatch):
-            step_exist_global((), clocked, Polynomial.const(1), LipschitzOb("g", kernel.GATE, other))
+def test_gex_takes_the_gate_of_its_own_vector_field(alpha_l):
+    """The GEx leaf's one gate names its vector field without the ghost clock."""
+    unclocked = alpha_l.system.with_domain(TRUE)
+    node = step_exist_global((), unclocked.with_clock("_t"), Polynomial.const(1))
+    (lip,) = node.obligations
+    assert isinstance(lip, LipschitzOb)
+    assert (lip.label, lip.role, lip.system) == ("GlobalLipschitz", kernel.GATE, unclocked)
 
 
 def test_bex_posts_disjunction(alpha_n):
@@ -291,6 +296,7 @@ AUDIT_PROBLEM = parse_problem("ode { u' = -v - u; v' = u - v }  assume { u = 0 }
 AUDIT_PAIRS = (("u >= 1", "u^2 + v^2 <= 4"), ("u > 1", "u^2 + v^2 < 4"))
 AUDIT_REFINED = parse_formula("v <= 1")  # the stronger domain R of the refinement steps
 AUDIT_INVARIANT = parse_formula("u < 3")  # the postcondition of the invariance steps, p < 0 for BC
+AUDIT_VARIANT = parse_poly("u - 1")  # the liveness steps' p: each goal is p >= 0 or p > 0; p is -1 initially
 
 
 def build_every_step(goal: str, domain: str) -> dict:
@@ -299,7 +305,9 @@ def build_every_step(goal: str, domain: str) -> dict:
     Each child is a stub leaf of the shape the step asks for; the existence
     leaves, which refuse a domain, get the unconstrained clocked system.  DI
     is the plain form on the closed pair and the strict-boundary variant on
-    the open one."""
+    the open one.  The derived liveness rules get real existence leaves: a
+    `_dom` variant where there is one, SP_c and SP_ck_dom on the closed pair,
+    SP_b and E_c_dom on the open one."""
     ctx, system = AUDIT_PROBLEM.assumptions, AUDIT_PROBLEM.system
     p, q, g = parse_formula(goal), parse_formula(domain), parse_formula("u >= 2")
     target = Sequent(ctx, dia(system.with_domain(q), p))
@@ -310,7 +318,6 @@ def build_every_step(goal: str, domain: str) -> dict:
     t0 = Cmp("=", Polynomial.var(kernel.CLOCK_NAME), Polynomial.const(0))
     clocked = leaf(Sequent(ctx + (t0,), dia(system.with_domain(q).with_clock(kernel.CLOCK_NAME), p)))
     unconstrained = system.with_domain(TRUE).with_clock(kernel.CLOCK_NAME)
-    lip = LipschitzOb("GlobalLipschitz", kernel.GATE, system.with_domain(TRUE))
 
     inv, cut, weaker = AUDIT_INVARIANT, AUDIT_REFINED, Or(q, AUDIT_REFINED)
     box_target = Sequent(ctx, box(system.with_domain(q), inv))
@@ -326,7 +333,7 @@ def build_every_step(goal: str, domain: str) -> dict:
         (step_topo_closed_open, target, AUDIT_REFINED, child(p, AUDIT_REFINED)),
         (step_topo_semialg, target, AUDIT_REFINED, child(p, AUDIT_REFINED)),
         (step_ghost_clock, target, clocked),
-        (step_exist_global, ctx, unconstrained, Polynomial.const(1), lip),
+        (step_exist_global, ctx, unconstrained, Polynomial.const(1)),
         (step_exist_bounded, ctx, unconstrained, q, Polynomial.const(1)),
         (step_assumption, ctx, target.succedent),
         (step_dw, box_target),
@@ -337,7 +344,28 @@ def build_every_step(goal: str, domain: str) -> dict:
         (step_and_split, split_target, (box_child(inv, q), box_child(cut, q))),
         (step_domain_weaken, box_target, weaker, box_child(inv, weaker)),
     )
-    return {step.__name__: step(*args) for step, *args in calls}
+    built = {step.__name__: step(*args) for step, *args in calls}
+    v, one, closed = AUDIT_VARIANT, Polynomial.const(1), p.op == ">="
+    free, const = Sequent(ctx, dia(system.with_domain(TRUE), p)), context_filter(ctx, system)
+
+    def gex():  # past (0 - (-1)) / 1
+        return step_exist_global(const, unconstrained, one)
+
+    def bex(escape, bound=None, context=const):
+        return step_exist_bounded(context, unconstrained, escape, bound)
+
+    stage = bex(q, Polynomial.const(2), ctx + (kernel.CLOCK_START,))  # (1 - (-1)) / 1
+    return dict(
+        built,
+        step_dv=step_dv("dV_geq_dom" if closed else "dV_gt_dom", target, v, one, gex(), op=p.op, p0=-1),
+        step_dv_eq=step_dv_eq("dV_eqM_dom", target, v, one, gex(), p0=-1),
+        step_sp=step_sp("SP_dom", target, v, one, AUDIT_REFINED, gex(), p0=-1),
+        step_sp_bounded=step_sp_bounded("SP_c" if closed else "SP_b", free, v, q, one, stage, p0=-1, p1=1),
+        step_slyap=step_slyap("SLyap", free, parse_poly("4 - u^2 - v^2"), q, bex(conj([q, negate(p)]))),
+        step_compact_dom=step_compact_dom("SP_ck_dom", target, v, bex(q), S=q)
+        if closed
+        else step_compact_dom("E_c_dom", target, v, bex(conj([q, negate(p)]))),
+    )
 
 
 def _diamond_domain(seq):
@@ -348,15 +376,18 @@ def _diamond_domain(seq):
 
 
 def refines_domain_under_goal_negation(node) -> bool:
-    """The node changes its diamond's domain Q and puts the goal negation
-    among the conjuncts of a box premise's domain: the shape that is sound
-    only with COR's gates (CE-2 shows the failure without them)."""
+    """The node changes its diamond's domain Q and has a box premise that
+    proves Q's conjuncts with the goal negation among its domain's
+    conjuncts: the shape that is sound only with COR's gates (CE-2 shows the
+    failure without the topology gate, CE-3 without Γ ⊢ ¬P)."""
     domain = _diamond_domain(node.conclusion)
     if domain is None or all(_diamond_domain(c.conclusion) in (None, domain) for c in node.children):
         return False
-    not_p = set(conjuncts(negate(node.conclusion.succedent.post)))
+    not_p, q = set(conjuncts(negate(node.conclusion.succedent.post))), set(conjuncts(domain))
     return any(
-        isinstance(ob, InvarianceOb) and not_p <= set(conjuncts(ob.sequent.succedent.system.domain))
+        isinstance(ob, InvarianceOb)
+        and not_p <= set(conjuncts(ob.sequent.succedent.system.domain))
+        and q <= set(conjuncts(ob.sequent.succedent.post))
         for ob in node.obligations
     )
 
@@ -379,9 +410,33 @@ def missing_gates(node) -> list:
     return missing
 
 
+def missing_liveness_gates(node) -> list:
+    """The catalog's other corrections a node lacks: the GlobalLipschitz gate
+    it shares with a GEx child (CE-1), and SLyap's Compact gate (CE-4)."""
+    gates = [ob for ob in node.obligations if ob.role == kernel.GATE]
+    missing = []
+    if any(c.step.name == "GEx" and not any(ob in gates for ob in c.obligations) for c in node.children):
+        missing.append("GlobalLipschitz")
+    if node.step.name.startswith("SLyap") and not any(
+        isinstance(ob, TopoOb) and ob.prop == topology.COMPACT for ob in gates
+    ):
+        missing.append("Compact")
+    return missing
+
+
 def _atoms(f) -> set:
     """The normalised atoms among the conjuncts of f (of TRUE for None)."""
     return {norm_atom(c) for c in conjuncts(nnf(TRUE if f is None else f)) if isinstance(c, Cmp)}
+
+
+def _box(node):
+    """The box modality `node` proves, else None."""
+    s = node.conclusion.succedent
+    return s if isinstance(s, Modal) and s.box else None
+
+
+def _domain(modal):
+    return TRUE if modal.system.domain is None else modal.system.domain
 
 
 def assumes_what_it_proves(node) -> bool:
@@ -389,40 +444,57 @@ def assumes_what_it_proves(node) -> bool:
     proves: an arithmetic premise whose hypothesis holds an atom of P, or a
     child proving Γ' ⊢ [x' = f & Q'] C over a Q' that holds an atom of C,
     where neither Q nor Γ holds that atom.  DI and BC premises over the
-    invariant itself, or a DC cut proved under the cut, are unsound."""
-    s = node.conclusion.succedent
-    if not (isinstance(s, Modal) and s.box):
+    invariant itself, or a DC cut proved under the cut, are unsound.  A DC's
+    second premise may hold the atoms of the cut its first child proves
+    over the same domain Q."""
+    s = _box(node)
+    if s is None:
         return False
     given = _atoms(s.system.domain).union(*map(_atoms, node.conclusion.context))
-    premises = [(ob.obligation.hypothesis, s.post) for ob in node.obligations if isinstance(ob, ArithOb)]
-    premises += [
-        (c.conclusion.succedent.system.domain, c.conclusion.succedent.post)
-        for c in node.children
-        if isinstance(c.conclusion.succedent, Modal) and c.conclusion.succedent.box
-    ]
-    return any((_atoms(hyp) & _atoms(proved)) - given for hyp, proved in premises)
+    premises = [(ob.obligation.hypothesis, s.post, set()) for ob in node.obligations if isinstance(ob, ArithOb)]
+    boxes = [b for b in map(_box, node.children) if b is not None]
+    cut = set()
+    if node.step.name == "DC" and _domain(boxes[0]) == _domain(s):
+        cut = _atoms(boxes[0].post)
+    premises += [(b.system.domain, b.post, cut if i == 1 else set()) for i, b in enumerate(boxes)]
+    return any((_atoms(hyp) & _atoms(proved)) - given - exempt for hyp, proved, exempt in premises)
+
+
+DOMAIN_REFINERS = ("step_topo_closed_open", "step_dv")  # COR, and dV's `_dom` variants argued the same way
 
 
 def step_audit_findings() -> list:
     """What the constructor audit finds wrong, empty when sound: a `step_*`
-    constructor it does not build, a step other than COR that refines the
-    domain under the goal negation, such a step without its gates, COR no
-    longer seen to do so, a DR box premise over more than the plain R, or an
-    invariance step with a premise that assumes what it proves."""
+    constructor it does not build, a step other than COR and dV's domain
+    variants that refines the domain under the goal negation, such a step
+    without its gates (CE-2, CE-3), COR or dV no longer seen to do so, a DR
+    box premise over more than the plain R, an invariance step with a
+    premise that assumes what it proves, or a node of a built proof without
+    the GlobalLipschitz gate of its GEx child (CE-1) or, for SLyap, its
+    Compact gate (CE-4)."""
     constructors = {name for name in vars(kernel) if name.startswith("step_")}
     findings = []
     for goal, domain in AUDIT_PAIRS:
         built = build_every_step(goal, domain)
         findings += [f"{name} is not built by the audit" for name in sorted(constructors - set(built))]
         tripped = {name for name, node in built.items() if refines_domain_under_goal_negation(node)}
-        findings += [f"{name} refines the domain under not-P" for name in sorted(tripped - {"step_topo_closed_open"})]
+        findings += [f"{name} refines the domain under not-P" for name in sorted(tripped - set(DOMAIN_REFINERS))]
         findings += [f"{name} lacks its {gate} gate" for name in sorted(tripped) for gate in missing_gates(built[name])]
-        if "step_topo_closed_open" not in tripped:
-            findings.append(f"COR is not seen to refine the domain under not-P ({goal}, {domain})")
+        findings += [
+            f"{name} is not seen to refine the domain under not-P ({goal}, {domain})"
+            for name in DOMAIN_REFINERS
+            if name not in tripped
+        ]
         dr_domains = [ob.sequent.succedent.system.domain for ob in built["step_refine_domain"].obligations]
         if dr_domains != [AUDIT_REFINED]:
             findings.append(f"DR's box premise domains are {dr_domains}, not the plain R")
         findings += [f"{name} assumes what it proves" for name, node in built.items() if assumes_what_it_proves(node)]
+        findings += [
+            f"{name}: {sub.step.name} lacks its {gate} gate"
+            for name, node in built.items()
+            for sub in node.walk()
+            for gate in missing_liveness_gates(sub)
+        ]
     return findings
 
 
@@ -510,22 +582,74 @@ def test_invariance_steps_check_their_children():
             case()
 
 
+PROOF_RECORDS = {"ProofNode", "ArithOb", "TopoOb", "LipschitzOb", "InvarianceOb", "AssumeOb"}
+
+
 def test_only_the_kernel_builds_proof_nodes():
-    """Only `kernel.py` calls `ProofNode`, and no `derived_node` call, the one
-    unchecked node builder, names an invariance step."""
-    invariance = {"DW", "DI", "BC", "DC", "DX", "∧-split", "DomainWeaken"}
-    callers, named = set(), []
+    """Only `kernel.py` calls `ProofNode` or an obligation record, `rules.py`
+    imports none of them, and the kernel has no unchecked node builder."""
+    callers, imported = set(), set()
     for path in sorted((ROOT / "src" / "odeliveness").glob("*.py")):
-        for call in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(call, ast.Call):
-                continue
-            name = getattr(call.func, "id", getattr(call.func, "attr", None))
-            if name == "ProofNode":
+        for node in ast.walk(ast.parse(path.read_text())):
+            called = getattr(node.func, "id", getattr(node.func, "attr", None)) if isinstance(node, ast.Call) else None
+            if called in PROOF_RECORDS:
                 callers.add(path.name)
-            if name == "derived_node":
-                named += [c.value for c in ast.walk(call) if isinstance(c, ast.Constant) and c.value in invariance]
+            if isinstance(node, ast.ImportFrom) and path.name == "rules.py":
+                imported |= {alias.name for alias in node.names} & PROOF_RECORDS
     assert callers == {"kernel.py"}
-    assert named == []
+    assert imported == set()
+    assert not hasattr(kernel, "derived_node")
+
+
+def test_liveness_steps_check_their_children():
+    """Each derived-rule step refuses an existence leaf for another clock,
+    another time bound or another escape set."""
+    built = build_every_step(*AUDIT_PAIRS[0])
+    ctx, v, one = AUDIT_PROBLEM.assumptions, AUDIT_VARIANT, Polynomial.const(1)
+    target, free = built["step_dv"].conclusion, built["step_sp_bounded"].conclusion
+    q = target.succedent.system.domain
+    target = Sequent(ctx, dia(target.succedent.system, parse_formula(AUDIT_PAIRS[0][0])))
+    flat = AUDIT_PROBLEM.system.with_domain(TRUE)
+    other_clock = step_exist_global((), flat.with_clock("_s"), one)
+    late = step_exist_global((), flat.with_clock(kernel.CLOCK_NAME), Polynomial.const(2))
+    clocked_ctx = ctx + (kernel.CLOCK_START,)
+    elsewhere = step_exist_bounded((), flat.with_clock(kernel.CLOCK_NAME), AUDIT_REFINED, None)
+    cases = (
+        lambda: step_dv("dV_geq_dom", target, v, one, other_clock, op=">=", p0=-1),
+        lambda: step_dv("dV_geq_dom", target, v, one, late, op=">=", p0=-1),
+        lambda: step_dv("dV_geq_dom", target, v, one, elsewhere, op=">=", p0=-1, escape=q),
+        lambda: step_dv_eq("dV_eqM_dom", target, v, one, late, p0=-1),
+        lambda: step_sp("SP_dom", target, v, one, AUDIT_REFINED, other_clock, p0=-1),
+        lambda: step_sp_bounded(
+            "SP_c", free, v, q, one, step_exist_bounded(clocked_ctx, late.conclusion.succedent.system, q, one),
+            p0=-1, p1=1,
+        ),
+        lambda: step_slyap("SLyap", free, parse_poly("4 - u^2 - v^2"), q, elsewhere),
+        lambda: step_compact_dom("SP_ck_dom", target, v, elsewhere, S=q),
+        lambda: step_compact_dom("E_c_dom", target, v, elsewhere),
+    )
+    for case in cases:
+        with pytest.raises(ShapeMismatch):
+            case()
+
+
+def test_audit_sees_the_catalog_shapes():
+    """The catalog's corrections on hand-built nodes: dV_geq_dom without its
+    GlobalLipschitz gate (CE-1) or without Γ ⊢ ¬P (CE-3), SLyap without
+    Compact(K) (CE-4)."""
+    built = build_every_step(*AUDIT_PAIRS[0])
+    dv, slyap = built["step_dv"], built["step_slyap"]
+
+    def without(node, drop):
+        kept = tuple(ob for ob in node.obligations if not drop(ob))
+        return ProofNode(node.step, node.conclusion, node.children, kept)
+
+    assert missing_liveness_gates(without(dv, lambda ob: isinstance(ob, LipschitzOb))) == ["GlobalLipschitz"]
+    no_initial = without(dv, lambda ob: ob.label.startswith("InitialState"))
+    assert refines_domain_under_goal_negation(no_initial) and missing_gates(no_initial) == ["initial-state"]
+    no_compact = without(slyap, lambda ob: getattr(ob, "prop", None) == topology.COMPACT)
+    assert missing_liveness_gates(no_compact) == ["Compact"]
+    assert missing_liveness_gates(dv) == missing_liveness_gates(slyap) == missing_gates(dv) == []
 
 
 def test_domain_refine_signature_admits_no_extra_domain_term():
