@@ -8,9 +8,9 @@ against the sequent that child must prove.  The diamond-modality steps are
 M◇′, K⟨&⟩, DR⟨·⟩, COR, SAR, dGt and the existence leaves GEx and BEx; the
 box-modality (invariance) steps are DW, DI, BC, DC, DX, ∧-split and
 DomainWeaken.  The eighteen derived liveness rules are six more steps, one
-per family (dV, dV_eq, SP, SP_b/SP_c, SLyap, SP_ck_dom/E_c_dom): each works
-out its gates, premises, witnesses and stay premises from the target
-sequent and the certificate's parameters, and checks its existence leaf.
+per family (dV, dV_eq, SP, SP_b/SP_c, SLyap, SP_ck_dom/E_c_dom) that refuses
+other rule names, works out every premise from the target sequent and the
+certificate's parameters, and checks its leaf against `existence_leaf`'s.
 
 Verdict propagation: a node is Proved iff every obligation passed and every
 child is Proved; ConditionallyProved when the only shortfall is explicit
@@ -199,6 +199,10 @@ def discharge(ob, checker) -> None:
     # AssumeOb needs no discharge
 
 
+def _ob(label: str, role: str, hyp: Formula, concl: Formula) -> ArithOb:
+    return ArithOb(label, role, ArithObligation.closure(hyp, concl))
+
+
 class Step(Frozen):
     __slots__ = ("name", "note")
     _defaults = {"note": ""}
@@ -261,8 +265,7 @@ def step_monotone_dia(target: Sequent, stronger: Formula, child: "ProofNode") ->
     want = Sequent(target.context, dia(system, stronger))
     if child.conclusion != want:
         raise ShapeMismatch("monotonicity child proves the wrong sequent")
-    hyp = conj([domain, stronger])
-    ob = ArithOb("monotonicity premise", PREMISE, ArithObligation.closure(hyp, post))
+    ob = _ob("monotonicity premise", PREMISE, conj([domain, stronger]), post)
     return ProofNode(Step("M◇′"), target, (child,), (ob,))
 
 
@@ -308,30 +311,21 @@ def step_topo_closed_open(target: Sequent, stronger_domain: Formula, child: "Pro
     closed_q = topology.check_closed(domain)
     open_p = topology.check_open(post)
     open_q = topology.check_open(domain)
-    if closed_p.holds and closed_q.holds:
-        pair = "closed"
-        tops = (
-            TopoOb("goal topology", GATE, post, topology.CLOSED, xs, closed_p),
-            TopoOb("domain topology", GATE, domain, topology.CLOSED, xs, closed_q),
-        )
-    elif open_p.holds and open_q.holds:
-        pair = "open"
-        tops = (
-            TopoOb("goal topology", GATE, post, topology.OPEN, xs, open_p),
-            TopoOb("domain topology", GATE, domain, topology.OPEN, xs, open_q),
-        )
+    pairs = (("closed", topology.CLOSED, closed_p, closed_q), ("open", topology.OPEN, open_p, open_q))
+    for pair, prop, on_p, on_q in pairs:
+        if on_p.holds and on_q.holds:
+            break
     else:
         raise TopoUnknown(
             "goal and domain must both be certified open or both closed "
             f"(goal: closed {closed_p.status}/open {open_p.status}, "
             f"domain: closed {closed_q.status}/open {open_q.status})"
         )
-    hyp = conj(list(target.context))
-    initial = ArithOb(
-        "initial state outside the goal",
-        GATE,
-        ArithObligation.closure(hyp, negate(post)),
+    tops = (
+        TopoOb("goal topology", GATE, post, prop, xs, on_p),
+        TopoOb("domain topology", GATE, domain, prop, xs, on_q),
     )
+    initial = _ob("initial state outside the goal", GATE, conj(list(target.context)), negate(post))
     ob_domain = conj([stronger_domain, negate(post)])
     inv = InvarianceOb(
         "stay inside the domain before the goal",
@@ -419,10 +413,6 @@ def step_assumption(context, formula: Formula) -> ProofNode:
 
 # ---------------------------------------------------------------------------
 # Step constructors: invariance axioms for Γ ⊢ [x' = f & Q] P
-
-
-def _ob(label: str, role: str, hyp: Formula, concl: Formula) -> ArithOb:
-    return ArithOb(label, role, ArithObligation.closure(hyp, concl))
 
 
 def _concludes(child: "ProofNode", context, system: OdeSystem, domain: Formula, post: Formula) -> bool:
@@ -537,17 +527,28 @@ def step_domain_weaken(target: Sequent, weaker: Formula, child: "ProofNode") -> 
     return ProofNode(Step("DomainWeaken", print_formula(weaker)), target, (child,))
 
 
-def time_bound(p0: Optional[Fraction], eps: Optional[Polynomial], p1=Fraction(0)) -> Optional[Fraction]:
+def time_bound(p0: Optional[Fraction], eps: Optional[Polynomial], p1=Fraction(0)) -> Optional[Polynomial]:
     """(p1 - p0) / eps: how long a variant rising at rate eps from p0 takes to reach p1."""
     e = None if eps is None else eps.constant_value()
     if p0 is None or p1 is None or e is None or e <= 0:
         return None
-    return (p1 - p0) / e
+    return Polynomial.const((p1 - p0) / e)
 
 
-def _after(bound: Optional[Fraction]) -> Formula:
-    """_t > bound, the time an existence leaf outlasts; _t > _p without a bound."""
-    return Cmp(">", Polynomial.var(CLOCK_NAME), Polynomial.var("_p") if bound is None else Polynomial.const(bound))
+def existence_leaf(context, system: OdeSystem, kind: str, *, p0=None, eps=None, p1=Fraction(0), escape=None, order=1):
+    """A derived rule's existence leaf over the unconstrained `system` with the
+    ghost clock: GEx, or BEx leaving `escape`, outlasting (p1 - p0) / eps for a
+    variant of `order` 1, else any _p; or the assumption p0 + eps*_t > 0."""
+    clocked = system.with_clock(CLOCK_NAME)
+    if kind == "assumption":
+        start = Polynomial.var("_p0") if p0 is None else Polynomial.const(p0)
+        return step_assumption(context, dia(clocked, Cmp(">", start + eps * Polynomial.var(CLOCK_NAME), ZERO)))
+    bound = time_bound(p0, eps, p1) if order == 1 else None
+    if kind == "GEx":
+        return step_exist_global(context, clocked, bound)
+    if kind == "BEx" and escape is not None:
+        return step_exist_bounded(context, clocked, escape, bound)
+    raise ShapeMismatch(f"no {kind} existence leaf")
 
 
 def _is_atom(f: Formula, p: Polynomial, op: str) -> bool:
@@ -558,32 +559,39 @@ def _is_atom(f: Formula, p: Polynomial, op: str) -> bool:
     return a.op == want.op and primitive(a.poly) == primitive(want.poly)
 
 
-def _match_variant_goal(goal: Formula, p: Polynomial, op: str) -> None:
-    """The rule's conclusion p `op` 0 must match the (possibly refined) goal."""
-    if not isinstance(goal, Cmp):
-        raise ShapeMismatch(
-            f"goal {print_formula(goal)} is not an atomic comparison; use 'post'/'via' bindings to refine it first"
-        )
-    if not _is_atom(goal, p, op):
+def in_domain(name: str) -> bool:
+    """Rule `name` argues inside the domain Q; any other rule is refined to Q by DR, COR or SAR."""
+    return name.endswith("_dom")
+
+
+def check_rule(name: str, target: Sequent, variant=None) -> None:
+    """Rule `name`'s shape checks of its target Γ ⊢ <x' = f & Q> P, run before
+    any witness search: Q only for a `_dom` rule; a `variant` (p, op) is P."""
+    _, domain, goal = modal_parts(target)
+    if in_domain(name) and domain == TRUE:
+        raise ShapeMismatch(f"rule {name} needs a domain block")
+    if not in_domain(name) and domain != TRUE:
+        raise ShapeMismatch(f"rule {name} applies to unconstrained problems; use {name}_dom")
+    if variant is not None and not isinstance(goal, Cmp):
+        refine = "use 'post'/'via' bindings to refine it first"
+        raise ShapeMismatch(f"goal {print_formula(goal)} is not an atomic comparison; {refine}")
+    if variant is not None and not _is_atom(goal, *variant):
+        p, op = variant
         raise ShapeMismatch(f"goal {print_formula(goal)} does not match variant condition {print_poly(p)} {op} 0")
 
 
 class _Derived:
-    """A derived rule applied to Γ ⊢ <x' = f & Q> P: the parts its premises
-    are built from.  A `_dom` rule argues inside Q; any other proves the
-    unconstrained system, and DR, COR or SAR above it adds Q."""
+    """A derived rule of `family` applied to Γ ⊢ <x' = f & Q> P: the parts its
+    premises are built from, inside Q for a `_dom` rule."""
 
-    def __init__(self, name: str, target: Sequent):
+    def __init__(self, name: str, family: tuple, target: Sequent, variant=None):
+        if name not in family:
+            raise ShapeMismatch(f"rule {name} is not one of {', '.join(family)}")
+        check_rule(name, target, variant)
         system, self.domain, self.post = modal_parts(target)
-        self.dom = name.endswith("_dom")
-        if self.dom and self.domain == TRUE:
-            raise ShapeMismatch(f"rule {name} needs a domain block")
-        if not self.dom and self.domain != TRUE:
-            raise ShapeMismatch(f"rule {name} applies to unconstrained problems; use {name}_dom")
-        self.name, self.gamma = name, target.context
+        self.name, self.dom, self.gamma = name, in_domain(name), target.context
         self.sys0 = system.with_domain(TRUE)
         self.system = system if self.dom else self.sys0
-        self.clocked = self.sys0.with_clock(CLOCK_NAME)
         self.const_ctx = context_filter(target.context, system)  # kept across the rule's steps
         self.target = Sequent(self.gamma, dia(self.system, self.post))
 
@@ -602,10 +610,10 @@ class _Derived:
         seq = Sequent(self.gamma, box(self.sys0.with_domain(during), inside))
         return InvarianceOb(label, PREMISE, seq, hints=hints)
 
-    def eps_gate(self, eps: Polynomial) -> ArithOb:
+    def eps_gate(self, eps: Optional[Polynomial]) -> ArithOb:
         """eps > 0, under the constant context when eps is a parameter."""
-        if eps.variables() - self.sys0.params:
-            raise NonConstantBound(f"eps {print_poly(eps)} mentions ODE state")
+        if eps is None or eps.variables() - self.sys0.params:
+            raise NonConstantBound(f"rule {self.name} needs eps, a rational or a declared constant parameter")
         hyp = TRUE if eps.constant_value() is not None else conj(list(self.const_ctx))
         return _ob("eps positive", GATE, hyp, Cmp(">", eps, ZERO))
 
@@ -624,9 +632,9 @@ class _Derived:
         gates = [self.topo(prop, region), self.initially(f"InitialState {named}", initial)]
         return gates + obligations + [self.stay(f"stay in the {self.where} {purpose}", during, region, hints)]
 
-    def leaf(self, child: ProofNode, kind: str, post: Formula) -> ProofNode:
-        """`child`, checked to be the `kind` leaf proving Γ_const ⊢ <x' = f, _t' = 1> post."""
-        want = Sequent(self.const_ctx, dia(self.clocked, post))
+    def leaf(self, child: ProofNode, kind: str, context=None, **params) -> ProofNode:
+        """`child`, checked to be `existence_leaf`'s (over the constant context by default)."""
+        want = existence_leaf(self.const_ctx if context is None else context, self.sys0, kind, **params).conclusion
         if child.step.name != kind or child.conclusion != want:
             raise ShapeMismatch(f"rule {self.name} needs the {kind} leaf {print_sequent(want)}")
         return child
@@ -635,7 +643,7 @@ class _Derived:
         return ProofNode(Step(self.name, note), conclusion or self.target, tuple(children), tuple(obligations))
 
 
-def step_dv(name, target, p, eps, child, *, op, order=1, bounds=None, p0=None, p1=None, escape=None, hints=(),
+def step_dv(name, target, p, eps, child, *, op, order=1, bounds=None, p0=None, p1=Fraction(0), escape=None, hints=(),
             escape_hints=()) -> ProofNode:
     """dV_geq, dV_gt, dV_geq_star, dV_k and the `_dom` variants: off the goal
     p `op` 0, the `order`-th Lie derivative of p is at least eps.  The child
@@ -643,28 +651,22 @@ def step_dv(name, target, p, eps, child, *, op, order=1, bounds=None, p0=None, p
     assumption makes the flow last.  Inside a region R, the domain and the
     certificate's box `bounds` (which bounds an otherwise unbounded premise),
     the gates Closed/Open(R) and Γ ⊢ ¬P (CE-3) and a stay premise join."""
-    r = _Derived(name, target)
-    _match_variant_goal(r.post, p, op)
+    r = _Derived(name, ("dV_geq", "dV_gt", "dV_geq_star", "dV_k", "dV_geq_dom", "dV_gt_dom"), target, (p, op))
     goal = Cmp(op, p, ZERO)
     not_goal = negate(goal)
     region = r.region(bounds)
+    r.leaf(child, child.step.name, p0=p0, eps=eps, p1=p1, escape=escape, order=order)
     slope = Cmp(">=", higher_lie(p, r.sys0, order), eps)
     obligations = [r.eps_gate(eps), r.premise("variant slope premise", slope, not_goal, region)]
-    bound = time_bound(p0, eps) if order == 1 else None
-    if bound is not None:
+    if order == 1 and time_bound(p0, eps) is not None:
         obligations.append(r.initially("initial variant value", Cmp(">=", p, Polynomial.const(p0)), WITNESS))
     if child.step.name == "GEx":
-        obligations.insert(0, r.leaf(child, "GEx", _after(bound)).obligations[0])
-    elif child.step.name == "BEx" and escape is not None:
+        obligations.insert(0, child.obligations[0])
+    elif child.step.name == "BEx":
         obligations.append(r.stay("stay in the bounded set before the goal", not_goal, escape, escape_hints))
-        bound = time_bound(p0, eps, p1)
-        if bound is not None:
+        if order == 1 and time_bound(p0, eps, p1) is not None:
             at_most = Cmp("<=", p, Polynomial.const(p1))
             obligations.append(_ob("variant bounded on escape set", WITNESS, escape, at_most))
-        r.leaf(child, "BEx", Or(negate(escape), _after(bound)))
-    else:
-        start = Polynomial.var("_p0") if p0 is None else Polynomial.const(p0)
-        r.leaf(child, "assumption", Cmp(">", start + eps * Polynomial.var(CLOCK_NAME), ZERO))
     prop = topology.CLOSED if op == ">=" else topology.OPEN
     obligations = r.inside(region, obligations, prop, not_goal, not_goal, "before the goal", hints)
     chain = [f"L^{i} p >= _g{i} + eps*t^{order - i}/{order - i}!" for i in range(order - 1, 0, -1)]
@@ -677,17 +679,15 @@ def step_dv_eq(name, target, p, eps, child, *, bounds=None, p0=None, hints=(), r
     reaches p = 0 within the GEx child's time; the internal replay keeps it
     negative until then.  Inside a region R, Closed(R), Γ ⊢ R and a stay
     premise join.  dV_eqM(_dom) concludes the goal from the zero set."""
-    r = _Derived(name, target)
+    mono = name in ("dV_eqM", "dV_eqM_dom")
+    r = _Derived(name, ("dV_eq", "dV_eqM", "dV_eq_dom", "dV_eqM_dom"), target, None if mono else (p, "="))
     goal = Cmp("=", p, ZERO)
-    mono = name.startswith("dV_eqM")
-    if not mono:
-        _match_variant_goal(r.post, p, "=")
     region = r.region(bounds)
     p_lt, p_le = Cmp("<", p, ZERO), Cmp("<=", p, ZERO)
     slope = Cmp(">=", lie_derivative(p, r.sys0), eps)
     before = Sequent(r.gamma + (p_le,), box(r.sys0.with_domain(conj([region, Cmp("!=", p, ZERO)])), p_lt))
     replay = InvarianceOb("variant negative before the goal", INTERNAL, before, hints=replay_hints)
-    lip = r.leaf(child, "GEx", _after(time_bound(p0, eps))).obligations[0]
+    lip = r.leaf(child, "GEx", p0=p0, eps=eps).obligations[0]
     obligations = [lip, r.eps_gate(eps), r.initially("InitialState p <= 0", p_le)]
     obligations += [r.premise("variant slope premise", slope, p_lt, region), replay]
     obligations = r.inside(region, obligations, topology.CLOSED, region, p_lt, "while the variant is negative", hints)
@@ -702,10 +702,10 @@ def step_sp(name, target, p, eps, S, child, *, p0=None, hints=()) -> ProofNode:
     """SP: on the staging set S, where the flow stays until the goal, p <= 0
     rises at rate eps; SP_dom keeps S inside the domain, and the flow in S
     until goal-and-domain."""
-    r = _Derived(name, target)
+    r = _Derived(name, ("SP", "SP_dom"), target)
     rising = conj([r.domain, Cmp("<=", p, ZERO), Cmp(">=", lie_derivative(p, r.sys0), eps)])
     before = negate(And(r.post, r.domain) if r.dom else r.post)
-    lip = r.leaf(child, "GEx", _after(time_bound(p0, eps))).obligations[0]
+    lip = r.leaf(child, "GEx", p0=p0, eps=eps).obligations[0]
     staging = r.stay("staging invariance", before, S, hints)
     return r.node((child,), (lip, r.eps_gate(eps), staging, r.premise("staging premise", rising, S)))
 
@@ -713,8 +713,9 @@ def step_sp(name, target, p, eps, S, child, *, p0=None, hints=()) -> ProofNode:
 def step_sp_bounded(name, target, p, S, eps, child, *, p0=None, p1=None, hints=(), duration_hints=()) -> ProofNode:
     """SP_b (S bounded, p rising at rate eps) and SP_c (S compact, p strictly
     rising; eps a witness): BEx leaves S or outlasts (p1 - p0) / eps, which
-    the flow cannot spend in S (K⟨&⟩, dGt); it stays in S until the goal."""
-    r = _Derived(name, target)
+    the flow cannot spend in S (K⟨&⟩ by the clock cut `duration_hints`,
+    dGt); it stays in S until the goal."""
+    r = _Derived(name, ("SP_b", "SP_c"), target)
     lie = lie_derivative(p, r.sys0)
     if name == "SP_c":
         increasing = r.premise("variant strictly increasing on the stage", Cmp(">", lie, ZERO), S)
@@ -724,12 +725,14 @@ def step_sp_bounded(name, target, p, S, eps, child, *, p0=None, p1=None, hints=(
     else:
         slope = r.premise("variant slope on the stage", Cmp(">=", lie, eps), S)
         obligations = [r.topo(topology.BOUNDED, S), r.eps_gate(eps), slope]
-    bound = time_bound(p0, eps, p1)
-    if bound is not None:
+    clocked = r.gamma + (CLOCK_START,)
+    escape = r.leaf(child, "BEx", clocked, p0=p0, eps=eps, p1=p1, escape=S).conclusion.succedent.post
+    if time_bound(p0, eps, p1) is None:
+        duration_hints = ()  # no time to cut the clock at
+    else:
         obligations.append(_ob("variant bounded on staging set", WITNESS, S, Cmp("<=", p, Polynomial.const(p1))))
-    not_S, clocked = negate(S), r.gamma + (CLOCK_START,)
-    escape = Or(not_S, _after(bound))
-    within = Sequent(clocked, dia(r.clocked, not_S))
+    not_S = negate(S)
+    within = Sequent(clocked, dia(child.conclusion.succedent.system, not_S))
     timed = step_goal_refine(within, escape, child, duration_hints, "escape within the time bound")
     untimed = step_ghost_clock(Sequent(r.gamma, dia(r.sys0, not_S)), timed)
     return r.node((step_goal_refine(r.target, not_S, untimed, hints, "staging invariance"),), obligations)
@@ -739,12 +742,12 @@ def step_slyap(name, target, p, K, child, *, strict=False) -> ProofNode:
     """SLyap and SLyap_dom (domain exactly p > 0): p >= 0 initially (p > 0
     if `strict` or under the domain), the set p >= 0 lies inside the compact
     K (CE-4), and p rises off the open goal, so BEx leaves K minus the goal."""
-    r = _Derived(name, target)
+    r = _Derived(name, ("SLyap", "SLyap_dom"), target)
     if r.dom and not _is_atom(r.domain, p, ">"):
         raise ShapeMismatch("SLyap_dom needs the domain to be exactly p > 0")
     op = ">" if r.dom or strict else ">="
     not_goal = negate(r.post)
-    r.leaf(child, "BEx", Or(negate(conj([K, not_goal])), _after(None)))
+    r.leaf(child, "BEx", escape=conj([K, not_goal]))
     obligations = (
         r.topo(topology.COMPACT, K),
         r.topo(topology.OPEN, r.post),
@@ -756,20 +759,24 @@ def step_slyap(name, target, p, K, child, *, strict=False) -> ProofNode:
 
 
 def step_compact_dom(name, target, p, child, *, S=None, k=1, hints=()) -> ProofNode:
-    """SP_ck_dom (compact stage S inside the domain, the k-th Lie derivative
-    of p positive) and E_c_dom (S None: the domain off the goal, k = 1); the
-    flow stays put until goal-and-domain, and BEx leaves the stage."""
-    r = _Derived(name, target)
+    """SP_ck_dom (a compact stage S inside the domain, the k-th Lie
+    derivative of p positive) and E_c_dom (no S: the stage is the domain off
+    the goal, k = 1); the flow stays put until goal-and-domain, and BEx
+    leaves the stage."""
+    r = _Derived(name, ("SP_ck_dom", "E_c_dom"), target)
+    staged = name == "SP_ck_dom"
+    if staged != (S is not None) or not staged and k != 1:
+        raise ShapeMismatch("SP_ck_dom takes a staging set S, E_c_dom neither S nor k")
     positive = Cmp(">", higher_lie(p, r.sys0, k), ZERO)
     before = negate(And(r.post, r.domain))
-    if S is not None:
+    if staged:
         stay = r.stay("staging invariance", before, S, hints)
         premise = r.premise("stage inside the domain with increasing variant", conj([r.domain, positive]), S)
     else:
         S = conj([r.domain, negate(r.post)])
         stay = r.stay("stay in the domain before goal-and-domain", before, r.domain, hints)
         premise = r.premise("Lie derivative positive off the goal", positive, S)
-    r.leaf(child, "BEx", Or(negate(S), _after(None)))
+    r.leaf(child, "BEx", escape=S)
     return r.node((child,), (r.topo(topology.COMPACT, S), stay, premise), f"k = {k}")
 
 

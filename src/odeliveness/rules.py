@@ -1,9 +1,11 @@
 """The derived liveness rules' certificates and the invariance sub-prover.
 
-A rule builder reads a certificate's bindings, runs the witness searches
+A rule builder reads a certificate's bindings, has the kernel check the
+rule's target (`kernel.check_rule`), runs the witness searches
 (`initial_value`, `upper_bound_on`, `lie_lower_bound`), builds the
-existence leaf and hands them to the rule's `kernel.step_*` constructor,
-which works out every gate, premise, witness and stay premise.  A rule over
+existence leaf (`kernel.existence_leaf`) and hands them to the rule's
+`kernel.step_*` constructor, which works out every gate, premise, witness
+and stay premise and checks the leaf against its own.  A rule over
 the unconstrained system is then wrapped in the certificate's `post` / `via`
 refinements and the domain refinement (COR, DR or SAR).
 
@@ -33,15 +35,16 @@ from .kernel import (
     CLOCK_START,
     GATE,
     PROVED,
-    ZERO,
     Sequent,
     box,
+    check_rule,
     context_filter,
     dia,
     discharge,
+    existence_leaf,
+    in_domain,
     modal_parts,
     step_and_split,
-    step_assumption,
     step_bc,
     step_compact_dom,
     step_dc,
@@ -51,8 +54,6 @@ from .kernel import (
     step_dv_eq,
     step_dw,
     step_dx,
-    step_exist_bounded,
-    step_exist_global,
     step_goal_refine,
     step_monotone_dia,
     step_refine_domain,
@@ -61,7 +62,6 @@ from .kernel import (
     step_sp_bounded,
     step_topo_closed_open,
     step_topo_semialg,
-    time_bound,
 )
 from .normal import atoms_of, equality_polys, negate, nnf
 from .record import Frozen
@@ -325,12 +325,11 @@ class _Rule:
         if problem.goal is None:
             raise ShapeMismatch("problem has no goal block")
         self.problem, self.cert, self.checker = problem, cert, checker
-        self.name, self.dom = cert.name, cert.name.endswith("_dom")
+        self.name, self.dom = cert.name, in_domain(cert.name)
         self.gamma = problem.assumptions
         self.goal = problem.goal
         self.domain = TRUE if problem.system.domain is None else problem.system.domain
         self.sys0 = problem.system.with_domain(TRUE)
-        self.clocked = self.sys0.with_clock(CLOCK_NAME)
         # constant assumptions are soundly kept across rule applications
         self.const_ctx = context_filter(problem.assumptions, problem.system)
         self.read = set()  # the certificate keys the builder asked for
@@ -343,13 +342,24 @@ class _Rule:
         self.read.add(key)
         return self.cert.has(key)
 
-    def conclusion(self, system, post: Optional[Formula] = None) -> Sequent:
-        return Sequent(self.gamma, dia(system, self.goal if post is None else post))
+    def target(self, post: Optional[Formula] = None, variant=None, system=None) -> Sequent:
+        """The sequent the rule concludes, over the problem's system for a `_dom`
+        rule, refused by the kernel's shape checks before any witness search."""
+        if system is None:
+            system = self.problem.system if self.dom else self.sys0
+        seq = Sequent(self.gamma, dia(system, self.goal if post is None else post))
+        check_rule(self.name, seq, variant)
+        return seq
 
     def p0(self, p: Polynomial) -> Optional[Fraction]:
         """The certificate's initial variant value, else the one the assumptions force."""
         p0 = self.get("p0", "rational")
         return initial_value(p, self.gamma) if p0 is None else p0
+
+    def p1(self, p: Polynomial, region: Formula) -> Optional[Fraction]:
+        """The certificate's bound on p over `region`, else one searched for."""
+        p1 = self.get("p1", "rational")
+        return upper_bound_on(p, region, self.checker) if p1 is None else p1
 
     def eps(self) -> Polynomial:
         """The 'eps' binding: a rational or a declared constant parameter."""
@@ -361,12 +371,6 @@ class _Rule:
     def region_hints(self, bounds: Optional[Formula]) -> tuple:
         """The stay premise's hints, read when the rule argues inside a region."""
         return self.get("hints", "hints", ()) if self.dom or bounds not in (None, TRUE) else ()
-
-    def gex(self, bound: Optional[Fraction]):
-        return step_exist_global(self.const_ctx, self.clocked, _const(bound))
-
-    def bex(self, escape: Formula, bound: Optional[Fraction] = None):
-        return step_exist_bounded(self.const_ctx, self.clocked, escape, _const(bound))
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +392,7 @@ def _peel_wrappers(r: _Rule):
 
 
 _DOMAIN_STEPS = {"COR": step_topo_closed_open, "DR": step_refine_domain, "SAR": step_topo_semialg}
-_DURATIONS = ("GEx", "BEx", "assume")
+_DURATIONS = {"GEx": "GEx", "BEx": "BEx", "assume": "assumption"}  # certificate word -> existence leaf
 
 
 def _apply_wrappers(r: _Rule, node, specs=(), domain_hints=()):
@@ -402,7 +406,7 @@ def _apply_wrappers(r: _Rule, node, specs=(), domain_hints=()):
     if r.domain != TRUE:
         step = _DOMAIN_STEPS[r.get("domain_via", tuple(_DOMAIN_STEPS), "COR")]
         hints = r.get("domain_hints", "hints", ()) or domain_hints
-        node = step(r.conclusion(r.problem.system), TRUE, node, hints=hints)
+        node = step(Sequent(r.gamma, dia(r.problem.system, r.goal)), TRUE, node, hints=hints)
     return node
 
 
@@ -416,21 +420,14 @@ def _rule_dv(r: _Rule, *, op: str, star: bool = False, order: int = 1):
     core_goal, specs = _peel_wrappers(r)
     if r.dom and specs:
         raise ShapeMismatch("post/via refinements are not supported with domain rules")
-    p0, p1, escape, escape_hints = r.p0(p), None, None, ()
-    duration = r.get("duration", _DURATIONS, "assume" if star else "GEx")
-    if duration == "assume":
-        start = Polynomial.var("_p0") if p0 is None else Polynomial.const(p0)
-        child = step_assumption(r.const_ctx, dia(r.clocked, Cmp(">", start + eps * Polynomial.var(CLOCK_NAME), ZERO)))
-    elif duration == "BEx":
+    target = r.target(core_goal, (p, op))
+    p0, p1, escape, escape_hints = r.p0(p), Fraction(0), None, ()
+    duration = _DURATIONS[r.get("duration", tuple(_DURATIONS), "assume" if star else "GEx")]
+    if duration == "BEx":
         escape = r.get("duration_B", "formula", required=True)
         escape_hints = r.get("duration_hints", "hints", ())
-        p1 = r.get("p1", "rational")
-        if p1 is None:
-            p1 = upper_bound_on(p, escape, r.checker)
-        child = r.bex(escape, time_bound(p0, eps, p1))
-    else:
-        child = r.gex(time_bound(p0, eps) if order == 1 else None)
-    target = r.conclusion(r.problem.system) if r.dom else r.conclusion(r.sys0, core_goal)
+        p1 = r.p1(p, escape)
+    child = existence_leaf(r.const_ctx, r.sys0, duration, p0=p0, eps=eps, p1=p1, escape=escape, order=order)
     node = step_dv(
         r.name, target, p, eps, child, op=op, order=order, bounds=bounds, p0=p0, p1=p1, escape=escape,
         hints=r.region_hints(bounds), escape_hints=escape_hints,
@@ -441,9 +438,9 @@ def _rule_dv(r: _Rule, *, op: str, star: bool = False, order: int = 1):
 def _rule_dv_eq(r: _Rule):
     """Equational differential variants dV_eq / dV_eqM and domain variants."""
     p, eps, bounds = r.get("p", "polynomial", required=True), r.eps(), r.get("box", "formula")
-    p0 = r.p0(p)
+    target, p0 = r.target(system=r.problem.system), r.p0(p)
     return step_dv_eq(
-        r.name, r.conclusion(r.problem.system), p, eps, r.gex(time_bound(p0, eps)), bounds=bounds, p0=p0,
+        r.name, target, p, eps, existence_leaf(r.const_ctx, r.sys0, "GEx", p0=p0, eps=eps), bounds=bounds, p0=p0,
         hints=r.region_hints(bounds), replay_hints=(DXStep(), BCStep(p)),
     )
 
@@ -453,38 +450,33 @@ def _rule_sp(r: _Rule):
     p = r.get("p", "polynomial", required=True)
     S = r.get("S", "formula", required=True)
     eps, hints = r.eps(), r.get("hints", "hints", ())
-    p0 = r.p0(p)
-    target = r.conclusion(r.problem.system if r.dom else r.sys0)
-    node = step_sp(r.name, target, p, eps, S, r.gex(time_bound(p0, eps)), p0=p0, hints=hints)
+    target, p0 = r.target(), r.p0(p)
+    child = existence_leaf(r.const_ctx, r.sys0, "GEx", p0=p0, eps=eps)
+    node = step_sp(r.name, target, p, eps, S, child, p0=p0, hints=hints)
     return node if r.dom else _apply_wrappers(r, node, domain_hints=hints)
 
 
-def _rule_sp_bounded(r: _Rule):
-    """SP_b (bounded staging set) and SP_c (compact staging set, eps optional)."""
+def _rule_sp_bounded(r: _Rule, *, eps_witness: bool = False):
+    """SP_b (bounded staging set) and SP_c (compact staging set, where eps is
+    an optional witness, searched for when the certificate gives none)."""
     p = r.get("p", "polynomial", required=True)
     S = r.get("S", "formula", required=True)
-    if r.name == "SP_c":
+    target = r.target()
+    if eps_witness:
         eps = _const(r.get("eps", "rational"))
         if eps is None:
             eps = _const(lie_lower_bound(lie_derivative(p, r.sys0), S, r.checker))
     else:
         eps = r.eps()
     hints = r.get("hints", "hints", ())
-    p0 = r.p0(p)
-    p1 = r.get("p1", "rational")
-    if p1 is None:
-        p1 = upper_bound_on(p, S, r.checker)
-    # with all witnesses the duration is refined by a clock cut; else the
-    # bounded-existence leaf keeps a symbolic time bound
-    bound = time_bound(p0, eps, p1)
+    p0, p1 = r.p0(p), r.p1(p, S)
+    # the clock cut that refines the duration, used with a numeric time bound
     duration_hints = ()
-    if bound is not None:
+    if p0 is not None and eps is not None:
         cut = Cmp(">=", p, Polynomial.const(p0) + eps * Polynomial.var(CLOCK_NAME))
         duration_hints = (DCStep(cut, (DIStep(),)), DWStep())
-    child = step_exist_bounded(r.gamma + (CLOCK_START,), r.clocked, S, _const(bound))
-    node = step_sp_bounded(
-        r.name, r.conclusion(r.sys0), p, S, eps, child, p0=p0, p1=p1, hints=hints, duration_hints=duration_hints
-    )
+    child = existence_leaf(r.gamma + (CLOCK_START,), r.sys0, "BEx", p0=p0, eps=eps, p1=p1, escape=S)
+    node = step_sp_bounded(r.name, target, p, S, eps, child, p0=p0, p1=p1, hints=hints, duration_hints=duration_hints)
     return _apply_wrappers(r, node, domain_hints=hints)
 
 
@@ -493,19 +485,21 @@ def _rule_slyap(r: _Rule):
     p = r.get("p", "polynomial", required=True)
     K = r.get("K", "formula", required=True)
     strict = not r.dom and r.has("strict")
-    target = r.conclusion(r.problem.system if r.dom else r.sys0)
-    node = step_slyap(r.name, target, p, K, r.bex(conj([K, negate(r.goal)])), strict=strict)
+    target = r.target()
+    child = existence_leaf(r.const_ctx, r.sys0, "BEx", escape=conj([K, negate(r.goal)]))
+    node = step_slyap(r.name, target, p, K, child, strict=strict)
     return node if r.dom else _apply_wrappers(r, node)
 
 
-def _rule_compact_dom(r: _Rule):
+def _rule_compact_dom(r: _Rule, *, staged: bool = False):
     """SP_ck_dom (staged: a compact staging set S) and E_c_dom under a domain."""
-    p, staged = r.get("p", "polynomial", required=True), r.name == "SP_ck_dom"
+    p = r.get("p", "polynomial", required=True)
     S = r.get("S", "formula", required=True) if staged else None
     k = r.get("k", "integer", 1) if staged else 1
     hints = r.get("hints", "hints", ())
-    child = r.bex(S if staged else conj([r.domain, negate(r.goal)]))
-    return step_compact_dom(r.name, r.conclusion(r.problem.system), p, child, S=S, k=k, hints=hints)
+    target = r.target()
+    child = existence_leaf(r.const_ctx, r.sys0, "BEx", escape=S if staged else conj([r.domain, negate(r.goal)]))
+    return step_compact_dom(r.name, target, p, child, S=S, k=k, hints=hints)
 
 
 def _rule_dv_k(r: _Rule):
@@ -539,11 +533,11 @@ RULE_BUILDERS: dict = {
     "dV_eqM_dom": _builder(_rule_dv_eq),
     "SP": _builder(_rule_sp),
     "SP_b": _builder(_rule_sp_bounded),
-    "SP_c": _builder(_rule_sp_bounded),
+    "SP_c": _builder(_rule_sp_bounded, eps_witness=True),
     "SLyap": _builder(_rule_slyap),
     "SLyap_dom": _builder(_rule_slyap),
     "SP_dom": _builder(_rule_sp),
-    "SP_ck_dom": _builder(_rule_compact_dom),
+    "SP_ck_dom": _builder(_rule_compact_dom, staged=True),
     "E_c_dom": _builder(_rule_compact_dom),
 }
 

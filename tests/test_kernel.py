@@ -376,18 +376,15 @@ def _diamond_domain(seq):
 
 
 def refines_domain_under_goal_negation(node) -> bool:
-    """The node changes its diamond's domain Q and has a box premise that
-    proves Q's conjuncts with the goal negation among its domain's
-    conjuncts: the shape that is sound only with COR's gates (CE-2 shows the
-    failure without the topology gate, CE-3 without Γ ⊢ ¬P)."""
+    """The node changes its diamond's domain Q and puts the goal negation
+    among the conjuncts of a box premise's domain: the shape that is sound
+    only with COR's gates (CE-2 shows the failure without them)."""
     domain = _diamond_domain(node.conclusion)
     if domain is None or all(_diamond_domain(c.conclusion) in (None, domain) for c in node.children):
         return False
-    not_p, q = set(conjuncts(negate(node.conclusion.succedent.post))), set(conjuncts(domain))
+    not_p = set(conjuncts(negate(node.conclusion.succedent.post)))
     return any(
-        isinstance(ob, InvarianceOb)
-        and not_p <= set(conjuncts(ob.sequent.succedent.system.domain))
-        and q <= set(conjuncts(ob.sequent.succedent.post))
+        isinstance(ob, InvarianceOb) and not_p <= set(conjuncts(ob.sequent.succedent.system.domain))
         for ob in node.obligations
     )
 
@@ -460,30 +457,44 @@ def assumes_what_it_proves(node) -> bool:
     return any((_atoms(hyp) & _atoms(proved)) - given - exempt for hyp, proved, exempt in premises)
 
 
-DOMAIN_REFINERS = ("step_topo_closed_open", "step_dv")  # COR, and dV's `_dom` variants argued the same way
+# The constructors whose proofs refine the domain under the goal negation:
+# COR, and the `_dom` variants of dV and dV_eq, argued the same way.
+DOMAIN_REFINERS = ("step_topo_closed_open", "step_dv", "step_dv_eq")
+# The one exemption from the initial-state gate Γ ⊢ ¬P: dV_eq_dom's replay
+# [R & p != 0] p < 0 starts from its gate Γ ⊢ p <= 0, and where p = 0 at
+# the start the goal p = 0 already holds.
+NO_INITIAL_STATE_GATE = ("dV_eq_dom",)
 
 
 def step_audit_findings() -> list:
     """What the constructor audit finds wrong, empty when sound: a `step_*`
-    constructor it does not build, a step other than COR and dV's domain
-    variants that refines the domain under the goal negation, such a step
-    without its gates (CE-2, CE-3), COR or dV no longer seen to do so, a DR
-    box premise over more than the plain R, an invariance step with a
-    premise that assumes what it proves, or a node of a built proof without
-    the GlobalLipschitz gate of its GEx child (CE-1) or, for SLyap, its
-    Compact gate (CE-4)."""
+    constructor it does not build, a node of a built proof that refines the
+    domain under the goal negation outside COR and the `_dom` variants of
+    dV and dV_eq, such a node without its gates (CE-2, CE-3), one of those
+    no longer seen to do so, a DR box premise over more than the plain R,
+    an invariance step with a premise that assumes what it proves, or a
+    node of a built proof without the GlobalLipschitz gate of its GEx child
+    (CE-1) or, for SLyap, its Compact gate (CE-4)."""
     constructors = {name for name in vars(kernel) if name.startswith("step_")}
     findings = []
     for goal, domain in AUDIT_PAIRS:
         built = build_every_step(goal, domain)
         findings += [f"{name} is not built by the audit" for name in sorted(constructors - set(built))]
-        tripped = {name for name, node in built.items() if refines_domain_under_goal_negation(node)}
-        findings += [f"{name} refines the domain under not-P" for name in sorted(tripped - set(DOMAIN_REFINERS))]
-        findings += [f"{name} lacks its {gate} gate" for name in sorted(tripped) for gate in missing_gates(built[name])]
+        tripped = [
+            (name, sub) for name, node in built.items() for sub in node.walk() if refines_domain_under_goal_negation(sub)
+        ]
+        names = {name for name, _ in tripped}
+        findings += [f"{name} refines the domain under not-P" for name in sorted(names - set(DOMAIN_REFINERS))]
+        findings += [
+            f"{name}: {sub.step.name} lacks its {gate} gate"
+            for name, sub in tripped
+            for gate in missing_gates(sub)
+            if not (gate == "initial-state" and sub.step.name in NO_INITIAL_STATE_GATE)
+        ]
         findings += [
             f"{name} is not seen to refine the domain under not-P ({goal}, {domain})"
             for name in DOMAIN_REFINERS
-            if name not in tripped
+            if name not in names
         ]
         dr_domains = [ob.sequent.succedent.system.domain for ob in built["step_refine_domain"].obligations]
         if dr_domains != [AUDIT_REFINED]:
@@ -631,6 +642,27 @@ def test_liveness_steps_check_their_children():
     for case in cases:
         with pytest.raises(ShapeMismatch):
             case()
+
+
+def test_liveness_steps_check_their_names():
+    """Each derived-rule step builds only its own family's rules, and the
+    variant the name picks: SP_ck_dom needs a stage S, E_c_dom takes none."""
+    built = build_every_step(*AUDIT_PAIRS[0])
+    dv, sp_c, sp_ck = built["step_dv"], built["step_sp_bounded"], built["step_compact_dom"]
+    target, free, v, one = dv.conclusion, sp_c.conclusion, AUDIT_VARIANT, Polynomial.const(1)
+    target = Sequent(target.context, dia(target.succedent.system, parse_formula(AUDIT_PAIRS[0][0])))
+    q = target.succedent.system.domain
+    ((stage,), (bex,)) = sp_c.children[0].children[0].children[0].children, sp_ck.children
+    cases = {
+        lambda: step_dv("dV_eq_dom", target, v, one, dv.children[0], op=">=", p0=-1): "is not one of",
+        lambda: step_sp_bounded("SP_x", free, v, q, one, stage, p0=-1, p1=1): "is not one of",
+        lambda: step_compact_dom("E_c_dom", target, v, bex, S=q): "staging set",
+        lambda: step_compact_dom("SP_ck_dom", target, v, bex): "staging set",
+    }
+    for case, why in cases.items():
+        with pytest.raises(ShapeMismatch, match=why):
+            case()
+    assert step_sp_bounded("SP_b", free, v, q, one, stage, p0=-1, p1=1).step.name == "SP_b"
 
 
 def test_audit_sees_the_catalog_shapes():

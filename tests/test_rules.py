@@ -193,6 +193,28 @@ def test_goal_shape_mismatch():
         apply_rule(pf, pf.certificate[0], Checker())
 
 
+def test_shape_refusals_come_before_the_witness_search(monkeypatch):
+    """A `_dom` rule on a problem without a domain, and a variant that does
+    not match the goal, are refused before the BEx bound search runs, and
+    before a missing 'duration_B' is asked for."""
+    from odeliveness import rules
+
+    def no_search(*args):
+        raise AssertionError("the bound search ran")
+
+    monkeypatch.setattr(rules, "upper_bound_on", no_search)
+    refusals = {
+        "rule dV_geq_dom { p = x; eps = 1; duration = BEx; duration_B = x <= 0 }": "needs a domain block",
+        "rule dV_geq_dom { p = x; eps = 1; duration = BEx }": "needs a domain block",
+        "rule dV_geq { p = x - 1; eps = 1; duration = BEx; duration_B = x <= 0 }": "does not match variant",
+        "rule dV_geq { p = x - 1; eps = 1; duration = BEx }": "does not match variant",
+    }
+    for cert, why in refusals.items():
+        pf = parse_problem("ode { x' = 1 } goal { x >= 0 } proof { %s }" % cert)
+        with pytest.raises(ShapeMismatch, match=why):
+            apply_rule(pf, pf.certificate[0], Checker())
+
+
 # -- golden obligation sets, one per derived rule --------------------------------
 
 
