@@ -10,7 +10,8 @@ box-modality (invariance) steps are DW, DI, BC, DC, DX, ∧-split and
 DomainWeaken.  The eighteen derived liveness rules are six more steps, one
 per family (dV, dV_eq, SP, SP_b/SP_c, SLyap, SP_ck_dom/E_c_dom) that refuses
 other rule names, works out every premise from the target sequent and the
-certificate's parameters, and checks its leaf against `existence_leaf`'s.
+certificate's parameters, builds its own existence leaf from the duration
+kind and the witnesses, and concludes the target as written.
 
 Verdict propagation: a node is Proved iff every obligation passed and every
 child is Proved; ConditionallyProved when the only shortfall is explicit
@@ -32,6 +33,7 @@ from .arith import ArithObligation, ArithVerdict, FALSIFIED
 from .errors import (
     ClockNotFresh,
     HintMismatch,
+    MissingCertificateField,
     NoClock,
     NonConstantBound,
     ShapeMismatch,
@@ -527,28 +529,12 @@ def step_domain_weaken(target: Sequent, weaker: Formula, child: "ProofNode") -> 
     return ProofNode(Step("DomainWeaken", print_formula(weaker)), target, (child,))
 
 
-def time_bound(p0: Optional[Fraction], eps: Optional[Polynomial], p1=Fraction(0)) -> Optional[Polynomial]:
+def _time_bound(p0: Optional[Fraction], eps: Optional[Polynomial], p1=Fraction(0)) -> Optional[Polynomial]:
     """(p1 - p0) / eps: how long a variant rising at rate eps from p0 takes to reach p1."""
     e = None if eps is None else eps.constant_value()
     if p0 is None or p1 is None or e is None or e <= 0:
         return None
     return Polynomial.const((p1 - p0) / e)
-
-
-def existence_leaf(context, system: OdeSystem, kind: str, *, p0=None, eps=None, p1=Fraction(0), escape=None, order=1):
-    """A derived rule's existence leaf over the unconstrained `system` with the
-    ghost clock: GEx, or BEx leaving `escape`, outlasting (p1 - p0) / eps for a
-    variant of `order` 1, else any _p; or the assumption p0 + eps*_t > 0."""
-    clocked = system.with_clock(CLOCK_NAME)
-    if kind == "assumption":
-        start = Polynomial.var("_p0") if p0 is None else Polynomial.const(p0)
-        return step_assumption(context, dia(clocked, Cmp(">", start + eps * Polynomial.var(CLOCK_NAME), ZERO)))
-    bound = time_bound(p0, eps, p1) if order == 1 else None
-    if kind == "GEx":
-        return step_exist_global(context, clocked, bound)
-    if kind == "BEx" and escape is not None:
-        return step_exist_bounded(context, clocked, escape, bound)
-    raise ShapeMismatch(f"no {kind} existence leaf")
 
 
 def _is_atom(f: Formula, p: Polynomial, op: str) -> bool:
@@ -578,6 +564,14 @@ def check_rule(name: str, target: Sequent, variant=None) -> None:
     if variant is not None and not _is_atom(goal, *variant):
         p, op = variant
         raise ShapeMismatch(f"goal {print_formula(goal)} does not match variant condition {print_poly(p)} {op} 0")
+
+
+def check_eps(name: str, eps: Optional[Polynomial], system: OdeSystem) -> Polynomial:
+    """Rule `name`'s rate eps, a polynomial over the declared constant
+    parameters, checked before any witness search; the rule gates eps > 0."""
+    if eps is None or eps.variables() - system.params:
+        raise MissingCertificateField(f"rule {name} needs eps, a rational or a polynomial in declared parameters")
+    return eps
 
 
 class _Derived:
@@ -612,8 +606,7 @@ class _Derived:
 
     def eps_gate(self, eps: Optional[Polynomial]) -> ArithOb:
         """eps > 0, under the constant context when eps is a parameter."""
-        if eps is None or eps.variables() - self.sys0.params:
-            raise NonConstantBound(f"rule {self.name} needs eps, a rational or a declared constant parameter")
+        check_eps(self.name, eps, self.sys0)
         hyp = TRUE if eps.constant_value() is not None else conj(list(self.const_ctx))
         return _ob("eps positive", GATE, hyp, Cmp(">", eps, ZERO))
 
@@ -632,51 +625,61 @@ class _Derived:
         gates = [self.topo(prop, region), self.initially(f"InitialState {named}", initial)]
         return gates + obligations + [self.stay(f"stay in the {self.where} {purpose}", during, region, hints)]
 
-    def leaf(self, child: ProofNode, kind: str, context=None, **params) -> ProofNode:
-        """`child`, checked to be `existence_leaf`'s (over the constant context by default)."""
-        want = existence_leaf(self.const_ctx if context is None else context, self.sys0, kind, **params).conclusion
-        if child.step.name != kind or child.conclusion != want:
-            raise ShapeMismatch(f"rule {self.name} needs the {kind} leaf {print_sequent(want)}")
-        return child
+    def leaf(self, kind: str, context=None, *, p0=None, eps=None, p1=Fraction(0), escape=None, order=1) -> ProofNode:
+        """The rule's existence leaf over the unconstrained system with the
+        ghost clock, under the constant context by default: GEx, or BEx
+        leaving `escape`, outlasting (p1 - p0) / eps for a variant of
+        `order` 1, else any _p; or the assumption p0 + eps*_t > 0."""
+        context = self.const_ctx if context is None else context
+        clocked = self.sys0.with_clock(CLOCK_NAME)
+        if kind == "assumption":
+            start = Polynomial.var("_p0") if p0 is None else Polynomial.const(p0)
+            return step_assumption(context, dia(clocked, Cmp(">", start + eps * Polynomial.var(CLOCK_NAME), ZERO)))
+        bound = _time_bound(p0, eps, p1) if order == 1 else None
+        if kind == "GEx":
+            return step_exist_global(context, clocked, bound)
+        if kind == "BEx" and escape is not None:
+            return step_exist_bounded(context, clocked, escape, bound)
+        raise ShapeMismatch(f"rule {self.name} has no {kind} existence leaf")
 
-    def node(self, children, obligations, note: str = "", conclusion: Optional[Sequent] = None) -> ProofNode:
-        return ProofNode(Step(self.name, note), conclusion or self.target, tuple(children), tuple(obligations))
+    def node(self, children, obligations, note: str = "") -> ProofNode:
+        return ProofNode(Step(self.name, note), self.target, tuple(children), tuple(obligations))
 
 
-def step_dv(name, target, p, eps, child, *, op, order=1, bounds=None, p0=None, p1=Fraction(0), escape=None, hints=(),
-            escape_hints=()) -> ProofNode:
+def step_dv(name, target, p, eps, duration, *, op, order=1, bounds=None, p0=None, p1=Fraction(0), escape=None,
+            hints=(), escape_hints=()) -> ProofNode:
     """dV_geq, dV_gt, dV_geq_star, dV_k and the `_dom` variants: off the goal
-    p `op` 0, the `order`-th Lie derivative of p is at least eps.  The child
-    GEx (sharing its GlobalLipschitz gate, CE-1), BEx over `escape` or an
-    assumption makes the flow last.  Inside a region R, the domain and the
-    certificate's box `bounds` (which bounds an otherwise unbounded premise),
-    the gates Closed/Open(R) and Γ ⊢ ¬P (CE-3) and a stay premise join."""
+    p `op` 0, the `order`-th Lie derivative of p is at least eps.  The
+    `duration` leaf GEx (sharing its GlobalLipschitz gate, CE-1), BEx over
+    `escape` or an assumption makes the flow last.  Inside a region R, the
+    domain and the certificate's box `bounds` (which bounds an otherwise
+    unbounded premise), the gates Closed/Open(R) and Γ ⊢ ¬P (CE-3) and a
+    stay premise join."""
     r = _Derived(name, ("dV_geq", "dV_gt", "dV_geq_star", "dV_k", "dV_geq_dom", "dV_gt_dom"), target, (p, op))
-    goal = Cmp(op, p, ZERO)
-    not_goal = negate(goal)
+    not_goal = negate(Cmp(op, p, ZERO))
     region = r.region(bounds)
-    r.leaf(child, child.step.name, p0=p0, eps=eps, p1=p1, escape=escape, order=order)
     slope = Cmp(">=", higher_lie(p, r.sys0, order), eps)
     obligations = [r.eps_gate(eps), r.premise("variant slope premise", slope, not_goal, region)]
-    if order == 1 and time_bound(p0, eps) is not None:
+    leaf = r.leaf(duration, p0=p0, eps=eps, p1=p1, escape=escape, order=order)
+    if order == 1 and _time_bound(p0, eps) is not None:
         obligations.append(r.initially("initial variant value", Cmp(">=", p, Polynomial.const(p0)), WITNESS))
-    if child.step.name == "GEx":
-        obligations.insert(0, child.obligations[0])
-    elif child.step.name == "BEx":
+    if duration == "GEx":
+        obligations.insert(0, leaf.obligations[0])
+    elif duration == "BEx":
         obligations.append(r.stay("stay in the bounded set before the goal", not_goal, escape, escape_hints))
-        if order == 1 and time_bound(p0, eps, p1) is not None:
+        if order == 1 and _time_bound(p0, eps, p1) is not None:
             at_most = Cmp("<=", p, Polynomial.const(p1))
             obligations.append(_ob("variant bounded on escape set", WITNESS, escape, at_most))
     prop = topology.CLOSED if op == ">=" else topology.OPEN
     obligations = r.inside(region, obligations, prop, not_goal, not_goal, "before the goal", hints)
     chain = [f"L^{i} p >= _g{i} + eps*t^{order - i}/{order - i}!" for i in range(order - 1, 0, -1)]
     note = "dC chain: " + "; ".join(chain) if chain else ""
-    return r.node((child,), obligations, note, Sequent(r.gamma, dia(r.system, goal)) if r.dom else None)
+    return r.node((leaf,), obligations, note)
 
 
-def step_dv_eq(name, target, p, eps, child, *, bounds=None, p0=None, hints=(), replay_hints=()) -> ProofNode:
+def step_dv_eq(name, target, p, eps, *, bounds=None, p0=None, hints=(), replay_hints=()) -> ProofNode:
     """dV_eq and dV_eq_dom: p <= 0 rises at rate eps while negative, so it
-    reaches p = 0 within the GEx child's time; the internal replay keeps it
+    reaches p = 0 within the GEx leaf's time; the internal replay keeps it
     negative until then.  Inside a region R, Closed(R), Γ ⊢ R and a stay
     premise join.  dV_eqM(_dom) concludes the goal from the zero set."""
     mono = name in ("dV_eqM", "dV_eqM_dom")
@@ -687,30 +690,30 @@ def step_dv_eq(name, target, p, eps, child, *, bounds=None, p0=None, hints=(), r
     slope = Cmp(">=", lie_derivative(p, r.sys0), eps)
     before = Sequent(r.gamma + (p_le,), box(r.sys0.with_domain(conj([region, Cmp("!=", p, ZERO)])), p_lt))
     replay = InvarianceOb("variant negative before the goal", INTERNAL, before, hints=replay_hints)
-    lip = r.leaf(child, "GEx", p0=p0, eps=eps).obligations[0]
-    obligations = [lip, r.eps_gate(eps), r.initially("InitialState p <= 0", p_le)]
+    gex = r.leaf("GEx", p0=p0, eps=eps)
+    obligations = [gex.obligations[0], r.eps_gate(eps), r.initially("InitialState p <= 0", p_le)]
     obligations += [r.premise("variant slope premise", slope, p_lt, region), replay]
     obligations = r.inside(region, obligations, topology.CLOSED, region, p_lt, "while the variant is negative", hints)
-    reached = Sequent(r.gamma, dia(r.system, goal))
-    node = ProofNode(Step("dV_eq_dom" if r.dom else "dV_eq"), reached, (child,), tuple(obligations))
     if not mono:
-        return node
+        return r.node((gex,), obligations)
+    reached = Sequent(r.gamma, dia(r.system, goal))
+    node = ProofNode(Step("dV_eq_dom" if r.dom else "dV_eq"), reached, (gex,), tuple(obligations))
     return r.node((node,), (_ob("goal from the zero set", PREMISE, conj([r.domain, goal]), r.post),))
 
 
-def step_sp(name, target, p, eps, S, child, *, p0=None, hints=()) -> ProofNode:
+def step_sp(name, target, p, eps, S, *, p0=None, hints=()) -> ProofNode:
     """SP: on the staging set S, where the flow stays until the goal, p <= 0
     rises at rate eps; SP_dom keeps S inside the domain, and the flow in S
     until goal-and-domain."""
     r = _Derived(name, ("SP", "SP_dom"), target)
     rising = conj([r.domain, Cmp("<=", p, ZERO), Cmp(">=", lie_derivative(p, r.sys0), eps)])
     before = negate(And(r.post, r.domain) if r.dom else r.post)
-    lip = r.leaf(child, "GEx", p0=p0, eps=eps).obligations[0]
+    gex = r.leaf("GEx", p0=p0, eps=eps)
     staging = r.stay("staging invariance", before, S, hints)
-    return r.node((child,), (lip, r.eps_gate(eps), staging, r.premise("staging premise", rising, S)))
+    return r.node((gex,), (gex.obligations[0], r.eps_gate(eps), staging, r.premise("staging premise", rising, S)))
 
 
-def step_sp_bounded(name, target, p, S, eps, child, *, p0=None, p1=None, hints=(), duration_hints=()) -> ProofNode:
+def step_sp_bounded(name, target, p, S, eps, *, p0=None, p1=None, hints=(), duration_hints=()) -> ProofNode:
     """SP_b (S bounded, p rising at rate eps) and SP_c (S compact, p strictly
     rising; eps a witness): BEx leaves S or outlasts (p1 - p0) / eps, which
     the flow cannot spend in S (K⟨&⟩ by the clock cut `duration_hints`,
@@ -726,19 +729,20 @@ def step_sp_bounded(name, target, p, S, eps, child, *, p0=None, p1=None, hints=(
         slope = r.premise("variant slope on the stage", Cmp(">=", lie, eps), S)
         obligations = [r.topo(topology.BOUNDED, S), r.eps_gate(eps), slope]
     clocked = r.gamma + (CLOCK_START,)
-    escape = r.leaf(child, "BEx", clocked, p0=p0, eps=eps, p1=p1, escape=S).conclusion.succedent.post
-    if time_bound(p0, eps, p1) is None:
+    bex = r.leaf("BEx", clocked, p0=p0, eps=eps, p1=p1, escape=S)
+    escape = bex.conclusion.succedent.post
+    if _time_bound(p0, eps, p1) is None:
         duration_hints = ()  # no time to cut the clock at
     else:
         obligations.append(_ob("variant bounded on staging set", WITNESS, S, Cmp("<=", p, Polynomial.const(p1))))
     not_S = negate(S)
-    within = Sequent(clocked, dia(child.conclusion.succedent.system, not_S))
-    timed = step_goal_refine(within, escape, child, duration_hints, "escape within the time bound")
+    within = Sequent(clocked, dia(bex.conclusion.succedent.system, not_S))
+    timed = step_goal_refine(within, escape, bex, duration_hints, "escape within the time bound")
     untimed = step_ghost_clock(Sequent(r.gamma, dia(r.sys0, not_S)), timed)
     return r.node((step_goal_refine(r.target, not_S, untimed, hints, "staging invariance"),), obligations)
 
 
-def step_slyap(name, target, p, K, child, *, strict=False) -> ProofNode:
+def step_slyap(name, target, p, K, *, strict=False) -> ProofNode:
     """SLyap and SLyap_dom (domain exactly p > 0): p >= 0 initially (p > 0
     if `strict` or under the domain), the set p >= 0 lies inside the compact
     K (CE-4), and p rises off the open goal, so BEx leaves K minus the goal."""
@@ -747,7 +751,6 @@ def step_slyap(name, target, p, K, child, *, strict=False) -> ProofNode:
         raise ShapeMismatch("SLyap_dom needs the domain to be exactly p > 0")
     op = ">" if r.dom or strict else ">="
     not_goal = negate(r.post)
-    r.leaf(child, "BEx", escape=conj([K, not_goal]))
     obligations = (
         r.topo(topology.COMPACT, K),
         r.topo(topology.OPEN, r.post),
@@ -755,10 +758,10 @@ def step_slyap(name, target, p, K, child, *, strict=False) -> ProofNode:
         r.premise("sublevel set inside K", K, Cmp(">=", p, ZERO)),
         r.premise("Lie derivative positive off the goal", Cmp(">", lie_derivative(p, r.sys0), ZERO), not_goal, K),
     )
-    return r.node((child,), obligations)
+    return r.node((r.leaf("BEx", escape=conj([K, not_goal])),), obligations)
 
 
-def step_compact_dom(name, target, p, child, *, S=None, k=1, hints=()) -> ProofNode:
+def step_compact_dom(name, target, p, *, S=None, k=1, hints=()) -> ProofNode:
     """SP_ck_dom (a compact stage S inside the domain, the k-th Lie
     derivative of p positive) and E_c_dom (no S: the stage is the domain off
     the goal, k = 1); the flow stays put until goal-and-domain, and BEx
@@ -776,8 +779,7 @@ def step_compact_dom(name, target, p, child, *, S=None, k=1, hints=()) -> ProofN
         S = conj([r.domain, negate(r.post)])
         stay = r.stay("stay in the domain before goal-and-domain", before, r.domain, hints)
         premise = r.premise("Lie derivative positive off the goal", positive, S)
-    r.leaf(child, "BEx", escape=S)
-    return r.node((child,), (r.topo(topology.COMPACT, S), stay, premise), f"k = {k}")
+    return r.node((r.leaf("BEx", escape=S),), (r.topo(topology.COMPACT, S), stay, premise), f"k = {k}")
 
 
 # ---------------------------------------------------------------------------

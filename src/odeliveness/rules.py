@@ -1,13 +1,14 @@
 """The derived liveness rules' certificates and the invariance sub-prover.
 
 A rule builder reads a certificate's bindings, has the kernel check the
-rule's target (`kernel.check_rule`), runs the witness searches
-(`initial_value`, `upper_bound_on`, `lie_lower_bound`), builds the
-existence leaf (`kernel.existence_leaf`) and hands them to the rule's
+rule's target and its eps (`kernel.check_rule`, `kernel.check_eps`), runs
+the witness searches (`initial_value`, `upper_bound_on`, `lie_lower_bound`)
+and hands the bindings, the witnesses and the duration kind to the rule's
 `kernel.step_*` constructor, which works out every gate, premise, witness
-and stay premise and checks the leaf against its own.  A rule over
-the unconstrained system is then wrapped in the certificate's `post` / `via`
-refinements and the domain refinement (COR, DR or SAR).
+and stay premise and builds the existence leaf.  A rule over the
+unconstrained system is then wrapped in the certificate's `post` / `via`
+refinements and the domain refinement (COR, DR or SAR); `apply_rule`
+refuses a proof whose root concludes another sequent than the problem's.
 
 Box-modality premises are discharged by `prove_invariance`, which hands
 each certificate hint, in order, to its kernel step constructor (DW, DI, BC,
@@ -32,18 +33,17 @@ from .errors import (
 )
 from .kernel import (
     CLOCK_NAME,
-    CLOCK_START,
     GATE,
     PROVED,
     Sequent,
     box,
+    check_eps,
     check_rule,
-    context_filter,
     dia,
     discharge,
-    existence_leaf,
     in_domain,
     modal_parts,
+    print_sequent,
     step_and_split,
     step_bc,
     step_compact_dom,
@@ -63,7 +63,7 @@ from .kernel import (
     step_topo_closed_open,
     step_topo_semialg,
 )
-from .normal import atoms_of, equality_polys, negate, nnf
+from .normal import atoms_of, equality_polys, nnf
 from .record import Frozen
 from .symbolic import Polynomial, lie_derivative, reduce_mod_equalities
 from .syntax import (
@@ -330,8 +330,6 @@ class _Rule:
         self.goal = problem.goal
         self.domain = TRUE if problem.system.domain is None else problem.system.domain
         self.sys0 = problem.system.with_domain(TRUE)
-        # constant assumptions are soundly kept across rule applications
-        self.const_ctx = context_filter(problem.assumptions, problem.system)
         self.read = set()  # the certificate keys the builder asked for
 
     def get(self, key: str, kind, default=None, required=False):
@@ -360,13 +358,6 @@ class _Rule:
         """The certificate's bound on p over `region`, else one searched for."""
         p1 = self.get("p1", "rational")
         return upper_bound_on(p, region, self.checker) if p1 is None else p1
-
-    def eps(self) -> Polynomial:
-        """The 'eps' binding: a rational or a declared constant parameter."""
-        e = self.get("eps", "polynomial", required=True)
-        if e.constant_value() is not None or len(e.variables()) == 1 and e.variables() <= self.sys0.params:
-            return e
-        raise MissingCertificateField("'eps' must be a rational or a declared constant parameter")
 
     def region_hints(self, bounds: Optional[Formula]) -> tuple:
         """The stay premise's hints, read when the rule argues inside a region."""
@@ -416,7 +407,8 @@ def _apply_wrappers(r: _Rule, node, specs=(), domain_hints=()):
 
 def _rule_dv(r: _Rule, *, op: str, star: bool = False, order: int = 1):
     """Differential variants dV_geq, dV_gt, dV_geq_star, dV_k, dV_geq_dom and dV_gt_dom."""
-    p, eps, bounds = r.get("p", "polynomial", required=True), r.eps(), r.get("box", "formula")
+    p, bounds = r.get("p", "polynomial", required=True), r.get("box", "formula")
+    eps = check_eps(r.name, r.get("eps", "polynomial"), r.sys0)
     core_goal, specs = _peel_wrappers(r)
     if r.dom and specs:
         raise ShapeMismatch("post/via refinements are not supported with domain rules")
@@ -427,9 +419,8 @@ def _rule_dv(r: _Rule, *, op: str, star: bool = False, order: int = 1):
         escape = r.get("duration_B", "formula", required=True)
         escape_hints = r.get("duration_hints", "hints", ())
         p1 = r.p1(p, escape)
-    child = existence_leaf(r.const_ctx, r.sys0, duration, p0=p0, eps=eps, p1=p1, escape=escape, order=order)
     node = step_dv(
-        r.name, target, p, eps, child, op=op, order=order, bounds=bounds, p0=p0, p1=p1, escape=escape,
+        r.name, target, p, eps, duration, op=op, order=order, bounds=bounds, p0=p0, p1=p1, escape=escape,
         hints=r.region_hints(bounds), escape_hints=escape_hints,
     )
     return node if r.dom else _apply_wrappers(r, node, specs)
@@ -437,11 +428,11 @@ def _rule_dv(r: _Rule, *, op: str, star: bool = False, order: int = 1):
 
 def _rule_dv_eq(r: _Rule):
     """Equational differential variants dV_eq / dV_eqM and domain variants."""
-    p, eps, bounds = r.get("p", "polynomial", required=True), r.eps(), r.get("box", "formula")
+    p, bounds = r.get("p", "polynomial", required=True), r.get("box", "formula")
+    eps = check_eps(r.name, r.get("eps", "polynomial"), r.sys0)
     target, p0 = r.target(system=r.problem.system), r.p0(p)
     return step_dv_eq(
-        r.name, target, p, eps, existence_leaf(r.const_ctx, r.sys0, "GEx", p0=p0, eps=eps), bounds=bounds, p0=p0,
-        hints=r.region_hints(bounds), replay_hints=(DXStep(), BCStep(p)),
+        r.name, target, p, eps, bounds=bounds, p0=p0, hints=r.region_hints(bounds), replay_hints=(DXStep(), BCStep(p)),
     )
 
 
@@ -449,10 +440,9 @@ def _rule_sp(r: _Rule):
     """SP and SP_dom: a staging set on which the variant is nonpositive."""
     p = r.get("p", "polynomial", required=True)
     S = r.get("S", "formula", required=True)
-    eps, hints = r.eps(), r.get("hints", "hints", ())
+    eps, hints = check_eps(r.name, r.get("eps", "polynomial"), r.sys0), r.get("hints", "hints", ())
     target, p0 = r.target(), r.p0(p)
-    child = existence_leaf(r.const_ctx, r.sys0, "GEx", p0=p0, eps=eps)
-    node = step_sp(r.name, target, p, eps, S, child, p0=p0, hints=hints)
+    node = step_sp(r.name, target, p, eps, S, p0=p0, hints=hints)
     return node if r.dom else _apply_wrappers(r, node, domain_hints=hints)
 
 
@@ -467,7 +457,7 @@ def _rule_sp_bounded(r: _Rule, *, eps_witness: bool = False):
         if eps is None:
             eps = _const(lie_lower_bound(lie_derivative(p, r.sys0), S, r.checker))
     else:
-        eps = r.eps()
+        eps = check_eps(r.name, r.get("eps", "polynomial"), r.sys0)
     hints = r.get("hints", "hints", ())
     p0, p1 = r.p0(p), r.p1(p, S)
     # the clock cut that refines the duration, used with a numeric time bound
@@ -475,8 +465,7 @@ def _rule_sp_bounded(r: _Rule, *, eps_witness: bool = False):
     if p0 is not None and eps is not None:
         cut = Cmp(">=", p, Polynomial.const(p0) + eps * Polynomial.var(CLOCK_NAME))
         duration_hints = (DCStep(cut, (DIStep(),)), DWStep())
-    child = existence_leaf(r.gamma + (CLOCK_START,), r.sys0, "BEx", p0=p0, eps=eps, p1=p1, escape=S)
-    node = step_sp_bounded(r.name, target, p, S, eps, child, p0=p0, p1=p1, hints=hints, duration_hints=duration_hints)
+    node = step_sp_bounded(r.name, target, p, S, eps, p0=p0, p1=p1, hints=hints, duration_hints=duration_hints)
     return _apply_wrappers(r, node, domain_hints=hints)
 
 
@@ -485,9 +474,7 @@ def _rule_slyap(r: _Rule):
     p = r.get("p", "polynomial", required=True)
     K = r.get("K", "formula", required=True)
     strict = not r.dom and r.has("strict")
-    target = r.target()
-    child = existence_leaf(r.const_ctx, r.sys0, "BEx", escape=conj([K, negate(r.goal)]))
-    node = step_slyap(r.name, target, p, K, child, strict=strict)
+    node = step_slyap(r.name, r.target(), p, K, strict=strict)
     return node if r.dom else _apply_wrappers(r, node)
 
 
@@ -497,9 +484,7 @@ def _rule_compact_dom(r: _Rule, *, staged: bool = False):
     S = r.get("S", "formula", required=True) if staged else None
     k = r.get("k", "integer", 1) if staged else 1
     hints = r.get("hints", "hints", ())
-    target = r.target()
-    child = existence_leaf(r.const_ctx, r.sys0, "BEx", escape=S if staged else conj([r.domain, negate(r.goal)]))
-    return step_compact_dom(r.name, target, p, child, S=S, k=k, hints=hints)
+    return step_compact_dom(r.name, r.target(), p, S=S, k=k, hints=hints)
 
 
 def _rule_dv_k(r: _Rule):
@@ -543,7 +528,8 @@ RULE_BUILDERS: dict = {
 
 
 def apply_rule(problem: ProblemFile, cert: CertStep, checker: Optional[Checker] = None):
-    """Build and check the refinement chain for a certificate step.
+    """Build and check the refinement chain for a certificate step; its root
+    must conclude the problem's sequent.
 
     Raises RuleRefused when a gate side condition fails; the partially
     checked proof is attached to the exception as `.proof`.
@@ -556,6 +542,9 @@ def apply_rule(problem: ProblemFile, cert: CertStep, checker: Optional[Checker] 
         root = builder(problem, cert, checker)
     except TopoUnknown as e:
         raise RuleRefused("TopoUnknown", str(e)) from e
+    want = Sequent(problem.assumptions, dia(problem.system, problem.goal))
+    if root.conclusion != want:
+        raise ShapeMismatch(f"rule {cert.name} concludes {print_sequent(root.conclusion)}, not {print_sequent(want)}")
     checker.run(root)
     gate = _first_unproved_gate(root)
     if gate is not None:

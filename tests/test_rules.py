@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from odeliveness import arith, syntax
+from odeliveness import arith, cli, syntax
 from odeliveness.errors import (
     HintMismatch,
     MissingCertificateField,
@@ -25,7 +25,9 @@ from odeliveness.kernel import (
     Sequent,
     TopoOb,
     box,
+    dia,
     render_trace,
+    step_dv,
 )
 from odeliveness.rules import (
     BCStep,
@@ -213,6 +215,81 @@ def test_shape_refusals_come_before_the_witness_search(monkeypatch):
         pf = parse_problem("ode { x' = 1 } goal { x >= 0 } proof { %s }" % cert)
         with pytest.raises(ShapeMismatch, match=why):
             apply_rule(pf, pf.certificate[0], Checker())
+
+
+def test_eps_is_refused_before_the_witness_search(monkeypatch):
+    """An eps over the state is refused before the BEx bound search runs."""
+    from odeliveness import rules
+
+    def no_search(*args):
+        raise AssertionError("the bound search ran")
+
+    monkeypatch.setattr(rules, "upper_bound_on", no_search)
+    text = "ode { x' = 1 } goal { x >= 0 } proof { rule dV_geq { p = x; eps = x; duration = BEx; duration_B = x <= 1 } }"
+    pf = parse_problem(text)
+    with pytest.raises(MissingCertificateField, match="needs eps"):
+        apply_rule(pf, pf.certificate[0], Checker())
+
+
+EPS_TEXT = """
+param a;
+param b;
+ode { x' = 2*a*b }
+assume { a = 1, b = 1, x = -1 }
+goal { x >= 0 }
+proof { rule dV_geq { p = x%s } }
+"""
+
+
+@pytest.mark.parametrize("eps", ["1/2", "2*a", "a*b", "x", None])
+def test_check_and_the_kernel_judge_eps_alike(eps, tmp_path, capsys):
+    """One eps rule: `odeliv check` and `kernel.step_dv` both take a rational
+    or a polynomial in the declared parameters, gated eps > 0, and refuse an
+    eps over the state, or none, with the same error."""
+    path = tmp_path / "eps.ode"
+    path.write_text(EPS_TEXT % ("" if eps is None else f"; eps = {eps}"))
+    code = cli.main(["check", str(path)])
+    out = capsys.readouterr().out
+    pf = parse_problem(path.read_text())
+    target = Sequent(pf.assumptions, dia(pf.system, pf.goal))
+
+    def build():
+        return step_dv("dV_geq", target, parse_poly("x"), eps and parse_poly(eps), "GEx", op=">=", p0=-1)
+
+    if eps in ("x", None):
+        with pytest.raises(MissingCertificateField) as refused:
+            build()
+        assert code == 3 and out.splitlines()[-1] == f"input error: {refused.value}"
+    else:
+        assert code == 0 and "eps positive: Proved" in out
+        assert Checker().run(build()).verdict() == PROVED
+
+
+def test_a_domain_rule_concludes_the_goal_as_written():
+    """dV_geq_dom over the goal 2*x - 2 >= 0 with the variant x - 1
+    concludes the problem's sequent, not the variant's x - 1 >= 0."""
+    text = """
+    ode { x' = 1 }
+    domain { x <= 5 }
+    assume { x = 0 }
+    goal { 2*x - 2 >= 0 }
+    proof { rule dV_geq_dom { p = x - 1; eps = 1 } }
+    """
+    pf = parse_problem(text)
+    root = apply_rule(pf, pf.certificate[0], Checker())
+    assert root.conclusion == Sequent(pf.assumptions, dia(pf.system, pf.goal))
+    assert root.verdict() == PROVED
+
+
+def test_a_root_for_another_sequent_is_refused(monkeypatch):
+    """`apply_rule` refuses a builder whose root concludes another sequent
+    than the problem's, here the same rule proved from another start."""
+    text = "ode { x' = 1 } assume { x = %s } goal { x >= 0 } proof { rule dV_geq { p = x; eps = 1 } }"
+    pf, other = parse_problem(text % "-1"), parse_problem(text % "-2")
+    build = RULE_BUILDERS["dV_geq"]
+    monkeypatch.setitem(RULE_BUILDERS, "dV_geq", lambda problem, cert, checker: build(other, cert, checker))
+    with pytest.raises(ShapeMismatch, match="concludes"):
+        apply_rule(pf, pf.certificate[0], Checker())
 
 
 # -- golden obligation sets, one per derived rule --------------------------------
