@@ -196,39 +196,29 @@ def test_goal_shape_mismatch():
 
 
 def test_shape_refusals_come_before_the_witness_search(monkeypatch):
-    """A `_dom` rule on a problem without a domain, and a variant that does
-    not match the goal, are refused before the BEx bound search runs, and
-    before a missing 'duration_B' is asked for."""
+    """A `_dom` rule on a problem without a domain, a variant that does not
+    match the goal, and an eps over the state are refused before the BEx
+    bound search runs, and before a missing 'duration_B' is asked for."""
     from odeliveness import rules
 
     def no_search(*args):
         raise AssertionError("the bound search ran")
 
     monkeypatch.setattr(rules, "upper_bound_on", no_search)
+    no_domain, mismatch = (ShapeMismatch, "needs a domain block"), (ShapeMismatch, "does not match variant")
+    state_eps = (MissingCertificateField, "needs eps")
     refusals = {
-        "rule dV_geq_dom { p = x; eps = 1; duration = BEx; duration_B = x <= 0 }": "needs a domain block",
-        "rule dV_geq_dom { p = x; eps = 1; duration = BEx }": "needs a domain block",
-        "rule dV_geq { p = x - 1; eps = 1; duration = BEx; duration_B = x <= 0 }": "does not match variant",
-        "rule dV_geq { p = x - 1; eps = 1; duration = BEx }": "does not match variant",
+        "rule dV_geq_dom { p = x; eps = 1; duration = BEx; duration_B = x <= 0 }": no_domain,
+        "rule dV_geq_dom { p = x; eps = 1; duration = BEx }": no_domain,
+        "rule dV_geq { p = x - 1; eps = 1; duration = BEx; duration_B = x <= 0 }": mismatch,
+        "rule dV_geq { p = x - 1; eps = 1; duration = BEx }": mismatch,
+        "rule dV_geq { p = x; eps = x; duration = BEx; duration_B = x <= 1 }": state_eps,
+        "rule dV_geq { p = x; eps = x; duration = BEx }": state_eps,
     }
-    for cert, why in refusals.items():
+    for cert, (error, why) in refusals.items():
         pf = parse_problem("ode { x' = 1 } goal { x >= 0 } proof { %s }" % cert)
-        with pytest.raises(ShapeMismatch, match=why):
+        with pytest.raises(error, match=why):
             apply_rule(pf, pf.certificate[0], Checker())
-
-
-def test_eps_is_refused_before_the_witness_search(monkeypatch):
-    """An eps over the state is refused before the BEx bound search runs."""
-    from odeliveness import rules
-
-    def no_search(*args):
-        raise AssertionError("the bound search ran")
-
-    monkeypatch.setattr(rules, "upper_bound_on", no_search)
-    text = "ode { x' = 1 } goal { x >= 0 } proof { rule dV_geq { p = x; eps = x; duration = BEx; duration_B = x <= 1 } }"
-    pf = parse_problem(text)
-    with pytest.raises(MissingCertificateField, match="needs eps"):
-        apply_rule(pf, pf.certificate[0], Checker())
 
 
 EPS_TEXT = """
