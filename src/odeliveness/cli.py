@@ -269,10 +269,6 @@ def main(argv=None) -> int:
     except OdelivError as e:
         print(f"input error: {e}")
         return 3
-    except RecursionError:
-        # parsing and every pass over a formula recurse once per nesting level
-        print("input error: formula nested too deeply")
-        return 3
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from __future__ import annotations
 from decimal import Context, Decimal
 from typing import Callable
 
-from .errors import InvalidArgument, NestingTooDeep
+from .errors import InvalidArgument
 from .syntax import And, BoolLit, Cmp, Formula, Implies, Not, Or
 
 
@@ -59,20 +59,11 @@ def formula_src(f: Formula, atom: Callable[[Cmp], str]) -> str:
     raise TypeError(f"cannot compile {f!r}")
 
 
-def compile_source(src: str):
-    """The code of `src`, compiled under the filename `exec(src)` gives it."""
-    try:
-        return compile(src, "<string>", "exec")  # generated exclusively from our own AST
-    except (SyntaxError, RecursionError):
-        # well-formed source fails only past the compiler's nesting limits
-        raise NestingTooDeep("formula nested too deeply to compile") from None
-
-
 def build(src: str, name: str, scope: dict = None):
     """The function `name` defined by `src`, executed in a copy of `scope`.
     The function is taken out of its globals, so it and its globals are
     freed with the last reference rather than by the cycle collector; `src`
     must not refer to `name` itself."""
     namespace = dict(scope or {})
-    exec(compile_source(src), namespace)
+    exec(src, namespace)  # generated exclusively from our own AST
     return namespace.pop(name)

@@ -96,7 +96,7 @@ class UnsamplableInitSet(OdelivError):
 
 
 class NestingTooDeep(OdelivError):
-    """A formula is nested too deeply to be compiled to Python."""
+    """An expression holds more nesting tokens than `syntax.NESTING_CAP`."""
 
 
 class InvalidArgument(OdelivError):

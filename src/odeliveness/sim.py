@@ -45,7 +45,7 @@ from random import Random
 from types import SimpleNamespace
 from typing import Callable, Optional
 
-from .codegen import build, compile_source, formula_src, poly_src, to_float
+from .codegen import build, formula_src, poly_src, to_float
 from .errors import InvalidArgument, RuleRefused, UnsamplableInitSet
 from .normal import atoms_of
 from .record import Factory, Frozen, Record
@@ -403,7 +403,7 @@ class Plan:
         self.names = system.state_names()
         self.pnames = tuple(sorted(system.params))
         domain = system.domain if system.domain is not None else TRUE
-        self._code = compile_source(self._source(domain))
+        self._code = compile(self._source(domain), "<string>", "exec")
         self._kernel = _dimension(len(self.names))
 
     def bind(self, par: tuple) -> SimpleNamespace:

@@ -27,7 +27,7 @@ continues with letters, digits (`str.isalnum()`) or `_`.  `&`, `|`, `!`,
 are reserved words, so a formula that uses them fails at the keyword.
 Comparison chains such as `1 <= p <= 2` desugar to conjunctions.
 Printing is deterministic (graded lexicographic term order) and
-`parse(print(ast))` is the identity on ASTs.
+`parse(print(ast))` is the identity on ASTs; `NESTING_CAP` bounds nesting.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from collections import _tuplegetter
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import DegreeCapExceeded, DuplicateDeclaration, ParseError, UnknownIdentifier
+from .errors import DegreeCapExceeded, DuplicateDeclaration, NestingTooDeep, ParseError, UnknownIdentifier
 from .record import Frozen
 from .symbolic import DEGREE_CAP, OdeSystem, Polynomial
 
@@ -279,11 +279,20 @@ def _tokenize(text: str) -> list[Token]:
 # ---------------------------------------------------------------------------
 # Parser
 
+# The most nesting tokens one expression holds: `(`, `!`, `&`, `|`, `->`,
+# each comparison after the first in a chain, each comma between assumptions
+# and each `hint [`.  An expression is the domain, the goal, the assume block,
+# each ODE right-hand side, each top-level binding with its hints, or a
+# `parse_formula`/`parse_poly` text.  So the parser's recursion and every
+# formula built from these parts stay far below the interpreter's stack.
+NESTING_CAP = 64
+
 
 class _Parser:
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.pos = 0
+        self.nesting = 0  # nesting tokens read in the current expression
         self.uses: list[tuple[str, int, int]] = []  # identifier occurrences in expressions
 
     def peek(self, ahead: int = 0) -> Token:
@@ -315,6 +324,13 @@ class _Parser:
             return self.next()
         raise ParseError(f"found {t.text!r}", t.line, t.col, expected=["identifier"])
 
+    def nest(self) -> None:
+        """Steps over a nesting token, one more toward `NESTING_CAP`."""
+        self.pos += 1
+        self.nesting += 1
+        if self.nesting > NESTING_CAP:
+            raise NestingTooDeep("formula nested too deeply")
+
     def fail(self, expected) -> ParseError:
         t = self.peek()
         return ParseError(f"found {t.text or 'end of input'!r}", t.line, t.col, expected=expected)
@@ -337,14 +353,14 @@ class _Parser:
             op = _CONNECTIVES.get(t.text) if t.kind == "sym" else None
             if op is None or op[0] < min_prec:
                 return left
-            self.pos += 1
+            self.nest()
             right = self.parse_expr(op[1])
             left = op[2](self._as_formula(left), self._as_formula(right))
 
     def _unary(self):
         t = self.toks[self.pos]
         if t.kind == "sym" and t.text == "!":
-            self.pos += 1
+            self.nest()
             return Not(self._as_formula(self._unary()))
         return self._comparison()
 
@@ -357,9 +373,10 @@ class _Parser:
         if t.kind != "sym" or t.text not in _CMP or not isinstance(first, Polynomial):
             return first
         chain, ops = [first], []
+        self.nesting -= 1  # the first comparison nests nothing
         while t.kind == "sym" and t.text in _CMP:
             ops.append(t.text)
-            self.pos += 1
+            self.nest()
             chain.append(self._sum())
             t = toks[self.pos]
         out = None
@@ -427,7 +444,7 @@ class _Parser:
                 self.pos += 1
                 value = TRUE if t.text == "true" else FALSE
             elif t.kind == "sym" and t.text == "(":
-                self.pos += 1
+                self.nest()
                 value = self.parse_expr()
                 self.expect(")")
             else:
@@ -536,6 +553,7 @@ class _Parser:
             seen_blocks.add(t.text)
             self.next()
             self.expect("{")
+            self.nesting = 0
             if t.text == "ode":
                 names, rhss = [], []
                 while True:
@@ -544,6 +562,7 @@ class _Parser:
                         raise DuplicateDeclaration(f"variable '{var.text}' has two equations")
                     self.expect("'")
                     self.expect("=")
+                    self.nesting = 0
                     rhs = self._as_poly(self._sum())
                     names.append(var.text)
                     rhss.append(rhs)
@@ -557,8 +576,9 @@ class _Parser:
             elif t.text == "assume":
                 while True:
                     assumptions.append(self._as_formula(self.parse_expr()))
-                    if not self.accept(","):
+                    if self.peek().text != ",":
                         break
+                    self.nest()
                 self.expect("}")
             elif t.text == "goal":
                 goal = self._as_formula(self.parse_expr())
@@ -607,6 +627,8 @@ class _Parser:
             while True:
                 key = self.expect_ident()
                 self.expect("=")
+                if toplevel:
+                    self.nesting = 0
                 bindings.append((key.text, self._parse_binding_value()))
                 if not self.accept(";"):
                     break
@@ -616,7 +638,7 @@ class _Parser:
     def _parse_binding_value(self) -> BindingValue:
         t = self.peek()
         if t.kind == "kw" and t.text == "hint":
-            self.next()
+            self.nest()  # `hint [` counts once
             self.expect("[")
             steps = []
             while self.peek().kind == "kw" and self.peek().text == "rule":

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from odeliveness import cli, sim, symbolic
+from odeliveness import cli, sim, symbolic, syntax
 from odeliveness.cli import main
 from conftest import ROOT, problem_path
 
@@ -534,6 +534,7 @@ def test_unjustified_box_is_never_proved(tmp_path, capsys, rule):
 
 
 DEEP = 3000
+NESTED = "input error: formula nested too deeply"
 
 
 @pytest.mark.parametrize("command", ["check", "falsify"])
@@ -543,26 +544,122 @@ DEEP = 3000
         ("(" * DEEP + "x = 1" + ")" * DEEP, "x <= 2"),
         ("!" * DEEP + "(x = 1)", "x <= 2"),
         (" & ".join(["x = 1"] * 1000), "x <= 2"),
+        ("x = 1", "!" * 300 + "(x <= 2)"),
     ],
-    ids=["parentheses", "negations", "conjunction-chain"],
+    ids=["parentheses", "negations", "conjunction-chain", "negated-goal"],
 )
 def test_deeply_nested_formula_is_input_error(tmp_path, capsys, command, assume, goal):
-    # exit 1 means "refuted": running out of recursion must never look like one
+    # exit 1 means "refuted": a deep input must never look like one, and
+    # every command refuses the same inputs with the same message
     f = tmp_path / "deep.ode"
     f.write_text(f"ode {{ x' = -x }}\nassume {{ {assume} }}\ngoal {{ {goal} }}\n"
                  "proof { rule dV_geq { p = 2 - x; eps = 1 } }\n")
     code, out = run(capsys, command, f, "--samples", 2)
-    assert code == 3
-    assert out.splitlines()[-1] == "input error: formula nested too deeply"
+    assert (code, out) == (3, NESTED + "\n")
 
 
-def test_goal_past_the_compilers_nesting_limit_is_input_error(tmp_path, capsys):
-    # 300 negations parse, but the falsifier's generated goal test does not compile
-    f = tmp_path / "deep.ode"
-    f.write_text("ode { x' = -x }\nassume { x = 1 }\ngoal { " + "!" * 300 + "(x <= 2) }\n")
-    code, out = run(capsys, "falsify", f, "--samples", 2)
-    assert code == 3
-    assert out == "input error: formula nested too deeply to compile\n"
+def _nesting_problem(ode="x' = -x; y' = 1", domain=None, assume="x = 1, y = 0", goal="y >= 1",
+                     proof="rule dV_geq { p = y - 1; eps = 1 }") -> str:
+    text = f"ode {{ {ode} }}\n" + (f"domain {{ {domain} }}\n" if domain else "")
+    return text + f"assume {{ {assume} }}\ngoal {{ {goal} }}\nproof {{ {proof} }}\n"
+
+
+def _hints(k: int, cut: str = "y <= 1") -> str:
+    """A hint list with k `hint [` tokens: k - 1 DC steps of `cut` nested
+    around DI."""
+    inner = "rule DI { }"
+    for _ in range(k - 1):
+        inner = f"rule DC {{ f = {cut}; hints = hint [ {inner} ] }}"
+    return f"hint [ {inner} ]"
+
+
+# shape -> the problem whose one expression holds k nesting tokens of that shape
+NESTING_SHAPES = {
+    "parentheses": lambda k: _nesting_problem(assume="(" * (k - 1) + "x = 1" + ")" * (k - 1) + ", y = 0"),
+    "negations": lambda k: _nesting_problem(assume="!" * (k - 1) + "x != 1, y = 0"),
+    "conjunction": lambda k: _nesting_problem(assume=" & ".join(["x = 1"] * k + ["y = 0"])),
+    "disjunction": lambda k: _nesting_problem(goal=" | ".join(["y >= 1"] * (k + 1))),
+    "implication": lambda k: _nesting_problem(goal=" -> ".join(["y >= 1"] * (k + 1))),
+    "comparison-chain": lambda k: _nesting_problem(goal=" <= ".join(["1"] * (k + 1) + ["y"])),
+    "assumptions": lambda k: _nesting_problem(assume=", ".join(["x = 1"] * k + ["y = 0"])),
+    "domain": lambda k: _nesting_problem(domain=" & ".join(["x <= 2"] * (k + 1))),
+    "ode": lambda k: _nesting_problem(ode="x' = " + "(" * k + "-x" + ")" * k + "; y' = 1"),
+    "binding": lambda k: _nesting_problem(proof="rule dV_geq { p = " + "(" * k + "y - 1" + ")" * k + "; eps = 1 }"),
+    "hints": lambda k: _nesting_problem(proof=f"rule SP {{ p = y; eps = 1; S = y <= 1; hints = {_hints(k)} }}"),
+}
+NESTING_COMMANDS = {
+    "check": [],
+    "falsify": ["--samples", 2],
+    "simulate": ["--init", "x=1,y=0", "--horizon", 1],
+    "emit-smt": ["--out", "smt"],
+    "lie": ["-p", "x"],
+}
+
+
+@pytest.mark.parametrize("command", NESTING_COMMANDS)
+@pytest.mark.parametrize("shape", NESTING_SHAPES)
+def test_nesting_cap_is_one_limit_for_every_command(tmp_path, capsys, monkeypatch, shape, command):
+    # at the cap every command runs without an exception; one nesting token
+    # past it, every command refuses the file with the same message
+    monkeypatch.chdir(tmp_path)
+    for k in (syntax.NESTING_CAP, syntax.NESTING_CAP + 1):
+        f = tmp_path / f"nested-{k}.ode"
+        f.write_text(NESTING_SHAPES[shape](k))
+        code, out = run(capsys, command, f, *NESTING_COMMANDS[command])
+        if k > syntax.NESTING_CAP:
+            assert (code, out) == (3, NESTED + "\n")
+        else:
+            assert code in (0, 1, 2, 3) and NESTED not in out
+
+
+def test_lie_polynomial_nesting_is_capped(capsys):
+    cap = syntax.NESTING_CAP
+    code, out = run(capsys, "lie", problem_path("example1.ode"), "-p", "(" * cap + "u" + ")" * cap)
+    assert code == 0
+    code, out = run(capsys, "lie", problem_path("example1.ode"), "-p", "(" * (cap + 1) + "u" + ")" * (cap + 1))
+    assert (code, out) == (3, NESTED + "\n")
+
+
+def _at_cap(atom: str, sep: str) -> str:
+    return f" {sep} ".join([atom] * (syntax.NESTING_CAP + 1))
+
+
+def _parenthesised(text: str, k: int = syntax.NESTING_CAP) -> str:
+    return "(" * k + text + ")" * k
+
+
+# the domain, the assume block, the goal, each right-hand side and each
+# binding at the cap at once, with a hint list nested to the cap
+WORST_CASE = f"""ode {{ u' = {_parenthesised("-v - u")}; v' = {_parenthesised("u - v")} }}
+domain {{ {_at_cap("u^2 + v^2 <= 2", "&")} }}
+assume {{ {_at_cap("u^2 + v^2 = 1", ",")} }}
+goal {{ {_parenthesised("u^2 + v^2 <= 1/4")} }}
+proof {{ rule SP_dom {{ p = {_parenthesised("1/4 - (u^2 + v^2)", syntax.NESTING_CAP - 1)}; eps = 1/2;
+  S = 1/4 <= u^2 + v^2 & {" & ".join(["u^2 + v^2 <= 1"] * syntax.NESTING_CAP)};
+  hints = hint [ rule DC {{ f = u^2 + v^2 <= 1; hints = {_hints(syntax.NESTING_CAP - 1, "u^2 + v^2 <= 1")} }}
+                 rule DW {{ }} ] }} }}
+"""
+
+
+def test_a_file_with_every_block_at_the_cap_runs_through_every_command(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    f = tmp_path / "worst.ode"
+    f.write_text(WORST_CASE)
+    flags = dict(NESTING_COMMANDS, simulate=["--init", "u=1,v=0", "--horizon", 1],
+                 lie=["-p", _parenthesised("u^2 + v^2")])
+    for command in NESTING_COMMANDS:
+        code, out = run(capsys, command, f, *flags[command])
+        assert code == 0, (command, out)
+        if command == "check":
+            assert out.endswith("verdict: Proved\n")
+
+
+def test_a_recursion_bug_is_a_traceback_not_an_input_error(monkeypatch, capsys):
+    # no command catches RecursionError: a walk that never ends fails loudly
+    # instead of reading as a deep input (exit 3)
+    monkeypatch.setattr(syntax.Node, "__hash__", lambda node: hash((node,)))
+    with pytest.raises(RecursionError):
+        main(["check", str(problem_path("example1.ode"))])
 
 
 @pytest.mark.parametrize("given", ["out", "./out/", "out//sub/./", "."])

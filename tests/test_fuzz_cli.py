@@ -4,11 +4,17 @@ Each example takes one of the nine problem files and mutates a few of its
 tokens: a numeral becomes a huge numerator, gets a zero or a huge
 denominator, or becomes a power near `DEGREE_CAP`; a token is deleted,
 repeated, swapped with its neighbour, or replaced by a symbol or by a
-reserved word or enum binding value.  It then draws a command and its flags
-at small budgets; the `--out` of `falsify`, `simulate` and `emit-smt` is a
-directory or an existing file.  Every run must end with exit 0, 1, 2 or 3,
-raise nothing (the command line would print a traceback), and print the
-same stdout when rerun.
+reserved word or enum binding value.  Some examples then deepen one
+expression by k nesting tokens, k one of `NESTING_CAP`, `NESTING_CAP + 1`
+and 3000: a block's first formula is wrapped in k parentheses or negations
+or repeated as k more conjuncts, the assume block gets k more assumptions,
+or the first hint list is nested in k DC hints.  It then draws a command and
+its flags at small budgets; the `--out` of `falsify`, `simulate` and
+`emit-smt` is a directory or an existing file.  Every run must end with exit
+0, 1, 2 or 3, raise nothing (the command line would print a traceback), and
+print the same stdout when rerun.  Past the cap, `check` and `falsify` both
+exit 3: no command catches a stack overflow, so this is where a walk that
+the cap does not bound would show.
 
 Tier-1 runs a derandomized slice of the default profile's examples; the
 `ci` profile (`--hypothesis-profile=ci`) runs about 2,000.
@@ -23,7 +29,7 @@ from hypothesis import strategies as st
 
 from odeliveness.cli import main
 from odeliveness.symbolic import DEGREE_CAP
-from odeliveness.syntax import _KEYWORDS, ENUM_BINDING_VALUES
+from odeliveness.syntax import _KEYWORDS, ENUM_BINDING_VALUES, NESTING_CAP
 from conftest import PROBLEMS
 
 FILES = sorted(PROBLEMS.glob("*.ode"))
@@ -33,6 +39,8 @@ _PIECE = re.compile(r"[0-9]+|[^\W\d]\w*|\s+|.", re.S)
 SYMBOLS = list("{}()[];,'=<>+-*^&|!/") + ["->", "<=", ">=", "!="]
 WORDS = sorted(_KEYWORDS | ENUM_BINDING_VALUES)
 MUTATIONS = ["numeral", "numeral", "zero-den", "huge-den", "power", "delete", "repeat", "swap", "symbol", "keyword"]
+NESTINGS = ["parentheses", "negations", "conjuncts", "assumptions", "hints"] + [None] * 5
+_BLOCK = re.compile(r"\b(domain|assume|goal)\s*\{([^{}]*)\}")
 
 
 def _numeral(draw) -> str:
@@ -45,9 +53,47 @@ def _numeral(draw) -> str:
     )
 
 
+def _closing(text: str, i: int) -> int:
+    """The index past the `]` that closes the `[` at text[i], else the end."""
+    depth = 0
+    for j in range(i, len(text)):
+        depth += {"[": 1, "]": -1}.get(text[j], 0)
+        if depth == 0:
+            return j + 1
+    return len(text)
+
+
+def _nested(text: str, how: str, k: int) -> str:
+    """`text` with one expression deepened by k nesting tokens (see the module
+    docstring), or None when it has no such expression."""
+    if how == "hints":
+        i = text.find("hint [")
+        if i < 0:
+            return None
+        j = _closing(text, i + len("hint "))
+        return text[:i] + "hint [ rule DC { f = true; hints = " * k + text[i:j] + " } ]" * k + text[j:]
+    blocks = [m for m in _BLOCK.finditer(text) if how != "assumptions" or m[1] == "assume"]
+    if not blocks:
+        return None
+    m = blocks[0]
+    first, comma, rest = m[2].partition(",")
+    if how == "parentheses":
+        first = "(" * k + first + ")" * k
+    elif how == "negations":
+        first = "!" * k + first
+    elif how == "conjuncts":
+        first = " & ".join([first] * (k + 1))
+    else:
+        rest += ("," if comma else "") + ", ".join([first] * k)
+        comma = ","
+    return text[: m.start(2)] + first + comma + rest + text[m.end(2):]
+
+
 @st.composite
 def mutated(draw) -> tuple:
-    """(file name, text) of a problem file with one to three mutations."""
+    """(file name, text, deep) of a problem file with one to three
+    mutations, `deep` telling whether an expression is then deepened past
+    the nesting cap."""
     name = draw(st.sampled_from(sorted(TEXTS)))
     pieces = _PIECE.findall(TEXTS[name])
     for _ in range(draw(st.integers(1, 3))):
@@ -71,7 +117,15 @@ def mutated(draw) -> tuple:
             pieces[i] = draw(st.sampled_from(WORDS))
         else:
             pieces[i] = draw(st.sampled_from(SYMBOLS))
-    return name, "".join(pieces)
+    text, deep = "".join(pieces), False
+    how = draw(st.sampled_from(NESTINGS))
+    if how is not None:
+        k = draw(st.sampled_from([NESTING_CAP, NESTING_CAP + 1, 3000]))
+        nested = _nested(text, how, k)
+        if nested is not None:
+            text, deep = nested, k > NESTING_CAP
+        event(f"nesting {how} {k} {'applied' if nested is not None else 'absent'}")
+    return name, text, deep
 
 
 def _flags(draw, command: str, outs: list) -> list:
@@ -111,7 +165,7 @@ def run(argv: list) -> tuple:
 @settings(derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(mutated(), st.data())
 def test_every_run_ends_in_an_exit_code_and_reruns_the_same(tmp_path_factory, problem, data):
-    name, text = problem
+    name, text, deep = problem
     base = tmp_path_factory.getbasetemp()
     (base / name).write_text(text)
     command = data.draw(st.sampled_from(["check", "check", "falsify", "lie", "simulate", "emit-smt"]))
@@ -125,6 +179,9 @@ def test_every_run_ends_in_an_exit_code_and_reruns_the_same(tmp_path_factory, pr
     assert code in (0, 1, 2, 3), (code, argv)
     assert "Traceback" not in out + err
     assert run(argv) == (code, out, err)
+    if deep:
+        for command in ("check", "falsify"):
+            assert run([command, str(base / name), "--samples", "1"])[0] == 3, command
 
 
 # -- inputs the fuzz found -------------------------------------------------------

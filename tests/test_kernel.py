@@ -306,8 +306,8 @@ def build_every_step(goal: str, domain: str) -> dict:
     leaves, which refuse a domain, get the unconstrained clocked system.  DI
     is the plain form on the closed pair and the strict-boundary variant on
     the open one.  The derived liveness rules build their own existence
-    leaves: a `_dom` variant where there is one, SP_c and SP_ck_dom on the
-    closed pair, SP_b and E_c_dom on the open one."""
+    leaves: a `_dom` variant where there is one, SLyap, SP_c and SP_ck_dom
+    on the closed pair, SLyap_dom, SP_b and E_c_dom on the open one."""
     ctx, system = AUDIT_PROBLEM.assumptions, AUDIT_PROBLEM.system
     p, q, g = parse_formula(goal), parse_formula(domain), parse_formula("u >= 2")
     target = Sequent(ctx, dia(system.with_domain(q), p))
@@ -353,7 +353,9 @@ def build_every_step(goal: str, domain: str) -> dict:
         step_dv_eq=step_dv_eq("dV_eqM_dom", target, v, one, p0=-1),
         step_sp=step_sp("SP_dom", target, v, one, AUDIT_REFINED, p0=-1),
         step_sp_bounded=step_sp_bounded("SP_c" if closed else "SP_b", free, v, q, one, p0=-1, p1=1),
-        step_slyap=step_slyap("SLyap", free, parse_poly("4 - u^2 - v^2"), q),
+        step_slyap=step_slyap("SLyap", free, parse_poly("4 - u^2 - v^2"), q)
+        if closed
+        else step_slyap("SLyap_dom", target, parse_poly("4 - u^2 - v^2"), q),
         step_compact_dom=step_compact_dom("SP_ck_dom", target, v, S=q)
         if closed
         else step_compact_dom("E_c_dom", target, v),
@@ -407,17 +409,34 @@ def missing_gates(node) -> list:
     return missing
 
 
+# rule -> the set its BEx child must leave, from the set C its Compact gate
+# names, its diamond's domain Q and its goal P: SLyap argues off the goal
+# inside K, E_c_dom inside Q, and SP_ck_dom leaves its compact stage S
+ESCAPE_SETS = {
+    "SLyap": lambda c, q, p: conj([c, negate(p)]),
+    "SLyap_dom": lambda c, q, p: conj([c, negate(p)]),
+    "E_c_dom": lambda c, q, p: conj([q, negate(p)]),
+    "SP_ck_dom": lambda c, q, p: c,
+}
+
+
 def missing_liveness_gates(node) -> list:
     """The catalog's other corrections a node lacks: the GlobalLipschitz gate
-    it shares with a GEx child (CE-1), and SLyap's Compact gate (CE-4)."""
+    it shares with a GEx child (CE-1), SLyap's Compact gate (CE-4), and a
+    BEx child over the escape set of `ESCAPE_SETS`, compared in normal form."""
     gates = [ob for ob in node.obligations if ob.role == kernel.GATE]
+    compact = [ob.formula for ob in gates if isinstance(ob, TopoOb) and ob.prop == topology.COMPACT]
     missing = []
     if any(c.step.name == "GEx" and not any(ob in gates for ob in c.obligations) for c in node.children):
-        missing.append("GlobalLipschitz")
-    if node.step.name.startswith("SLyap") and not any(
-        isinstance(ob, TopoOb) and ob.prop == topology.COMPACT for ob in gates
-    ):
-        missing.append("Compact")
+        missing.append("GlobalLipschitz gate")
+    if node.step.name.startswith("SLyap") and not compact:
+        missing.append("Compact gate")
+    escape = ESCAPE_SETS.get(node.step.name)
+    if escape is not None and compact:  # without the gate, C is unknown
+        want = escape(conj(compact), _diamond_domain(node.conclusion), node.conclusion.succedent.post)
+        left = [ob.formula for c in node.children if c.step.name == "BEx" for ob in c.obligations]
+        if [_normal_conjuncts(f) for f in left] != [_normal_conjuncts(want)]:
+            missing.append("BEx escape set")
     return missing
 
 
@@ -474,7 +493,8 @@ def step_audit_findings() -> list:
     no longer seen to do so, a DR box premise over more than the plain R,
     an invariance step with a premise that assumes what it proves, or a
     node of a built proof without the GlobalLipschitz gate of its GEx child
-    (CE-1) or, for SLyap, its Compact gate (CE-4)."""
+    (CE-1), for SLyap, its Compact gate (CE-4), or a BEx child that leaves
+    another set than its rule's escape set."""
     constructors = {name for name in vars(kernel) if name.startswith("step_")}
     findings = []
     for goal, domain in AUDIT_PAIRS:
@@ -501,7 +521,7 @@ def step_audit_findings() -> list:
             findings.append(f"DR's box premise domains are {dr_domains}, not the plain R")
         findings += [f"{name} assumes what it proves" for name, node in built.items() if assumes_what_it_proves(node)]
         findings += [
-            f"{name}: {sub.step.name} lacks its {gate} gate"
+            f"{name}: {sub.step.name} lacks its {gate}"
             for name, node in built.items()
             for sub in node.walk()
             for gate in missing_liveness_gates(sub)
@@ -641,11 +661,16 @@ def test_audit_sees_the_catalog_shapes():
         kept = tuple(ob for ob in node.obligations if not drop(ob))
         return ProofNode(node.step, node.conclusion, node.children, kept)
 
-    assert missing_liveness_gates(without(dv, lambda ob: isinstance(ob, LipschitzOb))) == ["GlobalLipschitz"]
+    assert missing_liveness_gates(without(dv, lambda ob: isinstance(ob, LipschitzOb))) == ["GlobalLipschitz gate"]
     no_initial = without(dv, lambda ob: ob.label.startswith("InitialState"))
     assert refines_domain_under_goal_negation(no_initial) and missing_gates(no_initial) == ["initial-state"]
     no_compact = without(slyap, lambda ob: getattr(ob, "prop", None) == topology.COMPACT)
-    assert missing_liveness_gates(no_compact) == ["Compact"]
+    assert missing_liveness_gates(no_compact) == ["Compact gate"]
+    bex = slyap.children[0].conclusion  # the goal left in: BEx leaves K, not K & !P
+    over_k = step_exist_bounded(bex.context, bex.succedent.system, parse_formula(AUDIT_PAIRS[0][1]), None)
+    assert missing_liveness_gates(ProofNode(slyap.step, slyap.conclusion, (over_k,), slyap.obligations)) == [
+        "BEx escape set"
+    ]
     assert missing_liveness_gates(dv) == missing_liveness_gates(slyap) == missing_gates(dv) == []
 
 
