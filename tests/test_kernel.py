@@ -422,17 +422,18 @@ ESCAPE_SETS = {
 
 def missing_liveness_gates(node) -> list:
     """The catalog's other corrections a node lacks: the GlobalLipschitz gate
-    it shares with a GEx child (CE-1), SLyap's Compact gate (CE-4), and a
-    BEx child over the escape set of `ESCAPE_SETS`, compared in normal form."""
+    it shares with a GEx child (CE-1), the Compact gate of SLyap (CE-4) and
+    of the other rules of `ESCAPE_SETS`, and a BEx child over the escape set
+    that `ESCAPE_SETS` names, compared in normal form."""
     gates = [ob for ob in node.obligations if ob.role == kernel.GATE]
     compact = [ob.formula for ob in gates if isinstance(ob, TopoOb) and ob.prop == topology.COMPACT]
     missing = []
     if any(c.step.name == "GEx" and not any(ob in gates for ob in c.obligations) for c in node.children):
         missing.append("GlobalLipschitz gate")
-    if node.step.name.startswith("SLyap") and not compact:
-        missing.append("Compact gate")
     escape = ESCAPE_SETS.get(node.step.name)
-    if escape is not None and compact:  # without the gate, C is unknown
+    if escape is not None and not compact:
+        missing.append("Compact gate")
+    elif escape is not None:
         want = escape(conj(compact), _diamond_domain(node.conclusion), node.conclusion.succedent.post)
         left = [ob.formula for c in node.children if c.step.name == "BEx" for ob in c.obligations]
         if [_normal_conjuncts(f) for f in left] != [_normal_conjuncts(want)]:
@@ -493,8 +494,8 @@ def step_audit_findings() -> list:
     no longer seen to do so, a DR box premise over more than the plain R,
     an invariance step with a premise that assumes what it proves, or a
     node of a built proof without the GlobalLipschitz gate of its GEx child
-    (CE-1), for SLyap, its Compact gate (CE-4), or a BEx child that leaves
-    another set than its rule's escape set."""
+    (CE-1), its Compact gate under SLyap (CE-4), SP_ck_dom or E_c_dom, or a
+    BEx child that leaves another set than its rule's escape set."""
     constructors = {name for name in vars(kernel) if name.startswith("step_")}
     findings = []
     for goal, domain in AUDIT_PAIRS:
