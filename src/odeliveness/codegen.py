@@ -8,6 +8,8 @@ exclusively from the package's own ASTs.
 A polynomial becomes `c*x**e*y + c2*...`: each term is the coefficient
 (its numerator over the denominator, correctly rounded) times its factors,
 left to right, and terms are summed left to right in `sorted_terms` order.
+Past `SUM_CHUNK` terms the sum is added up chunk by chunk into `_s`, in the
+same order, so its compiled expression stays shallow whatever the term count.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from typing import Callable
 
 from .errors import InvalidArgument
 from .syntax import And, BoolLit, Cmp, Formula, Implies, Not, Or
+
+SUM_CHUNK = 256  # CPython's compiler recurses once per `+` of a chain
 
 
 def to_float(num: int, den: int) -> float:
@@ -38,7 +42,10 @@ def poly_src(p, ref: Callable[[str], str]) -> str:
         for v, e in m:
             factors.append(ref(v) if e == 1 else f"{ref(v)}**{e}")
         parts.append("*".join(factors))
-    return " + ".join(parts) if parts else "0.0"
+    if len(parts) <= SUM_CHUNK:
+        return " + ".join(parts) if parts else "0.0"
+    chunks = [" + ".join(parts[i : i + SUM_CHUNK]) for i in range(0, len(parts), SUM_CHUNK)]
+    return "(_s := " + ", _s := _s + ".join(chunks) + ")[-1]"
 
 
 def formula_src(f: Formula, atom: Callable[[Cmp], str]) -> str:

@@ -372,8 +372,9 @@ class _Parser:
         t = toks[self.pos]
         if t.kind != "sym" or t.text not in _CMP or not isinstance(first, Polynomial):
             return first
-        chain, ops = [first], []
-        self.nesting -= 1  # the first comparison nests nothing
+        self.pos += 1  # the first comparison nests nothing
+        chain, ops = [first, self._sum()], [t.text]
+        t = toks[self.pos]
         while t.kind == "sym" and t.text in _CMP:
             ops.append(t.text)
             self.nest()

@@ -131,6 +131,15 @@ def test_falsify_box_past_the_float_range_is_unknown():
     assert arith.prove_implication(o).status == arith.FALSIFIED
 
 
+def test_falsify_screens_a_polynomial_of_thousands_of_terms():
+    # (1 + x + y + z)^26 has 3,654 terms, past the length of a flat `+`
+    # chain that CPython compiles at its default recursion limit
+    o = ob(("x", "y", "z"), "-1 <= x & x <= 1 & -1 <= y & y <= 1 & -1 <= z & z <= 1", "(1 + x + y + z)^26 >= 1")
+    v = falsify(o, samples=50, seed=0)
+    assert v.status == arith.FALSIFIED
+    assert sum(v.counterexample.values()) < 0
+
+
 def test_falsify_epsilon_two_at_unit_circle():
     v = falsify(
         ob(

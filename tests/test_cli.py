@@ -654,6 +654,19 @@ def test_a_file_with_every_block_at_the_cap_runs_through_every_command(tmp_path,
             assert out.endswith("verdict: Proved\n")
 
 
+def test_a_polynomial_of_thousands_of_terms_runs_under_the_numeric_commands(tmp_path, capsys):
+    # no cap limits a polynomial's terms: (1 + x + y + z)^26 has 3,654, past
+    # the length of a flat `+` chain that CPython compiles, and the plan
+    # compiles it as a normal run, never a traceback or an input error
+    f = tmp_path / "long.ode"
+    f.write_text("ode { x' = (1 + x + y + z)^26; y' = 1; z' = 1 }\nassume { x = 0, y = 0, z = 0 }\n"
+                 "goal { y >= 2 }\nproof { rule dV_geq { p = y - 2; eps = 1 } }\n")
+    code, out = run(capsys, "simulate", f, "--init", "x=0,y=0,z=0", "--horizon", 0.01)
+    assert (code, out) == (0, "event HorizonReached at t=0.01\n")
+    code, out = run(capsys, "falsify", f, "--samples", 1, "--horizon", 0.01)
+    assert (code, out) == (2, "samples=1 WITNESS=0 REFUTED-SAMPLE=0 BLOWUP=0 INCONCLUSIVE=1\n")
+
+
 def test_a_recursion_bug_is_a_traceback_not_an_input_error(monkeypatch, capsys):
     # no command catches RecursionError: a walk that never ends fails loudly
     # instead of reading as a deep input (exit 3)

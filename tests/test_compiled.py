@@ -14,12 +14,13 @@ import re
 import struct
 import weakref
 from fractions import Fraction
+from random import Random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from odeliveness import sim
-from odeliveness.codegen import build, poly_src
+from odeliveness.codegen import SUM_CHUNK, build, poly_src
 from odeliveness.normal import norm_atom
 from odeliveness.symbolic import OdeSystem, Polynomial
 from odeliveness.syntax import And, BoolLit, Cmp, Formula, Implies, Not, Or, parse_problem
@@ -478,6 +479,21 @@ def test_plan_renders_each_atom_polynomial_once():
     assert re.findall(r"^ *def (\w+)", src, re.M) == ["f", "atoms", "domain", "goal"]
     # the stepping kernel holds the only Dormand-Prince trial
     assert sorted(vars(sim._dimension(len(plan.names)))) == ["advance_over", "bisect", "finite", "norm"]
+
+
+def test_a_sum_of_thousands_of_terms_compiles_and_keeps_its_order():
+    # CPython's compiler recurses once per `+` of a flat chain and overflows
+    # near 3,000 terms at the default recursion limit; a longer sum is added
+    # up chunk by chunk, and its float is the chain's, summed left to right
+    rng = Random(7)
+    monos = [((("x", i),) if i else ()) + ((("y", j),) if j else ()) + ((("z", k),) if k else ())
+             for i in range(39) for j in range(39 - i) for k in range(39 - i - j)]
+    p = Polynomial({m: Fraction(rng.randint(-999, 999) or 1, rng.randint(1, 999)) for m in monos})
+    assert len(p.terms) == 10660 > SUM_CHUNK
+    src = poly_src(p, lambda v: v)
+    f = build(f"def _f(x, y, z):\n    return {src}\n", "_f")
+    point = {"x": 0.99, "y": 1.01, "z": -0.97}
+    assert f(*point.values()) == eval_float(p, point)
 
 
 def test_built_function_is_freed_without_the_cycle_collector():
