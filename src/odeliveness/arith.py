@@ -53,7 +53,6 @@ from .normal import (
     atoms_of_conjuncts,
     contradictory,
     equality_polys,
-    nnf,
     norm_atom,
     partial_atoms,
 )
@@ -64,8 +63,6 @@ from .syntax import (
     BoolLit,
     Cmp,
     Formula,
-    Implies,
-    Not,
     Or,
     conj,
     conjuncts,
@@ -188,10 +185,11 @@ def _enclosure(terms: tuple, cell: dict) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Formulas compiled once, from NNF over literals, comparisons, `and` and
-# `or`: nested tuples whose atoms carry the scaled integer terms of their
+# Formulas compiled once, as parsed: every formula is in negation normal
+# form, over literals, comparisons, `and` and `or` (see `syntax`).  They
+# become nested tuples whose atoms carry the scaled integer terms of their
 # normalised atom (`_atom_node`), so every atom's op is `>=`, `>`, `=` or
-# `!=`.  A negation pushed into an atom changes no answer: negating a
+# `!=`.  Flipping an atom's sides changes no answer: negating a
 # polynomial negates its enclosure exactly.  `normal.norm_atom` is where
 # the prover, its pre-checks and `falsify`'s screen subtract a comparison's
 # sides; it gives `=` and `!=` atoms a canonical sign, which no answer
@@ -215,7 +213,7 @@ def _conj_node(nodes: list) -> tuple:
 
 
 def _compile(f: Formula) -> tuple:
-    """The compiled form of a formula in NNF."""
+    """The compiled form of a formula."""
     if isinstance(f, Cmp):
         return _atom_node(norm_atom(f))
     if isinstance(f, BoolLit):
@@ -249,7 +247,7 @@ def _eval3(node: tuple, cell: dict) -> int:
 
 def eval_formula_exact(f: Formula, point: dict) -> bool:
     """Exact rational truth of a formula at a point."""
-    node = _compile(nnf(f))
+    node = _compile(f)
     values = [(v, Fraction(x)) for v, x in point.items()]
     try:
         return _eval3(node, _scaled((v, x, x) for v, x in values)) == 1
@@ -633,9 +631,9 @@ def _falsified(mid: dict, cells: int, max_depth: int) -> ArithVerdict:
 
 class Region:
     """The hypothesis half of every obligation `forall universals
-    (hypothesis -> _)`, normalised once: the top-level conjuncts of its NNF
-    and their `_Hypothesis`, the cell of the box or the unbounded universals,
-    and, when the box is bounded and no conjunct is a disjunction, the compiled
+    (hypothesis -> _)`, normalised once: its top-level conjuncts and their
+    `_Hypothesis`, the cell of the box or the unbounded universals, and,
+    when the box is bounded and no conjunct is a disjunction, the compiled
     hypothesis without the atoms the box entails, the root cell, and the
     hypothesis's truth at the root cell's midpoint.  A closed hypothesis
     (no universals) keeps only its truth."""
@@ -645,7 +643,7 @@ class Region:
         if not universals:
             self.holds = eval_formula_exact(hypothesis, {})
             return
-        self.parts = parts = conjuncts(nnf(hypothesis))
+        self.parts = parts = conjuncts(hypothesis)
         atoms, rest = atoms_of_conjuncts(parts)
         self.hyp = hyp = _Hypothesis(atoms)
         self.cell, self.unbounded = _box_cell(hyp, universals)
@@ -709,7 +707,7 @@ def prove_implication(
         return ArithVerdict(VALID, trace={"method": "empty-box", "cells": 0})
     # each conclusion atom is normalised, so differenced, once for the
     # probe, the pre-checks and branch-and-bound
-    concl_atoms, concl_rest = atoms_of_conjuncts(conjuncts(nnf(ob.conclusion)))
+    concl_atoms, concl_rest = atoms_of_conjuncts(conjuncts(ob.conclusion))
 
     # Refute first: when the root midpoint is an exact counterexample,
     # branch-and-bound's first cell can neither discard nor accept the root,
@@ -915,7 +913,7 @@ def _smt_poly(p: Polynomial) -> str:
     return "(+ " + " ".join(parts) + ")"
 
 
-_SMT_CONNECTIVES = {And: "and", Or: "or", Implies: "=>"}
+_SMT_CONNECTIVES = {And: "and", Or: "or"}
 
 
 def _smt_formula(f: Formula) -> str:
@@ -926,8 +924,6 @@ def _smt_formula(f: Formula) -> str:
         if f.op == "!=":
             return f"(not (= {l} {r}))"
         return f"({f.op} {l} {r})"
-    if isinstance(f, Not):
-        return f"(not {_smt_formula(f.arg)})"
     if type(f) in _SMT_CONNECTIVES:
         return f"({_SMT_CONNECTIVES[type(f)]} {_smt_formula(f.left)} {_smt_formula(f.right)})"
     raise TypeError(f"cannot emit {f!r}")

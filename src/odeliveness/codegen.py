@@ -18,7 +18,7 @@ from decimal import Context, Decimal
 from typing import Callable
 
 from .errors import InvalidArgument
-from .syntax import And, BoolLit, Cmp, Formula, Implies, Not, Or
+from .syntax import And, BoolLit, Cmp, Formula, Or
 
 SUM_CHUNK = 256  # CPython's compiler recurses once per `+` of a chain
 
@@ -55,14 +55,10 @@ def formula_src(f: Formula, atom: Callable[[Cmp], str]) -> str:
         return repr(f.value)
     if isinstance(f, Cmp):
         return atom(f)
-    if isinstance(f, Not):
-        return f"(not {formula_src(f.arg, atom)})"
     if isinstance(f, And):
         return f"({formula_src(f.left, atom)} and {formula_src(f.right, atom)})"
     if isinstance(f, Or):
         return f"({formula_src(f.left, atom)} or {formula_src(f.right, atom)})"
-    if isinstance(f, Implies):
-        return f"((not {formula_src(f.left, atom)}) or {formula_src(f.right, atom)})"
     raise TypeError(f"cannot compile {f!r}")
 
 

@@ -52,11 +52,12 @@ from .syntax import (
     conjuncts,
     disjuncts,
     formula_variables,
+    negate,
     print_formula,
     print_ode,
     print_poly,
 )
-from .normal import negate, nnf, norm_atom
+from .normal import norm_atom
 
 CLOCK_NAME = "_t"
 ZERO = Polynomial.const(0)
@@ -429,13 +430,13 @@ def _concludes(child: "ProofNode", context, system: OdeSystem, domain: Formula, 
 
 
 def _taut_implies(a: Formula, b: Formula) -> bool:
-    """Cheap propositional check that a -> b is valid: in NNF, b is a, has a
-    as a disjunct, or is a conjunction of conjuncts of a."""
+    """Cheap propositional check that a -> b is valid: b is a, has a as a
+    disjunct, or is a conjunction of conjuncts of a, each read as written
+    (in negation normal form, as every formula is)."""
     if b == TRUE or a == b:
         return True
-    na, nb = nnf(a), nnf(b)
-    ca, cb = conjuncts(na), conjuncts(nb)
-    return na == nb or na in disjuncts(nb) or bool(cb) and all(c in ca for c in cb)
+    ca, cb = conjuncts(a), conjuncts(b)
+    return a in disjuncts(b) or bool(cb) and all(c in ca for c in cb)
 
 
 def step_dw(target: Sequent) -> ProofNode:
@@ -501,7 +502,7 @@ def step_dc(target: Sequent, cut: Formula, cut_proof: "ProofNode", rest_proof: "
 def step_dx(target: Sequent, child: "ProofNode") -> ProofNode:
     """DX: the domain holds initially, so its conjuncts join the context."""
     system, domain, post = modal_parts(target, True)
-    context = target.context + tuple(conjuncts(nnf(domain)))
+    context = target.context + tuple(conjuncts(domain))
     if not _concludes(child, context, system, domain, post):
         raise ShapeMismatch("DX child proves the wrong sequent")
     return ProofNode(Step("DX"), target, (child,))

@@ -1,6 +1,7 @@
-"""Formula normalization: negation normal form and normalized atoms.
+"""Normalized atoms.
 
-A normalized atom puts a comparison into one of the shapes e >= 0, e > 0,
+Formulas come in negation normal form from the parser (see `syntax`).  A
+normalized atom puts a comparison into one of the shapes e >= 0, e > 0,
 e = 0, e != 0 over a single difference polynomial.  Equalities and
 disequalities are sign-canonicalized (leading graded-lex coefficient
 positive) so that structural matching catches both orientations.
@@ -13,49 +14,7 @@ from typing import Optional
 
 from .record import Frozen
 from .symbolic import Polynomial, grlex_key, primitive
-from .syntax import (
-    And,
-    BoolLit,
-    Cmp,
-    Formula,
-    Implies,
-    Not,
-    Or,
-    conjuncts,
-)
-
-_NEG = {"=": "!=", "!=": "=", ">=": "<", "<": ">=", ">": "<=", "<=": ">"}
-
-
-def nnf(f: Formula) -> Formula:
-    """Negation normal form; implications expanded, negations pushed to atoms.
-    A node that is already in NNF is returned itself, memo slots and all."""
-    if isinstance(f, (BoolLit, Cmp)):
-        return f
-    if isinstance(f, (And, Or)):
-        left, right = nnf(f.left), nnf(f.right)
-        return f if left is f.left and right is f.right else type(f)(left, right)
-    if isinstance(f, Implies):
-        return Or(nnf(Not(f.left)), nnf(f.right))
-    if isinstance(f, Not):
-        g = f.arg
-        if isinstance(g, BoolLit):
-            return BoolLit(not g.value)
-        if isinstance(g, Cmp):
-            return Cmp(_NEG[g.op], g.lhs, g.rhs)
-        if isinstance(g, Not):
-            return nnf(g.arg)
-        if isinstance(g, And):
-            return Or(nnf(Not(g.left)), nnf(Not(g.right)))
-        if isinstance(g, Or):
-            return And(nnf(Not(g.left)), nnf(Not(g.right)))
-        if isinstance(g, Implies):
-            return And(nnf(g.left), nnf(Not(g.right)))
-    raise TypeError(f"cannot normalize {f!r}")
-
-
-def negate(f: Formula) -> Formula:
-    return nnf(Not(f))
+from .syntax import BoolLit, Cmp, Formula, conjuncts
 
 
 class NormAtom(Frozen):
@@ -112,14 +71,14 @@ def partial_atoms(f: Formula) -> tuple[list[NormAtom], bool]:
     hypotheses only weakens what may be derived, so consumers stay sound.
     The flag reports whether the conjunction was covered completely.
     """
-    atoms, rest = atoms_of_conjuncts(conjuncts(nnf(f)))
+    atoms, rest = atoms_of_conjuncts(conjuncts(f))
     return atoms, not rest
 
 
 def atoms_of_conjuncts(parts: list[Formula]) -> tuple[list[NormAtom], list[Formula]]:
-    """The normalized atoms of conjuncts already taken from a formula in NNF,
-    with `false` as an unsatisfiable atom and `true` dropped, and the other
-    conjuncts (disjunctions and the like), each in order."""
+    """The normalized atoms of conjuncts taken from a formula, with `false`
+    as an unsatisfiable atom and `true` dropped, and the other conjuncts
+    (disjunctions and the like), each in order."""
     atoms: list[NormAtom] = []
     rest: list[Formula] = []
     for g in parts:

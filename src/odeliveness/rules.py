@@ -63,7 +63,7 @@ from .kernel import (
     step_topo_closed_open,
     step_topo_semialg,
 )
-from .normal import atoms_of, equality_polys, nnf
+from .normal import atoms_of, equality_polys
 from .record import Frozen
 from .symbolic import Polynomial, lie_derivative, reduce_mod_equalities
 from .syntax import (
@@ -73,8 +73,6 @@ from .syntax import (
     CertStep,
     Cmp,
     Formula,
-    Implies,
-    Not,
     Or,
     ProblemFile,
     conj,
@@ -193,7 +191,7 @@ def prove_invariance(seq: Sequent, hints, checker: Checker):
     if isinstance(head, DWStep):
         return checker.run(step_dw(seq))
     if isinstance(head, DIStep):
-        if head.formula is not None and nnf(head.formula) != nnf(post):
+        if head.formula is not None and head.formula != post:
             raise HintMismatch("DI hint formula differs from the postcondition")
         return _di(seq, checker)
     if isinstance(head, BCStep):
@@ -203,7 +201,7 @@ def prove_invariance(seq: Sequent, hints, checker: Checker):
         stronger = Sequent(seq.context, box(system.with_domain(conj([domain, head.cut])), post))
         return step_dc(seq, head.cut, cut_proof, prove_invariance(stronger, rest, checker))
     if isinstance(head, DXStep):
-        extended = Sequent(seq.context + tuple(conjuncts(nnf(domain))), seq.succedent)
+        extended = Sequent(seq.context + tuple(conjuncts(domain)), seq.succedent)
         return step_dx(seq, prove_invariance(extended, rest, checker))
     if isinstance(head, DomainWeakenStep):
         weaker = Sequent(seq.context, box(system.with_domain(head.formula), post))
@@ -241,7 +239,7 @@ def _di(seq: Sequent, checker: Checker):
 
 
 def _as_formula(v) -> Optional[Formula]:
-    return v if isinstance(v, (Cmp, And, Or, BoolLit, Implies, Not)) else None
+    return v if isinstance(v, (Cmp, And, Or, BoolLit)) else None
 
 
 # binding kind -> (what a value of the kind is, reader returning None for a misfit)

@@ -26,8 +26,13 @@ continues with letters, digits (`str.isalnum()`) or `_`.  `&`, `|`, `!`,
 `->` for connectives.  Formulas are quantifier-free; `forall` and `exists`
 are reserved words, so a formula that uses them fails at the keyword.
 Comparison chains such as `1 <= p <= 2` desugar to conjunctions.
-Printing is deterministic (graded lexicographic term order) and
-`parse(print(ast))` is the identity on ASTs; `NESTING_CAP` bounds nesting.
+
+`!` and `->` are syntax only: the parser reads a formula into negation
+normal form (`negate`; `a -> b` is `!a | b`), so every formula is built
+from comparisons, `true`, `false`, `&` and `|`, and prints in that form
+(`!(x >= 1)` prints as `x < 1`).  Printing is deterministic (graded
+lexicographic term order) and `parse(print(ast))` is the identity on ASTs;
+`NESTING_CAP` bounds nesting.
 """
 
 from __future__ import annotations
@@ -75,19 +80,11 @@ class Cmp(Node):
     __slots__ = ("op", "lhs", "rhs")  # op: one of = != >= > <= <; lhs, rhs: Polynomial
 
 
-class Not(Node):
-    __slots__ = ("arg",)
-
-
 class And(Node):
     __slots__ = ("left", "right")
 
 
 class Or(Node):
-    __slots__ = ("left", "right")
-
-
-class Implies(Node):
     __slots__ = ("left", "right")
 
 
@@ -97,7 +94,7 @@ class Modal(Node):
     __slots__ = ("box", "system", "post")
 
 
-Formula = Union[BoolLit, Cmp, Not, And, Or, Implies, Modal]
+Formula = Union[BoolLit, Cmp, And, Or, Modal]
 
 TRUE = BoolLit(True)
 FALSE = BoolLit(False)
@@ -105,14 +102,15 @@ FALSE = BoolLit(False)
 CMP_OPS = ("!=", ">=", "<=", "=", ">", "<")
 _CMP = frozenset(CMP_OPS)
 
-# The binary connectives, loosest first: node -> (symbol, binding level,
-# least level of the left operand, least level of the right operand).  `->`
-# is right-associative, `|` and `&` are left-associative.  Every other node
-# binds as an atom does.
-_BINARY = {Implies: ("->", 1, 2, 1), Or: ("|", 2, 2, 3), And: ("&", 3, 3, 4)}
+# The printed connectives: node -> (symbol, binding level, least level of
+# the left operand, least level of the right operand).  `|` and `&` are
+# left-associative.  Every other node binds as an atom does.
+_BINARY = {Or: ("|", 2, 2, 3), And: ("&", 3, 3, 4)}
 _ATOM = ("", 5, 0, 0)
-# symbol -> (binding level, least level of the right operand, node)
-_CONNECTIVES = {sym: (level, right, cls) for cls, (sym, level, _, right) in _BINARY.items()}
+# The parsed connectives, loosest first: symbol -> (binding level, least
+# level of the right operand, builder).  `->` is right-associative and is
+# read as `!a | b`.
+_CONNECTIVES = {"->": (1, 1, lambda a, b: Or(negate(a), b)), "|": (2, 3, Or), "&": (3, 4, And)}
 
 
 def conj(parts) -> Formula:
@@ -123,6 +121,25 @@ def conj(parts) -> Formula:
     for p in parts[1:]:
         out = And(out, p)
     return out
+
+
+# a negated comparison is again a comparison over the reals
+_NEG = {"=": "!=", "!=": "=", ">=": "<", "<": ">=", ">": "<=", "<=": ">"}
+
+
+def negate(f: Formula) -> Formula:
+    """The negation of `f`, again in negation normal form: each comparison
+    flipped, `&` and `|` swapped, `true` and `false` swapped."""
+    cls = type(f)
+    if cls is Cmp:
+        return Cmp(_NEG[f.op], f.lhs, f.rhs)
+    if cls is And:
+        return Or(negate(f.left), negate(f.right))
+    if cls is Or:
+        return And(negate(f.left), negate(f.right))
+    if cls is BoolLit:
+        return BoolLit(not f.value)
+    raise TypeError(f"cannot negate {f!r}")
 
 
 def conjuncts(f: Formula) -> list:
@@ -146,9 +163,7 @@ def formula_variables(f: Formula) -> frozenset:
         return frozenset()
     if isinstance(f, Cmp):
         return f.lhs.variables() | f.rhs.variables()
-    if isinstance(f, Not):
-        return formula_variables(f.arg)
-    if isinstance(f, (And, Or, Implies)):
+    if isinstance(f, (And, Or)):
         return formula_variables(f.left) | formula_variables(f.right)
     if isinstance(f, Modal):
         names = formula_variables(f.post) | frozenset(f.system.all_names())
@@ -361,7 +376,7 @@ class _Parser:
         t = self.toks[self.pos]
         if t.kind == "sym" and t.text == "!":
             self.nest()
-            return Not(self._as_formula(self._unary()))
+            return negate(self._as_formula(self._unary()))
         return self._comparison()
 
     def _comparison(self):
@@ -390,13 +405,13 @@ class _Parser:
         """Terms joined by `+` and `-`, summed left to right."""
         toks = self.toks
         t = toks[self.pos]
-        negate = t.kind == "sym" and t.text == "-"
-        if negate:
+        minus = t.kind == "sym" and t.text == "-"
+        if minus:
             self.pos += 1
         first = self._term()
-        if not negate and not isinstance(first, Polynomial):
+        if not minus and not isinstance(first, Polynomial):
             return first
-        total = -self._as_poly(first) if negate else self._as_poly(first)
+        total = -self._as_poly(first) if minus else self._as_poly(first)
         t = toks[self.pos]
         while t.kind == "sym" and t.text in ("+", "-"):
             self.pos += 1
@@ -730,9 +745,6 @@ def print_formula(f: Formula) -> str:
         s = f"{left} {sym} {right}"
     elif cls is Cmp:
         s = f"{print_poly(f.lhs)} {f.op} {print_poly(f.rhs)}"
-    elif cls is Not:
-        arg = print_formula(f.arg)
-        s = f"!{arg}" if type(f.arg) is BoolLit else f"!({arg})"
     elif cls is BoolLit:
         s = "true" if f.value else "false"
     elif cls is Modal:

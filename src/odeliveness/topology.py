@@ -1,15 +1,15 @@
 """Conservative topological side-condition checks.
 
-Closed/open are decided by a sound syntactic criterion on the negation
-normal form (non-strict atoms and positive connectives characterize closed
-sets, strict atoms open ones).  Boundedness is decided by `first_proved`,
-the one bound search of the package.  It gives each candidate bound the
-same cell budget and draws no samples.  It tries the two strongest
-candidates in order, then the weakest, then bisects between them: the
-prover is monotone in the bound (a weaker bound is proved wherever a
-stronger one is), so this finds the first candidate proved.  `check_bounded`
-runs it over doubling bounds on the sum of squared variables; the rules
-run it for their variant witnesses.  Every check returns Holds or Unknown;
+Closed/open are decided by a sound syntactic criterion on the formula, in
+negation normal form as every formula is (non-strict atoms and positive
+connectives characterize closed sets, strict atoms open ones).  Boundedness
+is decided by `first_proved`, the one bound search of the package.  It
+gives each candidate bound the same cell budget and draws no samples.  It
+tries the two strongest candidates in order, then the weakest, then bisects
+between them: the prover is monotone in the bound (a weaker bound is proved
+wherever a stronger one is), so this finds the first candidate proved.
+`check_bounded` runs it over doubling bounds on the sum of squared
+variables; the rules run it for their variant witnesses.  Every check returns Holds or Unknown;
 Unknown means the gating rule must refuse.
 
 Parameters are treated as fixed symbols: the criteria are evaluated with
@@ -23,7 +23,6 @@ from fractions import Fraction
 from typing import Optional
 
 from . import arith
-from .normal import nnf
 from .record import Frozen
 from .symbolic import Polynomial
 from .syntax import And, BoolLit, Cmp, Formula, Or
@@ -53,17 +52,17 @@ def _atoms_in(f: Formula, allowed: frozenset) -> bool:
         return f.op in allowed
     if isinstance(f, (And, Or)):
         return _atoms_in(f.left, allowed) and _atoms_in(f.right, allowed)
-    return False  # modalities, residual negations: be conservative
+    return False  # modalities: be conservative
 
 
 def check_closed(f: Formula) -> TopoVerdict:
-    """Holds when every NNF atom is one of =, >=, <= under and/or."""
-    return TopoVerdict(CLOSED, HOLDS if _atoms_in(nnf(f), frozenset({"=", ">=", "<="})) else UNKNOWN)
+    """Holds when every atom is one of =, >=, <= under and/or."""
+    return TopoVerdict(CLOSED, HOLDS if _atoms_in(f, frozenset({"=", ">=", "<="})) else UNKNOWN)
 
 
 def check_open(f: Formula) -> TopoVerdict:
-    """Dual criterion: every NNF atom strict (!=, >, <)."""
-    return TopoVerdict(OPEN, HOLDS if _atoms_in(nnf(f), frozenset({"!=", ">", "<"})) else UNKNOWN)
+    """Dual criterion: every atom strict (!=, >, <)."""
+    return TopoVerdict(OPEN, HOLDS if _atoms_in(f, frozenset({"!=", ">", "<"})) else UNKNOWN)
 
 
 # The one bound search: each candidate bound gets its own cell budget.

@@ -8,7 +8,7 @@ from hypothesis import settings
 from odeliveness import arith, sim
 from odeliveness.errors import MissingBinding
 from odeliveness.symbolic import OdeSystem, Polynomial, lie_derivative
-from odeliveness.syntax import And, Cmp, Implies, Not, Or, parse_problem
+from odeliveness.syntax import And, Cmp, Or, parse_formula, parse_problem, print_formula
 
 # The full CLI fuzz: `pytest tests/test_fuzz_cli.py --hypothesis-profile=ci`.
 settings.register_profile("ci", max_examples=2000)
@@ -62,18 +62,49 @@ HOLDS = {
 }
 
 
+class Neg(NamedTuple):
+    """`!arg` as written.  The package has no such node (its parser reads
+    `!` and `->` into negation normal form); the oracles keep both."""
+
+    arg: object
+
+
+class Imp(NamedTuple):
+    """`left -> right` as written."""
+
+    left: object
+    right: object
+
+
+def written_text(f) -> str:
+    """The text of a formula of package nodes, `Neg` and `Imp`, with every
+    connective in parentheses."""
+    if isinstance(f, Neg):
+        return f"!({written_text(f.arg)})"
+    if isinstance(f, (And, Or, Imp)):
+        sym = "&" if isinstance(f, And) else "|" if isinstance(f, Or) else "->"
+        return f"({written_text(f.left)} {sym} {written_text(f.right)})"
+    return print_formula(f)
+
+
+def parsed(f):
+    """The package's formula for a written one: its text, parsed."""
+    return parse_formula(written_text(f))
+
+
 def ref_holds(f, point: dict) -> bool:
     """Exact truth of a formula at a point of rationals, walking every
-    connective as written: no negation normal form, no normalised atoms."""
+    connective as written (`Neg` and `Imp` too): no negation normal form,
+    no normalised atoms."""
     if isinstance(f, Cmp):
         return HOLDS[f.op](eval_rational(f.lhs - f.rhs, point))
-    if isinstance(f, Not):
+    if isinstance(f, Neg):
         return not ref_holds(f.arg, point)
     if isinstance(f, And):
         return ref_holds(f.left, point) and ref_holds(f.right, point)
     if isinstance(f, Or):
         return ref_holds(f.left, point) or ref_holds(f.right, point)
-    if isinstance(f, Implies):
+    if isinstance(f, Imp):
         return (not ref_holds(f.left, point)) or ref_holds(f.right, point)
     return f.value
 

@@ -1,5 +1,6 @@
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -186,6 +187,24 @@ def test_refuted_certificate_exit1(tmp_path, capsys):
     assert code == 1
     assert "verdict: Refuted" in out
     assert "counterexample" in out
+
+
+# every problem file and rule golden, each with its goal written `!!(goal)`
+NEGATION_TWINS = sorted(problem_path("").glob("*.ode")) + sorted((ROOT / "tests" / "golden" / "rules").glob("*.ode"))
+GOAL = re.compile(r"goal\s*\{([^}]*)\}")
+
+
+@pytest.mark.parametrize("command", [["check"], ["falsify", "--samples", 2]], ids=["check", "falsify"])
+@pytest.mark.parametrize("path", NEGATION_TWINS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_double_negation_of_the_goal_changes_no_output(tmp_path, capsys, path, command):
+    # `!` is syntax only: the parser reads `!!(goal)` as the goal itself, so
+    # every command prints the same bytes and exits with the same code
+    text = path.read_text()
+    twin, count = GOAL.subn(lambda m: f"goal {{ !!({m[1]}) }}", text)
+    assert count == 1
+    f = tmp_path / path.name
+    f.write_text(twin)
+    assert run(capsys, command[0], f, *command[1:]) == run(capsys, command[0], path, *command[1:])
 
 
 # -- falsify ----------------------------------------------------------------------

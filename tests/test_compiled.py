@@ -23,7 +23,7 @@ from odeliveness import sim
 from odeliveness.codegen import SUM_CHUNK, build, poly_src
 from odeliveness.normal import norm_atom
 from odeliveness.symbolic import OdeSystem, Polynomial
-from odeliveness.syntax import And, BoolLit, Cmp, Formula, Implies, Not, Or, parse_problem
+from odeliveness.syntax import And, BoolLit, Cmp, Formula, Or, negate, parse_problem
 
 from conftest import _dp_step, eval_float, problem_path
 
@@ -34,9 +34,7 @@ def cmps_of(f: Formula) -> list:
     """The comparisons of a formula, left to right."""
     if isinstance(f, Cmp):
         return [f]
-    if isinstance(f, Not):
-        return cmps_of(f.arg)
-    if isinstance(f, (And, Or, Implies)):
+    if isinstance(f, (And, Or)):
         return cmps_of(f.left) + cmps_of(f.right)
     return []
 
@@ -52,14 +50,10 @@ def eval_state(f: Formula, vals: dict, eq_tol: float = 1e-9) -> bool:
         if f.op == "!=":
             return abs(d) > eq_tol
         return {"<": d < 0, "<=": d <= 0, ">": d > 0, ">=": d >= 0}[f.op]
-    if isinstance(f, Not):
-        return not eval_state(f.arg, vals, eq_tol)
     if isinstance(f, And):
         return eval_state(f.left, vals, eq_tol) and eval_state(f.right, vals, eq_tol)
     if isinstance(f, Or):
         return eval_state(f.left, vals, eq_tol) or eval_state(f.right, vals, eq_tol)
-    if isinstance(f, Implies):
-        return (not eval_state(f.left, vals, eq_tol)) or eval_state(f.right, vals, eq_tol)
     raise TypeError(f"cannot evaluate {f!r} numerically")
 
 
@@ -81,14 +75,10 @@ def eval_state_boundary(f: Formula, vals: dict, margin: float = 1e-9) -> bool:
         if f.op == "<=":
             return d <= margin
         return d >= -margin
-    if isinstance(f, Not):
-        return not eval_state_boundary(f.arg, vals, margin)
     if isinstance(f, And):
         return eval_state_boundary(f.left, vals, margin) and eval_state_boundary(f.right, vals, margin)
     if isinstance(f, Or):
         return eval_state_boundary(f.left, vals, margin) or eval_state_boundary(f.right, vals, margin)
-    if isinstance(f, Implies):
-        return (not eval_state_boundary(f.left, vals, margin)) or eval_state_boundary(f.right, vals, margin)
     raise TypeError(f"cannot evaluate {f!r} numerically")
 
 
@@ -102,13 +92,11 @@ def eval_limit(f: Formula, lo: dict, hi: dict, eq_tol: float = 1e-9) -> bool:
         return eval_state(f, hi, eq_tol)
     if isinstance(f, BoolLit):
         return f.value
-    if isinstance(f, Not):
-        return not eval_limit(f.arg, lo, hi, eq_tol)
     if isinstance(f, And):
         return eval_limit(f.left, lo, hi, eq_tol) and eval_limit(f.right, lo, hi, eq_tol)
     if isinstance(f, Or):
         return eval_limit(f.left, lo, hi, eq_tol) or eval_limit(f.right, lo, hi, eq_tol)
-    return (not eval_limit(f.left, lo, hi, eq_tol)) or eval_limit(f.right, lo, hi, eq_tol)
+    raise TypeError(f"cannot evaluate {f!r} numerically")
 
 
 def rhs_reference(system: OdeSystem, par: dict):
@@ -291,14 +279,16 @@ def polys(names, min_terms=0):
 
 
 def formulas(names):
+    """Formulas as the parser builds them: `!a` is `negate(a)` and `a -> b`
+    is `negate(a) | b`."""
     atoms = st.builds(Cmp, st.sampled_from(["=", "!=", "<", "<=", ">", ">="]), polys(names), polys(names))
     leaves = atoms | st.sampled_from([BoolLit(True), BoolLit(False)])
     return st.recursive(
         leaves,
-        lambda sub: st.builds(Not, sub)
+        lambda sub: st.builds(negate, sub)
         | st.builds(And, sub, sub)
         | st.builds(Or, sub, sub)
-        | st.builds(Implies, sub, sub),
+        | st.builds(lambda a, b: Or(negate(a), b), sub, sub),
         max_leaves=5,
     )
 
@@ -387,9 +377,9 @@ def small_problems(draw):
     domain, goal = draw(formulas(scope)), draw(formulas(scope))
     init = dict(zip(scope, draw(st.lists(values, min_size=len(scope), max_size=len(scope)))))
     if not eval_state(domain, init):
-        domain = Not(domain)
+        domain = negate(domain)
     if eval_state(goal, init):
-        goal = Not(goal)
+        goal = negate(goal)
     return OdeSystem(names, tuple(rhs), domain, frozenset({PARAM})), goal, init
 
 

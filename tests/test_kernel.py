@@ -53,9 +53,9 @@ from odeliveness.kernel import (
     step_topo_closed_open,
     step_topo_semialg,
 )
-from odeliveness.normal import negate, nnf, norm_atom
+from odeliveness.normal import norm_atom
 from odeliveness.symbolic import Polynomial
-from odeliveness.syntax import TRUE, Cmp, Modal, Or, conj, conjuncts, parse_formula, parse_poly, parse_problem
+from odeliveness.syntax import TRUE, Cmp, Modal, Or, conj, conjuncts, negate, parse_formula, parse_poly, parse_problem
 from conftest import ROOT
 
 
@@ -340,7 +340,7 @@ def build_every_step(goal: str, domain: str) -> dict:
         (step_di, box_target, p.op == ">"),
         (step_bc, box_target, parse_poly("u - 3")),
         (step_dc, box_target, cut, box_child(cut, q), box_child(inv, conj([q, cut]))),
-        (step_dx, box_target, box_child(inv, q, ctx + tuple(conjuncts(nnf(q))))),
+        (step_dx, box_target, box_child(inv, q, ctx + tuple(conjuncts(q)))),
         (step_and_split, split_target, (box_child(inv, q), box_child(cut, q))),
         (step_domain_weaken, box_target, weaker, box_child(inv, weaker)),
     )
@@ -443,7 +443,7 @@ def missing_liveness_gates(node) -> list:
 
 def _atoms(f) -> set:
     """The normalised atoms among the conjuncts of f (of TRUE for None)."""
-    return {norm_atom(c) for c in conjuncts(nnf(TRUE if f is None else f)) if isinstance(c, Cmp)}
+    return {norm_atom(c) for c in conjuncts(TRUE if f is None else f) if isinstance(c, Cmp)}
 
 
 def _box(node):

@@ -8,15 +8,13 @@ from odeliveness.arith import eval_formula_exact
 from odeliveness.normal import (
     atoms_of,
     contradictory,
-    negate,
-    nnf,
     norm_atom,
     partial_atoms,
 )
 from odeliveness.symbolic import Polynomial
-from odeliveness.syntax import And, BoolLit, Cmp, Implies, Not, Or, parse_formula
+from odeliveness.syntax import And, BoolLit, Cmp, Or, negate, parse_formula
 
-from conftest import ref_holds
+from conftest import Imp, Neg, parsed, ref_holds
 
 names = st.sampled_from(["x", "y"])
 fracs = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
@@ -25,30 +23,39 @@ monos = st.lists(st.tuples(names, st.integers(1, 2)), max_size=2).map(
 )
 poly_st = st.dictionaries(monos, fracs, max_size=3).map(Polynomial)
 cmp_st = st.builds(Cmp, st.sampled_from(["=", "!=", ">=", ">", "<=", "<"]), poly_st, poly_st)
-formula_st = st.recursive(
+# formulas as written, with `!` and `->` (the test-local `Neg` and `Imp`)
+written_st = st.recursive(
     st.one_of(cmp_st, st.sampled_from([BoolLit(True), BoolLit(False)])),
     lambda sub: st.one_of(
-        st.builds(Not, sub),
+        st.builds(Neg, sub),
         st.builds(And, sub, sub),
         st.builds(Or, sub, sub),
-        st.builds(Implies, sub, sub),
+        st.builds(Imp, sub, sub),
     ),
     max_leaves=6,
 )
+formula_st = written_st.map(parsed)  # the package's formulas
 point_st = st.fixed_dictionaries({"x": fracs, "y": fracs})
 
 
-@given(formula_st, point_st)
+@given(written_st, point_st)
 @settings(max_examples=200, deadline=None)
-def test_nnf_preserves_truth(f, pt):
-    # against the reference, which walks f as written: the evaluator reads NNF
-    assert eval_formula_exact(nnf(f), pt) == ref_holds(f, pt)
+def test_parsing_not_and_implies_preserves_truth(f, pt):
+    # the text of f, parsed into negation normal form, against the
+    # reference, which walks f as written
+    assert eval_formula_exact(parsed(f), pt) == ref_holds(f, pt)
 
 
-@given(formula_st, point_st)
+@given(written_st, point_st)
 @settings(max_examples=150, deadline=None)
 def test_negate_flips_truth(f, pt):
-    assert eval_formula_exact(negate(f), pt) == (not ref_holds(f, pt))
+    assert eval_formula_exact(negate(parsed(f)), pt) == (not ref_holds(f, pt))
+
+
+@given(formula_st)
+@settings(max_examples=100, deadline=None)
+def test_negate_is_its_own_inverse(f):
+    assert negate(negate(f)) == f
 
 
 @given(cmp_st, point_st)

@@ -16,7 +16,7 @@ import pytest
 
 from odeliveness import arith
 from odeliveness.arith import FALSIFIED, UNKNOWN, ArithObligation, Budget, prove_implication
-from odeliveness.normal import atoms_of, atoms_of_conjuncts, nnf
+from odeliveness.normal import atoms_of, atoms_of_conjuncts
 from odeliveness.syntax import Or, conjuncts, parse_formula
 
 from conftest import ROOT
@@ -43,7 +43,7 @@ def test_prechecks_prove_no_obligation_refuted_at_its_root_midpoint(seed):
     refuted = 0
     for case in corpora.criterion6_corpus(seed) + corpora.hard_corpus(seed):
         ob = case.ob
-        parts = conjuncts(nnf(ob.hypothesis))
+        parts = conjuncts(ob.hypothesis)
         if any(isinstance(g, Or) for g in parts):
             continue  # each disjunct's sub-call probes itself
         hyp = arith._Hypothesis(atoms_of_conjuncts(parts)[0])

@@ -651,8 +651,7 @@ def test_invariance_domain_weaken(alpha_l):
     # weaken not(P and Q) to not(P) before using a staging-shaped argument
     p = parse_formula("u^2 + v^2 <= 1/4")
     q = parse_formula("u^2 + v^2 <= 2")
-    from odeliveness.normal import negate
-    from odeliveness.syntax import And
+    from odeliveness.syntax import And, negate
 
     seq = _inv_seq(alpha_l, negate(p), parse_formula("u^2 + v^2 <= 2"), ctx=[parse_formula("u^2 + v^2 = 1")])
     strong = _inv_seq(
@@ -835,8 +834,7 @@ def test_e_c_dom_corrected_premise_shape():
     node = RULE_BUILDERS["E_c_dom"](pf, pf.certificate[0], Checker())
     (stay,) = [ob for ob in node.obligations if isinstance(ob, InvarianceOb)]
     dom = stay.sequent.succedent.system.domain
-    from odeliveness.normal import negate
-    from odeliveness.syntax import And, conj
+    from odeliveness.syntax import And, negate
 
     assert dom == negate(And(pf.goal, pf.system.domain))  # not(P and Q), not just not-P
     assert stay.sequent.succedent.post == pf.system.domain

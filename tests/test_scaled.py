@@ -32,11 +32,11 @@ from odeliveness.arith import (
     prove_implication,
 )
 from odeliveness.errors import MissingBinding
-from odeliveness.normal import nnf, partial_atoms
+from odeliveness.normal import partial_atoms
 from odeliveness.symbolic import Polynomial
-from odeliveness.syntax import And, BoolLit, Cmp, Implies, Not, Or, conj, parse_formula
+from odeliveness.syntax import And, BoolLit, Cmp, Or, conj, parse_formula
 
-from conftest import Interval, box_of, cell_of, interval_of_poly, ref_holds
+from conftest import Imp, Interval, Neg, box_of, cell_of, interval_of_poly, parsed, ref_holds
 from ref_poly import rational_terms
 
 NAMES = ("x", "y", "z")
@@ -90,7 +90,7 @@ def ref_eval3(f, box: dict) -> int:
     if isinstance(f, Cmp):
         iv = ref_interval_of_poly(f.lhs - f.rhs, box)
         return ref_decide(f.op, iv.lo, iv.hi)
-    if isinstance(f, Not):
+    if isinstance(f, Neg):
         return -ref_eval3(f.arg, box)
     if isinstance(f, And):
         a = ref_eval3(f.left, box)
@@ -98,8 +98,8 @@ def ref_eval3(f, box: dict) -> int:
     if isinstance(f, Or):
         a = ref_eval3(f.left, box)
         return 1 if a == 1 else (1 if (b := ref_eval3(f.right, box)) == 1 else max(a, b))
-    if isinstance(f, Implies):
-        return ref_eval3(Or(Not(f.left), f.right), box)
+    if isinstance(f, Imp):
+        return ref_eval3(Or(Neg(f.left), f.right), box)
     return 1 if f.value else -1
 
 
@@ -176,16 +176,17 @@ def formulas(draw, depth=2, values=rationals, max_exp=4):
             return BoolLit(draw(st.booleans()))
         op = draw(st.sampled_from(["=", "!=", ">=", ">", "<=", "<"]))
         return Cmp(op, draw(polys(values, max_exp)), draw(polys(values, max_exp)))
-    kind = draw(st.sampled_from([Not, And, Or, Implies]))
-    if kind is Not:
-        return Not(draw(formulas(depth - 1, values, max_exp)))
+    kind = draw(st.sampled_from([Neg, And, Or, Imp]))
+    if kind is Neg:
+        return Neg(draw(formulas(depth - 1, values, max_exp)))
     return kind(draw(formulas(depth - 1, values, max_exp)), draw(formulas(depth - 1, values, max_exp)))
 
 
 def eval_formula3(f, box: dict) -> int:
-    """Three-valued truth over a box by the package's compile of the NNF and
-    scaled evaluation: +1 certainly true, -1 certainly false, 0 unknown."""
-    return _eval3(_compile(nnf(f)), cell_of(box))
+    """Three-valued truth over a box by the package's compile of the parsed
+    formula and scaled evaluation: +1 certainly true, -1 certainly false, 0
+    unknown."""
+    return _eval3(_compile(parsed(f)), cell_of(box))
 
 
 def cube(lo, hi) -> dict:
@@ -232,9 +233,9 @@ def test_enclosure_equals_reference_interval(p, box):
 def test_three_valued_answer_equals_reference(f, box):
     assert eval_formula3(f, box) == ref_eval3(f, box)
     for point in corners_and_centre(box):
-        assert eval_formula_exact(f, point) == ref_holds(f, point)
+        assert eval_formula_exact(parsed(f), point) == ref_holds(f, point)
     # the point cell branch-and-bound builds at a cell's midpoint
-    node = _compile(nnf(f))
+    node = _compile(parsed(f))
     cell = cell_of(box)
     mid = {v: iv.midpoint() for v, iv in box.items()}
     assert _eval3(node, _midpoint(cell)) == (1 if ref_holds(f, mid) else -1)
@@ -294,13 +295,12 @@ def test_branch_and_bound_visits_the_reference_cells(hyp, concl, box):
         for v, iv in box.items()
         for op, c in ((">=", iv.lo), ("<=", iv.hi))
     ]
-    hyp = conj(bounds + [hyp])
-    ob = ArithObligation(NAMES, hyp, concl)
+    ob = ArithObligation(NAMES, conj(bounds + [parsed(hyp)]), parsed(concl))
     v = prove_implication(ob, budget=Budget(max_cells=60, max_seconds=3600.0))
     if v.trace["method"] not in ("branch-and-bound", "budget-exhausted"):
         return  # decided before branch-and-bound, or split into cases
-    work_box = box_of(extract_box(partial_atoms(hyp)[0], NAMES)[0])
-    status, cells, depth, counterexample = ref_branch_and_bound(NAMES, work_box, hyp, concl, 60)
+    work_box = box_of(extract_box(partial_atoms(ob.hypothesis)[0], NAMES)[0])
+    status, cells, depth, counterexample = ref_branch_and_bound(NAMES, work_box, conj(bounds + [hyp]), concl, 60)
     assert (v.status, v.trace["cells"], v.trace["max_depth"]) == (status, cells, depth)
     assert v.counterexample == counterexample
     if counterexample is not None:

@@ -1,12 +1,13 @@
 """The set-up of every obligation, in integers, against the `Fraction` path.
 
-`prove_implication` normalises each hypothesis into a `Region`: its NNF
+`prove_implication` normalises each hypothesis into a `Region`: its
 conjuncts, their normalised atoms, each atom's root, the box, the compiled
 hypothesis without the atoms the box entails, the root cell and the truth
 at its midpoint.  The package builds all of that reading numerators and
 denominators.  The references below are the `Fraction` versions it
-replaced, kept as the package had them: `nnf` rebuilding every node,
-`norm_atom` through polynomial subtraction, `_root` as -b/a,
+replaced, kept as the package had them: `ref_nnf`, the negation normal
+form the parser builds from `!` and `->` (here the test-local `Neg` and
+`Imp`), `norm_atom` through polynomial subtraction, `_root` as -b/a,
 `extract_box` through `max` and `min`, `contradictory` over `primitive`
 polynomials, and the compile of one normalised polynomial, all reading
 `Fraction` coefficients (`ref_poly`).
@@ -26,11 +27,11 @@ from ref_poly import rational_terms, ref_of, ref_primitive
 
 from odeliveness import arith
 from odeliveness.arith import Region, _conclusion_node, _conj_node, _eval3, _midpoint
-from odeliveness.normal import NormAtom, _canonical_sign, atoms_of_conjuncts, contradictory, nnf, norm_atom
+from odeliveness.normal import NormAtom, _canonical_sign, atoms_of_conjuncts, contradictory, norm_atom
 from odeliveness.symbolic import Polynomial, primitive
-from odeliveness.syntax import And, BoolLit, Cmp, Implies, Not, Or, conjuncts, parse_formula
+from odeliveness.syntax import And, BoolLit, Cmp, Or, conjuncts, parse_formula
 
-from conftest import Interval, cell_of
+from conftest import Imp, Interval, Neg, cell_of, parsed
 
 NAMES = ("x", "y")
 OPS = ("=", "!=", ">=", ">", "<=", "<")
@@ -46,21 +47,21 @@ def ref_nnf(f):
         return And(ref_nnf(f.left), ref_nnf(f.right))
     if isinstance(f, Or):
         return Or(ref_nnf(f.left), ref_nnf(f.right))
-    if isinstance(f, Implies):
-        return Or(ref_nnf(Not(f.left)), ref_nnf(f.right))
+    if isinstance(f, Imp):
+        return Or(ref_nnf(Neg(f.left)), ref_nnf(f.right))
     g = f.arg
     if isinstance(g, BoolLit):
         return BoolLit(not g.value)
     if isinstance(g, Cmp):
         return Cmp(NEG[g.op], g.lhs, g.rhs)
-    if isinstance(g, Not):
+    if isinstance(g, Neg):
         return ref_nnf(g.arg)
     if isinstance(g, And):
-        return Or(ref_nnf(Not(g.left)), ref_nnf(Not(g.right)))
+        return Or(ref_nnf(Neg(g.left)), ref_nnf(Neg(g.right)))
     if isinstance(g, Or):
-        return And(ref_nnf(Not(g.left)), ref_nnf(Not(g.right)))
-    assert isinstance(g, Implies)
-    return And(ref_nnf(g.left), ref_nnf(Not(g.right)))
+        return And(ref_nnf(Neg(g.left)), ref_nnf(Neg(g.right)))
+    assert isinstance(g, Imp)
+    return And(ref_nnf(g.left), ref_nnf(Neg(g.right)))
 
 
 def ref_norm_atom(c: Cmp) -> NormAtom:
@@ -260,7 +261,7 @@ def other_atoms(draw):
 
 literals = st.sampled_from([BoolLit(True), BoolLit(False)])
 atoms = st.one_of(linear_atoms(), linear_atoms(), even_power_atoms(), other_atoms(), literals)
-conclusions = st.one_of(atoms, st.builds(And, atoms, atoms), st.builds(Or, atoms, atoms), st.builds(Not, atoms))
+conclusions = st.one_of(atoms, st.builds(And, atoms, atoms), st.builds(Or, atoms, atoms), st.builds(Neg, atoms))
 # normalised atoms over three polynomials, each scaled by either sign, so that
 # every conflict `contradictory` looks for comes up
 POOL = [parse_formula(t).lhs for t in ("x + 1 >= 0", "2*x*y - 1/3*y >= 0", "x^2 - 3 >= 0")]
@@ -279,17 +280,18 @@ def conjuncts_of(draw):
     kind = draw(st.integers(0, 9))
     a = draw(atoms)
     if kind == 0:
-        return Not(a)
+        return Neg(a)
     if kind == 1:
         return Or(a, draw(atoms))
     if kind == 2:
-        return Implies(a, draw(atoms))
+        return Imp(a, draw(atoms))
     return a
 
 
 @st.composite
 def hypotheses(draw):
-    """Bounds on x and y (each kept with high probability) and other conjuncts."""
+    """Bounds on x and y (each kept with high probability) and other
+    conjuncts, as written: the package reads `parsed` of it."""
     parts = [Cmp(op, Polynomial.var(v), Polynomial.const(draw(constants))) for v in NAMES for op in ("<=", ">=")]
     parts = [p for p in parts if draw(st.integers(0, 7))] + draw(st.lists(conjuncts_of(), max_size=4))
     parts = draw(st.permutations(parts)) if parts else [BoolLit(True)]
@@ -309,6 +311,7 @@ def hypotheses(draw):
 @example(parse_formula("x^2 + 2*y^4 <= 3 & x > 0"), parse_formula("x*y = 0 | y < 0"))
 @example(parse_formula("(0 <= x & x <= 1 | 2 <= x & x <= 3) & -1 <= y & y <= 1"), parse_formula("x >= y"))
 def test_region_equals_the_fraction_region(hypothesis, conclusion):
+    hypothesis = parsed(hypothesis)  # both read its terms in the parser's order
     region = Region(NAMES, hypothesis)
     ref = ref_region(NAMES, hypothesis)
     assert region.parts == ref["parts"]
@@ -327,7 +330,7 @@ def test_region_equals_the_fraction_region(hypothesis, conclusion):
     # the conclusion, compiled from its normalised atoms and then its other
     # conjuncts, answers as the reference compile of its conjuncts in order:
     # on the root cell, its midpoint and its corners
-    parts = conjuncts(nnf(conclusion))
+    parts = conjuncts(parsed(conclusion))
     new, old = _conclusion_node(*atoms_of_conjuncts(parts)), _conj_node([ref_compile(g) for g in parts])
     cell = dict(zip(tuple(sorted(NAMES)), region.root_cell))
     ends = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -345,28 +348,14 @@ def test_normal_forms_equal_the_references(atom_list, conjunct_list):
             assert n == r and list(n.poly.terms.items()) == list(r.poly.terms.items())
             assert as_fraction(arith._root(n.poly)) == ref_root(r.poly)
     for g in conjunct_list:
-        assert nnf(g) == ref_nnf(g) and nnf(Not(g)) == ref_nnf(Not(g))
+        # the parser's normal form of `!` and `->` is the reference's
+        assert parsed(g) == ref_nnf(g) and parsed(Neg(g)) == ref_nnf(Neg(g))
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.one_of(pool_atoms, pool_atoms, st.builds(ref_norm_atom, linear_atoms())), max_size=5))
 def test_contradictory_equals_the_reference(atom_list):
     assert contradictory(atom_list) == ref_contradictory(atom_list)
-
-
-@settings(max_examples=200, deadline=None)
-@given(hypotheses())
-def test_nnf_returns_a_formula_already_in_nnf_itself(f):
-    g = ref_nnf(f)
-    assert nnf(g) is g
-    assert nnf(f) == g
-    assert nnf(Not(Not(g))) is g
-
-
-def test_nnf_keeps_the_memo_slots():
-    f = parse_formula("0 <= x & x <= 1 & (y >= 0 | y <= -1)")
-    hash(f)
-    assert nnf(f) is f and f._hash is not None
 
 
 def ref_primitive_key(p: Polynomial) -> frozenset:

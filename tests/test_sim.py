@@ -180,6 +180,20 @@ def test_sampled_state_rounded_just_outside_a_closed_domain_starts_inside():
     assert sim.classify(sim.integrate(sim.Plan(ce3.system, ce3.goal), {"x": 1.0}, 10.0)) == (sim.REFUTED, 0.0)
 
 
+def test_a_negated_domain_reads_false_at_nan_as_its_normal_form_does():
+    # `!(x >= 0)` is parsed as `x < 0`: an atom whose float value is NaN
+    # (an `inf - inf` inside it) reads false under `!` as every atom does
+    twins = [sim.Plan(parse_problem(f"ode {{ x' = 1 }}  domain {{ {d} }}  goal {{ x >= 1 }}").system).bind(())
+             for d in ("!(x >= 0)", "x < 0")]
+    for c in twins:
+        assert c.domain((math.nan,)) is False
+    for a in (-2.0, -1e-12, -0.0, 0.0, 1e-12, 3.0, -math.inf, math.inf):
+        negated, twin = (c.domain((a,)) for c in twins)
+        assert negated == twin == (a < 0.0)
+        negated, twin = (c.domain(sim._on_boundary((a,))) for c in twins)
+        assert negated == twin == (a < -sim.EQ_TOL)
+
+
 def test_goal_never_follows_domain_exit_with_stop():
     pf = parse_problem(
         "ode { x' = 1 }  domain { x <= 1 }  assume { x = 0 }  goal { x >= 2 }"

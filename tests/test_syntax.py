@@ -12,10 +12,9 @@ from odeliveness.syntax import (
     BoolLit,
     CertStep,
     Cmp,
-    Implies,
-    Not,
     Or,
     ProblemFile,
+    negate,
     parse_formula,
     parse_poly,
     parse_problem,
@@ -176,7 +175,10 @@ proof { rule SP_c { p = u^2 + v^2; S = 1 <= u^2 + v^2 & u^2 + v^2 <= 2; eps = e 
 
 
 def test_print_negation():
-    assert print_formula(Not(Cmp(">=", Polynomial.var("p"), Polynomial.const(0)))) == "!(p >= 0)"
+    # `!` and `->` are read into negation normal form, which is what prints
+    assert print_formula(parse_formula("!(p >= 0)")) == "p < 0"
+    assert print_formula(parse_formula("!(p = 0 & q > 1 | !true)")) == "(p != 0 | q <= 1) & true"
+    assert print_formula(parse_formula("p > 0 -> q > 0 -> false")) == "p <= 0 | (q <= 0 | false)"
 
 
 def test_print_conjunction_of_squares():
@@ -205,14 +207,16 @@ cmp_st = st.builds(Cmp, st.sampled_from(["=", "!=", ">=", ">", "<=", "<"]), poly
 
 
 def formula_st():
+    """Formulas as the parser builds them: `!a` is `negate(a)` and `a -> b`
+    is `negate(a) | b`."""
     base = st.one_of(cmp_st, st.sampled_from([BoolLit(True), BoolLit(False)]))
     return st.recursive(
         base,
         lambda sub: st.one_of(
-            st.builds(Not, sub),
+            st.builds(negate, sub),
             st.builds(And, sub, sub),
             st.builds(Or, sub, sub),
-            st.builds(Implies, sub, sub),
+            st.builds(lambda a, b: Or(negate(a), b), sub, sub),
         ),
         max_leaves=6,
     )

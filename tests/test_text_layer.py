@@ -32,9 +32,7 @@ from odeliveness.syntax import (
     And,
     BoolLit,
     Cmp,
-    Implies,
     Modal,
-    Not,
     Or,
     conj,
     print_formula,
@@ -184,11 +182,26 @@ def test_printer_memo_stays_bounded():
 # -- the reference parser ---------------------------------------------------------
 
 
+REF_NEG = {"=": "!=", "!=": "=", "<": ">=", ">=": "<", ">": "<=", "<=": ">"}
+
+
+def ref_negate(f):
+    """The negation normal form of `!f` for f in negation normal form."""
+    if isinstance(f, Cmp):
+        return Cmp(REF_NEG[f.op], f.lhs, f.rhs)
+    if isinstance(f, BoolLit):
+        return FALSE if f.value else TRUE
+    if isinstance(f, And):
+        return Or(ref_negate(f.left), ref_negate(f.right))
+    return And(ref_negate(f.left), ref_negate(f.right))
+
+
 class ReferenceParser(syntax._Parser):
     """Each level returns ("poly", Polynomial) or ("formula", Formula).  The
     file-structure methods of `_Parser` call `parse_expr`, `_sum`,
     `_as_formula` and `_as_poly` on plain values, so the first two unwrap
-    the pair here, and `parse_problem` runs on this tower as well."""
+    the pair here, and `parse_problem` runs on this tower as well.  `!` and
+    `->` are read into negation normal form with `ref_negate`."""
 
     def parse_expr(self):
         return self._implication()[1]
@@ -200,7 +213,7 @@ class ReferenceParser(syntax._Parser):
         left = self._disjunction()
         if self.accept("->"):
             right = self._implication()
-            return ("formula", Implies(self._formula(left), self._formula(right)))
+            return ("formula", Or(ref_negate(self._formula(left)), self._formula(right)))
         return left
 
     def _disjunction(self):
@@ -222,7 +235,7 @@ class ReferenceParser(syntax._Parser):
         if t.kind == "sym" and t.text == "!":
             self.next()
             arg = self._unary()
-            return ("formula", Not(self._formula(arg)))
+            return ("formula", ref_negate(self._formula(arg)))
         return self._comparison()
 
     def _comparison(self):
@@ -450,8 +463,8 @@ def test_hand_picked_values_and_errors():
     assert syntax.parse_poly("2*-x") == Polynomial.var("x") * -2
     assert syntax.parse_poly("1/2^3") == Polynomial.const(Fraction(1, 8))
     f = syntax.parse_formula("a >= 0 -> b >= 0 -> c >= 0")
-    assert type(f) is Implies and type(f.right) is Implies
-    assert syntax.parse_formula("!x >= 1") == Not(syntax.parse_formula("x >= 1"))
+    assert f == syntax.parse_formula("a < 0 | (b < 0 | c >= 0)") and type(f.right) is Or
+    assert syntax.parse_formula("!x >= 1") == syntax.parse_formula("x < 1")
     chain = syntax.parse_formula("1 <= x <= 2 <= 3")
     assert type(chain) is And and type(chain.left) is And and type(chain.right) is Cmp
     with pytest.raises(ParseError, match="expected a polynomial, found a formula"):
@@ -494,8 +507,8 @@ def nodes():
     """Each kind of node, built afresh on every call."""
     x, one = Polynomial.var("x"), Polynomial.const(1)
     c = Cmp(">=", x, one)
-    return [BoolLit(True), c, Not(Cmp(">=", x, one)), And(c, BoolLit(False)), Or(c, Not(c)), Implies(c, c),
-            Modal(False, OdeSystem(("x",), (one,), c), c)]
+    return [BoolLit(True), c, Cmp("<", x, one), And(c, BoolLit(False)), Or(c, Cmp("<", x, one)),
+            Or(Cmp("<", x, one), c), Modal(False, OdeSystem(("x",), (one,), c), c)]
 
 
 @pytest.mark.parametrize("index", range(7))

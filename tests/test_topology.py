@@ -32,8 +32,10 @@ def test_open_checks():
 
 
 def test_negation_normalizes_before_classification():
-    # !(u^2+v^2 >= 2) is an open set even though it is written negated
+    # !(u^2+v^2 >= 2) is an open set even though it is written negated: the
+    # parser reads it as u^2 + v^2 < 2
     assert topology.check_open(parse_formula("!(u^2 + v^2 >= 2)")).holds
+    assert topology.check_closed(parse_formula("!(u >= 0 -> v != 1)")).holds
 
 
 def test_bounded_annulus_with_witness_two():
