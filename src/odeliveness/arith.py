@@ -368,7 +368,10 @@ class _Hypothesis:
     disequalities, and whether the atoms are `contradictory`.  A fact is
     (poly, is_strict, zero), where zero is (v, n, d) with -b/a = n/d, d > 0,
     for a fact linear in one variable v, else None.  `__getattr__` builds
-    each of the four on first use, as a plain attribute."""
+    each of the four on first use, as a plain attribute, and so the map
+    `reduced` from each conclusion polynomial the pre-checks reduce modulo
+    `eqs` to its reduction: a region's obligations often share a conclusion
+    atom."""
 
     def __init__(self, atoms: list):
         self.atoms = atoms
@@ -390,6 +393,8 @@ class _Hypothesis:
             value = {primitive(a.poly) for a in self.atoms if a.op == "!="}
         elif name == "contradictory":
             value = contradictory(self.atoms)
+        elif name == "reduced":
+            value = {}
         else:
             raise AttributeError(name)
         setattr(self, name, value)
@@ -520,7 +525,9 @@ def _constant_at(p: Polynomial, v: str, n: int, d: int) -> bool:
 def _derive_atom(goal: NormAtom, hyp: _Hypothesis, cell: Optional[dict]) -> bool:
     """Does the conjunction of the hypothesis atoms entail `goal` (op in >=,
     >, =)?"""
-    e = reduce_mod_equalities(goal.poly, hyp.eqs)
+    e = hyp.reduced.get(goal.poly)
+    if e is None:
+        e = hyp.reduced[goal.poly] = reduce_mod_equalities(goal.poly, hyp.eqs)
     strict = goal.op == ">"
 
     if goal.op == "=":

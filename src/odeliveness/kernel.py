@@ -177,22 +177,24 @@ class AssumeOb(Record):
 
 
 def discharge(ob, checker) -> None:
-    """Settle `ob` with `checker`'s prover (`prove`, `prove_box`), once."""
+    """Settle `ob` with `checker`'s provers (`prove`, `prove_box`,
+    `bounded`), once.  The checker keeps each verdict, invariance proof and
+    Bounded search for the command, so an obligation posed twice (a Compact
+    gate and a Bounded leaf on one set, a stay premise equal to another
+    invariance premise) is worked out once."""
     if isinstance(ob, ArithOb):
         if ob.result is None:
             ob.result = checker.prove(ob.obligation)
     elif isinstance(ob, TopoOb):
-        # not cached: Closed and Open are syntactic walks, and a repeated
-        # Bounded or Compact search poses obligations `prove` has cached
         if ob.result is None:
             if ob.prop == topology.CLOSED:
                 ob.result = topology.check_closed(ob.formula)
             elif ob.prop == topology.OPEN:
                 ob.result = topology.check_open(ob.formula)
             elif ob.prop == topology.BOUNDED:
-                ob.result = topology.check_bounded(ob.formula, ob.vars, checker.prove)
+                ob.result = checker.bounded(ob.formula, ob.vars)
             else:
-                ob.result = topology.check_compact(ob.formula, ob.vars, checker.prove)
+                ob.result = topology.check_compact(ob.formula, ob.vars, checker.bounded)
     elif isinstance(ob, LipschitzOb):
         if ob.result is None:
             ob.result = ob.system.is_affine()

@@ -38,8 +38,7 @@ _set_op, _set_poly = NormAtom.op.__set__, NormAtom.poly.__set__  # past `Frozen`
 def _canonical_sign(p: Polynomial) -> Polynomial:
     if p.is_zero():
         return p
-    universe = tuple(sorted(p.variables()))
-    _, c = p.leading(universe)
+    _, c = p.leading()
     return -p if c < 0 else p
 
 

@@ -145,13 +145,16 @@ def hints_from_cert(steps) -> tuple:
 
 class Checker:
     """Discharges obligations; caches by structural key.  One checker serves
-    one command: its verdicts, and the `arith.Region` of every hypothesis it
-    proves a conclusion over, live as long as it does."""
+    one command: its verdicts, the `arith.Region` of every hypothesis it
+    proves a conclusion over, its invariance proofs and its Bounded searches
+    live as long as it does."""
 
     def __init__(self, budget: Optional[arith.Budget] = None):
         self.budget = budget or arith.Budget()
         self._arith_cache: dict = {}
         self._regions: dict = {}
+        self._boxes: dict = {}
+        self._bounded: dict = {}
 
     def prove(self, ob: arith.ArithObligation, budget=None) -> arith.ArithVerdict:
         key = (ob, budget or self.budget)  # an Unknown holds only for its budget
@@ -160,7 +163,20 @@ class Checker:
         return self._arith_cache[key]
 
     def prove_box(self, seq: Sequent, hints):
-        return prove_invariance(seq, hints, self)
+        """The invariance proof of `seq` from `hints`, built once: a sub-goal
+        posed again with the same hints shares the first proof tree."""
+        key = (seq, hints)
+        if key not in self._boxes:
+            self._boxes[key] = prove_invariance(seq, hints, self)
+        return self._boxes[key]
+
+    def bounded(self, formula: Formula, vars) -> topology.TopoVerdict:
+        """Bounded(formula) over `vars` by `topology.check_bounded`, searched
+        once: Compact of the same set reuses the search and its witness."""
+        key = (formula, vars)
+        if key not in self._bounded:
+            self._bounded[key] = topology.check_bounded(formula, vars, self.prove)
+        return self._bounded[key]
 
     def run(self, root):
         """Discharge every obligation of the tree; returns `root`."""

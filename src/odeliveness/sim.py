@@ -124,8 +124,9 @@ class Trajectory(Record):
 # four functions, which it compiles once and executes into new globals for
 # each parameter binding, where the parameters are the globals p0, p1, ...;
 # `integrate` reads all three from it: the right-hand side `f(y)`; the atom
-# vector `atoms(y)`, every comparison's difference polynomial, domain then
-# goal, which is the only place a state's atoms are evaluated; and the
+# vector `atoms(y)`, each distinct difference polynomial of the comparisons,
+# domain then goal, which is the only place a state's atoms are evaluated
+# (one shared by the domain and the goal is evaluated once); and the
 # domain and goal predicates, which read that vector.  A state where an
 # atom's evaluation overflows has no atom vector (None).  The same
 # predicates give a formula's truth at a located event point, read from
@@ -428,8 +429,8 @@ class Plan:
 
     def _source(self, domain: Formula) -> str:
         """The source of the plan's functions `f`, `atoms`, `domain` and
-        `goal`; sets `domain_atoms`, the number of the atom vector's entries
-        that belong to the domain."""
+        `goal`; sets `domain_entries` and `goal_entries`, the indices of the
+        atom vector's entries that the domain and the goal read."""
         names, n = self.names, len(self.names)
         params = {p: f"p{j}" for j, p in enumerate(self.pnames)}
 
@@ -441,18 +442,26 @@ class Plan:
         overflow = "    return (" + "_inf, " * n + ")"
         body = _def("f", "y", _unpack("a", n, "y"), "try:", f"    return ({rhs})", "except OverflowError:", overflow)
 
-        # atoms(y): every atom's difference polynomial, domain then goal, in
-        # the order the predicates domain(A) and goal(A) render their atoms
-        cmps = []
+        # atoms(y): each distinct difference polynomial of the atoms, domain
+        # then goal, in the order the predicates domain(A) and goal(A) first
+        # render it; an entry both read is evaluated once
+        entries: dict = {}  # difference polynomial -> its index
+        self.domain_entries, self.goal_entries = set(), set()
 
-        def atom(c: Cmp) -> str:
-            cmps.append(c)
-            return _state_atom(c.op, len(cmps) - 1)
+        def reader(readers: set):
+            def atom(c: Cmp) -> str:
+                k = entries.setdefault(c.lhs - c.rhs, len(entries))
+                readers.add(k)
+                return _state_atom(c.op, k)
 
-        preds = _def("domain", "A", "return " + formula_src(domain, atom))
-        self.domain_atoms = len(cmps)
-        preds += ["goal = None"] if self.goal is None else _def("goal", "A", "return " + formula_src(self.goal, atom))
-        body += _atoms_def([c.lhs - c.rhs for c in cmps], n, ref) + preds
+            return atom
+
+        preds = _def("domain", "A", "return " + formula_src(domain, reader(self.domain_entries)))
+        if self.goal is None:
+            preds.append("goal = None")
+        else:
+            preds += _def("goal", "A", "return " + formula_src(self.goal, reader(self.goal_entries)))
+        body += _atoms_def(list(entries), n, ref) + preds
         return "\n".join(body) + "\n"
 
 
@@ -577,15 +586,20 @@ def integrate(plan: Plan, init: dict, horizon: float, stop_on_event: bool = True
         domain_now = domain_new
 
         # atom boundary crossings inside the step: measure-zero domain
-        # violations and equality-goal contacts that endpoint checks miss
+        # violations and equality-goal contacts that endpoint checks miss.
+        # A goal that holds at the step's end is entered at no crossing, so
+        # an entry only the goal reads is then not bracketed
         for i, (d0, d1) in enumerate(zip(A, A_new)):
             if not (math.isfinite(d0) and math.isfinite(d1)) or d0 * d1 >= 0:
                 continue
+            exits = i in plan.domain_entries
+            enters = not goal_now and i in plan.goal_entries
+            if not (exits or enters):
+                continue
             tau, L, H = bracket(lambda B, _i=i, _s=d0 > 0: (B[_i] > 0) != _s)
-            if i < plan.domain_atoms:
-                if not c.domain(_on_boundary(H)):
-                    offer(DOMAIN_EXITED, tau, c.domain(_at_limit(L, H)))
-            elif not goal_now and c.goal(_at_limit(L, H)):
+            if exits and not c.domain(_on_boundary(H)):
+                offer(DOMAIN_EXITED, tau, c.domain(_at_limit(L, H)))
+            if enters and c.goal(_at_limit(L, H)):
                 # the goal holds where the bracket closes in, which an
                 # equality atom's sign change puts on its boundary however
                 # steep the crossing

@@ -76,9 +76,10 @@ def grlex_key(m: Monomial, universe: tuple[str, ...]) -> tuple:
 
 class Polynomial:
     """Sparse multivariate polynomial over the rationals: `terms` maps each
-    monomial to a nonzero integer, and the polynomial is terms / `den`."""
+    monomial to a nonzero integer, and the polynomial is terms / `den`.
+    Its hash and its leading term are computed on first use and kept."""
 
-    __slots__ = ("terms", "den", "_hash")
+    __slots__ = ("terms", "den", "_hash", "_lead")
 
     def __init__(self, terms: Optional[Mapping[Monomial, object]] = None):
         """From a map to rational coefficients (`int`, `Fraction` or what
@@ -87,7 +88,7 @@ class Polynomial:
         items = [(m, c) for m, c in items if c]
         self.den = den = math.lcm(*(c.denominator for _, c in items))
         self.terms = {m: c.numerator * (den // c.denominator) for m, c in items}
-        self._hash = None
+        self._hash = self._lead = None
 
     @classmethod
     def _trusted(cls, terms: dict, den: int = 1) -> "Polynomial":
@@ -99,7 +100,7 @@ class Polynomial:
                 terms = {m: c // g for m, c in terms.items()}
                 den //= g
         p = object.__new__(cls)
-        p.terms, p.den, p._hash = terms, den, None
+        p.terms, p.den, p._hash, p._lead = terms, den, None, None
         return p
 
     # -- constructors ------------------------------------------------------
@@ -221,10 +222,15 @@ class Polynomial:
             self.terms.items(), key=lambda t: grlex_key(t[0], universe), reverse=True
         )
 
-    def leading(self, universe: tuple[str, ...]) -> tuple[Monomial, int]:
-        """The leading monomial over `universe` and its numerator."""
-        m = max(self.terms, key=lambda m: grlex_key(m, universe))
-        return m, self.terms[m]
+    def leading(self) -> tuple[Monomial, int]:
+        """The graded-lex leading monomial and its numerator, computed once.
+        It is the same over every universe that holds the polynomial's
+        variables: the other variables' exponents are 0 in every term."""
+        if self._lead is None:
+            universe = tuple(sorted(self.variables()))
+            m = max(self.terms, key=lambda m: grlex_key(m, universe))
+            self._lead = m, self.terms[m]
+        return self._lead
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -288,7 +294,7 @@ def _plus(p: Polynomial, other, sign: int) -> Polynomial:
             out = {m: c // g for m, c in out.items()}
             pden //= g
     q = object.__new__(Polynomial)
-    q.terms, q.den, q._hash = out, pden, None
+    q.terms, q.den, q._hash, q._lead = out, pden, None, None
     return q
 
 
@@ -326,7 +332,7 @@ def poly_divmod(p: Polynomial, d: Polynomial) -> tuple[Polynomial, Polynomial]:
     if d.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     universe = tuple(sorted(p.variables() | d.variables()))
-    dm, dc = d.leading(universe)
+    dm, dc = d.leading()
     dexp = dict(dm)
     q: dict[Monomial, int] = {}
     r, den = dict(p.terms), p.den  # q / den and r / den

@@ -9,8 +9,11 @@ tries the two strongest candidates in order, then the weakest, then bisects
 between them: the prover is monotone in the bound (a weaker bound is proved
 wherever a stronger one is), so this finds the first candidate proved.
 `check_bounded` runs it over doubling bounds on the sum of squared
-variables; the rules run it for their variant witnesses.  Every check returns Holds or Unknown;
-Unknown means the gating rule must refuse.
+variables, and `check_compact` adds the closed criterion to a Bounded
+verdict it is handed, so a checker that keeps its searches
+(`rules.Checker.bounded`) runs one for Bounded and Compact of one set; the
+rules run it for their variant witnesses.  Every check returns Holds or
+Unknown; Unknown means the gating rule must refuse.
 
 Parameters are treated as fixed symbols: the criteria are evaluated with
 respect to the given state variables only, and a formula whose bound would
@@ -112,9 +115,11 @@ def check_bounded(f: Formula, vars, prove) -> TopoVerdict:
     return TopoVerdict(BOUNDED, UNKNOWN if bound is None else HOLDS, witness=bound)
 
 
-def check_compact(f: Formula, vars, prove) -> TopoVerdict:
-    """Closed and bounded; witness carried over from the bounded check."""
+def check_compact(f: Formula, vars, bounded) -> TopoVerdict:
+    """Closed and bounded, where `bounded(f, vars)` gives the Bounded verdict
+    (`rules.Checker.bounded` searches once per set); its witness is carried
+    over.  A set that is not closed runs no search."""
     if not check_closed(f).holds:
         return TopoVerdict(COMPACT, UNKNOWN)
-    bounded = check_bounded(f, vars, prove)
-    return TopoVerdict(COMPACT, bounded.status, witness=bounded.witness)
+    verdict = bounded(f, vars)
+    return TopoVerdict(COMPACT, verdict.status, witness=verdict.witness)

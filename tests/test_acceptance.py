@@ -68,9 +68,7 @@ def test_criterion_2_example2_end_to_end(capsys):
     node = apply_rule(pf, pf.certificate[0], Checker())
     elapsed = time.monotonic() - t0
     trace = render_trace(node)
-    compact = topology.check_compact(
-        parse_formula("1 <= u^2 + v^2 & u^2 + v^2 <= 2"), ("u", "v"), arith.prove_implication
-    )
+    compact = topology.check_compact(parse_formula("1 <= u^2 + v^2 & u^2 + v^2 <= 2"), ("u", "v"), Checker().bounded)
     ok = (
         node.verdict() == PROVED
         and elapsed <= 2.0

@@ -101,11 +101,14 @@ def searches():
 
 def test_bisection_finds_the_witness_of_the_scan_in_order(searches):
     # ce4's two doubling searches over 33 bounds, the rules' searches for
-    # p1 and eps, and the compact gates of the rule certificates
-    assert len(searches) >= 20
-    assert any(len(candidates) == 33 for _, _, _, candidates in searches)
+    # p1 and eps, and the compact gates of the rule certificates; a search
+    # posed again (in another command, or one the checker did not keep)
+    # counts once
+    distinct = list(dict.fromkeys((region, p, op, tuple(candidates)) for region, p, op, candidates in searches))
+    assert len(distinct) >= 9
+    assert any(len(candidates) == 33 for _, _, _, candidates in distinct)
     witnesses = set()
-    for region, p, op, candidates in searches:
+    for region, p, op, candidates in distinct:
         calls = []
 
         def counting(ob, budget=None):

@@ -121,6 +121,29 @@ def test_sum_and_difference_equal_the_fraction_reference(da, other):
     assert Polynomial() + a is a or a.is_zero()
 
 
+@settings(max_examples=300, deadline=None)
+@given(term_maps, term_maps, st.sampled_from(["x", "y", "z"]), st.sets(st.sampled_from(["a", "w", "x0", "zz"])))
+def test_leading_term_is_the_grlex_maximum_over_every_larger_universe(da, db, name, extra):
+    # the cached leading term is read over the polynomial's own variables;
+    # names outside them, sorted before, between or after, change nothing.
+    # The operands' terms are filled first, so a result never reads them
+    a, b = Polynomial(da), Polynomial(db)
+    for p in (a, b):
+        if not p.is_zero():
+            p.leading()
+    results = [a, b, a + b, a - b, a * b, -a, a.partial(name)]
+    if not b.is_zero():
+        results += poly_divmod(a, b)
+    for p in results:
+        if p.is_zero():
+            continue
+        m, n = p.leading()
+        own = p.variables()
+        for universe in (own, own | extra, own | {"x", "y", "z"} | extra):
+            assert (m, Fraction(n, p.den)) == ref_of(p).leading(tuple(sorted(universe)))
+        assert p.leading() == (m, n)
+
+
 def test_sum_and_difference_refuse_other_operands():
     x = Polynomial.var("x")
     for bad in (1.5, "1", None):

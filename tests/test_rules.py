@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from odeliveness import arith, cli, syntax
+from odeliveness import arith, cli, rules, syntax, topology
 from odeliveness.errors import (
     HintMismatch,
     MissingCertificateField,
@@ -26,6 +26,7 @@ from odeliveness.kernel import (
     TopoOb,
     box,
     dia,
+    discharge,
     render_trace,
     step_dv,
 )
@@ -888,6 +889,85 @@ def test_bound_search_is_proved_through_the_checker_cache(monkeypatch):
     pf = parse_problem(problem_path("example2.ode").read_text())
     assert apply_rule(pf, pf.certificate[0], Checker()).verdict() == PROVED
     assert (sum(calls.values()), len(calls)) == (12, 12)
+
+
+def _counting_invariance(monkeypatch):
+    """The sequents `rules.prove_invariance` is called on, in order: by
+    `Checker.prove_box` and by its own recursion."""
+    calls = []
+    prove = rules.prove_invariance
+
+    def counting(seq, hints, checker):
+        calls.append(seq)
+        return prove(seq, hints, checker)
+
+    monkeypatch.setattr(rules, "prove_invariance", counting)
+    return calls
+
+
+def test_the_same_box_sequent_with_other_hints_is_proved_again(monkeypatch):
+    calls = _counting_invariance(monkeypatch)
+    pf = parse_problem("ode { x' = -x }  assume { x >= 1 }  goal { x >= 0 }")
+    seq = Sequent(pf.assumptions, box(pf.system, pf.goal))
+    checker = Checker()
+    di = checker.prove_box(seq, (DIStep(),))
+    dw = checker.prove_box(seq, (DWStep(),))
+    assert calls == [seq, seq] and di is not dw
+    assert [di.step.name, dw.step.name] == ["DI", "DW"]
+    assert checker.prove_box(seq, (DIStep(),)) is di and checker.prove_box(seq, (DWStep(),)) is dw
+    assert len(calls) == 2
+
+
+def test_a_repeated_box_sequent_is_proved_once_and_renders_alike(monkeypatch):
+    # in example2_domain, COR's stay premise poses the staging invariance of
+    # SP_c again, with the same hints: one proof tree serves both
+    from conftest import problem_path
+
+    calls = _counting_invariance(monkeypatch)
+    pf = parse_problem(problem_path("example2_domain.ode").read_text())
+    node = apply_rule(pf, pf.certificate[0], Checker())
+    boxes = [ob for ob in node.all_obligations() if isinstance(ob, InvarianceOb)]
+    staging, stay = (ob for ob in boxes if ob.label in ("staging invariance", "stay inside the domain before the goal"))
+    assert (staging.sequent, staging.hints) == (stay.sequent, stay.hints) and staging is not stay
+    assert staging.proof is stay.proof and stay.verdict() == PROVED
+    assert calls.count(staging.sequent) == 1  # the DC's own sub-goals are proved once too
+    assert len(calls) == len(set(calls))
+    lines = render_trace(node).splitlines()
+
+    def rendered(ob):
+        """The obligation's sequent and the steps of its proof, as printed."""
+        i = next(i for i, line in enumerate(lines) if f"] {ob.label}: " in line)
+        end = i + 1
+        while end < len(lines) and lines[end].startswith("        . "):
+            end += 1
+        return [lines[i].split(" -- ", 1)[1]] + lines[i + 1 : end]
+
+    assert rendered(staging) == rendered(stay) and len(rendered(stay)) == 4  # DI, DW, DC
+
+
+def test_bounded_then_compact_of_one_set_run_one_search(monkeypatch):
+    searched = []
+    check_bounded = topology.check_bounded
+
+    def counting(f, vars, prove):
+        searched.append(f)
+        return check_bounded(f, vars, prove)
+
+    monkeypatch.setattr(topology, "check_bounded", counting)
+    S = parse_formula("1 <= u^2 + v^2 & u^2 + v^2 <= 2")
+    bounded = TopoOb("bounded escape set", GATE, S, topology.BOUNDED, ("u", "v"))
+    compact = TopoOb("compact staging set", GATE, S, topology.COMPACT, ("u", "v"))
+    checker = Checker()
+    for ob in (bounded, compact):
+        discharge(ob, checker)
+    assert searched == [S]
+    assert bounded.verdict() == compact.verdict() == PROVED
+    assert bounded.result.witness == compact.result.witness == 2
+    # a set that is not closed is no Compact set, and runs no search
+    half_open = parse_formula("1 <= u^2 + v^2 & u^2 + v^2 < 2")
+    ob = TopoOb("compact staging set", GATE, half_open, topology.COMPACT, ("u", "v"))
+    discharge(ob, checker)
+    assert ob.verdict() == UNKNOWN and searched == [S]
 
 
 def test_name_tables_agree():

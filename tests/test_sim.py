@@ -155,6 +155,54 @@ def test_equality_goal_met_on_a_steep_crossing(k):
     assert abs(traj.events[0][0] - math.log(2) / k) < 1e-8
 
 
+def test_a_polynomial_the_domain_and_the_goal_share_is_one_entry():
+    # example2_domain's domain 1 <= u^2 + v^2 <= 2 and its goal u^2 + v^2 >= 2
+    # share u^2 + v^2 - 2: the atom vector holds it once, read by both
+    pf = parse_problem(problem_path("example2_domain.ode").read_text())
+    plan = sim.Plan(pf.system, pf.goal)
+    assert len(plan.bind(()).atoms((1.0, 0.0))) == 2
+    assert (plan.domain_entries, plan.goal_entries) == ({0, 1}, {1})
+
+
+def _counting_locate(monkeypatch) -> list:
+    """The start times of the brackets `integrate` bisects."""
+    starts = []
+    locate = sim._locate
+
+    def counting(pred, finite, t0, *rest):
+        starts.append(t0)
+        return locate(pred, finite, t0, *rest)
+
+    monkeypatch.setattr(sim, "_locate", counting)
+    return starts
+
+
+def test_a_shared_entry_is_bracketed_once_and_read_by_both(monkeypatch):
+    # x - 1 changes sign inside a step; the domain x != 1 and the goal x = 1
+    # hold and fail at both step ends, so only the crossing sees that x
+    # leaves the domain and meets the goal, both at t = 1
+    starts = _counting_locate(monkeypatch)
+    pf = parse_problem("ode { x' = 1 }  domain { x != 1 }  goal { x = 1 }")
+    plan = sim.Plan(pf.system, pf.goal)
+    assert (plan.domain_entries, plan.goal_entries) == ({0}, {0})
+    traj = sim.integrate(plan, {"x": 0.0}, 3.0)
+    assert [k for _, k in traj.events] == [sim.DOMAIN_EXITED, sim.GOAL_ENTERED]
+    assert all(abs(t - 1.0) < 1e-8 for t, _ in traj.events)
+    assert traj.closed == {sim.DOMAIN_EXITED: False, sim.GOAL_ENTERED: True}
+    assert len(starts) == 1
+
+
+def test_a_goal_atom_crossed_while_the_goal_holds_is_not_bracketed(monkeypatch):
+    # x - 3 changes sign while x >= 0 keeps the goal true: no goal entry
+    # can happen at that crossing, so it is not located
+    starts = _counting_locate(monkeypatch)
+    pf = parse_problem("ode { x' = 1 }  goal { x >= 0 | x >= 3 }")
+    traj = sim.integrate(sim.Plan(pf.system, pf.goal), {"x": 2.0}, 2.0, stop_on_event=False)
+    assert [k for _, k in traj.events] == [sim.GOAL_ENTERED, sim.HORIZON_REACHED]
+    assert any(y[0] < 3.0 < y1[0] for (_, y), (_, y1) in zip(traj.rows, traj.rows[1:]))
+    assert starts == []
+
+
 def test_integration_deterministic(alpha_n):
     a = sim.integrate(sim.Plan(alpha_n.system, alpha_n.goal), {"u": 1.0, "v": 0.0}, 1.0)
     b = sim.integrate(sim.Plan(alpha_n.system, alpha_n.goal), {"u": 1.0, "v": 0.0}, 1.0)

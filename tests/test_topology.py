@@ -12,6 +12,11 @@ UV = ("u", "v")
 PROVE = arith.prove_implication
 
 
+def BOUNDED(f, vars):
+    """The Bounded search over `PROVE`, as `check_compact` reads it."""
+    return topology.check_bounded(f, vars, PROVE)
+
+
 def test_closed_nonstrict_atom():
     assert topology.check_closed(parse_formula("u^2 + v^2 >= 2")).holds
 
@@ -100,16 +105,16 @@ def test_bounded_singleton_witness_one():
 
 
 def test_compact_annulus():
-    v = topology.check_compact(parse_formula("1 <= u^2 + v^2 & u^2 + v^2 <= 2"), UV, PROVE)
+    v = topology.check_compact(parse_formula("1 <= u^2 + v^2 & u^2 + v^2 <= 2"), UV, BOUNDED)
     assert v.holds and v.witness == 2
 
 
 def test_compact_open_box_unknown():
-    assert not topology.check_compact(parse_formula("u > 0 & u < 1"), ("u",), PROVE).holds
+    assert not topology.check_compact(parse_formula("u > 0 & u < 1"), ("u",), BOUNDED).holds
 
 
 def test_compact_true_unknown():
-    assert not topology.check_compact(TRUE, ("x",), PROVE).holds
+    assert not topology.check_compact(TRUE, ("x",), BOUNDED).holds
 
 
 def test_closed_criterion_excludes_strict_atoms_syntactically():
