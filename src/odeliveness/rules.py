@@ -156,27 +156,31 @@ class Checker:
         self._boxes: dict = {}
         self._bounded: dict = {}
 
+    # Each cache is read with one lookup, since a key hashes its records
+    # anew, and no entry is None.
+
     def prove(self, ob: arith.ArithObligation, budget=None) -> arith.ArithVerdict:
-        key = (ob, budget or self.budget)  # an Unknown holds only for its budget
-        if key not in self._arith_cache:
-            self._arith_cache[key] = arith.prove_implication(ob, budget=key[1], regions=self._regions)
-        return self._arith_cache[key]
+        budget = budget or self.budget  # an Unknown holds only for its budget
+        verdict = self._arith_cache.get((ob, budget))
+        if verdict is None:
+            verdict = self._arith_cache[ob, budget] = arith.prove_implication(ob, budget=budget, regions=self._regions)
+        return verdict
 
     def prove_box(self, seq: Sequent, hints):
         """The invariance proof of `seq` from `hints`, built once: a sub-goal
         posed again with the same hints shares the first proof tree."""
-        key = (seq, hints)
-        if key not in self._boxes:
-            self._boxes[key] = prove_invariance(seq, hints, self)
-        return self._boxes[key]
+        proof = self._boxes.get((seq, hints))
+        if proof is None:
+            proof = self._boxes[seq, hints] = prove_invariance(seq, hints, self)
+        return proof
 
     def bounded(self, formula: Formula, vars) -> topology.TopoVerdict:
         """Bounded(formula) over `vars` by `topology.check_bounded`, searched
         once: Compact of the same set reuses the search and its witness."""
-        key = (formula, vars)
-        if key not in self._bounded:
-            self._bounded[key] = topology.check_bounded(formula, vars, self.prove)
-        return self._bounded[key]
+        verdict = self._bounded.get((formula, vars))
+        if verdict is None:
+            verdict = self._bounded[formula, vars] = topology.check_bounded(formula, vars, self.prove)
+        return verdict
 
     def run(self, root):
         """Discharge every obligation of the tree; returns `root`."""
