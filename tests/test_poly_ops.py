@@ -124,9 +124,10 @@ def test_sum_and_difference_equal_the_fraction_reference(da, other):
 @settings(max_examples=300, deadline=None)
 @given(term_maps, term_maps, st.sampled_from(["x", "y", "z"]), st.sets(st.sampled_from(["a", "w", "x0", "zz"])))
 def test_leading_term_is_the_grlex_maximum_over_every_larger_universe(da, db, name, extra):
-    # the cached leading term is read over the polynomial's own variables;
-    # names outside them, sorted before, between or after, change nothing.
-    # The operands' terms are filled first, so a result never reads them
+    # the cached leading term is taken over the polynomial's own variables;
+    # names outside them, sorted before, between or after them, change
+    # nothing.  The operands cache their terms before the operations run, so
+    # a result that kept an operand's term would fail here
     a, b = Polynomial(da), Polynomial(db)
     for p in (a, b):
         if not p.is_zero():

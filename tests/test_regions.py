@@ -18,7 +18,7 @@ import pytest
 from odeliveness import arith, cli
 from odeliveness.arith import VALID, ArithObligation, Budget, Region, prove_implication
 from odeliveness.symbolic import Polynomial
-from odeliveness.syntax import And, Cmp, Or, parse_formula
+from odeliveness.syntax import And, Cmp, Or, parse_formula, parse_poly
 
 from conftest import ROOT, problem_path
 
@@ -74,6 +74,22 @@ def test_case_split_disjuncts_decided_by_different_methods():
     assert [outcome(prove_implication(sub, regions=regions)) for sub in subs] == [outcome(v) for v in fresh]
     assert outcome(prove_implication(SPLIT, regions=regions)) == outcome(whole)
     assert set(regions) == keys
+
+
+def test_a_region_reduces_each_conclusion_polynomial_once(monkeypatch):
+    # two obligations over u^2 + v^2 = 1 share the conclusion atom
+    # u^2 + v^2 <= 2: the pre-checks reduce 2 - u^2 - v^2 modulo the
+    # equality for the first, and the second reads that reduction
+    reduced = []
+    reduce = arith.reduce_mod_equalities
+    monkeypatch.setattr(arith, "reduce_mod_equalities", lambda p, eqs: reduced.append(p) or reduce(p, eqs))
+    hyp = parse_formula("u^2 + v^2 = 1")
+    regions: dict = {}
+    for concl in ("u^2 + v^2 <= 2", "u^2 + v^2 <= 2 & u^2 + v^2 >= 1/2"):
+        v = prove_implication(ArithObligation.closure(hyp, parse_formula(concl)), regions=regions)
+        assert (v.status, v.trace["method"]) == (VALID, "positive-combination")
+    assert reduced == [parse_poly("2 - u^2 - v^2"), parse_poly("u^2 + v^2 - 1/2")]
+    assert len(regions) == 1
 
 
 def test_region_holds_the_hypothesis_truth_at_the_root_midpoint():
