@@ -8,6 +8,10 @@ exclusively from the package's own ASTs.
 A polynomial becomes `c*x**e*y + c2*...`: each term is the coefficient
 (its numerator over the denominator, correctly rounded) times its factors,
 left to right, and terms are summed left to right in `sorted_terms` order.
+A coefficient 1.0 of a term with factors is left out and -1.0 is written as
+a unary minus (`-x**2*y`): multiplying by 1.0 or -1.0 is exact in IEEE-754,
+also at 0.0, -0.0 and the infinities, so only the sign of a NaN can differ,
+and a power that overflows still raises `OverflowError`.
 Past `SUM_CHUNK` terms the sum is added up chunk by chunk into `_s`, in the
 same order, so its compiled expression stays shallow whatever the term count.
 """
@@ -38,10 +42,16 @@ def poly_src(p, ref: Callable[[str], str]) -> str:
     is the source of a variable."""
     parts = []
     for m, c in p.sorted_terms():
-        factors = [repr(to_float(c, p.den))]
-        for v, e in m:
-            factors.append(ref(v) if e == 1 else f"{ref(v)}**{e}")
-        parts.append("*".join(factors))
+        coef = to_float(c, p.den)
+        factors = "*".join(ref(v) if e == 1 else f"{ref(v)}**{e}" for v, e in m)
+        if not factors:
+            parts.append(repr(coef))
+        elif coef == 1.0:
+            parts.append(factors)
+        elif coef == -1.0:
+            parts.append(f"-{factors}")
+        else:
+            parts.append(f"{coef!r}*{factors}")
     if len(parts) <= SUM_CHUNK:
         return " + ".join(parts) if parts else "0.0"
     chunks = [" + ".join(parts[i : i + SUM_CHUNK]) for i in range(0, len(parts), SUM_CHUNK)]

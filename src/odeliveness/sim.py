@@ -27,8 +27,9 @@ dict only when one is read.  A state whose atoms have no float value (one
 overflows) ends its trajectory with no event, as does the step cap;
 `Trajectory.stopped` says which.
 
-Blow-up is detected, not proved: the max-norm threshold `BLOWUP_NORM` (1e9)
-combined with step-size collapse yields a BlowUpSuspected event.
+Blow-up is detected, not proved: a step whose result is not finite or has a
+max norm past `BLOWUP_NORM` (1e9) yields a BlowUpSuspected event, located
+where the norm first passes it; no step size is tested.
 
 The built-in catalog reproduces four soundness counterexamples against the
 uncorrected side conditions of the derived rules; `run_catalog` checks that
@@ -123,8 +124,9 @@ class Trajectory(Record):
 # A `Plan` renders a system, its domain and a goal as one flat source of
 # four functions, which it compiles once and executes into new globals for
 # each parameter binding, where the parameters are the globals p0, p1, ...;
-# `integrate` reads all three from it: the right-hand side `f(y)`; the atom
-# vector `atoms(y)`, each distinct difference polynomial of the comparisons,
+# `integrate` reads all three from it: the right-hand side `f(a0, a1, ...)`
+# of the state's components, which returns a tuple; the atom vector
+# `atoms(y)`, each distinct difference polynomial of the comparisons,
 # domain then goal, which is the only place a state's atoms are evaluated
 # (one shared by the domain and the goal is evaluated once); and the
 # domain and goal predicates, which read that vector.  A state where an
@@ -136,13 +138,15 @@ class Trajectory(Record):
 # The stepping kernel `advance` takes adaptive steps until one may carry
 # an event.  Within one call it runs, per step, the Dormand-Prince trial
 # (inline; it calls `f` for its stages rather than inlining the right-hand
-# side six times), the step-size controller, the finiteness and
-# `BLOWUP_NORM` screen, the atom vector, the domain and goal readings and
+# side six times, with each stage's components as arguments, and keeps the
+# returned components as locals), the step-size controller, the finiteness
+# and `BLOWUP_NORM` screen, the atom vector, the domain and goal readings and
 # a screen for atoms whose value changes sign (a product below 0.0), and
 # appends the step's raw (t, state) row.  It hands back the first step at
 # which the result is not finite or blows up, the atoms have no vector,
 # the goal is entered, the domain is left or an atom changes sign, with
-# that step's trial and atom vector, so `integrate` locates its events;
+# that step's trial and atom vector, so `integrate` locates its events
+# (the stage tuples are built only then);
 # or it returns at the horizon or the step cap.  The kernel's
 # source depends only on the dimension, so it is compiled once per
 # dimension (`_dimension`), on first use, with the trial from `_trial`,
@@ -208,12 +212,23 @@ def _at_limit(L: tuple, H: tuple) -> tuple:
     return tuple(0.0 if lo * hi <= 0.0 else hi for lo, hi in zip(L, H))
 
 
+def _tuple(prefix: str, n: int) -> str:
+    return "(" + "".join(f"{prefix}{i}, " for i in range(n)) + ")"
+
+
 def _unpack(prefix: str, n: int, src: str) -> str:
-    return "".join(f"{prefix}{i}, " for i in range(n)) + f"= {src}"
+    return f"{_tuple(prefix, n)} = {src}"
 
 
-def _max_src(parts: list) -> str:
-    return f"max({', '.join(parts)})" if len(parts) > 1 else parts[0]
+def _max_lines(name: str, parts: list) -> list:
+    """Source lines that set `name` to the float builtin `max` returns of
+    the sources `parts`: the first, replaced by each later one greater than
+    it, so a NaN in front stays, a later NaN is passed over and of equal
+    values (0.0 and -0.0) the first stays."""
+    lines = [f"{name} = {parts[0]}"]
+    for i, part in enumerate(parts[1:], start=1):
+        lines += [f"e{i} = {part}", f"if e{i} > {name}: {name} = e{i}"]
+    return lines
 
 
 def _def(name: str, args: str, *body: str) -> list:
@@ -240,9 +255,9 @@ def _predicate(atoms: list, names) -> Callable:
 
 def _trial(n: int) -> list:
     """Source lines of one Dormand-Prince trial of step h from the state
-    a0, ..., a{n-1} whose first stage is k1 (unpacked as k1_0, ...): stages
-    k2..k7 through `f`, unpacked as k2_0, ...; the fifth-order state y1 =
-    (b0, ...), with k7 = f(y1); and its error `err`."""
+    a0, ..., a{n-1} whose first stage is k1_0, ...: stages k2..k7 through
+    `f`, unpacked as k2_0, ...; the fifth-order state b0, ..., also as the
+    tuple y1, with k7 = f(b0, ...); and its error `err`."""
 
     def combo(weights, i):
         return " + ".join(f"{w!r} * k{j + 1}_{i}" for j, w in enumerate(weights) if w)
@@ -250,10 +265,10 @@ def _trial(n: int) -> list:
     lines = []
     for s, row in enumerate(_DP_A[:-1], start=2):
         point = "".join(f"a{i} + h * ({combo(row, i)}), " for i in range(n))
-        lines += [f"k{s} = f(({point}))", _unpack(f"k{s}_", n, f"k{s}")]
+        lines.append(_unpack(f"k{s}_", n, f"f({point})"))
     lines += [f"b{i} = a{i} + h * ({combo(_DP_A[-1], i)})" for i in range(n)]
-    lines += ["y1 = (" + "".join(f"b{i}, " for i in range(n)) + ")", "k7 = f(y1)", _unpack("k7_", n, "k7")]
-    lines.append("err = " + _max_src([f"abs(h * ({combo(_DP_E, i)})) / (1.0 + abs(b{i}))" for i in range(n)]))
+    lines += [f"y1 = {_tuple('b', n)}", _unpack("k7_", n, f"f{_tuple('b', n)}")]
+    lines += _max_lines("err", [f"abs(h * ({combo(_DP_E, i)})) / (1.0 + abs(b{i}))" for i in range(n)])
     return lines
 
 
@@ -320,15 +335,16 @@ def advance_over(f, atoms, domain, goal):
                     break
             else:
                 rows.append((t1, y1))
-                t, y, h, k1, A, goal_now, domain_now = t1, y1, hn, k7, A1, g1, d1
+                t, y, h, A, goal_now, domain_now = t1, y1, hn, A1, g1, d1
                 {next_state}
                 continue
             break
         else:
             stats["steps"], stats["rejected"], stats["min_h"] = steps, rejected, min_h
-            return t, y, k1, A, goal_now, domain_now, None
+            return t, y, {k1}, A, goal_now, domain_now, None
         stats["steps"], stats["rejected"], stats["min_h"] = steps, rejected, min_h
-        return t, y, k1, A, goal_now, domain_now, (h, t1, y1, k7, (k1, k3, k4, k5, k6, k7), A1, hn)
+        k1, k7 = {k1}, {k7}
+        return t, y, k1, A, goal_now, domain_now, (h, t1, y1, k7, (k1, {k3}, {k4}, {k5}, {k6}, k7), A1, hn)
     return advance"""
 
 
@@ -345,6 +361,7 @@ def _advance(n: int) -> str:
         finite=" and ".join(f"isfinite(b{i})" for i in range(n)),
         inside=" and ".join(f"{-BLOWUP_NORM!r} <= b{i} <= {BLOWUP_NORM!r}" for i in range(n)),
         next_state=lines([f"a{i} = b{i}" for i in range(n)] + [f"k1_{i} = k7_{i}" for i in range(n)], 16),
+        **{f"k{s}": _tuple(f"k{s}_", n) for s in (1, 3, 4, 5, 6, 7)},
         TOL=TOL,
         HMIN=HMIN,
         CAP=H0 * 4,
@@ -385,7 +402,7 @@ def _dimension(n: int) -> SimpleNamespace:
         + [_BISECT.format(rows=rows, dense=dense, EVENT_TOL=EVENT_TOL)]
         + ["def finite(y):", f"    {unpack}"]
         + ["    return " + " and ".join(f"isfinite(a{i})" for i in range(n))]
-        + ["def norm(y):", f"    {unpack}", "    return " + _max_src([f"abs(a{i})" for i in range(n)])]
+        + _def("norm", "y", unpack, *_max_lines("m", [f"abs(a{i})" for i in range(n)]), "return m")
     )
     namespace = {"isfinite": math.isfinite, "inf": math.inf}
     exec(src, namespace)  # generated from the tableau alone
@@ -437,10 +454,11 @@ class Plan:
         def ref(v):
             return params.get(v) or f"a{names.index(v)}"
 
-        # f(y): the right-hand side
+        # f(a0, a1, ...): the right-hand side
         rhs = "".join(f"{poly_src(self.system.rhs_of(v), ref)}, " for v in names)
         overflow = "    return (" + "_inf, " * n + ")"
-        body = _def("f", "y", _unpack("a", n, "y"), "try:", f"    return ({rhs})", "except OverflowError:", overflow)
+        args = ", ".join(f"a{i}" for i in range(n))
+        body = _def("f", args, "try:", f"    return ({rhs})", "except OverflowError:", overflow)
 
         # atoms(y): each distinct difference polynomial of the atoms, domain
         # then goal, in the order the predicates domain(A) and goal(A) first
@@ -553,7 +571,7 @@ def integrate(plan: Plan, init: dict, horizon: float, stop_on_event: bool = True
         tau, y_lo, y_hi = _locate(lambda yy: (B := atoms(yy)) is not None and test(B), finite, t, h, y, y_new, ks)
         return tau, atoms(y_lo) or A, atoms(y_hi)
 
-    k1 = c.f(y)
+    k1 = c.f(*y)
     h = H0
     while True:
         # the kernel takes every step that cannot carry an event and hands

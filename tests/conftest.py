@@ -192,13 +192,14 @@ def _weighted(weights, ks, i):
 
 
 def _dp_step(f, y, h, k1):
-    """One Dormand-Prince trial: (fifth-order state, error, k7, and the
-    stages k1, k3, ..., k7 that the dense output reads)."""
+    """One Dormand-Prince trial of the right-hand side `f(*state)`:
+    (fifth-order state, error, k7, and the stages k1, k3, ..., k7 that the
+    dense output reads)."""
     ks = [k1]
     for row in DP_A[:-1]:
-        ks.append(f(tuple(a + h * _weighted(row, ks, i) for i, a in enumerate(y))))
+        ks.append(f(*(a + h * _weighted(row, ks, i) for i, a in enumerate(y))))
     y1 = tuple(a + h * _weighted(DP_A[-1], ks, i) for i, a in enumerate(y))
-    ks.append(f(y1))
+    ks.append(f(*y1))
     err = max(abs(h * _weighted(DP_E, ks, i)) / (1.0 + abs(b)) for i, b in enumerate(y1))
     return y1, err, ks[-1], (ks[0], *ks[2:])
 
@@ -210,7 +211,7 @@ def fixed_steps(plan, init: dict, horizon: float, h: float) -> list:
     not finite or past `sim.BLOWUP_NORM` is the last."""
     c = plan.bind(tuple(float(init[p]) for p in plan.pnames))
     y = tuple(float(init[n]) for n in plan.names)
-    t, k1 = 0.0, c.f(y)
+    t, k1 = 0.0, c.f(*y)
     states = [sim.State(c.values(y), t)]
     while t < horizon and c.finite(y) and c.norm(y) <= sim.BLOWUP_NORM:
         j = round(t / h)

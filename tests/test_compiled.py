@@ -9,6 +9,7 @@ values may differ only in the sign of a zero).
 """
 
 import gc
+import itertools
 import math
 import re
 import struct
@@ -104,7 +105,7 @@ def rhs_reference(system: OdeSystem, par: dict):
     `sorted_terms` order, `c*x**e*...`, summed left to right."""
     names = system.state_names()
 
-    def f(y):
+    def f(*y):
         point = dict(zip(names, y), **par)
         out = []
         for v in names:
@@ -118,9 +119,9 @@ def rhs_reference(system: OdeSystem, par: dict):
             out.append(0.0 if total is None else total)
         return tuple(out)
 
-    def fwrapped(y):
+    def fwrapped(*y):
         try:
-            return f(y)
+            return f(*y)
         except OverflowError:
             return tuple(math.inf for _ in y)
 
@@ -178,7 +179,7 @@ def reference_integrate(plan, init, horizon, stop_on_event, max_steps, screened)
         tau, y_lo, y_hi = sim._locate(lambda yy: (B := atoms(yy)) is not None and test(B), finite, t, h, y, y_new, ks)
         return tau, atoms(y_lo) or A, atoms(y_hi)
 
-    k1 = f(y)
+    k1 = f(*y)
     h = sim.H0
     while t < horizon and stats["steps"] < max_steps:
         h = min(h, horizon - t)
@@ -346,8 +347,8 @@ def test_compiled_dp_step_is_bit_identical(system, point, h):
     y = (point[0], point[1], point[3])
     c = sim.Plan(system).bind((par,))
     f = rhs_reference(system, {PARAM: par})
-    k1 = f(y)
-    assert all(same_float(a, b) for a, b in zip(c.f(y), k1))
+    k1 = f(*y)
+    assert all(same_float(a, b) for a, b in zip(c.f(*y), k1))
     first_y1, first_err, _, _ = _dp_step(f, y, h, k1)
     if not (all(map(math.isfinite, first_y1)) and first_err == first_err):
         first_err = math.inf
@@ -363,6 +364,27 @@ def test_compiled_dp_step_is_bit_identical(system, point, h):
     want_y1, _, want_k7, _ = _dp_step(f, y, stats["min_h"], k1)
     assert all(same_float(a, b) for a, b in zip(y1, want_y1)), (y1, want_y1)
     assert all(same_float(a, b) for a, b in zip(k7, want_k7)), (k7, want_k7)
+
+
+def test_generated_max_is_the_builtin_max():
+    # the trial's error and `norm` are comparison chains, not calls of `max`;
+    # for dimensions 1-4 each returns the float `max` returns, with NaN in
+    # every position and ties between 0.0 and -0.0
+    values = (0.0, -0.0, math.nan, 1.0)
+    for n in range(1, 5):
+        names = [f"x{i}" for i in range(n)]
+        chain = build("\n".join(sim._def("_m", ", ".join(names), *sim._max_lines("m", names), "return m")), "_m")
+        stages = ", ".join(f"a{i}, k1_{i}" for i in range(n))
+        trial = build("\n".join(sim._def("_trial", f"f, h, {stages}", *sim._trial(n), "return err")), "_trial")
+        norm = sim._dimension(n).norm
+        for point in itertools.product(values, repeat=n):
+            assert same_float(chain(*point), max(point)), point
+            assert same_float(norm(point), max(abs(v) for v in point)), point
+            # y' = y from 1.0 with k1 = point: a NaN in k1 is NaN in every
+            # stage of its component, and so in that entry of the error
+            y = (1.0,) * n
+            got = trial(lambda *a: a, 0.5, *itertools.chain(*zip(y, point)))
+            assert same_float(got, _dp_step(lambda *a: a, y, 0.5, point)[1]), point
 
 
 @st.composite
@@ -509,7 +531,7 @@ def test_each_binding_executes_the_plan_code_into_globals_of_its_own():
     plan = sim.Plan(pf.system, pf.goal)
     a, b = plan.bind((2.0,)), plan.bind((3.0,))
     assert a.f is not b.f and a.f.__code__ is b.f.__code__ and a.f.__globals__ is not b.f.__globals__
-    assert a.f((1.0, 1.0)) == (2.0, -1.0) and b.f((1.0, 1.0)) == (3.0, -1.0)
+    assert a.f(1.0, 1.0) == (2.0, -1.0) and b.f(1.0, 1.0) == (3.0, -1.0)
     assert a.goal(a.atoms((2.5, 0.0))) and not b.goal(b.atoms((2.5, 0.0)))
     assert a.values((1.0, 1.0)) == {"x": 1.0, "y": 1.0, "c": 2.0} and b.values((1.0, 1.0))["c"] == 3.0
     ref = weakref.ref(a.f)

@@ -7,10 +7,11 @@ integer numerators, a positive denominator coprime to all of them) and equal
 the reference term for term, in the same dict order: the falsifier's atom
 vector sums terms in that order, so its floats depend on it.  Equality and
 hashing, the printer, the float source and `to_float` must agree with the
-reference too.
+reference too; the float source as the floats it computes, bit for bit.
 """
 
 import math
+import struct
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,7 @@ from ref_poly import (
     ref_reduce,
 )
 
-from odeliveness.codegen import poly_src, to_float
+from odeliveness.codegen import build, poly_src, to_float
 from odeliveness.errors import InvalidArgument
 from odeliveness.symbolic import Polynomial, _coerce, poly_divmod, primitive, reduce_mod_equalities
 from odeliveness.syntax import print_poly
@@ -56,6 +57,21 @@ def same(got: Polynomial, want: RefPoly) -> None:
 
 def ref(v):
     return f"_{v}"
+
+
+# points of (x, y, z) where the float sources are compared
+POINTS = ((0.5, -1.25, 3.0), (-2.0, 0.0, -0.0), (1e-3, 7.0, -0.75))
+
+
+def evaluated(src: str, point: tuple):
+    """The float source over _x, _y, _z at `point`: its bits, "nan" for a
+    NaN (whose sign is not kept), or OverflowError when a power overflows."""
+    f = build(f"def _f(_x, _y, _z):\n    return {src}\n", "_f")
+    try:
+        v = f(*point)
+    except OverflowError:
+        return OverflowError
+    return "nan" if math.isnan(v) else struct.pack("<d", v)
 
 
 # -- properties --------------------------------------------------------------
@@ -93,9 +109,33 @@ def test_operations_equal_the_fraction_reference(da, db, c, name):
     assert a.constant_value() == ra.constant_value()
     # printing and floats read (numerator, den)
     assert print_poly(a) == ref_print_poly(ra)
-    assert poly_src(a, ref) == ref_poly_src(ra.sorted_terms(), ref)
+    src, want = poly_src(a, ref), ref_poly_src(ra.sorted_terms(), ref)
+    assert all(evaluated(src, pt) == evaluated(want, pt) for pt in POINTS)
     for n in a.terms.values():
         assert to_float(n, a.den) == float(Fraction(n, a.den))
+
+
+# signed zeros, infinities, NaN, subnormals, and bases whose square or cube
+# overflows
+special = st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310, 1.0, -1.0, 1e155, -1e155, 1e103, -1e200]
+) | st.floats()
+units = st.sampled_from([Fraction(1), Fraction(-1)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(monomials, st.one_of(units, units, coeffs), max_size=5), st.tuples(special, special, special))
+def test_unit_coefficients_left_out_keep_every_float(terms, point):
+    # a term with factors and coefficient 1.0 is its factors, one with -1.0
+    # their unary minus: the same bits as the coefficient-first source, or
+    # the same OverflowError
+    p = Polynomial(terms)
+    assert evaluated(poly_src(p, ref), point) == evaluated(ref_poly_src(ref_of(p).sorted_terms(), ref), point)
+
+
+def test_unit_coefficients_are_written_as_the_factors_alone():
+    p = Polynomial({(("x", 1),): 1, (("y", 2),): -1, (): 1, (("x", 1), ("z", 1)): Fraction(3, 2)})
+    assert poly_src(p, ref) == "1.5*_x*_z + -_y**2 + _x + 1.0"
 
 
 @settings(max_examples=300, deadline=None)

@@ -131,7 +131,7 @@ def test_dense_output_is_fourth_order_between_the_step_ends():
     c = sim.Plan(pf.system).bind(())
 
     def worst(h):
-        y1, _, _, ks = _dp_step(c.f, (1.0,), h, c.f((1.0,)))
+        y1, _, _, ks = _dp_step(c.f, (1.0,), h, c.f(1.0))
         ((r1, r2, r3, r4, r5),) = sim._interpolant((1.0,), y1, h, ks)
 
         def at(th):
