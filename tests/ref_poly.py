@@ -201,7 +201,8 @@ def ref_print_poly(p: RefPoly) -> str:
 
 
 def ref_poly_src(terms, ref) -> str:
-    """The float source of (monomial, `Fraction`) terms, as `codegen` wrote it."""
+    """The float source of (monomial, `Fraction`) terms with every
+    coefficient written out in front of its factors, 1.0 and -1.0 too."""
     parts = []
     for m, c in terms:
         factors = [repr(float(c))]
