@@ -14,6 +14,8 @@ also at 0.0, -0.0 and the infinities, so only the sign of a NaN can differ,
 and a power that overflows still raises `OverflowError`.
 Past `SUM_CHUNK` terms the sum is added up chunk by chunk into `_s`, in the
 same order, so its compiled expression stays shallow whatever the term count.
+A power is the only operation that can raise, so only a source with a `**`
+catches `OverflowError` (`returning`).
 """
 
 from __future__ import annotations
@@ -56,6 +58,15 @@ def poly_src(p, ref: Callable[[str], str]) -> str:
         return " + ".join(parts) if parts else "0.0"
     chunks = [" + ".join(parts[i : i + SUM_CHUNK]) for i in range(0, len(parts), SUM_CHUNK)]
     return "(_s := " + ", _s := _s + ".join(chunks) + ")[-1]"
+
+
+def returning(src: str, overflow: str) -> list:
+    """Body lines that return `src`, or `overflow` where a power in it
+    raises `OverflowError`.  A float `+`, `-`, `*` or unary minus gives an
+    infinity rather than raising, so a source with no `**` gets no handler."""
+    if "**" not in src:
+        return [f"return {src}"]
+    return ["try:", f"    return {src}", "except OverflowError:", f"    return {overflow}"]
 
 
 def formula_src(f: Formula, atom: Callable[[Cmp], str]) -> str:

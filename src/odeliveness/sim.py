@@ -46,7 +46,7 @@ from random import Random
 from types import SimpleNamespace
 from typing import Callable, Optional
 
-from .codegen import build, formula_src, poly_src, to_float
+from .codegen import build, formula_src, poly_src, returning, to_float
 from .errors import InvalidArgument, RuleRefused, UnsamplableInitSet
 from .normal import atoms_of
 from .record import Factory, Frozen, Record
@@ -141,18 +141,28 @@ class Trajectory(Record):
 # side six times, with each stage's components as arguments, and keeps the
 # returned components as locals), the step-size controller, the finiteness
 # and `BLOWUP_NORM` screen, the atom vector, the domain and goal readings and
-# a screen for atoms whose value changes sign (a product below 0.0), and
-# appends the step's raw (t, state) row.  It hands back the first step at
-# which the result is not finite or blows up, the atoms have no vector,
-# the goal is entered, the domain is left or an atom changes sign, with
-# that step's trial and atom vector, so `integrate` locates its events
-# (the stage tuples are built only then);
-# or it returns at the horizon or the step cap.  The kernel's
-# source depends only on the dimension, so it is compiled once per
-# dimension (`_dimension`), on first use, with the trial from `_trial`,
-# and bound to each plan's `f`, `atoms`, `domain` and `goal`; so is the
+# a screen for atoms whose value changes sign (a product below 0.0, written
+# out entry by entry), and appends the step's raw (t, state) row.  It hands
+# back the first step at which the result is not finite or blows up, the
+# atoms have no vector, the goal is entered, the domain is left or an atom
+# changes sign, with that step's trial and atom vector, so `integrate`
+# locates its events (the stage tuples are built only then); or it returns
+# at the horizon or the step cap.
+#
+# The kernel's source depends only on the plan's shape (`Plan.shape`): the
+# dimension, the index and float of each component whose right-hand side
+# is a constant, the length of the atom vector and whether the domain is
+# `true`.  It is compiled once per shape (`_kernel`), on first use, and
+# bound to each plan's `f`, `atoms`, `domain` and `goal`; with it come the
 # bisection loop of `_locate`, which evaluates the dense output with the
-# components unrolled.  Every float
+# components unrolled, and `finite` and `norm`.  A `true` domain is not
+# read at all.  Each stage of a constant component c is c, so the trial
+# writes that component's stage sums as the literals that the same float
+# operations give over c (`_weighted`); a guard redoes the trial unfolded
+# unless all seven of its stages are c, which fails only where an
+# OverflowError made a stage infinite or k1 came in so.  So `odeliv
+# falsify` on one file compiles one kernel, `odeliv catalog` three and a
+# pass over the nine problem files and the catalog six.  Every float
 # operation is fixed by the source, so trajectories do not depend on how
 # often a plan is reused:
 #
@@ -164,8 +174,10 @@ class Trajectory(Record):
 # sums taken left to right, right-hand sides summed in
 # `Polynomial.sorted_terms` order and atom polynomials in the order of their
 # terms.  An OverflowError in `f` makes every component of that stage
-# infinite.  The 7th stage is f at y1, so an accepted trial's k7 is the next
-# trial's k1 (first same as last): a trial costs six evaluations of `f`.
+# infinite; only a power can raise it, so a source with no `**` has no
+# handler (`codegen.returning`).  The 7th stage is f at y1, so an accepted
+# trial's k7 is the next trial's k1 (first same as last): a trial costs six
+# evaluations of `f`.
 
 # Dormand & Prince, J. Comput. Appl. Math. 6 (1980), as the nearest floats
 # to the rationals: the rows of the stage matrix for stages 2..7 (the last
@@ -231,8 +243,12 @@ def _max_lines(name: str, parts: list) -> list:
     return lines
 
 
+def _block(head: str, *body: str) -> list:
+    return [f"{head}:"] + [f"    {line}" for line in body]
+
+
 def _def(name: str, args: str, *body: str) -> list:
-    return [f"def {name}({args}):"] + [f"    {line}" for line in body]
+    return _block(f"def {name}({args})", *body)
 
 
 def _atoms_def(polys: list, n: int, ref) -> list:
@@ -240,7 +256,7 @@ def _atoms_def(polys: list, n: int, ref) -> list:
     the state y of n floats, or None when one has no float value (its
     evaluation overflows)."""
     values = "".join(f"{poly_src(p, ref)}, " for p in polys)
-    return _def("atoms", "y", _unpack("a", n, "y"), "try:", f"    return ({values})", "except OverflowError:", "    return None")
+    return _def("atoms", "y", _unpack("a", n, "y"), *returning(f"({values})", "None"))
 
 
 def _predicate(atoms: list, names) -> Callable:
@@ -253,27 +269,53 @@ def _predicate(atoms: list, names) -> Callable:
     return build("\n".join(lines) + "\n", "_pred", {"_eq": EQ_TOL})
 
 
-def _trial(n: int) -> list:
+def _everywhere(A: tuple) -> bool:
+    """The predicate of a `true` domain, shared by every plan."""
+    return True
+
+
+def _fold(weights: tuple, c: float) -> float:
+    """w1*c + w2*c + ... over the nonzero weights, left to right: a stage
+    sum of a component each of whose stages is c."""
+    total = None
+    for w in weights:
+        if w:
+            total = w * c if total is None else total + w * c
+    return total
+
+
+def _weighted(weights: tuple, i: int, folded: dict) -> str:
+    """Source of the stage sum w1*k1_i + w2*k2_i + ... over the nonzero
+    weights, left to right; for a component of `folded`, the literal that
+    sum is when each of its stages is that component's constant."""
+    if i in folded:
+        return repr(_fold(weights, folded[i]))
+    return "(" + " + ".join(f"{w!r} * k{j + 1}_{i}" for j, w in enumerate(weights) if w) + ")"
+
+
+def _trial(n: int, folded: dict) -> list:
     """Source lines of one Dormand-Prince trial of step h from the state
     a0, ..., a{n-1} whose first stage is k1_0, ...: stages k2..k7 through
     `f`, unpacked as k2_0, ...; the fifth-order state b0, ..., also as the
-    tuple y1, with k7 = f(b0, ...); and its error `err`."""
-
-    def combo(weights, i):
-        return " + ".join(f"{w!r} * k{j + 1}_{i}" for j, w in enumerate(weights) if w)
-
+    tuple y1, with k7 = f(b0, ...); and its error `err`.  Each component i
+    of `folded` has the constant right-hand side folded[i] and its sums are
+    literals; unless each of its seven stages is that constant, the trial
+    is taken again with every sum written out."""
     lines = []
     for s, row in enumerate(_DP_A[:-1], start=2):
-        point = "".join(f"a{i} + h * ({combo(row, i)}), " for i in range(n))
+        point = "".join(f"a{i} + h * {_weighted(row, i, folded)}, " for i in range(n))
         lines.append(_unpack(f"k{s}_", n, f"f({point})"))
-    lines += [f"b{i} = a{i} + h * ({combo(_DP_A[-1], i)})" for i in range(n)]
+    lines += [f"b{i} = a{i} + h * {_weighted(_DP_A[-1], i, folded)}" for i in range(n)]
     lines += [f"y1 = {_tuple('b', n)}", _unpack("k7_", n, f"f{_tuple('b', n)}")]
-    lines += _max_lines("err", [f"abs(h * ({combo(_DP_E, i)})) / (1.0 + abs(b{i}))" for i in range(n)])
-    return lines
+    err = _max_lines("err", [f"abs(h * {_weighted(_DP_E, i, folded)}) / (1.0 + abs(b{i}))" for i in range(n)])
+    if not folded:
+        return lines + err
+    guard = " and ".join(f"k{s}_{i} == {c!r}" for i, c in folded.items() for s in range(1, 8))
+    return lines + _block(f"if {guard}", *err) + _block("else", *_trial(n, {}))
 
 
 # The stepping kernel over one plan's f, atoms, domain and goal; see
-# "Compiled trajectory work".  `_advance` fills in the dimension's trial,
+# "Compiled trajectory work".  `_advance` fills in the shape's trial,
 # unpackings and tests.  The elementary controller: after every trial h is
 # scaled by 0.9*(TOL/err)^(1/5), kept within [0.2, 5]; a non-finite trial
 # counts as err = inf.  h stops at HMIN, where a trial is accepted whatever
@@ -327,18 +369,9 @@ def advance_over(f, atoms, domain, goal):
             g1 = goal is not None and goal(A1)
             if g1 and not goal_now:
                 break
-            d1 = domain(A1)
-            if domain_now and not d1:
-                break
-            for x0, x1 in zip(A, A1):
-                if x0 * x1 < 0.0:
-                    break
-            else:
-                rows.append((t1, y1))
-                t, y, h, A, goal_now, domain_now = t1, y1, hn, A1, g1, d1
-                {next_state}
-                continue
-            break
+            {screen}
+            rows.append((t1, y1))
+            {next_state}
         else:
             stats["steps"], stats["rejected"], stats["min_h"] = steps, rejected, min_h
             return t, y, {k1}, A, goal_now, domain_now, None
@@ -348,19 +381,26 @@ def advance_over(f, atoms, domain, goal):
     return advance"""
 
 
-def _advance(n: int) -> str:
-    """Source of `advance_over` for the dimension n."""
+def _advance(n: int, folded: dict, entries: int, everywhere: bool) -> str:
+    """Source of `advance_over` for the shape (see `_kernel`)."""
 
     def lines(parts, depth):
         return ("\n" + " " * depth).join(parts)
 
+    screen, state = [], ["t, y, h, A, goal_now = t1, y1, hn, A1, g1"]
+    if not everywhere:
+        screen += ["d1 = domain(A1)", *_block("if domain_now and not d1", "break")]
+        state += ["domain_now = d1"]
+    if entries:
+        screen += _block("if " + " or ".join(f"A[{j}] * A1[{j}] < 0.0" for j in range(entries)), "break")
     return _ADVANCE.format(
         unpack_y=_unpack("a", n, "y"),
         unpack_k1=_unpack("k1_", n, "k1"),
-        trial=lines(_trial(n), 16),
+        trial=lines(_trial(n, folded), 16),
         finite=" and ".join(f"isfinite(b{i})" for i in range(n)),
         inside=" and ".join(f"{-BLOWUP_NORM!r} <= b{i} <= {BLOWUP_NORM!r}" for i in range(n)),
-        next_state=lines([f"a{i} = b{i}" for i in range(n)] + [f"k1_{i} = k7_{i}" for i in range(n)], 16),
+        screen=lines(screen, 12),
+        next_state=lines(state + [f"a{i} = b{i}" for i in range(n)] + [f"k1_{i} = k7_{i}" for i in range(n)], 12),
         **{f"k{s}": _tuple(f"k{s}_", n) for s in (1, 3, 4, 5, 6, 7)},
         TOL=TOL,
         HMIN=HMIN,
@@ -388,24 +428,28 @@ def bisect(pred, finite, t0, h, rows, y0, y1):
     return hi, y_lo, y_hi"""
 
 
-@functools.cache
-def _dimension(n: int) -> SimpleNamespace:
-    """The compiled work that depends only on the state's dimension n, built
-    once per n: `advance_over(f, atoms, domain, goal)`, the stepping kernel;
-    `bisect`, the loop of `_locate`; `finite(y)`; and `norm(y)`, the max
-    norm."""
+@functools.lru_cache(maxsize=64)  # a command meets a few shapes; a shape holds floats, so bounded
+def _kernel(n: int, consts: tuple, entries: int, everywhere: bool) -> SimpleNamespace:
+    """The compiled work of one plan shape, built once per shape: the
+    dimension n, the (index, float) of each component whose right-hand side
+    is a constant, the length of the atom vector and whether the domain is
+    `true`.  It holds `advance_over(f, atoms, domain, goal)`, the stepping
+    kernel; `bisect`, the loop of `_locate`; `finite(y)`; and `norm(y)`,
+    the max norm.  A constant is folded into the trial only where each of
+    its stage sums is finite, so that the sum's literal is its float."""
+    folded = {i: c for i, c in consts if all(math.isfinite(_fold(w, c)) for w in (*_DP_A, _DP_E))}
     unpack = _unpack("a", n, "y")
     rows = "".join(f"(r1_{i}, r2_{i}, r3_{i}, r4_{i}, r5_{i}), " for i in range(n))
     dense = "".join(f"r1_{i} + theta * (r2_{i} + u * (r3_{i} + theta * (r4_{i} + u * r5_{i}))), " for i in range(n))
     src = "\n".join(
-        [_advance(n)]
+        [_advance(n, folded, entries, everywhere)]
         + [_BISECT.format(rows=rows, dense=dense, EVENT_TOL=EVENT_TOL)]
         + ["def finite(y):", f"    {unpack}"]
         + ["    return " + " and ".join(f"isfinite(a{i})" for i in range(n))]
         + _def("norm", "y", unpack, *_max_lines("m", [f"abs(a{i})" for i in range(n)]), "return m")
     )
     namespace = {"isfinite": math.isfinite, "inf": math.inf}
-    exec(src, namespace)  # generated from the tableau alone
+    exec(src, namespace)  # generated from the tableau and the shape alone
     return SimpleNamespace(**{k: namespace[k] for k in ("advance_over", "bisect", "finite", "norm")})
 
 
@@ -422,7 +466,15 @@ class Plan:
         self.pnames = tuple(sorted(system.params))
         domain = system.domain if system.domain is not None else TRUE
         self._code = compile(self._source(domain), "<string>", "exec")
-        self._kernel = _dimension(len(self.names))
+        consts = ((i, system.rhs_of(v).constant_value()) for i, v in enumerate(self.names))
+        # the key of the plan's stepping kernel (see `_kernel`)
+        self.shape = (
+            len(self.names),
+            tuple((i, to_float(c.numerator, c.denominator)) for i, c in consts if c is not None),
+            len(self.domain_entries | self.goal_entries),
+            domain == TRUE,
+        )
+        self._kernel = _kernel(*self.shape)
 
     def bind(self, par: tuple) -> SimpleNamespace:
         """The plan's functions over the parameter values `par`: its code
@@ -431,11 +483,13 @@ class Plan:
         scope.update((f"p{j}", v) for j, v in enumerate(par))
         exec(self._code, scope)  # generated from the plan's own system and goal
         # taken out of their globals, which then hold no reference back
-        f, atoms, domain, goal = (scope.pop(k) for k in ("f", "atoms", "domain", "goal"))
+        f, atoms, goal = (scope.pop(k) for k in ("f", "atoms", "goal"))
+        domain = _everywhere if self.shape[3] else scope.pop("domain")
         keys, k = self.names + self.pnames, self._kernel
         return SimpleNamespace(
             f=f,
             advance=k.advance_over(f, atoms, domain, goal),
+            bisect=k.bisect,
             finite=k.finite,
             norm=k.norm,
             atoms=atoms,
@@ -445,9 +499,10 @@ class Plan:
         )
 
     def _source(self, domain: Formula) -> str:
-        """The source of the plan's functions `f`, `atoms`, `domain` and
-        `goal`; sets `domain_entries` and `goal_entries`, the indices of the
-        atom vector's entries that the domain and the goal read."""
+        """The source of the plan's functions `f`, `atoms`, `domain` (none
+        for a `true` domain) and `goal`; sets `domain_entries` and
+        `goal_entries`, the indices of the atom vector's entries that the
+        domain and the goal read."""
         names, n = self.names, len(self.names)
         params = {p: f"p{j}" for j, p in enumerate(self.pnames)}
 
@@ -456,9 +511,8 @@ class Plan:
 
         # f(a0, a1, ...): the right-hand side
         rhs = "".join(f"{poly_src(self.system.rhs_of(v), ref)}, " for v in names)
-        overflow = "    return (" + "_inf, " * n + ")"
         args = ", ".join(f"a{i}" for i in range(n))
-        body = _def("f", args, "try:", f"    return ({rhs})", "except OverflowError:", overflow)
+        body = _def("f", args, *returning(f"({rhs})", "(" + "_inf, " * n + ")"))
 
         # atoms(y): each distinct difference polynomial of the atoms, domain
         # then goal, in the order the predicates domain(A) and goal(A) first
@@ -474,7 +528,9 @@ class Plan:
 
             return atom
 
-        preds = _def("domain", "A", "return " + formula_src(domain, reader(self.domain_entries)))
+        preds = []
+        if domain != TRUE:
+            preds += _def("domain", "A", "return " + formula_src(domain, reader(self.domain_entries)))
         if self.goal is None:
             preds.append("goal = None")
         else:
@@ -502,11 +558,12 @@ def _interpolant(y0: tuple, y1: tuple, h: float, ks: tuple) -> list:
     return rows
 
 
-def _locate(pred, finite, t0: float, h: float, y0: tuple, y1: tuple, ks: tuple) -> tuple:
+def _locate(bisect, pred, finite, t0: float, h: float, y0: tuple, y1: tuple, ks: tuple) -> tuple:
     """Earliest time in (t0, t0 + h] where `pred` flips to true, by
-    bisecting the step's continuous extension; no right-hand side is
-    evaluated.  Returns (time, state at the bracket's start, state at time)."""
-    return _dimension(len(y0)).bisect(pred, finite, t0, h, _interpolant(y0, y1, h, ks), y0, y1)
+    bisecting the step's continuous extension with a kernel's `bisect`; no
+    right-hand side is evaluated.  Returns (time, state at the bracket's
+    start, state at time)."""
+    return bisect(pred, finite, t0, h, _interpolant(y0, y1, h, ks), y0, y1)
 
 
 def integrate(plan: Plan, init: dict, horizon: float, stop_on_event: bool = True) -> Trajectory:
@@ -527,7 +584,7 @@ def integrate(plan: Plan, init: dict, horizon: float, stop_on_event: bool = True
         names = ", ".join(map(repr, unknown))
         raise InvalidArgument(f"initial state has names that are neither variables nor parameters: {names}")
     c = plan.bind(tuple(float(init[p]) for p in plan.pnames))
-    finite, norm, atoms = c.finite, c.norm, c.atoms
+    bisect, finite, norm, atoms = c.bisect, c.finite, c.norm, c.atoms
 
     y = tuple(float(init[n]) for n in plan.names)
     t = 0.0
@@ -568,7 +625,9 @@ def integrate(plan: Plan, init: dict, horizon: float, stop_on_event: bool = True
     # and the vectors L and H at the ends of the bracket closing in on it; a
     # point with no atom vector counts as before the event (L is then A)
     def bracket(test):
-        tau, y_lo, y_hi = _locate(lambda yy: (B := atoms(yy)) is not None and test(B), finite, t, h, y, y_new, ks)
+        tau, y_lo, y_hi = _locate(
+            bisect, lambda yy: (B := atoms(yy)) is not None and test(B), finite, t, h, y, y_new, ks
+        )
         return tau, atoms(y_lo) or A, atoms(y_hi)
 
     k1 = c.f(*y)
@@ -584,7 +643,7 @@ def integrate(plan: Plan, init: dict, horizon: float, stop_on_event: bool = True
         h, t_new, y_new, k7, ks, A_new, h_next = step
 
         if not finite(y_new) or norm(y_new) > BLOWUP_NORM:
-            tau, _, y_hit = _locate(lambda yy: norm(yy) > BLOWUP_NORM, finite, t, h, y, y_new, ks)
+            tau, _, y_hit = _locate(bisect, lambda yy: norm(yy) > BLOWUP_NORM, finite, t, h, y, y_new, ks)
             rows.append((tau, y_hit))
             events.append((tau, BLOWUP_SUSPECTED))
             return end()

@@ -11,8 +11,11 @@ values may differ only in the sign of a zero).
 import gc
 import itertools
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
 import weakref
 from fractions import Fraction
 from random import Random
@@ -21,12 +24,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from odeliveness import sim
-from odeliveness.codegen import SUM_CHUNK, build, poly_src
+from odeliveness.codegen import SUM_CHUNK, build, poly_src, returning
 from odeliveness.normal import norm_atom
 from odeliveness.symbolic import OdeSystem, Polynomial
-from odeliveness.syntax import And, BoolLit, Cmp, Formula, Or, negate, parse_problem
+from odeliveness.syntax import TRUE, And, BoolLit, Cmp, Formula, Or, negate, parse_problem
 
-from conftest import _dp_step, eval_float, problem_path
+from conftest import ROOT, _dp_step, eval_float, problem_path
 
 # -- references --------------------------------------------------------------
 
@@ -176,7 +179,9 @@ def reference_integrate(plan, init, horizon, stop_on_event, max_steps, screened)
             candidates[kind] = (tau, is_closed)
 
     def bracket(test):
-        tau, y_lo, y_hi = sim._locate(lambda yy: (B := atoms(yy)) is not None and test(B), finite, t, h, y, y_new, ks)
+        tau, y_lo, y_hi = sim._locate(
+            c.bisect, lambda yy: (B := atoms(yy)) is not None and test(B), finite, t, h, y, y_new, ks
+        )
         return tau, atoms(y_lo) or A, atoms(y_hi)
 
     k1 = f(*y)
@@ -197,7 +202,7 @@ def reference_integrate(plan, init, horizon, stop_on_event, max_steps, screened)
         t_new = t + h
         if not finite(y_new) or norm(y_new) > sim.BLOWUP_NORM:
             screened.append(stats["steps"])
-            tau, _, y_hit = sim._locate(lambda yy: norm(yy) > sim.BLOWUP_NORM, finite, t, h, y, y_new, ks)
+            tau, _, y_hit = sim._locate(c.bisect, lambda yy: norm(yy) > sim.BLOWUP_NORM, finite, t, h, y, y_new, ks)
             rows.append((tau, y_hit))
             events.append((tau, sim.BLOWUP_SUSPECTED))
             return rows, events, closed, stats, None
@@ -345,7 +350,8 @@ def test_compiled_dp_step_is_bit_identical(system, point, h):
     # the smallest)
     par = point[2]
     y = (point[0], point[1], point[3])
-    c = sim.Plan(system).bind((par,))
+    plan = sim.Plan(system)
+    c = plan.bind((par,))
     f = rhs_reference(system, {PARAM: par})
     k1 = f(*y)
     assert all(same_float(a, b) for a, b in zip(c.f(*y), k1))
@@ -353,10 +359,12 @@ def test_compiled_dp_step_is_bit_identical(system, point, h):
     if not (all(map(math.isfinite, first_y1)) and first_err == first_err):
         first_err = math.inf
 
-    # no atom vector before the step and neither goal nor domain holding
-    # there, so only a blow-up or undefined atoms hand the step back
+    # an atom vector of NaNs before the step, whose products are never
+    # below 0.0, and neither goal nor domain holding there, so only a
+    # blow-up or undefined atoms hand the step back
     stats = {"steps": 0, "rejected": 0, "min_h": math.inf}
-    _, y1, k7, *_, step = c.advance(0.0, y, h, k1, (), False, False, h, 1, [], stats)
+    A = (math.nan,) * plan.shape[2]
+    _, y1, k7, *_, step = c.advance(0.0, y, h, k1, A, False, False, h, 1, [], stats)
     if step is not None:
         y1, k7 = step[2], step[3]
     assert stats["steps"] == 1 and len(y1) == len(y)
@@ -375,8 +383,8 @@ def test_generated_max_is_the_builtin_max():
         names = [f"x{i}" for i in range(n)]
         chain = build("\n".join(sim._def("_m", ", ".join(names), *sim._max_lines("m", names), "return m")), "_m")
         stages = ", ".join(f"a{i}, k1_{i}" for i in range(n))
-        trial = build("\n".join(sim._def("_trial", f"f, h, {stages}", *sim._trial(n), "return err")), "_trial")
-        norm = sim._dimension(n).norm
+        trial = build("\n".join(sim._def("_trial", f"f, h, {stages}", *sim._trial(n, {}), "return err")), "_trial")
+        norm = sim._kernel(n, (), 0, True).norm
         for point in itertools.product(values, repeat=n):
             assert same_float(chain(*point), max(point)), point
             assert same_float(norm(point), max(abs(v) for v in point)), point
@@ -387,16 +395,21 @@ def test_generated_max_is_the_builtin_max():
             assert same_float(got, _dp_step(lambda *a: a, y, 0.5, point)[1]), point
 
 
+# constant right-hand sides, which the stepping kernel folds into its trial
+constants = st.sampled_from([Polynomial.const(0), Polynomial.const(1), Polynomial.const(Fraction(-3, 7))])
+
+
 @st.composite
 def small_problems(draw):
-    """A system of 1-3 variables and a parameter, with a domain, a goal and
-    an initial point.  Each right-hand side has a term, and the point lies
-    in the domain and off the goal (each drawn formula negated where
-    needed), so that events come after the first state."""
+    """A system of 1-3 variables and a parameter, with a domain (possibly
+    `true`), a goal and an initial point.  Each right-hand side has a term
+    or is a constant, and the point lies in the domain and off the goal
+    (each drawn formula negated where needed), so that events come after
+    the first state."""
     names = ("x", "y", "z")[: draw(st.integers(1, 3))]
     scope = names + (PARAM,)
-    rhs = draw(st.lists(polys(scope, 1), min_size=len(names), max_size=len(names)))
-    domain, goal = draw(formulas(scope)), draw(formulas(scope))
+    rhs = draw(st.lists(polys(scope, 1) | constants, min_size=len(names), max_size=len(names)))
+    domain, goal = draw(formulas(scope) | st.just(TRUE)), draw(formulas(scope))
     init = dict(zip(scope, draw(st.lists(values, min_size=len(scope), max_size=len(scope)))))
     if not eval_state(domain, init):
         domain = negate(domain)
@@ -409,13 +422,10 @@ def hexes(floats) -> list:
     return [v.hex() for v in floats]
 
 
-@settings(max_examples=200, deadline=None)
-@given(small_problems(), st.sampled_from([0.5, 2.0]), st.booleans())
-def test_kernel_matches_the_reference_loop(problem, horizon, stop_on_event):
-    # `integrate` takes the same steps, bit for bit, as the Python loop it
-    # replaced, and its kernel hands back exactly the steps that may carry
-    # an event.  A small step cap keeps every case short and reaches the cap
-    system, goal, init = problem
+def assert_kernel_matches_the_reference_loop(system, goal, init, horizon, stop_on_event):
+    """`integrate` takes the same steps, bit for bit, as the Python loop it
+    replaced, and its kernel hands back exactly the steps that may carry an
+    event.  A small step cap keeps every case short and reaches the cap."""
     plan = sim.Plan(system, goal)
     exits, screened = [], []
     bind = plan.bind
@@ -448,6 +458,93 @@ def test_kernel_matches_the_reference_loop(problem, horizon, stop_on_event):
     assert traj.stats["min_h"].hex() == stats["min_h"].hex()
     assert [(t.hex(), hexes(y)) for t, y in traj.rows] == [(t.hex(), hexes(y)) for t, y in rows]
     assert exits == screened
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_problems(), st.sampled_from([0.5, 2.0]), st.booleans())
+def test_kernel_matches_the_reference_loop(problem, horizon, stop_on_event):
+    system, goal, init = problem
+    assert_kernel_matches_the_reference_loop(system, goal, init, horizon, stop_on_event)
+
+
+def test_a_folded_constant_component_meets_overflow_as_the_unfolded_trial_does():
+    # t' = 1 is folded into the trial, which holds only while each stage of
+    # t is 1.0.  From x = 30 a stage of x' = t*x^9 overflows, which makes
+    # that whole stage infinite; from x = 1e200, x^2 overflows at the first
+    # state, so k1 comes in infinite.  Either way the kernel takes the trial
+    # again unfolded and keeps the reference's floats
+    cases = [
+        ("ode { x' = t*x^9; t' = 1 }  goal { x >= 1000 }", {"x": 30.0, "t": 1.0}, ((1, 1.0),)),
+        ("ode { x' = x^2; t' = 1 }  goal { t >= 1 }", {"x": 1e200, "t": 0.0}, ((1, 1.0),)),
+        # a constant whose stage sums overflow (one is inf - inf) is not folded
+        ("ode { x' = 10^308; t' = 1 }  goal { t >= 1 }", {"x": 0.0, "t": 0.0}, ((0, 1e308), (1, 1.0))),
+    ]
+    for src, init, consts in cases:
+        pf = parse_problem(src)
+        assert sim.Plan(pf.system, pf.goal).shape[1] == consts
+        for stop_on_event in (True, False):
+            assert_kernel_matches_the_reference_loop(pf.system, pf.goal, init, 2.0, stop_on_event)
+
+
+def test_sign_change_screen_reads_every_entry():
+    # the kernel's screen is written out over the atom vector's entries: a
+    # step hands back exactly when the zip loop it replaced would, with 0, 1
+    # and 4 entries, NaN, infinities and signed zeros in the vector before
+    # the step and a NaN entry after it (1e308*x^2 - 1e308*x^3 at x = 10 is
+    # inf - inf)
+    x = Polynomial.var("x")
+    entries = [x - 20, x + 2, 10**308 * x**2 - 10**308 * x**3, x]
+    values = (1.0, -1.0, 0.0, -0.0, math.nan, math.inf, -math.inf)
+    for m in (0, 1, 4):
+        goal = None
+        for p in entries[:m]:
+            atom = Cmp(">=", p, Polynomial.const(0))
+            goal = atom if goal is None else Or(goal, atom)
+        plan = sim.Plan(OdeSystem(("x",), (Polynomial.const(1),)), goal)
+        assert plan.shape == (1, ((0, 1.0),), m, True)
+        c = plan.bind(())
+        y, h = (10.0,), 0.01
+
+        def step(A):
+            # one step of h from y, with the goal holding before it
+            stats = {"steps": 0, "rejected": 0, "min_h": math.inf}
+            return c.advance(0.0, y, h, c.f(*y), A, True, True, h, 1, [], stats)
+
+        A1 = c.atoms(step((math.nan,) * m)[1])
+        assert m < 3 or math.isnan(A1[2])
+        for A in itertools.product(values, repeat=m):
+            assert (step(A)[-1] is not None) == any(a * b < 0.0 for a, b in zip(A, A1)), A
+
+
+def test_only_a_source_with_a_power_catches_overflow():
+    # a float +, - or * gives an infinity rather than raising, so a plan with
+    # no power compiles no handler; where a power overflows, the stage is
+    # infinite in every component and the state has no atom vector
+    pf = parse_problem("param c; ode { x' = c*y - x; y' = -x + 1 }  domain { x + y <= 3 }  goal { x*y >= 1 }")
+    plan = sim.Plan(pf.system, pf.goal)
+    src = plan._source(pf.system.domain)
+    assert "try" not in src and "OverflowError" not in src
+    c = plan.bind((2.0,))
+    assert c.f(1e308, 1e308) == (math.inf, -1e308)
+    assert c.atoms((1e308, 1e308)) == (math.inf, math.inf)
+    pf = parse_problem("ode { x' = x^2; t' = 1 }  goal { t^2 >= 1 }")
+    plan = sim.Plan(pf.system, pf.goal)
+    assert plan._source(TRUE).count("except OverflowError") == 2
+    c = plan.bind(())
+    assert c.f(2.0, 1e200) == (4.0, 1.0) and c.f(1e200, 2.0) == (math.inf, math.inf)
+    assert c.atoms((1e200, 2.0)) == (3.0,) and c.atoms((2.0, 1e200)) is None
+    assert returning("(a0 * a1, )", "None") == ["return (a0 * a1, )"]
+
+
+def test_a_fresh_process_compiles_one_stepping_kernel_per_plan_shape():
+    # ce1 has one shape; the catalog's four entries have three, as CE-1 and
+    # CE-4 share (2, ((1, 1.0),), 1, True): a clock, one goal entry, no domain
+    code = "import sys; from odeliveness import cli, sim; cli.main(sys.argv[1:]); print(sim._kernel.cache_info().misses)"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for argv, kernels in ((["falsify", str(problem_path("ce1.ode"))], 1), (["catalog"], 3)):
+        out = subprocess.run([sys.executable, "-c", code, *argv, "--samples", "2"], capture_output=True,
+                             text=True, check=True, env=env, timeout=120).stdout
+        assert out.splitlines()[-1] == str(kernels), (argv, out)
 
 
 def test_compiled_atoms_at_exact_tolerance_edges():
@@ -490,7 +587,7 @@ def test_plan_renders_each_atom_polynomial_once():
         assert src.count(diff) == 1, diff
     assert re.findall(r"^ *def (\w+)", src, re.M) == ["f", "atoms", "domain", "goal"]
     # the stepping kernel holds the only Dormand-Prince trial
-    assert sorted(vars(sim._dimension(len(plan.names)))) == ["advance_over", "bisect", "finite", "norm"]
+    assert sorted(vars(sim._kernel(*plan.shape))) == ["advance_over", "bisect", "finite", "norm"]
 
 
 def test_a_sum_of_thousands_of_terms_compiles_and_keeps_its_order():

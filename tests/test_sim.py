@@ -169,9 +169,9 @@ def _counting_locate(monkeypatch) -> list:
     starts = []
     locate = sim._locate
 
-    def counting(pred, finite, t0, *rest):
+    def counting(bisect, pred, finite, t0, *rest):
         starts.append(t0)
-        return locate(pred, finite, t0, *rest)
+        return locate(bisect, pred, finite, t0, *rest)
 
     monkeypatch.setattr(sim, "_locate", counting)
     return starts
