@@ -160,9 +160,9 @@ class Trajectory(Record):
 # writes that component's stage sums as the literals that the same float
 # operations give over c (`_weighted`); a guard redoes the trial unfolded
 # unless all seven of its stages are c, which fails only where an
-# OverflowError made a stage infinite or k1 came in so.  So `odeliv
-# falsify` on one file compiles one kernel, `odeliv catalog` three and a
-# pass over the nine problem files and the catalog six.  Every float
+# OverflowError made a stage infinite or k1 came in so.  `odeliv falsify`
+# on one file compiles one kernel, `odeliv catalog` three and a pass over
+# the nine problem files and the catalog six.  Every float
 # operation is fixed by the source, so trajectories do not depend on how
 # often a plan is reused:
 #
